@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid,
                          solve_linear, vadd, vsub, vneg, vscale, zero_vec)
 from .characters import (FormalCharacter, decompose_character,
-                         dominant_multiplicities, divide_exact, order_key,
+                         dominant_multiplicities, divide_exact,
                          weyl_denominator, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
@@ -145,13 +145,12 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     lam = vadd(aw.finite, rs.rho)
     num = _numerator_layers(rs, lam, K, cutoff)
     den = _denominator_layers(rs, cutoff)
-    key = order_key(rs)
     chars: list[FormalCharacter] = []
     for n in range(cutoff + 1):
         rhs = num[n].copy()
         for j in range(1, n + 1):
             rhs.iadd(den[j] * chars[n - j], -1)
-        chars.append(divide_exact(rhs, den[0], key))
+        chars.append(divide_exact(rhs, den[0], rs))
     gc = GradedCharacter(cutoff, chars)
     if gc.layers[0].get(aw.finite) != 1:
         raise AssertionError("highest weight missing from grade-0 layer")

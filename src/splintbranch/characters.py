@@ -1,19 +1,28 @@
 """Formal characters of finite-dimensional irreducible modules.
 
 A formal character is a finite integer combination of lattice points e^v,
-stored as a dict from coordinate tuples to nonzero integers.  Weight
-multiplicities come from the Freudenthal recursion; the Weyl quotient
+stored as a dict from coordinate tuples (Fractions) to nonzero integers.
+Weight multiplicities come from the Freudenthal recursion; the Weyl quotient
 formula is implemented independently as exact group-ring division, so the
 two routes cross-check each other.
+
+Both routes compute in ints and touch Fractions only at their edges.
+Freudenthal runs on Dynkin labels (`RootSystem.label_data`): the dominant
+weights come from a descent from mu through dominant weights, and the
+root-string sums use the integer form.  Orbits are expanded in label space
+and decoded once.  Group-ring division eliminates on the supports scaled by
+their common denominator, which keeps both addition and the term order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .rootsystem import RootSystem, Vec, vadd, vsub, vneg, vscale, zero_vec
+from .rootsystem import RootSystem, Vec, FractionCache, vadd, vneg, zero_vec
 
 
 class FormalCharacter:
@@ -159,10 +168,11 @@ def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
     integral mu).
     """
     _require_dominant_integral(rs, mu)
-    shifted = vadd(mu, rs.rho)
+    labels, _, offset = rs.split_labels(mu)
+    orbit = rs.label_orbit(tuple(m + 1 for m in labels))
     fc = FormalCharacter()
-    for w, sign in rs.weyl_orbit(shifted):
-        fc.terms[vsub(w, rs.rho)] = sign
+    fc.terms = dict(rs.from_labels([(tuple(m - 1 for m in w), sign) for w, sign in orbit],
+                                   1, offset, ordered=True))
     if len(fc) != rs.weyl_order:
         raise AssertionError("singular element has wrong number of terms")
     return fc
@@ -177,43 +187,66 @@ def weyl_denominator(rs: RootSystem) -> FormalCharacter:
     return prod
 
 
-def divide_exact(numer: FormalCharacter, denom: FormalCharacter, key) -> FormalCharacter:
-    """Exact group-ring division, eliminating leading terms under `key`.
+def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
+                 rs: RootSystem) -> FormalCharacter:
+    """Exact group-ring division, eliminating leading terms in the order
+    (rho-pairing, lex) of order_key(rs).
 
     The leading coefficient of denom must be a unit (+-1); raises if a
-    nonzero remainder survives.  A lazy-deletion heap tracks the leading
-    remainder term: an eliminated weight can never re-enter (all insertions
-    sit strictly below the current leading term).
+    nonzero remainder survives.  Supports are eliminated as int codes,
+    -(coordinates x common denominator), so that addition is kept and the
+    leading term is the smallest (pairing code, code) pair.  A lazy-deletion
+    heap tracks the leading remainder term: an eliminated weight can never
+    re-enter (all insertions sit strictly below the current leading term).
+    Lowest terms multiply, so an exact quotient has no term below
+    lowest(numer) - lowest(denom); reaching one means a nonzero remainder.
     """
-    lead_v, lead_c = denom.leading(key)
+    den = math.lcm(*{x.denominator for fc in (numer, denom) for v in fc.terms for x in v})
+
+    def code(v):
+        return tuple([-x.numerator * (den // x.denominator) for x in v])
+
+    pair = [g * r for g, r in zip(rs.gram_diag, rs.rho)]
+    pair_den = math.lcm(*(x.denominator for x in pair))
+    pair = [int(x * pair_den) for x in pair]
+
+    def pairing(c):
+        return sum(map(mul, pair, c))
+
+    coded = [(code(w), d) for w, d in denom.terms.items()]
+    dterms = [(pairing(c), c, d) for c, d in coded]
+    lead_p, lead_v, lead_c = min(dterms)
     if lead_c not in (1, -1):
         raise ValueError("denominator leading coefficient is not a unit")
+    shifts = [(p - lead_p, tuple(map(sub, c, lead_v)), d) for p, c, d in dterms]
 
-    def heap_key(v):
-        f, vec = key(v)
-        return (-f, tuple(-x for x in vec), v)
-
-    rem = dict(numer.terms)
-    heap = [heap_key(v) for v in rem]
+    rem = {code(v): c for v, c in numer.terms.items()}
+    heap = [(pairing(v), v) for v in rem]
     heapq.heapify(heap)
-    quot = FormalCharacter()
-    dterms = denom.terms
+    quot: dict = {}
+    if heap:
+        low_p, low_v = max(heap)
+        last_p, last_v, _ = max(dterms)
+        lowest_q = (low_p - last_p, tuple(map(sub, low_v, last_v)))
     steps = 0
     while heap:
-        v = heapq.heappop(heap)[2]
+        p, v = heapq.heappop(heap)
         c = rem.get(v)
         if not c:
             rem.pop(v, None)
             continue
         q = c * lead_c
-        qv = vsub(v, lead_v)
-        quot.terms[qv] = quot.terms.get(qv, 0) + q
-        for w, d in dterms.items():
-            u = vadd(qv, w)
+        qv = tuple(map(sub, v, lead_v))
+        if (p - lead_p, qv) > lowest_q:
+            break
+        quot[qv] = quot.get(qv, 0) + q
+        # subtract q e^{qv} * denom: term w of denom lands at qv + w = v + (w - lead)
+        for dp, dw, d in shifts:
+            u = tuple(map(add, v, dw))
             n = rem.get(u, 0) - q * d
             if n:
                 if u not in rem:
-                    heapq.heappush(heap, heap_key(u))
+                    heapq.heappush(heap, (p + dp, u))
                 rem[u] = n
             else:
                 rem.pop(u, None)
@@ -222,7 +255,11 @@ def divide_exact(numer: FormalCharacter, denom: FormalCharacter, key) -> FormalC
             raise ArithmeticError("group-ring division does not terminate")
     if any(rem.values()):
         raise ArithmeticError("nonzero remainder in group-ring division")
-    return quot
+    out = FormalCharacter()
+    frac = FractionCache(-den)      # codes are negated coordinates
+    get = frac.__getitem__
+    out.terms = {tuple(map(get, code_v)): c for code_v, c in quot.items()}
+    return out
 
 
 # character caches, keyed by (algebra name, Dynkin labels)
@@ -238,76 +275,81 @@ def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
     if hit is not None:
         return hit
 
-    rho = rs.rho
-    mu_rho = vadd(mu, rho)
-    top = rs.inner(mu_rho, mu_rho)
-    budget = top - rs.inner(rho, rho)
-    weights = _dominant_weights_below(rs, mu, budget)
-    # increasing distance from mu, so dependencies are already resolved
-    weights.sort(key=lambda t: t[1])
+    ld = rs.label_data
+    top, _, offset = rs.split_labels(mu)
+    form = ld.form
 
-    mult: dict[Vec, int] = {}
-    for nu, depth in weights:
-        if depth == 0:
+    def norm(x):         # (x, x) * form_den
+        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
+
+    roots = []           # (labels, simple coefficients, form row of alpha, (alpha, alpha))
+    for a, c in ld.positive:
+        fa = tuple(sum(map(mul, row, a)) for row in form)
+        roots.append((a, c, fa, sum(map(mul, a, fa))))
+    top_sq = norm(tuple(m + 1 for m in top))
+    dominant: dict = {}  # labels of w -> labels of its dominant representative
+
+    mult: dict = {}
+    for nu, depth_coeffs in _dominant_descent(ld, top):
+        if not any(depth_coeffs):
             mult[nu] = 1
             continue
-        nu_rho = vadd(nu, rho)
-        denom = top - rs.inner(nu_rho, nu_rho)
-        acc = Fraction(0)
-        for a in rs.positive_roots:
-            j = 1
-            while True:
-                w = vadd(nu, vscale(a, j))
-                coeffs = rs.simple_coefficients(vsub(mu, w))
-                if any(c < 0 for c in coeffs):
+        nu_rho = tuple(m + 1 for m in nu)
+        nu_sq = norm(nu_rho)
+        denom = top_sq - nu_sq
+        acc = 0
+        for a, c, fa, aa in roots:
+            # alpha-string above nu: w = nu + j alpha while mu - w stays in the
+            # positive root cone and (w + rho)^2 <= (mu + rho)^2
+            j_cone = min(k // ci for k, ci in zip(depth_coeffs, c) if ci)
+            p = sum(map(mul, nu_rho, fa))
+            q = sum(map(mul, nu, fa))
+            w = nu
+            for j in range(1, j_cone + 1):
+                if nu_sq + j * (2 * p + j * aa) > top_sq:
                     break
-                w_rho = vadd(w, rho)
-                if rs.inner(w_rho, w_rho) > top:
-                    break
-                dom, _, _ = rs.dominant_representative(w)
+                w = tuple(map(add, w, a))
+                dom = dominant.get(w)
+                if dom is None:
+                    dom = dominant[w] = rs.dominant_labels(w)[0]
                 m = mult.get(dom, 0)
                 if m:
-                    acc += m * rs.inner(w, a)
-                j += 1
-        val = 2 * acc / denom
-        if val.denominator != 1 or val <= 0:
-            raise AssertionError(f"Freudenthal produced non-positive multiplicity {val}")
-        mult[nu] = int(val)
+                    acc += m * (q + j * aa)
+        val, r = divmod(2 * acc, denom)
+        if r or val <= 0:
+            raise AssertionError("Freudenthal produced non-positive multiplicity "
+                                 f"{Fraction(2 * acc, denom)}")
+        mult[nu] = val
 
+    out = dict(rs.from_labels(mult.items(), 1, offset))
     with _cache_lock:
-        _dominant_cache[key] = mult
-    return mult
-
-
-def _dominant_weights_below(rs, mu, budget):
-    """All dominant nu with mu - nu in the positive root cone, with cone depth.
-
-    Uses the bound sum_i c_i (mu+rho, alpha_i) <= (mu+rho)^2 - rho^2 valid for
-    dominant nu = mu - sum c_i alpha_i.
-    """
-    mu_rho = vadd(mu, rs.rho)
-    costs = [rs.inner(mu_rho, a) for a in rs.simple_roots]
-    out = []
-    coeffs = [0] * rs.rank
-
-    def rec(i, remaining):
-        if i == rs.rank:
-            nu = mu
-            for c, a in zip(coeffs, rs.simple_roots):
-                if c:
-                    nu = vsub(nu, vscale(a, c))
-            if rs.is_dominant(nu):
-                out.append((nu, sum(coeffs)))
-            return
-        c = 0
-        while c * costs[i] <= remaining:
-            coeffs[i] = c
-            rec(i + 1, remaining - c * costs[i])
-            c += 1
-        coeffs[i] = 0
-
-    rec(0, budget)
+        _dominant_cache[key] = out
     return out
+
+
+def _dominant_descent(ld, mu):
+    """All dominant nu with mu - nu in the positive root cone, as
+    (labels of nu, simple coefficients of mu - nu), ordered by depth (the sum
+    of the coefficients) and then by the coefficients, so that every weight
+    above nu comes first.
+
+    Descends from mu by positive roots, keeping only dominant weights: every
+    dominant nu below mu is reached this way (Stembridge, "The partial order
+    of dominant weights", Adv. Math. 136 (1998), covers are positive roots).
+    """
+    found = {mu: (0,) * len(mu)}
+    frontier = [mu]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            coeffs = found[nu]
+            for a, c in ld.positive:
+                w = tuple(map(sub, nu, a))
+                if w not in found and min(w) >= 0:
+                    found[w] = tuple(map(add, coeffs, c))
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
 
 
 def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
@@ -321,7 +363,7 @@ def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """ch L^mu as the exact quotient singular element / Weyl denominator."""
-    return divide_exact(singular_element(rs, mu), weyl_denominator(rs), order_key(rs))
+    return divide_exact(singular_element(rs, mu), weyl_denominator(rs), rs)
 
 
 def weyl_dimension(rs: RootSystem, mu: Vec) -> int:

@@ -409,7 +409,9 @@ def cmd_verify(args):
     identities = ([args.identity] if args.identity != "all"
                   else ["weyl", "branching", "denominator",
                         "theta-product", "theta-sum"])
-    needs_splint = any(i != "weyl" for i in identities)
+    # the Weyl identity needs no splint, but a given splint names the algebra
+    needs_splint = any(i != "weyl" for i in identities) or (
+        rs is None and (args.splint or args.splint_file))
     s = _load_splint(args, rs, errors) if needs_splint else None
     if s is not None and rs is None:
         rs = s.ambient

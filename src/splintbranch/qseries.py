@@ -79,9 +79,6 @@ class QSeries:
         coeff = FormalCharacter.monomial(zero_vec(lattice_dim)) if lattice_dim is not None else 1
         return cls({Fraction(0): coeff}, cutoff)
 
-    def is_lattice_mode(self):
-        return any(isinstance(c, FormalCharacter) for c in self.terms.values())
-
     def items(self):
         return sorted(self.terms.items())
 

@@ -2,8 +2,17 @@
 
 Simple factors are realized in orthogonal coordinates (Bourbaki tables), with
 a per-coordinate rational form scale chosen so that long roots of every simple
-factor have squared length 2.  All vectors are tuples of Fractions, so every
-inner product, Dynkin label and reflection is exact.
+factor have squared length 2.  Vectors at the interface are tuples of
+Fractions, so every inner product, Dynkin label and reflection is exact.
+
+The weight engine (Weyl orbits, dominant representatives, Freudenthal) runs
+on integer Dynkin labels instead.  `RootSystem.label_data`, built on first
+use, holds the Cartan rows (row i = labels of alpha_i, so the simple
+reflection s_i is lambda - lambda_i * row_i), the positive roots as
+(labels, simple coefficients) pairs of ints, and the form on labels as one
+integer matrix over a common denominator.  A Fraction vector enters label
+space through `split_labels` (labels scaled to integers plus a W-fixed offset
+orthogonal to the roots) and leaves through `from_labels`.
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -20,6 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
+from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
 
@@ -253,6 +265,34 @@ def _weyl_order(family: str, rank: int) -> int:
     return WEYL_ORDERS[(family, rank)]
 
 
+class LabelData(NamedTuple):
+    """Integer weight data in Dynkin-label coordinates.
+
+    cartan[i] holds the labels of alpha_i.  positive[k] is (labels, simple
+    coefficients) of positive_roots[k].  For label vectors x, y the form is
+    (x, y) = sum_ij x_i form[i][j] y_j / form_den.  Fundamental weight k is
+    fw[k] / fw_den in orthogonal coordinates.
+    """
+    cartan: tuple
+    positive: tuple
+    form: tuple
+    form_den: int
+    fw: tuple
+    fw_den: int
+
+
+class FractionCache(dict):
+    """x -> Fraction(x, den), built once per distinct x."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        f = self[x] = Fraction(x, self.den)
+        return f
+
+
 class RootSystem:
     """Root system of a semisimple Lie algebra, exact and immutable.
 
@@ -428,42 +468,122 @@ class RootSystem:
         c = 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
         return vsub(v, vscale(alpha, c))
 
-    def dominant_representative(self, v: Vec):
-        """(dominant weight, sign, regular).  Sign is the parity of the word used;
-        it is only meaningful when the weight is regular."""
+    # -- integer label kernel ----------------------------------------------
+
+    @cached_property
+    def label_data(self) -> LabelData:
+        """Integer weight data (see LabelData), built on first use."""
+        positive = tuple(
+            (tuple(int(m) for m in self.dynkin_labels(a)),
+             tuple(int(c) for c in self.simple_coefficients(a)))
+            for a in self.positive_roots)
+        gram = [[self.inner(x, y) for y in self.fundamental_weights]
+                for x in self.fundamental_weights]
+        form_den = math.lcm(*(x.denominator for row in gram for x in row))
+        fw_den = math.lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        return LabelData(
+            cartan=tuple(tuple(row) for row in self.cartan),
+            positive=positive,
+            form=tuple(tuple(int(x * form_den) for x in row) for row in gram),
+            form_den=form_den,
+            fw=tuple(tuple(int(x * fw_den) for x in w) for w in self.fundamental_weights),
+            fw_den=fw_den)
+
+    def split_labels(self, v: Vec):
+        """(labels, d, offset) with v = sum_i labels_i omega_i / d + offset.
+
+        labels are ints, d is the common denominator of the Dynkin labels of v,
+        and offset (None when zero) is the W-fixed part of v orthogonal to the
+        roots."""
+        labels = self.dynkin_labels(v)
+        d = math.lcm(*(m.denominator for m in labels))
+        ints = tuple(int(m * d) for m in labels)
+        ((base, _),) = self.from_labels([(ints, None)], d)
+        offset = vsub(v, base)
+        return ints, d, (offset if any(offset) else None)
+
+    def from_labels(self, terms, d: int = 1, offset: Vec | None = None,
+                    ordered: bool = False):
+        """[(labels, x)] -> [(sum_i labels_i omega_i / d + offset, x)].
+
+        Input order is kept; ordered=True sorts by the vector instead.  All
+        arithmetic is on ints scaled by one common denominator; Fractions are
+        built once per distinct coordinate value."""
+        ld = self.label_data
+        den = d * ld.fw_den
+        if offset is None:
+            scale, off = 1, None
+        else:
+            total = math.lcm(den, *(x.denominator for x in offset))
+            scale, den = total // den, total
+            off = tuple(x.numerator * (total // x.denominator) for x in offset)
+        fw_cols = list(zip(*(tuple(x * scale for x in w) for w in ld.fw)))
+        coded = []
+        for labels, x in terms:
+            code = [sum(map(mul, labels, col)) for col in fw_cols]
+            if off is not None:
+                code = [a + b for a, b in zip(code, off)]
+            coded.append((tuple(code), x))
+        if ordered:
+            coded.sort()
+        frac = FractionCache(den)
+        get = frac.__getitem__
+        return [(tuple(map(get, code)), x) for code, x in coded]
+
+    def dominant_labels(self, labels):
+        """(dominant labels, sign): reflect at the first negative label until
+        none is left; sign is the parity of the reflections used."""
+        cartan = self.label_data.cartan
         sign = 1
-        cur = v
         while True:
-            for a in self.simple_roots:
-                if self.inner(cur, a) < 0:
-                    cur = self.reflect(cur, a)
+            for i, m in enumerate(labels):
+                if m < 0:
+                    labels = tuple([x - m * c for x, c in zip(labels, cartan[i])])
                     sign = -sign
                     break
             else:
-                break
-        regular = all(self.inner(cur, a) != 0 for a in self.simple_roots)
-        return cur, sign, regular
+                return labels, sign
 
-    def weyl_orbit(self, v: Vec):
-        """Full Weyl orbit as [(weight, sign)], signs relative to the dominant
-        representative.  Signs are contractually meaningful for regular weights
-        only (a stabilized weight admits representatives of both parities)."""
-        dom, _, _ = self.dominant_representative(v)
+    def label_orbit(self, labels):
+        """Signed Weyl orbit [(labels, sign)] in breadth-first order from the
+        dominant representative (sign +1); at most MAX_ORBIT points."""
+        cartan = self.label_data.cartan
+        dom, _ = self.dominant_labels(labels)
         seen = {dom: 1}
         frontier = [dom]
         while frontier:
             nxt = []
             for w in frontier:
-                s = seen[w]
-                for a in self.simple_roots:
-                    r = self.reflect(w, a)
+                s = -seen[w]
+                for i, m in enumerate(w):
+                    if m <= 0:
+                        # s_i fixes w (m = 0) or moves it one step up, to a
+                        # point of the previous breadth-first level (m < 0)
+                        continue
+                    r = tuple([x - m * c for x, c in zip(w, cartan[i])])
                     if r not in seen:
                         if len(seen) >= MAX_ORBIT:
                             raise ValueError(f"Weyl orbit exceeds cap {MAX_ORBIT}")
-                        seen[r] = -s
+                        seen[r] = s
                         nxt.append(r)
             frontier = nxt
-        return sorted(seen.items())
+        return list(seen.items())
+
+    def dominant_representative(self, v: Vec):
+        """(dominant weight, sign, regular).  Sign is the parity of the word used;
+        it is only meaningful when the weight is regular."""
+        labels, d, offset = self.split_labels(v)
+        dom, sign = self.dominant_labels(labels)
+        ((cur, _),) = self.from_labels([(dom, None)], d, offset)
+        return cur, sign, all(dom)
+
+    def weyl_orbit(self, v: Vec):
+        """Full Weyl orbit as [(weight, sign)] sorted by weight, signs relative
+        to the dominant representative.  Signs are contractually meaningful
+        for regular weights only (a stabilized weight admits representatives
+        of both parities)."""
+        labels, d, offset = self.split_labels(v)
+        return self.from_labels(self.label_orbit(labels), d, offset, ordered=True)
 
     def coroot(self, alpha: Vec) -> Vec:
         return vscale(alpha, Fraction(2) / self.inner(alpha, alpha))

@@ -92,6 +92,18 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0 and "theta-sum: pass" in out
 
 
+def test_verify_weyl_takes_algebra_from_splint(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "weyl", "--splint", "B2:A1A1",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algebra"] == "B2" and doc["splint"] == "B2:A1A1"
+    assert [r["identity"] for r in doc["results"]] == ["weyl"]
+    assert doc["results"][0]["passed"] is True
+    code, _, err = run(capsys, "verify", "--identity", "weyl")
+    assert code == 2 and "--algebra or --splint is required" in err
+
+
 def test_verify_corrupted_splint_file(tmp_path, capsys):
     bad = {
         "name": "G2:corrupt", "ambient": "G2",
