@@ -6,6 +6,10 @@ numerator as a truncated affine Weyl orbit (finite Weyl group composed with
 coroot-lattice translations) and divides by the truncated denominator layer
 by layer, each division exact in the group ring.  An independent affine
 Freudenthal recursion serves as the oracle for the main route.
+
+`denominator_layers` is the one expansion of a truncated affine denominator
+in the package: the characters divide by it, and the q-series verifiers of
+the splint identities turn the same layers into series.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid,
-                         solve_linear, vadd, vsub, vneg, vscale, zero_vec)
+from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
+                         vcombine, vsub, vneg, vscale, zero_vec)
 from .characters import (FormalCharacter, decompose_character,
-                         dominant_multiplicities, divide_exact,
-                         weyl_denominator, weyl_dimension)
+                         dominant_multiplicities, divide_exact, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
 
@@ -56,11 +59,6 @@ class GradedCharacter:
     cutoff: int
     layers: list  # list[FormalCharacter], index = grade
 
-    def multiplicity(self, nu: Vec, n: int) -> int:
-        if n > self.cutoff:
-            raise ValueError(f"grade {n} beyond cutoff {self.cutoff}")
-        return self.layers[n].get(nu)
-
 
 @dataclass
 class BranchingSeries:
@@ -75,25 +73,16 @@ class BranchingSeries:
         return sorted({nu for nu, _ in self.entries})
 
 
-def _coords_in_basis(rs: RootSystem, basis, v: Vec):
-    gram = [[rs.inner(a, b) for b in basis] for a in basis]
-    rhs = [rs.inner(v, a) for a in basis]
-    return solve_linear(gram, rhs)
-
-
 def _translation_grades(rs: RootSystem, lam: Vec, K: int, cutoff: int):
     """Coroot-lattice points beta with (lam,beta) + K(beta,beta)/2 <= cutoff.
 
     Yields (beta, grade).  This is an ellipsoid centered at -lam/K."""
     basis = rs.coroot_lattice_basis()
     gram = [[Fraction(K, 2) * rs.inner(a, b) for b in basis] for a in basis]
-    center = _coords_in_basis(rs, basis, vscale(lam, Fraction(1, K)))
+    center = rs.basis_coordinates(basis, vscale(lam, Fraction(1, K)))
     bound = Fraction(cutoff) + rs.inner(lam, lam) / (2 * K)
     for coeffs in lattice_points_in_ellipsoid(gram, center, bound):
-        beta = zero_vec(rs.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                beta = vadd(beta, vscale(b, c))
+        beta = vcombine(zero_vec(rs.dim), coeffs, basis)
         g = rs.inner(lam, beta) + K * rs.inner(beta, beta) / 2
         if g.denominator != 1 or g < 0:
             raise AssertionError(f"non-integral or negative grade {g} in affine orbit")
@@ -120,19 +109,31 @@ def _numerator_layers(rs: RootSystem, lam: Vec, K: int, cutoff: int):
     return layers
 
 
-def _denominator_layers(rs: RootSystem, cutoff: int):
-    """Product over positive affine roots, with multiplicities, by grade."""
-    zero = zero_vec(rs.dim)
-    layers = [FormalCharacter() for _ in range(cutoff + 1)]
-    layers[0] = weyl_denominator(rs)
+def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
+    """The truncated affine denominator, one FormalCharacter per grade n
+    (the power of q = e^{-delta}), for grades 0..cutoff:
+
+        prod_img (1 - e^{-img})
+          * prod_{n=1..cutoff} (1 - q^n)^imaginary
+                               prod_img (1 - q^n e^{-img}) (1 - q^n e^{img})
+
+    over the (nonempty) positive-root images `img`.  The positive roots of an
+    algebra with imaginary = its rank give its Weyl-Kac denominator; the
+    images of a stem's positive roots with the stem's rank give that stem's
+    denominator in ambient coordinates, graded by the stem's own delta.
+    """
+    zero = zero_vec(len(pos_images[0]))
+    layers = [FormalCharacter.monomial(zero)] + [FormalCharacter() for _ in range(cutoff)]
+    factors = [(0, vneg(img)) for img in pos_images]
     for n in range(1, cutoff + 1):
-        # (1 - q^n)^rank and (1 - q^n e^{-alpha}) for every root alpha
-        monos = [FormalCharacter.monomial(zero, 1) for _ in range(rs.rank)]
-        monos += [FormalCharacter.monomial(vneg(a), 1) for a in rs.roots]
-        for mono in monos:
-            # layers *= (1 - q^n * mono)
-            for m in range(cutoff, n - 1, -1):
-                layers[m] = layers[m] - (layers[m - n] * mono)
+        factors += [(n, zero)] * imaginary
+        factors += [(n, vneg(img)) for img in pos_images]
+        factors += [(n, img) for img in pos_images]
+    for n, v in factors:
+        mono = FormalCharacter.monomial(v)
+        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
+        for m in range(cutoff, n - 1, -1):
+            layers[m] = layers[m] - (layers[m - n] * mono)
     return layers
 
 
@@ -144,7 +145,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     K = aw.level + rs.dual_coxeter[0]
     lam = vadd(aw.finite, rs.rho)
     num = _numerator_layers(rs, lam, K, cutoff)
-    den = _denominator_layers(rs, cutoff)
+    den = denominator_layers(rs.positive_roots, rs.rank, cutoff)
     chars: list[FormalCharacter] = []
     for n in range(cutoff + 1):
         rhs = num[n].copy()
@@ -152,9 +153,14 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
             rhs.iadd(den[j] * chars[n - j], -1)
         chars.append(divide_exact(rhs, den[0], rs))
     gc = GradedCharacter(cutoff, chars)
+    check_highest_weight(gc, aw)
+    return gc
+
+
+def check_highest_weight(gc: GradedCharacter, aw: AffineWeight):
+    """The grade-0 layer of L^{mu^} holds mu exactly once."""
     if gc.layers[0].get(aw.finite) != 1:
         raise AssertionError("highest weight missing from grade-0 layer")
-    return gc
 
 
 def denominator_orbit_sum(rs: RootSystem, cutoff: int):
@@ -166,7 +172,7 @@ def denominator_orbit_sum(rs: RootSystem, cutoff: int):
 
 def affine_denominator_layers(rs: RootSystem, cutoff: int):
     _require_simple(rs)
-    return _denominator_layers(rs, cutoff)
+    return denominator_layers(rs.positive_roots, rs.rank, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +198,15 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
     tables: list[dict[Vec, int]] = []
     simple_gram = [[rs.inner(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
     theta_coeffs = rs.simple_coefficients(theta)
+    center = rs.basis_coordinates(rs.simple_roots, mu_rho)
     for n in range(cutoff + 1):
         bound = top + 2 * K * n
-        center = _coords_in_basis(rs, rs.simple_roots, mu_rho)
         cands = []
         for coeffs in lattice_points_in_ellipsoid(simple_gram, center, bound):
             cone = [n * tc - c for tc, c in zip(theta_coeffs, coeffs)]
             if any(x < 0 for x in cone):
                 continue
-            lam = mu
-            for c, a in zip(coeffs, rs.simple_roots):
-                if c:
-                    lam = vadd(lam, vscale(a, c))
-            cands.append((sum(cone), lam))
+            cands.append((sum(cone), vcombine(mu, coeffs, rs.simple_roots)))
         cands.sort(key=lambda t: (t[0], t[1]))
         table: dict[Vec, int] = {}
         for depth, lam in cands:
@@ -212,12 +214,7 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
             if m:
                 table[lam] = m
         tables.append(table)
-    layers = []
-    for table in tables:
-        fc = FormalCharacter()
-        fc.terms = dict(table)
-        layers.append(fc)
-    return GradedCharacter(cutoff, layers)
+    return GradedCharacter(cutoff, [FormalCharacter(table) for table in tables])
 
 
 def _affine_freudenthal_mult(rs, mu, lam, n, k, K, top, theta, tables, current):

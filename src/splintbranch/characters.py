@@ -46,10 +46,6 @@ class FormalCharacter:
             fc.terms[v] = c
         return fc
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def copy(self):
         fc = FormalCharacter()
         fc.terms = dict(self.terms)
@@ -72,9 +68,6 @@ class FormalCharacter:
 
     def items(self):
         return self.terms.items()
-
-    def support(self):
-        return self.terms.keys()
 
     def total(self) -> int:
         return sum(self.terms.values())
@@ -119,11 +112,6 @@ class FormalCharacter:
                     t[u] = n
                 else:
                     del t[u]
-        return out
-
-    def shift(self, v: Vec):
-        out = FormalCharacter()
-        out.terms = {vadd(w, v): c for w, c in self.terms.items()}
         return out
 
     def map_support(self, fn):
@@ -377,22 +365,29 @@ def weyl_dimension(rs: RootSystem, mu: Vec) -> int:
     return int(val)
 
 
-def decompose_character(rs: RootSystem, fc: FormalCharacter) -> dict[Vec, int]:
-    """Write a character as a nonnegative sum of irreducibles of rs.
+def peel_modules(fc: FormalCharacter, key, is_dominant_integral,
+                 character) -> dict[Vec, int]:
+    """Write fc as a nonnegative sum of irreducible characters.
 
-    Repeatedly subtracts the irreducible with the highest remaining weight.
-    Raises if a leading weight is non-dominant or has negative coefficient,
-    which signals that fc is not a genuine module character.
+    Repeatedly subtracts character(v) times the coefficient of the remaining
+    weight v that is highest in the order `key`.  Raises if that weight fails
+    is_dominant_integral or has a negative coefficient, which signals that fc
+    is not a genuine module character.
     """
-    key = order_key(rs)
     rem = fc.copy()
     table: dict[Vec, int] = {}
     while rem:
         v, c = rem.leading(key)
-        if not rs.is_dominant_integral(v):
+        if not is_dominant_integral(v):
             raise ValueError(f"leading weight {v} is not dominant: not a module character")
         if c < 0:
             raise ValueError(f"negative leading coefficient {c} at {v}")
         table[v] = c
-        rem.iadd(freudenthal_character(rs, v), -c)
+        rem.iadd(character(v), -c)
     return table
+
+
+def decompose_character(rs: RootSystem, fc: FormalCharacter) -> dict[Vec, int]:
+    """Write a character as a nonnegative sum of irreducibles of rs."""
+    return peel_modules(fc, order_key(rs), rs.is_dominant_integral,
+                        lambda v: freudenthal_character(rs, v))

@@ -2,12 +2,15 @@
 strings, qdim, verify.
 
 Exit codes: 0 success / all identities verified, 1 verification mismatch,
-2 usage or configuration error.  Output is aligned text by default or JSON
-lines with --format json; weights are printed as Dynkin labels and all tables
-are sorted by the (rho, weight) order with a lexicographic label tie-break,
-so reruns are byte-identical.  Affine character layers are cached on disk as
-content-addressed JSON files when a cache directory is configured (flag
---cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.
+2 usage or configuration error, 3 internal error (a failed invariant of the
+library, reported on one stderr line).  Output is aligned text by default or
+JSON lines with --format json; weights are printed as Dynkin labels and all
+tables are sorted by the (rho, weight) order with a lexicographic label
+tie-break, so reruns are byte-identical.  Affine character layers are cached
+on disk as content-addressed JSON files when a cache directory is configured
+(flag --cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.  An
+entry that does not parse or does not hold the requested character is
+recomputed and rewritten, never served.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 
 from . import affine as af
 from . import qseries as qs
-from .characters import FormalCharacter, weyl_dimension
+from .characters import (FormalCharacter, singular_element, weyl_denominator,
+                         weyl_dimension)
 from .rootsystem import build_root_system
 from .splints import (check_embedding, check_splint, fan_coefficients,
                       find_splint, load_splint_file, splint_catalog)
@@ -103,8 +107,12 @@ class Emitter:
                 print(line)
 
 
+def _ints(labels):
+    return [int(m) for m in labels]
+
+
 def _labels_str(labels):
-    return ",".join(str(int(m)) for m in labels)
+    return ",".join(map(str, _ints(labels)))
 
 
 def _weight_key(rs, v):
@@ -121,41 +129,63 @@ def _cache_dir(args):
     return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV) or None
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _layers_to_json(gc: af.GradedCharacter):
     layers = []
     for fc in gc.layers:
-        layers.append(sorted([[list(map(_frac_str, v)), c] for v, c in fc.items()]))
+        layers.append(sorted([[list(map(str, v)), c] for v, c in fc.items()]))
     return {"schema": CACHE_SCHEMA, "cutoff": gc.cutoff, "layers": layers}
 
 
 def _layers_from_json(doc):
+    """Parse a cache document; raises ValueError, TypeError, KeyError or
+    AttributeError if it is not one."""
     if doc.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unexpected cache schema {doc.get('schema')!r}")
     layers = []
     for layer in doc["layers"]:
         fc = FormalCharacter()
         for coords, c in layer:
+            if type(c) is not int or not all(isinstance(x, str) for x in coords):
+                raise ValueError(f"malformed cache term {[coords, c]!r}")
             fc.terms[tuple(Fraction(x) for x in coords)] = c
         layers.append(fc)
     return af.GradedCharacter(doc["cutoff"], layers)
 
 
+def _read_cache(path, rs, aw, cutoff):
+    """The cached character at path, or None when there is none or the entry
+    does not hold the requested one: it does not parse, has another schema,
+    cutoff or layer count, weights of another length, or no highest weight of
+    multiplicity 1 at grade 0."""
+    try:
+        with open(path) as fh:
+            gc = _layers_from_json(json.load(fh))
+    except (FileNotFoundError, ValueError, TypeError, KeyError, AttributeError):
+        return None
+    if (gc.cutoff != cutoff or len(gc.layers) != cutoff + 1
+            or any(len(v) != rs.dim for fc in gc.layers for v in fc.terms)):
+        return None
+    try:
+        af.check_highest_weight(gc, aw)
+    except AssertionError:
+        return None
+    return gc
+
+
 def cached_affine_character(rs, aw, cutoff, cache_dir):
+    """affine_character through the disk cache; an entry that cannot be
+    served is recomputed and rewritten."""
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
     key = json.dumps({"op": "affine_character", "algebra": rs.name,
-                      "labels": [int(m) for m in rs.dynkin_labels(aw.finite)],
+                      "labels": _ints(rs.dynkin_labels(aw.finite)),
                       "level": aw.level, "cutoff": cutoff,
                       "schema": CACHE_SCHEMA}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = os.path.join(cache_dir, digest[:2], digest + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return _layers_from_json(json.load(fh))
+    gc = _read_cache(path, rs, aw, cutoff)
+    if gc is not None:
+        return gc
     gc = af.affine_character(rs, aw, cutoff)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -174,7 +204,7 @@ def cmd_roots(args):
     rs = _load_algebra(args, errors)
     _require(errors)
     em = Emitter(args.format)
-    pos = [tuple(int(c) for c in rs.simple_coefficients(a)) for a in rs.positive_roots]
+    pos = [tuple(_ints(rs.simple_coefficients(a))) for a in rs.positive_roots]
     lines = [f"algebra {rs.name}: rank {rs.rank}, {len(pos)} positive roots, "
              f"h-dual {list(rs.dual_coxeter)}, |W| = {rs.weyl_order}",
              "cartan matrix:"]
@@ -184,7 +214,7 @@ def cmd_roots(args):
     lines.append(f"rho labels: {_labels_str(rs.dynkin_labels(rs.rho))}")
     em.record("roots", lines, algebra=rs.name, rank=rs.rank, cartan=rs.cartan,
               positive_roots=[list(c) for c in pos],
-              rho_labels=[int(m) for m in rs.dynkin_labels(rs.rho)],
+              rho_labels=_ints(rs.dynkin_labels(rs.rho)),
               dual_coxeter=list(rs.dual_coxeter), weyl_order=rs.weyl_order)
     return 0
 
@@ -232,7 +262,7 @@ def cmd_fan(args):
     s = _load_splint(args, rs, errors)
     _require(errors)
     fan = fan_coefficients(s)
-    rows = sorted(([int(c) for c in s.ambient.simple_coefficients(g)], v)
+    rows = sorted((_ints(s.ambient.simple_coefficients(g)), v)
                   for g, v in fan.coefficients.items())
     lines = [f"injection fan of {s.name}: {len(rows)} coefficients"]
     lines += [f"  gamma = {' '.join(map(str, g)):12s} s(gamma) = {v:+d}" for g, v in rows]
@@ -263,8 +293,8 @@ def cmd_branch(args):
     rows = []
     for nu in sorted(table, key=lambda v: _weight_key(rs, v)):
         rows.append({
-            "ambient_labels": [int(m) for m in rs.dynkin_labels(nu)],
-            "subalgebra_labels": [int(m) for m in view.labels(nu)],
+            "ambient_labels": _ints(rs.dynkin_labels(nu)),
+            "subalgebra_labels": _ints(view.labels(nu)),
             "coefficient": table[nu],
             "dimension": view.dimension(nu),
         })
@@ -321,8 +351,8 @@ def cmd_affine_branch(args):
     view = s.subalgebra_view()
     rows = []
     for nu in sorted(series.weights(), key=lambda v: _weight_key(rs, v)):
-        rows.append({"ambient_labels": [int(m) for m in rs.dynkin_labels(nu)],
-                     "subalgebra_labels": [int(m) for m in view.labels(nu)],
+        rows.append({"ambient_labels": _ints(rs.dynkin_labels(nu)),
+                     "subalgebra_labels": _ints(view.labels(nu)),
                      "series": series.series(nu)})
     lines = [f"graded branching of {rs.name} level {aw.level} weight "
              f"({_labels_str(labels)}) to subalgebra of {s.name}, grades 0..{args.grade_max}:"]
@@ -345,7 +375,7 @@ def cmd_strings(args):
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     bs = af.graded_branch_to_g(rs, aw, args.grade_max, gc)
     support = sorted({nu for nu, _ in bs.entries}, key=lambda v: _weight_key(rs, v))
-    rows = [{"labels": [int(m) for m in rs.dynkin_labels(nu)],
+    rows = [{"labels": _ints(rs.dynkin_labels(nu)),
              "sigma": af.string_function(rs, aw, nu, args.grade_max, gc)}
             for nu in support]
     lines = [f"string functions of {rs.name} level {aw.level} weight "
@@ -369,7 +399,7 @@ def cmd_strings(args):
         ident = all(sum(minv[i][l] * mm.mat[l][j] for l in range(n)) == (i == j)
                     for i in range(n) for j in range(n))
         consistent = ident and bvec == direct
-        basis_labels = [[int(m) for m in rs.dynkin_labels(v)] for v in mm.basis]
+        basis_labels = [_ints(rs.dynkin_labels(v)) for v in mm.basis]
         lines.append(f"multiplicity matrix basis (labels): {basis_labels}")
         lines.append("M:")
         lines += ["  " + " ".join(f"{x:3d}" for x in row) for row in mm.mat]
@@ -419,10 +449,12 @@ def cmd_verify(args):
         errors.append("--algebra or --splint is required")
     _require(errors)
     n = args.grade_max
+    series_verifiers = {"denominator": qs.verify_denominator_splint,
+                        "theta-product": qs.verify_theta_products,
+                        "theta-sum": qs.verify_theta_sums}
     results = []
     for ident in identities:
         if ident == "weyl":
-            from .characters import singular_element, weyl_denominator
             ok = singular_element(rs, rs.weight_from_labels([0] * rs.rank)) == \
                 weyl_denominator(rs)
             results.append(("weyl", ok, "group-ring Weyl denominator identity", None))
@@ -431,17 +463,9 @@ def cmd_verify(args):
             detail = "tilde-weight branching equals subtraction oracle" \
                 if rep.passed else "; ".join(rep.problems[:2])
             results.append(("branching", rep.passed, detail, None))
-        elif ident == "denominator":
-            rep = qs.verify_denominator_splint(s, n)
-            results.append(("denominator", rep.passed, rep.detail, rep.first_mismatch))
-        elif ident == "theta-product":
-            rep = qs.verify_theta_products(s, n)
-            results.append(("theta-product", rep.passed, rep.detail,
-                            rep.first_mismatch))
-        elif ident == "theta-sum":
-            rep = qs.verify_theta_sums(s, n)
-            results.append(("theta-sum", rep.passed, rep.detail,
-                            rep.first_mismatch))
+        else:
+            rep = series_verifiers[ident](s, n)
+            results.append((ident, rep.passed, rep.detail, rep.first_mismatch))
     lines = []
     rows = []
     for name, ok, detail, mismatch in results:
@@ -540,6 +564,10 @@ def main(argv=None):
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

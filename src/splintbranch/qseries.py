@@ -3,15 +3,19 @@
 A series term is q^e * c where e is a Fraction (all exponents share a common
 denominator) and c is either an integer or a FormalCharacter carrying lattice
 elements (the formal e^{(xi,z)} content of a theta function; z is never
-specialized).  Equality of two series means equality of every (exponent,
-coefficient) pair up to the common cutoff, which is strictly stronger than
-sampling z.
+specialized).  A scalar series multiplies a lattice series directly; only
+addition requires both to be of one kind.  Equality of two series means
+equality of every (exponent, coefficient) pair up to the common cutoff, which
+is strictly stronger than sampling z.
 
 The verifiers check the affine denominator regrouping of a splint and its two
 theta-function restatements as truncated series, reporting the first
-discrepancy.  Theta sums run over the translation lattice of the affine Weyl
-group (the coroot lattice) at level h-dual of the respective algebra, with
-exponents in that algebra's intrinsic normalization.
+discrepancy.  Every affine denominator here (of the ambient algebra, of a
+stem pushed into ambient coordinates, of a single root string) is the
+layered expansion `affine.denominator_layers` read as a series.  Theta sums
+run over the translation lattice of the affine Weyl group (the coroot
+lattice) at level h-dual of the respective algebra, with exponents in that
+algebra's intrinsic normalization.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsystem import (RootSystem, Vec, build_root_system,
-                         lattice_points_in_ellipsoid, solve_linear, vadd,
-                         vneg, vscale, zero_vec)
-from .characters import FormalCharacter, weyl_denominator
+                         lattice_points_in_ellipsoid, vcombine, vscale, zero_vec)
+from .characters import FormalCharacter
+from .affine import denominator_layers
 from .splints import Splint
 
 
@@ -75,18 +79,14 @@ class QSeries:
             self.denom = d
 
     @classmethod
-    def one(cls, cutoff, lattice_dim=None):
-        coeff = FormalCharacter.monomial(zero_vec(lattice_dim)) if lattice_dim is not None else 1
-        return cls({Fraction(0): coeff}, cutoff)
+    def one(cls, cutoff):
+        return cls({Fraction(0): 1}, cutoff)
 
     def items(self):
         return sorted(self.terms.items())
 
     def min_exponent(self):
         return min(self.terms) if self.terms else None
-
-    def coefficient(self, e):
-        return self.terms.get(Fraction(e), 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -128,7 +128,7 @@ class QSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not supported")
-        out = QSeries({Fraction(0): 1}, self.cutoff)
+        out = QSeries.one(self.cutoff)
         for _ in range(n):
             out = out * self
         return out
@@ -155,9 +155,7 @@ def compare_qseries(a: QSeries, b: QSeries):
     bt = {e: c for e, c in b.terms.items() if e <= cutoff}
     for e in sorted(set(at) | set(bt)):
         ca, cb = at.get(e), bt.get(e)
-        if ca is None:
-            return e, f"term q^{e} only on one side"
-        if cb is None:
+        if ca is None or cb is None:
             return e, f"term q^{e} only on one side"
         if ca != cb:
             return e, f"coefficients at q^{e} differ"
@@ -170,12 +168,9 @@ def compare_qseries(a: QSeries, b: QSeries):
 
 def euler_product(cutoff) -> QSeries:
     """prod_{n>=1} (1 - q^n), truncated."""
-    cutoff = Fraction(cutoff)
-    out = QSeries({Fraction(0): 1}, cutoff)
-    n = 1
-    while n <= cutoff:
+    out = QSeries.one(cutoff)
+    for n in range(1, int(cutoff) + 1):
         out = out * QSeries({Fraction(0): 1, Fraction(n): -1}, cutoff)
-        n += 1
     return out
 
 
@@ -187,20 +182,14 @@ def eta(cutoff) -> QSeries:
     return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
 
 
-def _lattice_sum(rs: RootSystem, basis, shift: Vec, level, cutoff, inner=None):
+def _lattice_sum(rs: RootSystem, basis, shift: Vec, level, cutoff):
     """Sum of q^{level*(xi,xi)/2} e^{level*xi} over xi in (lattice + shift)."""
-    inner = inner or rs.inner
-    gram0 = [[inner(a, b) for b in basis] for a in basis]
-    rhs = [inner(shift, a) for a in basis]
-    center = solve_linear(gram0, rhs)
-    gram = [[Fraction(level, 2) * x for x in row] for row in gram0]
+    center = rs.basis_coordinates(basis, shift)
+    gram = [[Fraction(level, 2) * rs.inner(a, b) for b in basis] for a in basis]
     acc: dict[Fraction, FormalCharacter] = {}
     for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(cutoff)):
-        xi = shift
-        for c, b in zip(coeffs, basis):
-            if c:
-                xi = vadd(xi, vscale(b, c))
-        e = Fraction(level) * inner(xi, xi) / 2
+        xi = vcombine(shift, coeffs, basis)
+        e = Fraction(level) * rs.inner(xi, xi) / 2
         kxi = vscale(xi, level)
         fc = acc.setdefault(e, FormalCharacter())
         fc.terms[kxi] = fc.terms.get(kxi, 0) + 1
@@ -221,23 +210,16 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
 # affine denominators as products
 
 
-def _binomial(dim, exponent, weight, cutoff, sign=-1) -> QSeries:
-    """1 + sign * q^exponent e^{weight} in lattice mode."""
-    one = FormalCharacter.monomial(zero_vec(dim))
-    mono = FormalCharacter.monomial(weight, sign)
-    # list form so that exponent 0 merges with the constant term
-    return QSeries([(Fraction(0), one), (Fraction(exponent), mono)], cutoff)
+def _layer_series(layers, cutoff) -> QSeries:
+    """Grade-indexed FormalCharacter layers as a lattice-mode series."""
+    return QSeries({Fraction(n): fc for n, fc in enumerate(layers)}, cutoff)
 
 
 def root_string_product(dim, root: Vec, cutoff) -> QSeries:
-    """(1 - e^{-a}) prod_{n>=1} (1 - q^n e^{-a})(1 - q^n e^{a}), truncated."""
-    out = _binomial(dim, 0, vneg(root), cutoff)
-    n = 1
-    while n <= cutoff:
-        out = out * _binomial(dim, n, vneg(root), cutoff)
-        out = out * _binomial(dim, n, root, cutoff)
-        n += 1
-    return out
+    """(1 - e^{-a}) prod_{n>=1} (1 - q^n e^{-a})(1 - q^n e^{a}), truncated:
+    the affine denominator of the single positive root a, without imaginary
+    factors.  (dim, the length of a, is kept for the call signature.)"""
+    return _layer_series(denominator_layers([root], 0, int(cutoff)), cutoff)
 
 
 def jacobi_theta_sum(dim, root: Vec, cutoff) -> QSeries:
@@ -260,28 +242,14 @@ def jacobi_theta_sum(dim, root: Vec, cutoff) -> QSeries:
 def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
     """Truncated product over positive affine roots with standard
     multiplicities (1 for real roots, rank for n*delta)."""
-    out = QSeries({Fraction(0): weyl_denominator(rs)}, cutoff)
-    for n in range(1, int(cutoff) + 1):
-        qn = QSeries({Fraction(0): 1, Fraction(n): -1}, cutoff)
-        out = out * qn ** rs.rank
-        for a in rs.roots:
-            out = out * _binomial(rs.dim, n, vneg(a), cutoff)
-    return out
+    return _layer_series(denominator_layers(rs.positive_roots, rs.rank, int(cutoff)), cutoff)
 
 
-def _embedded_affinization(dim, pos_images, rank, cutoff) -> QSeries:
+def _stem_denominator(phi, cutoff) -> QSeries:
     """Affine denominator of a stem pushed into ambient coordinates: the
     images carry the e-content, the grading stays the stem's own."""
-    out = QSeries.one(cutoff, lattice_dim=dim)
-    for img in pos_images:
-        out = out * _binomial(dim, 0, vneg(img), cutoff)
-    for n in range(1, int(cutoff) + 1):
-        qn = QSeries({Fraction(0): 1, Fraction(n): -1}, cutoff)
-        out = out * qn ** rank
-        for img in pos_images:
-            out = out * _binomial(dim, n, vneg(img), cutoff)
-            out = out * _binomial(dim, n, img, cutoff)
-    return out
+    layers = denominator_layers(list(phi.pos_map.values()), phi.source.rank, int(cutoff))
+    return _layer_series(layers, cutoff)
 
 
 @dataclass
@@ -311,17 +279,9 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
     compared exactly as truncated lattice series."""
     _require_splint(s)
     rs = s.ambient
-    lhs = (_embedded_affinization(rs.dim, list(s.phi1.pos_map.values()),
-                                  s.phi1.source.rank, cutoff)
-           * _embedded_affinization(rs.dim, list(s.phi2.pos_map.values()),
-                                    s.phi2.source.rank, cutoff))
+    lhs = _stem_denominator(s.phi1, cutoff) * _stem_denominator(s.phi2, cutoff)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
-    rhs = denominator_product(rs, cutoff)
-    if extra:
-        phi_scalar = euler_product(cutoff)
-        lat = QSeries({e: FormalCharacter.monomial(zero_vec(rs.dim), c)
-                       for e, c in phi_scalar.terms.items()}, cutoff)
-        rhs = rhs * lat ** extra
+    rhs = denominator_product(rs, cutoff) * euler_product(cutoff) ** extra
     mismatch = compare_qseries(lhs, rhs)
     if mismatch is None:
         return IdentityReport("denominator", True,
@@ -353,18 +313,12 @@ def verify_theta_products(s: Splint, cutoff) -> IdentityReport:
     lowest order; all higher terms must agree."""
     _require_splint(s)
     rs = s.ambient
-    dim = rs.dim
-    lhs = QSeries.one(cutoff, lattice_dim=dim)
-    for img in s.phi1.pos_map.values():
-        lhs = lhs * jacobi_theta_sum(dim, img, cutoff)
-    for img in s.phi2.pos_map.values():
-        lhs = lhs * jacobi_theta_sum(dim, img, cutoff)
-    npos = len(rs.positive_roots)
-    phi_scalar = euler_product(cutoff) ** npos
-    rhs = QSeries({e: FormalCharacter.monomial(zero_vec(dim), c)
-                   for e, c in phi_scalar.terms.items()}, cutoff)
+    lhs = QSeries.one(cutoff)
+    for img in [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]:
+        lhs = lhs * jacobi_theta_sum(rs.dim, img, cutoff)
+    rhs = euler_product(cutoff) ** len(rs.positive_roots)
     for a in rs.positive_roots:
-        rhs = rhs * root_string_product(dim, a, cutoff)
+        rhs = rhs * root_string_product(rs.dim, a, cutoff)
     return _normalized_compare("theta-product", lhs, rhs)
 
 
@@ -378,8 +332,7 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
     the last factor (negative control)."""
     if push is None:
         push = lambda v: v
-    dim = len(push(zero_vec(src.dim)))
-    out = QSeries.one(cutoff, lattice_dim=dim)
+    out = QSeries.one(cutoff)
     for fi, (fam, rank) in enumerate(src.factors):
         frs = build_root_system([(fam, rank)])
         c0 = src.factor_slices[fi][1][0]
@@ -422,9 +375,5 @@ def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> IdentityReport:
            * theta_alternating_sum(s.phi2.source, s.phi2.map_weight, cutoff))
     rhs = theta_alternating_sum(rs, None, cutoff, drop_last=drop_term)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
-    if extra:
-        eta_scalar = eta(cutoff) ** extra
-        lat = QSeries({e: FormalCharacter.monomial(zero_vec(rs.dim), c)
-                       for e, c in eta_scalar.terms.items()}, cutoff)
-        rhs = rhs * lat
+    rhs = rhs * eta(cutoff) ** extra
     return _normalized_compare("theta-sum", lhs, rhs)

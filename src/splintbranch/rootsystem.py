@@ -75,28 +75,20 @@ def zero_vec(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
 
+def vcombine(start: Vec, coeffs, basis) -> Vec:
+    """start + sum_i coeffs[i] * basis[i]."""
+    for c, b in zip(coeffs, basis):
+        if c:
+            start = vadd(start, vscale(b, c))
+    return start
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
 
-def solve_linear(a, b):
-    """Solve a x = b exactly (a: n x n Fractions, invertible)."""
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [x / d for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def invert_matrix(a):
-    """Exact inverse of a square Fraction matrix."""
+    """Exact inverse of a square Fraction matrix (Gauss-Jordan)."""
     n = len(a)
     m = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
@@ -330,7 +322,6 @@ class RootSystem:
         self.gram_diag: tuple[Fraction, ...] = tuple(gram_diag)
 
         gram = [[self.inner(a, b) for b in self.simple_roots] for a in self.simple_roots]
-        self._gram = gram
         self._gram_inv = invert_matrix(gram)
         self._coeff_cache: dict[Vec, tuple] = {}
 
@@ -378,11 +369,7 @@ class RootSystem:
         return int(val)
 
     def _combine(self, coeffs) -> Vec:
-        v = zero_vec(self.dim)
-        for c, a in zip(coeffs, self.simple_roots):
-            if c:
-                v = vadd(v, vscale(a, c))
-        return v
+        return vcombine(zero_vec(self.dim), coeffs, self.simple_roots)
 
     def simple_coefficients(self, v: Vec):
         """Coordinates of v in the simple-root basis (requires v in the root span)."""
@@ -395,6 +382,13 @@ class RootSystem:
             raise ValueError("vector does not lie in the span of the simple roots")
         self._coeff_cache[v] = coeffs
         return coeffs
+
+    def basis_coordinates(self, basis, v: Vec):
+        """Coordinates in `basis` of the orthogonal projection of v onto the
+        span of `basis` (v itself when it lies in that span)."""
+        gram = [[self.inner(a, b) for b in basis] for a in basis]
+        rhs = [self.inner(v, a) for a in basis]
+        return [sum(map(mul, row, rhs)) for row in invert_matrix(gram)]
 
     def height(self, v: Vec) -> Fraction:
         return sum(self.simple_coefficients(v))
@@ -451,11 +445,7 @@ class RootSystem:
     def weight_from_labels(self, labels) -> Vec:
         if len(labels) != self.rank:
             raise ValueError(f"expected {self.rank} Dynkin labels, got {len(labels)}")
-        v = zero_vec(self.dim)
-        for m, w in zip(labels, self.fundamental_weights):
-            if m:
-                v = vadd(v, vscale(w, m))
-        return v
+        return vcombine(zero_vec(self.dim), labels, self.fundamental_weights)
 
     def is_dominant(self, v: Vec) -> bool:
         return all(self.inner(v, a) >= 0 for a in self.simple_roots)
@@ -625,10 +615,7 @@ class RootSystem:
         images = tuple(simples[i] for i in order)
         # consistency: linear extension maps abstract positive roots into the subset
         for proot in sub_rs.positive_roots:
-            coeffs = sub_rs.simple_coefficients(proot)
-            img = zero_vec(self.dim)
-            for c, im in zip(coeffs, images):
-                img = vadd(img, vscale(im, c))
+            img = vcombine(zero_vec(self.dim), sub_rs.simple_coefficients(proot), images)
             if img not in sub:
                 raise ValueError("closed subset is not a root subsystem "
                                  f"(missing image {img})")

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vsub, vneg,
-                         vscale, zero_vec)
+from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine,
+                         vsub, vneg, zero_vec)
 from .characters import (FormalCharacter, dominant_multiplicities,
-                         freudenthal_character, order_key, weyl_dimension)
+                         freudenthal_character, order_key, peel_modules,
+                         weyl_dimension)
 
 
 class Embedding:
@@ -51,12 +52,8 @@ class Embedding:
 
     def map_weight(self, v: Vec) -> Vec:
         """Linear extension to the source root span (simple images as basis)."""
-        coeffs = self.source.simple_coefficients(v)
-        out = zero_vec(self.target.dim)
-        for c, img in zip(coeffs, self.simple_images):
-            if c:
-                out = vadd(out, vscale(img, c))
-        return out
+        return vcombine(zero_vec(self.target.dim), self.source.simple_coefficients(v),
+                        self.simple_images)
 
 
 @dataclass
@@ -159,10 +156,7 @@ def _parse_embedding(entry, ambient: RootSystem) -> Embedding:
     src = build_root_system(entry["source"])
     pos_map = {}
     for coeffs, img in entry["map"]:
-        root = zero_vec(src.dim)
-        for c, a in zip(coeffs, src.simple_roots):
-            if c:
-                root = vadd(root, vscale(a, c))
+        root = vcombine(zero_vec(src.dim), coeffs, src.simple_roots)
         if not src.is_root(root):
             raise ValueError(f"catalog: {coeffs} is not a root of {src.name}")
         pos_map[root] = tuple(Fraction(x) for x in img)
@@ -337,21 +331,9 @@ class SubalgebraView:
         return weyl_dimension(self.sub, self.sub.weight_from_labels(labels))
 
     def decompose(self, fc: FormalCharacter) -> dict[Vec, int]:
-        """Exhaust a character by subtracting subalgebra modules at the highest
-        remaining weight.  Raises on a non-dominant leading weight or a
-        negative leading coefficient (internal-consistency failure)."""
-        key = order_key(self.ambient)
-        rem = fc.copy()
-        table: dict[Vec, int] = {}
-        while rem:
-            v, c = rem.leading(key)
-            if not self.is_dominant_integral(v):
-                raise ValueError(f"leading weight {v} is not subalgebra-dominant")
-            if c < 0:
-                raise ValueError(f"negative leading coefficient {c} at {v}")
-            table[v] = c
-            rem.iadd(self.character(v), -c)
-        return table
+        """Write a character as a nonnegative sum of subalgebra modules."""
+        return peel_modules(fc, order_key(self.ambient), self.is_dominant_integral,
+                            self.character)
 
 
 def branch_direct(rs: RootSystem, sub, mu: Vec) -> dict[Vec, int]:
@@ -376,11 +358,8 @@ def _as_view(rs, sub) -> SubalgebraView:
         sub_rs, images = rs.root_subsystem(sub)
     pos_map = {}
     for proot in sub_rs.positive_roots:
-        coeffs = sub_rs.simple_coefficients(proot)
-        img = zero_vec(rs.dim)
-        for c, im in zip(coeffs, images):
-            img = vadd(img, vscale(im, c))
-        pos_map[proot] = img
+        pos_map[proot] = vcombine(zero_vec(rs.dim), sub_rs.simple_coefficients(proot),
+                                  images)
     return SubalgebraView(rs, Embedding(sub_rs, rs, pos_map))
 
 

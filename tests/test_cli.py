@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from splintbranch.cli import main
 
 
@@ -160,3 +162,63 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
                      "--weight", "0", "--grade-max", "2")
     assert code == 0
     assert list(tmp_path.rglob("*.json"))
+
+
+def _drop_grade0_highest_weight(doc):
+    # the A1 level-1 vacuum module: highest weight 0 at grade 0
+    doc["layers"][0] = [t for t in doc["layers"][0] if any(x != "0" for x in t[0])]
+
+
+CACHE_DAMAGE = {
+    "truncated": lambda text: text[:len(text) // 2],
+    "empty-layers": lambda doc: doc.update(layers=[]),
+    "malformed-layer": lambda doc: doc["layers"].__setitem__(1, [[1, 2]]),
+    "wrong-schema": lambda doc: doc.update(schema="splintbranch-affine-character-v0"),
+    "other-cutoff": lambda doc: doc.update(cutoff=doc["cutoff"] - 1),
+    "layer-count": lambda doc: doc["layers"].pop(),
+    "grade0-without-highest-weight": _drop_grade0_highest_weight,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+def test_bad_cache_entry_is_recomputed(tmp_path, capsys, damage):
+    args = ["qdim", "--algebra", "A1", "--level", "1", "--weight", "0",
+            "--grade-max", "3"]
+    code, fresh, _ = run(capsys, *args, "--no-cache")
+    assert code == 0 and "[1, 3, 4, 7]" in fresh
+    run(capsys, *args, "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.rglob("*.json")
+    good = path.read_text()
+    fn = CACHE_DAMAGE[damage]
+    if damage == "truncated":
+        path.write_text(fn(good))
+    else:
+        doc = json.loads(good)
+        fn(doc)
+        path.write_text(json.dumps(doc, sort_keys=True))
+    code, out, err = run(capsys, *args, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, fresh, "")
+    assert path.read_text() == good
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    from splintbranch import affine, qseries
+
+    def broken(*args):
+        raise AssertionError("invariant\nbroken")
+
+    monkeypatch.setattr(affine, "affine_character", broken)
+    code, out, err = run(capsys, "qdim", "--algebra", "A1", "--level", "1",
+                         "--weight", "0", "--no-cache")
+    assert code == 3 and out == ""
+    assert err == "internal error: AssertionError: invariant broken\n"
+
+    def inexact(*args):
+        raise ArithmeticError("nonzero remainder in group-ring division")
+
+    monkeypatch.setattr(qseries, "verify_denominator_splint", inexact)
+    code, _, err = run(capsys, "verify", "--identity", "denominator",
+                       "--splint", "B2:A1A1", "--grade-max", "1")
+    assert code == 3
+    assert err == ("internal error: ArithmeticError: nonzero remainder in "
+                   "group-ring division\n")

@@ -1,0 +1,75 @@
+"""The README CLI commands reproduce their recorded stdout and exit codes.
+
+Every command of the README's CLI section runs in-process with --no-cache,
+once with --format text and once with --format json; stdout must equal the
+file under tests/golden/ byte for byte.  Regenerate the files (only when an
+output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from splintbranch.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+README_COMMANDS = {
+    "roots": "roots --algebra G2",
+    "splint-list": "splint list --algebra B2",
+    "splint-check": "splint check --splint G2:A2A2",
+    "fan": "fan --algebra G2 --splint A2A2",
+    "branch": "branch --algebra G2 --splint A2A2 --weight 0,1 --oracle",
+    "affine-branch": "affine-branch --algebra G2 --splint A2A2 --level 1 "
+                     "--weight 0,0 --grade-max 2 --oracle",
+    "strings": "strings --algebra A1 --level 1 --weight 0 --grade-max 5",
+    "strings-matrix": "strings --algebra A1 --level 2 --weight 0 --grade-max 4 "
+                      "--emit matrix",
+    "qdim": "qdim --algebra A1 --level 1 --weight 0 --grade-max 4",
+    "verify-denominator": "verify --identity denominator --splint G2:A2A2 --grade-max 6",
+    "verify-all": "verify --identity all --splint B2:A1A1 --grade-max 4",
+}
+CASES = [(name, fmt) for name in README_COMMANDS for fmt in ("text", "json")]
+
+
+def run_case(name, fmt):
+    argv = README_COMMANDS[name].split() + ["--format", fmt, "--no-cache"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def golden_path(name, fmt):
+    return GOLDEN / f"{name}.{fmt}.out"
+
+
+def exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name,fmt", CASES)
+def test_readme_command_matches_golden(name, fmt):
+    code, out = run_case(name, fmt)
+    assert code == exit_codes()[f"{name}.{fmt}"]
+    assert out == golden_path(name, fmt).read_text()
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, fmt in CASES:
+        code, out = run_case(name, fmt)
+        codes[f"{name}.{fmt}"] = code
+        golden_path(name, fmt).write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
