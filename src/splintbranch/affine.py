@@ -7,20 +7,26 @@ coroot-lattice translations) and divides by the truncated denominator layer
 by layer, each division exact in the group ring.  An independent affine
 Freudenthal recursion serves as the oracle for the main route.
 
+The main route runs on integer codes (`characters.encode`): the numerator
+orbits come from label-space orbits, and the denominator expansion, the
+layered products and the layered division (`characters.divide_codes`) all
+add ints.  Fractions are built once, when the layers are returned.
 `denominator_layers` is the one expansion of a truncated affine denominator
-in the package: the characters divide by it, and the q-series verifiers of
-the splint identities turn the same layers into series.
+in the package: the characters use its code-level core, and the q-series
+verifiers of the splint identities read its decoded layers as series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
-                         vcombine, vsub, vneg, vscale, zero_vec)
-from .characters import (FormalCharacter, decompose_character,
-                         dominant_multiplicities, divide_exact, weyl_dimension)
+                         vcombine, vsub, vscale, zero_vec)
+from .characters import (FormalCharacter, common_denominator, decode,
+                         decompose_character, divide_codes, dominant_multiplicities,
+                         encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
 
@@ -89,23 +95,63 @@ def _translation_grades(rs: RootSystem, lam: Vec, K: int, cutoff: int):
         yield beta, int(g)
 
 
-def _numerator_layers(rs: RootSystem, lam: Vec, K: int, cutoff: int):
+def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, den: int):
     """Sum over the affine Weyl orbit of the strictly dominant lam at level K,
-    shifted by -rho, split by grade."""
-    layers = [FormalCharacter() for _ in range(cutoff + 1)]
+    shifted by -rho, split by grade: one {code: sign} dict per grade.
+
+    Each translate lam + K beta is reflected on its labels (label_orbit); a
+    point with labels l codes as sum_i l_i omega_i plus the W-fixed offset of
+    lam, one integer matrix product.  den must code lam and the fundamental
+    weights."""
+    fw_cols = list(zip(*(encode(w, den) for w in rs.fundamental_weights)))
+    lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
+    # code of y - rho = fw_cols . labels(y) + base
+    base = [a - r - sum(map(mul, lam_labels, col))
+            for a, r, col in zip(encode(lam, den), encode(rs.rho, den), fw_cols)]
+    layers = [{} for _ in range(cutoff + 1)]
     for beta, n in _translation_grades(rs, lam, K, cutoff):
-        x = vadd(lam, vscale(beta, K))
-        _, sign_x, regular = rs.dominant_representative(x)
-        if not regular:
+        x = tuple(a + K * int(b) for a, b in zip(lam_labels, rs.dynkin_labels(beta)))
+        dom, sign_x = rs.dominant_labels(x)
+        if not all(dom):
             raise AssertionError("affine orbit point is not regular")
-        for y, s in rs.weyl_orbit(x):
-            v = vsub(y, rs.rho)
-            t = layers[n].terms
+        t = layers[n]
+        for y, s in rs.label_orbit(x):
+            v = tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, base)])
             c = t.get(v, 0) + s * sign_x
             if c:
                 t[v] = c
             else:
                 del t[v]
+    return layers
+
+
+def _subtract_product(dst: dict, a: dict, b: dict):
+    """dst -= a * b on {code: coefficient} dicts; a may be dst itself."""
+    for w, c in list(a.items()):
+        for v, d in b.items():
+            u = tuple(map(add, w, v))
+            x = dst.get(u, 0) - c * d
+            if x:
+                dst[u] = x
+            else:
+                del dst[u]
+
+
+def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
+    """denominator_layers on codes: images are the codes of the positive-root
+    images, the layers are {code: coefficient} dicts."""
+    zero = (0,) * len(images[0])
+    layers = [{zero: 1}] + [{} for _ in range(cutoff)]
+    negated = [tuple(-x for x in img) for img in images]
+    factors = [(0, v) for v in negated]
+    for n in range(1, cutoff + 1):
+        factors += [(n, zero)] * imaginary
+        factors += [(n, v) for v in negated]
+        factors += [(n, img) for img in images]
+    for n, v in factors:
+        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
+        for m in range(cutoff, n - 1, -1):
+            _subtract_product(layers[m], layers[m - n], {v: 1})
     return layers
 
 
@@ -121,38 +167,35 @@ def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
     algebra with imaginary = its rank give its Weyl-Kac denominator; the
     images of a stem's positive roots with the stem's rank give that stem's
     denominator in ambient coordinates, graded by the stem's own delta.
+    Expanded on codes (_denominator_codes) and decoded per layer.
     """
-    zero = zero_vec(len(pos_images[0]))
-    layers = [FormalCharacter.monomial(zero)] + [FormalCharacter() for _ in range(cutoff)]
-    factors = [(0, vneg(img)) for img in pos_images]
-    for n in range(1, cutoff + 1):
-        factors += [(n, zero)] * imaginary
-        factors += [(n, vneg(img)) for img in pos_images]
-        factors += [(n, img) for img in pos_images]
-    for n, v in factors:
-        mono = FormalCharacter.monomial(v)
-        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
-        for m in range(cutoff, n - 1, -1):
-            layers[m] = layers[m] - (layers[m - n] * mono)
-    return layers
+    den = common_denominator(pos_images)
+    layers = _denominator_codes([encode(img, den) for img in pos_images], imaginary, cutoff)
+    return [decode(layer, den) for layer in layers]
 
 
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
-    """All weight multiplicities of L^{mu^} for grades <= cutoff, exact."""
+    """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
+
+    Numerator, denominator, the layered products and the layered division
+    all run on codes over one common denominator; the layers are decoded
+    once, at the end."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     K = aw.level + rs.dual_coxeter[0]
     lam = vadd(aw.finite, rs.rho)
-    num = _numerator_layers(rs, lam, K, cutoff)
-    den = denominator_layers(rs.positive_roots, rs.rank, cutoff)
-    chars: list[FormalCharacter] = []
+    den = common_denominator(rs.fundamental_weights + (lam,))
+    num = _numerator_codes(rs, lam, K, cutoff, den)
+    denom = _denominator_codes([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
+    pair = rho_pairing(rs)
+    chars: list[dict] = []
     for n in range(cutoff + 1):
-        rhs = num[n].copy()
+        rhs = num[n]
         for j in range(1, n + 1):
-            rhs.iadd(den[j] * chars[n - j], -1)
-        chars.append(divide_exact(rhs, den[0], rs))
-    gc = GradedCharacter(cutoff, chars)
+            _subtract_product(rhs, chars[n - j], denom[j])
+        chars.append(divide_codes(rhs, denom[0], pair))
+    gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)
     return gc
 
@@ -167,7 +210,9 @@ def denominator_orbit_sum(rs: RootSystem, cutoff: int):
     """Truncated alternating affine orbit of rho^ (the Weyl-Kac denominator
     numerator at mu = 0); equals the affine denominator product layerwise."""
     _require_simple(rs)
-    return _numerator_layers(rs, rs.rho, rs.dual_coxeter[0], cutoff)
+    den = common_denominator(rs.fundamental_weights)
+    return [decode(layer, den)
+            for layer in _numerator_codes(rs, rs.rho, rs.dual_coxeter[0], cutoff, den)]
 
 
 def affine_denominator_layers(rs: RootSystem, cutoff: int):

@@ -6,17 +6,23 @@ Weight multiplicities come from the Freudenthal recursion; the Weyl quotient
 formula is implemented independently as exact group-ring division, so the
 two routes cross-check each other.
 
-Both routes compute in ints and touch Fractions only at their edges.
+Inside, everything runs on ints and touches Fractions only at its edges.
 Freudenthal runs on Dynkin labels (`RootSystem.label_data`): the dominant
-weights come from a descent from mu through dominant weights, and the
-root-string sums use the integer form.  Orbits are expanded in label space
-and decoded once.  Group-ring division eliminates on the supports scaled by
-their common denominator, which keeps both addition and the term order.
+weights come from a descent from mu through dominant weights, the root-string
+sums use the integer form, and the table of each module is cached on labels.
+Weights that are added and compared travel as codes, coordinates times one
+common denominator (`encode`/`decode`); the one group-ring division
+(`divide_codes`, wrapped by `divide_exact`) eliminates on them.  The one
+decomposer (`peel_dominant`, behind `decompose_character` and
+`SubalgebraView.decompose`) checks Weyl invariance by integer reflections
+and then peels only dominant weights, subtracting cached dominant
+multiplicities instead of whole orbits.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -125,28 +131,21 @@ class FormalCharacter:
                 del out.terms[u]
         return out
 
-    def leading(self, key):
-        """(weight, coefficient) maximizing key over the support."""
-        v = max(self.terms, key=key)
-        return v, self.terms[v]
-
     def __repr__(self):
         parts = [f"{c}*e{tuple(map(str, v))}" for v, c in sorted(self.terms.items())]
         return "FormalCharacter(" + " + ".join(parts[:8]) + (" ..." if len(parts) > 8 else "") + ")"
 
 
-def order_key(rs: RootSystem):
-    """Total order compatible with the root order: (rho-pairing, lex)."""
-    rho = rs.rho
-    return lambda v: (rs.inner(v, rho), v)
-
-
-def _require_dominant_integral(rs, mu):
-    labels = rs.dynkin_labels(mu)
-    if any(m.denominator != 1 for m in labels):
-        raise ValueError(f"weight with labels {labels} is not integral")
+def _split_dominant(rs, mu):
+    """(int labels, W-fixed offset) of a dominant integral weight; raises
+    ValueError for any other weight."""
+    labels, d, offset = rs.split_labels(mu)
+    if d != 1:
+        raise ValueError(f"weight with labels {tuple(Fraction(m, d) for m in labels)} "
+                         "is not integral")
     if any(m < 0 for m in labels):
-        raise ValueError(f"weight with labels {labels} is not dominant")
+        raise ValueError(f"weight with labels {tuple(map(Fraction, labels))} is not dominant")
+    return labels, offset
 
 
 def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
@@ -155,8 +154,7 @@ def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
     Exactly |W| terms with coefficients +-1 (mu+rho is regular for dominant
     integral mu).
     """
-    _require_dominant_integral(rs, mu)
-    labels, _, offset = rs.split_labels(mu)
+    labels, offset = _split_dominant(rs, mu)
     orbit = rs.label_orbit(tuple(m + 1 for m in labels))
     fc = FormalCharacter()
     fc.terms = dict(rs.from_labels([(tuple(m - 1 for m in w), sign) for w, sign in orbit],
@@ -175,40 +173,61 @@ def weyl_denominator(rs: RootSystem) -> FormalCharacter:
     return prod
 
 
-def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
-                 rs: RootSystem) -> FormalCharacter:
-    """Exact group-ring division, eliminating leading terms in the order
-    (rho-pairing, lex) of order_key(rs).
+# ---------------------------------------------------------------------------
+# integer codes of weights
+
+
+def common_denominator(vectors) -> int:
+    """Least common denominator of all coordinates of the vectors."""
+    return math.lcm(*{x.denominator for v in vectors for x in v})
+
+
+def encode(v: Vec, den: int) -> tuple:
+    """Code of v: -(coordinates x den) as ints, den a multiple of every
+    coordinate denominator.  Codes add like the weights, and the smallest
+    (rho_pairing, code) pair is the highest weight in the (rho-pairing, lex)
+    order."""
+    return tuple([-x.numerator * (den // x.denominator) for x in v])
+
+
+def decode(terms: dict, den: int) -> FormalCharacter:
+    """The FormalCharacter of a {code: coefficient} dict, in its order."""
+    get = FractionCache(-den).__getitem__
+    fc = FormalCharacter()
+    fc.terms = {tuple(map(get, code)): c for code, c in terms.items()}
+    return fc
+
+
+def rho_pairing(rs: RootSystem) -> tuple:
+    """Ints p with sum(p * encode(v, den)) a positive multiple of -(rho, v)."""
+    pair = [g * r for g, r in zip(rs.gram_diag, rs.rho)]
+    d = math.lcm(*(x.denominator for x in pair))
+    return tuple(int(x * d) for x in pair)
+
+
+def divide_codes(numer: dict, denom: dict, pair) -> dict:
+    """Exact group-ring division of {code: coefficient} dicts, eliminating
+    leading terms: the smallest (pairing, code) pairs, pairing the dot
+    product with `pair` (see rho_pairing).  The quotient holds its terms in
+    elimination order; numer is consumed as the remainder.
 
     The leading coefficient of denom must be a unit (+-1); raises if a
-    nonzero remainder survives.  Supports are eliminated as int codes,
-    -(coordinates x common denominator), so that addition is kept and the
-    leading term is the smallest (pairing code, code) pair.  A lazy-deletion
-    heap tracks the leading remainder term: an eliminated weight can never
-    re-enter (all insertions sit strictly below the current leading term).
-    Lowest terms multiply, so an exact quotient has no term below
-    lowest(numer) - lowest(denom); reaching one means a nonzero remainder.
+    nonzero remainder survives.  A lazy-deletion heap tracks the leading
+    remainder term: an eliminated weight can never re-enter (all insertions
+    sit strictly below the current leading term).  Lowest terms multiply, so
+    an exact quotient has no term below lowest(numer) - lowest(denom);
+    reaching one means a nonzero remainder.
     """
-    den = math.lcm(*{x.denominator for fc in (numer, denom) for v in fc.terms for x in v})
-
-    def code(v):
-        return tuple([-x.numerator * (den // x.denominator) for x in v])
-
-    pair = [g * r for g, r in zip(rs.gram_diag, rs.rho)]
-    pair_den = math.lcm(*(x.denominator for x in pair))
-    pair = [int(x * pair_den) for x in pair]
-
     def pairing(c):
         return sum(map(mul, pair, c))
 
-    coded = [(code(w), d) for w, d in denom.terms.items()]
-    dterms = [(pairing(c), c, d) for c, d in coded]
+    dterms = [(pairing(c), c, d) for c, d in denom.items()]
     lead_p, lead_v, lead_c = min(dterms)
     if lead_c not in (1, -1):
         raise ValueError("denominator leading coefficient is not a unit")
     shifts = [(p - lead_p, tuple(map(sub, c, lead_v)), d) for p, c, d in dterms]
 
-    rem = {code(v): c for v, c in numer.terms.items()}
+    rem = numer
     heap = [(pairing(v), v) for v in rem]
     heapq.heapify(heap)
     quot: dict = {}
@@ -243,28 +262,39 @@ def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
             raise ArithmeticError("group-ring division does not terminate")
     if any(rem.values()):
         raise ArithmeticError("nonzero remainder in group-ring division")
-    out = FormalCharacter()
-    frac = FractionCache(-den)      # codes are negated coordinates
-    get = frac.__getitem__
-    out.terms = {tuple(map(get, code_v)): c for code_v, c in quot.items()}
-    return out
+    return quot
 
 
-# character caches, keyed by (algebra name, Dynkin labels)
+def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
+                 rs: RootSystem) -> FormalCharacter:
+    """Exact group-ring division, eliminating leading terms in the order
+    (rho-pairing, lex): divide_codes on the supports coded over their common
+    denominator."""
+    den = common_denominator(itertools.chain(numer.terms, denom.terms))
+    quot = divide_codes({encode(v, den): c for v, c in numer.terms.items()},
+                        {encode(v, den): c for v, c in denom.terms.items()},
+                        rho_pairing(rs))
+    return decode(quot, den)
+
+
+# ---------------------------------------------------------------------------
+# Freudenthal on labels
+
+# dominant weight tables, keyed by (algebra name, Dynkin labels)
 _dominant_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
-    """Multiplicities of the dominant weights of L^mu (Freudenthal recursion)."""
-    _require_dominant_integral(rs, mu)
-    key = (rs.name, tuple(rs.dynkin_labels(mu)))
+def _dominant_table(rs: RootSystem, top: tuple) -> list:
+    """[(labels, simple coefficients of top - labels, multiplicity)] for the
+    dominant weights of L(top) (int labels), in descent order, highest
+    weight first; cached.  Freudenthal recursion on labels."""
+    key = (rs.name, top)
     hit = _dominant_cache.get(key)
     if hit is not None:
         return hit
 
     ld = rs.label_data
-    top, _, offset = rs.split_labels(mu)
     form = ld.form
 
     def norm(x):         # (x, x) * form_den
@@ -277,10 +307,12 @@ def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
     top_sq = norm(tuple(m + 1 for m in top))
     dominant: dict = {}  # labels of w -> labels of its dominant representative
 
+    table = []
     mult: dict = {}
     for nu, depth_coeffs in _dominant_descent(ld, top):
         if not any(depth_coeffs):
             mult[nu] = 1
+            table.append((nu, depth_coeffs, 1))
             continue
         nu_rho = tuple(m + 1 for m in nu)
         nu_sq = norm(nu_rho)
@@ -308,11 +340,18 @@ def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
             raise AssertionError("Freudenthal produced non-positive multiplicity "
                                  f"{Fraction(2 * acc, denom)}")
         mult[nu] = val
+        table.append((nu, depth_coeffs, val))
 
-    out = dict(rs.from_labels(mult.items(), 1, offset))
     with _cache_lock:
-        _dominant_cache[key] = out
-    return out
+        _dominant_cache[key] = table
+    return table
+
+
+def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
+    """Multiplicities of the dominant weights of L^mu (Freudenthal recursion)."""
+    top, offset = _split_dominant(rs, mu)
+    table = _dominant_table(rs, top)
+    return dict(rs.from_labels([(nu, m) for nu, _, m in table], 1, offset))
 
 
 def _dominant_descent(ld, mu):
@@ -354,40 +393,143 @@ def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     return divide_exact(singular_element(rs, mu), weyl_denominator(rs), rs)
 
 
-def weyl_dimension(rs: RootSystem, mu: Vec) -> int:
-    _require_dominant_integral(rs, mu)
-    mu_rho = vadd(mu, rs.rho)
-    val = Fraction(1)
-    for a in rs.positive_roots:
-        val *= rs.inner(mu_rho, a) / rs.inner(rs.rho, a)
-    if val.denominator != 1:
+def label_dimension(rs: RootSystem, labels) -> int:
+    """Weyl dimension of L(labels), int labels: the product over positive
+    roots sum_i k_i alpha_i of sum_i k_i (l_i + 1) |alpha_i|^2 over
+    sum_i k_i |alpha_i|^2, in ints."""
+    if any(m < 0 for m in labels):
+        raise ValueError(f"weight with labels {tuple(labels)} is not dominant")
+    ld = rs.label_data
+    sizes = [sum(x * sum(map(mul, row, a)) for x, row in zip(a, ld.form)) for a in ld.cartan]
+    num = den = 1
+    for _, c in ld.positive:
+        num *= sum(k * (m + 1) * s for k, m, s in zip(c, labels, sizes))
+        den *= sum(map(mul, c, sizes))
+    val, r = divmod(num, den)
+    if r:
         raise AssertionError("Weyl dimension is not an integer")
-    return int(val)
+    return val
 
 
-def peel_modules(fc: FormalCharacter, key, is_dominant_integral,
-                 character) -> dict[Vec, int]:
-    """Write fc as a nonnegative sum of irreducible characters.
+def weyl_dimension(rs: RootSystem, mu: Vec) -> int:
+    return label_dimension(rs, _split_dominant(rs, mu)[0])
 
-    Repeatedly subtracts character(v) times the coefficient of the remaining
-    weight v that is highest in the order `key`.  Raises if that weight fails
-    is_dominant_integral or has a negative coefficient, which signals that fc
-    is not a genuine module character.
+
+# ---------------------------------------------------------------------------
+# decomposition into irreducible modules
+
+
+def _orbit_size(rs: RootSystem, labels) -> int:
+    """|W| / |W_J| for dominant labels, J the zero labels; |W_J| is the
+    product of (ht + 1) / ht over the positive roots of W_J (Macdonald)."""
+    num = den = 1
+    for _, c in rs.label_data.positive:
+        if all(not k or not m for k, m in zip(c, labels)):
+            h = sum(c)
+            num *= h + 1
+            den *= h
+    return rs.weyl_order * den // num
+
+
+def _show(v: Vec) -> str:
+    return "(" + ", ".join(map(str, v)) + ")"
+
+
+def _weight(code, den: int) -> Vec:
+    return tuple(Fraction(x, -den) for x in code)
+
+
+def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
+                  fc: FormalCharacter) -> dict[Vec, int]:
+    """Write fc as a nonnegative sum of irreducible characters of `sub`, a
+    regular subalgebra of `ambient` whose simple roots sit at `images` in
+    ambient coordinates (the ambient simple roots for the algebra itself).
+
+    Works on codes and integer labels.  One pass over the support checks
+    that fc is W_sub-invariant: every weight has the multiplicity of its
+    dominant representative (integer reflections), and every dominant weight
+    has its whole orbit in the support.  Then only the dominant weights are
+    peeled, highest first in the (rho-pairing, lex) order of the ambient,
+    each module subtracting its cached dominant multiplicities; the weights
+    this introduces sit below the current one and are peeled in turn.
+    Raises ValueError if fc is not a module character.
     """
-    rem = fc.copy()
+    den = common_denominator(itertools.chain(fc.terms, images))
+    cartan = sub.label_data.cartan
+    img = [encode(a, den) for a in images]
+    img_cols = list(zip(*img))
+    # labels l_i = 2 (v, a_i) / (a_i, a_i) = sum_k rows[i][k] code_k / scale
+    rows = [[2 * g * x / ambient.inner(a, a) for g, x in zip(ambient.gram_diag, a)]
+            for a in images]
+    rows_den = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [[int(x * rows_den) for x in row] for row in rows]
+    scale = -rows_den * den
+
+    mult: dict = {}      # code -> multiplicity
+    weights: dict = {}   # code -> weight
+    for v, m in fc.terms.items():
+        c = encode(v, den)
+        mult[c] = m
+        weights[c] = v
+    labels: dict = {}    # code of a dominant weight -> its labels
+    count: dict = {}     # code of a dominant weight -> its orbit points in fc
+    for c, m in mult.items():
+        lab = []
+        for row in rows:
+            x, r = divmod(sum(map(mul, row, c)), scale)
+            if r:
+                raise ValueError(f"weight {_show(weights[c])} is not integral for "
+                                 f"{sub.name}: not a module character")
+            lab.append(x)
+        rep = c
+        while True:
+            for i, x in enumerate(lab):
+                if x < 0:
+                    lab = [a - x * b for a, b in zip(lab, cartan[i])]
+                    rep = tuple([a - x * b for a, b in zip(rep, img[i])])
+                    break
+            else:
+                break
+        if mult.get(rep, 0) != m:
+            raise ValueError(f"weight {_show(weights[c])} has multiplicity {m} but its "
+                             f"dominant representative {_show(_weight(rep, den))} has "
+                             f"{mult.get(rep, 0)}: not a module character")
+        labels[rep] = tuple(lab)
+        count[rep] = count.get(rep, 0) + 1
+    for rep, lab in labels.items():
+        size = _orbit_size(sub, lab)
+        if count[rep] != size:
+            raise ValueError(f"dominant weight {_show(weights[rep])} has multiplicity "
+                             f"{mult[rep]} but only {count[rep]} of the {size} weights "
+                             "of its orbit: not a module character")
+
+    pair = rho_pairing(ambient)
+    rem = {rep: mult[rep] for rep in labels}
+    heap = [(sum(map(mul, pair, c)), c) for c in rem]
+    heapq.heapify(heap)
     table: dict[Vec, int] = {}
-    while rem:
-        v, c = rem.leading(key)
-        if not is_dominant_integral(v):
-            raise ValueError(f"leading weight {v} is not dominant: not a module character")
-        if c < 0:
-            raise ValueError(f"negative leading coefficient {c} at {v}")
-        table[v] = c
-        rem.iadd(character(v), -c)
+    while heap:
+        _, c = heapq.heappop(heap)
+        m = rem.pop(c, 0)
+        if not m:
+            continue
+        v = weights[c] if c in weights else _weight(c, den)
+        if m < 0:
+            raise ValueError(f"negative leading coefficient {m} at {_show(v)}")
+        table[v] = m
+        for lab, coeffs, k in _dominant_table(sub, labels[c])[1:]:
+            u = tuple([a - sum(map(mul, coeffs, col)) for a, col in zip(c, img_cols)])
+            n = rem.get(u, 0) - m * k
+            if u not in rem:
+                heapq.heappush(heap, (sum(map(mul, pair, u)), u))
+                labels[u] = lab
+            if n:
+                rem[u] = n
+            else:
+                del rem[u]
     return table
 
 
 def decompose_character(rs: RootSystem, fc: FormalCharacter) -> dict[Vec, int]:
     """Write a character as a nonnegative sum of irreducibles of rs."""
-    return peel_modules(fc, order_key(rs), rs.is_dominant_integral,
-                        lambda v: freudenthal_character(rs, v))
+    return peel_dominant(rs, rs, rs.simple_roots, fc)

@@ -8,8 +8,9 @@ JSON lines with --format json; weights are printed as Dynkin labels and all
 tables are sorted by the (rho, weight) order with a lexicographic label
 tie-break, so reruns are byte-identical.  Affine character layers are cached
 on disk as content-addressed JSON files when a cache directory is configured
-(flag --cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.  An
-entry that does not parse or does not hold the requested character is
+(flag --cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.  Each
+entry carries its request and a SHA-256 of its payload; an entry that does
+not parse, fails its digest or does not hold the requested character is
 recomputed and rewritten, never served.
 """
 
@@ -32,7 +33,7 @@ from .splints import (check_embedding, check_splint, fan_coefficients,
                       find_splint, load_splint_file, splint_catalog)
 
 CACHE_ENV = "SPLINTBRANCH_CACHE_DIR"
-CACHE_SCHEMA = "splintbranch-affine-character-v1"
+CACHE_SCHEMA = "splintbranch-affine-character-v2"
 
 
 class ConfigError(Exception):
@@ -129,18 +130,28 @@ def _cache_dir(args):
     return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV) or None
 
 
-def _layers_to_json(gc: af.GradedCharacter):
+def _payload_digest(doc):
+    """SHA-256 of the canonical JSON of a cache entry without its digest."""
+    body = {k: v for k, v in doc.items() if k != "digest"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def _layers_to_json(gc: af.GradedCharacter, request):
     layers = []
     for fc in gc.layers:
         layers.append(sorted([[list(map(str, v)), c] for v, c in fc.items()]))
-    return {"schema": CACHE_SCHEMA, "cutoff": gc.cutoff, "layers": layers}
+    doc = {"schema": CACHE_SCHEMA, "request": request, "cutoff": gc.cutoff, "layers": layers}
+    doc["digest"] = _payload_digest(doc)
+    return doc
 
 
 def _layers_from_json(doc):
     """Parse a cache document; raises ValueError, TypeError, KeyError or
-    AttributeError if it is not one."""
+    AttributeError if it is not one, or if its digest does not match."""
     if doc.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unexpected cache schema {doc.get('schema')!r}")
+    if doc.get("digest") != _payload_digest(doc):
+        raise ValueError("cache entry does not match its digest")
     layers = []
     for layer in doc["layers"]:
         fc = FormalCharacter()
@@ -152,17 +163,20 @@ def _layers_from_json(doc):
     return af.GradedCharacter(doc["cutoff"], layers)
 
 
-def _read_cache(path, rs, aw, cutoff):
+def _read_cache(path, request, rs, aw, cutoff):
     """The cached character at path, or None when there is none or the entry
     does not hold the requested one: it does not parse, has another schema,
-    cutoff or layer count, weights of another length, or no highest weight of
+    a digest that does not match its payload, another request, cutoff or
+    layer count, weights of another length, or no highest weight of
     multiplicity 1 at grade 0."""
     try:
         with open(path) as fh:
-            gc = _layers_from_json(json.load(fh))
+            doc = json.load(fh)
+        gc = _layers_from_json(doc)
     except (FileNotFoundError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    if (gc.cutoff != cutoff or len(gc.layers) != cutoff + 1
+    if (doc.get("request") != request or gc.cutoff != cutoff
+            or len(gc.layers) != cutoff + 1
             or any(len(v) != rs.dim for fc in gc.layers for v in fc.terms)):
         return None
     try:
@@ -177,20 +191,20 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
     served is recomputed and rewritten."""
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
-    key = json.dumps({"op": "affine_character", "algebra": rs.name,
-                      "labels": _ints(rs.dynkin_labels(aw.finite)),
-                      "level": aw.level, "cutoff": cutoff,
-                      "schema": CACHE_SCHEMA}, sort_keys=True)
+    request = {"op": "affine_character", "algebra": rs.name,
+               "labels": _ints(rs.dynkin_labels(aw.finite)),
+               "level": aw.level, "cutoff": cutoff}
+    key = json.dumps({**request, "schema": CACHE_SCHEMA}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = os.path.join(cache_dir, digest[:2], digest + ".json")
-    gc = _read_cache(path, rs, aw, cutoff)
+    gc = _read_cache(path, request, rs, aw, cutoff)
     if gc is not None:
         return gc
     gc = af.affine_character(rs, aw, cutoff)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
-        json.dump(_layers_to_json(gc), fh, sort_keys=True)
+        json.dump(_layers_to_json(gc, request), fh, sort_keys=True)
     os.replace(tmp, path)
     return gc
 

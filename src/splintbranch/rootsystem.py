@@ -450,10 +450,6 @@ class RootSystem:
     def is_dominant(self, v: Vec) -> bool:
         return all(self.inner(v, a) >= 0 for a in self.simple_roots)
 
-    def is_dominant_integral(self, v: Vec) -> bool:
-        labels = self.dynkin_labels(v)
-        return all(m.denominator == 1 and m >= 0 for m in labels)
-
     def reflect(self, v: Vec, alpha: Vec) -> Vec:
         c = 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
         return vsub(v, vscale(alpha, c))

@@ -20,7 +20,7 @@ from importlib import resources
 from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine,
                          vsub, vneg, zero_vec)
 from .characters import (FormalCharacter, dominant_multiplicities,
-                         freudenthal_character, order_key, peel_modules,
+                         freudenthal_character, label_dimension, peel_dominant,
                          weyl_dimension)
 
 
@@ -291,49 +291,27 @@ class SubalgebraView:
         self.ambient = ambient
         self.sub = emb.source
         self.emb = emb
-        self._rel_chars: dict[tuple, list] = {}
 
-    def labels(self, nu: Vec):
-        return tuple(2 * self.ambient.inner(nu, img) / self.ambient.inner(img, img)
-                     for img in self.emb.simple_images)
+    def labels(self, nu: Vec) -> tuple:
+        """Integer Dynkin labels of nu for the subalgebra's simple roots;
+        raises ValueError if nu is not integral for them."""
+        out = []
+        for img in self.emb.simple_images:
+            m = 2 * self.ambient.inner(nu, img) / self.ambient.inner(img, img)
+            if m.denominator != 1:
+                raise ValueError(f"{nu} is not integral for {self.sub.name}")
+            out.append(int(m))
+        return tuple(out)
 
     def is_dominant(self, nu: Vec) -> bool:
         return all(m >= 0 for m in self.labels(nu))
 
-    def is_dominant_integral(self, nu: Vec) -> bool:
-        return all(m.denominator == 1 and m >= 0 for m in self.labels(nu))
-
-    def _relative_character(self, labels):
-        """Subalgebra module weights as offsets from the highest weight."""
-        if labels not in self._rel_chars:
-            hw = self.sub.weight_from_labels(labels)
-            offsets = []
-            for nu_t, m in dominant_multiplicities(self.sub, hw).items():
-                for w, _ in self.sub.weyl_orbit(nu_t):
-                    offsets.append((self.emb.map_weight(vsub(hw, w)), m))
-            self._rel_chars[labels] = offsets
-        return self._rel_chars[labels]
-
-    def character(self, nu: Vec) -> FormalCharacter:
-        """Character of the subalgebra module with highest weight nu, written
-        in ambient coordinates."""
-        labels = self.labels(nu)
-        if any(m.denominator != 1 or m < 0 for m in labels):
-            raise ValueError(f"{nu} is not subalgebra-dominant integral")
-        ilabels = tuple(int(m) for m in labels)
-        fc = FormalCharacter()
-        for off, m in self._relative_character(ilabels):
-            fc.terms[vsub(nu, off)] = m
-        return fc
-
     def dimension(self, nu: Vec) -> int:
-        labels = tuple(int(m) for m in self.labels(nu))
-        return weyl_dimension(self.sub, self.sub.weight_from_labels(labels))
+        return label_dimension(self.sub, self.labels(nu))
 
     def decompose(self, fc: FormalCharacter) -> dict[Vec, int]:
         """Write a character as a nonnegative sum of subalgebra modules."""
-        return peel_modules(fc, order_key(self.ambient), self.is_dominant_integral,
-                            self.character)
+        return peel_dominant(self.ambient, self.sub, self.emb.simple_images, fc)
 
 
 def branch_direct(rs: RootSystem, sub, mu: Vec) -> dict[Vec, int]:

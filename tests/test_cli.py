@@ -222,3 +222,42 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     assert code == 3
     assert err == ("internal error: ArithmeticError: nonzero remainder in "
                    "group-ring division\n")
+
+
+def _add_5_at_grade1_root(doc):
+    # grade-1 weight (-1, 1) of the A1 level-1 vacuum module: 1 -> 6
+    for term in doc["layers"][1]:
+        if term[0] == ["-1", "1"]:
+            term[1] += 5
+
+
+def _set_grade1_fixed_weight_to_6(doc):
+    # the W-fixed weight 0 at grade 1: 1 -> 6, still a W-invariant layer
+    for term in doc["layers"][1]:
+        if term[0] == ["0", "0"]:
+            term[1] = 6
+
+
+CACHE_EDITS = {"grade1-root-plus-5": _add_5_at_grade1_root,
+               "grade1-fixed-weight-6": _set_grade1_fixed_weight_to_6}
+
+
+@pytest.mark.parametrize("command", ["strings", "qdim"])
+@pytest.mark.parametrize("edit", sorted(CACHE_EDITS))
+def test_hand_edited_cache_entry_is_recomputed(tmp_path, capsys, command, edit):
+    args = [command, "--algebra", "A1", "--level", "1", "--weight", "0",
+            "--grade-max", "3"]
+    code, fresh, _ = run(capsys, *args, "--no-cache")
+    assert code == 0
+    if command == "qdim":
+        assert "[1, 3, 4, 7]" in fresh
+    run(capsys, *args, "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.rglob("*.json")
+    good = path.read_text()
+    doc = json.loads(good)
+    CACHE_EDITS[edit](doc)
+    assert doc != json.loads(good)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, out, err = run(capsys, *args, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, fresh, "")
+    assert path.read_text() == good
