@@ -437,7 +437,7 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
                                 cutoff: int, gc: GradedCharacter | None = None
                                 ) -> BranchingSeries:
     """Composed route: branch each grade layer to the horizontal algebra, then
-    push every module through the tilde-weight shortcut."""
+    push each distinct module once through the tilde-weight shortcut."""
     if s.ambient.factors != rs.factors:
         raise ValueError("splint ambient does not match the affine algebra")
     status = s.branching_status()
@@ -446,8 +446,11 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
                          f"applicable ({status.problems[:1]})")
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
     entries: dict = {}
+    tables: dict = {}
     for (nu, n), b in bs.entries.items():
-        for xi, c in branch_via_splint(s, nu).items():
+        if nu not in tables:
+            tables[nu] = branch_via_splint(s, nu)
+        for xi, c in tables[nu].items():
             key = (xi, n)
             entries[key] = entries.get(key, 0) + b * c
     entries = {k: v for k, v in entries.items() if v}

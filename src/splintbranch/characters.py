@@ -459,10 +459,7 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
     img = [encode(a, den) for a in images]
     img_cols = list(zip(*img))
     # labels l_i = 2 (v, a_i) / (a_i, a_i) = sum_k rows[i][k] code_k / scale
-    rows = [[2 * g * x / ambient.inner(a, a) for g, x in zip(ambient.gram_diag, a)]
-            for a in images]
-    rows_den = math.lcm(*(x.denominator for row in rows for x in row))
-    rows = [[int(x * rows_den) for x in row] for row in rows]
+    rows, rows_den = ambient.label_rows(tuple(images))
     scale = -rows_den * den
 
     mult: dict = {}      # code -> multiplicity

@@ -324,9 +324,12 @@ class RootSystem:
         gram = [[self.inner(a, b) for b in self.simple_roots] for a in self.simple_roots]
         self._gram_inv = invert_matrix(gram)
         self._coeff_cache: dict[Vec, tuple] = {}
+        self._rows_cache: dict = {}
 
-        self.cartan = [[self._cartan_entry(i, j) for j in range(self.rank)]
-                       for i in range(self.rank)]
+        cartan = [self.dynkin_labels(a) for a in self.simple_roots]
+        if any(x.denominator != 1 for row in cartan for x in row):
+            raise AssertionError("non-integer Cartan entry")
+        self.cartan = [[int(x) for x in row] for row in cartan]
         cartan_inv = invert_matrix([[Fraction(x) for x in row] for row in self.cartan])
         # omega_k = sum_j (C^-1)_{kj} alpha_j
         self.fundamental_weights: tuple[Vec, ...] = tuple(
@@ -360,13 +363,6 @@ class RootSystem:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(f"dimension mismatch: expected vectors of length {self.dim}")
         return sum(g * a * b for g, a, b in zip(self.gram_diag, x, y))
-
-    def _cartan_entry(self, i, j):
-        a, b = self.simple_roots[i], self.simple_roots[j]
-        val = 2 * self.inner(a, b) / self.inner(b, b)
-        if val.denominator != 1:
-            raise AssertionError("non-integer Cartan entry")
-        return int(val)
 
     def _combine(self, coeffs) -> Vec:
         return vcombine(zero_vec(self.dim), coeffs, self.simple_roots)
@@ -439,8 +435,29 @@ class RootSystem:
 
     # -- weights -----------------------------------------------------------
 
+    def label_rows(self, images=None):
+        """(rows, den), ints with 2 (v, a_i) / (a_i, a_i) = rows[i] . v / den for
+        a_i = images[i] (a tuple; None for the simple roots); cached per images."""
+        if images not in self._rows_cache:
+            rows = [[2 * g * x / self.inner(a, a) for g, x in zip(self.gram_diag, a)]
+                    for a in images or self.simple_roots]
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            self._rows_cache[images] = ([[int(x * den) for x in row] for row in rows], den)
+        return self._rows_cache[images]
+
+    def scaled_labels(self, v: Vec, images=None):
+        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den: label_rows
+        applied to v scaled to ints by its common denominator."""
+        if len(v) != self.dim:
+            raise ValueError(f"dimension mismatch: expected vectors of length {self.dim}")
+        rows, den = self.label_rows(images)
+        d = math.lcm(*(x.denominator for x in v))
+        code = [x.numerator * (d // x.denominator) for x in v]
+        return [sum(map(mul, row, code)) for row in rows], den * d
+
     def dynkin_labels(self, v: Vec):
-        return tuple(2 * self.inner(v, a) / self.inner(a, a) for a in self.simple_roots)
+        nums, den = self.scaled_labels(v)
+        return tuple(Fraction(n, den) for n in nums)
 
     def weight_from_labels(self, labels) -> Vec:
         if len(labels) != self.rank:
@@ -481,9 +498,9 @@ class RootSystem:
         labels are ints, d is the common denominator of the Dynkin labels of v,
         and offset (None when zero) is the W-fixed part of v orthogonal to the
         roots."""
-        labels = self.dynkin_labels(v)
-        d = math.lcm(*(m.denominator for m in labels))
-        ints = tuple(int(m * d) for m in labels)
+        nums, den = self.scaled_labels(v)
+        g = math.gcd(den, *nums)
+        ints, d = tuple(n // g for n in nums), den // g
         ((base, _),) = self.from_labels([(ints, None)], d)
         offset = vsub(v, base)
         return ints, d, (offset if any(offset) else None)

@@ -1,27 +1,32 @@
 """Root system embeddings, splints, injection fans and splint branching.
 
 A splint presents the ambient root set as a disjoint union of the images of
-two embeddings.  The first image is required to be a closed root subsystem
-(the regular subalgebra the module is branched to); the second is the stem
-whose module weight multiplicities reproduce branching coefficients through
-the tilde-weight map.  The shipped catalog is re-verified on every load, and
-the tilde-weight shortcut is validated empirically against the brute-force
-subtraction route.
+two embeddings: a closed root subsystem (the regular subalgebra a module is
+branched to) and a stem, whose module weight multiplicities give branching
+coefficients through the tilde-weight rule.  The catalog is re-verified on
+load; the tilde rule is validated against brute-force subtraction.
+
+Branching runs on integer Dynkin labels: the stem weight w maps to
+nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
+labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
+weight j (`Splint.tilde_map`).  Stem orbits come from `label_orbit`; the
+table is decoded once, keeping the W-fixed offset of mu.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
-from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine,
-                         vsub, vneg, zero_vec)
-from .characters import (FormalCharacter, dominant_multiplicities,
-                         freudenthal_character, label_dimension, peel_dominant,
-                         weyl_dimension)
+from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine, vneg,
+                         zero_vec)
+from .characters import (FormalCharacter, _dominant_table, freudenthal_character,
+                         label_dimension, peel_dominant, weyl_dimension)
 
 
 class Embedding:
@@ -97,6 +102,7 @@ class Splint:
     def __post_init__(self):
         self._view = None
         self._tilde_probe = None
+        self._tilde_map = None
 
     @property
     def subalgebra_roots(self):
@@ -110,6 +116,16 @@ class Splint:
         if self._view is None:
             self._view = SubalgebraView(self.ambient, self.phi1)
         return self._view
+
+    def tilde_map(self):
+        """(cols, den), ints: cols[k][j] / den is ambient label k of phi2
+        extended linearly to the stem fundamental weight j.  Built on first use."""
+        if self._tilde_map is None:
+            m = [self.ambient.dynkin_labels(self.phi2.map_weight(w))
+                 for w in self.phi2.source.fundamental_weights]
+            den = math.lcm(*(x.denominator for row in m for x in row))
+            self._tilde_map = (list(zip(*([int(x * den) for x in row] for row in m))), den)
+        return self._tilde_map
 
     def branching_status(self, max_label: int | None = None) -> Report:
         """Empirical tilde-weight validation; cached.  Splints that fail are
@@ -242,42 +258,52 @@ def fan_coefficients(s: Splint) -> Fan:
 # branching
 
 
-def tilde_weight(s: Splint, mu: Vec) -> Vec:
-    """Stem weight carrying the Dynkin labels of mu under the stored
-    index correspondence.  Requires rank(stem) == rank(ambient)."""
+def _tilde_labels(s: Splint, mu: Vec):
+    """(labels of mu, its W-fixed offset, labels of mu~)."""
     stem = s.phi2.source
     if stem.rank != s.ambient.rank:
         raise ValueError(f"stem rank {stem.rank} != ambient rank {s.ambient.rank}; "
                          "tilde weight undefined")
-    labels = s.ambient.dynkin_labels(mu)
-    if any(m.denominator != 1 or m < 0 for m in labels):
-        raise ValueError(f"weight with labels {labels} is not dominant integral")
+    labels, d, offset = s.ambient.split_labels(mu)
+    if d != 1 or any(m < 0 for m in labels):
+        raise ValueError(f"weight with labels {tuple(Fraction(m, d) for m in labels)} "
+                         "is not dominant integral")
     stem_labels = [0] * stem.rank
     for k, m in enumerate(labels):
-        stem_labels[s.correspondence[k]] = int(m)
-    return stem.weight_from_labels(stem_labels)
+        stem_labels[s.correspondence[k]] = m
+    return labels, offset, tuple(stem_labels)
 
 
-def branch_via_splint(s: Splint, mu: Vec, restrict_dominant: bool = False):
+def tilde_weight(s: Splint, mu: Vec) -> Vec:
+    """Stem weight carrying the Dynkin labels of mu under the stored
+    index correspondence.  Requires rank(stem) == rank(ambient)."""
+    return s.phi2.source.weight_from_labels(_tilde_labels(s, mu)[2])
+
+
+def branch_via_splint(s: Splint, mu: Vec):
     """Branching table from stem weight multiplicities (tilde-weight rule).
 
-    Every stem weight nu~ of the stem module contributes the coefficient
-    b at nu = mu - phi2(mu~ - nu~).  With restrict_dominant=True only
-    subalgebra-dominant nu are returned.
+    Every weight w of the stem module mu~ contributes its multiplicity at
+    nu = mu - phi2(mu~ - w): dominant w in Freudenthal table order, each
+    orbit sorted by stem coordinates.
     """
+    labels, offset, top = _tilde_labels(s, mu)
     stem = s.phi2.source
-    mu_t = tilde_weight(s, mu)
-    view = s.subalgebra_view()
-    table: dict[Vec, int] = {}
-    for nu_t, m in dominant_multiplicities(stem, mu_t).items():
-        for w, _ in stem.weyl_orbit(nu_t):
-            nu = vsub(mu, s.phi2.map_weight(vsub(mu_t, w)))
-            if restrict_dominant and not view.is_dominant(nu):
-                continue
+    cols, den = s.tilde_map()
+    fw_cols = list(zip(*stem.label_data.fw))
+    # den * labels(nu)_k = base_k + labels(w) . cols[k]
+    base = [den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols)]
+    table: dict = {}
+    for nu_t, _, m in _dominant_table(stem, top):
+        for _, w in sorted((tuple(sum(map(mul, w, col)) for col in fw_cols), w)
+                           for w, _ in stem.label_orbit(nu_t)):
+            nu = tuple([b + sum(map(mul, w, col)) for b, col in zip(base, cols)])
             if nu in table:
                 raise AssertionError("stem weights collide in ambient space")
             table[nu] = m
-    return table
+    if any(x % den for nu in table for x in nu):
+        raise AssertionError("tilde map gives a non-integral weight")
+    return dict(s.ambient.from_labels(table.items(), den, offset))
 
 
 class SubalgebraView:
@@ -295,13 +321,10 @@ class SubalgebraView:
     def labels(self, nu: Vec) -> tuple:
         """Integer Dynkin labels of nu for the subalgebra's simple roots;
         raises ValueError if nu is not integral for them."""
-        out = []
-        for img in self.emb.simple_images:
-            m = 2 * self.ambient.inner(nu, img) / self.ambient.inner(img, img)
-            if m.denominator != 1:
-                raise ValueError(f"{nu} is not integral for {self.sub.name}")
-            out.append(int(m))
-        return tuple(out)
+        nums, den = self.ambient.scaled_labels(nu, self.emb.simple_images)
+        if any(n % den for n in nums):
+            raise ValueError(f"{nu} is not integral for {self.sub.name}")
+        return tuple(n // den for n in nums)
 
     def is_dominant(self, nu: Vec) -> bool:
         return all(m >= 0 for m in self.labels(nu))
