@@ -8,24 +8,25 @@ by layer, each division exact in the group ring.  An independent affine
 Freudenthal recursion serves as the oracle for the main route.
 
 The main route runs on integer codes (`characters.encode`): the numerator
-orbits come from label-space orbits, and the denominator expansion, the
-layered products and the layered division (`characters.divide_codes`) all
-add ints.  Fractions are built once, when the layers are returned.
-`denominator_layers` is the one expansion of a truncated affine denominator
-in the package: the characters use its code-level core, and the q-series
-verifiers of the splint identities read its decoded layers as series.
+orbits come from label-space orbits, and the denominator expansion
+(`characters._denominator_codes`), the layered products
+(`characters.add_product`) and the layered division
+(`characters.divide_codes`) all add ints.  Fractions are built once, when
+the layers are returned.  `denominator_layers` comes from `characters`
+and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
                          vcombine, vsub, vscale, zero_vec)
-from .characters import (FormalCharacter, common_denominator, decode,
-                         decompose_character, divide_codes, dominant_multiplicities,
+from .characters import (FormalCharacter, _denominator_codes, add_product,
+                         common_denominator, decode, decompose_character,
+                         denominator_layers, divide_codes, dominant_multiplicities,
                          encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
@@ -125,55 +126,6 @@ def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, den: int):
     return layers
 
 
-def _subtract_product(dst: dict, a: dict, b: dict):
-    """dst -= a * b on {code: coefficient} dicts; a may be dst itself."""
-    for w, c in list(a.items()):
-        for v, d in b.items():
-            u = tuple(map(add, w, v))
-            x = dst.get(u, 0) - c * d
-            if x:
-                dst[u] = x
-            else:
-                del dst[u]
-
-
-def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
-    """denominator_layers on codes: images are the codes of the positive-root
-    images, the layers are {code: coefficient} dicts."""
-    zero = (0,) * len(images[0])
-    layers = [{zero: 1}] + [{} for _ in range(cutoff)]
-    negated = [tuple(-x for x in img) for img in images]
-    factors = [(0, v) for v in negated]
-    for n in range(1, cutoff + 1):
-        factors += [(n, zero)] * imaginary
-        factors += [(n, v) for v in negated]
-        factors += [(n, img) for img in images]
-    for n, v in factors:
-        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
-        for m in range(cutoff, n - 1, -1):
-            _subtract_product(layers[m], layers[m - n], {v: 1})
-    return layers
-
-
-def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
-    """The truncated affine denominator, one FormalCharacter per grade n
-    (the power of q = e^{-delta}), for grades 0..cutoff:
-
-        prod_img (1 - e^{-img})
-          * prod_{n=1..cutoff} (1 - q^n)^imaginary
-                               prod_img (1 - q^n e^{-img}) (1 - q^n e^{img})
-
-    over the (nonempty) positive-root images `img`.  The positive roots of an
-    algebra with imaginary = its rank give its Weyl-Kac denominator; the
-    images of a stem's positive roots with the stem's rank give that stem's
-    denominator in ambient coordinates, graded by the stem's own delta.
-    Expanded on codes (_denominator_codes) and decoded per layer.
-    """
-    den = common_denominator(pos_images)
-    layers = _denominator_codes([encode(img, den) for img in pos_images], imaginary, cutoff)
-    return [decode(layer, den) for layer in layers]
-
-
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
 
@@ -193,7 +145,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     for n in range(cutoff + 1):
         rhs = num[n]
         for j in range(1, n + 1):
-            _subtract_product(rhs, chars[n - j], denom[j])
+            add_product(rhs, chars[n - j], denom[j], -1)
         chars.append(divide_codes(rhs, denom[0], pair))
     gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)

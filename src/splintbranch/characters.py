@@ -11,12 +11,14 @@ Freudenthal runs on Dynkin labels (`RootSystem.label_data`): the dominant
 weights come from a descent from mu through dominant weights, the root-string
 sums use the integer form, and the table of each module is cached on labels.
 Weights that are added and compared travel as codes, coordinates times one
-common denominator (`encode`/`decode`); the one group-ring division
-(`divide_codes`, wrapped by `divide_exact`) eliminates on them.  The one
-decomposer (`peel_dominant`, behind `decompose_character` and
-`SubalgebraView.decompose`) checks Weyl invariance by integer reflections
-and then peels only dominant weights, subtracting cached dominant
-multiplicities instead of whole orbits.
+common denominator (`encode`/`decode`).  The one group-ring product
+(`add_product`, behind `FormalCharacter.__mul__` and `denominator_layers`,
+which expands every Weyl and affine denominator and the injection fan)
+multiplies on them; the one group-ring division (`divide_codes`, wrapped by
+`divide_exact`) eliminates on them.  The one decomposer (`peel_dominant`,
+behind `decompose_character` and `SubalgebraView.decompose`) checks Weyl
+invariance by integer reflections and then peels only dominant weights,
+subtracting cached dominant multiplicities instead of whole orbits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .rootsystem import RootSystem, Vec, FractionCache, vadd, vneg, zero_vec
+from .rootsystem import RootSystem, Vec, FractionCache
 
 
 class FormalCharacter:
@@ -107,18 +109,12 @@ class FormalCharacter:
         return out
 
     def __mul__(self, other):
-        """Group ring product (convolution)."""
-        out = FormalCharacter()
-        t = out.terms
-        for v, c in self.terms.items():
-            for w, d in other.terms.items():
-                u = vadd(v, w)
-                n = t.get(u, 0) + c * d
-                if n:
-                    t[u] = n
-                else:
-                    del t[u]
-        return out
+        """Group ring product: add_product on the supports coded over their
+        common denominator."""
+        den = common_denominator(itertools.chain(self.terms, other.terms))
+        out = add_product({}, {encode(v, den): c for v, c in self.terms.items()},
+                          {encode(v, den): c for v, c in other.terms.items()})
+        return decode(out, den)
 
     def map_support(self, fn):
         out = FormalCharacter()
@@ -165,12 +161,9 @@ def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
 
 
 def weyl_denominator(rs: RootSystem) -> FormalCharacter:
-    """Product of (1 - e^{-alpha}) over positive roots, fully expanded."""
-    prod = FormalCharacter.monomial(zero_vec(rs.dim))
-    for a in rs.positive_roots:
-        factor = FormalCharacter({zero_vec(rs.dim): 1, vneg(a): -1})
-        prod = prod * factor
-    return prod
+    """Product of (1 - e^{-alpha}) over positive roots, fully expanded: the
+    grade-0 layer of denominator_layers."""
+    return denominator_layers(rs.positive_roots, 0, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +256,58 @@ def divide_codes(numer: dict, denom: dict, pair) -> dict:
     if any(rem.values()):
         raise ArithmeticError("nonzero remainder in group-ring division")
     return quot
+
+
+def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """dst += sign * a * b on {code: coefficient} dicts, returning dst; a may
+    be dst itself.  The package's one group-ring product loop."""
+    for w, c in list(a.items()):
+        c *= sign
+        for v, d in b.items():
+            u = tuple(map(add, w, v))
+            x = dst.get(u, 0) + c * d
+            if x:
+                dst[u] = x
+            else:
+                del dst[u]
+    return dst
+
+
+def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
+    """denominator_layers on codes: images are the codes of the positive-root
+    images, the layers are {code: coefficient} dicts."""
+    zero = (0,) * len(images[0])
+    layers = [{zero: 1}] + [{} for _ in range(cutoff)]
+    negated = [tuple(-x for x in img) for img in images]
+    factors = [(0, v) for v in negated]
+    for n in range(1, cutoff + 1):
+        factors += [(n, zero)] * imaginary
+        factors += [(n, v) for v in negated]
+        factors += [(n, img) for img in images]
+    for n, v in factors:
+        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
+        for m in range(cutoff, n - 1, -1):
+            add_product(layers[m], layers[m - n], {v: 1}, -1)
+    return layers
+
+
+def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
+    """The truncated affine denominator, one FormalCharacter per grade n
+    (the power of q = e^{-delta}), for grades 0..cutoff:
+
+        prod_img (1 - e^{-img})
+          * prod_{n=1..cutoff} (1 - q^n)^imaginary
+                               prod_img (1 - q^n e^{-img}) (1 - q^n e^{img})
+
+    over the (nonempty) positive-root images `img`.  The positive roots of an
+    algebra with imaginary = its rank give its Weyl-Kac denominator (at
+    cutoff 0 its Weyl denominator); the images of a stem's positive roots
+    with the stem's rank give that stem's denominator in ambient coordinates,
+    graded by the stem's own delta.  Expanded on codes and decoded per layer.
+    """
+    den = common_denominator(pos_images)
+    layers = _denominator_codes([encode(img, den) for img in pos_images], imaginary, cutoff)
+    return [decode(layer, den) for layer in layers]
 
 
 def divide_exact(numer: FormalCharacter, denom: FormalCharacter,

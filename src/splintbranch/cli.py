@@ -29,8 +29,8 @@ from . import qseries as qs
 from .characters import (FormalCharacter, singular_element, weyl_denominator,
                          weyl_dimension)
 from .rootsystem import build_root_system
-from .splints import (check_embedding, check_splint, fan_coefficients,
-                      find_splint, load_splint_file, splint_catalog)
+from .splints import (branch_direct, branch_via_splint, check_embedding, check_splint,
+                      fan_coefficients, find_splint, load_splint_file, splint_catalog)
 
 CACHE_ENV = "SPLINTBRANCH_CACHE_DIR"
 CACHE_SCHEMA = "splintbranch-affine-character-v2"
@@ -67,24 +67,40 @@ def _load_algebra(args, errors):
         return None
 
 
-def _load_splint(args, rs, errors):
-    name = getattr(args, "splint", None)
-    path = getattr(args, "splint_file", None)
-    if path:
+def _resolve(args, errors, splint=True):
+    """(rs, s): --algebra, else the algebra the splint names, and the splint
+    of --splint-file or --splint (required if `splint`, else None unless
+    given).  A splint of another algebra than --algebra is an error."""
+    rs = _load_algebra(args, errors) if args.algebra else None
+    s = None
+    if args.splint_file:
         try:
-            return load_splint_file(path)
+            s = load_splint_file(args.splint_file)
         except (OSError, ValueError, KeyError) as exc:
-            errors.append(f"cannot load splint file {path}: {exc}")
-            return None
-    if not name:
+            errors.append(f"cannot load splint file {args.splint_file}: {exc}")
+    elif args.splint:
+        name = args.splint
+        try:
+            s = find_splint(name if ":" in name or rs is None else f"{rs.name}:{name}")
+        except KeyError as exc:
+            errors.append(str(exc.args[0]))
+    elif splint:
         errors.append("--splint (or --splint-file) is required")
-        return None
-    full = name if ":" in name else (f"{rs.name}:{name}" if rs is not None else name)
-    try:
-        return find_splint(full)
-    except KeyError as exc:
-        errors.append(str(exc.args[0]))
-        return None
+    elif rs is None and not errors:
+        errors.append("--algebra or --splint is required")
+    if s is not None:
+        if rs is None:
+            rs = s.ambient
+        elif s.ambient.factors != rs.factors:
+            errors.append(f"splint {s.name} is a splint of {s.ambient.name}, "
+                          f"not of --algebra {rs.name}")
+    return rs, s
+
+
+def _check_bounds(args, errors, *names):
+    """Refuse a negative value of any of the named integer options."""
+    errors.extend(f"--{name.replace('_', '-')} must be >= 0"
+                  for name in names if (getattr(args, name) or 0) < 0)
 
 
 def _require(errors):
@@ -257,7 +273,7 @@ def cmd_splint(args):
         return 0
     # check
     errors = []
-    s = _load_splint(args, _load_algebra(args, []) if args.algebra else None, errors)
+    _, s = _resolve(args, errors)
     _require(errors)
     rep = check_splint(s)
     rep1 = check_embedding(s.phi1)
@@ -272,8 +288,7 @@ def cmd_splint(args):
 
 def cmd_fan(args):
     errors = []
-    rs = _load_algebra(args, errors)
-    s = _load_splint(args, rs, errors)
+    _, s = _resolve(args, errors)
     _require(errors)
     fan = fan_coefficients(s)
     rows = sorted((_ints(s.ambient.simple_coefficients(g)), v)
@@ -288,8 +303,7 @@ def cmd_fan(args):
 
 def cmd_branch(args):
     errors = []
-    rs = _load_algebra(args, errors)
-    s = _load_splint(args, rs, errors)
+    rs, s = _resolve(args, errors)
     if rs is not None and getattr(args, "weight", None) is None:
         errors.append("--weight is required")
     _require(errors)
@@ -298,7 +312,6 @@ def cmd_branch(args):
     status = s.branching_status()
     if not status.passed:
         raise ConfigError(f"splint {s.name} is flagged: tilde branching not applicable")
-    from .splints import branch_via_splint, branch_direct
     table = branch_via_splint(s, mu)
     view = s.subalgebra_view()
     match = None
@@ -337,10 +350,7 @@ def _affine_inputs(args, errors, rs):
         errors.append("--level is required")
         return None, None
     labels = _parse_labels(args.weight, rs.rank)
-    if args.level < 0:
-        errors.append("--level must be >= 0")
-    if args.grade_max < 0:
-        errors.append("--grade-max must be >= 0")
+    _check_bounds(args, errors, "level", "grade_max")
     aw = af.AffineWeight(rs.weight_from_labels(labels), args.level)
     try:
         af.check_affine_dominant(rs, aw)
@@ -352,8 +362,7 @@ def _affine_inputs(args, errors, rs):
 
 def cmd_affine_branch(args):
     errors = []
-    rs = _load_algebra(args, errors)
-    s = _load_splint(args, rs, errors)
+    rs, s = _resolve(args, errors)
     labels, aw = _affine_inputs(args, errors, rs)
     _require(errors)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
@@ -449,18 +458,12 @@ def cmd_qdim(args):
 
 def cmd_verify(args):
     errors = []
-    rs = _load_algebra(args, errors) if args.algebra else None
     identities = ([args.identity] if args.identity != "all"
                   else ["weyl", "branching", "denominator",
                         "theta-product", "theta-sum"])
     # the Weyl identity needs no splint, but a given splint names the algebra
-    needs_splint = any(i != "weyl" for i in identities) or (
-        rs is None and (args.splint or args.splint_file))
-    s = _load_splint(args, rs, errors) if needs_splint else None
-    if s is not None and rs is None:
-        rs = s.ambient
-    if rs is None:
-        errors.append("--algebra or --splint is required")
+    rs, s = _resolve(args, errors, splint=any(i != "weyl" for i in identities))
+    _check_bounds(args, errors, "grade_max", "max_label")
     _require(errors)
     n = args.grade_max
     series_verifiers = {"denominator": qs.verify_denominator_splint,

@@ -11,9 +11,10 @@ is strictly stronger than sampling z.
 The verifiers check the affine denominator regrouping of a splint and its two
 theta-function restatements as truncated series, reporting the first
 discrepancy.  Every affine denominator here (of the ambient algebra, of a
-stem pushed into ambient coordinates, of a single root string) is the
-layered expansion `affine.denominator_layers` read as a series.  Theta sums
-run over the translation lattice of the affine Weyl group (the coroot
+stem pushed into ambient coordinates, of a single root string, of the
+root-string product on the right of the theta-product identity) is the
+layered expansion `characters.denominator_layers` read as a series.  Theta
+sums run over the translation lattice of the affine Weyl group (the coroot
 lattice) at level h-dual of the respective algebra, with exponents in that
 algebra's intrinsic normalization.
 """
@@ -26,8 +27,7 @@ from fractions import Fraction
 
 from .rootsystem import (RootSystem, Vec, build_root_system,
                          lattice_points_in_ellipsoid, vcombine, vscale, zero_vec)
-from .characters import FormalCharacter
-from .affine import denominator_layers
+from .characters import FormalCharacter, denominator_layers
 from .splints import Splint
 
 
@@ -210,8 +210,10 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
 # affine denominators as products
 
 
-def _layer_series(layers, cutoff) -> QSeries:
-    """Grade-indexed FormalCharacter layers as a lattice-mode series."""
+def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
+    """denominator_layers of the images as a lattice-mode series, the layer
+    of grade n at q^n."""
+    layers = denominator_layers(images, imaginary, int(cutoff))
     return QSeries({Fraction(n): fc for n, fc in enumerate(layers)}, cutoff)
 
 
@@ -219,7 +221,7 @@ def root_string_product(dim, root: Vec, cutoff) -> QSeries:
     """(1 - e^{-a}) prod_{n>=1} (1 - q^n e^{-a})(1 - q^n e^{a}), truncated:
     the affine denominator of the single positive root a, without imaginary
     factors.  (dim, the length of a, is kept for the call signature.)"""
-    return _layer_series(denominator_layers([root], 0, int(cutoff)), cutoff)
+    return _denominator_series([root], 0, cutoff)
 
 
 def jacobi_theta_sum(dim, root: Vec, cutoff) -> QSeries:
@@ -242,14 +244,13 @@ def jacobi_theta_sum(dim, root: Vec, cutoff) -> QSeries:
 def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
     """Truncated product over positive affine roots with standard
     multiplicities (1 for real roots, rank for n*delta)."""
-    return _layer_series(denominator_layers(rs.positive_roots, rs.rank, int(cutoff)), cutoff)
+    return _denominator_series(rs.positive_roots, rs.rank, cutoff)
 
 
 def _stem_denominator(phi, cutoff) -> QSeries:
     """Affine denominator of a stem pushed into ambient coordinates: the
     images carry the e-content, the grading stays the stem's own."""
-    layers = denominator_layers(list(phi.pos_map.values()), phi.source.rank, int(cutoff))
-    return _layer_series(layers, cutoff)
+    return _denominator_series(list(phi.pos_map.values()), phi.source.rank, cutoff)
 
 
 @dataclass
@@ -307,18 +308,16 @@ def verify_theta_products(s: Splint, cutoff) -> IdentityReport:
 
     Each theta/eta quotient is realized through the Jacobi triple product of
     its affine root string.  The left side multiplies the triple-product sums
-    over both stems; the right side multiplies the explicit root-string
-    products over all positive roots together with the Euler-product powers
-    left over from the eta bookkeeping.  The overall q-power is matched at
-    lowest order; all higher terms must agree."""
+    over both stems; the right side is the product over all positive roots of
+    euler_product * root_string_product, expanded at once as the denominator
+    with one imaginary factor per positive root.  The overall q-power is
+    matched at lowest order; all higher terms must agree."""
     _require_splint(s)
     rs = s.ambient
     lhs = QSeries.one(cutoff)
     for img in [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]:
         lhs = lhs * jacobi_theta_sum(rs.dim, img, cutoff)
-    rhs = euler_product(cutoff) ** len(rs.positive_roots)
-    for a in rs.positive_roots:
-        rhs = rhs * root_string_product(rs.dim, a, cutoff)
+    rhs = _denominator_series(rs.positive_roots, len(rs.positive_roots), cutoff)
     return _normalized_compare("theta-product", lhs, rhs)
 
 

@@ -4,7 +4,9 @@ A splint presents the ambient root set as a disjoint union of the images of
 two embeddings: a closed root subsystem (the regular subalgebra a module is
 branched to) and a stem, whose module weight multiplicities give branching
 coefficients through the tilde-weight rule.  The catalog is re-verified on
-load; the tilde rule is validated against brute-force subtraction.
+load; the tilde rule is validated against brute-force subtraction.  The
+injection fan is the stem's Weyl denominator in ambient coordinates, the
+grade-0 layer of `characters.denominator_layers` over the stem images.
 
 Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
@@ -25,8 +27,9 @@ from operator import mul
 
 from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine, vneg,
                          zero_vec)
-from .characters import (FormalCharacter, _dominant_table, freudenthal_character,
-                         label_dimension, peel_dominant, weyl_dimension)
+from .characters import (FormalCharacter, _dominant_table, denominator_layers,
+                         freudenthal_character, label_dimension, peel_dominant,
+                         weyl_dimension)
 
 
 class Embedding:
@@ -245,13 +248,9 @@ def fan_coefficients(s: Splint) -> Fan:
     rep = check_splint(s)
     if not rep:
         raise ValueError(f"not a splint: {rep.problems}")
-    dim = s.ambient.dim
-    prod = FormalCharacter.monomial(zero_vec(dim))
-    for beta in s.phi2.source.positive_roots:
-        img = s.phi2.pos_map[beta]
-        prod = prod * FormalCharacter({zero_vec(dim): 1, vneg(img): -1})
-    coeffs = {vneg(v): -c for v, c in prod.items()}
-    return Fan(s.name, coeffs)
+    images = [s.phi2.pos_map[b] for b in s.phi2.source.positive_roots]
+    prod = denominator_layers(images, 0, 0)[0]
+    return Fan(s.name, {vneg(v): -c for v, c in prod.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,67 @@ def test_verify_weyl_takes_algebra_from_splint(capsys):
     assert code == 2 and "--algebra or --splint is required" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "denominator", "--splint", "B2:A1A1", "--grade-max", "-1"],
+    ["verify", "--identity", "theta-product", "--splint", "B2:A1A1", "--grade-max", "-1"],
+    ["verify", "--identity", "theta-sum", "--splint", "B2:A1A1", "--grade-max", "-1"],
+    ["verify", "--identity", "weyl", "--algebra", "B2", "--grade-max", "-1"],
+    ["verify", "--identity", "branching", "--splint", "B2:A1A1", "--max-label", "-1"],
+    ["qdim", "--algebra", "A1", "--level", "1", "--weight", "0", "--grade-max", "-1"],
+])
+def test_negative_bounds_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    flag = argv[-2]
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {flag} must be >= 0\n"
+
+
+G2_SPLINT_FILE = {
+    "name": "G2:file", "ambient": "G2",
+    "subalgebra": {"source": "A2", "map": [
+        [[1, 0], [-2, 1, 1]], [[0, 1], [1, -2, 1]], [[1, 1], [-1, -1, 2]]]},
+    "stem": {"source": "A2", "map": [
+        [[1, 0], [1, -1, 0]], [[0, 1], [-1, 0, 1]], [[1, 1], [0, -1, 1]]]},
+    "correspondence": [0, 1],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["fan"],
+    ["branch", "--weight", "1,0"],
+    ["affine-branch", "--weight", "0,0", "--level", "1", "--grade-max", "2"],
+])
+def test_splint_names_the_algebra(tmp_path, capsys, command):
+    # without --algebra the splint's algebra is used; the output is the one
+    # of the same command with --algebra G2
+    with_algebra = run(capsys, *command, "--algebra", "G2", "--splint", "A2A2")
+    assert with_algebra[0] == 0
+    assert run(capsys, *command, "--splint", "G2:A2A2") == with_algebra
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(G2_SPLINT_FILE))
+    code, out, _ = run(capsys, *command, "--splint-file", str(path))
+    assert code == 0 and "G2:file" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["fan"],
+    ["branch", "--weight", "1,0"],
+    ["affine-branch", "--weight", "0,0", "--level", "1"],
+    ["verify", "--identity", "denominator"],
+    ["verify", "--identity", "weyl"],
+    ["splint", "check"],
+])
+def test_splint_of_another_algebra_is_refused(tmp_path, capsys, command):
+    code, out, err = run(capsys, *command, "--algebra", "B2", "--splint", "G2:A2A2")
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: splint G2:A2A2 is a splint of G2, "
+                   "not of --algebra B2\n")
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(G2_SPLINT_FILE))
+    code, _, err = run(capsys, *command, "--algebra", "B2", "--splint-file", str(path))
+    assert code == 2 and "G2:file is a splint of G2, not of --algebra B2" in err
+
+
 def test_verify_corrupted_splint_file(tmp_path, capsys):
     bad = {
         "name": "G2:corrupt", "ambient": "G2",

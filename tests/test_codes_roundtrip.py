@@ -4,21 +4,42 @@
 dict order included, with digests of the outputs of the Fraction-keyed
 implementation they replaced (SHA-256 of `repr(list(fc.terms.items()))`,
 first 16 hex digits), and the denominator additionally with a test-local
-copy of that Fraction expansion.
+copy of that Fraction expansion.  The one code-level group-ring product
+(`FormalCharacter.__mul__`, `weyl_denominator`) is compared with a
+test-local copy of the Fraction convolution it replaced.
 """
 
 import hashlib
+import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splintbranch import affine as af
-from splintbranch.characters import FormalCharacter, divide_exact
-from splintbranch.rootsystem import build_root_system, vneg, zero_vec
+from splintbranch.characters import FormalCharacter, divide_exact, weyl_denominator
+from splintbranch.rootsystem import build_root_system, vadd, vneg, vscale, zero_vec
 from splintbranch.splints import find_splint
 
 
 def digest(fc):
     return hashlib.sha256(repr(list(fc.terms.items())).encode()).hexdigest()[:16]
+
+
+def fraction_product(a, b):
+    """The Fraction-keyed convolution FormalCharacter.__mul__ replaced."""
+    out = FormalCharacter()
+    t = out.terms
+    for v, c in a.terms.items():
+        for w, d in b.terms.items():
+            u = vadd(v, w)
+            n = t.get(u, 0) + c * d
+            if n:
+                t[u] = n
+            else:
+                del t[u]
+    return out
 
 
 def fraction_denominator_layers(pos_images, imaginary, cutoff):
@@ -33,7 +54,7 @@ def fraction_denominator_layers(pos_images, imaginary, cutoff):
     for n, v in factors:
         mono = FormalCharacter.monomial(v)
         for m in range(cutoff, n - 1, -1):
-            layers[m] = layers[m] - (layers[m - n] * mono)
+            layers[m] = layers[m] - fraction_product(layers[m - n], mono)
     return layers
 
 
@@ -107,3 +128,66 @@ def test_affine_character_and_divide_exact_round_trip(name, labels, cutoff):
         # elimination order: highest first in (rho-pairing, lex)
         assert list(quotient.terms) == sorted(
             quotient.terms, key=lambda v: (rs.inner(v, rs.rho), v), reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# the one group-ring product against the Fraction convolution
+
+PRODUCT_ALGEBRAS = {name: build_root_system(name) for name in ("G2", "B3", "C3")}
+
+
+@st.composite
+def character(draw, rs):
+    """Up to 6 terms at weights with labels in -2..2 scaled by 1, 1/2 or 1/3
+    (halves and thirds on top of the lattice's own), coefficients in -2..2:
+    small enough that sums collide and products cancel terms."""
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank),
+        st.sampled_from([1, 2, 3]), st.integers(-2, 2)), max_size=6))
+    return FormalCharacter([(vscale(rs.weight_from_labels(labels), Fraction(1, k)), c)
+                            for labels, k, c in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_ALGEBRAS)), st.data())
+def test_product_matches_fraction_convolution(name, data):
+    rs = PRODUCT_ALGEBRAS[name]
+    a, b = data.draw(character(rs)), data.draw(character(rs))
+    got = a * b
+    # dict order included: products feed the ordered digests above
+    assert list(got.terms.items()) == list(fraction_product(a, b).terms.items())
+
+
+def test_product_edge_cases():
+    rs = PRODUCT_ALGEBRAS["G2"]
+    zero, a = zero_vec(rs.dim), vscale(rs.positive_roots[0], Fraction(1, 3))
+    plus = FormalCharacter({zero: 1, a: 1})
+    minus = FormalCharacter({zero: 1, a: -1})
+    for x, y in [(plus, FormalCharacter()), (FormalCharacter(), minus),
+                 (FormalCharacter(), FormalCharacter()), (plus, minus), (minus, plus)]:
+        assert list((x * y).terms.items()) == list(fraction_product(x, y).terms.items())
+    # (1 + e^a)(1 - e^a): the two middle terms cancel
+    assert plus * minus == FormalCharacter({zero: 1, vscale(a, 2): -1})
+    assert not plus * FormalCharacter()
+
+
+def fraction_weyl_denominator(rs):
+    prod = FormalCharacter.monomial(zero_vec(rs.dim))
+    for a in rs.positive_roots:
+        prod = fraction_product(prod, FormalCharacter({zero_vec(rs.dim): 1, vneg(a): -1}))
+    return prod
+
+
+SIMPLE_UP_TO_4 = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3",
+                  "A4", "B4", "C4", "D4", "F4"]
+# every algebra of rank <= 4 (as products of the simple ones), plus D5
+WEYL_ALGEBRAS = sorted({"x".join(combo)
+                        for k in range(1, 5)
+                        for combo in itertools.combinations_with_replacement(SIMPLE_UP_TO_4, k)
+                        if sum(int(f[1:]) for f in combo) <= 4} | {"D5"})
+
+
+@pytest.mark.parametrize("name", WEYL_ALGEBRAS)
+def test_weyl_denominator_matches_fraction_product(name):
+    rs = build_root_system(name)
+    assert weyl_denominator(rs) == fraction_weyl_denominator(rs)

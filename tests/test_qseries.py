@@ -97,6 +97,20 @@ def test_jacobi_triple_product(rs, root_index):
     assert qs.compare_qseries(lhs, rhs) is None
 
 
+@pytest.mark.parametrize("name,cutoff", [("B2", 4), ("G2", 4)])
+def test_root_string_products_regroup_into_one_denominator(name, cutoff):
+    # the right side of the theta-product identity: one expansion with an
+    # imaginary factor per positive root equals the series product of
+    # euler_product and root_string_product over all positive roots
+    rs = build_root_system(name)
+    pos = rs.positive_roots
+    one = qs._denominator_series(pos, len(pos), cutoff)
+    product = scalar_to_lattice(qs.euler_product(cutoff) ** len(pos), rs.dim)
+    for a in pos:
+        product = product * qs.root_string_product(rs.dim, a, cutoff)
+    assert qs.compare_qseries(one, product) is None
+
+
 def test_denominator_product_small():
     d = qs.denominator_product(A1, 0)
     alpha = A1.simple_roots[0]
