@@ -8,24 +8,22 @@ by layer, each division exact in the group ring.  An independent affine
 Freudenthal recursion serves as the oracle for the main route.
 
 The main route runs on integer codes (`characters.encode`): the numerator
-orbits come from label-space orbits, and the denominator expansion
-(`characters._denominator_codes`), the layered products
+(`characters._numerator_codes`, shared with the theta sums of `qseries`),
+the denominator (`characters._denominator_codes`), the layered products
 (`characters.add_product`) and the layered division
 (`characters.divide_codes`) all add ints.  Fractions are built once, when
-the layers are returned.  `denominator_layers` comes from `characters`
-and is re-exported here.
+the layers are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
-                         vcombine, vsub, vscale, zero_vec)
-from .characters import (FormalCharacter, _denominator_codes, add_product,
-                         common_denominator, decode, decompose_character,
+                         vcombine, vneg, vsub, vscale)
+from .characters import (FormalCharacter, _denominator_codes, _numerator_codes,
+                         add_product, common_denominator, decode, decompose_character,
                          denominator_layers, divide_codes, dominant_multiplicities,
                          encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
@@ -80,52 +78,6 @@ class BranchingSeries:
         return sorted({nu for nu, _ in self.entries})
 
 
-def _translation_grades(rs: RootSystem, lam: Vec, K: int, cutoff: int):
-    """Coroot-lattice points beta with (lam,beta) + K(beta,beta)/2 <= cutoff.
-
-    Yields (beta, grade).  This is an ellipsoid centered at -lam/K."""
-    basis = rs.coroot_lattice_basis()
-    gram = [[Fraction(K, 2) * rs.inner(a, b) for b in basis] for a in basis]
-    center = rs.basis_coordinates(basis, vscale(lam, Fraction(1, K)))
-    bound = Fraction(cutoff) + rs.inner(lam, lam) / (2 * K)
-    for coeffs in lattice_points_in_ellipsoid(gram, center, bound):
-        beta = vcombine(zero_vec(rs.dim), coeffs, basis)
-        g = rs.inner(lam, beta) + K * rs.inner(beta, beta) / 2
-        if g.denominator != 1 or g < 0:
-            raise AssertionError(f"non-integral or negative grade {g} in affine orbit")
-        yield beta, int(g)
-
-
-def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, den: int):
-    """Sum over the affine Weyl orbit of the strictly dominant lam at level K,
-    shifted by -rho, split by grade: one {code: sign} dict per grade.
-
-    Each translate lam + K beta is reflected on its labels (label_orbit); a
-    point with labels l codes as sum_i l_i omega_i plus the W-fixed offset of
-    lam, one integer matrix product.  den must code lam and the fundamental
-    weights."""
-    fw_cols = list(zip(*(encode(w, den) for w in rs.fundamental_weights)))
-    lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
-    # code of y - rho = fw_cols . labels(y) + base
-    base = [a - r - sum(map(mul, lam_labels, col))
-            for a, r, col in zip(encode(lam, den), encode(rs.rho, den), fw_cols)]
-    layers = [{} for _ in range(cutoff + 1)]
-    for beta, n in _translation_grades(rs, lam, K, cutoff):
-        x = tuple(a + K * int(b) for a, b in zip(lam_labels, rs.dynkin_labels(beta)))
-        dom, sign_x = rs.dominant_labels(x)
-        if not all(dom):
-            raise AssertionError("affine orbit point is not regular")
-        t = layers[n]
-        for y, s in rs.label_orbit(x):
-            v = tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, base)])
-            c = t.get(v, 0) + s * sign_x
-            if c:
-                t[v] = c
-            else:
-                del t[v]
-    return layers
-
-
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
 
@@ -138,7 +90,10 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     K = aw.level + rs.dual_coxeter[0]
     lam = vadd(aw.finite, rs.rho)
     den = common_denominator(rs.fundamental_weights + (lam,))
-    num = _numerator_codes(rs, lam, K, cutoff, den)
+    fw = [encode(w, den) for w in rs.fundamental_weights]
+    # a point y codes as y - rho: its labels on fw, the W-fixed part of lam, -rho
+    fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
+    num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
     denom = _denominator_codes([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
     pair = rho_pairing(rs)
     chars: list[dict] = []
@@ -163,8 +118,10 @@ def denominator_orbit_sum(rs: RootSystem, cutoff: int):
     numerator at mu = 0); equals the affine denominator product layerwise."""
     _require_simple(rs)
     den = common_denominator(rs.fundamental_weights)
-    return [decode(layer, den)
-            for layer in _numerator_codes(rs, rs.rho, rs.dual_coxeter[0], cutoff, den)]
+    fw = [encode(w, den) for w in rs.fundamental_weights]
+    layers = _numerator_codes(rs, rs.rho, rs.dual_coxeter[0], cutoff, fw,
+                              encode(vneg(rs.rho), den))
+    return [decode(layer, den) for layer in layers]
 
 
 def affine_denominator_layers(rs: RootSystem, cutoff: int):

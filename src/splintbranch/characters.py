@@ -14,7 +14,9 @@ Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product
 (`add_product`, behind `FormalCharacter.__mul__` and `denominator_layers`,
 which expands every Weyl and affine denominator and the injection fan)
-multiplies on them; the one group-ring division (`divide_codes`, wrapped by
+multiplies on them; the one Weyl-Kac numerator (`_numerator_codes`, behind
+the affine characters and every alternating theta sum) sums affine Weyl
+orbits on them; the one group-ring division (`divide_codes`, wrapped by
 `divide_exact`) eliminates on them.  The one decomposer (`peel_dominant`,
 behind `decompose_character` and `SubalgebraView.decompose`) checks Weyl
 invariance by integer reflections and then peels only dominant weights,
@@ -288,6 +290,34 @@ def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
         # layers *= (1 - q^n e^v), top grade first so each layer reads old values
         for m in range(cutoff, n - 1, -1):
             add_product(layers[m], layers[m - n], {v: 1}, -1)
+    return layers
+
+
+def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) -> list:
+    """The Weyl-Kac numerator on codes: the alternating affine Weyl orbit of
+    the strictly dominant lam at level K, one {code: sign} dict per grade
+    0..cutoff.  Each translate lam + K beta (beta in the coroot lattice) is
+    reflected on its labels; a point with labels l codes as
+    sum_i l_i fw[i] + offset, fw[i] the code of the image of the i-th
+    fundamental weight, so fw and offset carry any push and shift."""
+    fw_cols = list(zip(*fw))
+    lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
+    layers = [{} for _ in range(cutoff + 1)]
+    for beta, g in rs.lattice_grades(rs.coroot_lattice_basis(), lam, K, cutoff):
+        if g.denominator != 1 or g < 0:
+            raise AssertionError(f"non-integral or negative grade {g} in affine orbit")
+        x = tuple(a + K * int(b) for a, b in zip(lam_labels, rs.dynkin_labels(beta)))
+        dom, sign_x = rs.dominant_labels(x)
+        if not all(dom):
+            raise AssertionError("affine orbit point is not regular")
+        t = layers[int(g)]
+        for y, s in rs.label_orbit(x):
+            v = tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, offset)])
+            c = t.get(v, 0) + s * sign_x
+            if c:
+                t[v] = c
+            else:
+                del t[v]
     return layers
 
 

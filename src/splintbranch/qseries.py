@@ -13,10 +13,11 @@ theta-function restatements as truncated series, reporting the first
 discrepancy.  Every affine denominator here (of the ambient algebra, of a
 stem pushed into ambient coordinates, of a single root string, of the
 root-string product on the right of the theta-product identity) is the
-layered expansion `characters.denominator_layers` read as a series.  Theta
-sums run over the translation lattice of the affine Weyl group (the coroot
-lattice) at level h-dual of the respective algebra, with exponents in that
-algebra's intrinsic normalization.
+layered expansion `characters.denominator_layers` read as a series.  Every
+alternating theta sum, over the coroot lattice at level h-dual of a simple
+factor, is that factor's Weyl-Kac numerator at rho
+(`characters._numerator_codes`) times e^{rho} q^{dim/24}; the lattice sums
+that remain enumerate points with `RootSystem.lattice_grades`.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsystem import (RootSystem, Vec, build_root_system,
-                         lattice_points_in_ellipsoid, vcombine, vscale, zero_vec)
-from .characters import FormalCharacter, denominator_layers
+from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
+from .characters import (FormalCharacter, _numerator_codes, common_denominator, decode,
+                         denominator_layers, encode)
 from .splints import Splint
-
-
-def _is_zero(c):
-    return not c if isinstance(c, FormalCharacter) else c == 0
 
 
 def _cadd(a, b):
@@ -62,11 +59,11 @@ class QSeries:
         d = 1
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
             e = Fraction(e)
-            if e > self.cutoff or _is_zero(c):
+            if e > self.cutoff or not c:
                 continue
             if e in self.terms:
                 c = _cadd(self.terms[e], c)
-            if _is_zero(c):
+            if not c:
                 self.terms.pop(e, None)
             else:
                 self.terms[e] = c
@@ -182,18 +179,17 @@ def eta(cutoff) -> QSeries:
     return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
 
 
-def _lattice_sum(rs: RootSystem, basis, shift: Vec, level, cutoff):
-    """Sum of q^{level*(xi,xi)/2} e^{level*xi} over xi in (lattice + shift)."""
-    center = rs.basis_coordinates(basis, shift)
-    gram = [[Fraction(level, 2) * rs.inner(a, b) for b in basis] for a in basis]
+def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> QSeries:
+    """Sum over xi in lam/level + (lattice of basis) of q^{level(xi,xi)/2}
+    e^{push(level xi)}; level xi = lam + level beta sits at
+    q^{(lam,lam)/2level + g}, g the grade of beta (lattice_grades)."""
+    start = rs.inner(lam, lam) / (2 * level)
     acc: dict[Fraction, FormalCharacter] = {}
-    for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(cutoff)):
-        xi = vcombine(shift, coeffs, basis)
-        e = Fraction(level) * rs.inner(xi, xi) / 2
-        kxi = vscale(xi, level)
-        fc = acc.setdefault(e, FormalCharacter())
-        fc.terms[kxi] = fc.terms.get(kxi, 0) + 1
-    return acc
+    for beta, g in rs.lattice_grades(basis, lam, level, Fraction(cutoff) - start):
+        v = vadd(lam, vscale(beta, level))
+        acc.setdefault(start + g, FormalCharacter()).iadd(
+            FormalCharacter.monomial(push(v) if push else v))
+    return QSeries(acc, cutoff)
 
 
 def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
@@ -201,9 +197,7 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
     q^{level(xi,xi)/2} carrying the lattice element level*xi."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    shift = vscale(lam, Fraction(1, level))
-    acc = _lattice_sum(rs, rs.simple_roots, shift, level, cutoff)
-    return QSeries(acc, cutoff)
+    return _lattice_sum(rs, rs.simple_roots, lam, level, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +211,14 @@ def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
     return QSeries({Fraction(n): fc for n, fc in enumerate(layers)}, cutoff)
 
 
-def root_string_product(dim, root: Vec, cutoff) -> QSeries:
+def root_string_product(root: Vec, cutoff) -> QSeries:
     """(1 - e^{-a}) prod_{n>=1} (1 - q^n e^{-a})(1 - q^n e^{a}), truncated:
     the affine denominator of the single positive root a, without imaginary
-    factors.  (dim, the length of a, is kept for the call signature.)"""
+    factors."""
     return _denominator_series([root], 0, cutoff)
 
 
-def jacobi_theta_sum(dim, root: Vec, cutoff) -> QSeries:
+def jacobi_theta_sum(root: Vec, cutoff) -> QSeries:
     """sum_m (-1)^m q^{m(m-1)/2} e^{-m a}: the triple-product expansion of
     euler_product * root_string_product for the same root."""
     terms = []
@@ -293,6 +287,9 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
 def _normalized_compare(name, lhs, rhs) -> IdentityReport:
     """Match the overall q-power at the lowest order, then require every
     remaining term to agree."""
+    if not lhs.terms and not rhs.terms:
+        return IdentityReport(name, True, "both sides vanish through "
+                              f"q^{min(lhs.cutoff, rhs.cutoff)}")
     if not lhs.terms or not rhs.terms:
         return IdentityReport(name, False, "one side is empty")
     c = lhs.min_exponent() - rhs.min_exponent()
@@ -316,7 +313,7 @@ def verify_theta_products(s: Splint, cutoff) -> IdentityReport:
     rs = s.ambient
     lhs = QSeries.one(cutoff)
     for img in [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]:
-        lhs = lhs * jacobi_theta_sum(rs.dim, img, cutoff)
+        lhs = lhs * jacobi_theta_sum(img, cutoff)
     rhs = _denominator_series(rs.positive_roots, len(rs.positive_roots), cutoff)
     return _normalized_compare("theta-product", lhs, rhs)
 
@@ -325,12 +322,13 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
     """prod over simple factors of sum_{w in W_f} eps(w) Theta_{w rho_f},
     with Theta at level h-dual of the factor over its coroot lattice.
 
-    Exponents use the factor's intrinsic normalization; the lattice content
-    h-dual * xi is pushed into ambient coordinates by `push` (or kept in the
-    source coordinates when push is None).  drop_last omits one Weyl term of
-    the last factor (negative control)."""
-    if push is None:
-        push = lambda v: v
+    Each factor sum is the factor's Weyl-Kac numerator at rho read as a
+    series times e^{rho} q^{(rho,rho)/2h-dual}, and (rho,rho)/2h-dual = dim/24
+    (the strange formula).  Exponents use the factor's intrinsic
+    normalization; the lattice content is pushed into ambient coordinates by
+    `push` (kept in the source coordinates when push is None) through the
+    pushed fundamental weights.  drop_last subtracts the term Theta_{w rho},
+    w rho = weyl_orbit(rho)[-1], of the last factor (negative control)."""
     out = QSeries.one(cutoff)
     for fi, (fam, rank) in enumerate(src.factors):
         frs = build_root_system([(fam, rank)])
@@ -340,18 +338,20 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
         def inject(v):
             full = list(zero_vec(src.dim))
             full[c0:c0 + frs.dim] = v
-            return push(tuple(full))
+            return push(tuple(full)) if push else tuple(full)
 
-        orbit = frs.weyl_orbit(frs.rho)
+        images = [inject(w) for w in frs.fundamental_weights]
+        den = common_denominator(images)
+        start = frs.inner(frs.rho, frs.rho) / (2 * hvee)
+        layers = _numerator_codes(frs, frs.rho, hvee, math.floor(cutoff - start),
+                                  [encode(w, den) for w in images], (0,) * len(images[0]))
+        factor_sum = QSeries({start + n: decode(t, den) for n, t in enumerate(layers)},
+                             cutoff)
         if drop_last and fi == len(src.factors) - 1:
-            orbit = orbit[:-1]
-        factor_sum = QSeries({}, cutoff)
-        basis = frs.coroot_lattice_basis()
-        for wrho, sign in orbit:
-            shift = vscale(wrho, Fraction(1, hvee))
-            acc = _lattice_sum(frs, basis, shift, hvee, cutoff)
-            terms = {e: fc.map_support(inject).scale(sign) for e, fc in acc.items()}
-            factor_sum = factor_sum + QSeries(terms, cutoff)
+            wrho, sign = frs.weyl_orbit(frs.rho)[-1]
+            dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, hvee, cutoff,
+                                   inject)
+            factor_sum = factor_sum - dropped.scale(sign)
         out = out * factor_sum
     return out
 

@@ -594,6 +594,17 @@ class RootSystem:
     def coroot_lattice_basis(self):
         return tuple(self.coroot(a) for a in self.simple_roots)
 
+    def lattice_grades(self, basis, lam: Vec, K: int, bound):
+        """(beta, g) for the points beta of the lattice of `basis` with
+        g = (lam, beta) + K (beta, beta) / 2 <= bound: the ellipsoid
+        K/2 |beta + lam/K|^2 <= bound + K/2 |lam/K|^2, lam projected onto the span."""
+        gram = [[Fraction(K, 2) * self.inner(a, b) for b in basis] for a in basis]
+        center = self.basis_coordinates(basis, vscale(lam, Fraction(1, K)))
+        lift = sum(x * sum(map(mul, row, center)) for x, row in zip(center, gram))
+        for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(bound) + lift):
+            beta = vcombine(zero_vec(self.dim), coeffs, basis)
+            yield beta, self.inner(lam, beta) + K * self.inner(beta, beta) / 2
+
     # -- subsystems ----------------------------------------------------------
 
     def root_subsystem(self, subset):

@@ -94,6 +94,21 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0 and "theta-sum: pass" in out
 
 
+def test_verify_all_at_grade_zero(capsys):
+    # every theta sum starts at q^{dim/24} > 0, so both theta-sum sides are
+    # empty through q^0 and the identity holds vacuously
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--splint", "B2:A1A1",
+                       "--grade-max", "0")
+    assert code == 0, out
+    assert "theta-sum: pass - both sides vanish through q^0" in out
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--splint", "B2:A1A1",
+                       "--grade-max", "0", "--format", "json")
+    assert code == 0
+    results = {r["identity"]: r for r in json.loads(out)["results"]}
+    assert all(r["passed"] for r in results.values())
+    assert results["theta-sum"]["first_mismatch"] is None
+
+
 def test_verify_weyl_takes_algebra_from_splint(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "weyl", "--splint", "B2:A1A1",
                        "--format", "json")

@@ -91,9 +91,9 @@ def test_theta_level_two_shifted():
 def test_jacobi_triple_product(rs, root_index):
     root = rs.positive_roots[root_index]
     N = 8
-    lhs = qs.jacobi_theta_sum(rs.dim, root, N)
+    lhs = qs.jacobi_theta_sum(root, N)
     rhs = scalar_to_lattice(qs.euler_product(N), rs.dim) * \
-        qs.root_string_product(rs.dim, root, N)
+        qs.root_string_product(root, N)
     assert qs.compare_qseries(lhs, rhs) is None
 
 
@@ -107,7 +107,7 @@ def test_root_string_products_regroup_into_one_denominator(name, cutoff):
     one = qs._denominator_series(pos, len(pos), cutoff)
     product = scalar_to_lattice(qs.euler_product(cutoff) ** len(pos), rs.dim)
     for a in pos:
-        product = product * qs.root_string_product(rs.dim, a, cutoff)
+        product = product * qs.root_string_product(a, cutoff)
     assert qs.compare_qseries(one, product) is None
 
 
@@ -188,3 +188,21 @@ def test_theta_sum_negative_controls():
     bad = Splint("bad", s.ambient, s.phi1,
                  Embedding(s.phi2.source, s.ambient, pos), s.correspondence)
     assert not qs.verify_theta_sums(bad, 3).passed
+
+
+@pytest.mark.parametrize("name", ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1",
+                                  "A3:A2A1A1A1"])
+def test_theta_sum_identity_at_grade_zero(name):
+    # both sides start at a positive power of q, so through q^0 both vanish
+    rep = qs.verify_theta_sums(find_splint(name), 0)
+    assert rep.passed, rep.detail
+    assert rep.detail == "both sides vanish through q^0"
+    assert rep.normalization is None and rep.first_mismatch is None
+
+
+def test_normalized_compare_one_empty_side_fails():
+    empty = qs.QSeries({}, 2)
+    one = qs.QSeries.one(2)
+    for lhs, rhs in ((empty, one), (one, empty)):
+        rep = qs._normalized_compare("x", lhs, rhs)
+        assert not rep.passed and rep.detail == "one side is empty"

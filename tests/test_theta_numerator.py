@@ -1,0 +1,133 @@
+"""Differential tests for the alternating theta sums and the shared lattice
+enumerator.
+
+`theta_alternating_sum` reads each simple factor's Weyl-Kac numerator at rho
+as a series carried by e^{rho} q^{(rho,rho)/2h-dual}.  It is checked against
+a test-local copy of the per-Weyl-element route it replaced: |W| separate
+Fraction lattice sums over shifted coroot lattices, pushed term by term.
+`RootSystem.lattice_grades` is checked against a brute-force box search.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from splintbranch import qseries as qs
+from splintbranch.characters import FormalCharacter
+from splintbranch.rootsystem import (build_root_system, lattice_points_in_ellipsoid,
+                                     vcombine, vscale, zero_vec)
+from splintbranch.splints import _catalog_entries, find_splint
+
+CATALOG = [e["name"] for e in _catalog_entries()]
+CUTOFFS = [0, 1, 2, 3, 4, 5, 6, Fraction(7, 2)]
+
+# ---------------------------------------------------------------------------
+# reference copy of the per-Weyl-element route
+
+
+def fraction_lattice_sum(rs, basis, shift, level, cutoff):
+    """Sum of q^{level*(xi,xi)/2} e^{level*xi} over xi in (lattice + shift)."""
+    center = rs.basis_coordinates(basis, shift)
+    gram = [[Fraction(level, 2) * rs.inner(a, b) for b in basis] for a in basis]
+    acc = {}
+    for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(cutoff)):
+        xi = vcombine(shift, coeffs, basis)
+        e = Fraction(level) * rs.inner(xi, xi) / 2
+        kxi = vscale(xi, level)
+        fc = acc.setdefault(e, FormalCharacter())
+        fc.terms[kxi] = fc.terms.get(kxi, 0) + 1
+    return acc
+
+
+def per_weyl_element_sum(src, push, cutoff, drop_last=False):
+    """prod over simple factors of sum_{w in W_f} eps(w) Theta_{w rho_f}, one
+    shifted coroot-lattice sum per Weyl element."""
+    if push is None:
+        push = lambda v: v
+    out = qs.QSeries.one(cutoff)
+    for fi, (fam, rank) in enumerate(src.factors):
+        frs = build_root_system([(fam, rank)])
+        c0 = src.factor_slices[fi][1][0]
+        hvee = frs.dual_coxeter[0]
+
+        def inject(v):
+            full = list(zero_vec(src.dim))
+            full[c0:c0 + frs.dim] = v
+            return push(tuple(full))
+
+        orbit = frs.weyl_orbit(frs.rho)
+        if drop_last and fi == len(src.factors) - 1:
+            orbit = orbit[:-1]
+        factor_sum = qs.QSeries({}, cutoff)
+        basis = frs.coroot_lattice_basis()
+        for wrho, sign in orbit:
+            shift = vscale(wrho, Fraction(1, hvee))
+            acc = fraction_lattice_sum(frs, basis, shift, hvee, cutoff)
+            terms = {e: fc.map_support(inject).scale(sign) for e, fc in acc.items()}
+            factor_sum = factor_sum + qs.QSeries(terms, cutoff)
+        out = out * factor_sum
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the numerator route against the reference
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_theta_sums_equal_per_weyl_element_sums(name):
+    s = find_splint(name)
+    for cutoff in CUTOFFS:
+        for src, push in ((s.phi1.source, s.phi1.map_weight),
+                          (s.phi2.source, s.phi2.map_weight)):
+            assert (qs.theta_alternating_sum(src, push, cutoff)
+                    == per_weyl_element_sum(src, push, cutoff)), (name, cutoff)
+        for drop in (False, True):
+            got = qs.theta_alternating_sum(s.ambient, None, cutoff, drop_last=drop)
+            want = per_weyl_element_sum(s.ambient, None, cutoff, drop_last=drop)
+            assert got == want, (name, cutoff, drop)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2"])
+def test_factor_sum_starts_at_dim_over_24(name):
+    # Freudenthal-de Vries strange formula: (rho,rho)/2h-dual = dim/24
+    rs = build_root_system(name)
+    dim = rs.rank + 2 * len(rs.positive_roots)
+    series = qs.theta_alternating_sum(rs, None, 3)
+    assert series.min_exponent() == Fraction(dim, 24)
+    # the lowest term is the Weyl numerator sum_w eps(w) e^{w rho}
+    lowest = series.terms[Fraction(dim, 24)]
+    assert lowest == FormalCharacter(dict(rs.weyl_orbit(rs.rho)))
+    # below dim/24 the sum is empty
+    assert not qs.theta_alternating_sum(rs, None, Fraction(dim, 24) - Fraction(1, 24))
+
+
+# ---------------------------------------------------------------------------
+# the shared lattice enumerator against a box search
+
+
+def box_grades(rs, basis, lam, K, bound, width=6):
+    """(beta, g) for every point with coordinates in [-width, width], kept
+    when g <= bound; none may sit on the faces of the box."""
+    out = set()
+    for coeffs in itertools.product(range(-width, width + 1), repeat=len(basis)):
+        beta = vcombine(zero_vec(rs.dim), coeffs, basis)
+        g = rs.inner(lam, beta) + K * rs.inner(beta, beta) / 2
+        if g <= bound:
+            assert max(map(abs, coeffs)) < width, "box too small"
+            out.add((beta, g))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("which", ["root", "coroot"])
+def test_lattice_grades_match_box_search(name, which):
+    rs = build_root_system(name)
+    basis = rs.simple_roots if which == "root" else rs.coroot_lattice_basis()
+    # lam = 0, lam = rho, and lam with lam/K off the lattice (K = 3)
+    cases = [(zero_vec(rs.dim), 2, 3), (rs.rho, rs.dual_coxeter[0], 4),
+             (rs.fundamental_weights[0], 3, Fraction(5, 2))]
+    for lam, K, bound in cases:
+        got = list(rs.lattice_grades(basis, lam, K, bound))
+        assert len(got) == len(set(got))
+        assert set(got) == box_grades(rs, basis, lam, K, bound), (lam, K, bound)
