@@ -12,9 +12,9 @@ weights come from a descent from mu through dominant weights, the root-string
 sums use the integer form, and the table of each module is cached on labels.
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product
-(`add_product`, behind `FormalCharacter.__mul__` and `denominator_layers`,
-which expands every Weyl and affine denominator and the injection fan)
-multiplies on them; the one Weyl-Kac numerator (`_numerator_codes`, behind
+(`add_product`, behind `FormalCharacter.__mul__`, the lattice `QSeries`
+products and `denominator_layers`, which expands every Weyl and affine
+denominator and the injection fan) multiplies on them; the one Weyl-Kac numerator (`_numerator_codes`, behind
 the affine characters and every alternating theta sum) sums affine Weyl
 orbits on them; the one group-ring division (`divide_codes`, wrapped by
 `divide_exact`) eliminates on them.  The one decomposer (`peel_dominant`,
@@ -32,7 +32,7 @@ import threading
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .rootsystem import RootSystem, Vec, FractionCache
+from .rootsystem import RootSystem, Vec, FractionCache, common_denominator
 
 
 class FormalCharacter:
@@ -170,11 +170,6 @@ def weyl_denominator(rs: RootSystem) -> FormalCharacter:
 
 # ---------------------------------------------------------------------------
 # integer codes of weights
-
-
-def common_denominator(vectors) -> int:
-    """Least common denominator of all coordinates of the vectors."""
-    return math.lcm(*{x.denominator for v in vectors for x in v})
 
 
 def encode(v: Vec, den: int) -> tuple:

@@ -1,19 +1,21 @@
 """Exact truncated q-series with rational exponents and lattice coefficients.
 
 A series term is q^e * c where e is a Fraction (all exponents share a common
-denominator) and c is either an integer or a FormalCharacter carrying lattice
-elements (the formal e^{(xi,z)} content of a theta function; z is never
-specialized).  A scalar series multiplies a lattice series directly; only
-addition requires both to be of one kind.  Equality of two series means
-equality of every (exponent, coefficient) pair up to the common cutoff, which
-is strictly stronger than sampling z.
+denominator) and c is either an integer or lattice content: the formal
+e^{(xi,z)} content of a theta function (z is never specialized), held as a
+{code: int} dict over one lattice denominator per series (`characters.encode`)
+and decoded to a FormalCharacter only by `QSeries.coefficient`.  Products and
+sums combine codes with `characters.add_product`.  A scalar series multiplies
+a lattice series directly; only addition requires both to be of one kind.
+Equality of two series means equality of every (exponent, coefficient) pair
+up to the common cutoff, which is strictly stronger than sampling z.
 
 The verifiers check the affine denominator regrouping of a splint and its two
 theta-function restatements as truncated series, reporting the first
 discrepancy.  Every affine denominator here (of the ambient algebra, of a
 stem pushed into ambient coordinates, of a single root string, of the
 root-string product on the right of the theta-product identity) is the
-layered expansion `characters.denominator_layers` read as a series.  Every
+layered expansion `characters._denominator_codes` read as a series.  Every
 alternating theta sum, over the coroot lattice at level h-dual of a simple
 factor, is that factor's Weyl-Kac numerator at rho
 (`characters._numerator_codes`) times e^{rho} q^{dim/24}; the lattice sums
@@ -22,42 +24,76 @@ that remain enumerate points with `RootSystem.lattice_grades`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
-from .characters import (FormalCharacter, _numerator_codes, common_denominator, decode,
-                         denominator_layers, encode)
+from .characters import (FormalCharacter, _denominator_codes, _numerator_codes, add_product,
+                         common_denominator, decode, encode)
 from .splints import Splint
 
 
 def _cadd(a, b):
-    if isinstance(a, FormalCharacter) != isinstance(b, FormalCharacter):
-        raise TypeError("cannot mix scalar and lattice coefficients additively")
-    return a + b
+    """a + b for two int or two code-dict coefficients, as a new value."""
+    if isinstance(a, int):
+        return a + b
+    return add_product(dict(a), b, {(0,) * len(next(iter(b))): 1})
 
 
-def _cmul(a, b):
-    if isinstance(a, FormalCharacter):
-        if isinstance(b, FormalCharacter):
-            return a * b
-        return a.scale(b)
-    if isinstance(b, FormalCharacter):
-        return b.scale(a)
-    return a * b
+def _recoded(terms, f: int):
+    """Lattice terms with every code multiplied by f (a new denominator f
+    times the old one)."""
+    if f == 1:
+        return terms
+    return {e: {tuple([x * f for x in code]): m for code, m in c.items()}
+            for e, c in terms.items()}
+
+
+def _aligned(a: "QSeries", b: "QSeries"):
+    """(terms of a, terms of b, lattice denominator or None): two lattice
+    series are re-encoded once to the lcm of their denominators."""
+    da, db = a.lattice_den, b.lattice_den
+    if da is None or db is None or da == db:
+        return a.terms, b.terms, da or db
+    den = math.lcm(da, db)
+    return _recoded(a.terms, den // da), _recoded(b.terms, den // db), den
 
 
 class QSeries:
-    """Truncated formal series in q^(1/d) with exact coefficients."""
+    """Truncated formal series in q^(1/d) with exact coefficients.
 
-    __slots__ = ("terms", "cutoff", "denom")
+    `terms` maps each exponent to an int (scalar series) or to a {code: int}
+    dict over the lattice denominator `lattice_den` (lattice series;
+    `lattice_den` is None for a scalar series and for one without terms).
+    Coefficient dicts are never changed once a series holds them."""
+
+    __slots__ = ("terms", "cutoff", "denom", "lattice_den")
 
     def __init__(self, terms, cutoff, denom=None):
+        pairs = [(e, c) for e, c in (terms.items() if isinstance(terms, dict) else terms) if c]
+        lattice_den = None
+        if any(isinstance(c, FormalCharacter) for _, c in pairs):
+            if not all(isinstance(c, FormalCharacter) for _, c in pairs):
+                raise TypeError("cannot mix scalar and lattice coefficients")
+            lattice_den = common_denominator(v for _, c in pairs for v in c.terms)
+            pairs = [(e, {encode(v, lattice_den): m for v, m in c.items()}) for e, c in pairs]
+        self._fill(pairs, cutoff, lattice_den, denom)
+
+    @classmethod
+    def from_codes(cls, pairs, cutoff, lattice_den):
+        """The series of (exponent, coefficient) pairs, coefficients {code:
+        int} dicts over lattice_den, or ints when lattice_den is None.  The
+        dicts are kept, not copied."""
+        out = cls.__new__(cls)
+        out._fill(pairs, cutoff, lattice_den, None)
+        return out
+
+    def _fill(self, pairs, cutoff, lattice_den, denom):
         self.cutoff = Fraction(cutoff)
         self.terms: dict[Fraction, object] = {}
-        d = 1
-        for e, c in (terms.items() if isinstance(terms, dict) else terms):
+        for e, c in pairs:
             e = Fraction(e)
             if e > self.cutoff or not c:
                 continue
@@ -67,20 +103,26 @@ class QSeries:
                 self.terms.pop(e, None)
             else:
                 self.terms[e] = c
-                d = d * e.denominator // math.gcd(d, e.denominator)
-        if denom is not None:
-            if any((e * denom).denominator != 1 for e in self.terms):
-                raise ValueError(f"exponents do not share denominator {denom}")
-            self.denom = denom
-        else:
-            self.denom = d
+        self.lattice_den = lattice_den if self.terms else None
+        d = math.lcm(*(e.denominator for e in self.terms))
+        if denom is not None and denom % d:
+            raise ValueError(f"exponents do not share denominator {denom}")
+        self.denom = d if denom is None else denom
 
     @classmethod
     def one(cls, cutoff):
         return cls({Fraction(0): 1}, cutoff)
 
+    def coefficient(self, e):
+        """The coefficient of q^e: an int, or in a lattice series the
+        FormalCharacter of its codes."""
+        c = self.terms.get(Fraction(e))
+        if self.lattice_den is None:
+            return c or 0
+        return decode(c, self.lattice_den) if c else FormalCharacter()
+
     def items(self):
-        return sorted(self.terms.items())
+        return [(e, self.coefficient(e)) for e in sorted(self.terms)]
 
     def min_exponent(self):
         return min(self.terms) if self.terms else None
@@ -89,38 +131,51 @@ class QSeries:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, QSeries) and self.terms == other.terms
+        if not isinstance(other, QSeries):
+            return False
+        a, b, _ = _aligned(self, other)
+        return a == b
 
     def __add__(self, other):
-        cutoff = min(self.cutoff, other.cutoff)
-        out = dict()
-        for e, c in self.terms.items():
-            if e <= cutoff:
-                out[e] = c
-        for e, c in other.terms.items():
-            if e <= cutoff:
-                out[e] = _cadd(out[e], c) if e in out else c
-        return QSeries(out, cutoff)
+        if (self.terms and other.terms
+                and (self.lattice_den is None) != (other.lattice_den is None)):
+            raise TypeError("cannot mix scalar and lattice coefficients additively")
+        a, b, den = _aligned(self, other)
+        return QSeries.from_codes(itertools.chain(a.items(), b.items()),
+                                  min(self.cutoff, other.cutoff), den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c: int):
-        return QSeries({e: _cmul(v, c) for e, v in self.terms.items()}, self.cutoff)
+        if not c:
+            terms = {}
+        elif self.lattice_den is None:
+            terms = {e: v * c for e, v in self.terms.items()}
+        else:
+            terms = {e: {code: m * c for code, m in v.items()} for e, v in self.terms.items()}
+        return QSeries.from_codes(terms.items(), self.cutoff, self.lattice_den)
 
     def __mul__(self, other):
         cutoff = min(self.cutoff, other.cutoff)
+        a, b, den = _aligned(self, other)
+        if self.lattice_den is None:
+            a, b = b, a          # a scalar operand goes second
         acc: dict[Fraction, object] = {}
-        for e1, c1 in self.terms.items():
+        for e1, c1 in a.items():
             if e1 > cutoff:
                 continue
-            for e2, c2 in other.terms.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 if e > cutoff:
                     continue
-                p = _cmul(c1, c2)
-                acc[e] = _cadd(acc[e], p) if e in acc else p
-        return QSeries(acc, cutoff)
+                if den is None:
+                    acc[e] = acc.get(e, 0) + c1 * c2
+                else:
+                    if isinstance(c2, int):      # a scalar c2 is c2 e^0
+                        c2 = {(0,) * len(next(iter(c1))): c2}
+                    add_product(acc.setdefault(e, {}), c1, c2)
+        return QSeries.from_codes(acc.items(), cutoff, den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -132,15 +187,16 @@ class QSeries:
 
     def shift(self, c) -> "QSeries":
         c = Fraction(c)
-        return QSeries({e + c: v for e, v in self.terms.items()}, self.cutoff + c)
+        return QSeries.from_codes(((e + c, v) for e, v in self.terms.items()),
+                                  self.cutoff + c, self.lattice_den)
 
     def truncate(self, cutoff) -> "QSeries":
         cutoff = Fraction(cutoff)
-        return QSeries({e: v for e, v in self.terms.items() if e <= cutoff},
-                       min(self.cutoff, cutoff))
+        return QSeries.from_codes(self.terms.items(), min(self.cutoff, cutoff),
+                                  self.lattice_den)
 
     def __repr__(self):
-        parts = [f"q^{e}*{c!r}" for e, c in self.items()[:6]]
+        parts = [f"q^{e}*{self.coefficient(e)!r}" for e in sorted(self.terms)[:6]]
         return "QSeries(" + " + ".join(parts) + (" ..." if len(self.terms) > 6 else "") + ")"
 
 
@@ -148,8 +204,9 @@ def compare_qseries(a: QSeries, b: QSeries):
     """None if equal up to the common cutoff, else (exponent, description) of
     the lowest discrepancy."""
     cutoff = min(a.cutoff, b.cutoff)
-    at = {e: c for e, c in a.terms.items() if e <= cutoff}
-    bt = {e: c for e, c in b.terms.items() if e <= cutoff}
+    ta, tb, _ = _aligned(a, b)
+    at = {e: c for e, c in ta.items() if e <= cutoff}
+    bt = {e: c for e, c in tb.items() if e <= cutoff}
     for e in sorted(set(at) | set(bt)):
         ca, cb = at.get(e), bt.get(e)
         if ca is None or cb is None:
@@ -205,10 +262,11 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
 
 
 def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
-    """denominator_layers of the images as a lattice-mode series, the layer
-    of grade n at q^n."""
-    layers = denominator_layers(images, imaginary, int(cutoff))
-    return QSeries({Fraction(n): fc for n, fc in enumerate(layers)}, cutoff)
+    """The layered denominator expansion (characters._denominator_codes) of
+    the images as a lattice series, the layer of grade n at q^n."""
+    den = common_denominator(images)
+    layers = _denominator_codes([encode(img, den) for img in images], imaginary, int(cutoff))
+    return QSeries.from_codes(enumerate(layers), cutoff, den)
 
 
 def root_string_product(root: Vec, cutoff) -> QSeries:
@@ -345,8 +403,8 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
         start = frs.inner(frs.rho, frs.rho) / (2 * hvee)
         layers = _numerator_codes(frs, frs.rho, hvee, math.floor(cutoff - start),
                                   [encode(w, den) for w in images], (0,) * len(images[0]))
-        factor_sum = QSeries({start + n: decode(t, den) for n, t in enumerate(layers)},
-                             cutoff)
+        factor_sum = QSeries.from_codes(((start + n, t) for n, t in enumerate(layers)),
+                                        cutoff, den)
         if drop_last and fi == len(src.factors) - 1:
             wrho, sign = frs.weyl_orbit(frs.rho)[-1]
             dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, hvee, cutoff,

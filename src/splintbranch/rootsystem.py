@@ -71,6 +71,11 @@ def vscale(a: Vec, c) -> Vec:
     return tuple(c * x for x in a)
 
 
+def common_denominator(vectors) -> int:
+    """Least common denominator of all coordinates of the vectors."""
+    return math.lcm(*{x.denominator for v in vectors for x in v})
+
+
 def zero_vec(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
@@ -288,7 +293,8 @@ class FractionCache(dict):
 class RootSystem:
     """Root system of a semisimple Lie algebra, exact and immutable.
 
-    Built through build_root_system; do not mutate fields after construction.
+    Built and shared, one instance per algebra, through build_root_system; do
+    not mutate fields after construction.
     """
 
     def __init__(self, factors):
@@ -335,7 +341,8 @@ class RootSystem:
         self.fundamental_weights: tuple[Vec, ...] = tuple(
             self._combine(cartan_inv[k]) for k in range(self.rank))
 
-        self._root_set, self.positive_roots = self._generate_roots()
+        self._root_set, positive = self._generate_roots()
+        self.positive_roots = tuple(v for v, _ in positive)
         rho_sum = zero_vec(self.dim)
         for a in self.positive_roots:
             rho_sum = vadd(rho_sum, a)
@@ -347,7 +354,13 @@ class RootSystem:
             raise AssertionError("rho mismatch: half-sum of positive roots != sum of "
                                  "fundamental weights")
 
-        self.highest_roots = tuple(self._factor_highest(i) for i in range(len(factors)))
+        # the highest root of a factor: its first positive root of largest height
+        self.highest_roots = tuple(
+            max(((v, k) for v, k in positive if any(k[s0:s1])), key=lambda t: sum(t[1]))[0]
+            for (s0, s1), _ in self.factor_slices)
+        for theta in self.highest_roots:
+            if self.inner(theta, theta) != 2:
+                raise AssertionError("highest root is not normalized to length^2 = 2")
         self.dual_coxeter = tuple(DUAL_COXETER[f](r) for f, r in factors)
         for theta, h in zip(self.highest_roots, self.dual_coxeter):
             if 1 + self.inner(self.rho, theta) != h:
@@ -390,28 +403,73 @@ class RootSystem:
         return sum(self.simple_coefficients(v))
 
     def _generate_roots(self):
+        """(root set, [(root, simple coefficients)] of the positive roots,
+        sorted by (height, root)).
+
+        The positive roots grow on simple-root coefficients from the Cartan
+        matrix: beta + alpha_i is a root iff p = q - <beta, alpha_i^vee> > 0,
+        q the number of times alpha_i can be subtracted from beta.  The root
+        set is checked closed under the integer simple reflections, and each
+        root becomes coordinates once, over one common denominator; its
+        simple coefficients go to the simple_coefficients cache."""
+        n, cartan = self.rank, self.cartan
+
+        def pairing(k, i):  # <beta, alpha_i^vee>, beta = sum_j k_j alpha_j
+            return sum(k[j] * cartan[j][i] for j in range(n) if k[j])
+
+        def step(k, i, c):  # beta + c alpha_i
+            return k[:i] + (k[i] + c,) + k[i + 1:]
+
+        level = [step((0,) * n, i, 1) for i in range(n)]
+        found = set(level)
+        while level:
+            nxt = []
+            for k in level:
+                for i in range(n):
+                    q = 0
+                    while step(k, i, -q - 1) in found:
+                        q += 1
+                    up = step(k, i, 1)
+                    if q - pairing(k, i) > 0 and up not in found:
+                        found.add(up)
+                        nxt.append(up)
+            level = nxt
+        den = common_denominator(self.simple_roots)
+        simple = [[x.numerator * (den // x.denominator) for x in a] for a in self.simple_roots]
+        coord, coeff = FractionCache(den).__getitem__, FractionCache(1).__getitem__
+        at = {}              # simple coefficients -> coordinates, both signs
+        positive = []
+        for k in found:
+            code = [sum(c * a[x] for c, a in zip(k, simple) if c) for x in range(self.dim)]
+            for sign in (1, -1):
+                ks = tuple([sign * c for c in k])
+                v = at[ks] = tuple([coord(sign * x) for x in code])
+                self._coeff_cache[v] = tuple(map(coeff, ks))
+            positive.append((sum(k), code, k))
+        # closure: from the simple roots and their negatives the integer simple
+        # reflections reach only grown roots; coordinates enter the root set in
+        # breadth-first order, which fixes its iteration order
         roots = set(self.simple_roots) | {vneg(a) for a in self.simple_roots}
-        frontier = list(roots)
+        frontier = [tuple(map(int, self._coeff_cache[v])) for v in roots]
+        reached = set(frontier)
         while frontier:
             nxt = []
-            for v in frontier:
-                for a in self.simple_roots:
-                    r = self.reflect(v, a)
-                    if r not in roots:
-                        roots.add(r)
+            for k in frontier:
+                for i in range(n):
+                    r = step(k, i, -pairing(k, i))
+                    if r not in reached:
+                        if r not in at:
+                            raise AssertionError("root set is not closed under the simple "
+                                                 "reflections")
+                        reached.add(r)
+                        roots.add(at[r])
                         nxt.append(r)
             frontier = nxt
-        positive = []
-        for v in roots:
-            coeffs = self.simple_coefficients(v)
-            if any(c.denominator != 1 for c in coeffs):
-                raise AssertionError("root with non-integer simple coordinates")
-            if all(c >= 0 for c in coeffs):
-                positive.append(v)
-        if 2 * len(positive) != len(roots):
+        if 2 * len(found) != len(roots):
             raise AssertionError("positive roots do not split the root set in half")
-        positive.sort(key=lambda v: (self.height(v), v))
-        return frozenset(roots), tuple(positive)
+        # (height, code) orders like (height, coordinates): den > 0
+        positive.sort()
+        return frozenset(roots), [(at[k], k) for _, _, k in positive]
 
     def is_root(self, v: Vec) -> bool:
         return v in self._root_set
@@ -419,19 +477,6 @@ class RootSystem:
     @property
     def roots(self):
         return self._root_set
-
-    def _factor_highest(self, fi):
-        (s0, s1), _ = self.factor_slices[fi]
-        best = None
-        for v in self.positive_roots:
-            coeffs = self.simple_coefficients(v)
-            if any(coeffs[i] for i in range(s0, s1)) and \
-               all(coeffs[i] == 0 for i in range(self.rank) if not s0 <= i < s1):
-                if best is None or self.height(v) > self.height(best):
-                    best = v
-        if self.inner(best, best) != 2:
-            raise AssertionError("highest root is not normalized to length^2 = 2")
-        return best
 
     # -- weights -----------------------------------------------------------
 
@@ -635,7 +680,7 @@ class RootSystem:
         order = []
         for _, perm in family_perm:
             order.extend(perm)
-        sub_rs = RootSystem(factors)
+        sub_rs = build_root_system(factors)
         images = tuple(simples[i] for i in order)
         # consistency: linear extension maps abstract positive roots into the subset
         for proot in sub_rs.positive_roots:
@@ -711,15 +756,23 @@ def _identify_one(comp, simples, inner):
     raise ValueError("could not identify component type from Cartan matrix")
 
 
+_built: dict = {}
+
+
 def build_root_system(spec) -> RootSystem:
-    """Build the root system for a list of (family, rank) simple factors.
+    """The root system of a list of (family, rank) simple factors.
 
     Accepts [("G", 2)], [("A", 1), ("A", 1)], or a name string like "G2",
-    "A1xA1".
+    "A1xA1".  RootSystem is immutable, so one instance per factor list is
+    built and shared.
     """
     if isinstance(spec, str):
         spec = parse_algebra_name(spec)
-    return RootSystem(list(spec))
+    key = tuple((f.upper(), int(r)) for f, r in spec)
+    rs = _built.get(key)
+    if rs is None:
+        rs = _built.setdefault(key, RootSystem(key))
+    return rs
 
 
 def parse_algebra_name(name: str):

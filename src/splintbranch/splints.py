@@ -25,8 +25,8 @@ from fractions import Fraction
 from importlib import resources
 from operator import mul
 
-from .rootsystem import (RootSystem, Vec, build_root_system, vadd, vcombine, vneg,
-                         zero_vec)
+from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
+                         vcombine, vneg, zero_vec)
 from .characters import (FormalCharacter, _dominant_table, denominator_layers,
                          freudenthal_character, label_dimension, peel_dominant,
                          weyl_dimension)
@@ -216,11 +216,8 @@ def splint_catalog(rs: RootSystem) -> list[Splint]:
     Unsupported algebras yield an empty list; in particular any rank-1 system
     has no proper splint with nonempty stems.
     """
-    out = []
-    for entry in _catalog_entries():
-        if tuple(build_root_system(entry["ambient"]).factors) == tuple(rs.factors):
-            out.append(splint_from_dict(entry))
-    return out
+    return [splint_from_dict(entry) for entry in _catalog_entries()
+            if tuple(parse_algebra_name(entry["ambient"])) == rs.factors]
 
 
 def find_splint(name: str) -> Splint:

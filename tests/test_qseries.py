@@ -73,10 +73,10 @@ def test_theta_examples():
     assert t.items() == [(Fraction(0), FormalCharacter.monomial(zero_vec(A1.dim)))]
     t = qs.theta(A1, zero_vec(A1.dim), 1, 1)
     alpha = A1.simple_roots[0]
-    assert dict(t.terms[Fraction(1)].items()) == {alpha: 1, vneg(alpha): 1}
+    assert dict(t.coefficient(1).items()) == {alpha: 1, vneg(alpha): 1}
     t = qs.theta(A2, zero_vec(A2.dim), 1, 1)
-    assert len(t.terms[Fraction(1)]) == 6
-    assert t.terms[Fraction(1)] == FormalCharacter({a: 1 for a in A2.roots})
+    assert len(t.coefficient(1)) == 6
+    assert t.coefficient(1) == FormalCharacter({a: 1 for a in A2.roots})
 
 
 def test_theta_level_two_shifted():
@@ -114,11 +114,11 @@ def test_root_string_products_regroup_into_one_denominator(name, cutoff):
 def test_denominator_product_small():
     d = qs.denominator_product(A1, 0)
     alpha = A1.simple_roots[0]
-    assert dict(d.terms[Fraction(0)].items()) == {zero_vec(A1.dim): 1,
+    assert dict(d.coefficient(0).items()) == {zero_vec(A1.dim): 1,
                                                   vneg(alpha): -1}
     d1 = qs.denominator_product(A1, 1)
     # (1-e^-a)(1-q e^-a)(1-q e^a)(1-q) truncated: grade-1 coefficient
-    assert dict(d1.terms[Fraction(1)].items()) == {
+    assert dict(d1.coefficient(1).items()) == {
         alpha: -1, tuple(-2 * x for x in alpha): 1}
 
 

@@ -1,0 +1,111 @@
+"""Differential tests for the integer root builder and the shared root
+systems.
+
+`RootSystem._generate_roots` grows the positive roots on simple-root
+coefficients from the Cartan matrix (root strings) and converts them to
+coordinates once.  It is checked against a test-local copy of the builder it
+replaced: closure of the simple roots and their negatives under Fraction
+reflections, with simple coefficients from the inverse Gram matrix.
+`build_root_system` hands out one shared instance per algebra.
+"""
+
+from fractions import Fraction
+from operator import mul
+
+import pytest
+
+from splintbranch import qseries as qs
+from splintbranch.rootsystem import build_root_system, invert_matrix, vneg
+from splintbranch.splints import find_splint, splint_catalog
+
+# every family up to total rank 8, and products
+ALGEBRAS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+            + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(2, 9)]
+            + ["E6", "E7", "E8", "F4", "G2",
+               "A1xA1", "A2xG2", "B3xA1", "A1xA1xA1", "G2xF4", "A3xB2xA1", "D2xD3"])
+
+
+def reflection_closure(rs):
+    """(root set, positive roots sorted by (height, vector), simple
+    coefficients of every root): the simple roots and their negatives closed
+    under Fraction reflections, coefficients from the inverse Gram matrix."""
+    roots = set(rs.simple_roots) | {vneg(a) for a in rs.simple_roots}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a in rs.simple_roots:
+                r = rs.reflect(v, a)
+                if r not in roots:
+                    roots.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    inv = invert_matrix([[rs.inner(a, b) for b in rs.simple_roots] for a in rs.simple_roots])
+    coeffs = {}
+    for v in roots:
+        rhs = [rs.inner(v, a) for a in rs.simple_roots]
+        coeffs[v] = tuple(sum(map(mul, row, rhs)) for row in inv)
+    assert all(c.denominator == 1 for k in coeffs.values() for c in k)
+    positive = [v for v in roots if all(c >= 0 for c in coeffs[v])]
+    assert 2 * len(positive) == len(roots)
+    positive.sort(key=lambda v: (sum(coeffs[v]), v))
+    return roots, positive, coeffs
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_integer_builder_matches_reflection_closure(name):
+    rs = build_root_system(name)
+    roots, positive, coeffs = reflection_closure(rs)
+    assert set(rs.roots) == roots
+    # the breadth-first insertion order of the reflection closure is kept
+    assert list(rs.roots) == list(frozenset(roots))
+    assert list(rs.positive_roots) == positive
+    for v in roots:
+        got = rs.simple_coefficients(v)
+        assert got == coeffs[v] and all(isinstance(c, Fraction) for c in got), v
+    assert len(rs.positive_roots) * 2 == len(rs.roots)
+
+
+def test_root_systems_are_shared():
+    assert build_root_system("A2") is build_root_system([("A", 2)])
+    assert build_root_system("a1xA1") is build_root_system([("A", 1), ("A", 1)])
+    assert build_root_system("A1xA2") is not build_root_system("A2xA1")
+    g2 = build_root_system("G2")
+    longs = [v for v in g2.roots if g2.inner(v, v) == 2]
+    assert g2.root_subsystem(longs)[0] is build_root_system("A2")
+    s = find_splint("G2:A2A2")
+    assert s.ambient is g2 and s.phi1.source is s.phi2.source is build_root_system("A2")
+    # a refused build leaves nothing behind: it is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_root_system("A9")
+
+
+def test_catalog_matches_ambients_by_name():
+    assert [s.name for s in splint_catalog(build_root_system("B2"))] == ["B2:A1A1", "B2:A1A2"]
+    assert [s.name for s in splint_catalog(build_root_system("A3"))] == ["A3:A2A1A1A1"]
+    assert splint_catalog(build_root_system("A1")) == []
+    assert splint_catalog(build_root_system("A1xA1")) == []
+
+
+# verify_theta_sums reports of the catalog splints, as computed when every
+# call built its own factor root systems
+THETA_SUM_REPORTS = {
+    "G2:A2A2": "2/3", "B2:A1A1": "1/2", "B2:A1A2": "11/24", "A2:A1A1A1": "3/8",
+    "A3:A2A1A1A1": "17/24",
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_SUM_REPORTS))
+def test_theta_sum_reports_unchanged_on_shared_root_systems(name):
+    s = find_splint(name)
+    rep = qs.verify_theta_sums(s, 0)
+    assert (rep.passed, rep.detail, rep.first_mismatch, rep.normalization) == \
+        (True, "both sides vanish through q^0", None, None)
+    rep = qs.verify_theta_sums(s, 3)
+    assert (rep.passed, rep.detail, rep.first_mismatch, rep.normalization) == \
+        (True, "normalization q^0", None, 0)
+    rep = qs.verify_theta_sums(s, 3, drop_term=True)
+    at = Fraction(THETA_SUM_REPORTS[name])
+    assert (rep.passed, rep.detail, rep.first_mismatch, rep.normalization) == \
+        (False, f"coefficients at q^{at} differ", at, 0)

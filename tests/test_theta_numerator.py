@@ -96,7 +96,7 @@ def test_factor_sum_starts_at_dim_over_24(name):
     series = qs.theta_alternating_sum(rs, None, 3)
     assert series.min_exponent() == Fraction(dim, 24)
     # the lowest term is the Weyl numerator sum_w eps(w) e^{w rho}
-    lowest = series.terms[Fraction(dim, 24)]
+    lowest = series.coefficient(Fraction(dim, 24))
     assert lowest == FormalCharacter(dict(rs.weyl_orbit(rs.rho)))
     # below dim/24 the sum is empty
     assert not qs.theta_alternating_sum(rs, None, Fraction(dim, 24) - Fraction(1, 24))
