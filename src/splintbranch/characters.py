@@ -32,7 +32,8 @@ import threading
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .rootsystem import RootSystem, Vec, FractionCache, common_denominator
+from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
+                         weyl_group_order)
 
 
 class FormalCharacter:
@@ -490,15 +491,10 @@ def weyl_dimension(rs: RootSystem, mu: Vec) -> int:
 
 
 def _orbit_size(rs: RootSystem, labels) -> int:
-    """|W| / |W_J| for dominant labels, J the zero labels; |W_J| is the
-    product of (ht + 1) / ht over the positive roots of W_J (Macdonald)."""
-    num = den = 1
-    for _, c in rs.label_data.positive:
-        if all(not k or not m for k, m in zip(c, labels)):
-            h = sum(c)
-            num *= h + 1
-            den *= h
-    return rs.weyl_order * den // num
+    """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated
+    by the positive roots supported on J."""
+    return rs.weyl_order // weyl_group_order(
+        c for _, c in rs.label_data.positive if all(not k or not m for k, m in zip(c, labels)))
 
 
 def _show(v: Vec) -> str:

@@ -324,6 +324,14 @@ def _require_splint(s: Splint):
         raise ValueError(f"{s.name}: trivial splint with an empty stem is rejected")
 
 
+def _times_power(lhs, rhs, f, extra):
+    """(lhs, rhs * f^extra), or (lhs * f^-extra, rhs) when extra < 0: a
+    loaded splint file whose images span less than the ambient."""
+    if extra < 0:
+        return lhs * f ** -extra, rhs
+    return lhs, rhs * f ** extra
+
+
 def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
     """Affine Weyl denominator regrouping over the splint:
 
@@ -334,7 +342,8 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
     rs = s.ambient
     lhs = _stem_denominator(s.phi1, cutoff) * _stem_denominator(s.phi2, cutoff)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
-    rhs = denominator_product(rs, cutoff) * euler_product(cutoff) ** extra
+    rhs = denominator_product(rs, cutoff)
+    lhs, rhs = _times_power(lhs, rhs, euler_product(cutoff), extra)
     mismatch = compare_qseries(lhs, rhs)
     if mismatch is None:
         return IdentityReport("denominator", True,
@@ -432,5 +441,5 @@ def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> IdentityReport:
            * theta_alternating_sum(s.phi2.source, s.phi2.map_weight, cutoff))
     rhs = theta_alternating_sum(rs, None, cutoff, drop_last=drop_term)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
-    rhs = rhs * eta(cutoff) ** extra
+    lhs, rhs = _times_power(lhs, rhs, eta(cutoff), extra)
     return _normalized_compare("theta-sum", lhs, rhs)

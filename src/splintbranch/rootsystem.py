@@ -38,11 +38,6 @@ Vec = tuple[Fraction, ...]
 # Hard cap on materialized Weyl orbits (D5/B5 scale).
 MAX_ORBIT = 51840
 
-WEYL_ORDERS = {
-    ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-    ("F", 4): 1152, ("G", 2): 12,
-}
-
 DUAL_COXETER = {
     "A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
     "D": lambda n: 2 * n - 2, "G": lambda n: 4, "F": lambda n: 9,
@@ -123,31 +118,16 @@ def _ldl(a):
 
 
 def _int_interval(u: Fraction, rho2: Fraction):
-    """All integers c with (c + u)^2 <= rho2, as a (possibly empty) range."""
+    """All integers c with (c + u)^2 <= rho2, as a (possibly empty) range.
+
+    With t = isqrt(p q b^2), rho2 = p/q and u = a/b, both bounds are exact:
+    floor((x - k) / m) = floor((floor(x) - k) / m) for integers k and m > 0."""
     if rho2 < 0:
         return range(0)
     p, q = rho2.numerator, rho2.denominator
     a, b = u.numerator, u.denominator
-    # floor(b*sqrt(p*q)) is exact via isqrt; seeds are within 1 of the truth
     t = math.isqrt(p * q * b * b)
-
-    def le_sqrt(x):      # x <= sqrt(rho2)
-        return x <= 0 or x * x <= rho2
-
-    def ge_neg_sqrt(x):  # x >= -sqrt(rho2)
-        return x >= 0 or x * x <= rho2
-
-    hi = (t - a * q) // (q * b)          # ~ floor(sqrt(rho2) - u)
-    while le_sqrt(hi + 1 + u):
-        hi += 1
-    while not le_sqrt(hi + u):
-        hi -= 1
-    lo = (-t - a * q) // (q * b)         # ~ ceil(-sqrt(rho2) - u)
-    while not ge_neg_sqrt(lo + u):
-        lo += 1
-    while ge_neg_sqrt(lo - 1 + u):
-        lo -= 1
-    return range(lo, hi + 1)
+    return range(-((t + a * q) // (q * b)), (t - a * q) // (q * b) + 1)
 
 
 def lattice_points_in_ellipsoid(gram, center, bound: Fraction):
@@ -252,14 +232,15 @@ def _simple_block(family: str, rank: int):
     raise ValueError(f"unknown family {family!r} (expected one of A,B,C,D,E,F,G)")
 
 
-def _weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    return WEYL_ORDERS[(family, rank)]
+def weyl_group_order(coefficients) -> int:
+    """prod (ht + 1) / ht over positive roots given by their simple coefficients:
+    the order of the Weyl group they generate (Macdonald, Math. Ann. 199, 1972)."""
+    num = den = 1
+    for k in coefficients:
+        h = sum(k)
+        num *= h + 1
+        den *= h
+    return num // den
 
 
 class LabelData(NamedTuple):
@@ -327,8 +308,6 @@ class RootSystem:
         self.simple_roots: tuple[Vec, ...] = tuple(padded)
         self.gram_diag: tuple[Fraction, ...] = tuple(gram_diag)
 
-        gram = [[self.inner(a, b) for b in self.simple_roots] for a in self.simple_roots]
-        self._gram_inv = invert_matrix(gram)
         self._coeff_cache: dict[Vec, tuple] = {}
         self._rows_cache: dict = {}
 
@@ -336,10 +315,9 @@ class RootSystem:
         if any(x.denominator != 1 for row in cartan for x in row):
             raise AssertionError("non-integer Cartan entry")
         self.cartan = [[int(x) for x in row] for row in cartan]
-        cartan_inv = invert_matrix([[Fraction(x) for x in row] for row in self.cartan])
+        self._cartan_inv = invert_matrix([[Fraction(x) for x in row] for row in self.cartan])
         # omega_k = sum_j (C^-1)_{kj} alpha_j
-        self.fundamental_weights: tuple[Vec, ...] = tuple(
-            self._combine(cartan_inv[k]) for k in range(self.rank))
+        self.fundamental_weights: tuple[Vec, ...] = tuple(map(self._combine, self._cartan_inv))
 
         self._root_set, positive = self._generate_roots()
         self.positive_roots = tuple(v for v, _ in positive)
@@ -365,9 +343,7 @@ class RootSystem:
         for theta, h in zip(self.highest_roots, self.dual_coxeter):
             if 1 + self.inner(self.rho, theta) != h:
                 raise AssertionError("dual Coxeter number disagrees with 1 + (rho, theta)")
-        self.weyl_order = 1
-        for f, r in factors:
-            self.weyl_order *= _weyl_order(f, r)
+        self.weyl_order = weyl_group_order(k for _, k in positive)
 
     # -- basics ------------------------------------------------------------
 
@@ -381,12 +357,12 @@ class RootSystem:
         return vcombine(zero_vec(self.dim), coeffs, self.simple_roots)
 
     def simple_coefficients(self, v: Vec):
-        """Coordinates of v in the simple-root basis (requires v in the root span)."""
+        """Coordinates of v in the simple-root basis (requires v in the root
+        span): its Dynkin labels times the inverse Cartan matrix."""
         if v in self._coeff_cache:
             return self._coeff_cache[v]
-        rhs = [self.inner(v, a) for a in self.simple_roots]
-        coeffs = tuple(sum(self._gram_inv[i][j] * rhs[j] for j in range(self.rank))
-                       for i in range(self.rank))
+        labels = self.dynkin_labels(v)
+        coeffs = tuple(sum(map(mul, labels, col)) for col in zip(*self._cartan_inv))
         if self._combine(coeffs) != v:
             raise ValueError("vector does not lie in the span of the simple roots")
         self._coeff_cache[v] = coeffs
@@ -406,70 +382,44 @@ class RootSystem:
         """(root set, [(root, simple coefficients)] of the positive roots,
         sorted by (height, root)).
 
-        The positive roots grow on simple-root coefficients from the Cartan
-        matrix: beta + alpha_i is a root iff p = q - <beta, alpha_i^vee> > 0,
-        q the number of times alpha_i can be subtracted from beta.  The root
-        set is checked closed under the integer simple reflections, and each
-        root becomes coordinates once, over one common denominator; its
-        simple coefficients go to the simple_coefficients cache."""
+        The simple roots and their negatives are closed under the integer
+        simple reflections k -> k - <k, alpha_i^vee> e_i on simple-root
+        coefficients; each root becomes coordinates once, over one common
+        denominator, and its simple coefficients go to the
+        simple_coefficients cache.  Coordinates enter the root set in
+        breadth-first order, which fixes its iteration order."""
         n, cartan = self.rank, self.cartan
-
-        def pairing(k, i):  # <beta, alpha_i^vee>, beta = sum_j k_j alpha_j
-            return sum(k[j] * cartan[j][i] for j in range(n) if k[j])
-
-        def step(k, i, c):  # beta + c alpha_i
-            return k[:i] + (k[i] + c,) + k[i + 1:]
-
-        level = [step((0,) * n, i, 1) for i in range(n)]
-        found = set(level)
-        while level:
-            nxt = []
-            for k in level:
-                for i in range(n):
-                    q = 0
-                    while step(k, i, -q - 1) in found:
-                        q += 1
-                    up = step(k, i, 1)
-                    if q - pairing(k, i) > 0 and up not in found:
-                        found.add(up)
-                        nxt.append(up)
-            level = nxt
         den = common_denominator(self.simple_roots)
         simple = [[x.numerator * (den // x.denominator) for x in a] for a in self.simple_roots]
         coord, coeff = FractionCache(den).__getitem__, FractionCache(1).__getitem__
-        at = {}              # simple coefficients -> coordinates, both signs
-        positive = []
-        for k in found:
+        found = {}           # simple coefficients -> root
+
+        def enter(k):
             code = [sum(c * a[x] for c, a in zip(k, simple) if c) for x in range(self.dim)]
-            for sign in (1, -1):
-                ks = tuple([sign * c for c in k])
-                v = at[ks] = tuple([coord(sign * x) for x in code])
-                self._coeff_cache[v] = tuple(map(coeff, ks))
-            positive.append((sum(k), code, k))
-        # closure: from the simple roots and their negatives the integer simple
-        # reflections reach only grown roots; coordinates enter the root set in
-        # breadth-first order, which fixes its iteration order
+            v = found[k] = tuple([coord(x) for x in code])
+            self._coeff_cache[v] = tuple(map(coeff, k))
+            return v
+
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        start = {enter(s): s for k in units for s in (k, tuple(-c for c in k))}
         roots = set(self.simple_roots) | {vneg(a) for a in self.simple_roots}
-        frontier = [tuple(map(int, self._coeff_cache[v])) for v in roots]
-        reached = set(frontier)
+        frontier = [start[v] for v in roots]
         while frontier:
             nxt = []
             for k in frontier:
                 for i in range(n):
-                    r = step(k, i, -pairing(k, i))
-                    if r not in reached:
-                        if r not in at:
-                            raise AssertionError("root set is not closed under the simple "
-                                                 "reflections")
-                        reached.add(r)
-                        roots.add(at[r])
+                    p = sum(k[j] * cartan[j][i] for j in range(n) if k[j])  # <k, alpha_i^vee>
+                    r = k[:i] + (k[i] - p,) + k[i + 1:]
+                    if r not in found:
+                        if len(found) == 240:    # E8 has the most roots at rank <= 8
+                            raise AssertionError("simple reflections leave the root set")
+                        roots.add(enter(r))
                         nxt.append(r)
             frontier = nxt
-        if 2 * len(found) != len(roots):
+        positive = sorted((sum(k), v, k) for k, v in found.items() if min(k) >= 0)
+        if 2 * len(positive) != len(roots):
             raise AssertionError("positive roots do not split the root set in half")
-        # (height, code) orders like (height, coordinates): den > 0
-        positive.sort()
-        return frozenset(roots), [(at[k], k) for _, _, k in positive]
+        return frozenset(roots), [(v, k) for _, v, k in positive]
 
     def is_root(self, v: Vec) -> bool:
         return v in self._root_set

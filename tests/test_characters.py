@@ -6,6 +6,7 @@ from splintbranch.characters import (FormalCharacter, character_via_weyl,
                                      decompose_character, freudenthal_character,
                                      singular_element, weyl_denominator,
                                      weyl_dimension)
+from splintbranch.splints import find_splint
 
 
 def labels_of(rs, fc):
@@ -128,6 +129,21 @@ def test_decompose_character_rejects_non_module():
     bogus = FormalCharacter.monomial(a1.fundamental_weights[0], -1)
     with pytest.raises(ValueError):
         decompose_character(a1, bogus)
+
+
+def test_decompose_rejects_negative_leading_coefficient():
+    # W-invariant but not a module: peeling L(alpha) off leaves -1 at weight
+    # 0, a weight pushed onto the heap from outside the remainder
+    a1 = build_root_system("A1")
+    zero = zero_vec(a1.dim)
+    fc = freudenthal_character(a1, a1.simple_roots[0]) - freudenthal_character(a1, zero)
+    with pytest.raises(ValueError, match=r"negative leading coefficient -1 at \(0, 0\)"):
+        decompose_character(a1, fc)
+    # the same through the subalgebra view of the splint B2:A1A2
+    fc = (FormalCharacter.monomial((Fraction(1), Fraction(-1)))
+          + FormalCharacter.monomial((Fraction(-1), Fraction(1))))
+    with pytest.raises(ValueError, match=r"negative leading coefficient -1 at \(0, 0\)"):
+        find_splint("B2:A1A2").subalgebra_view().decompose(fc)
 
 
 def test_character_cache_is_thread_safe():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from splintbranch import cli
 from splintbranch.cli import main
 
 
@@ -200,6 +201,34 @@ def test_verify_corrupted_splint_file(tmp_path, capsys):
     assert "FAIL" in out and "first mismatch" in out
 
 
+A3_RANK_DEFICIENT = {
+    "name": "A3:deficient", "ambient": "A3",
+    "subalgebra": {"source": "A1", "map": [[[1], [1, -1, 0, 0]]]},
+    "stem": {"source": "A1", "map": [[[1], [0, 0, 1, -1]]]},
+    "correspondence": [0],
+}
+
+
+def test_verify_rank_deficient_splint_file(tmp_path, capsys):
+    # rank a + rank s < rank g: fail reports with exit 1, not a usage error
+    path = tmp_path / "deficient.json"
+    path.write_text(json.dumps(A3_RANK_DEFICIENT))
+    args = ["--splint-file", str(path), "--grade-max", "3", "--no-cache"]
+    code, out, err = run(capsys, "verify", "--identity", "denominator", *args)
+    assert (code, out, err) == (
+        1, "denominator: FAIL - coefficients at q^0 differ (first mismatch at q^0)\n", "")
+    code, out, err = run(capsys, "verify", "--identity", "theta-sum", *args)
+    assert (code, out, err) == (
+        1, "theta-sum: FAIL - coefficients at q^7/24 differ (first mismatch at q^7/24)\n", "")
+    code, out, err = run(capsys, "verify", "--identity", "all", *args, "--format", "json")
+    assert (code, err) == (1, "")
+    rows = {r["identity"]: (r["passed"], r["first_mismatch"])
+            for r in json.loads(out)["results"]}
+    assert rows == {"weyl": (True, None), "branching": (False, None),
+                    "denominator": (False, "0"), "theta-product": (False, "0"),
+                    "theta-sum": (False, "7/24")}
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run(capsys, "branch", "--algebra", "G2", "--splint", "A2A2",
                        "--weight", "1,0", "--format", "json")
@@ -254,6 +283,24 @@ CACHE_DAMAGE = {
     "layer-count": lambda doc: doc["layers"].pop(),
     "grade0-without-highest-weight": _drop_grade0_highest_weight,
 }
+
+
+def _signed(damage):
+    # re-sign the damaged entry, so that it passes the digest check and
+    # reaches the checks behind it
+    def fn(doc):
+        damage(doc)
+        doc["digest"] = cli._payload_digest(doc)
+    return fn
+
+
+def _wrong_weight_length(doc):
+    doc["layers"][1][0][0].append("0")
+
+
+CACHE_DAMAGE.update({f"signed-{name}": _signed(CACHE_DAMAGE[name]) for name in
+                     ("other-cutoff", "layer-count", "grade0-without-highest-weight")})
+CACHE_DAMAGE["signed-wrong-weight-length"] = _signed(_wrong_weight_length)
 
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))

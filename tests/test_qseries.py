@@ -5,7 +5,7 @@ from splintbranch.rootsystem import build_root_system, vneg, zero_vec
 from splintbranch.characters import FormalCharacter
 from splintbranch import affine as af
 from splintbranch import qseries as qs
-from splintbranch.splints import Embedding, Splint, find_splint
+from splintbranch.splints import Embedding, Splint, find_splint, splint_from_dict
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -188,6 +188,31 @@ def test_theta_sum_negative_controls():
     bad = Splint("bad", s.ambient, s.phi1,
                  Embedding(s.phi2.source, s.ambient, pos), s.correspondence)
     assert not qs.verify_theta_sums(bad, 3).passed
+
+
+# a splint file whose images span less than A3: rank a + rank s - rank g = -1
+A3_RANK_DEFICIENT = {
+    "name": "A3:deficient", "ambient": "A3",
+    "subalgebra": {"source": "A1", "map": [[[1], [1, -1, 0, 0]]]},
+    "stem": {"source": "A1", "map": [[[1], [0, 0, 1, -1]]]},
+    "correspondence": [0],
+}
+
+
+def test_rank_deficient_splint_gets_fail_reports():
+    # the eta power moves to the left side instead of raising on a negative power
+    s = splint_from_dict(A3_RANK_DEFICIENT, verify=False)
+    rep = qs.verify_denominator_splint(s, 3)
+    assert (rep.passed, rep.detail, rep.first_mismatch) == \
+        (False, "coefficients at q^0 differ", 0)
+    rep = qs.verify_theta_sums(s, 3)
+    assert (rep.passed, rep.detail, rep.first_mismatch) == \
+        (False, "coefficients at q^7/24 differ", Fraction(7, 24))
+    # extra > 0 keeps its detail
+    assert qs.verify_denominator_splint(find_splint("G2:A2A2"), 2).detail == \
+        "grades 0..2 agree, eta-power 2"
+    assert qs.verify_denominator_splint(find_splint("B2:A1A2"), 2).detail == \
+        "grades 0..2 agree, eta-power 1"
 
 
 @pytest.mark.parametrize("name", ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1",

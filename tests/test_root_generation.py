@@ -1,21 +1,30 @@
 """Differential tests for the integer root builder and the shared root
 systems.
 
-`RootSystem._generate_roots` grows the positive roots on simple-root
-coefficients from the Cartan matrix (root strings) and converts them to
-coordinates once.  It is checked against a test-local copy of the builder it
-replaced: closure of the simple roots and their negatives under Fraction
-reflections, with simple coefficients from the inverse Gram matrix.
+`RootSystem._generate_roots` closes the simple roots and their negatives
+under the integer simple reflections on simple-root coefficients and
+converts each root to coordinates once.  It is checked against two
+test-local oracles: the Fraction builder it replaced (closure under Fraction
+reflections, simple coefficients from the inverse Gram matrix), and root
+strings grown from the Cartan matrix (beta + alpha_i is a root iff
+q - <beta, alpha_i^vee> > 0).  The `roots` command's stdout on every algebra
+is pinned by SHA-256 digests in tests/golden/roots-digests.json.
 `build_root_system` hands out one shared instance per algebra.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from splintbranch import qseries as qs
-from splintbranch.rootsystem import build_root_system, invert_matrix, vneg
+from splintbranch.cli import main
+from splintbranch.rootsystem import build_root_system, invert_matrix, vcombine, vneg, zero_vec
 from splintbranch.splints import find_splint, splint_catalog
 
 # every family up to total rank 8, and products
@@ -64,6 +73,61 @@ def test_integer_builder_matches_reflection_closure(name):
         got = rs.simple_coefficients(v)
         assert got == coeffs[v] and all(isinstance(c, Fraction) for c in got), v
     assert len(rs.positive_roots) * 2 == len(rs.roots)
+
+
+def string_growth(rs):
+    """Simple coefficients of the positive roots, grown from the simple roots
+    by root strings: beta + alpha_i is a root iff q - <beta, alpha_i^vee> > 0,
+    q the number of times alpha_i can be subtracted from beta."""
+    n = rs.rank
+
+    def step(k, i, c):  # beta + c alpha_i
+        return k[:i] + (k[i] + c,) + k[i + 1:]
+
+    level = [step((0,) * n, i, 1) for i in range(n)]
+    found = set(level)
+    while level:
+        nxt = []
+        for k in level:
+            for i in range(n):
+                q = 0
+                while step(k, i, -q - 1) in found:
+                    q += 1
+                pairing = sum(k[j] * rs.cartan[j][i] for j in range(n))
+                up = step(k, i, 1)
+                if q - pairing > 0 and up not in found:
+                    found.add(up)
+                    nxt.append(up)
+        level = nxt
+    return found
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_integer_builder_matches_string_growth(name):
+    rs = build_root_system(name)
+    grown = string_growth(rs)
+    assert {tuple(map(int, rs.simple_coefficients(v))) for v in rs.positive_roots} == grown
+    zero = zero_vec(rs.dim)
+    positive = sorted(((sum(k), vcombine(zero, k, rs.simple_roots)) for k in grown))
+    assert list(rs.positive_roots) == [v for _, v in positive]
+    assert rs.roots == frozenset(v for _, v in positive) | {vneg(v) for _, v in positive}
+
+
+ROOTS_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "roots-digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_roots_output_matches_recorded_digests(name):
+    # SHA-256 of `roots --algebra <name>` stdout, recorded before the root
+    # builder became one reflection closure
+    assert sorted(ROOTS_DIGESTS) == sorted(ALGEBRAS)
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["roots", "--algebra", name, "--format", fmt, "--no-cache"])
+        assert (code, err.getvalue()) == (0, "")
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ROOTS_DIGESTS[name][fmt]
 
 
 def test_root_systems_are_shared():

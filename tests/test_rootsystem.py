@@ -1,7 +1,10 @@
-import pytest
+import math
 from fractions import Fraction
 
-from splintbranch.rootsystem import (build_root_system, parse_algebra_name,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from splintbranch.rootsystem import (_int_interval, build_root_system, parse_algebra_name,
                                      vadd, vneg, vscale, zero_vec)
 
 
@@ -10,7 +13,9 @@ POSITIVE_COUNTS = {
     "D4": 12, "F4": 24,
 }
 
-WEYL_ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48}
+WEYL_ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48,
+               "D4": 192, "B4": 384, "D5": 1920, "F4": 1152, "E6": 51840,
+               "E7": 2903040, "E8": 696729600, "A1xA1": 4}
 
 DUAL_COXETER = {"A1": 2, "A2": 3, "B2": 3, "G2": 4, "A3": 4, "B3": 5,
                 "C3": 4, "D4": 6, "F4": 9}
@@ -32,7 +37,8 @@ def test_dual_coxeter(name):
 def test_weyl_order_is_rho_orbit(name):
     rs = build_root_system(name)
     assert rs.weyl_order == WEYL_ORDERS[name]
-    assert len(rs.weyl_orbit(rs.rho)) == rs.weyl_order
+    if rs.weyl_order <= 1152:
+        assert len(rs.weyl_orbit(rs.rho)) == rs.weyl_order
 
 
 def test_cartan_matrices():
@@ -158,3 +164,29 @@ def test_semisimple_factors_are_orthogonal():
     assert rs.inner(a, b) == 0
     assert len(rs.positive_roots) == 2
     assert rs.weyl_order == 4
+
+
+def _interval_oracle(u, rho2):
+    reach = abs(u) + math.isqrt(max(math.ceil(rho2), 0)) + 2
+    return [c for c in range(-math.ceil(reach), math.ceil(reach) + 1) if (c + u) ** 2 <= rho2]
+
+
+fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=fractions, rho2=st.fractions(min_value=-3, max_value=900, max_denominator=40))
+def test_int_interval_matches_brute_force(u, rho2):
+    assert list(_int_interval(u, rho2)) == _interval_oracle(u, rho2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=fractions, c=st.integers(-40, 40), nudge=st.sampled_from([0, 1, -1]),
+       big=st.integers(1, 10 ** 6))
+def test_int_interval_exact_square_boundaries(u, c, nudge, big):
+    # rho2 = (c + u)^2 puts c on a boundary of the interval; the nudge moves
+    # rho2 just above or below it
+    rho2 = (c + u) ** 2 + Fraction(nudge, big)
+    got = list(_int_interval(u, rho2))
+    assert got == _interval_oracle(u, rho2)
+    assert (c in got) == (nudge >= 0)
