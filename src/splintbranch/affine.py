@@ -10,7 +10,7 @@ Freudenthal recursion serves as the oracle for the main route.
 The main route runs on integer codes (`characters.encode`): the numerator
 (`characters._numerator_codes`, shared with the theta sums of `qseries`),
 the denominator (`characters._denominator_codes`), the layered products
-(`characters.add_product`) and the layered division
+(`characters.code_products`) and the layered division
 (`characters.divide_codes`) all add ints.  Fractions are built once, when
 the layers are returned.
 """
@@ -23,7 +23,7 @@ from fractions import Fraction
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
                          vcombine, vneg, vsub, vscale)
 from .characters import (FormalCharacter, _denominator_codes, _numerator_codes,
-                         add_product, common_denominator, decode, decompose_character,
+                         code_products, common_denominator, decode, decompose_character,
                          denominator_layers, divide_codes, dominant_multiplicities,
                          encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
@@ -98,9 +98,8 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     pair = rho_pairing(rs)
     chars: list[dict] = []
     for n in range(cutoff + 1):
-        rhs = num[n]
-        for j in range(1, n + 1):
-            add_product(rhs, chars[n - j], denom[j], -1)
+        (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
+                               -1)
         chars.append(divide_codes(rhs, denom[0], pair))
     gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)

@@ -11,12 +11,13 @@ Freudenthal runs on Dynkin labels (`RootSystem.label_data`): the dominant
 weights come from a descent from mu through dominant weights, the root-string
 sums use the integer form, and the table of each module is cached on labels.
 Weights that are added and compared travel as codes, coordinates times one
-common denominator (`encode`/`decode`).  The one group-ring product
-(`add_product`, behind `FormalCharacter.__mul__`, the lattice `QSeries`
-products and `denominator_layers`, which expands every Weyl and affine
-denominator and the injection fan) multiplies on them; the one Weyl-Kac numerator (`_numerator_codes`, behind
-the affine characters and every alternating theta sum) sums affine Weyl
-orbits on them; the one group-ring division (`divide_codes`, wrapped by
+common denominator (`encode`/`decode`).  The one group-ring product loop
+(`add_product`, behind `code_products` and `denominator_layers`, which
+expands every Weyl and affine denominator and the injection fan) adds them
+packed into one int each (`_packing`); `weyl_identity` compares on them.
+The one Weyl-Kac numerator (`_numerator_codes`, behind the affine
+characters and every alternating theta sum) sums affine Weyl orbits on
+them; the one group-ring division (`divide_codes`, wrapped by
 `divide_exact`) eliminates on them.  The one decomposer (`peel_dominant`,
 behind `decompose_character` and `SubalgebraView.decompose`) checks Weyl
 invariance by integer reflections and then peels only dominant weights,
@@ -32,8 +33,8 @@ import threading
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
-                         weyl_group_order)
+from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator, vsub,
+                         weyl_group_order, zero_vec)
 
 
 class FormalCharacter:
@@ -112,11 +113,11 @@ class FormalCharacter:
         return out
 
     def __mul__(self, other):
-        """Group ring product: add_product on the supports coded over their
+        """Group ring product: code_products on the supports coded over their
         common denominator."""
         den = common_denominator(itertools.chain(self.terms, other.terms))
-        out = add_product({}, {encode(v, den): c for v, c in self.terms.items()},
-                          {encode(v, den): c for v, c in other.terms.items()})
+        (out,) = code_products([({}, [({encode(v, den): c for v, c in self.terms.items()},
+                                       {encode(v, den): c for v, c in other.terms.items()})])])
         return decode(out, den)
 
     def map_support(self, fn):
@@ -147,26 +148,44 @@ def _split_dominant(rs, mu):
     return labels, offset
 
 
+def _singular_codes(rs: RootSystem, mu: Vec, den: int) -> dict:
+    """singular_element on codes over den (a multiple of the denominators of
+    mu and of the fundamental weights): {code: sign}.  A point with labels y
+    codes as sum_i y_i fw_i + offset - rho, as in _numerator_codes."""
+    labels, offset = _split_dominant(rs, mu)
+    fw_cols = list(zip(*(encode(w, den) for w in rs.fundamental_weights)))
+    off = encode(vsub(offset or zero_vec(rs.dim), rs.rho), den)
+    codes = {tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, off)]): s
+             for y, s in rs.label_orbit(tuple(m + 1 for m in labels))}
+    if len(codes) != rs.weyl_order:
+        raise AssertionError("singular element has wrong number of terms")
+    return codes
+
+
 def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """Alternating Weyl-orbit sum of mu+rho, shifted back by rho.
 
     Exactly |W| terms with coefficients +-1 (mu+rho is regular for dominant
     integral mu).
     """
-    labels, offset = _split_dominant(rs, mu)
-    orbit = rs.label_orbit(tuple(m + 1 for m in labels))
-    fc = FormalCharacter()
-    fc.terms = dict(rs.from_labels([(tuple(m - 1 for m in w), sign) for w, sign in orbit],
-                                   1, offset, ordered=True))
-    if len(fc) != rs.weyl_order:
-        raise AssertionError("singular element has wrong number of terms")
-    return fc
+    den = common_denominator(rs.fundamental_weights + (mu,))
+    # sorted by weight: codes are -(coordinates x den)
+    return decode(dict(sorted(_singular_codes(rs, mu, den).items(), reverse=True)), den)
 
 
 def weyl_denominator(rs: RootSystem) -> FormalCharacter:
     """Product of (1 - e^{-alpha}) over positive roots, fully expanded: the
     grade-0 layer of denominator_layers."""
     return denominator_layers(rs.positive_roots, 0, 0)[0]
+
+
+def weyl_identity(rs: RootSystem) -> bool:
+    """singular_element(rs, 0) == weyl_denominator(rs), compared on codes
+    over one denominator: the label-orbit sum of rho against the expanded
+    product, neither decoded to Fractions."""
+    den = common_denominator(rs.fundamental_weights + rs.positive_roots)
+    orbit = _singular_codes(rs, zero_vec(rs.dim), den)
+    return orbit == _denominator_codes([encode(a, den) for a in rs.positive_roots], 0, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +275,40 @@ def divide_codes(numer: dict, denom: dict, pair) -> dict:
     return quot
 
 
+def _packing(lo, hi):
+    """(pack, unpack) for the codes x with lo <= x <= hi: x packs to the int
+    sum_i x_i B_i with B_0 = 1 and B_{i+1} = B_i (hi_i - lo_i + 1), a
+    Kronecker substitution with mixed radices.  It is additive, so packed
+    keys add like the codes, and injective on the box.  pack and unpack map
+    {code: c} dicts to {int: c} dicts and back, keeping their order."""
+    radices = [h - l + 1 for l, h in zip(lo, hi)]
+    bases = list(itertools.accumulate(radices[:-1], mul, initial=1))
+    low = sum(map(mul, lo, bases))
+
+    def pack(terms):
+        return {sum(map(mul, code, bases)): c for code, c in terms.items()}
+
+    def unpack(terms):
+        rest, cols = [p - low for p in terms], []
+        for r, l in zip(radices, lo):      # the digits of p - low, lowest first
+            cols.append([x % r + l for x in rest])
+            rest = [x // r for x in rest]
+        return dict(zip(zip(*cols), terms.values()))
+
+    return pack, unpack
+
+
 def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """dst += sign * a * b on {code: coefficient} dicts, returning dst; a may
-    be dst itself.  The package's one group-ring product loop."""
+    """dst += sign * a * b on dicts keyed by packed codes (_packing),
+    returning dst; a or b may be dst itself.  The package's one group-ring
+    product loop."""
+    get = dst.get
+    b = list(b.items())
     for w, c in list(a.items()):
         c *= sign
-        for v, d in b.items():
-            u = tuple(map(add, w, v))
-            x = dst.get(u, 0) + c * d
+        for v, d in b:
+            u = w + v
+            x = get(u, 0) + c * d
             if x:
                 dst[u] = x
             else:
@@ -271,22 +316,48 @@ def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
     return dst
 
 
+def code_products(sums, sign: int = 1) -> list:
+    """[dst + sign * (sum of a * b over pairs) for dst, pairs in sums] on
+    {code: coefficient} dicts, as new dicts in the order add_product gives
+    pair by pair.  Each operand is packed once, over one box: every key the
+    loop meets is a key of a dst or the sum of two operand keys, so the box
+    spanned by 0 and twice the bounds of all the dicts holds it."""
+    operands = {id(t): t for _, pairs in sums for pair in pairs for t in pair}
+    cols = list(zip(*itertools.chain(*operands.values(), *(dst for dst, _ in sums))))
+    pack, unpack = _packing([min(0, 2 * min(c)) for c in cols],
+                            [max(0, 2 * max(c)) for c in cols])
+    packed = {i: pack(t) for i, t in operands.items()}
+    out = []
+    for dst, pairs in sums:
+        acc = pack(dst)
+        for a, b in pairs:
+            add_product(acc, packed[id(a)], packed[id(b)], sign)
+        out.append(unpack(acc))
+    return out
+
+
 def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
     """denominator_layers on codes: images are the codes of the positive-root
-    images, the layers are {code: coefficient} dicts."""
+    images, the layers are {code: coefficient} dicts.  Expanded packed over
+    the box from the factors' summed negative and positive parts, which holds
+    every term: each is a sum of distinct factors."""
     zero = (0,) * len(images[0])
-    layers = [{zero: 1}] + [{} for _ in range(cutoff)]
     negated = [tuple(-x for x in img) for img in images]
     factors = [(0, v) for v in negated]
     for n in range(1, cutoff + 1):
         factors += [(n, zero)] * imaginary
         factors += [(n, v) for v in negated]
         factors += [(n, img) for img in images]
+    cols = list(zip(*(v for _, v in factors)))
+    pack, unpack = _packing([sum(x for x in col if x < 0) for col in cols],
+                            [sum(x for x in col if x > 0) for col in cols])
+    layers = [{0: 1}] + [{} for _ in range(cutoff)]
     for n, v in factors:
         # layers *= (1 - q^n e^v), top grade first so each layer reads old values
+        term = pack({v: -1})
         for m in range(cutoff, n - 1, -1):
-            add_product(layers[m], layers[m - n], {v: 1}, -1)
-    return layers
+            add_product(layers[m], term, layers[m - n])
+    return [unpack(layer) for layer in layers]
 
 
 def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) -> list:

@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from . import affine as af
 from . import qseries as qs
-from .characters import (FormalCharacter, singular_element, weyl_denominator,
-                         weyl_dimension)
+from .characters import FormalCharacter, weyl_dimension, weyl_identity
 from .rootsystem import build_root_system
 from .splints import (branch_direct, branch_via_splint, check_embedding, check_splint,
                       fan_coefficients, find_splint, load_splint_file, splint_catalog)
@@ -472,8 +471,7 @@ def cmd_verify(args):
     results = []
     for ident in identities:
         if ident == "weyl":
-            ok = singular_element(rs, rs.weight_from_labels([0] * rs.rank)) == \
-                weyl_denominator(rs)
+            ok = weyl_identity(rs)
             results.append(("weyl", ok, "group-ring Weyl denominator identity", None))
         elif ident == "branching":
             rep = s.branching_status(args.max_label)

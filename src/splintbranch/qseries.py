@@ -4,9 +4,10 @@ A series term is q^e * c where e is a Fraction (all exponents share a common
 denominator) and c is either an integer or lattice content: the formal
 e^{(xi,z)} content of a theta function (z is never specialized), held as a
 {code: int} dict over one lattice denominator per series (`characters.encode`)
-and decoded to a FormalCharacter only by `QSeries.coefficient`.  Products and
-sums combine codes with `characters.add_product`.  A scalar series multiplies
-a lattice series directly; only addition requires both to be of one kind.
+and decoded to a FormalCharacter only by `QSeries.coefficient`.  Products
+multiply codes with `characters.code_products`; sums add them.  A scalar
+series multiplies a lattice series directly; only addition requires both to
+be of one kind.
 Equality of two series means equality of every (exponent, coefficient) pair
 up to the common cutoff, which is strictly stronger than sampling z.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
-from .characters import (FormalCharacter, _denominator_codes, _numerator_codes, add_product,
+from .characters import (FormalCharacter, _denominator_codes, _numerator_codes, code_products,
                          common_denominator, decode, encode)
 from .splints import Splint
 
@@ -39,7 +40,7 @@ def _cadd(a, b):
     """a + b for two int or two code-dict coefficients, as a new value."""
     if isinstance(a, int):
         return a + b
-    return add_product(dict(a), b, {(0,) * len(next(iter(b))): 1})
+    return FormalCharacter(itertools.chain(a.items(), b.items())).terms
 
 
 def _recoded(terms, f: int):
@@ -174,7 +175,9 @@ class QSeries:
                 else:
                     if isinstance(c2, int):      # a scalar c2 is c2 e^0
                         c2 = {(0,) * len(next(iter(c1))): c2}
-                    add_product(acc.setdefault(e, {}), c1, c2)
+                    acc.setdefault(e, []).append((c1, c2))
+        if den is not None:
+            acc = dict(zip(acc, code_products([({}, pairs) for pairs in acc.values()])))
         return QSeries.from_codes(acc.items(), cutoff, den)
 
     def __pow__(self, n: int):

@@ -27,7 +27,7 @@ from operator import mul
 
 from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
                          vcombine, vneg, zero_vec)
-from .characters import (FormalCharacter, _dominant_table, denominator_layers,
+from .characters import (FormalCharacter, _dominant_table, _show, denominator_layers,
                          freudenthal_character, label_dimension, peel_dominant,
                          weyl_dimension)
 
@@ -79,7 +79,7 @@ def check_embedding(e: Embedding) -> Report:
     images = list(e.pos_map.values())
     for img in images:
         if not e.target.is_root(img):
-            problems.append(f"image {img} is not a root of {e.target.name}")
+            problems.append(f"image {_show(img)} is not a root of {e.target.name}")
     if len(set(images)) != len(images):
         problems.append("positive-root images are not distinct")
     if set(images) & {vneg(v) for v in images}:
@@ -89,7 +89,8 @@ def check_embedding(e: Embedding) -> Report:
         s = vadd(x, y)
         if s in src_roots:
             if vadd(e.image(x), e.image(y)) != e.image(s):
-                problems.append(f"additivity broken: phi({x}) + phi({y}) != phi({x}+{y})")
+                problems.append(f"additivity broken: phi{_show(x)} + phi{_show(y)} != "
+                                f"phi{_show(s)}")
     return Report(not problems, problems)
 
 
@@ -155,14 +156,14 @@ def check_splint(s: Splint) -> Report:
             problems.append(f"{label} rank exceeds ambient rank")
     im1, im2 = s.phi1.image_roots(), s.phi2.image_roots()
     if im1 & im2:
-        problems.append(f"images intersect: {sorted(im1 & im2)[:3]}")
+        problems.append(f"images intersect: [{', '.join(map(_show, sorted(im1 & im2)[:3]))}]")
     if im1 | im2 != set(s.ambient.roots):
         missing = set(s.ambient.roots) - (im1 | im2)
-        problems.append(f"union misses roots {sorted(missing)[:3]}")
+        problems.append(f"union misses roots [{', '.join(map(_show, sorted(missing)[:3]))}]")
     for x, y in itertools.combinations(im1, 2):
         t = vadd(x, y)
         if s.ambient.is_root(t) and t not in im1:
-            problems.append(f"subalgebra image not closed: {x} + {y}")
+            problems.append(f"subalgebra image not closed: {_show(x)} + {_show(y)}")
             break
     return Report(not problems, problems)
 
@@ -194,7 +195,8 @@ def splint_from_dict(entry, verify: bool = True) -> Splint:
     if verify:
         rep = check_splint(s)
         if not rep:
-            raise ValueError(f"splint {entry['name']} fails verification: {rep.problems}")
+            raise ValueError(f"splint {entry['name']} fails verification: "
+                             + "; ".join(rep.problems))
     return s
 
 
@@ -244,7 +246,7 @@ class Fan:
 def fan_coefficients(s: Splint) -> Fan:
     rep = check_splint(s)
     if not rep:
-        raise ValueError(f"not a splint: {rep.problems}")
+        raise ValueError("not a splint: " + "; ".join(rep.problems))
     images = [s.phi2.pos_map[b] for b in s.phi2.source.positive_roots]
     prod = denominator_layers(images, 0, 0)[0]
     return Fan(s.name, {vneg(v): -c for v, c in prod.items()})

@@ -5,7 +5,7 @@ from splintbranch.rootsystem import build_root_system, vadd, vneg, zero_vec
 from splintbranch.characters import (FormalCharacter, character_via_weyl,
                                      decompose_character, freudenthal_character,
                                      singular_element, weyl_denominator,
-                                     weyl_dimension)
+                                     weyl_dimension, weyl_identity)
 from splintbranch.splints import find_splint
 
 
@@ -29,6 +29,43 @@ def test_singular_element_a2_matches_denominator():
     se = singular_element(a2, zero_vec(a2.dim))
     assert len(se) == 6
     assert se == weyl_denominator(a2)
+
+
+class Altered:
+    """A root system with some attributes replaced (negative controls)."""
+
+    def __init__(self, rs, **changed):
+        self._rs = rs
+        self.__dict__.update(changed)
+
+    def __getattr__(self, name):
+        return getattr(self._rs, name)
+
+
+WEYL_IDENTITY_ALGEBRAS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "D5",
+                          "F4", "G2", "A1xA1", "A2xG2"]
+
+
+@pytest.mark.parametrize("name", WEYL_IDENTITY_ALGEBRAS)
+def test_weyl_identity_on_codes_matches_fraction_check(name):
+    # the code-level check behind verify --identity weyl against its
+    # Fraction-edge statement; both sides stay independent computations
+    rs = build_root_system(name)
+    assert weyl_identity(rs) is True
+    assert singular_element(rs, zero_vec(rs.dim)) == weyl_denominator(rs)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "A1xA1", "A2xG2"])
+def test_weyl_identity_negative_controls(name):
+    rs = build_root_system(name)
+    dropped = Altered(rs, positive_roots=rs.positive_roots[1:])
+    assert weyl_identity(dropped) is False
+
+    def flipped(labels):
+        orbit = rs.label_orbit(labels)
+        return orbit[:-1] + [(orbit[-1][0], -orbit[-1][1])]
+
+    assert weyl_identity(Altered(rs, label_orbit=flipped)) is False
 
 
 def test_singular_element_rejects_bad_weights():

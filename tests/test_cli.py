@@ -209,6 +209,23 @@ A3_RANK_DEFICIENT = {
 }
 
 
+@pytest.mark.parametrize("command, code, stream", [
+    (["splint", "check"], 1, "out"),
+    (["fan"], 2, "err"),
+])
+def test_rank_deficient_splint_file_names_missing_roots(tmp_path, capsys, command, code,
+                                                        stream):
+    # problems show weights as (a, b, ...), and fan joins them into one message
+    path = tmp_path / "deficient.json"
+    path.write_text(json.dumps(A3_RANK_DEFICIENT))
+    got, out, err = run(capsys, *command, "--splint-file", str(path))
+    text = out if stream == "out" else err
+    missing = "union misses roots [(-1, 0, 0, 1), (-1, 0, 1, 0), (0, -1, 0, 1)]"
+    assert got == code and missing in text and "Fraction(" not in text
+    if command == ["fan"]:
+        assert text == f"error: not a splint: {missing}\n"
+
+
 def test_verify_rank_deficient_splint_file(tmp_path, capsys):
     # rank a + rank s < rank g: fail reports with exit 1, not a usage error
     path = tmp_path / "deficient.json"
