@@ -10,9 +10,10 @@ Freudenthal recursion serves as the oracle for the main route.
 The main route runs on integer codes (`characters.encode`): the numerator
 (`characters._numerator_codes`, shared with the theta sums of `qseries`),
 the denominator (`characters._denominator_codes`), the layered products
-(`characters.code_products`) and the layered division
-(`characters.divide_codes`) all add ints.  Fractions are built once, when
-the layers are returned.
+(`characters.code_products`) and the layered division by one positive-root
+factor at a time (`characters._divide_by_roots`; `characters.divide_codes`
+is the general division and its oracle) all add ints.  Fractions are built
+once, when the layers are returned.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from fractions import Fraction
 
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
                          vcombine, vneg, vsub, vscale)
-from .characters import (FormalCharacter, _denominator_codes, _numerator_codes,
-                         code_products, common_denominator, decode, decompose_character,
-                         denominator_layers, divide_codes, dominant_multiplicities,
+from .characters import (FormalCharacter, _denominator_codes, _divide_by_roots,
+                         _numerator_codes, code_products, common_denominator, decode,
+                         decompose_character, denominator_layers, dominant_multiplicities,
                          encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
@@ -95,12 +96,12 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
     num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
     denom = _denominator_codes([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
-    pair = rho_pairing(rs)
+    factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
     chars: list[dict] = []
     for n in range(cutoff + 1):
         (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
                                -1)
-        chars.append(divide_codes(rhs, denom[0], pair))
+        chars.append(_divide_by_roots(rhs, factors, pair))
     gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)
     return gc

@@ -17,11 +17,12 @@ expands every Weyl and affine denominator and the injection fan) adds them
 packed into one int each (`_packing`); `weyl_identity` compares on them.
 The one Weyl-Kac numerator (`_numerator_codes`, behind the affine
 characters and every alternating theta sum) sums affine Weyl orbits on
-them; the one group-ring division (`divide_codes`, wrapped by
-`divide_exact`) eliminates on them.  The one decomposer (`peel_dominant`,
-behind `decompose_character` and `SubalgebraView.decompose`) checks Weyl
-invariance by integer reflections and then peels only dominant weights,
-subtracting cached dominant multiplicities instead of whole orbits.
+them.  Weyl-denominator quotients divide one root factor at a time on them
+(`_divide_by_roots`); the general division (`divide_codes`, wrapped by
+`divide_exact`) eliminates on them and is its oracle.  The one decomposer
+(`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
+checks Weyl invariance by integer reflections and then peels only dominant
+weights, subtracting cached dominant multiplicities instead of whole orbits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import threading
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator, vsub,
+from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator, vneg, vsub,
                          weyl_group_order, zero_vec)
 
 
@@ -231,6 +232,8 @@ def divide_codes(numer: dict, denom: dict, pair) -> dict:
     def pairing(c):
         return sum(map(mul, pair, c))
 
+    if not denom:
+        raise ZeroDivisionError("group-ring division by the zero denominator")
     dterms = [(pairing(c), c, d) for c, d in denom.items()]
     lead_p, lead_v, lead_c = min(dterms)
     if lead_c not in (1, -1):
@@ -296,6 +299,45 @@ def _packing(lo, hi):
         return dict(zip(zip(*cols), terms.values()))
 
     return pack, unpack
+
+
+def _divide_by_roots(numer: dict, factors, pair) -> dict:
+    """numer / prod_a (1 - e^a) over the factor codes a, one binomial at a
+    time on {code: int} dicts; raises ArithmeticError on a remainder.
+
+    Keys are packed (_packing) over the box of numer widened by the span of
+    the factors, and 1 - e^a packs to 1 - x^s.  The quotient at p sums the
+    dividend over p, p - s, p - 2s, ...: along each class of keys mod s, a
+    nonzero running total is the quotient up to the next key, and the class
+    total must vanish.  A quotient that passes and lies in the box of numer
+    is exact: times the denominator it packs to numer in the widened box,
+    where packing is injective.  Factors highest first keep the dividends
+    small.  Sorted by (pairing with pair, code), the order of divide_codes."""
+    if not numer:
+        return {}
+    lo, hi = [list(map(f, zip(*numer))) for f in (min, max)]
+    pack, unpack = _packing([x + sum(min(y, 0) for y in col) for x, *col in zip(lo, *factors)],
+                            [x + sum(max(y, 0) for y in col) for x, *col in zip(hi, *factors)])
+    terms, start = pack(numer), (None, 0)
+    for a in factors:
+        (s,) = pack({a: 1})
+        out, runs = {}, {}       # key mod s -> (last key of the class, running total)
+        for p in sorted(terms, reverse=s < 0):
+            r = p % s
+            q, total = runs.get(r, start)
+            if total:
+                if p - q == s:
+                    out[q] = total
+                else:
+                    out.update(dict.fromkeys(range(q, p, s), total))
+            runs[r] = p, total + terms[p]
+        if any(total for _, total in runs.values()):
+            raise ArithmeticError("nonzero remainder in group-ring division")
+        terms = out
+    quot = unpack(terms)
+    if any(not x <= y <= z for code in quot for x, y, z in zip(lo, code, hi)):
+        raise ArithmeticError("nonzero remainder in group-ring division")
+    return dict(sorted(quot.items(), key=lambda t: (sum(map(mul, pair, t[0])), t[0])))
 
 
 def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
@@ -532,7 +574,9 @@ def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """ch L^mu as the exact quotient singular element / Weyl denominator."""
-    return divide_exact(singular_element(rs, mu), weyl_denominator(rs), rs)
+    den = common_denominator(rs.fundamental_weights + (mu,))
+    factors = [encode(vneg(a), den) for a in reversed(rs.positive_roots)]
+    return decode(_divide_by_roots(_singular_codes(rs, mu, den), factors, rho_pairing(rs)), den)
 
 
 def label_dimension(rs: RootSystem, labels) -> int:

@@ -55,6 +55,29 @@ def test_basic_module_layers():
         A1.simple_roots[0]: 1, tuple(-x for x in A1.simple_roots[0]): 1, ZERO: 1}
 
 
+def inverse_euler_power(rank, n_max):
+    """Independent oracle: the coefficients of 1/phi(q)^rank up to q^n_max,
+    multiplying by 1/(1 - q^k) = 1 + q^k + q^2k + ... rank times per k."""
+    c = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for _ in range(rank):
+            for n in range(k, n_max + 1):
+                c[n] += c[n - k]
+    return c
+
+
+@pytest.mark.parametrize("name,cutoff", [("A2", 5), ("A3", 4), ("A4", 3), ("D4", 3), ("D5", 2)])
+def test_level_one_vacuum_zero_string_is_frenkel_kac(name, cutoff):
+    """Frenkel-Kac: the level-1 vacuum module of a simply-laced algebra is
+    sum_gamma q^(gamma, gamma)/2 e^gamma / phi(q)^rank over the root
+    lattice, so its zero-weight string is 1/phi(q)^rank."""
+    rs = build_root_system(name)
+    gc = af.affine_character(rs, af.AffineWeight(zero_vec(rs.dim), 1), cutoff)
+    zero = zero_vec(rs.dim)
+    assert [gc.layers[n].get(zero) for n in range(cutoff + 1)] == \
+        inverse_euler_power(rs.rank, cutoff)
+
+
 @pytest.mark.parametrize("level,labels,cutoff", [
     (1, [0], 4), (1, [1], 4), (2, [0], 4), (2, [2], 3),
 ])

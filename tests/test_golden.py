@@ -29,6 +29,7 @@ README_COMMANDS = {
     "affine-branch": "affine-branch --algebra G2 --splint A2A2 --level 1 "
                      "--weight 0,0 --grade-max 2 --oracle",
     "strings": "strings --algebra A1 --level 1 --weight 0 --grade-max 5",
+    "strings-d5": "strings --algebra D5 --level 1 --weight 0,0,0,0,0 --grade-max 2",
     "strings-matrix": "strings --algebra A1 --level 2 --weight 0 --grade-max 4 "
                       "--emit matrix",
     "qdim": "qdim --algebra A1 --level 1 --weight 0 --grade-max 4",

@@ -156,6 +156,12 @@ def test_divide_exact_rejects_non_unit_lead():
         divide_exact(FormalCharacter.monomial(zero), denom, rs)
 
 
+def test_divide_exact_rejects_zero_denominator():
+    rs = build_root_system("A1")
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        divide_exact(FormalCharacter.monomial(zero_vec(rs.dim)), FormalCharacter(), rs)
+
+
 def test_divide_exact_rejects_nonzero_remainder():
     rs = build_root_system("A2")
     den = weyl_denominator(rs)
