@@ -352,7 +352,7 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
     status = s.branching_status()
     if not status:
         raise ValueError(f"splint {s.name} is flagged: tilde-weight branching not "
-                         f"applicable ({status.problems[:1]})")
+                         f"applicable ({status.problems[0]})")
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
     entries: dict = {}
     tables: dict = {}

@@ -17,7 +17,9 @@ expands every Weyl and affine denominator and the injection fan) adds them
 packed into one int each (`_packing`); `weyl_identity` compares on them.
 The one Weyl-Kac numerator (`_numerator_codes`, behind the affine
 characters and every alternating theta sum) sums affine Weyl orbits on
-them.  Weyl-denominator quotients divide one root factor at a time on them
+them.  Every orbit here, of the singular elements, the numerator and the
+Freudenthal character, comes as codes from `RootSystem.label_orbit`.
+Weyl-denominator quotients divide one root factor at a time on them
 (`_divide_by_roots`); the general division (`divide_codes`, wrapped by
 `divide_exact`) eliminates on them and is its oracle.  The one decomposer
 (`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
@@ -35,7 +37,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator, vneg, vsub,
-                         weyl_group_order, zero_vec)
+                         zero_vec)
 
 
 class FormalCharacter:
@@ -154,10 +156,9 @@ def _singular_codes(rs: RootSystem, mu: Vec, den: int) -> dict:
     mu and of the fundamental weights): {code: sign}.  A point with labels y
     codes as sum_i y_i fw_i + offset - rho, as in _numerator_codes."""
     labels, offset = _split_dominant(rs, mu)
-    fw_cols = list(zip(*(encode(w, den) for w in rs.fundamental_weights)))
+    fw = [encode(w, den) for w in rs.fundamental_weights]
     off = encode(vsub(offset or zero_vec(rs.dim), rs.rho), den)
-    codes = {tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, off)]): s
-             for y, s in rs.label_orbit(tuple(m + 1 for m in labels))}
+    codes = dict(rs.label_orbit(tuple(m + 1 for m in labels), fw, off))
     if len(codes) != rs.weyl_order:
         raise AssertionError("singular element has wrong number of terms")
     return codes
@@ -409,7 +410,6 @@ def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) 
     reflected on its labels; a point with labels l codes as
     sum_i l_i fw[i] + offset, fw[i] the code of the image of the i-th
     fundamental weight, so fw and offset carry any push and shift."""
-    fw_cols = list(zip(*fw))
     lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
     layers = [{} for _ in range(cutoff + 1)]
     for beta, g in rs.lattice_grades(rs.coroot_lattice_basis(), lam, K, cutoff):
@@ -420,8 +420,7 @@ def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) 
         if not all(dom):
             raise AssertionError("affine orbit point is not regular")
         t = layers[int(g)]
-        for y, s in rs.label_orbit(x):
-            v = tuple([sum(map(mul, y, col)) + b for col, b in zip(fw_cols, offset)])
+        for v, s in rs.label_orbit(dom, fw, offset):
             c = t.get(v, 0) + s * sign_x
             if c:
                 t[v] = c
@@ -564,12 +563,15 @@ def _dominant_descent(ld, mu):
 
 
 def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
-    """Full weight system of L^mu with exact multiplicities."""
-    fc = FormalCharacter()
-    for nu, m in dominant_multiplicities(rs, mu).items():
-        for w, _ in rs.weyl_orbit(nu):
-            fc.terms[w] = m
-    return fc
+    """Full weight system of L^mu with exact multiplicities: the orbit of each
+    dominant weight, in table order and sorted by weight, decoded once."""
+    top, offset = _split_dominant(rs, mu)
+    den = common_denominator(rs.fundamental_weights + (mu,))
+    fw = [encode(w, den) for w in rs.fundamental_weights]
+    off = encode(offset or zero_vec(rs.dim), den)
+    # sorted by weight: codes are -(coordinates x den)
+    return decode({code: m for nu, _, m in _dominant_table(rs, top)
+                   for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}, den)
 
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
@@ -603,13 +605,6 @@ def weyl_dimension(rs: RootSystem, mu: Vec) -> int:
 
 # ---------------------------------------------------------------------------
 # decomposition into irreducible modules
-
-
-def _orbit_size(rs: RootSystem, labels) -> int:
-    """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated
-    by the positive roots supported on J."""
-    return rs.weyl_order // weyl_group_order(
-        c for _, c in rs.label_data.positive if all(not k or not m for k, m in zip(c, labels)))
 
 
 def _show(v: Vec) -> str:
@@ -675,7 +670,7 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
         labels[rep] = tuple(lab)
         count[rep] = count.get(rep, 0) + 1
     for rep, lab in labels.items():
-        size = _orbit_size(sub, lab)
+        size = sub.orbit_size(lab)
         if count[rep] != size:
             raise ValueError(f"dominant weight {_show(weights[rep])} has multiplicity "
                              f"{mult[rep]} but only {count[rep]} of the {size} weights "

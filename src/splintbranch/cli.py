@@ -11,7 +11,8 @@ on disk as content-addressed JSON files when a cache directory is configured
 (flag --cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.  Each
 entry carries its request and a SHA-256 of its payload; an entry that does
 not parse, fails its digest or does not hold the requested character is
-recomputed and rewritten, never served.
+recomputed and rewritten, never served; so is one that cannot be read.  A
+cache entry that cannot be written is a configuration error.
 """
 
 from __future__ import annotations
@@ -183,12 +184,12 @@ def _read_cache(path, request, rs, aw, cutoff):
     does not hold the requested one: it does not parse, has another schema,
     a digest that does not match its payload, another request, cutoff or
     layer count, weights of another length, or no highest weight of
-    multiplicity 1 at grade 0."""
+    multiplicity 1 at grade 0.  Any OSError while reading counts as none."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         gc = _layers_from_json(doc)
-    except (FileNotFoundError, ValueError, TypeError, KeyError, AttributeError):
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
     if (doc.get("request") != request or gc.cutoff != cutoff
             or len(gc.layers) != cutoff + 1
@@ -203,7 +204,8 @@ def _read_cache(path, request, rs, aw, cutoff):
 
 def cached_affine_character(rs, aw, cutoff, cache_dir):
     """affine_character through the disk cache; an entry that cannot be
-    served is recomputed and rewritten."""
+    served is recomputed and rewritten.  An OSError while writing it is a
+    configuration error, and no temporary file is left behind."""
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
     request = {"op": "affine_character", "algebra": rs.name,
@@ -216,11 +218,17 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
     if gc is not None:
         return gc
     gc = af.affine_character(rs, aw, cutoff)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(_layers_to_json(gc, request), fh, sort_keys=True)
-    os.replace(tmp, path)
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            json.dump(_layers_to_json(gc, request), fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise ConfigError(f"cannot write cache entry {path}: {exc.strerror}")
     return gc
 
 

@@ -12,7 +12,11 @@ reflection s_i is lambda - lambda_i * row_i), the positive roots as
 (labels, simple coefficients) pairs of ints, and the form on labels as one
 integer matrix over a common denominator.  A Fraction vector enters label
 space through `split_labels` (labels scaled to integers plus a W-fixed offset
-orthogonal to the roots) and leaves through `from_labels`.
+orthogonal to the roots) and leaves through `from_labels`.  Weyl orbits carry
+their coordinates: `label_orbit` walks the labels together with integer codes
+given by the caller's images of the fundamental weights, coding the start
+once and each reflected point by one root-code subtraction, and it refuses an
+orbit larger than MAX_ORBIT from its size (`orbit_size`) before walking it.
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -35,7 +39,8 @@ from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
 
-# Hard cap on materialized Weyl orbits (D5/B5 scale).
+# Hard cap on materialized Weyl orbits: |W(E6)|, so every regular E6 orbit
+# is walked and no E7 or E8 regular orbit is.
 MAX_ORBIT = 51840
 
 DUAL_COXETER = {
@@ -500,33 +505,27 @@ class RootSystem:
         offset = vsub(v, base)
         return ints, d, (offset if any(offset) else None)
 
-    def from_labels(self, terms, d: int = 1, offset: Vec | None = None,
-                    ordered: bool = False):
-        """[(labels, x)] -> [(sum_i labels_i omega_i / d + offset, x)].
-
-        Input order is kept; ordered=True sorts by the vector instead.  All
-        arithmetic is on ints scaled by one common denominator; Fractions are
-        built once per distinct coordinate value."""
+    def _label_codes(self, d: int, offset: Vec | None):
+        """(fw, off, den), ints: the point sum_i y_i omega_i / d + offset is
+        (sum_i y_i fw[i] + off) / den."""
         ld = self.label_data
         den = d * ld.fw_den
         if offset is None:
-            scale, off = 1, None
-        else:
-            total = math.lcm(den, *(x.denominator for x in offset))
-            scale, den = total // den, total
-            off = tuple(x.numerator * (total // x.denominator) for x in offset)
-        fw_cols = list(zip(*(tuple(x * scale for x in w) for w in ld.fw)))
-        coded = []
-        for labels, x in terms:
-            code = [sum(map(mul, labels, col)) for col in fw_cols]
-            if off is not None:
-                code = [a + b for a, b in zip(code, off)]
-            coded.append((tuple(code), x))
-        if ordered:
-            coded.sort()
-        frac = FractionCache(den)
-        get = frac.__getitem__
-        return [(tuple(map(get, code)), x) for code, x in coded]
+            return ld.fw, (0,) * self.dim, den
+        total = math.lcm(den, *(x.denominator for x in offset))
+        scale = total // den
+        return ([tuple(x * scale for x in w) for w in ld.fw],
+                tuple(x.numerator * (total // x.denominator) for x in offset), total)
+
+    def from_labels(self, terms, d: int = 1, offset: Vec | None = None):
+        """[(labels, x)] -> [(sum_i labels_i omega_i / d + offset, x)], in input
+        order.  All arithmetic is on ints scaled by one common denominator;
+        Fractions are built once per distinct coordinate value."""
+        fw, off, den = self._label_codes(d, offset)
+        cols = list(zip(*fw))
+        get = FractionCache(den).__getitem__
+        return [(tuple([get(sum(map(mul, labels, col)) + b) for col, b in zip(cols, off)]), x)
+                for labels, x in terms]
 
     def dominant_labels(self, labels):
         """(dominant labels, sign): reflect at the first negative label until
@@ -542,17 +541,29 @@ class RootSystem:
             else:
                 return labels, sign
 
-    def label_orbit(self, labels):
-        """Signed Weyl orbit [(labels, sign)] in breadth-first order from the
-        dominant representative (sign +1); at most MAX_ORBIT points."""
+    def orbit_size(self, labels) -> int:
+        """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated
+        by the positive roots supported on J."""
+        return self.weyl_order // weyl_group_order(
+            c for _, c in self.label_data.positive
+            if all(not k or not m for k, m in zip(c, labels)))
+
+    def label_orbit(self, labels, fw, offset):
+        """Signed Weyl orbit [(code, sign)] of int labels, breadth-first from the
+        dominant representative (sign +1); labels y code as sum_i y_i fw[i] +
+        offset.  An orbit of more than MAX_ORBIT points is refused up front."""
         cartan = self.label_data.cartan
         dom, _ = self.dominant_labels(labels)
-        seen = {dom: 1}
+        if self.weyl_order > MAX_ORBIT and self.orbit_size(dom) > MAX_ORBIT:
+            raise ValueError(f"Weyl orbit of {self.orbit_size(dom)} points exceeds cap {MAX_ORBIT}")
+        cols = list(zip(*fw))
+        roots = [[sum(map(mul, row, col)) for col in cols] for row in cartan]
+        seen = {dom: (tuple([sum(map(mul, dom, col)) + b for col, b in zip(cols, offset)]), 1)}
         frontier = [dom]
         while frontier:
             nxt = []
             for w in frontier:
-                s = -seen[w]
+                code, s = seen[w]
                 for i, m in enumerate(w):
                     if m <= 0:
                         # s_i fixes w (m = 0) or moves it one step up, to a
@@ -560,12 +571,10 @@ class RootSystem:
                         continue
                     r = tuple([x - m * c for x, c in zip(w, cartan[i])])
                     if r not in seen:
-                        if len(seen) >= MAX_ORBIT:
-                            raise ValueError(f"Weyl orbit exceeds cap {MAX_ORBIT}")
-                        seen[r] = s
+                        seen[r] = tuple([x - m * a for x, a in zip(code, roots[i])]), -s
                         nxt.append(r)
             frontier = nxt
-        return list(seen.items())
+        return list(seen.values())
 
     def dominant_representative(self, v: Vec):
         """(dominant weight, sign, regular).  Sign is the parity of the word used;
@@ -581,7 +590,9 @@ class RootSystem:
         for regular weights only (a stabilized weight admits representatives
         of both parities)."""
         labels, d, offset = self.split_labels(v)
-        return self.from_labels(self.label_orbit(labels), d, offset, ordered=True)
+        fw, off, den = self._label_codes(d, offset)
+        get = FractionCache(den).__getitem__
+        return [(tuple(map(get, code)), s) for code, s in sorted(self.label_orbit(labels, fw, off))]
 
     def coroot(self, alpha: Vec) -> Vec:
         return vscale(alpha, Fraction(2) / self.inner(alpha, alpha))

@@ -288,14 +288,14 @@ def branch_via_splint(s: Splint, mu: Vec):
     labels, offset, top = _tilde_labels(s, mu)
     stem = s.phi2.source
     cols, den = s.tilde_map()
-    fw_cols = list(zip(*stem.label_data.fw))
+    # w codes as (its stem coordinates, den * labels(nu)), where
     # den * labels(nu)_k = base_k + labels(w) . cols[k]
-    base = [den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols)]
+    fw = [w + row for w, row in zip(stem.label_data.fw, zip(*cols))]
+    base = tuple(den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols))
     table: dict = {}
     for nu_t, _, m in _dominant_table(stem, top):
-        for _, w in sorted((tuple(sum(map(mul, w, col)) for col in fw_cols), w)
-                           for w, _ in stem.label_orbit(nu_t)):
-            nu = tuple([b + sum(map(mul, w, col)) for b, col in zip(base, cols)])
+        for code, _ in sorted(stem.label_orbit(nu_t, fw, (0,) * stem.dim + base)):
+            nu = code[stem.dim:]
             if nu in table:
                 raise AssertionError("stem weights collide in ambient space")
             table[nu] = m
@@ -376,11 +376,15 @@ def probe_tilde_branching(s: Splint, max_label: int) -> Report:
             return Report(False, [f"labels {labels}: {exc}"])
         bad = [nu for nu in shortcut if not view.is_dominant(nu)]
         if bad:
-            problems.append(f"labels {labels}: non-dominant output {bad[:2]}")
+            problems.append(f"labels {labels}: non-dominant output "
+                            f"[{', '.join(map(_show, bad[:2]))}]")
             continue
         direct = branch_direct(rs, view, mu)
         if shortcut != direct:
-            problems.append(f"labels {labels}: shortcut != direct oracle")
+            nu = next(nu for nu in itertools.chain(direct, shortcut)
+                      if direct.get(nu, 0) != shortcut.get(nu, 0))
+            problems.append(f"labels {labels}: shortcut != direct oracle at {_show(nu)}: "
+                            f"shortcut {shortcut.get(nu, 0)}, oracle {direct.get(nu, 0)}")
             continue
         total = sum(b * view.dimension(nu) for nu, b in direct.items())
         if total != weyl_dimension(rs, mu):

@@ -61,8 +61,8 @@ def test_weyl_identity_negative_controls(name):
     dropped = Altered(rs, positive_roots=rs.positive_roots[1:])
     assert weyl_identity(dropped) is False
 
-    def flipped(labels):
-        orbit = rs.label_orbit(labels)
+    def flipped(labels, fw, offset):
+        orbit = rs.label_orbit(labels, fw, offset)
         return orbit[:-1] + [(orbit[-1][0], -orbit[-1][1])]
 
     assert weyl_identity(Altered(rs, label_orbit=flipped)) is False

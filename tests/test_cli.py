@@ -4,6 +4,7 @@ import pytest
 
 from splintbranch import cli
 from splintbranch.cli import main
+from splintbranch.splints import _catalog_entries, probe_tilde_branching, splint_from_dict
 
 
 def run(capsys, *argv):
@@ -246,6 +247,48 @@ def test_verify_rank_deficient_splint_file(tmp_path, capsys):
                     "theta-sum": (False, "7/24")}
 
 
+REVERSED_PROBLEMS = {
+    "G2:A2A2": ["labels (0, 1): shortcut != direct oracle at (0, -1, 1): shortcut 0, oracle 1",
+                "labels (1, 0): non-dominant output [(1, -1, 0)]"],
+    "B2:A1A1": ["labels (0, 1): non-dominant output [(-1/2, 1/2)]",
+                "labels (1, 0): shortcut != direct oracle at (0, 0): shortcut 0, oracle 1"],
+    "B2:A1A2": ["labels (0, 1): non-dominant output [(-1/2, 1/2)]",
+                "labels (1, 0): shortcut != direct oracle at (0, 0): shortcut 0, oracle 1"],
+    "A2:A1A1A1": ["labels (0, 1): non-dominant output [(-2/3, 1/3, 1/3)]",
+                  "labels (1, 0): shortcut != direct oracle at (-1/3, -1/3, 2/3): "
+                  "shortcut 0, oracle 1"],
+    "A3:A2A1A1A1": ["labels (0, 0, 1): non-dominant output [(-3/4, 1/4, 1/4, 1/4)]",
+                    "labels (0, 1, 1): non-dominant output [(-1/4, 3/4, -1/4, -1/4)]",
+                    "labels (1, 0, 0): shortcut != direct oracle at (-1/4, -1/4, -1/4, 3/4): "
+                    "shortcut 0, oracle 1",
+                    "labels (1, 1, 0): shortcut != direct oracle at (1/4, 1/4, -3/4, 1/4): "
+                    "shortcut 0, oracle 1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSED_PROBLEMS))
+def test_reversed_correspondence_fails_the_tilde_probe(tmp_path, capsys, name):
+    # the index correspondence is not checked on load; the probe catches it,
+    # and every failure names weights as (a, b, ...)
+    (entry,) = [e for e in _catalog_entries() if e["name"] == name]
+    entry = dict(entry, correspondence=entry["correspondence"][::-1])
+    problems = REVERSED_PROBLEMS[name]
+    assert probe_tilde_branching(splint_from_dict(entry), 1).problems == problems
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(entry))
+    splint = ["--splint-file", str(path)]
+    zeros = ",".join("0" * len(entry["correspondence"]))
+    assert run(capsys, "branch", "--weight", zeros, *splint) == (
+        2, "", f"configuration error: splint {name} is flagged: tilde branching not "
+               "applicable\n")
+    assert run(capsys, "verify", "--identity", "branching", "--max-label", "1", *splint) == (
+        1, f"branching: FAIL - {'; '.join(problems[:2])}\n", "")
+    assert run(capsys, "affine-branch", "--level", "1", "--weight", zeros, "--grade-max", "0",
+               "--no-cache", *splint) == (
+        2, "", f"error: splint {name} is flagged: tilde-weight branching not applicable "
+               f"({problems[0]})\n")
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run(capsys, "branch", "--algebra", "G2", "--splint", "A2A2",
                        "--weight", "1,0", "--format", "json")
@@ -284,6 +327,40 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
                      "--weight", "0", "--grade-max", "2")
     assert code == 0
     assert list(tmp_path.rglob("*.json"))
+
+
+QDIM_A1 = ["qdim", "--algebra", "A1", "--level", "1", "--weight", "0", "--grade-max", "2"]
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_cache_dir_that_is_a_file_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                            source):
+    # reading through a regular file is a miss; creating the entry fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = list(QDIM_A1)
+    if source == "flag":
+        args += ["--cache-dir", str(blocker)]
+    else:
+        monkeypatch.setenv("SPLINTBRANCH_CACHE_DIR", str(blocker))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: cannot write cache entry {blocker}/")
+    assert err.endswith(".json: Not a directory\n") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cache_entry_that_is_a_directory_is_never_served(tmp_path, capsys):
+    # reading a directory is a miss; replacing it is a configuration error
+    args = QDIM_A1 + ["--cache-dir", str(tmp_path)]
+    assert run(capsys, *args)[0] == 0
+    (path,) = tmp_path.rglob("*.json")
+    path.unlink()
+    path.mkdir()
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: cannot write cache entry {path}: Is a directory\n"
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def _drop_grade0_highest_weight(doc):

@@ -2,8 +2,10 @@
 
 The dominant-weight descent and the label-space orbits are checked against
 test-local copies of the Fraction routines they replaced (the cone-box
-enumerator and the orthogonal-coordinate orbit search), and the three finite
-character routes are checked against each other on random algebras.
+enumerator and the orthogonal-coordinate orbit search), the coded orbit walk
+against a copy of the labels-only walk it replaced followed by one dot
+product per point, and the three finite character routes against each other
+on random algebras.
 """
 
 import itertools
@@ -87,6 +89,33 @@ def fraction_weyl_orbit(rs, v):
                     nxt.append(r)
         frontier = nxt
     return sorted(seen.items())
+
+
+def labels_only_orbit(rs, labels, fw, offset):
+    """The label-space walk without codes, each point then coded by its own
+    dot product with fw, plus offset; capped by a per-point counter."""
+    cartan = rs.label_data.cartan
+    dom, _ = rs.dominant_labels(labels)
+    seen = {dom: 1}
+    frontier = [dom]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            s = -seen[w]
+            for i, m in enumerate(w):
+                if m <= 0:
+                    continue
+                r = tuple([x - m * c for x, c in zip(w, cartan[i])])
+                if r not in seen:
+                    if len(seen) >= MAX_ORBIT:
+                        raise ValueError(f"Weyl orbit exceeds cap {MAX_ORBIT}")
+                    seen[r] = s
+                    nxt.append(r)
+        frontier = nxt
+    cols = list(zip(*fw))
+    return [(tuple(sum(y * c for y, c in zip(labels_y, col)) + b
+                   for col, b in zip(cols, offset)), s)
+            for labels_y, s in seen.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -221,5 +250,40 @@ def test_orbit_and_representative_match_fraction_search(rs, v):
 def test_orbit_cap_is_kept():
     rs = build_root_system("A1xB6")         # regular orbit: 2 * 46080 points
     assert rs.weyl_order > MAX_ORBIT
-    with pytest.raises(ValueError, match="exceeds cap"):
+    with pytest.raises(ValueError, match="exceeds cap") as err:
         rs.weyl_orbit(rs.rho)
+    assert "92160" in str(err.value)
+
+
+WALK_ALGEBRAS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+                 "A1xA1", "A2xG2"]
+
+
+@st.composite
+def walk_case(draw):
+    rs = build_root_system(draw(st.sampled_from(WALK_ALGEBRAS)))
+    dim = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    labels = tuple(draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)))
+    fw = [tuple(draw(st.lists(entries, min_size=dim, max_size=dim))) for _ in range(rs.rank)]
+    return rs, labels, fw, tuple(draw(st.lists(entries, min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_case())
+@example((build_root_system("F4"), (1, 1, 1, 1), [(1, 0), (0, 1), (1, 1), (2, -1)], (3, -3)))
+@example((build_root_system("A2xG2"), (-2, 1, 0, -1), [(0,), (0,), (1,), (-3,)], (2,)))
+def test_walk_codes_match_labels_only_walk(case):
+    # fw need not be injective: the walk still visits each label point once
+    rs, labels, fw, offset = case
+    assert rs.label_orbit(labels, fw, offset) == labels_only_orbit(rs, labels, fw, offset)
+
+
+def test_e6_rho_orbit_fills_the_cap():
+    rs = build_root_system("E6")
+    rho = (1,) * rs.rank
+    assert rs.orbit_size(rho) == MAX_ORBIT
+    fw = list(rs.label_data.fw)
+    orbit = rs.label_orbit(rho, fw, (0,) * rs.dim)
+    assert len(orbit) == MAX_ORBIT
+    assert orbit == labels_only_orbit(rs, rho, fw, (0,) * rs.dim)

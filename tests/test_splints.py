@@ -91,6 +91,61 @@ def test_check_splint_detects_missing_root():
     assert any("union" in p or "intersect" in p for p in rep.problems)
 
 
+def _stem_with(image_of_a1):
+    """G2:A2A2 with the stem image b1 of its first simple root replaced by
+    image_of_a1(b1, b2)."""
+    s = find_splint("G2:A2A2")
+    pos = dict(s.phi2.pos_map)
+    a1, a2 = s.phi2.source.simple_roots
+    pos[a1] = image_of_a1(pos[a1], pos[a2])
+    return Splint("hand-built", G2, s.phi1, Embedding(s.phi2.source, G2, pos),
+                  s.correspondence)
+
+
+def _subalgebra_from(phi1):
+    s = find_splint("G2:A2A2")
+    return Splint("hand-built", G2, phi1(s), s.phi2, s.correspondence)
+
+
+def _empty_stem():
+    # an A1 source has no root sums, so the emptied map passes additivity
+    s = find_splint("G2:A2A2")
+    stem = Embedding(A1, G2, {A1.positive_roots[0]: s.phi2.simple_images[0]})
+    stem.pos_map = {}
+    return Splint("hand-built", G2, s.phi1, stem, s.correspondence)
+
+
+def _a3_into_g2(s):
+    a3 = build_root_system("A3")
+    return Embedding(a3, G2, dict(zip(a3.positive_roots, G2.positive_roots)))
+
+
+BROKEN_SPLINTS = [
+    ("image-not-a-root", lambda: _stem_with(lambda b1, b2: vadd(b1, b1)),
+     "stem: image (2, -2, 0) is not a root of G2"),
+    ("duplicate-images", lambda: _stem_with(lambda b1, b2: b2),
+     "stem: positive-root images are not distinct"),
+    ("negative-images", lambda: _stem_with(lambda b1, b2: vneg(b2)),
+     "stem: an image coincides with the negative of another image"),
+    ("other-target",
+     lambda: _subalgebra_from(lambda s: Embedding(A2, A2, {r: r for r in A2.positive_roots})),
+     "subalgebra embedding targets a different root system"),
+    ("empty-stem", _empty_stem, "stem stem is empty"),
+    ("rank-above-ambient", lambda: _subalgebra_from(_a3_into_g2),
+     "subalgebra rank exceeds ambient rank"),
+    # the short-root A2 as the subalgebra: two short roots add to a long one
+    ("subalgebra-not-closed", lambda: _subalgebra_from(lambda s: s.phi2),
+     "subalgebra image not closed: (-1, 0, 1) + (0, -1, 1)"),
+]
+
+
+@pytest.mark.parametrize("build, problem",
+                         [pytest.param(b, p, id=name) for name, b, p in BROKEN_SPLINTS])
+def test_check_splint_names_each_broken_condition(build, problem):
+    rep = check_splint(build())
+    assert not rep.passed and problem in rep.problems
+
+
 def test_fan_two_a1_factors():
     # stem A1 x A1: (1 - e^{-b1})(1 - e^{-b2})
     s = find_splint("A2:A1A1A1")
