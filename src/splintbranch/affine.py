@@ -24,9 +24,9 @@ from fractions import Fraction
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
                          vcombine, vneg, vsub, vscale)
 from .characters import (FormalCharacter, _denominator_codes, _divide_by_roots,
-                         _numerator_codes, code_products, common_denominator, decode,
-                         decompose_character, denominator_layers, dominant_multiplicities,
-                         encode, rho_pairing, weyl_dimension)
+                         _numerator_codes, _split_dominant, code_products, common_denominator,
+                         decode, decompose_character, denominator_layers,
+                         dominant_multiplicities, encode, rho_pairing, weyl_dimension)
 from .splints import Splint, branch_via_splint
 
 
@@ -46,9 +46,7 @@ def _require_simple(rs: RootSystem):
 def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
     """Dominant integral highest weight at its level: (mu, theta^v) <= k."""
     _require_simple(rs)
-    labels = rs.dynkin_labels(aw.finite)
-    if any(m.denominator != 1 or m < 0 for m in labels):
-        raise ValueError(f"finite part with labels {labels} is not dominant integral")
+    _split_dominant(rs, aw.finite)
     if aw.level < 0:
         raise ValueError("level must be a nonnegative integer")
     if aw.grade != 0:
@@ -146,7 +144,6 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
     theta = rs.highest_roots[0]
     mu_rho = vadd(mu, rho)
     top = rs.inner(mu_rho, mu_rho)
-    rank = rs.rank
 
     # candidate finite parts per grade: lattice ball + positivity cone
     tables: list[dict[Vec, int]] = []

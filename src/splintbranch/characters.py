@@ -25,6 +25,7 @@ Weyl-denominator quotients divide one root factor at a time on them
 (`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
 checks Weyl invariance by integer reflections and then peels only dominant
 weights, subtracting cached dominant multiplicities instead of whole orbits.
+`_split_dominant` is the one check that a weight is dominant integral.
 """
 
 from __future__ import annotations
@@ -141,13 +142,12 @@ class FormalCharacter:
 
 def _split_dominant(rs, mu):
     """(int labels, W-fixed offset) of a dominant integral weight; raises
-    ValueError for any other weight."""
+    ValueError for any other weight.  This is the one check of the
+    precondition of every character and branching formula."""
     labels, d, offset = rs.split_labels(mu)
-    if d != 1:
+    if d != 1 or any(m < 0 for m in labels):
         raise ValueError(f"weight with labels {tuple(Fraction(m, d) for m in labels)} "
-                         "is not integral")
-    if any(m < 0 for m in labels):
-        raise ValueError(f"weight with labels {tuple(map(Fraction, labels))} is not dominant")
+                         "is not dominant integral")
     return labels, offset
 
 

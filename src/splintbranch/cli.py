@@ -29,7 +29,7 @@ from . import affine as af
 from . import qseries as qs
 from .characters import FormalCharacter, weyl_dimension, weyl_identity
 from .rootsystem import build_root_system
-from .splints import (branch_direct, branch_via_splint, check_embedding, check_splint,
+from .splints import (Report, branch_direct, branch_via_splint, check_embedding, check_splint,
                       fan_coefficients, find_splint, load_splint_file, splint_catalog)
 
 CACHE_ENV = "SPLINTBRANCH_CACHE_DIR"
@@ -418,7 +418,6 @@ def cmd_strings(args):
         bound = max(rs.inner(rs.rho, nu) for nu in support)
         mm = af.multiplicity_matrix(rs, bound)
         minv = af.invert_multiplicity_matrix(mm)
-        idx = {v: i for i, v in enumerate(mm.basis)}
         n = len(mm.basis)
         sigma = [[gc.layers[g].get(v) for g in range(args.grade_max + 1)]
                  for v in mm.basis]
@@ -476,31 +475,27 @@ def cmd_verify(args):
     series_verifiers = {"denominator": qs.verify_denominator_splint,
                         "theta-product": qs.verify_theta_products,
                         "theta-sum": qs.verify_theta_sums}
-    results = []
+    reports = []
     for ident in identities:
         if ident == "weyl":
-            ok = weyl_identity(rs)
-            results.append(("weyl", ok, "group-ring Weyl denominator identity", None))
+            reports.append(Report(weyl_identity(rs), name="weyl",
+                                  detail="group-ring Weyl denominator identity"))
         elif ident == "branching":
-            rep = s.branching_status(args.max_label)
-            detail = "tilde-weight branching equals subtraction oracle" \
-                if rep.passed else "; ".join(rep.problems[:2])
-            results.append(("branching", rep.passed, detail, None))
+            reports.append(s.branching_status(args.max_label))
         else:
-            rep = series_verifiers[ident](s, n)
-            results.append((ident, rep.passed, rep.detail, rep.first_mismatch))
+            reports.append(series_verifiers[ident](s, n))
     lines = []
     rows = []
-    for name, ok, detail, mismatch in results:
-        mark = "pass" if ok else "FAIL"
+    for rep in reports:
+        mismatch = rep.first_mismatch
         extra = "" if mismatch is None else f" (first mismatch at q^{mismatch})"
-        lines.append(f"{name}: {mark} - {detail}{extra}")
-        rows.append({"identity": name, "passed": ok, "detail": detail,
+        lines.append(f"{rep.name}: {'pass' if rep else 'FAIL'} - {rep.detail}{extra}")
+        rows.append({"identity": rep.name, "passed": rep.passed, "detail": rep.detail,
                      "first_mismatch": None if mismatch is None else str(mismatch)})
     Emitter(args.format).record("verify", lines,
                                 splint=None if s is None else s.name,
                                 algebra=rs.name, grade_max=n, results=rows)
-    return 0 if all(ok for _, ok, _, _ in results) else 1
+    return 0 if all(reports) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ Equality of two series means equality of every (exponent, coefficient) pair
 up to the common cutoff, which is strictly stronger than sampling z.
 
 The verifiers check the affine denominator regrouping of a splint and its two
-theta-function restatements as truncated series, reporting the first
-discrepancy.  Every affine denominator here (of the ambient algebra, of a
-stem pushed into ambient coordinates, of a single root string, of the
-root-string product on the right of the theta-product identity) is the
-layered expansion `characters._denominator_codes` read as a series.  Every
+theta-function restatements as truncated series, each a `splints.Report` of
+the first discrepancy.  Every affine denominator here (of the ambient
+algebra, of a stem pushed into ambient coordinates, of a single root string,
+of the root-string product on the right of the theta-product identity) is
+the layered expansion `characters._denominator_codes` read as a series.  Every
 alternating theta sum, over the coroot lattice at level h-dual of a simple
 factor, is that factor's Weyl-Kac numerator at rho
 (`characters._numerator_codes`) times e^{rho} q^{dim/24}; the lattice sums
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
 from .characters import (FormalCharacter, _denominator_codes, _numerator_codes, code_products,
                          common_denominator, decode, encode)
-from .splints import Splint
+from .splints import Report, Splint
 
 
 def _cadd(a, b):
@@ -308,18 +307,6 @@ def _stem_denominator(phi, cutoff) -> QSeries:
     return _denominator_series(list(phi.pos_map.values()), phi.source.rank, cutoff)
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    passed: bool
-    detail: str = ""
-    first_mismatch: Fraction | None = None
-    normalization: Fraction | None = None
-
-    def __bool__(self):
-        return self.passed
-
-
 def _require_splint(s: Splint):
     # Verifiers treat mismatches as data, so a structurally broken splint gets
     # a fail report, not an exception; only degenerate input is rejected.
@@ -335,7 +322,7 @@ def _times_power(lhs, rhs, f, extra):
     return lhs, rhs * f ** extra
 
 
-def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
+def verify_denominator_splint(s: Splint, cutoff: int) -> Report:
     """Affine Weyl denominator regrouping over the splint:
 
     D^(Delta_1) * D^(phi Delta_2) =
@@ -349,28 +336,29 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> IdentityReport:
     lhs, rhs = _times_power(lhs, rhs, euler_product(cutoff), extra)
     mismatch = compare_qseries(lhs, rhs)
     if mismatch is None:
-        return IdentityReport("denominator", True,
-                              f"grades 0..{cutoff} agree, eta-power {extra}")
-    return IdentityReport("denominator", False, mismatch[1], mismatch[0])
+        return Report(True, name="denominator",
+                      detail=f"grades 0..{cutoff} agree, eta-power {extra}")
+    return Report(False, name="denominator", detail=mismatch[1], first_mismatch=mismatch[0])
 
 
-def _normalized_compare(name, lhs, rhs) -> IdentityReport:
+def _normalized_compare(name, lhs, rhs) -> Report:
     """Match the overall q-power at the lowest order, then require every
     remaining term to agree."""
     if not lhs.terms and not rhs.terms:
-        return IdentityReport(name, True, "both sides vanish through "
-                              f"q^{min(lhs.cutoff, rhs.cutoff)}")
+        return Report(True, name=name, detail="both sides vanish through "
+                      f"q^{min(lhs.cutoff, rhs.cutoff)}")
     if not lhs.terms or not rhs.terms:
-        return IdentityReport(name, False, "one side is empty")
+        return Report(False, name=name, detail="one side is empty")
     c = lhs.min_exponent() - rhs.min_exponent()
     rhs = rhs.shift(c) if c else rhs
     mismatch = compare_qseries(lhs, rhs)
     if mismatch is None:
-        return IdentityReport(name, True, f"normalization q^{c}", normalization=c)
-    return IdentityReport(name, False, mismatch[1], mismatch[0], normalization=c)
+        return Report(True, name=name, detail=f"normalization q^{c}", normalization=c)
+    return Report(False, name=name, detail=mismatch[1], first_mismatch=mismatch[0],
+                  normalization=c)
 
 
-def verify_theta_products(s: Splint, cutoff) -> IdentityReport:
+def verify_theta_products(s: Splint, cutoff) -> Report:
     """Product form of the per-root theta identity.
 
     Each theta/eta quotient is realized through the Jacobi triple product of
@@ -426,7 +414,7 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
     return out
 
 
-def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> IdentityReport:
+def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> Report:
     """Alternating theta-sum identity of the splint:
 
       (sum_{v in W_a} eps(v) Theta_{v rho_a}) *

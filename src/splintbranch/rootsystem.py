@@ -692,18 +692,12 @@ def _identify_components(simples, inner):
     return out
 
 
-_CANDIDATE_FAMILIES = {
-    1: ["A"], 2: ["A", "B", "C", "G"], 3: ["A", "B", "C"],
-    4: ["A", "B", "C", "D", "F"], 5: ["A", "B", "C", "D"],
-    6: ["A", "B", "C", "D", "E"], 7: ["A", "B", "C", "D", "E"],
-    8: ["A", "B", "C", "D", "E"],
-}
-
-
 def _identify_one(comp, simples, inner):
+    """The first family A..G whose rank-r Cartan matrix matches: B2 before
+    C2, A3 before D3, and D2 (disconnected) never matches a component."""
     r = len(comp)
     cart = _cartan_of([simples[i] for i in comp], inner)
-    for fam in _CANDIDATE_FAMILIES[r]:
+    for fam in "ABCDEFG":
         try:
             rows, dim, scale = _simple_block(fam, r)
         except ValueError:

@@ -4,7 +4,8 @@ A splint presents the ambient root set as a disjoint union of the images of
 two embeddings: a closed root subsystem (the regular subalgebra a module is
 branched to) and a stem, whose module weight multiplicities give branching
 coefficients through the tilde-weight rule.  The catalog is re-verified on
-load; the tilde rule is validated against brute-force subtraction.  The
+load; the tilde rule is validated against brute-force subtraction.  Every
+check here, and each identity verifier of `qseries`, returns a `Report`.  The
 injection fan is the stem's Weyl denominator in ambient coordinates, the
 grade-0 layer of `characters.denominator_layers` over the stem images.
 
@@ -27,9 +28,9 @@ from operator import mul
 
 from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
                          vcombine, vneg, zero_vec)
-from .characters import (FormalCharacter, _dominant_table, _show, denominator_layers,
-                         freudenthal_character, label_dimension, peel_dominant,
-                         weyl_dimension)
+from .characters import (FormalCharacter, _dominant_table, _show, _split_dominant,
+                         denominator_layers, freudenthal_character, label_dimension,
+                         peel_dominant, weyl_dimension)
 
 
 class Embedding:
@@ -42,7 +43,8 @@ class Embedding:
         self.pos_map: dict[Vec, Vec] = dict(pos_map)
         missing = set(source.positive_roots) - set(self.pos_map)
         if missing:
-            raise ValueError(f"embedding map misses source positive roots {missing}")
+            raise ValueError("embedding map misses source positive roots "
+                             f"[{', '.join(map(_show, sorted(missing)))}]")
         self.simple_images = tuple(self.pos_map[a] for a in source.simple_roots)
 
     def image(self, root: Vec) -> Vec:
@@ -66,8 +68,15 @@ class Embedding:
 
 @dataclass
 class Report:
+    """The verdict of a checked relation: the problems found, and for the
+    named identities a one-line detail, the exponent of the lowest series
+    mismatch and the q-power that normalized the two sides."""
     passed: bool
     problems: list = field(default_factory=list)
+    name: str = ""
+    detail: str = ""
+    first_mismatch: Fraction | None = None
+    normalization: Fraction | None = None
 
     def __bool__(self):
         return self.passed
@@ -200,11 +209,11 @@ def splint_from_dict(entry, verify: bool = True) -> Splint:
     return s
 
 
-def load_splint_file(path, verify: bool = False) -> Splint:
-    """Load a user-supplied splint file; by default without verification so
-    that broken data can still be run through the identity checkers."""
+def load_splint_file(path) -> Splint:
+    """Load a user-supplied splint file without verification, so that broken
+    data can still be run through the identity checkers."""
     with open(path) as fh:
-        return splint_from_dict(json.load(fh), verify=verify)
+        return splint_from_dict(json.load(fh), verify=False)
 
 
 def _catalog_entries():
@@ -262,10 +271,11 @@ def _tilde_labels(s: Splint, mu: Vec):
     if stem.rank != s.ambient.rank:
         raise ValueError(f"stem rank {stem.rank} != ambient rank {s.ambient.rank}; "
                          "tilde weight undefined")
-    labels, d, offset = s.ambient.split_labels(mu)
-    if d != 1 or any(m < 0 for m in labels):
-        raise ValueError(f"weight with labels {tuple(Fraction(m, d) for m in labels)} "
-                         "is not dominant integral")
+    # compared by repr: 1.0 or True from a file is no stem index
+    if sorted(map(repr, s.correspondence)) != sorted(map(repr, range(stem.rank))):
+        raise ValueError(f"correspondence {list(s.correspondence)} is not a permutation "
+                         f"of the {stem.rank} stem fundamental weights")
+    labels, offset = _split_dominant(s.ambient, mu)
     stem_labels = [0] * stem.rank
     for k, m in enumerate(labels):
         stem_labels[s.correspondence[k]] = m
@@ -338,9 +348,10 @@ class SubalgebraView:
 def branch_direct(rs: RootSystem, sub, mu: Vec) -> dict[Vec, int]:
     """Brute-force branching of L^mu to a regular subalgebra.
 
-    `sub` is a SubalgebraView, an Embedding into rs, or an iterable of roots
-    forming a closed subsystem.  This is the oracle the tilde-weight shortcut
-    is validated against.
+    `sub` is a SubalgebraView, a (RootSystem, simple images) pair as returned
+    by `RootSystem.root_subsystem`, or an iterable of roots forming a closed
+    subsystem.  This is the oracle the tilde-weight shortcut is validated
+    against.
     """
     view = _as_view(rs, sub)
     return view.decompose(freudenthal_character(rs, mu))
@@ -349,8 +360,6 @@ def branch_direct(rs: RootSystem, sub, mu: Vec) -> dict[Vec, int]:
 def _as_view(rs, sub) -> SubalgebraView:
     if isinstance(sub, SubalgebraView):
         return sub
-    if isinstance(sub, Embedding):
-        return SubalgebraView(rs, sub)
     if isinstance(sub, tuple) and len(sub) == 2 and isinstance(sub[0], RootSystem):
         sub_rs, images = sub            # as returned by root_subsystem
     else:
@@ -364,7 +373,8 @@ def _as_view(rs, sub) -> SubalgebraView:
 
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     """Compare tilde-weight branching against the subtraction oracle for all
-    dominant weights with Dynkin labels <= max_label."""
+    dominant weights with Dynkin labels <= max_label; the report is named
+    "branching" and its detail is the first two problems or the pass line."""
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
@@ -373,7 +383,8 @@ def probe_tilde_branching(s: Splint, max_label: int) -> Report:
         try:
             shortcut = branch_via_splint(s, mu)
         except ValueError as exc:
-            return Report(False, [f"labels {labels}: {exc}"])
+            problems = [f"labels {labels}: {exc}"]
+            break
         bad = [nu for nu in shortcut if not view.is_dominant(nu)]
         if bad:
             problems.append(f"labels {labels}: non-dominant output "
@@ -389,4 +400,5 @@ def probe_tilde_branching(s: Splint, max_label: int) -> Report:
         total = sum(b * view.dimension(nu) for nu, b in direct.items())
         if total != weyl_dimension(rs, mu):
             problems.append(f"labels {labels}: dimension bookkeeping failed")
-    return Report(not problems, problems)
+    detail = "; ".join(problems[:2]) or "tilde-weight branching equals subtraction oracle"
+    return Report(not problems, problems, "branching", detail)

@@ -289,6 +289,40 @@ def test_reversed_correspondence_fails_the_tilde_probe(tmp_path, capsys, name):
                f"({problems[0]})\n")
 
 
+def _g2_entry(**changes):
+    (entry,) = [e for e in _catalog_entries() if e["name"] == "G2:A2A2"]
+    return dict(entry, **changes)
+
+
+@pytest.mark.parametrize("correspondence", [[0], [0, 5]])
+def test_correspondence_that_is_no_permutation_is_refused(tmp_path, capsys, correspondence):
+    # the tilde rule names the broken correspondence instead of indexing past it
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_g2_entry(correspondence=correspondence)))
+    splint = ["--splint-file", str(path)]
+    problem = (f"labels (0, 0): correspondence {correspondence} is not a permutation of "
+               "the 2 stem fundamental weights")
+    assert run(capsys, "branch", "--weight", "1,0", *splint) == (
+        2, "", "configuration error: splint G2:A2A2 is flagged: tilde branching not "
+               "applicable\n")
+    assert run(capsys, "verify", "--identity", "branching", "--max-label", "1", *splint) == (
+        1, f"branching: FAIL - {problem}\n", "")
+    assert run(capsys, "affine-branch", "--level", "1", "--weight", "0,0", "--grade-max", "0",
+               "--no-cache", *splint) == (
+        2, "", "error: splint G2:A2A2 is flagged: tilde-weight branching not applicable "
+               f"({problem})\n")
+
+
+def test_stem_map_missing_a_positive_root_names_it(tmp_path, capsys):
+    entry = _g2_entry()
+    path = tmp_path / "short-stem.json"
+    path.write_text(json.dumps(dict(entry, stem=dict(entry["stem"],
+                                                     map=entry["stem"]["map"][1:]))))
+    assert run(capsys, "splint", "check", "--splint-file", str(path)) == (
+        2, "", f"configuration error: cannot load splint file {path}: embedding map misses "
+               "source positive roots [(1, -1, 0)]\n")
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run(capsys, "branch", "--algebra", "G2", "--splint", "A2A2",
                        "--weight", "1,0", "--format", "json")
@@ -395,6 +429,8 @@ def _wrong_weight_length(doc):
 CACHE_DAMAGE.update({f"signed-{name}": _signed(CACHE_DAMAGE[name]) for name in
                      ("other-cutoff", "layer-count", "grade0-without-highest-weight")})
 CACHE_DAMAGE["signed-wrong-weight-length"] = _signed(_wrong_weight_length)
+CACHE_DAMAGE["signed-string-coefficient"] = _signed(
+    lambda doc: doc["layers"][1][0].__setitem__(1, "1"))
 
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))

@@ -1,0 +1,71 @@
+"""Negative controls for the refusals of outside input: each names what it
+refuses, with the CLI's exit code 2 and one stderr line."""
+
+import json
+import re
+
+import pytest
+
+from splintbranch import affine as af
+from splintbranch.cli import main
+from splintbranch.rootsystem import build_root_system, zero_vec
+from splintbranch.splints import _catalog_entries, load_splint_file, splint_from_dict
+
+BRANCH_G2 = ["branch", "--algebra", "G2", "--splint", "A2A2"]
+A1_LEVEL_1 = ["--algebra", "A1", "--level", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--algebra", "B1"], "B1: rank must be >= 2"),
+    (["roots", "--algebra", "C1"], "C1: rank must be >= 2"),
+    (["roots", "--algebra", "D1"], "D1: rank must be >= 2"),
+    (["roots", "--algebra", "A0"], "A0: rank must be >= 1"),
+    (["roots", "--algebra", "E5"], "E5: rank must be 6, 7 or 8"),
+    (["roots", "--algebra", "F3"], "F3: rank must be 4"),
+    (["roots", "--algebra", "G3"], "G3: rank must be 2"),
+    (["roots", "--algebra", "X3"], "unknown family 'X' (expected one of A,B,C,D,E,F,G)"),
+    (["roots", "--algebra", "G"], "cannot parse algebra name 'G' (expected e.g. G2, A1xA1)"),
+    (["roots"], "--algebra is required"),
+    (BRANCH_G2 + ["--weight", "1,x"], "--weight expects comma-separated integers, got '1,x'"),
+    (BRANCH_G2 + ["--weight=-1,0"], "--weight labels must be nonnegative, got [-1, 0]"),
+    (BRANCH_G2, "--weight is required"),
+    (["strings", *A1_LEVEL_1], "--weight is required"),
+    (["qdim", *A1_LEVEL_1], "--weight is required"),
+    (["affine-branch", "--splint", "G2:A2A2", "--level", "1"], "--weight is required"),
+    (["fan", "--splint-file", "no-such-splint.json"],
+     "cannot load splint file no-such-splint.json: [Errno 2] No such file or directory: "
+     "'no-such-splint.json'"),
+    (["strings", "--algebra", "A1", "--level", "0", "--weight", "1"],
+     "(mu, theta^v) = 1 exceeds level 0"),
+])
+def test_cli_refuses_outside_input(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + ["--no-cache"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"configuration error: {message}\n")
+
+
+def test_library_refuses_outside_input(tmp_path):
+    A1 = build_root_system("A1")
+    zero = zero_vec(A1.dim)
+    for aw, match in [
+            (af.AffineWeight(A1.weight_from_labels([-1]), 1),
+             "weight with labels (Fraction(-1, 1),) is not dominant integral"),
+            (af.AffineWeight(zero, -1), "level must be a nonnegative integer"),
+            (af.AffineWeight(zero, 1, grade=1), "highest weight must sit at grade 0")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            af.check_affine_dominant(A1, aw)
+    with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+        af.affine_character(A1, af.AffineWeight(zero, 1), -1)
+    # a stem whose first root lands on a subalgebra image: refused from the
+    # catalog route, loaded unverified from a file
+    (entry,) = [e for e in _catalog_entries() if e["name"] == "G2:A2A2"]
+    stem_map = [[entry["stem"]["map"][0][0], entry["subalgebra"]["map"][0][1]],
+                *entry["stem"]["map"][1:]]
+    entry = dict(entry, stem=dict(entry["stem"], map=stem_map))
+    with pytest.raises(ValueError, match=r"^splint G2:A2A2 fails verification: .*; "
+                                         r"images intersect: \[\(-2, 1, 1\), \(2, -1, -1\)\]"):
+        splint_from_dict(entry)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(entry))
+    assert load_splint_file(path).name == "G2:A2A2"

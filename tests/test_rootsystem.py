@@ -140,6 +140,16 @@ def test_root_subsystems():
     assert sub.name == "A1"
 
 
+@pytest.mark.parametrize("name, identified", [
+    ("B2", "B2"), ("C2", "B2"), ("G2", "G2"), ("A3", "A3"), ("D3", "A3"), ("B3", "B3"),
+    ("C3", "C3"), ("D4", "D4"), ("F4", "F4"), ("A1xA1", "A1xA1"), ("D2", "A1xA1"),
+])
+def test_root_subsystem_identifies_the_first_matching_family(name, identified):
+    # the families are tried A to G, so B2 wins over C2 and A3 over D3
+    rs = build_root_system(name)
+    assert rs.root_subsystem(rs.roots)[0].name == identified
+
+
 def test_root_subsystem_rejects_open_subset():
     a2 = build_root_system("A2")
     a, b = a2.simple_roots
