@@ -14,11 +14,17 @@ the denominator (`characters._denominator_codes`), the layered products
 factor at a time (`characters._divide_by_roots`; `characters.divide_codes`
 is the general division and its oracle) all add ints.  Fractions are built
 once, when the layers are returned.
+
+Each character is decomposed into horizontal modules once: the series of
+`graded_branch_to_g` is kept on the `GradedCharacter` for its algebra and
+cutoff, and `q_dimension` and `branch_affine_to_subalgebra` read it there.
+Splint branching sums the integer tables that each `Splint` keeps by ambient
+labels (`splints._branch_codes`) and builds each distinct weight once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
@@ -27,7 +33,7 @@ from .characters import (FormalCharacter, _denominator_codes, _divide_by_roots,
                          _numerator_codes, _split_dominant, code_products, common_denominator,
                          decode, decompose_character, denominator_layers,
                          dominant_multiplicities, encode, rho_pairing, weyl_dimension)
-from .splints import Splint, branch_via_splint
+from .splints import Splint, _branch_codes
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,8 @@ class GradedCharacter:
     """Layers of weight multiplicities by grade, exact up to the cutoff."""
     cutoff: int
     layers: list  # list[FormalCharacter], index = grade
+    # ((rs.factors, cutoff), its BranchingSeries), set by graded_branch_to_g
+    _branch: tuple = field(default=(None, None), init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -224,14 +232,18 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
     """Decompose every grade layer into irreducible modules of the horizontal
     subalgebra.  Each layer is a genuine module, so all coefficients are
-    nonnegative and the reconstruction is exact (enforced by the decomposer)."""
+    nonnegative and the reconstruction is exact (enforced by the decomposer).
+    The series is kept on gc for its algebra and cutoff; callers only read it."""
     if gc is None:
         gc = affine_character(rs, aw, cutoff)
-    entries: dict = {}
-    for n in range(cutoff + 1):
-        for nu, b in decompose_character(rs, gc.layers[n]).items():
-            entries[(nu, n)] = b
-    return BranchingSeries(cutoff, entries)
+    key = (rs.factors, cutoff)
+    if gc._branch[0] != key:
+        entries: dict = {}
+        for n in range(cutoff + 1):
+            for nu, b in decompose_character(rs, gc.layers[n]).items():
+                entries[(nu, n)] = b
+        gc._branch = (key, BranchingSeries(cutoff, entries))
+    return gc._branch[1]
 
 
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
@@ -252,12 +264,13 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
         gc = affine_character(rs, aw, cutoff)
     if bs is None:
         bs = graded_branch_to_g(rs, aw, cutoff, gc)
-    out = []
-    for n in range(cutoff + 1):
-        d = sum(b * weyl_dimension(rs, nu) for (nu, m), b in bs.entries.items() if m == n)
-        if d != gc.layers[n].total():
-            raise AssertionError("q-dimension disagrees with layer totals")
-        out.append(d)
+    dims = {nu: weyl_dimension(rs, nu) for nu in {nu for nu, _ in bs.entries}}
+    out = [0] * (cutoff + 1)
+    for (nu, n), b in bs.entries.items():
+        if n <= cutoff:
+            out[n] += b * dims[nu]
+    if any(d != layer.total() for d, layer in zip(out, gc.layers)):
+        raise AssertionError("q-dimension disagrees with layer totals")
     return out
 
 
@@ -343,7 +356,8 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
                                 cutoff: int, gc: GradedCharacter | None = None
                                 ) -> BranchingSeries:
     """Composed route: branch each grade layer to the horizontal algebra, then
-    push each distinct module once through the tilde-weight shortcut."""
+    push each distinct module once through the tilde-weight shortcut, summing
+    on its integer label codes; each distinct weight is built once."""
     if s.ambient.factors != rs.factors:
         raise ValueError("splint ambient does not match the affine algebra")
     status = s.branching_status()
@@ -351,16 +365,18 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
         raise ValueError(f"splint {s.name} is flagged: tilde-weight branching not "
                          f"applicable ({status.problems[0]})")
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
-    entries: dict = {}
+    acc: dict = {}
     tables: dict = {}
     for (nu, n), b in bs.entries.items():
         if nu not in tables:
-            tables[nu] = branch_via_splint(s, nu)
-        for xi, c in tables[nu].items():
-            key = (xi, n)
-            entries[key] = entries.get(key, 0) + b * c
-    entries = {k: v for k, v in entries.items() if v}
-    return BranchingSeries(cutoff, entries)
+            tables[nu] = _branch_codes(s, nu)
+        for code, c in tables[nu][0].items():
+            acc[code, n] = acc.get((code, n), 0) + b * c
+    if len(offsets := {offset for _, offset in tables.values()}) != 1:
+        raise AssertionError("module weights differ in their W-fixed part")
+    xi = {code: v for v, code in s.ambient.from_labels(
+        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), s.tilde_map()[1], *offsets)}
+    return BranchingSeries(cutoff, {(xi[code], n): v for (code, n), v in acc.items() if v})
 
 
 def branch_affine_direct(rs: RootSystem, s: Splint, aw: AffineWeight,

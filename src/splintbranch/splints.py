@@ -13,7 +13,8 @@ Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
 labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
 weight j (`Splint.tilde_map`).  Stem orbits come from `label_orbit`; the
-table is decoded once, keeping the W-fixed offset of mu.
+integer table is kept on the splint by the labels of mu, and each call
+decodes its own copy with the W-fixed offset of mu.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ class Embedding:
         self.source = source
         self.target = target
         self.pos_map: dict[Vec, Vec] = dict(pos_map)
-        missing = set(source.positive_roots) - set(self.pos_map)
-        if missing:
-            raise ValueError("embedding map misses source positive roots "
-                             f"[{', '.join(map(_show, sorted(missing)))}]")
+        if problems := _missing_roots(self):
+            raise ValueError(problems[0])
         self.simple_images = tuple(self.pos_map[a] for a in source.simple_roots)
 
     def image(self, root: Vec) -> Vec:
@@ -66,6 +65,13 @@ class Embedding:
                         self.simple_images)
 
 
+def _missing_roots(e: Embedding) -> list:
+    """[the problem naming the source positive roots that e does not map], or []."""
+    missing = sorted(set(e.source.positive_roots) - set(e.pos_map))
+    shown = ", ".join(map(_show, missing))
+    return [f"embedding map misses source positive roots [{shown}]"] if missing else []
+
+
 @dataclass
 class Report:
     """The verdict of a checked relation: the problems found, and for the
@@ -83,8 +89,9 @@ class Report:
 
 
 def check_embedding(e: Embedding) -> Report:
-    """Verify bijectivity onto the image, negation-equivariance and additivity."""
-    problems = []
+    """Verify the map is total on positive roots, bijective onto the image,
+    negation-equivariant and additive (on the roots it maps)."""
+    problems = _missing_roots(e)
     images = list(e.pos_map.values())
     for img in images:
         if not e.target.is_root(img):
@@ -93,7 +100,7 @@ def check_embedding(e: Embedding) -> Report:
         problems.append("positive-root images are not distinct")
     if set(images) & {vneg(v) for v in images}:
         problems.append("an image coincides with the negative of another image")
-    src_roots = set(e.source.roots)
+    src_roots = {r for r in e.source.roots if r in e.pos_map or vneg(r) in e.pos_map}
     for x, y in itertools.product(src_roots, repeat=2):
         s = vadd(x, y)
         if s in src_roots:
@@ -116,6 +123,7 @@ class Splint:
         self._view = None
         self._tilde_probe = None
         self._tilde_map = None
+        self._tables = {}
 
     @property
     def subalgebra_roots(self):
@@ -152,7 +160,8 @@ class Splint:
 
 
 def check_splint(s: Splint) -> Report:
-    """Disjoint-union, rank, nonempty-stem and subsystem-closure conditions."""
+    """Disjoint-union, rank, nonempty-stem, subsystem-closure and
+    index-correspondence conditions."""
     problems = []
     for label, emb in (("subalgebra", s.phi1), ("stem", s.phi2)):
         if emb.target is not s.ambient:
@@ -174,6 +183,7 @@ def check_splint(s: Splint) -> Report:
         if s.ambient.is_root(t) and t not in im1:
             problems.append(f"subalgebra image not closed: {_show(x)} + {_show(y)}")
             break
+    problems += _correspondence_problems(s)
     return Report(not problems, problems)
 
 
@@ -193,6 +203,11 @@ def _parse_embedding(entry, ambient: RootSystem) -> Embedding:
 
 
 def splint_from_dict(entry, verify: bool = True) -> Splint:
+    if not isinstance(entry, dict):
+        raise ValueError("the top level of a splint file must be a JSON object")
+    if not isinstance(entry.get("correspondence", []), list):
+        raise ValueError("correspondence must be a list of stem indices, not "
+                         f"{json.dumps(entry['correspondence'])}")
     ambient = build_root_system(entry["ambient"])
     s = Splint(
         name=entry["name"],
@@ -265,16 +280,24 @@ def fan_coefficients(s: Splint) -> Fan:
 # branching
 
 
+def _correspondence_problems(s: Splint) -> list:
+    """[the problem], or [] if the correspondence permutes the stem indices."""
+    rank = s.phi2.source.rank
+    # compared by repr: 1.0 or True from a file is no stem index
+    if sorted(map(repr, s.correspondence)) == sorted(map(repr, range(rank))):
+        return []
+    return [f"correspondence {list(s.correspondence)} is not a permutation "
+            f"of the {rank} stem fundamental weights"]
+
+
 def _tilde_labels(s: Splint, mu: Vec):
     """(labels of mu, its W-fixed offset, labels of mu~)."""
     stem = s.phi2.source
     if stem.rank != s.ambient.rank:
         raise ValueError(f"stem rank {stem.rank} != ambient rank {s.ambient.rank}; "
                          "tilde weight undefined")
-    # compared by repr: 1.0 or True from a file is no stem index
-    if sorted(map(repr, s.correspondence)) != sorted(map(repr, range(stem.rank))):
-        raise ValueError(f"correspondence {list(s.correspondence)} is not a permutation "
-                         f"of the {stem.rank} stem fundamental weights")
+    if problems := _correspondence_problems(s):
+        raise ValueError(problems[0])
     labels, offset = _split_dominant(s.ambient, mu)
     stem_labels = [0] * stem.rank
     for k, m in enumerate(labels):
@@ -288,30 +311,39 @@ def tilde_weight(s: Splint, mu: Vec) -> Vec:
     return s.phi2.source.weight_from_labels(_tilde_labels(s, mu)[2])
 
 
-def branch_via_splint(s: Splint, mu: Vec):
-    """Branching table from stem weight multiplicities (tilde-weight rule).
+def _branch_codes(s: Splint, mu: Vec):
+    """(table, offset): the tilde-rule table of mu as {den * labels(nu): m}, den
+    of `Splint.tilde_map`, kept on s by the labels of mu, and mu's W-fixed offset.
 
     Every weight w of the stem module mu~ contributes its multiplicity at
     nu = mu - phi2(mu~ - w): dominant w in Freudenthal table order, each
     orbit sorted by stem coordinates.
     """
     labels, offset, top = _tilde_labels(s, mu)
-    stem = s.phi2.source
-    cols, den = s.tilde_map()
-    # w codes as (its stem coordinates, den * labels(nu)), where
-    # den * labels(nu)_k = base_k + labels(w) . cols[k]
-    fw = [w + row for w, row in zip(stem.label_data.fw, zip(*cols))]
-    base = tuple(den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols))
-    table: dict = {}
-    for nu_t, _, m in _dominant_table(stem, top):
-        for code, _ in sorted(stem.label_orbit(nu_t, fw, (0,) * stem.dim + base)):
-            nu = code[stem.dim:]
-            if nu in table:
-                raise AssertionError("stem weights collide in ambient space")
-            table[nu] = m
-    if any(x % den for nu in table for x in nu):
-        raise AssertionError("tilde map gives a non-integral weight")
-    return dict(s.ambient.from_labels(table.items(), den, offset))
+    if labels not in s._tables:
+        stem = s.phi2.source
+        cols, den = s.tilde_map()
+        # w codes as (its stem coordinates, den * labels(nu)), where
+        # den * labels(nu)_k = base_k + labels(w) . cols[k]
+        fw = [w + row for w, row in zip(stem.label_data.fw, zip(*cols))]
+        base = tuple(den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols))
+        table: dict = {}
+        for nu_t, _, m in _dominant_table(stem, top):
+            for code, _ in sorted(stem.label_orbit(nu_t, fw, (0,) * stem.dim + base)):
+                nu = code[stem.dim:]
+                if nu in table:
+                    raise AssertionError("stem weights collide in ambient space")
+                table[nu] = m
+        if any(x % den for nu in table for x in nu):
+            raise AssertionError("tilde map gives a non-integral weight")
+        s._tables[labels] = table
+    return s._tables[labels], offset
+
+
+def branch_via_splint(s: Splint, mu: Vec):
+    """Branching table from stem weight multiplicities (tilde-weight rule)."""
+    table, offset = _branch_codes(s, mu)
+    return dict(s.ambient.from_labels(table.items(), s.tilde_map()[1], offset))
 
 
 class SubalgebraView:

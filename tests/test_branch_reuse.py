@@ -1,0 +1,131 @@
+"""Each affine module is decomposed once and branched on integer labels.
+
+`graded_branch_to_g` keeps its series on the `GradedCharacter` it decomposed
+(for one algebra and cutoff), and `branch_via_splint` keeps its integer
+table on the `Splint` (by ambient labels).  The composed branching route is
+checked against the direct route and against a test-local copy of the
+accumulation keyed by Fraction weights that the integer one replaced (dict
+order included); `q_dimension` against a per-grade recount.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splintbranch import affine as af
+from splintbranch.characters import decompose_character, weyl_dimension
+from splintbranch.rootsystem import build_root_system, vadd, zero_vec
+from splintbranch.splints import branch_via_splint, find_splint, splint_catalog
+
+# ambients of the catalog splints, with the largest cutoff drawn for each
+CUTOFF = {"A2": 3, "B2": 3, "G2": 3, "A3": 1}
+ALGEBRAS = {name: build_root_system(name) for name in CUTOFF}
+# one Splint object per catalog entry, so that its tables are reused across draws
+SPLINTS = {name: splint_catalog(rs) for name, rs in ALGEBRAS.items()}
+
+
+def fraction_keyed_branch(s, bs):
+    """The accumulation keyed by (Fraction weight, grade) that the integer
+    label codes replaced."""
+    entries, tables = {}, {}
+    for (nu, n), b in bs.entries.items():
+        if nu not in tables:
+            tables[nu] = branch_via_splint(s, nu)
+        for xi, c in tables[nu].items():
+            entries[(xi, n)] = entries.get((xi, n), 0) + b * c
+    return {k: v for k, v in entries.items() if v}
+
+
+def layer_decomposition(rs, gc, cutoff):
+    return {(nu, n): b for n in range(cutoff + 1)
+            for nu, b in decompose_character(rs, gc.layers[n]).items()}
+
+
+@st.composite
+def affine_module(draw):
+    name = draw(st.sampled_from(sorted(CUTOFF)))
+    rs = ALGEBRAS[name]
+    level = draw(st.integers(1, 2))
+    theta_v = rs.coroot(rs.highest_roots[0])
+    comarks = [rs.inner(w, theta_v) for w in rs.fundamental_weights]
+    labels = [0] * rs.rank
+    budget = Fraction(level)
+    for i in draw(st.permutations(range(rs.rank))):
+        labels[i] = draw(st.integers(0, int(budget / comarks[i])))
+        budget -= labels[i] * comarks[i]
+    cutoff = draw(st.integers(0, CUTOFF[name]))
+    return name, af.AffineWeight(rs.weight_from_labels(labels), level), cutoff
+
+
+@settings(max_examples=25, deadline=None)
+@given(affine_module())
+def test_composed_route_equals_direct_route_and_fraction_accumulation(case):
+    name, aw, cutoff = case
+    rs = ALGEBRAS[name]
+    gc = af.affine_character(rs, aw, cutoff)
+    bs = af.graded_branch_to_g(rs, aw, cutoff, gc)
+    assert list(bs.entries.items()) == list(layer_decomposition(rs, gc, cutoff).items())
+    recount = [sum(b * weyl_dimension(rs, nu) for (nu, m), b in bs.entries.items() if m == n)
+               for n in range(cutoff + 1)]
+    assert af.q_dimension(rs, aw, cutoff, gc=gc) == recount
+    assert af.q_dimension(rs, aw, cutoff, bs, gc) == recount
+    for s in SPLINTS[name]:
+        got = af.branch_affine_to_subalgebra(rs, s, aw, cutoff, gc)
+        assert got.cutoff == cutoff
+        assert got.entries == af.branch_affine_direct(rs, s, aw, cutoff, gc).entries
+        assert list(got.entries.items()) == list(fraction_keyed_branch(s, bs).items())
+
+
+def test_decomposition_follows_the_cutoff():
+    g2 = ALGEBRAS["G2"]
+    aw = af.AffineWeight(g2.weight_from_labels([1, 0]), 2)
+    gc = af.affine_character(g2, aw, 4)
+    four = af.graded_branch_to_g(g2, aw, 4, gc)
+    assert max(n for _, n in four.entries) == 4
+    two = af.graded_branch_to_g(g2, aw, 2, gc)
+    assert two.cutoff == 2
+    assert two.entries == layer_decomposition(g2, gc, 2)
+    assert af.graded_branch_to_g(g2, aw, 4, gc).entries == four.entries
+
+
+def test_decomposition_follows_the_algebra():
+    # B2 and C2 share their weights and Weyl group but not their modules: the
+    # series kept for B2 must not be served for C2
+    b2, c2 = ALGEBRAS["B2"], build_root_system("C2")
+    aw = af.AffineWeight(zero_vec(b2.dim), 1)
+    gc = af.affine_character(b2, aw, 2)
+    assert af.graded_branch_to_g(b2, aw, 2, gc).entries == layer_decomposition(b2, gc, 2)
+    assert af.graded_branch_to_g(c2, aw, 2, gc).entries == layer_decomposition(c2, gc, 2)
+    assert layer_decomposition(c2, gc, 2) != layer_decomposition(b2, gc, 2)
+
+
+def test_decomposed_character_still_equals_its_twin():
+    b2 = ALGEBRAS["B2"]
+    aw = af.AffineWeight(b2.weight_from_labels([0, 1]), 1)
+    left, right = af.affine_character(b2, aw, 2), af.affine_character(b2, aw, 2)
+    af.graded_branch_to_g(b2, aw, 2, left)
+    assert left == right
+    assert repr(left) == repr(right)
+
+
+def test_branch_via_splint_returns_a_fresh_table():
+    s = find_splint("G2:A2A2")
+    mu = s.ambient.weight_from_labels([1, 1])
+    first = branch_via_splint(s, mu)
+    want = dict(first)
+    first.clear()
+    first[mu] = 99
+    assert branch_via_splint(s, mu) == want
+
+
+def test_splint_tables_keep_the_w_fixed_offset():
+    # mu and mu + (1/3, 1/3, 1/3) have the same A2 labels; the table kept for
+    # the first must not hand its vectors to the second
+    s = find_splint("A2:A1A1A1")
+    mu = s.ambient.weight_from_labels([1, 1])
+    shift = (Fraction(1, 3),) * s.ambient.dim
+    plain = branch_via_splint(s, mu)
+    shifted = branch_via_splint(s, vadd(mu, shift))
+    assert shifted == {vadd(nu, shift): b for nu, b in plain.items()}
+    assert list(branch_via_splint(s, mu).items()) == list(plain.items())

@@ -300,8 +300,9 @@ def test_correspondence_that_is_no_permutation_is_refused(tmp_path, capsys, corr
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(_g2_entry(correspondence=correspondence)))
     splint = ["--splint-file", str(path)]
-    problem = (f"labels (0, 0): correspondence {correspondence} is not a permutation of "
-               "the 2 stem fundamental weights")
+    named = (f"correspondence {correspondence} is not a permutation of the 2 stem "
+             "fundamental weights")
+    problem = f"labels (0, 0): {named}"
     assert run(capsys, "branch", "--weight", "1,0", *splint) == (
         2, "", "configuration error: splint G2:A2A2 is flagged: tilde branching not "
                "applicable\n")
@@ -311,6 +312,26 @@ def test_correspondence_that_is_no_permutation_is_refused(tmp_path, capsys, corr
                "--no-cache", *splint) == (
         2, "", "error: splint G2:A2A2 is flagged: tilde-weight branching not applicable "
                f"({problem})\n")
+    assert run(capsys, "splint", "check", *splint) == (
+        1, f"G2:A2A2: check_splint FAIL\n  problem: {named}\n", "")
+
+
+@pytest.mark.parametrize("doc, problem", [
+    (_g2_entry(correspondence=None), "correspondence must be a list of stem indices, not null"),
+    (_g2_entry(correspondence="01"), 'correspondence must be a list of stem indices, not "01"'),
+    ([_g2_entry()], "the top level of a splint file must be a JSON object"),
+])
+@pytest.mark.parametrize("command", [
+    ["splint", "check"],
+    ["branch", "--weight", "1,0"],
+    ["affine-branch", "--level", "1", "--weight", "0,0", "--grade-max", "0", "--no-cache"],
+])
+def test_malformed_splint_file_is_refused(tmp_path, capsys, doc, problem, command):
+    # a usage error (exit 2) with the problem named, not a TypeError traceback
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *command, "--splint-file", str(path)) == (
+        2, "", f"configuration error: cannot load splint file {path}: {problem}\n")
 
 
 def test_stem_map_missing_a_positive_root_names_it(tmp_path, capsys):

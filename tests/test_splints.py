@@ -115,6 +115,14 @@ def _empty_stem():
     return Splint("hand-built", G2, s.phi1, stem, s.correspondence)
 
 
+def _stem_without_highest_root():
+    # Embedding.__init__ refuses such a map; one edited afterwards must be
+    # reported, not looked up
+    s = find_splint("G2:A2A2")
+    del s.phi2.pos_map[max(s.phi2.pos_map)]
+    return s
+
+
 def _a3_into_g2(s):
     a3 = build_root_system("A3")
     return Embedding(a3, G2, dict(zip(a3.positive_roots, G2.positive_roots)))
@@ -133,6 +141,12 @@ BROKEN_SPLINTS = [
     ("empty-stem", _empty_stem, "stem stem is empty"),
     ("rank-above-ambient", lambda: _subalgebra_from(_a3_into_g2),
      "subalgebra rank exceeds ambient rank"),
+    ("stem-map-misses-a-root", _stem_without_highest_root,
+     "stem: embedding map misses source positive roots [(1, 0, -1)]"),
+    ("correspondence-not-a-permutation",
+     lambda: Splint("hand-built", G2, find_splint("G2:A2A2").phi1,
+                    find_splint("G2:A2A2").phi2, (0,)),
+     "correspondence [0] is not a permutation of the 2 stem fundamental weights"),
     # the short-root A2 as the subalgebra: two short roots add to a long one
     ("subalgebra-not-closed", lambda: _subalgebra_from(lambda s: s.phi2),
      "subalgebra image not closed: (-1, 0, 1) + (0, -1, 1)"),
