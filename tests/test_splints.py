@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from splintbranch.rootsystem import build_root_system, vadd, vneg, zero_vec
@@ -144,8 +146,7 @@ BROKEN_SPLINTS = [
     ("stem-map-misses-a-root", _stem_without_highest_root,
      "stem: embedding map misses source positive roots [(1, 0, -1)]"),
     ("correspondence-not-a-permutation",
-     lambda: Splint("hand-built", G2, find_splint("G2:A2A2").phi1,
-                    find_splint("G2:A2A2").phi2, (0,)),
+     lambda: dataclasses.replace(find_splint("G2:A2A2"), correspondence=(0,)),
      "correspondence [0] is not a permutation of the 2 stem fundamental weights"),
     # the short-root A2 as the subalgebra: two short roots add to a long one
     ("subalgebra-not-closed", lambda: _subalgebra_from(lambda s: s.phi2),
