@@ -4,8 +4,10 @@ Gradings are explicit integer indices (powers of e^{-delta}); delta itself is
 never represented as an ambient vector.  The main route computes the
 numerator as a truncated affine Weyl orbit (finite Weyl group composed with
 coroot-lattice translations) and divides by the truncated denominator layer
-by layer, each division exact in the group ring.  An independent affine
-Freudenthal recursion serves as the oracle for the main route.
+by layer, each division exact in the group ring.  Its oracle,
+`affine_freudenthal`, shares none of the three: it sums the Weyl orbits of
+the dominant weights of the Freudenthal recursion on labels that also builds
+the finite tables (`characters._freudenthal_tables`).
 
 The main route runs on integer codes (`characters.encode`): the numerator
 (`characters._numerator_codes`, shared with the theta sums of `qseries`),
@@ -27,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rootsystem import (RootSystem, Vec, lattice_points_in_ellipsoid, vadd,
-                         vcombine, vneg, vsub, vscale)
-from .characters import (FormalCharacter, _denominator_codes, _divide_by_roots,
-                         _numerator_codes, _split_dominant, code_products, common_denominator,
-                         decode, decompose_character, denominator_layers,
+from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
+from .characters import (_denominator_codes, _divide_by_roots, _freudenthal_tables,
+                         _numerator_codes, _orbit_character, _split_dominant, code_products,
+                         common_denominator, decode, decompose_character, denominator_layers,
                          dominant_multiplicities, encode, rho_pairing, weyl_dimension)
 from .splints import Splint, _branch_codes
 
@@ -142,86 +143,13 @@ def affine_denominator_layers(rs: RootSystem, cutoff: int):
 def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """Weight multiplicities by the affine Freudenthal formula.
 
-    Independent of the orbit/division route: the only shared ingredients are
-    the root data.  Intended for desk-scale oracle duty.
-    """
+    Independent of the orbit/division route: characters._freudenthal_tables
+    runs the recursion on the dominant labels of each grade, and each grade
+    is the sum of their Weyl orbits, as in freudenthal_character."""
     check_affine_dominant(rs, aw)
-    k = aw.level
-    K = k + rs.dual_coxeter[0]
-    mu, rho = aw.finite, rs.rho
-    theta = rs.highest_roots[0]
-    mu_rho = vadd(mu, rho)
-    top = rs.inner(mu_rho, mu_rho)
-
-    # candidate finite parts per grade: lattice ball + positivity cone
-    tables: list[dict[Vec, int]] = []
-    simple_gram = [[rs.inner(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    theta_coeffs = rs.simple_coefficients(theta)
-    center = rs.basis_coordinates(rs.simple_roots, mu_rho)
-    for n in range(cutoff + 1):
-        bound = top + 2 * K * n
-        cands = []
-        for coeffs in lattice_points_in_ellipsoid(simple_gram, center, bound):
-            cone = [n * tc - c for tc, c in zip(theta_coeffs, coeffs)]
-            if any(x < 0 for x in cone):
-                continue
-            cands.append((sum(cone), vcombine(mu, coeffs, rs.simple_roots)))
-        cands.sort(key=lambda t: (t[0], t[1]))
-        table: dict[Vec, int] = {}
-        for depth, lam in cands:
-            m = _affine_freudenthal_mult(rs, mu, lam, n, k, K, top, theta, tables, table)
-            if m:
-                table[lam] = m
-        tables.append(table)
-    return GradedCharacter(cutoff, [FormalCharacter(table) for table in tables])
-
-
-def _affine_freudenthal_mult(rs, mu, lam, n, k, K, top, theta, tables, current):
-    if n == 0 and lam == mu:
-        return 1
-    rho = rs.rho
-    lam_rho = vadd(lam, rho)
-    denom = top - rs.inner(lam_rho, lam_rho) + 2 * K * n
-    if denom <= 0:
-        return 0
-    acc = Fraction(0)
-    mu_coeffs = rs.simple_coefficients(vsub(mu, lam))
-    theta_coeffs = rs.simple_coefficients(theta)
-    # real roots at grade shift 0 (alpha positive): weights higher in this layer
-    for a in rs.positive_roots:
-        a_coeffs = rs.simple_coefficients(a)
-        j = 1
-        while True:
-            cone = [mu_coeffs[i] + n * theta_coeffs[i] - j * a_coeffs[i]
-                    for i in range(rs.rank)]
-            if any(x < 0 for x in cone):
-                break
-            w = vadd(lam, vscale(a, j))
-            m = current.get(w, 0)
-            if m:
-                acc += m * rs.inner(w, a)
-            j += 1
-    # real roots at grade shifts s >= 1 (alpha over the whole root set)
-    for s in range(1, n + 1):
-        for a in list(rs.roots):
-            j = 1
-            while n - j * s >= 0:
-                w = vadd(lam, vscale(a, j))
-                m = tables[n - j * s].get(w, 0)
-                if m:
-                    acc += m * (rs.inner(w, a) + k * s)
-                j += 1
-        # imaginary roots s*delta with multiplicity rank
-        j = 1
-        while n - j * s >= 0:
-            m = tables[n - j * s].get(lam, 0)
-            if m:
-                acc += rs.rank * m * k * s
-            j += 1
-    val = 2 * acc / denom
-    if val.denominator != 1 or val < 0:
-        raise AssertionError(f"affine Freudenthal produced invalid multiplicity {val}")
-    return int(val)
+    top, offset = _split_dominant(rs, aw.finite)
+    return GradedCharacter(cutoff, [_orbit_character(rs, aw.finite, offset, table) for table
+                                    in _freudenthal_tables(rs, top, aw.level, cutoff)])
 
 
 # ---------------------------------------------------------------------------

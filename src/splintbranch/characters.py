@@ -7,9 +7,10 @@ formula is implemented independently as exact group-ring division, so the
 two routes cross-check each other.
 
 Inside, everything runs on ints and touches Fractions only at its edges.
-Freudenthal runs on Dynkin labels (`RootSystem.label_data`): the dominant
-weights come from a descent from mu through dominant weights, the root-string
-sums use the integer form, and the table of each module is cached on labels.
+One Freudenthal recursion (`_freudenthal_tables`) runs on Dynkin labels
+(`RootSystem.label_data`) grade by grade, on dominant weights only: its grade
+0 is the table of a finite module, cached on labels (`_dominant_table`), and
+its grades make the affine oracle `affine.affine_freudenthal`.
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product loop
 (`add_product`, behind `code_products` and `denominator_layers`, which
@@ -35,7 +36,7 @@ import itertools
 import math
 import threading
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator, vneg, vsub,
                          zero_vec)
@@ -468,17 +469,17 @@ _dominant_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _dominant_table(rs: RootSystem, top: tuple) -> list:
-    """[(labels, simple coefficients of top - labels, multiplicity)] for the
-    dominant weights of L(top) (int labels), in descent order, highest
-    weight first; cached.  Freudenthal recursion on labels."""
-    key = (rs.name, top)
-    hit = _dominant_cache.get(key)
-    if hit is not None:
-        return hit
-
+def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> list:
+    """Per grade n = 0..cutoff of the module of highest weight top (int labels)
+    at `level`, the rows (labels, simple coefficients of apex - labels,
+    multiplicity) of its dominant weights of nonzero multiplicity, in descent
+    order from the apex top + n theta; grades n > 0 need a simple algebra.
+    Affine Freudenthal (Kac, Infinite-dimensional Lie algebras, 3rd ed.,
+    11.14): a weight w on a string counts with the multiplicity of its dominant
+    representative, in grade n for alpha > 0, n - j s for alpha + s delta and
+    s delta, until w + rho leaves the ball of its grade (Kac, Prop. 11.4)."""
     ld = rs.label_data
-    form = ld.form
+    form, fd = ld.form, ld.form_den
 
     def norm(x):         # (x, x) * form_den
         return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
@@ -487,44 +488,79 @@ def _dominant_table(rs: RootSystem, top: tuple) -> list:
     for a, c in ld.positive:
         fa = tuple(sum(map(mul, row, a)) for row in form)
         roots.append((a, c, fa, sum(map(mul, a, fa))))
-    top_sq = norm(tuple(m + 1 for m in top))
+    signed = []          # the alpha of alpha + s delta, and rank zero roots for s delta
+    if cutoff:
+        signed = [(x, fx, aa) for a, _, fa, aa in roots
+                  for x, fx in ((a, fa), (tuple(map(neg, a)), tuple(map(neg, fa))))]
+        signed += [((0,) * rs.rank, (0,) * rs.rank, 0)] * rs.rank
+        theta, step = ld.positive[-1][0], 2 * (level + rs.dual_coxeter[0]) * fd
+    bound, apex = norm(tuple(m + 1 for m in top)), top    # the ball of grade n
     dominant: dict = {}  # labels of w -> labels of its dominant representative
+    tables, mults = [], []
+    for n in range(cutoff + 1):
+        if n:
+            apex, bound = tuple(map(add, apex, theta)), bound + step
+        rows = _dominant_descent(ld, apex)
+        # L(top) holds top once and every dominant weight below it; a higher
+        # grade starts its descent from an apex that need not be a weight
+        table, mult, least = ([rows[0] + (1,)], {top: 1}, 1) if not n else ([], {}, 0)
+        mults.append(mult)
+        for nu, depth_coeffs in rows[len(table):]:
+            nu_rho = tuple(m + 1 for m in nu)
+            nu_sq = norm(nu_rho)
+            denom = bound - nu_sq
+            if denom <= 0:
+                continue
+            acc = 0
+            for a, c, fa, aa in roots:
+                # alpha-string above nu: w = nu + j alpha while apex - w stays in
+                # the positive root cone and w + rho in the ball
+                j_cone = min(k // ci for k, ci in zip(depth_coeffs, c) if ci)
+                p = sum(map(mul, nu_rho, fa))
+                q = sum(map(mul, nu, fa))
+                w = nu
+                for j in range(1, j_cone + 1):
+                    if nu_sq + j * (2 * p + j * aa) > bound:
+                        break
+                    w = tuple(map(add, w, a))
+                    dom = dominant.get(w)
+                    if dom is None:
+                        dom = dominant[w] = rs.dominant_labels(w)[0]
+                    m = mult.get(dom, 0)
+                    if m:
+                        acc += m * (q + j * aa)
+            for a, fa, aa in signed:
+                # w = nu + j alpha at grade n - j s while w + rho stays in its ball
+                p = sum(map(mul, nu_rho, fa))
+                q = sum(map(mul, nu, fa))
+                w = nu
+                for j in range(1, n + 1):
+                    w = tuple(map(add, w, a))
+                    excess = nu_sq + j * (2 * p + j * aa) - bound
+                    for s in range(1, n // j + 1):
+                        if excess + j * s * step > 0:
+                            break
+                        m = mults[n - j * s].get(rs.dominant_labels(w)[0], 0)
+                        if m:
+                            acc += m * (q + j * aa + level * s * fd)
+            val, r = divmod(2 * acc, denom)
+            if r or val < least:
+                raise AssertionError("Freudenthal produced invalid multiplicity "
+                                     f"{Fraction(2 * acc, denom)}")
+            if val:
+                mult[nu] = val
+                table.append((nu, depth_coeffs, val))
+        tables.append(table)
+    return tables
 
-    table = []
-    mult: dict = {}
-    for nu, depth_coeffs in _dominant_descent(ld, top):
-        if not any(depth_coeffs):
-            mult[nu] = 1
-            table.append((nu, depth_coeffs, 1))
-            continue
-        nu_rho = tuple(m + 1 for m in nu)
-        nu_sq = norm(nu_rho)
-        denom = top_sq - nu_sq
-        acc = 0
-        for a, c, fa, aa in roots:
-            # alpha-string above nu: w = nu + j alpha while mu - w stays in the
-            # positive root cone and (w + rho)^2 <= (mu + rho)^2
-            j_cone = min(k // ci for k, ci in zip(depth_coeffs, c) if ci)
-            p = sum(map(mul, nu_rho, fa))
-            q = sum(map(mul, nu, fa))
-            w = nu
-            for j in range(1, j_cone + 1):
-                if nu_sq + j * (2 * p + j * aa) > top_sq:
-                    break
-                w = tuple(map(add, w, a))
-                dom = dominant.get(w)
-                if dom is None:
-                    dom = dominant[w] = rs.dominant_labels(w)[0]
-                m = mult.get(dom, 0)
-                if m:
-                    acc += m * (q + j * aa)
-        val, r = divmod(2 * acc, denom)
-        if r or val <= 0:
-            raise AssertionError("Freudenthal produced non-positive multiplicity "
-                                 f"{Fraction(2 * acc, denom)}")
-        mult[nu] = val
-        table.append((nu, depth_coeffs, val))
 
+def _dominant_table(rs: RootSystem, top: tuple) -> list:
+    """The rows of _freudenthal_tables for the dominant weights of the finite
+    module L(top) (int labels), highest weight first; cached."""
+    key = (rs.name, top)
+    if (hit := _dominant_cache.get(key)) is not None:
+        return hit
+    (table,) = _freudenthal_tables(rs, top, 0, 0)
     with _cache_lock:
         _dominant_cache[key] = table
     return table
@@ -562,16 +598,21 @@ def _dominant_descent(ld, mu):
     return sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
 
 
-def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
-    """Full weight system of L^mu with exact multiplicities: the orbit of each
-    dominant weight, in table order and sorted by weight, decoded once."""
-    top, offset = _split_dominant(rs, mu)
+def _orbit_character(rs: RootSystem, mu: Vec, offset, table) -> FormalCharacter:
+    """The orbits of the rows (labels, _, multiplicity) of a table with the
+    W-fixed offset of mu, in table order and each sorted by weight."""
     den = common_denominator(rs.fundamental_weights + (mu,))
     fw = [encode(w, den) for w in rs.fundamental_weights]
     off = encode(offset or zero_vec(rs.dim), den)
     # sorted by weight: codes are -(coordinates x den)
-    return decode({code: m for nu, _, m in _dominant_table(rs, top)
+    return decode({code: m for nu, _, m in table
                    for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}, den)
+
+
+def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
+    """Full weight system of L^mu with exact multiplicities (_orbit_character)."""
+    top, offset = _split_dominant(rs, mu)
+    return _orbit_character(rs, mu, offset, _dominant_table(rs, top))
 
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:

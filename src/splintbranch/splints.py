@@ -191,29 +191,59 @@ def check_splint(s: Splint) -> Report:
 # catalog
 
 
-def _parse_embedding(entry, ambient: RootSystem) -> Embedding:
-    src = build_root_system(entry["source"])
+def _field(ok: bool, what: str, value):
+    """value, or a ValueError naming the malformed field and its value."""
+    if not ok:
+        raise ValueError(f"{what}, not {json.dumps(value)}")
+    return value
+
+
+def _algebra(entry: dict, key: str, what: str) -> RootSystem:
+    name = entry.get(key)
+    return build_root_system(_field(isinstance(name, str), f"{what} must be an algebra name",
+                                    name))
+
+
+def _exact_list(xs, n: int, kinds) -> bool:
+    """xs is a list of n values of `kinds`, bools excluded."""
+    return (isinstance(xs, list) and len(xs) == n
+            and all(isinstance(x, kinds) and not isinstance(x, bool) for x in xs))
+
+
+def _parse_embedding(entry, ambient: RootSystem, part: str) -> Embedding:
+    _field(isinstance(entry, dict), f"{part} must be a JSON object", entry)
+    src = _algebra(entry, "source", f"{part} source")
+    pairs = entry.get("map")
+    _field(isinstance(pairs, list), f"{part} map must be a list of [coefficients, image] "
+           "entries", pairs)
     pos_map = {}
-    for coeffs, img in entry["map"]:
+    for pair in pairs:
+        _field(isinstance(pair, list) and len(pair) == 2 and _exact_list(pair[0], src.rank, int)
+               and _exact_list(pair[1], ambient.dim, (int, str)),
+               f"{part} map entry must be [{src.rank} simple coefficients, "
+               f"{ambient.dim} coordinates]", pair)
+        coeffs, img = pair
         root = vcombine(zero_vec(src.dim), coeffs, src.simple_roots)
         if not src.is_root(root):
-            raise ValueError(f"catalog: {coeffs} is not a root of {src.name}")
+            raise ValueError(f"{part} map: {coeffs} is not a root of {src.name}")
         pos_map[root] = tuple(Fraction(x) for x in img)
     return Embedding(src, ambient, pos_map)
 
 
 def splint_from_dict(entry, verify: bool = True) -> Splint:
+    """The splint of a catalog or file entry; a malformed entry raises
+    ValueError naming the field, so that no shape error reaches the math."""
     if not isinstance(entry, dict):
         raise ValueError("the top level of a splint file must be a JSON object")
-    if not isinstance(entry.get("correspondence", []), list):
-        raise ValueError("correspondence must be a list of stem indices, not "
-                         f"{json.dumps(entry['correspondence'])}")
-    ambient = build_root_system(entry["ambient"])
+    _field(isinstance(entry.get("name"), str), "name must be a string", entry.get("name"))
+    _field(isinstance(entry.get("correspondence", []), list),
+           "correspondence must be a list of stem indices", entry.get("correspondence"))
+    ambient = _algebra(entry, "ambient", "ambient")
     s = Splint(
         name=entry["name"],
         ambient=ambient,
-        phi1=_parse_embedding(entry["subalgebra"], ambient),
-        phi2=_parse_embedding(entry["stem"], ambient),
+        phi1=_parse_embedding(entry.get("subalgebra"), ambient, "subalgebra"),
+        phi2=_parse_embedding(entry.get("stem"), ambient, "stem"),
         correspondence=tuple(entry["correspondence"]),
     )
     if verify:

@@ -78,6 +78,30 @@ def test_level_one_vacuum_zero_string_is_frenkel_kac(name, cutoff):
         inverse_euler_power(rs.rank, cutoff)
 
 
+@pytest.mark.parametrize("name,cutoff", [("A5", 3), ("D6", 3), ("E6", 3), ("E7", 2), ("E8", 2)])
+def test_affine_freudenthal_level_one_vacuum_is_frenkel_kac(name, cutoff):
+    # the recursion walks dominant weights only, so it reaches E7 and E8,
+    # whose orbits the Weyl-Kac numerator refuses
+    rs = build_root_system(name)
+    zero = zero_vec(rs.dim)
+    gc = af.affine_freudenthal(rs, af.AffineWeight(zero, 1), cutoff)
+    assert [gc.layers[n].get(zero) for n in range(cutoff + 1)] == \
+        inverse_euler_power(rs.rank, cutoff)
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4", "F4"])
+def test_affine_freudenthal_equals_affine_character_rank_four(name):
+    # level 1: the vacuum and every fundamental weight of comark 1
+    rs = build_root_system(name)
+    theta_v = rs.coroot(rs.highest_roots[0])
+    weights = [zero_vec(rs.dim)] + [w for w in rs.fundamental_weights
+                                    if rs.inner(w, theta_v) == 1]
+    for mu in weights:
+        aw = af.AffineWeight(mu, 1)
+        assert af.affine_freudenthal(rs, aw, 2).layers == \
+            af.affine_character(rs, aw, 2).layers, rs.dynkin_labels(mu)
+
+
 @pytest.mark.parametrize("level,labels,cutoff", [
     (1, [0], 4), (1, [1], 4), (2, [0], 4), (2, [2], 3),
 ])

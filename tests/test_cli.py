@@ -316,10 +316,30 @@ def test_correspondence_that_is_no_permutation_is_refused(tmp_path, capsys, corr
         1, f"G2:A2A2: check_splint FAIL\n  problem: {named}\n", "")
 
 
+def _g2_stem(**changes):
+    stem = _g2_entry()["stem"]
+    return _g2_entry(stem=dict(stem, **changes))
+
+
+def _g2_stem_first_entry(entry):
+    return _g2_stem(map=[entry] + _g2_entry()["stem"]["map"][1:])
+
+
+STEM_ENTRY = "stem map entry must be [2 simple coefficients, 3 coordinates], not "
+
+
 @pytest.mark.parametrize("doc, problem", [
     (_g2_entry(correspondence=None), "correspondence must be a list of stem indices, not null"),
     (_g2_entry(correspondence="01"), 'correspondence must be a list of stem indices, not "01"'),
     ([_g2_entry()], "the top level of a splint file must be a JSON object"),
+    (_g2_stem(map=None), "stem map must be a list of [coefficients, image] entries, not null"),
+    (_g2_stem_first_entry([1, 2]), STEM_ENTRY + "[1, 2]"),
+    (_g2_stem(source=5), "stem source must be an algebra name, not 5"),
+    (_g2_entry(ambient=None), "ambient must be an algebra name, not null"),
+    # coefficient lists longer or shorter than the source rank (A2: 2)
+    (_g2_stem_first_entry([[1, 0, 0], [1, -1, 0]]), STEM_ENTRY + "[[1, 0, 0], [1, -1, 0]]"),
+    (_g2_stem_first_entry([[1], [1, -1, 0]]), STEM_ENTRY + "[[1], [1, -1, 0]]"),
+    (_g2_stem_first_entry([[2, 0], [1, -1, 0]]), "stem map: [2, 0] is not a root of A2"),
 ])
 @pytest.mark.parametrize("command", [
     ["splint", "check"],

@@ -88,8 +88,9 @@ def fraction_weyl_dimension(rs, mu):
 # ---------------------------------------------------------------------------
 # affine characters on codes == affine Freudenthal
 
-# the oracle takes 1-18 s per rank-3 module at cutoff 2, so A3 and C3 stop at 1
-AFFINE_CUTOFF = {"A1": 2, "A2": 2, "B2": 2, "G2": 2, "A3": 1, "C3": 1}
+# both routes take a few milliseconds per draw up to these cutoffs, so the
+# rank-3 algebras reach grade 2
+AFFINE_CUTOFF = {"A1": 4, "A2": 3, "B2": 3, "G2": 3, "A3": 2, "B3": 2, "C3": 2}
 
 
 @st.composite
