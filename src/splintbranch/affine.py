@@ -22,18 +22,22 @@ Each character is decomposed into horizontal modules once: the series of
 cutoff, and `q_dimension` and `branch_affine_to_subalgebra` read it there.
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
+The multiplicity matrix reads the finite label tables: its basis is listed on
+Dynkin labels (`_labels_up_to`), and column j holds the rows of
+`characters._dominant_table` for the j-th labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
-from .characters import (_denominator_codes, _divide_by_roots, _freudenthal_tables,
-                         _numerator_codes, _orbit_character, _split_dominant, code_products,
-                         common_denominator, decode, decompose_character, denominator_layers,
-                         dominant_multiplicities, encode, rho_pairing, weyl_dimension)
+from .characters import (_denominator_codes, _divide_by_roots, _dominant_table,
+                         _freudenthal_tables, _numerator_codes, _orbit_character,
+                         _split_dominant, code_products, common_denominator, decode,
+                         decompose_character, encode, rho_pairing, weyl_dimension)
 from .splints import Splint, _branch_codes
 
 
@@ -45,14 +49,10 @@ class AffineWeight:
     grade: int = 0
 
 
-def _require_simple(rs: RootSystem):
-    if len(rs.factors) != 1:
-        raise ValueError("affine operations require a simple ambient algebra")
-
-
 def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
     """Dominant integral highest weight at its level: (mu, theta^v) <= k."""
-    _require_simple(rs)
+    if len(rs.factors) != 1:
+        raise ValueError("affine operations require a simple ambient algebra")
     _split_dominant(rs, aw.finite)
     if aw.level < 0:
         raise ValueError("level must be a nonnegative integer")
@@ -118,22 +118,6 @@ def check_highest_weight(gc: GradedCharacter, aw: AffineWeight):
     """The grade-0 layer of L^{mu^} holds mu exactly once."""
     if gc.layers[0].get(aw.finite) != 1:
         raise AssertionError("highest weight missing from grade-0 layer")
-
-
-def denominator_orbit_sum(rs: RootSystem, cutoff: int):
-    """Truncated alternating affine orbit of rho^ (the Weyl-Kac denominator
-    numerator at mu = 0); equals the affine denominator product layerwise."""
-    _require_simple(rs)
-    den = common_denominator(rs.fundamental_weights)
-    fw = [encode(w, den) for w in rs.fundamental_weights]
-    layers = _numerator_codes(rs, rs.rho, rs.dual_coxeter[0], cutoff, fw,
-                              encode(vneg(rs.rho), den))
-    return [decode(layer, den) for layer in layers]
-
-
-def affine_denominator_layers(rs: RootSystem, cutoff: int):
-    _require_simple(rs)
-    return denominator_layers(rs.positive_roots, rs.rank, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +197,34 @@ class MultiplicityMatrix:
     mat: list            # mat[i][j] = multiplicity of basis[i] in L^{basis[j]}
 
 
+def _labels_up_to(rs: RootSystem, bound) -> list:
+    """Dynkin labels of the dominant integral xi with (rho, xi) <= bound,
+    sorted by ((rho, xi), labels).  (rho, omega_i) scaled by form_den is the
+    i-th row sum of the integer form, so the costs are ints."""
+    ld = rs.label_data
+    top = math.floor(Fraction(bound) * ld.form_den)
+    rows = [(0, ())]
+    for cost in map(sum, ld.form):
+        rows = [(s + m * cost, lbl + (m,)) for s, lbl in rows
+                for m in range((top - s) // cost + 1)]
+    return [lbl for _, lbl in sorted(rows)]
+
+
 def dominant_weights_up_to(rs: RootSystem, bound: Fraction):
     """Dominant integral xi with (rho, xi) <= bound, in matrix order."""
-    costs = [rs.inner(rs.rho, w) for w in rs.fundamental_weights]
-    out = []
-    labels = [0] * rs.rank
-
-    def rec(i, remaining):
-        if i == rs.rank:
-            out.append(tuple(labels))
-            return
-        c = 0
-        while c * costs[i] <= remaining:
-            labels[i] = c
-            rec(i + 1, remaining - c * costs[i])
-            c += 1
-        labels[i] = 0
-
-    rec(0, Fraction(bound))
-    keyed = [(sum(m * c for m, c in zip(lbl, costs)), lbl) for lbl in out]
-    keyed.sort()
-    return [rs.weight_from_labels(lbl) for _, lbl in keyed]
+    return [w for w, _ in rs.from_labels((lbl, None) for lbl in _labels_up_to(rs, bound))]
 
 
 def multiplicity_matrix(rs: RootSystem, bound) -> MultiplicityMatrix:
-    basis = dominant_weights_up_to(rs, Fraction(bound))
-    index = {v: i for i, v in enumerate(basis)}
-    n = len(basis)
+    """m^{(xi)}_nu over the dominant xi with (rho, xi) <= bound: column j is
+    read from the rows of _dominant_table for the j-th basis labels, and the
+    basis weights are built once, at the end."""
+    labels = _labels_up_to(rs, bound)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    n = len(labels)
     mat = [[0] * n for _ in range(n)]
-    for j, xi in enumerate(basis):
-        for nu, m in dominant_multiplicities(rs, xi).items():
+    for j, top in enumerate(labels):
+        for nu, _, m in _dominant_table(rs, top):
             i = index.get(nu)
             if i is not None:
                 mat[i][j] = m
@@ -252,7 +234,7 @@ def multiplicity_matrix(rs: RootSystem, bound) -> MultiplicityMatrix:
         for j in range(i):
             if mat[i][j]:
                 raise AssertionError("multiplicity matrix is not unitriangular")
-    return MultiplicityMatrix(basis, mat)
+    return MultiplicityMatrix([w for w, _ in rs.from_labels((lbl, None) for lbl in labels)], mat)
 
 
 def invert_unitriangular(mat):

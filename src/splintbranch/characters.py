@@ -9,8 +9,9 @@ two routes cross-check each other.
 Inside, everything runs on ints and touches Fractions only at its edges.
 One Freudenthal recursion (`_freudenthal_tables`) runs on Dynkin labels
 (`RootSystem.label_data`) grade by grade, on dominant weights only: its grade
-0 is the table of a finite module, cached on labels (`_dominant_table`), and
-its grades make the affine oracle `affine.affine_freudenthal`.
+0 is the table of a finite module, cached on labels (`_dominant_table`, also
+the columns of `affine.multiplicity_matrix`), and its grades make the affine
+oracle `affine.affine_freudenthal`.
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product loop
 (`add_product`, behind `code_products` and `denominator_layers`, which
@@ -124,17 +125,6 @@ class FormalCharacter:
         (out,) = code_products([({}, [({encode(v, den): c for v, c in self.terms.items()},
                                        {encode(v, den): c for v, c in other.terms.items()})])])
         return decode(out, den)
-
-    def map_support(self, fn):
-        out = FormalCharacter()
-        for v, c in self.terms.items():
-            u = fn(v)
-            n = out.terms.get(u, 0) + c
-            if n:
-                out.terms[u] = n
-            else:
-                del out.terms[u]
-        return out
 
     def __repr__(self):
         parts = [f"{c}*e{tuple(map(str, v))}" for v, c in sorted(self.terms.items())]

@@ -44,16 +44,20 @@ class ConfigError(Exception):
 # configuration
 
 
-def _parse_labels(text, rank):
+def _parse_labels(text, rank, errors):
+    """The Dynkin labels of --weight, or None with the problem added to errors."""
     try:
         labels = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--weight expects comma-separated integers, got {text!r}")
+        errors.append(f"--weight expects comma-separated integers, got {text!r}")
+        return None
     if len(labels) != rank:
-        raise ConfigError(f"--weight needs {rank} Dynkin labels, got {len(labels)}")
-    if any(m < 0 for m in labels):
-        raise ConfigError(f"--weight labels must be nonnegative, got {labels}")
-    return labels
+        errors.append(f"--weight needs {rank} Dynkin labels, got {len(labels)}")
+    elif any(m < 0 for m in labels):
+        errors.append(f"--weight labels must be nonnegative, got {labels}")
+    else:
+        return labels
+    return None
 
 
 def _load_algebra(args, errors):
@@ -314,7 +318,8 @@ def cmd_branch(args):
     if rs is not None and getattr(args, "weight", None) is None:
         errors.append("--weight is required")
     _require(errors)
-    labels = _parse_labels(args.weight, rs.rank)
+    labels = _parse_labels(args.weight, rs.rank, errors)
+    _require(errors)
     mu = rs.weight_from_labels(labels)
     status = s.branching_status()
     if not status.passed:
@@ -348,16 +353,20 @@ def cmd_branch(args):
 
 
 def _affine_inputs(args, errors, rs):
-    if rs is None:
-        return None, None
-    if getattr(args, "weight", None) is None:
-        errors.append("--weight is required")
-        return None, None
-    if getattr(args, "level", None) is None:
-        errors.append("--level is required")
-        return None, None
-    labels = _parse_labels(args.weight, rs.rank)
+    """(labels, aw) of --weight and --level, or (None, None); every problem
+    found is added to errors.  The bounds are always checked, and a refused
+    level is not checked again as a highest weight."""
+    labels = None
+    if rs is not None:
+        if args.weight is None:
+            errors.append("--weight is required")
+        elif args.level is None:
+            errors.append("--level is required")
+        else:
+            labels = _parse_labels(args.weight, rs.rank, errors)
     _check_bounds(args, errors, "level", "grade_max")
+    if labels is None or args.level < 0:
+        return None, None
     aw = af.AffineWeight(rs.weight_from_labels(labels), args.level)
     try:
         af.check_affine_dominant(rs, aw)

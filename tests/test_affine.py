@@ -1,8 +1,9 @@
+import itertools
 import pytest
 from fractions import Fraction
 
 from splintbranch.rootsystem import build_root_system, zero_vec
-from splintbranch.characters import dominant_multiplicities
+from splintbranch.characters import FormalCharacter, dominant_multiplicities
 from splintbranch import affine as af
 from splintbranch.splints import find_splint
 
@@ -130,7 +131,7 @@ def test_layers_are_weyl_invariant():
     gc = af.affine_character(A1, aw, 3)
     a = A1.simple_roots[0]
     for layer in gc.layers:
-        assert layer.map_support(lambda v: A1.reflect(v, a)) == layer
+        assert FormalCharacter((A1.reflect(v, a), c) for v, c in layer.items()) == layer
 
 
 def test_graded_branch_and_weight_multiplicity_relation():
@@ -192,6 +193,29 @@ def test_multiplicity_matrix_a1():
     prod = [[sum(inv[i][l] * mm.mat[l][j] for l in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("A2", 12), ("A2", Fraction(19, 2)), ("B2", 12), ("B2", Fraction(21, 2)),
+    ("G2", 16), ("G2", Fraction(25, 2)), ("A3", 9), ("A3", Fraction(17, 2)),
+    ("B3", 12), ("B3", Fraction(19, 2)), ("C3", 9), ("C3", Fraction(17, 2)),
+    ("A4", 9), ("A4", Fraction(15, 2)), ("D4", 12), ("D4", Fraction(19, 2)),
+    ("F4", 16), ("F4", Fraction(23, 2))], ids=str)
+def test_multiplicity_matrix_against_independent_build(name, bound):
+    rs = build_root_system(name)
+    # the basis is a brute-force filter of a label box, in matrix order
+    costs = [rs.inner(rs.rho, w) for w in rs.fundamental_weights]
+    side = int(bound / min(costs)) + 1
+    box = [(rs.inner(rs.rho, rs.weight_from_labels(lbl)), lbl)
+           for lbl in itertools.product(range(side), repeat=rs.rank)]
+    want = [rs.weight_from_labels(lbl) for key, lbl in sorted(box) if key <= bound]
+    assert af.dominant_weights_up_to(rs, bound) == want
+    # each column is the dominant character of its basis weight, read by weight
+    mm = af.multiplicity_matrix(rs, bound)
+    assert mm.basis == want
+    for j, xi in enumerate(mm.basis):
+        column = dominant_multiplicities(rs, xi)
+        assert [row[j] for row in mm.mat] == [column.get(nu, 0) for nu in mm.basis]
 
 
 def test_invert_unitriangular_validation():

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splintbranch import affine as af
-from splintbranch.characters import FormalCharacter, divide_exact, weyl_denominator
+from splintbranch.characters import (FormalCharacter, denominator_layers, divide_exact,
+                                     weyl_denominator)
 from splintbranch.rootsystem import build_root_system, vadd, vneg, vscale, zero_vec
 from splintbranch.splints import find_splint
 
@@ -100,7 +101,7 @@ def items(layers):
 @pytest.mark.parametrize("name,cutoff", sorted(DENOMINATOR))
 def test_denominator_layers_round_trip(name, cutoff):
     rs = build_root_system(name)
-    got = af.denominator_layers(rs.positive_roots, rs.rank, cutoff)
+    got = denominator_layers(rs.positive_roots, rs.rank, cutoff)
     assert items(got) == items(fraction_denominator_layers(rs.positive_roots, rs.rank,
                                                            cutoff))
     assert [digest(fc) for fc in got] == DENOMINATOR[(name, cutoff)]
@@ -110,7 +111,7 @@ def test_denominator_layers_round_trip(name, cutoff):
 def test_stem_denominator_layers_round_trip(stem):
     phi = getattr(find_splint("G2:A2A2"), stem)
     images = list(phi.pos_map.values())
-    got = af.denominator_layers(images, phi.source.rank, 6)
+    got = denominator_layers(images, phi.source.rank, 6)
     assert items(got) == items(fraction_denominator_layers(images, phi.source.rank, 6))
     assert [digest(fc) for fc in got] == STEMS[stem]
 
@@ -121,7 +122,7 @@ def test_affine_character_and_divide_exact_round_trip(name, labels, cutoff):
     aw = af.AffineWeight(rs.weight_from_labels(labels), 1)
     gc = af.affine_character(rs, aw, cutoff)
     assert [digest(fc) for fc in gc.layers] == CHARACTERS[(name, labels, cutoff)]
-    den0 = af.denominator_layers(rs.positive_roots, rs.rank, 0)[0]
+    den0 = denominator_layers(rs.positive_roots, rs.rank, 0)[0]
     for layer in gc.layers:
         quotient = divide_exact(layer * den0, den0, rs)
         assert list(quotient.terms.items()) == list(layer.terms.items())

@@ -122,13 +122,17 @@ def test_denominator_product_small():
         alpha: -1, tuple(-2 * x for x in alpha): 1}
 
 
-@pytest.mark.parametrize("name,cutoff", [("A1", 6), ("A2", 6), ("G2", 4)])
+@pytest.mark.parametrize("name,cutoff", [("A1", 6), ("A2", 6), ("G2", 4), ("B2", 4),
+                                         ("A3", 3), ("B3", 2), ("C3", 2), ("D4", 1)])
 def test_weyl_kac_denominator_identity(name, cutoff):
+    # the level-0 vacuum divides the alternating affine orbit of rho at level
+    # h^v (the Weyl-Kac numerator at mu = 0) by the affine denominator product,
+    # grade by grade and exactly: its character is 1 iff the two agree at
+    # every grade up to the cutoff
     rs = build_root_system(name)
-    orbit = af.denominator_orbit_sum(rs, cutoff)
-    product = af.affine_denominator_layers(rs, cutoff)
-    for n in range(cutoff + 1):
-        assert orbit[n] == product[n], f"grade {n}"
+    gc = af.affine_character(rs, af.AffineWeight(zero_vec(rs.dim), 0), cutoff)
+    one = FormalCharacter.monomial(zero_vec(rs.dim))
+    assert gc.layers == [one] + [FormalCharacter()] * cutoff
 
 
 @pytest.mark.parametrize("name", ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1"])

@@ -37,6 +37,12 @@ A1_LEVEL_1 = ["--algebra", "A1", "--level", "1"]
      "'no-such-splint.json'"),
     (["strings", "--algebra", "A1", "--level", "0", "--weight", "1"],
      "(mu, theta^v) = 1 exceeds level 0"),
+    # a refused level is reported once, not again as a highest weight
+    (["qdim", "--algebra", "A1", "--level", "-1", "--weight", "0", "--grade-max", "1"],
+     "--level must be >= 0"),
+    # a refused weight does not hide the bound checks
+    (["qdim", "--algebra", "A2", "--level", "1", "--weight", "1,2,3", "--grade-max", "-1"],
+     "--weight needs 2 Dynkin labels, got 3; --grade-max must be >= 0"),
 ])
 def test_cli_refuses_outside_input(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -64,7 +64,8 @@ def per_weyl_element_sum(src, push, cutoff, drop_last=False):
         for wrho, sign in orbit:
             shift = vscale(wrho, Fraction(1, hvee))
             acc = fraction_lattice_sum(frs, basis, shift, hvee, cutoff)
-            terms = {e: fc.map_support(inject).scale(sign) for e, fc in acc.items()}
+            terms = {e: FormalCharacter((inject(v), sign * c) for v, c in fc.items())
+                     for e, fc in acc.items()}
             factor_sum = factor_sum + qs.QSeries(terms, cutoff)
         out = out * factor_sum
     return out
