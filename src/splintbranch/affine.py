@@ -1,7 +1,8 @@
 """Truncated characters of untwisted affine Lie algebra modules.
 
 Gradings are explicit integer indices (powers of e^{-delta}); delta itself is
-never represented as an ambient vector.  The main route computes the
+never represented as an ambient vector, and an `AffineWeight` is a highest
+weight (finite part, level) at grade 0.  The main route computes the
 numerator as a truncated affine Weyl orbit (finite Weyl group composed with
 coroot-lattice translations) and divides by the truncated denominator layer
 by layer, each division exact in the group ring.  Its oracle,
@@ -43,10 +44,9 @@ from .splints import Splint, _branch_codes
 
 @dataclass(frozen=True)
 class AffineWeight:
-    """Affine weight (finite part, level, grade); grade counts e^{-delta}."""
+    """Highest weight (finite part, level) of an affine module, at grade 0."""
     finite: Vec
     level: int
-    grade: int = 0
 
 
 def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
@@ -56,8 +56,6 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
     _split_dominant(rs, aw.finite)
     if aw.level < 0:
         raise ValueError("level must be a nonnegative integer")
-    if aw.grade != 0:
-        raise ValueError("highest weight must sit at grade 0")
     theta = rs.highest_roots[0]
     tv = rs.inner(aw.finite, rs.coroot(theta))
     if tv > aw.level:
@@ -120,6 +118,16 @@ def check_highest_weight(gc: GradedCharacter, aw: AffineWeight):
         raise AssertionError("highest weight missing from grade-0 layer")
 
 
+def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacter | None):
+    """gc, or the character of aw up to cutoff when gc is None; a gc that
+    stops below cutoff is refused.  A gc with more grades is read up to cutoff."""
+    if gc is None:
+        return affine_character(rs, aw, cutoff)
+    if gc.cutoff < cutoff:
+        raise ValueError(f"character has cutoff {gc.cutoff}, below the requested cutoff {cutoff}")
+    return gc
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: affine Freudenthal recursion
 
@@ -131,6 +139,8 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
     runs the recursion on the dominant labels of each grade, and each grade
     is the sum of their Weyl orbits, as in freudenthal_character."""
     check_affine_dominant(rs, aw)
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     top, offset = _split_dominant(rs, aw.finite)
     return GradedCharacter(cutoff, [_orbit_character(rs, aw.finite, offset, table) for table
                                     in _freudenthal_tables(rs, top, aw.level, cutoff)])
@@ -146,8 +156,7 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
     subalgebra.  Each layer is a genuine module, so all coefficients are
     nonnegative and the reconstruction is exact (enforced by the decomposer).
     The series is kept on gc for its algebra and cutoff; callers only read it."""
-    if gc is None:
-        gc = affine_character(rs, aw, cutoff)
+    gc = _character(rs, aw, cutoff, gc)
     key = (rs.factors, cutoff)
     if gc._branch[0] != key:
         entries: dict = {}
@@ -161,8 +170,7 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
                     gc: GradedCharacter | None = None):
     """Multiplicities of (nu, k, n) across grades n = 0..cutoff."""
-    if gc is None:
-        gc = affine_character(rs, aw, cutoff)
+    gc = _character(rs, aw, cutoff, gc)
     return [gc.layers[n].get(nu) for n in range(cutoff + 1)]
 
 
@@ -172,8 +180,7 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
 
     Cross-checked against the total layer multiplicity, which counts the same
     dimension directly from the character."""
-    if gc is None:
-        gc = affine_character(rs, aw, cutoff)
+    gc = _character(rs, aw, cutoff, gc)
     if bs is None:
         bs = graded_branch_to_g(rs, aw, cutoff, gc)
     dims = {nu: weyl_dimension(rs, nu) for nu in {nu for nu, _ in bs.entries}}
@@ -294,8 +301,7 @@ def branch_affine_direct(rs: RootSystem, s: Splint, aw: AffineWeight,
                          ) -> BranchingSeries:
     """Direct route: decompose each grade layer straight into subalgebra
     modules by highest-weight subtraction."""
-    if gc is None:
-        gc = affine_character(rs, aw, cutoff)
+    gc = _character(rs, aw, cutoff, gc)
     view = s.subalgebra_view()
     entries: dict = {}
     for n in range(cutoff + 1):

@@ -61,7 +61,7 @@ def _parse_labels(text, rank, errors):
 
 
 def _load_algebra(args, errors):
-    if not getattr(args, "algebra", None):
+    if not args.algebra:
         errors.append("--algebra is required")
         return None
     try:
@@ -71,11 +71,14 @@ def _load_algebra(args, errors):
         return None
 
 
-def _resolve(args, errors, splint=True):
+def _resolve(args, errors, splint):
     """(rs, s): --algebra, else the algebra the splint names, and the splint
-    of --splint-file or --splint (required if `splint`, else None unless
-    given).  A splint of another algebra than --algebra is an error."""
-    rs = _load_algebra(args, errors) if args.algebra else None
+    of --splint-file or --splint: required if `splint` is True, read when
+    given if it is False, not read if it is None.  A splint of another
+    algebra than --algebra is an error."""
+    rs = _load_algebra(args, errors) if args.algebra or splint is None else None
+    if splint is None:
+        return rs, None
     s = None
     if args.splint_file:
         try:
@@ -101,15 +104,34 @@ def _resolve(args, errors, splint=True):
     return rs, s
 
 
-def _check_bounds(args, errors, *names):
-    """Refuse a negative value of any of the named integer options."""
-    errors.extend(f"--{name.replace('_', '-')} must be >= 0"
-                  for name in names if (getattr(args, name) or 0) < 0)
-
-
-def _require(errors):
+def _inputs(args, splint=None):
+    """(rs, s, labels, aw) of the flags the subcommand declared, None where
+    it declared none; `splint` as in _resolve.  Every problem is collected in
+    the order algebra or splint, weight, level, bounds, highest weight, and
+    raised as one ConfigError; a refused level is not checked again."""
+    errors = []
+    rs, s = _resolve(args, errors, splint)
+    flags = vars(args)
+    level = flags.get("level")
+    labels = aw = None
+    if "weight" in flags:
+        if args.weight is None:
+            errors.append("--weight is required")
+        elif rs is not None:
+            labels = _parse_labels(args.weight, rs.rank, errors)
+    if "level" in flags and level is None:
+        errors.append("--level is required")
+    errors += [f"--{name.replace('_', '-')} must be >= 0"
+               for name in ("level", "grade_max", "max_label") if (flags.get(name) or 0) < 0]
+    if labels is not None and level is not None and level >= 0:
+        aw = af.AffineWeight(rs.weight_from_labels(labels), level)
+        try:
+            af.check_affine_dominant(rs, aw)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError("; ".join(errors))
+    return rs, s, labels, aw
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +263,7 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
 
 
 def cmd_roots(args):
-    errors = []
-    rs = _load_algebra(args, errors)
-    _require(errors)
+    rs, _, _, _ = _inputs(args)
     em = Emitter(args.format)
     pos = [tuple(_ints(rs.simple_coefficients(a))) for a in rs.positive_roots]
     lines = [f"algebra {rs.name}: rank {rs.rank}, {len(pos)} positive roots, "
@@ -262,10 +282,8 @@ def cmd_roots(args):
 
 def cmd_splint(args):
     em = Emitter(args.format)
+    rs, s, _, _ = _inputs(args, None if args.action == "list" else True)
     if args.action == "list":
-        errors = []
-        rs = _load_algebra(args, errors)
-        _require(errors)
         entries = splint_catalog(rs)
         if not entries:
             em.record("splint", [f"no catalog splints for {rs.name}"],
@@ -282,10 +300,6 @@ def cmd_splint(args):
                  f"[{r['status']}]" for r in rows]
         em.record("splint", lines, algebra=rs.name, splints=rows)
         return 0
-    # check
-    errors = []
-    _, s = _resolve(args, errors)
-    _require(errors)
     rep = check_splint(s)
     rep1 = check_embedding(s.phi1)
     rep2 = check_embedding(s.phi2)
@@ -298,9 +312,7 @@ def cmd_splint(args):
 
 
 def cmd_fan(args):
-    errors = []
-    _, s = _resolve(args, errors)
-    _require(errors)
+    _, s, _, _ = _inputs(args, True)
     fan = fan_coefficients(s)
     rows = sorted((_ints(s.ambient.simple_coefficients(g)), v)
                   for g, v in fan.coefficients.items())
@@ -313,13 +325,7 @@ def cmd_fan(args):
 
 
 def cmd_branch(args):
-    errors = []
-    rs, s = _resolve(args, errors)
-    if rs is not None and getattr(args, "weight", None) is None:
-        errors.append("--weight is required")
-    _require(errors)
-    labels = _parse_labels(args.weight, rs.rank, errors)
-    _require(errors)
+    rs, s, labels, _ = _inputs(args, True)
     mu = rs.weight_from_labels(labels)
     status = s.branching_status()
     if not status.passed:
@@ -352,35 +358,8 @@ def cmd_branch(args):
     return 0 if match in (None, True) else 1
 
 
-def _affine_inputs(args, errors, rs):
-    """(labels, aw) of --weight and --level, or (None, None); every problem
-    found is added to errors.  The bounds are always checked, and a refused
-    level is not checked again as a highest weight."""
-    labels = None
-    if rs is not None:
-        if args.weight is None:
-            errors.append("--weight is required")
-        elif args.level is None:
-            errors.append("--level is required")
-        else:
-            labels = _parse_labels(args.weight, rs.rank, errors)
-    _check_bounds(args, errors, "level", "grade_max")
-    if labels is None or args.level < 0:
-        return None, None
-    aw = af.AffineWeight(rs.weight_from_labels(labels), args.level)
-    try:
-        af.check_affine_dominant(rs, aw)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None, None
-    return labels, aw
-
-
 def cmd_affine_branch(args):
-    errors = []
-    rs, s = _resolve(args, errors)
-    labels, aw = _affine_inputs(args, errors, rs)
-    _require(errors)
+    rs, s, labels, aw = _inputs(args, True)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     series = af.branch_affine_to_subalgebra(rs, s, aw, args.grade_max, gc=gc)
     match = None
@@ -407,10 +386,7 @@ def cmd_affine_branch(args):
 
 
 def cmd_strings(args):
-    errors = []
-    rs = _load_algebra(args, errors)
-    labels, aw = _affine_inputs(args, errors, rs)
-    _require(errors)
+    rs, _, labels, aw = _inputs(args)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     bs = af.graded_branch_to_g(rs, aw, args.grade_max, gc)
     support = sorted({nu for nu, _ in bs.entries}, key=lambda v: _weight_key(rs, v))
@@ -457,10 +433,7 @@ def cmd_strings(args):
 
 
 def cmd_qdim(args):
-    errors = []
-    rs = _load_algebra(args, errors)
-    labels, aw = _affine_inputs(args, errors, rs)
-    _require(errors)
+    rs, _, labels, aw = _inputs(args)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     series = af.q_dimension(rs, aw, args.grade_max, gc=gc)
     lines = [f"q-dimension of {rs.name} level {aw.level} weight "
@@ -472,14 +445,11 @@ def cmd_qdim(args):
 
 
 def cmd_verify(args):
-    errors = []
     identities = ([args.identity] if args.identity != "all"
                   else ["weyl", "branching", "denominator",
                         "theta-product", "theta-sum"])
     # the Weyl identity needs no splint, but a given splint names the algebra
-    rs, s = _resolve(args, errors, splint=any(i != "weyl" for i in identities))
-    _check_bounds(args, errors, "grade_max", "max_label")
-    _require(errors)
+    rs, s, _, _ = _inputs(args, any(i != "weyl" for i in identities))
     n = args.grade_max
     series_verifiers = {"denominator": qs.verify_denominator_splint,
                         "theta-product": qs.verify_theta_products,

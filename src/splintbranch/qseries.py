@@ -62,7 +62,8 @@ def _aligned(a: "QSeries", b: "QSeries"):
 
 
 class QSeries:
-    """Truncated formal series in q^(1/d) with exact coefficients.
+    """Truncated formal series in q^(1/denom) with exact coefficients;
+    `denom` is the lcm of the denominators of the exponents it holds.
 
     `terms` maps each exponent to an int (scalar series) or to a {code: int}
     dict over the lattice denominator `lattice_den` (lattice series;
@@ -71,7 +72,7 @@ class QSeries:
 
     __slots__ = ("terms", "cutoff", "denom", "lattice_den")
 
-    def __init__(self, terms, cutoff, denom=None):
+    def __init__(self, terms, cutoff):
         pairs = [(e, c) for e, c in (terms.items() if isinstance(terms, dict) else terms) if c]
         lattice_den = None
         if any(isinstance(c, FormalCharacter) for _, c in pairs):
@@ -79,7 +80,7 @@ class QSeries:
                 raise TypeError("cannot mix scalar and lattice coefficients")
             lattice_den = common_denominator(v for _, c in pairs for v in c.terms)
             pairs = [(e, {encode(v, lattice_den): m for v, m in c.items()}) for e, c in pairs]
-        self._fill(pairs, cutoff, lattice_den, denom)
+        self._fill(pairs, cutoff, lattice_den)
 
     @classmethod
     def from_codes(cls, pairs, cutoff, lattice_den):
@@ -87,10 +88,10 @@ class QSeries:
         int} dicts over lattice_den, or ints when lattice_den is None.  The
         dicts are kept, not copied."""
         out = cls.__new__(cls)
-        out._fill(pairs, cutoff, lattice_den, None)
+        out._fill(pairs, cutoff, lattice_den)
         return out
 
-    def _fill(self, pairs, cutoff, lattice_den, denom):
+    def _fill(self, pairs, cutoff, lattice_den):
         self.cutoff = Fraction(cutoff)
         self.terms: dict[Fraction, object] = {}
         for e, c in pairs:
@@ -104,10 +105,7 @@ class QSeries:
             else:
                 self.terms[e] = c
         self.lattice_den = lattice_den if self.terms else None
-        d = math.lcm(*(e.denominator for e in self.terms))
-        if denom is not None and denom % d:
-            raise ValueError(f"exponents do not share denominator {denom}")
-        self.denom = d if denom is None else denom
+        self.denom = math.lcm(*(e.denominator for e in self.terms))
 
     @classmethod
     def one(cls, cutoff):
@@ -234,7 +232,7 @@ def eta(cutoff) -> QSeries:
     """Dedekind eta: q^{1/24} prod (1 - q^n), exponent denominator 24."""
     cutoff = Fraction(cutoff)
     if cutoff < Fraction(1, 24):
-        return QSeries({}, cutoff, denom=24)
+        return QSeries({}, cutoff)
     return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
 
 

@@ -254,3 +254,24 @@ def test_affine_branch_routes_agree_small():
     assert left.entries == right.entries
     assert left.entries[(zero_vec(g2.dim), 0)] == 1
     assert all(b >= 0 for b in left.entries.values())
+
+
+@pytest.mark.parametrize("helper", ["q_dimension", "string_function", "graded_branch_to_g",
+                                    "branch_affine_direct", "branch_affine_to_subalgebra"])
+def test_character_below_the_cutoff_is_refused(helper):
+    # a given character that stops below the cutoff is refused, naming both
+    # cutoffs; one with more grades is read up to the cutoff
+    b2, s = build_root_system("B2"), find_splint("B2:A1A1")
+    vac = af.AffineWeight(zero_vec(b2.dim), 1)
+    call = {
+        "q_dimension": lambda n, gc: af.q_dimension(b2, vac, n, gc=gc),
+        "string_function": lambda n, gc: af.string_function(b2, vac, vac.finite, n, gc),
+        "graded_branch_to_g": lambda n, gc: af.graded_branch_to_g(b2, vac, n, gc),
+        "branch_affine_direct": lambda n, gc: af.branch_affine_direct(b2, s, vac, n, gc=gc),
+        "branch_affine_to_subalgebra":
+            lambda n, gc: af.branch_affine_to_subalgebra(b2, s, vac, n, gc=gc),
+    }[helper]
+    with pytest.raises(ValueError, match="^character has cutoff 1, below the requested "
+                                         "cutoff 2$"):
+        call(2, af.affine_character(b2, vac, 1))
+    assert call(1, af.affine_character(b2, vac, 2)) == call(1, None)

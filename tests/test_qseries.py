@@ -47,8 +47,6 @@ def test_qseries_lattice_coefficients():
 
 
 def test_qseries_exponent_denominator_checks():
-    with pytest.raises(ValueError):
-        qs.QSeries({Fraction(1, 3): 1}, 2, denom=2)
     s = qs.eta(2)
     assert s.denom == 24
 

@@ -43,6 +43,16 @@ A1_LEVEL_1 = ["--algebra", "A1", "--level", "1"]
     # a refused weight does not hide the bound checks
     (["qdim", "--algebra", "A2", "--level", "1", "--weight", "1,2,3", "--grade-max", "-1"],
      "--weight needs 2 Dynkin labels, got 3; --grade-max must be >= 0"),
+    # every missing or refused flag is named, in the order algebra or splint,
+    # weight, level, bounds
+    (["qdim", "--algebra", "A2"], "--weight is required; --level is required"),
+    (["strings", "--algebra", "A2", "--weight", "1,2,3"],
+     "--weight needs 2 Dynkin labels, got 3; --level is required"),
+    (["affine-branch", "--splint", "G2:A2A2", "--grade-max", "-1"],
+     "--weight is required; --level is required; --grade-max must be >= 0"),
+    (["branch", "--algebra", "G2", "--splint", "nope", "--weight", "1,x"],
+     "unknown splint 'G2:nope'; catalog has: G2:A2A2, B2:A1A1, B2:A1A2, A2:A1A1A1, "
+     "A3:A2A1A1A1; --weight expects comma-separated integers, got '1,x'"),
 ])
 def test_cli_refuses_outside_input(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -57,12 +67,12 @@ def test_library_refuses_outside_input(tmp_path):
     for aw, match in [
             (af.AffineWeight(A1.weight_from_labels([-1]), 1),
              "weight with labels (Fraction(-1, 1),) is not dominant integral"),
-            (af.AffineWeight(zero, -1), "level must be a nonnegative integer"),
-            (af.AffineWeight(zero, 1, grade=1), "highest weight must sit at grade 0")]:
+            (af.AffineWeight(zero, -1), "level must be a nonnegative integer")]:
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             af.check_affine_dominant(A1, aw)
-    with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
-        af.affine_character(A1, af.AffineWeight(zero, 1), -1)
+    for character in (af.affine_character, af.affine_freudenthal):
+        with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+            character(A1, af.AffineWeight(zero, 1), -1)
     # a stem whose first root lands on a subalgebra image: refused from the
     # catalog route, loaded unverified from a file
     (entry,) = [e for e in _catalog_entries() if e["name"] == "G2:A2A2"]
