@@ -74,10 +74,12 @@ def _load_algebra(args, errors):
 def _resolve(args, errors, splint):
     """(rs, s): --algebra, else the algebra the splint names, and the splint
     of --splint-file or --splint: required if `splint` is True, read when
-    given if it is False, not read if it is None.  A splint of another
-    algebra than --algebra is an error."""
+    given if it is False, refused when given if it is None.  A splint of
+    another algebra than --algebra is an error."""
     rs = _load_algebra(args, errors) if args.algebra or splint is None else None
     if splint is None:
+        errors += [f"--{flag.replace('_', '-')} is not read by this command"
+                   for flag in ("splint", "splint_file") if getattr(args, flag, None)]
         return rs, None
     s = None
     if args.splint_file:

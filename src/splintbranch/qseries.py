@@ -1,7 +1,11 @@
 """Exact truncated q-series with rational exponents and lattice coefficients.
 
-A series term is q^e * c where e is a Fraction (all exponents share a common
-denominator) and c is either an integer or lattice content: the formal
+A series term is q^e * c where e is rational and c is either an integer or
+lattice content.  Exponents are ints over one denominator per series: e is
+held as the int k = e * denom (`QSeries.terms`), series over other
+denominators are re-keyed once when they meet, and exponents become
+Fractions only where they leave a series (`items`, `coefficient`,
+`min_exponent`, `compare_qseries`).  Lattice content is the formal
 e^{(xi,z)} content of a theta function (z is never specialized), held as a
 {code: int} dict over one lattice denominator per series (`characters.encode`)
 and decoded to a FormalCharacter only by `QSeries.coefficient`.  Products
@@ -9,7 +13,9 @@ multiply codes with `characters.code_products`; sums add them.  A scalar
 series multiplies a lattice series directly; only addition requires both to
 be of one kind.
 Equality of two series means equality of every (exponent, coefficient) pair
-up to the common cutoff, which is strictly stronger than sampling z.
+up to the common cutoff, which is strictly stronger than sampling z; a
+mismatch names its exponent and, for differing coefficients, the lowest
+weight where they differ and both multiplicities there.
 
 The verifiers check the affine denominator regrouping of a splint and its two
 theta-function restatements as truncated series, each a `splints.Report` of
@@ -42,32 +48,33 @@ def _cadd(a, b):
     return FormalCharacter(itertools.chain(a.items(), b.items())).terms
 
 
-def _recoded(terms, f: int):
-    """Lattice terms with every code multiplied by f (a new denominator f
-    times the old one)."""
-    if f == 1:
-        return terms
-    return {e: {tuple([x * f for x in code]): m for code, m in c.items()}
-            for e, c in terms.items()}
+def _rescaled(terms, f: int, g: int):
+    """Terms with every exponent key multiplied by f and every lattice code
+    by g (denominators f and g times the old ones)."""
+    if g != 1:
+        terms = {k: {tuple([x * g for x in code]): m for code, m in c.items()}
+                 for k, c in terms.items()}
+    return {k * f: c for k, c in terms.items()} if f != 1 else terms
 
 
 def _aligned(a: "QSeries", b: "QSeries"):
-    """(terms of a, terms of b, lattice denominator or None): two lattice
-    series are re-encoded once to the lcm of their denominators."""
-    da, db = a.lattice_den, b.lattice_den
-    if da is None or db is None or da == db:
-        return a.terms, b.terms, da or db
-    den = math.lcm(da, db)
-    return _recoded(a.terms, den // da), _recoded(b.terms, den // db), den
+    """(terms of a, terms of b, exponent denominator, lattice denominator or
+    None): the terms re-keyed once to the lcm of the exponent denominators
+    and, of two lattice series, re-encoded to the lcm of theirs."""
+    denom, da, db = math.lcm(a.denom, b.denom), a.lattice_den, b.lattice_den
+    den = math.lcm(da, db) if da and db else da or db
+    fa, fb = (den // da, den // db) if da and db else (1, 1)
+    return (_rescaled(a.terms, denom // a.denom, fa), _rescaled(b.terms, denom // b.denom, fb),
+            denom, den)
 
 
 class QSeries:
     """Truncated formal series in q^(1/denom) with exact coefficients;
-    `denom` is the lcm of the denominators of the exponents it holds.
+    `denom` is the lcm of the reduced denominators of the exponents it holds.
 
-    `terms` maps each exponent to an int (scalar series) or to a {code: int}
-    dict over the lattice denominator `lattice_den` (lattice series;
-    `lattice_den` is None for a scalar series and for one without terms).
+    `terms` maps each int k, for q^(k/denom), to an int (scalar series) or to
+    a {code: int} dict over the lattice denominator `lattice_den` (lattice
+    series; None for a scalar series and for one without terms).
     Coefficient dicts are never changed once a series holds them."""
 
     __slots__ = ("terms", "cutoff", "denom", "lattice_den")
@@ -80,50 +87,54 @@ class QSeries:
                 raise TypeError("cannot mix scalar and lattice coefficients")
             lattice_den = common_denominator(v for _, c in pairs for v in c.terms)
             pairs = [(e, {encode(v, lattice_den): m for v, m in c.items()}) for e, c in pairs]
-        self._fill(pairs, cutoff, lattice_den)
+        denom = math.lcm(*(Fraction(e).denominator for e, _ in pairs))
+        self._fill([(int(e * denom), c) for e, c in pairs], cutoff, lattice_den, denom)
 
     @classmethod
-    def from_codes(cls, pairs, cutoff, lattice_den):
-        """The series of (exponent, coefficient) pairs, coefficients {code:
-        int} dicts over lattice_den, or ints when lattice_den is None.  The
-        dicts are kept, not copied."""
+    def from_codes(cls, pairs, cutoff, lattice_den, denom: int = 1):
+        """The series of (k, coefficient) pairs, k an int standing for
+        q^(k/denom), coefficients {code: int} dicts over lattice_den, or ints
+        when lattice_den is None.  The dicts are kept, not copied."""
         out = cls.__new__(cls)
-        out._fill(pairs, cutoff, lattice_den)
+        out._fill(pairs, cutoff, lattice_den, denom)
         return out
 
-    def _fill(self, pairs, cutoff, lattice_den):
+    def _fill(self, pairs, cutoff, lattice_den, denom):
         self.cutoff = Fraction(cutoff)
-        self.terms: dict[Fraction, object] = {}
-        for e, c in pairs:
-            e = Fraction(e)
-            if e > self.cutoff or not c:
+        top = math.floor(self.cutoff * denom)
+        terms = {}
+        for k, c in pairs:
+            if k > top or not c:
                 continue
-            if e in self.terms:
-                c = _cadd(self.terms[e], c)
+            if k in terms:
+                c = _cadd(terms[k], c)
             if not c:
-                self.terms.pop(e, None)
+                terms.pop(k, None)
             else:
-                self.terms[e] = c
-        self.lattice_den = lattice_den if self.terms else None
-        self.denom = math.lcm(*(e.denominator for e in self.terms))
+                terms[k] = c
+        g = math.gcd(denom, *terms)
+        self.terms = {k // g: c for k, c in terms.items()} if g != 1 else terms
+        self.denom = denom // g
+        self.lattice_den = lattice_den if terms else None
 
     @classmethod
     def one(cls, cutoff):
-        return cls({Fraction(0): 1}, cutoff)
+        return cls.from_codes([(0, 1)], cutoff, None)
 
     def coefficient(self, e):
         """The coefficient of q^e: an int, or in a lattice series the
         FormalCharacter of its codes."""
-        c = self.terms.get(Fraction(e))
+        c = self.terms.get(Fraction(e) * self.denom)    # an integral Fraction finds its int
         if self.lattice_den is None:
             return c or 0
         return decode(c, self.lattice_den) if c else FormalCharacter()
 
     def items(self):
-        return [(e, self.coefficient(e)) for e in sorted(self.terms)]
+        exponents = (Fraction(k, self.denom) for k in sorted(self.terms))
+        return [(e, self.coefficient(e)) for e in exponents]
 
     def min_exponent(self):
-        return min(self.terms) if self.terms else None
+        return Fraction(min(self.terms), self.denom) if self.terms else None
 
     def __bool__(self):
         return bool(self.terms)
@@ -131,16 +142,16 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return False
-        a, b, _ = _aligned(self, other)
+        a, b, _, _ = _aligned(self, other)
         return a == b
 
     def __add__(self, other):
         if (self.terms and other.terms
                 and (self.lattice_den is None) != (other.lattice_den is None)):
             raise TypeError("cannot mix scalar and lattice coefficients additively")
-        a, b, den = _aligned(self, other)
+        a, b, denom, den = _aligned(self, other)
         return QSeries.from_codes(itertools.chain(a.items(), b.items()),
-                                  min(self.cutoff, other.cutoff), den)
+                                  min(self.cutoff, other.cutoff), den, denom)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -149,33 +160,34 @@ class QSeries:
         if not c:
             terms = {}
         elif self.lattice_den is None:
-            terms = {e: v * c for e, v in self.terms.items()}
+            terms = {k: v * c for k, v in self.terms.items()}
         else:
-            terms = {e: {code: m * c for code, m in v.items()} for e, v in self.terms.items()}
-        return QSeries.from_codes(terms.items(), self.cutoff, self.lattice_den)
+            terms = {k: {code: m * c for code, m in v.items()} for k, v in self.terms.items()}
+        return QSeries.from_codes(terms.items(), self.cutoff, self.lattice_den, self.denom)
 
     def __mul__(self, other):
         cutoff = min(self.cutoff, other.cutoff)
-        a, b, den = _aligned(self, other)
+        a, b, denom, den = _aligned(self, other)
+        top = math.floor(cutoff * denom)
         if self.lattice_den is None:
             a, b = b, a          # a scalar operand goes second
-        acc: dict[Fraction, object] = {}
-        for e1, c1 in a.items():
-            if e1 > cutoff:
+        acc: dict[int, object] = {}
+        for k1, c1 in a.items():
+            if k1 > top:
                 continue
-            for e2, c2 in b.items():
-                e = e1 + e2
-                if e > cutoff:
+            for k2, c2 in b.items():
+                k = k1 + k2
+                if k > top:
                     continue
                 if den is None:
-                    acc[e] = acc.get(e, 0) + c1 * c2
+                    acc[k] = acc.get(k, 0) + c1 * c2
                 else:
                     if isinstance(c2, int):      # a scalar c2 is c2 e^0
                         c2 = {(0,) * len(next(iter(c1))): c2}
-                    acc.setdefault(e, []).append((c1, c2))
+                    acc.setdefault(k, []).append((c1, c2))
         if den is not None:
             acc = dict(zip(acc, code_products([({}, pairs) for pairs in acc.values()])))
-        return QSeries.from_codes(acc.items(), cutoff, den)
+        return QSeries.from_codes(acc.items(), cutoff, den, denom)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -187,32 +199,44 @@ class QSeries:
 
     def shift(self, c) -> "QSeries":
         c = Fraction(c)
-        return QSeries.from_codes(((e + c, v) for e, v in self.terms.items()),
-                                  self.cutoff + c, self.lattice_den)
+        denom = math.lcm(self.denom, c.denominator)
+        f, s = denom // self.denom, c.numerator * (denom // c.denominator)
+        return QSeries.from_codes(((k * f + s, v) for k, v in self.terms.items()),
+                                  self.cutoff + c, self.lattice_den, denom)
 
     def truncate(self, cutoff) -> "QSeries":
-        cutoff = Fraction(cutoff)
-        return QSeries.from_codes(self.terms.items(), min(self.cutoff, cutoff),
-                                  self.lattice_den)
+        return QSeries.from_codes(self.terms.items(), min(self.cutoff, Fraction(cutoff)),
+                                  self.lattice_den, self.denom)
 
     def __repr__(self):
-        parts = [f"q^{e}*{self.coefficient(e)!r}" for e in sorted(self.terms)[:6]]
+        parts = [f"q^{e}*{c!r}" for e, c in self.items()[:6]]
         return "QSeries(" + " + ".join(parts) + (" ..." if len(self.terms) > 6 else "") + ")"
+
+
+def _difference(ca, cb, den) -> str:
+    """How two unequal coefficients differ: both ints, or both
+    multiplicities at the lexicographically lowest weight where they differ."""
+    if isinstance(ca, int) and isinstance(cb, int):
+        return f": {ca} against {cb}"
+    if isinstance(ca, int) or isinstance(cb, int):
+        return ": a scalar against a lattice coefficient"
+    # codes are -(coordinates x den), so the largest code is the lowest weight
+    code = max(c for c in ca.keys() | cb.keys() if ca.get(c, 0) != cb.get(c, 0))
+    weight = ", ".join(str(Fraction(-x, den)) for x in code)
+    return f" at weight ({weight}): {ca.get(code, 0)} against {cb.get(code, 0)}"
 
 
 def compare_qseries(a: QSeries, b: QSeries):
     """None if equal up to the common cutoff, else (exponent, description) of
-    the lowest discrepancy."""
-    cutoff = min(a.cutoff, b.cutoff)
-    ta, tb, _ = _aligned(a, b)
-    at = {e: c for e, c in ta.items() if e <= cutoff}
-    bt = {e: c for e, c in tb.items() if e <= cutoff}
-    for e in sorted(set(at) | set(bt)):
-        ca, cb = at.get(e), bt.get(e)
+    the lowest discrepancy; differing coefficients name where they differ."""
+    ta, tb, denom, den = _aligned(a, b)
+    top = math.floor(min(a.cutoff, b.cutoff) * denom)
+    for k in sorted(k for k in ta.keys() | tb.keys() if k <= top):
+        ca, cb, e = ta.get(k), tb.get(k), Fraction(k, denom)
         if ca is None or cb is None:
             return e, f"term q^{e} only on one side"
         if ca != cb:
-            return e, f"coefficients at q^{e} differ"
+            return e, f"coefficients at q^{e} differ" + _difference(ca, cb, den)
     return None
 
 
@@ -224,7 +248,7 @@ def euler_product(cutoff) -> QSeries:
     """prod_{n>=1} (1 - q^n), truncated."""
     out = QSeries.one(cutoff)
     for n in range(1, int(cutoff) + 1):
-        out = out * QSeries({Fraction(0): 1, Fraction(n): -1}, cutoff)
+        out = out * QSeries.from_codes([(0, 1), (n, -1)], cutoff, None)
     return out
 
 
@@ -278,19 +302,15 @@ def root_string_product(root: Vec, cutoff) -> QSeries:
 
 def jacobi_theta_sum(root: Vec, cutoff) -> QSeries:
     """sum_m (-1)^m q^{m(m-1)/2} e^{-m a}: the triple-product expansion of
-    euler_product * root_string_product for the same root."""
-    terms = []
-    m = 0
-    while Fraction(m * (m - 1), 2) <= cutoff:
-        terms.append((Fraction(m * (m - 1), 2),
-                      FormalCharacter.monomial(vscale(root, -m), (-1) ** m)))
-        if m > 0:
-            mm = -m
-            if Fraction(mm * (mm - 1), 2) <= cutoff:
-                terms.append((Fraction(mm * (mm - 1), 2),
-                              FormalCharacter.monomial(vscale(root, m), (-1) ** m)))
-        m += 1
-    return QSeries(terms, cutoff)
+    euler_product * root_string_product for the same root, on the codes of
+    the multiples of a.  Every m with m(m-1)/2 <= cutoff has -n <= m <= n + 1,
+    taken in the order 0, 1, -1, 2, -2, ..."""
+    den = common_denominator([root])
+    code = encode(root, den)
+    n = math.isqrt(2 * max(math.floor(cutoff), 0)) + 1
+    return QSeries.from_codes([(m * (m - 1) // 2, {tuple([-m * x for x in code]): (-1) ** abs(m)})
+                               for m in sorted(range(-n, n + 2), key=lambda m: abs(2 * m - 1))],
+                              cutoff, den)
 
 
 def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
@@ -401,8 +421,7 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
         start = frs.inner(frs.rho, frs.rho) / (2 * hvee)
         layers = _numerator_codes(frs, frs.rho, hvee, math.floor(cutoff - start),
                                   [encode(w, den) for w in images], (0,) * len(images[0]))
-        factor_sum = QSeries.from_codes(((start + n, t) for n, t in enumerate(layers)),
-                                        cutoff, den)
+        factor_sum = QSeries.from_codes(enumerate(layers), cutoff - start, den).shift(start)
         if drop_last and fi == len(src.factors) - 1:
             wrho, sign = frs.weyl_orbit(frs.rho)[-1]
             dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, hvee, cutoff,

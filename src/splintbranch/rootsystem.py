@@ -600,6 +600,13 @@ class RootSystem:
     def coroot_lattice_basis(self):
         return tuple(self.coroot(a) for a in self.simple_roots)
 
+    @cached_property
+    def coroot_gram(self):
+        """(G, G^-1), G[i][j] = (alpha_i^vee, alpha_j^vee): ints, an even diagonal."""
+        basis = self.coroot_lattice_basis()
+        gram = [[self.inner(a, b) for b in basis] for a in basis]
+        return tuple(tuple(map(int, row)) for row in gram), invert_matrix(gram)
+
     def lattice_grades(self, basis, lam: Vec, K: int, bound):
         """(beta, g) for the points beta of the lattice of `basis` with
         g = (lam, beta) + K (beta, beta) / 2 <= bound: the ellipsoid

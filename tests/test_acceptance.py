@@ -160,7 +160,7 @@ def test_criterion_6_affine_splint_route_equality():
 
 def test_criterion_7_eta_pentagonal():
     t0 = time.monotonic()
-    got = qs.euler_product(50).terms
+    got = dict(qs.euler_product(50).items())
     want = {}
     k = 1
     want[Fraction(0)] = 1

@@ -35,6 +35,20 @@ def test_splint_list_and_check(capsys):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--splint", "nope"], ["--splint"]),
+    (["--splint", "G2:A2A2"], ["--splint"]),
+    (["--splint-file", "/nonexistent.json"], ["--splint-file"]),
+    (["--splint", "nope", "--splint-file", "/nonexistent.json"], ["--splint", "--splint-file"]),
+])
+def test_splint_list_refuses_splint_flags(capsys, flags, named):
+    # list reads only --algebra: a splint flag is refused, not ignored
+    code, out, err = run(capsys, "splint", "list", "--algebra", "G2", *flags)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: " + "; ".join(
+        f"{flag} is not read by this command" for flag in named) + "\n"
+
+
 def test_branch_with_oracle(capsys):
     code, out, _ = run(capsys, "branch", "--algebra", "G2", "--splint", "A2A2",
                        "--weight", "0,1", "--oracle")
@@ -234,10 +248,12 @@ def test_verify_rank_deficient_splint_file(tmp_path, capsys):
     args = ["--splint-file", str(path), "--grade-max", "3", "--no-cache"]
     code, out, err = run(capsys, "verify", "--identity", "denominator", *args)
     assert (code, out, err) == (
-        1, "denominator: FAIL - coefficients at q^0 differ (first mismatch at q^0)\n", "")
+        1, "denominator: FAIL - coefficients at q^0 differ at weight (-3, -1, 1, 3): "
+        "0 against 1 (first mismatch at q^0)\n", "")
     code, out, err = run(capsys, "verify", "--identity", "theta-sum", *args)
     assert (code, out, err) == (
-        1, "theta-sum: FAIL - coefficients at q^7/24 differ (first mismatch at q^7/24)\n", "")
+        1, "theta-sum: FAIL - coefficients at q^7/24 differ at weight "
+        "(-3/2, -1/2, 1/2, 3/2): 0 against 1 (first mismatch at q^7/24)\n", "")
     code, out, err = run(capsys, "verify", "--identity", "all", *args, "--format", "json")
     assert (code, err) == (1, "")
     rows = {r["identity"]: (r["passed"], r["first_mismatch"])

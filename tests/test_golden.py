@@ -37,10 +37,12 @@ README_COMMANDS = {
     "verify-all": "verify --identity all --splint B2:A1A1 --grade-max 4",
 }
 CASES = [(name, fmt) for name in README_COMMANDS for fmt in ("text", "json")]
+# not a README command: the A3 splint's identities, exit code 0
+A3_VERIFY = "verify --identity all --splint A3:A2A1A1A1 --grade-max 3"
 
 
-def run_case(name, fmt):
-    argv = README_COMMANDS[name].split() + ["--format", fmt, "--no-cache"]
+def run_case(name, fmt, command=None):
+    argv = (command or README_COMMANDS[name]).split() + ["--format", fmt, "--no-cache"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -60,6 +62,11 @@ def test_readme_command_matches_golden(name, fmt):
     code, out = run_case(name, fmt)
     assert code == exit_codes()[f"{name}.{fmt}"]
     assert out == golden_path(name, fmt).read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_a3_matches_golden(fmt):
+    assert run_case("verify-a3", fmt, A3_VERIFY) == (0, golden_path("verify-a3", fmt).read_text())
 
 
 def regenerate():

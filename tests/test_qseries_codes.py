@@ -1,16 +1,18 @@
 """Lattice `QSeries` on integer codes against the Fraction-keyed arithmetic
 they replaced.
 
-A lattice series holds each coefficient as a {code: int} dict over one
-lattice denominator.  The oracle is a test-local copy of the series
+A series holds each exponent as an int over one exponent denominator, and a
+lattice series each coefficient as a {code: int} dict over one lattice
+denominator.  The oracle is a test-local copy of the series
 arithmetic that kept FormalCharacter coefficients on Fraction coordinates
 (`_cadd`/`_cmul`, the products a Fraction convolution).  Lattice series are
 drawn over A2, B2 and G2 weights, off the weight lattice too, with rational
-exponents; products, sums, `scale`, `shift` and `compare_qseries` must agree
-with the oracle, and a series re-encoded over another lattice denominator
-must still compare equal.
+exponents; products, sums, `scale`, `shift`, `truncate` and `compare_qseries`
+must agree with the oracle, also where exponent denominators meet, and a
+series re-encoded over another lattice denominator must still compare equal.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,9 @@ class FractionSeries:
     def shift(self, c):
         return FractionSeries({e + c: v for e, v in self.terms.items()}, self.cutoff + c)
 
+    def truncate(self, cutoff):
+        return FractionSeries(self.terms, min(self.cutoff, Fraction(cutoff)))
+
 
 def fraction_compare(a, b):
     cutoff = min(a.cutoff, b.cutoff)
@@ -107,14 +112,29 @@ def fraction_compare(a, b):
         if ca is None or cb is None:
             return e, f"term q^{e} only on one side"
         if ca != cb:
-            return e, f"coefficients at q^{e} differ"
+            return e, f"coefficients at q^{e} differ" + fraction_difference(ca, cb)
     return None
 
 
+def fraction_difference(ca, cb):
+    """Both ints, or both multiplicities at the lexicographically lowest
+    weight where they differ."""
+    if isinstance(ca, int) and isinstance(cb, int):
+        return f": {ca} against {cb}"
+    if isinstance(ca, int) or isinstance(cb, int):
+        return ": a scalar against a lattice coefficient"
+    w = min(v for v in ca.terms.keys() | cb.terms.keys()
+            if ca.terms.get(v, 0) != cb.terms.get(v, 0))
+    return f" at weight ({', '.join(map(str, w))}): {ca.terms.get(w, 0)} against " \
+           f"{cb.terms.get(w, 0)}"
+
+
 def same(series, oracle):
-    """The coded series, decoded at the edge, is the oracle's."""
+    """The coded series, decoded at the edge, is the oracle's, and its
+    exponent denominator is the lcm of the exponents' reduced ones."""
     return (series.cutoff == oracle.cutoff
-            and {e: series.coefficient(e) for e in series.terms} == oracle.terms)
+            and dict(series.items()) == oracle.terms
+            and series.denom == math.lcm(*(e.denominator for e in oracle.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +175,9 @@ def recoded(series, f):
     if series.lattice_den is None:
         return series
     return qs.QSeries.from_codes(
-        [(e, {tuple(x * f for x in code): m for code, m in c.items()})
-         for e, c in series.terms.items()], series.cutoff, series.lattice_den * f)
+        [(k, {tuple(x * f for x in code): m for code, m in c.items()})
+         for k, c in series.terms.items()], series.cutoff, series.lattice_den * f,
+        series.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,7 @@ def test_compare_matches_fraction_series_on_near_misses(name, data):
     # b is a with one exponent dropped or one coefficient perturbed
     rs = ALGEBRAS[name]
     a, fa = data.draw(series_pair(rs))
-    terms = {e: a.coefficient(e) for e in a.terms}
+    terms = dict(a.items())
     if terms:
         e = data.draw(st.sampled_from(sorted(terms)))
         if data.draw(st.booleans()):
@@ -215,6 +236,27 @@ def test_series_over_other_lattice_denominators_compare_equal(name, data):
     assert qs.compare_qseries(a2, b2) == fraction_compare(fa, fb)
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 24), Fraction(1, 8), Fraction(2, 3)])
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), lattice=st.booleans(), data=st.data())
+def test_mixed_exponent_denominators_match_fraction_series(c, name, lattice, data):
+    # the q-shifts of eta (1/24), of a level-2 theta (1/8) and 2/3 meet
+    # integer exponent keys over other denominators
+    rs = ALGEBRAS[name]
+    (a, fa), (b, fb) = data.draw(series_pair(rs, lattice)), data.draw(series_pair(rs, lattice))
+    t = data.draw(exponent(4))
+    sa, fsa, sb, fsb = a.shift(c), fa.shift(c), b.shift(c), fb.shift(c)
+    assert same(sa, fsa) and same(sb, fsb)
+    assert same(sa.truncate(t), fsa.truncate(t)) and same(a.truncate(t), fa.truncate(t))
+    assert same(sa * b, fsa * fb) and same(sa + sb, fsa + fsb)
+    assert (sa == sb) == (fsa.terms == fsb.terms) and (sa == b) == (fsa.terms == fb.terms)
+    assert qs.compare_qseries(sa, b) == fraction_compare(fsa, fb)
+    assert qs.compare_qseries(sa, sb) == fraction_compare(fsa, fsb)
+    assert qs.compare_qseries(sa.truncate(t), b) == fraction_compare(fsa.truncate(t), fb)
+    back = sa.shift(-c)
+    assert back == a and same(back, fa) and qs.compare_qseries(back, a) is None
+
+
 def test_lattice_denominators_in_theta_products():
     # e^{omega_1} of A2 has thirds in its coordinates, the roots have none:
     # the two denominators meet at their lcm inside one product
@@ -223,20 +265,21 @@ def test_lattice_denominators_in_theta_products():
     t = qs.theta(rs, w, 1, 2)
     d = qs.denominator_product(rs, 2)
     assert d.lattice_den == 1 and t.lattice_den == 3
-    ft = FractionSeries({e: t.coefficient(e) for e in t.terms}, t.cutoff)
-    fd = FractionSeries({e: d.coefficient(e) for e in d.terms}, d.cutoff)
+    ft = FractionSeries(dict(t.items()), t.cutoff)
+    fd = FractionSeries(dict(d.items()), d.cutoff)
     assert same(t * d, ft * fd) and (t * d).lattice_den == 3
     # a series and its re-encoding over twice the denominator are equal,
     # and a change in one code shows
     t2 = recoded(t, 2)
     assert t2 == t
-    e = min(t2.terms)
-    code, m = next(iter(t2.terms[e].items()))
+    k, e = min(t2.terms), t2.min_exponent()
+    code, m = next(iter(t2.terms[k].items()))
     moved = dict(t2.terms)
-    moved[e] = {**{c: x for c, x in t2.terms[e].items() if c != code},
+    moved[k] = {**{c: x for c, x in t2.terms[k].items() if c != code},
                 tuple(x + 1 for x in code): m}
-    bad = qs.QSeries.from_codes(moved.items(), t2.cutoff, t2.lattice_den)
-    assert bad != t and qs.compare_qseries(t, bad) == (e, f"coefficients at q^{e} differ")
+    bad = qs.QSeries.from_codes(moved.items(), t2.cutoff, t2.lattice_den, t2.denom)
+    assert bad != t and qs.compare_qseries(t, bad) == \
+        (e, f"coefficients at q^{e} differ at weight (-1/2, -1/2, 1/2): 0 against 1")
 
 
 def test_scalar_and_lattice_kinds():
@@ -244,7 +287,8 @@ def test_scalar_and_lattice_kinds():
     one = qs.QSeries.one(2)
     lat = qs.QSeries({0: FormalCharacter.monomial(zero_vec(rs.dim))}, 2)
     # e^0 as a lattice coefficient is not the scalar 1, as before
-    assert one != lat and qs.compare_qseries(one, lat) == (0, "coefficients at q^0 differ")
+    assert one != lat and qs.compare_qseries(one, lat) == \
+        (0, "coefficients at q^0 differ: a scalar against a lattice coefficient")
     assert one * lat == lat and lat * one == lat
     with pytest.raises(TypeError):
         one + lat

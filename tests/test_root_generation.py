@@ -153,10 +153,13 @@ def test_catalog_matches_ambients_by_name():
 
 
 # verify_theta_sums reports of the catalog splints, as computed when every
-# call built its own factor root systems
+# call built its own factor root systems: (first mismatch, where it differs)
 THETA_SUM_REPORTS = {
-    "G2:A2A2": "2/3", "B2:A1A1": "1/2", "B2:A1A2": "11/24", "A2:A1A1A1": "3/8",
-    "A3:A2A1A1A1": "17/24",
+    "G2:A2A2": ("2/3", "(3, -1, -2): 1 against 0"),
+    "B2:A1A1": ("1/2", "(3/2, 1/2): 1 against 0"),
+    "B2:A1A2": ("11/24", "(3/2, 1/2): 1 against 0"),
+    "A2:A1A1A1": ("3/8", "(1, 0, -1): 1 against 0"),
+    "A3:A2A1A1A1": ("17/24", "(3/2, 1/2, -1/2, -3/2): 1 against 0"),
 }
 
 
@@ -170,6 +173,7 @@ def test_theta_sum_reports_unchanged_on_shared_root_systems(name):
     assert (rep.passed, rep.detail, rep.first_mismatch, rep.normalization) == \
         (True, "normalization q^0", None, 0)
     rep = qs.verify_theta_sums(s, 3, drop_term=True)
-    at = Fraction(THETA_SUM_REPORTS[name])
+    at, where = THETA_SUM_REPORTS[name]
+    at = Fraction(at)
     assert (rep.passed, rep.detail, rep.first_mismatch, rep.normalization) == \
-        (False, f"coefficients at q^{at} differ", at, 0)
+        (False, f"coefficients at q^{at} differ at weight {where}", at, 0)

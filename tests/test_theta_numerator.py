@@ -6,17 +6,22 @@ as a series carried by e^{rho} q^{(rho,rho)/2h-dual}.  It is checked against
 a test-local copy of the per-Weyl-element route it replaced: |W| separate
 Fraction lattice sums over shifted coroot lattices, pushed term by term.
 `RootSystem.lattice_grades` is checked against a brute-force box search.
+The numerator's integer walk over coroot coordinates is checked against a
+test-local copy of the loop it replaced, which read each point's labels and
+grade from Fraction vectors through `lattice_grades`.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splintbranch import qseries as qs
-from splintbranch.characters import FormalCharacter
+from splintbranch.characters import FormalCharacter, _numerator_codes, common_denominator, encode
 from splintbranch.rootsystem import (build_root_system, lattice_points_in_ellipsoid,
-                                     vcombine, vscale, zero_vec)
+                                     vcombine, vscale, vsub, zero_vec)
 from splintbranch.splints import _catalog_entries, find_splint
 
 CATALOG = [e["name"] for e in _catalog_entries()]
@@ -132,3 +137,54 @@ def test_lattice_grades_match_box_search(name, which):
         got = list(rs.lattice_grades(basis, lam, K, bound))
         assert len(got) == len(set(got))
         assert set(got) == box_grades(rs, basis, lam, K, bound), (lam, K, bound)
+
+
+# ---------------------------------------------------------------------------
+# the integer numerator walk against the Fraction walk it replaced
+
+NUMERATOR_ALGEBRAS = {name: build_root_system(name) for name in (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "A1xA2")}
+
+
+def fraction_numerator_codes(rs, lam, K, cutoff, fw, offset):
+    """_numerator_codes as it read each coroot-lattice point beta and its
+    grade (lam, beta) + K (beta, beta)/2 from lattice_grades, as Fractions."""
+    lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
+    layers = [{} for _ in range(cutoff + 1)]
+    for beta, g in rs.lattice_grades(rs.coroot_lattice_basis(), lam, K, cutoff):
+        assert g.denominator == 1 and g >= 0
+        x = tuple(a + K * int(b) for a, b in zip(lam_labels, rs.dynkin_labels(beta)))
+        dom, sign_x = rs.dominant_labels(x)
+        assert all(dom)
+        t = layers[int(g)]
+        for v, s in rs.label_orbit(dom, fw, offset):
+            m = t.get(v, 0) + s * sign_x
+            if m:
+                t[v] = m
+            else:
+                del t[v]
+    return layers
+
+
+@pytest.mark.parametrize("name", sorted(NUMERATOR_ALGEBRAS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_numerator_walk_matches_fraction_walk(name, data):
+    # lam strictly dominant and regular at level K for every factor,
+    # (lam, theta) < K <= h-dual + 2: rho raised at drawn labels while it stays so
+    rs = NUMERATOR_ALGEBRAS[name]
+    K = data.draw(st.integers(max(rs.dual_coxeter), max(rs.dual_coxeter) + 2))
+    labels = [1] * rs.rank
+    for i in data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=4)):
+        raised = labels[:i] + [labels[i] + 1] + labels[i + 1:]
+        lam = rs.weight_from_labels(raised)
+        if all(rs.inner(lam, theta) < K for theta in rs.highest_roots):
+            labels = raised
+    lam = rs.weight_from_labels(labels)
+    cutoff = data.draw(st.integers(0, 4))
+    den = common_denominator(rs.fundamental_weights + (lam,))
+    fw = [encode(w, den) for w in rs.fundamental_weights]
+    offset = encode(vsub(zero_vec(rs.dim), rs.rho), den)
+    got = _numerator_codes(rs, lam, K, cutoff, fw, offset)
+    want = fraction_numerator_codes(rs, lam, K, cutoff, fw, offset)
+    assert [list(layer.items()) for layer in got] == [list(layer.items()) for layer in want]
