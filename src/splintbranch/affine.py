@@ -31,8 +31,8 @@ Dynkin labels (`_labels_up_to`), and column j holds the rows of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
 from .characters import (_denominator_codes, _divide_by_roots, _dominant_table,
@@ -42,8 +42,7 @@ from .characters import (_denominator_codes, _divide_by_roots, _dominant_table,
 from .splints import Splint, _branch_codes
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(NamedTuple):
     """Highest weight (finite part, level) of an affine module, at grade 0."""
     finite: Vec
     level: int
@@ -62,20 +61,31 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
         raise ValueError(f"(mu, theta^v) = {tv} exceeds level {aw.level}")
 
 
-@dataclass
 class GradedCharacter:
     """Layers of weight multiplicities by grade, exact up to the cutoff."""
-    cutoff: int
-    layers: list  # list[FormalCharacter], index = grade
-    # ((rs.factors, cutoff), its BranchingSeries), set by graded_branch_to_g
-    _branch: tuple = field(default=(None, None), init=False, compare=False, repr=False)
+
+    def __init__(self, cutoff: int, layers: list):
+        self.cutoff = cutoff
+        self.layers = layers  # list[FormalCharacter], index = grade
+        # ((rs.factors, cutoff), its BranchingSeries), set by graded_branch_to_g
+        self._branch = (None, None)
+
+    def __eq__(self, o):
+        return type(o) is GradedCharacter and (self.cutoff, self.layers) == (o.cutoff, o.layers)
+
+    def __repr__(self):
+        return f"GradedCharacter(cutoff={self.cutoff!r}, layers={self.layers!r})"
 
 
-@dataclass
 class BranchingSeries:
     """Graded branching coefficients: (target highest weight, grade) -> int."""
-    cutoff: int
-    entries: dict
+
+    def __init__(self, cutoff: int, entries: dict):
+        self.cutoff = cutoff
+        self.entries = entries
+
+    def __eq__(self, o):
+        return type(o) is BranchingSeries and (self.cutoff, self.entries) == (o.cutoff, o.entries)
 
     def series(self, nu: Vec):
         return [self.entries.get((nu, n), 0) for n in range(self.cutoff + 1)]
@@ -197,8 +207,7 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
 # weight ordering and the multiplicity matrix
 
 
-@dataclass
-class MultiplicityMatrix:
+class MultiplicityMatrix(NamedTuple):
     """m^{(xi)}_nu over dominant weights ordered by ((rho,xi), labels)."""
     basis: list          # dominant weights, ascending
     mat: list            # mat[i][j] = multiplicity of basis[i] in L^{basis[j]}

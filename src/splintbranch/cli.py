@@ -18,11 +18,9 @@ cache entry that cannot be written is a configuration error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import affine as af
@@ -176,6 +174,7 @@ def _cache_dir(args):
 
 def _payload_digest(doc):
     """SHA-256 of the canonical JSON of a cache entry without its digest."""
+    import hashlib  # imported on use, as in cached_affine_character
     body = {k: v for k, v in doc.items() if k != "digest"}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
@@ -236,6 +235,8 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
     configuration error, and no temporary file is left behind."""
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
+    import hashlib  # imported here, so that a command without the cache never loads them
+    import tempfile
     request = {"op": "affine_character", "algebra": rs.name,
                "labels": _ints(rs.dynkin_labels(aw.finite)),
                "level": aw.level, "cutoff": cutoff}

@@ -228,13 +228,18 @@ def _difference(ca, cb, den) -> str:
 
 def compare_qseries(a: QSeries, b: QSeries):
     """None if equal up to the common cutoff, else (exponent, description) of
-    the lowest discrepancy; differing coefficients name where they differ."""
+    the lowest discrepancy; differing coefficients name where they differ.  A
+    term of one series only names that series and differs from the zero of
+    its kind."""
     ta, tb, denom, den = _aligned(a, b)
     top = math.floor(min(a.cutoff, b.cutoff) * denom)
     for k in sorted(k for k in ta.keys() | tb.keys() if k <= top):
         ca, cb, e = ta.get(k), tb.get(k), Fraction(k, denom)
         if ca is None or cb is None:
-            return e, f"term q^{e} only on one side"
+            side, held = ("first", ca) if cb is None else ("second", cb)
+            zero = 0 if isinstance(held, int) else {}
+            return e, f"term q^{e} only in the {side} series" + _difference(
+                zero if ca is None else ca, zero if cb is None else cb, den)
         if ca != cb:
             return e, f"coefficients at q^{e} differ" + _difference(ca, cb, den)
     return None

@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
-from importlib import resources
 from operator import mul
+from typing import NamedTuple
 
 from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
                          vcombine, vneg, zero_vec)
@@ -72,17 +72,19 @@ def _missing_roots(e: Embedding) -> list:
     return [f"embedding map misses source positive roots [{shown}]"] if missing else []
 
 
-@dataclass
 class Report:
     """The verdict of a checked relation: the problems found, and for the
     named identities a one-line detail, the exponent of the lowest series
     mismatch and the q-power that normalized the two sides."""
-    passed: bool
-    problems: list = field(default_factory=list)
-    name: str = ""
-    detail: str = ""
-    first_mismatch: Fraction | None = None
-    normalization: Fraction | None = None
+
+    def __init__(self, passed, problems=None, name="", detail="", first_mismatch=None,
+                 normalization=None):
+        self.passed = passed
+        self.problems = [] if problems is None else problems
+        self.name = name
+        self.detail = detail
+        self.first_mismatch = first_mismatch
+        self.normalization = normalization
 
     def __bool__(self):
         return self.passed
@@ -110,16 +112,15 @@ def check_embedding(e: Embedding) -> Report:
     return Report(not problems, problems)
 
 
-@dataclass
 class Splint:
     """Splint of the ambient root system: Delta = Im(phi1) u Im(phi2)."""
-    name: str
-    ambient: RootSystem
-    phi1: Embedding            # subalgebra stem (image must be closed)
-    phi2: Embedding            # complementary stem
-    correspondence: tuple      # ambient fundamental index -> stem fundamental index
 
-    def __post_init__(self):
+    def __init__(self, name, ambient, phi1, phi2, correspondence):
+        self.name = name
+        self.ambient = ambient
+        self.phi1 = phi1                        # subalgebra stem (image must be closed)
+        self.phi2 = phi2                        # complementary stem
+        self.correspondence = correspondence    # ambient fundamental index -> stem index
         self._view = None
         self._tilde_probe = None
         self._tilde_map = None
@@ -262,8 +263,8 @@ def load_splint_file(path) -> Splint:
 
 
 def _catalog_entries():
-    text = resources.files("splintbranch").joinpath("data/splint_catalog.json").read_text()
-    return json.loads(text)["splints"]
+    with open(os.path.join(os.path.dirname(__file__), "data/splint_catalog.json"), "rb") as fh:
+        return json.load(fh)["splints"]
 
 
 def splint_catalog(rs: RootSystem) -> list[Splint]:
@@ -289,8 +290,7 @@ def find_splint(name: str) -> Splint:
 # injection fan
 
 
-@dataclass
-class Fan:
+class Fan(NamedTuple):
     """Signed coefficients s(gamma) with
     prod_{beta in stem+} (1 - e^{-phi(beta)}) = - sum_gamma s(gamma) e^{-gamma}."""
     splint_name: str

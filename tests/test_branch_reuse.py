@@ -10,6 +10,7 @@ order included); `q_dimension` against a per-grade recount.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +108,30 @@ def test_decomposed_character_still_equals_its_twin():
     af.graded_branch_to_g(b2, aw, 2, left)
     assert left == right
     assert repr(left) == repr(right)
+
+
+def test_graded_records_compare_by_value():
+    b2 = ALGEBRAS["B2"]
+    aw = af.AffineWeight(b2.weight_from_labels([0, 1]), 1)
+    gc = af.affine_character(b2, aw, 2)
+    first, second = af.graded_branch_to_g(b2, aw, 2, gc), af.graded_branch_to_g(b2, aw, 2)
+    assert first is not second and first == second
+    assert first != af.BranchingSeries(1, first.entries)
+    assert gc != af.GradedCharacter(1, gc.layers[:2])
+    # equal by value and mutable, so neither is hashable
+    for record in (gc, first):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_affine_weight_is_hashable_and_immutable():
+    b2 = ALGEBRAS["B2"]
+    aw = af.AffineWeight(b2.weight_from_labels([0, 1]), 1)
+    assert {aw: 1}[af.AffineWeight(b2.weight_from_labels([0, 1]), 1)] == 1
+    with pytest.raises(AttributeError):
+        aw.level = 2
+    with pytest.raises(AttributeError):
+        aw.finite = zero_vec(b2.dim)
 
 
 def test_branch_via_splint_returns_a_fresh_table():

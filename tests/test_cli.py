@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -403,6 +407,22 @@ def test_cache_round_trip_byte_identical(tmp_path, capsys):
     code3, out3, _ = run(capsys, *args + ["--no-cache"])
     assert code3 == 0 and out3 == out1
     assert {f: f.stat().st_mtime for f in files} == before
+
+
+# modules no command needs on start-up: the records are declared without
+# dataclasses (and so inspect), only the cache hashes or writes temporary
+# files, and the catalog is read as a plain file
+START_UP_FREE = ("dataclasses", "inspect", "hashlib", "tempfile", "importlib.resources")
+
+
+def test_cli_import_loads_no_start_up_free_module():
+    # -S: no site hooks, which on some hosts load tempfile or importlib.resources
+    code = ("import splintbranch.cli, sys; "
+            f"print([m for m in {START_UP_FREE!r} if m in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n", f"import splintbranch.cli loaded {done.stdout.strip()}"
 
 
 def test_missing_required_flags(capsys):

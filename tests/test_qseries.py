@@ -228,6 +228,20 @@ def test_theta_sum_identity_at_grade_zero(name):
     assert rep.normalization is None and rep.first_mismatch is None
 
 
+def test_compare_names_the_series_that_holds_a_one_sided_term():
+    more, fewer = qs.QSeries({0: 1, 1: 2}, 2), qs.QSeries({0: 1}, 2)
+    assert qs.compare_qseries(more, fewer) == \
+        (1, "term q^1 only in the first series: 2 against 0")
+    assert qs.compare_qseries(fewer, more) == \
+        (1, "term q^1 only in the second series: 0 against 2")
+    # a lattice term names its lexicographically lowest weight
+    one = FormalCharacter.monomial(zero_vec(A2.dim))
+    lattice = qs.QSeries({0: one, Fraction(1, 2): FormalCharacter(
+        [((1, -1, 0), 3), ((0, 1, -1), 4)])}, 2)
+    assert qs.compare_qseries(qs.QSeries({0: one}, 2), lattice) == \
+        (Fraction(1, 2), "term q^1/2 only in the second series at weight (0, 1, -1): 0 against 4")
+
+
 def test_normalized_compare_one_empty_side_fails():
     empty = qs.QSeries({}, 2)
     one = qs.QSeries.one(2)

@@ -110,7 +110,10 @@ def fraction_compare(a, b):
     for e in sorted(set(at) | set(bt)):
         ca, cb = at.get(e), bt.get(e)
         if ca is None or cb is None:
-            return e, f"term q^{e} only on one side"
+            side = "first" if cb is None else "second"
+            zero = 0 if isinstance(cb if ca is None else ca, int) else FormalCharacter()
+            return e, f"term q^{e} only in the {side} series" + fraction_difference(
+                zero if ca is None else ca, zero if cb is None else cb)
         if ca != cb:
             return e, f"coefficients at q^{e} differ" + fraction_difference(ca, cb)
     return None

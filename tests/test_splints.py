@@ -1,10 +1,8 @@
-import dataclasses
-
 import pytest
 
 from splintbranch.rootsystem import build_root_system, vadd, vneg, zero_vec
 from splintbranch.characters import FormalCharacter
-from splintbranch.splints import (Embedding, Splint, branch_direct,
+from splintbranch.splints import (Embedding, Report, Splint, branch_direct,
                                   branch_via_splint, check_embedding,
                                   check_splint, fan_coefficients, find_splint,
                                   splint_catalog, tilde_weight)
@@ -109,6 +107,11 @@ def _subalgebra_from(phi1):
     return Splint("hand-built", G2, phi1(s), s.phi2, s.correspondence)
 
 
+def _with_correspondence(correspondence):
+    s = find_splint("G2:A2A2")
+    return Splint(s.name, s.ambient, s.phi1, s.phi2, correspondence)
+
+
 def _empty_stem():
     # an A1 source has no root sums, so the emptied map passes additivity
     s = find_splint("G2:A2A2")
@@ -146,7 +149,7 @@ BROKEN_SPLINTS = [
     ("stem-map-misses-a-root", _stem_without_highest_root,
      "stem: embedding map misses source positive roots [(1, 0, -1)]"),
     ("correspondence-not-a-permutation",
-     lambda: dataclasses.replace(find_splint("G2:A2A2"), correspondence=(0,)),
+     lambda: _with_correspondence((0,)),
      "correspondence [0] is not a permutation of the 2 stem fundamental weights"),
     # the short-root A2 as the subalgebra: two short roots add to a long one
     ("subalgebra-not-closed", lambda: _subalgebra_from(lambda s: s.phi2),
@@ -159,6 +162,12 @@ BROKEN_SPLINTS = [
 def test_check_splint_names_each_broken_condition(build, problem):
     rep = check_splint(build())
     assert not rep.passed and problem in rep.problems
+
+
+def test_default_reports_do_not_share_a_problems_list():
+    first, second = Report(True), Report(False, name="x")
+    first.problems.append("a problem")
+    assert second.problems == [] and Report(True).problems == []
 
 
 def test_fan_two_a1_factors():
