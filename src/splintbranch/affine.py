@@ -12,7 +12,8 @@ the finite tables (`characters._freudenthal_tables`).
 
 The main route runs on integer codes (`characters.encode`): the numerator
 (`characters._numerator_codes`, shared with the theta sums of `qseries`),
-the denominator (`characters._denominator_codes`), the layered products
+the denominator (`characters._affine_denominator`, each grade expanded once
+per process and kept in its cache, never changed), the layered products
 (`characters.code_products`) and the layered division by one positive-root
 factor at a time (`characters._divide_by_roots`; `characters.divide_codes`
 is the general division and its oracle) all add ints.  Fractions are built
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
-from .characters import (_denominator_codes, _divide_by_roots, _dominant_table,
+from .characters import (_affine_denominator, _divide_by_roots, _dominant_table,
                          _freudenthal_tables, _numerator_codes, _orbit_character,
                          _split_dominant, code_products, common_denominator, decode,
                          decompose_character, encode, rho_pairing, weyl_dimension)
@@ -110,7 +111,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     # a point y codes as y - rho: its labels on fw, the W-fixed part of lam, -rho
     fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
     num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
-    denom = _denominator_codes([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
+    denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
     factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
     chars: list[dict] = []
     for n in range(cutoff + 1):

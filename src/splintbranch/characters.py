@@ -14,9 +14,15 @@ the columns of `affine.multiplicity_matrix`), and its grades make the affine
 oracle `affine.affine_freudenthal`.
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product loop
-(`add_product`, behind `code_products` and `denominator_layers`, which
-expands every Weyl and affine denominator and the injection fan) adds them
-packed into one int each (`_packing`); `weyl_identity` compares on them.
+(`add_product`, behind `code_products` and the binomial expansion
+`_denominator_codes` of `denominator_layers`, `weyl_identity` and the
+injection fan) adds them packed into one int each (`_packing`).  The affine
+characters and the q-series verifiers read their affine denominators from
+`_affine_denominator`: grade 0 by the binomial expansion, every later grade
+once per process from the grades below it (the q-log-derivative recurrence),
+kept in `_layer_cache` by (image codes, imaginary) as tuples of layers that
+are published under `_cache_lock` and never changed; the binomial expansion
+is its oracle.
 The one Weyl-Kac numerator (`_numerator_codes`, behind the affine
 characters and every alternating theta sum) sums affine Weyl orbits on
 them.  Every orbit here, of the singular elements, the numerator and the
@@ -394,6 +400,43 @@ def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
     return [unpack(layer) for layer in layers]
 
 
+def _affine_denominator(images, imaginary: int, cutoff: int) -> list:
+    """The layers of _denominator_codes(images, imaginary, cutoff), each
+    grade computed once per process by the q-log-derivative recurrence
+    n P_n = sum_{j=1..n} S_j P_{n-j}, with the power sums
+    S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} + e^{-(j/d) img});
+    grade 0 is the binomial expansion.  The division by n is exact, and a
+    remainder raises ArithmeticError.  A deeper request publishes a longer
+    tuple under _cache_lock that shares the layers below it; a published
+    tuple and its layers are never changed.  Packed over the box +-(2 cutoff
+    + 1) sum_img |img|, which holds every term of P_n and S_j P_{n-j}."""
+    key = (tuple(images), imaginary)
+    layers = _layer_cache.get(key, ())
+    if len(layers) <= cutoff:
+        layers = layers or tuple(_denominator_codes(images, 0, 0))
+        bound = [(2 * cutoff + 1) * sum(map(abs, col)) for col in zip(*images)]
+        pack, unpack = _packing([-b for b in bound], bound)
+        keys = [k for img in images for k in pack({img: 1})]
+        sums = [{} for _ in range(cutoff + 1)]      # S_j, packed; 0 packs to 0
+        for j, s in enumerate(sums):
+            for d in (d for d in range(1, j + 1) if j % d == 0):
+                for x in [0] * imaginary + [j // d * k for k in keys] + [-j // d * k for k in keys]:
+                    s[x] = s.get(x, 0) - d
+        packed = [pack(layer) for layer in layers]
+        for n in range(len(layers), cutoff + 1):
+            acc: dict = {}
+            for j in range(1, n + 1):
+                add_product(acc, sums[j], packed[n - j])
+            if any(c % n for c in acc.values()):
+                raise ArithmeticError(f"grade {n} of the affine denominator is not integral")
+            packed.append({p: c // n for p, c in acc.items()})
+        layers += tuple(map(unpack, packed[len(layers):]))
+        with _cache_lock:
+            if len(_layer_cache.get(key, ())) < len(layers):
+                _layer_cache[key] = layers
+    return list(layers[:cutoff + 1])
+
+
 def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) -> list:
     """The Weyl-Kac numerator on codes: the alternating affine Weyl orbit of
     the strictly dominant lam at level K, one {code: sign} dict per grade
@@ -463,6 +506,8 @@ def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
 
 # dominant weight tables, keyed by (algebra name, Dynkin labels)
 _dominant_cache: dict = {}
+# affine denominator layers, keyed by (image codes, imaginary): tuples of grades 0..n
+_layer_cache: dict = {}
 _cache_lock = threading.Lock()
 
 

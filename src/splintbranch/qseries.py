@@ -22,7 +22,9 @@ theta-function restatements as truncated series, each a `splints.Report` of
 the first discrepancy.  Every affine denominator here (of the ambient
 algebra, of a stem pushed into ambient coordinates, of a single root string,
 of the root-string product on the right of the theta-product identity) is
-the layered expansion `characters._denominator_codes` read as a series.  Every
+the layers of `characters._affine_denominator` read as a series: each grade
+is computed once per process from the grades below it and kept, never
+changed, in a cache published under `characters._cache_lock`.  Every
 alternating theta sum, over the coroot lattice at level h-dual of a simple
 factor, is that factor's Weyl-Kac numerator at rho
 (`characters._numerator_codes`) times e^{rho} q^{dim/24}; the lattice sums
@@ -36,8 +38,8 @@ import math
 from fractions import Fraction
 
 from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
-from .characters import (FormalCharacter, _denominator_codes, _numerator_codes, code_products,
-                         common_denominator, decode, encode)
+from .characters import (FormalCharacter, _affine_denominator, _numerator_codes,
+                         code_products, common_denominator, decode, encode)
 from .splints import Report, Splint
 
 
@@ -291,10 +293,10 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
 
 
 def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
-    """The layered denominator expansion (characters._denominator_codes) of
+    """The layered denominator expansion (characters._affine_denominator) of
     the images as a lattice series, the layer of grade n at q^n."""
     den = common_denominator(images)
-    layers = _denominator_codes([encode(img, den) for img in images], imaginary, int(cutoff))
+    layers = _affine_denominator([encode(img, den) for img in images], imaginary, int(cutoff))
     return QSeries.from_codes(enumerate(layers), cutoff, den)
 
 

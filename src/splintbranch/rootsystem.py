@@ -448,9 +448,13 @@ class RootSystem:
     def scaled_labels(self, v: Vec, images=None):
         """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den: label_rows
         applied to v scaled to ints by its common denominator."""
+        return self._apply_rows(v, self.label_rows(images))
+
+    def _apply_rows(self, v: Vec, label_rows):
+        """scaled_labels on the (rows, den) of label_rows, resolved by the caller."""
         if len(v) != self.dim:
             raise ValueError(f"dimension mismatch: expected vectors of length {self.dim}")
-        rows, den = self.label_rows(images)
+        rows, den = label_rows
         d = math.lcm(*(x.denominator for x in v))
         code = [x.numerator * (d // x.denominator) for x in v]
         return [sum(map(mul, row, code)) for row in rows], den * d

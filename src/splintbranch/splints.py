@@ -387,11 +387,12 @@ class SubalgebraView:
         self.ambient = ambient
         self.sub = emb.source
         self.emb = emb
+        self._label_rows = ambient.label_rows(emb.simple_images)
 
     def labels(self, nu: Vec) -> tuple:
         """Integer Dynkin labels of nu for the subalgebra's simple roots;
         raises ValueError if nu is not integral for them."""
-        nums, den = self.ambient.scaled_labels(nu, self.emb.simple_images)
+        nums, den = self.ambient._apply_rows(nu, self._label_rows)
         if any(n % den for n in nums):
             raise ValueError(f"{nu} is not integral for {self.sub.name}")
         return tuple(n // den for n in nums)

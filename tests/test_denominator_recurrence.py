@@ -1,0 +1,137 @@
+"""The affine denominator by the q-log-derivative recurrence against the
+binomial expansion.
+
+`characters._affine_denominator` computes grade n of
+prod_img (1 - e^{-img}) prod_n (1 - q^n)^imaginary (1 - q^n e^{-img})(1 - q^n e^{img})
+from the grades below it, once per process, and keeps the layers in a
+cache that a deeper request extends.  The oracle is
+`characters._denominator_codes`, the binomial-by-binomial expansion behind
+`denominator_layers`: every layer must be equal as a mapping, on random image
+sets and on the stems and ambient of the catalog splints.  Two requests in a
+row must give the layers, dict order included, of one request against an
+empty cache, and threads asking at once must leave the deepest entry.  A corrupted cached grade makes the next grade non-integral,
+which the CLI reports with exit 3 instead of rounding.
+"""
+
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splintbranch import characters
+from splintbranch.characters import (_affine_denominator, _denominator_codes,
+                                     common_denominator, encode)
+from splintbranch.cli import main
+from splintbranch.splints import find_splint
+from test_packed_codes import image_sets
+
+SPLINTS = ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1", "A3:A2A1A1A1"]
+
+
+def ordered(layers):
+    return [list(layer.items()) for layer in layers]
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=image_sets(), imaginary=st.integers(0, 3),
+       cutoffs=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_recurrence_matches_binomial_expansion(images, imaginary, cutoffs):
+    characters._layer_cache.clear()
+    first, second = [_affine_denominator(images, imaginary, c) for c in cutoffs]
+    for got, cutoff in zip((first, second), cutoffs):
+        assert got == _denominator_codes(images, imaginary, cutoff)
+    # the shallower request is the deeper one's prefix, not a recomputation
+    assert all(a is b for a, b in zip(first, second))
+    characters._layer_cache.clear()
+    assert ordered(second) == ordered(_affine_denominator(images, imaginary, cutoffs[1]))
+
+
+def stem_and_ambient_images():
+    """(case id, images, [rank, |positive roots|]) of both stems and the
+    ambient of every catalog splint, the images coded over one denominator."""
+    cases = []
+    for name in SPLINTS:
+        s = find_splint(name)
+        for part, images, source in [("phi1", list(s.phi1.pos_map.values()), s.phi1.source),
+                                     ("phi2", list(s.phi2.pos_map.values()), s.phi2.source),
+                                     ("ambient", list(s.ambient.positive_roots), s.ambient)]:
+            den = common_denominator(images)
+            imaginaries = [source.rank, len(source.positive_roots)]
+            cases.append((f"{name}-{part}", [encode(v, den) for v in images], imaginaries))
+    return cases
+
+
+@pytest.mark.parametrize("case", stem_and_ambient_images(), ids=lambda c: c[0])
+def test_catalog_denominators_to_grade_8(case):
+    _, images, imaginaries = case
+    for imaginary in imaginaries:
+        characters._layer_cache.clear()
+        assert _affine_denominator(images, imaginary, 8) == _denominator_codes(images,
+                                                                              imaginary, 8)
+
+
+def test_returned_lists_are_fresh():
+    images = [(1, 0), (0, 1), (1, 1)]
+    characters._layer_cache.clear()
+    got = _affine_denominator(images, 2, 3)
+    got.append({})
+    assert len(_affine_denominator(images, 2, 3)) == 4
+    assert len(characters._layer_cache[(tuple(images), 2)]) == 4
+
+
+def test_threads_share_one_entry():
+    # more threads than cores, switching often, each asking for its own
+    # cutoff: a shallower entry never replaces a deeper one, and every
+    # thread gets the binomial layers
+    images = [(2, -1), (-1, 2), (1, 1)]
+    want = _denominator_codes(images, 2, 7)
+    cutoffs = [7, 2, 5, 0, 6, 3, 4, 1]
+    got = {}
+
+    def request(cutoff):
+        start.wait(timeout=60)
+        got[cutoff] = _affine_denominator(images, 2, cutoff)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            characters._layer_cache.clear()
+            got.clear()
+            start = threading.Barrier(len(cutoffs))
+            threads = [threading.Thread(target=request, args=(c,)) for c in cutoffs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(got[c] == want[:c + 1] for c in cutoffs)
+            assert len(characters._layer_cache[(tuple(images), 2)]) == 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_non_integral_grade_exits_3(capsys):
+    # the B2 Weyl-Kac denominator with one coefficient of grade 1 doubled:
+    # S_1 has the coefficient -1 at every e^{+-img}, so 2 P_2 = S_1 P_1 + S_2 P_0
+    # gets odd coefficients
+    rs = find_splint("B2:A1A1").ambient
+    den = common_denominator(rs.positive_roots)
+    images = [encode(a, den) for a in rs.positive_roots]
+    characters._layer_cache.clear()
+    layers = _affine_denominator(images, rs.rank, 1)
+    code, c = next(iter(layers[1].items()))
+    assert c in (1, -1)
+    corrupt = {**layers[1], code: 2 * c}
+    try:
+        characters._layer_cache[(tuple(images), rs.rank)] = (layers[0], corrupt)
+        code = main(["verify", "--identity", "denominator", "--splint", "B2:A1A1",
+                     "--grade-max", "2", "--no-cache"])
+    finally:
+        characters._layer_cache.clear()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("internal error: ArithmeticError: grade 2 of the affine denominator "
+                   "is not integral\n")

@@ -39,6 +39,8 @@ README_COMMANDS = {
 CASES = [(name, fmt) for name in README_COMMANDS for fmt in ("text", "json")]
 # not a README command: the A3 splint's identities, exit code 0
 A3_VERIFY = "verify --identity all --splint A3:A2A1A1A1 --grade-max 3"
+# not a README command: the G2 splint's identities through grade 8, exit code 0
+G2_DEEP_VERIFY = "verify --identity all --splint G2:A2A2 --grade-max 8"
 
 
 def run_case(name, fmt, command=None):
@@ -67,6 +69,12 @@ def test_readme_command_matches_golden(name, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_a3_matches_golden(fmt):
     assert run_case("verify-a3", fmt, A3_VERIFY) == (0, golden_path("verify-a3", fmt).read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_g2_deep_matches_golden(fmt):
+    assert run_case("verify-g2-deep", fmt, G2_DEEP_VERIFY) == (
+        0, golden_path("verify-g2-deep", fmt).read_text())
 
 
 def regenerate():
