@@ -54,7 +54,7 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
     if len(rs.factors) != 1:
         raise ValueError("affine operations require a simple ambient algebra")
     _split_dominant(rs, aw.finite)
-    if aw.level < 0:
+    if type(aw.level) is not int or aw.level < 0:        # a bool is refused too
         raise ValueError("level must be a nonnegative integer")
     theta = rs.highest_roots[0]
     tv = rs.inner(aw.finite, rs.coroot(theta))

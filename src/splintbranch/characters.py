@@ -440,27 +440,23 @@ def _affine_denominator(images, imaginary: int, cutoff: int) -> list:
 def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) -> list:
     """The Weyl-Kac numerator on codes: the alternating affine Weyl orbit of
     the strictly dominant lam at level K, one {code: sign} dict per grade
-    0..cutoff.  Each translate lam + K beta, beta = sum_i c_i alpha_i^vee from
-    the ellipsoid of lattice_grades, has labels x = l + K G c (l of lam, G the
-    coroot_gram) and grade (l.c + x.c)/2, and is reflected on its labels; a
-    point with labels y codes as sum_i y_i fw[i] + offset, fw[i] the code of
-    the image of the i-th fundamental weight, so fw and offset carry any push
-    and shift."""
+    0..cutoff.  Each translate lam + K beta, beta = sum_i c_i alpha_i^vee,
+    comes with its grade (an integer: the coroot_gram G has an even
+    diagonal) from lattice_points_in_ellipsoid on G and the labels l of lam,
+    has labels x = l + K G c and is reflected on its labels; a point with
+    labels y codes as sum_i y_i fw[i] + offset, fw[i] the code of the image
+    of the i-th fundamental weight, so fw and offset carry any push and shift."""
     lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
     layers = [{} for _ in range(cutoff + 1)]
-    G, G_inv = rs.coroot_gram
-    gram = [[Fraction(K * x, 2) for x in row] for row in G]
-    center = [sum(map(mul, row, lam_labels)) / K for row in G_inv]
-    lift = sum(map(mul, lam_labels, center)) / 2         # K/2 |lam/K|^2
-    for c in lattice_points_in_ellipsoid(gram, center, cutoff + lift):
+    G = rs.coroot_gram
+    for c, g in lattice_points_in_ellipsoid(G, lam_labels, K, cutoff):
         x = tuple(a + K * sum(map(mul, row, c)) for a, row in zip(lam_labels, G))
-        g = (sum(map(mul, lam_labels, c)) + sum(map(mul, x, c))) // 2
         if g < 0:
             raise AssertionError(f"negative grade {g} in affine orbit")
         dom, sign_x = rs.dominant_labels(x)
         if not all(dom):
             raise AssertionError("affine orbit point is not regular")
-        t = layers[g]
+        t = layers[int(g)]
         for v, s in rs.label_orbit(dom, fw, offset):
             m = t.get(v, 0) + s * sign_x
             if m:

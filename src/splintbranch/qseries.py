@@ -27,8 +27,9 @@ is computed once per process from the grades below it and kept, never
 changed, in a cache published under `characters._cache_lock`.  Every
 alternating theta sum, over the coroot lattice at level h-dual of a simple
 factor, is that factor's Weyl-Kac numerator at rho
-(`characters._numerator_codes`) times e^{rho} q^{dim/24}; the lattice sums
-that remain enumerate points with `RootSystem.lattice_grades`.
+(`characters._numerator_codes`) times e^{rho} q^{dim/24}; the numerator
+and the lattice sums that remain walk their points, each with its grade,
+through the one enumeration `rootsystem.lattice_points_in_ellipsoid`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .rootsystem import RootSystem, Vec, build_root_system, vadd, vscale, zero_vec
+from .rootsystem import (RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid,
+                         vcombine, zero_vec)
 from .characters import (FormalCharacter, _affine_denominator, _numerator_codes,
                          code_products, common_denominator, decode, encode)
 from .splints import Report, Splint
@@ -269,12 +271,15 @@ def eta(cutoff) -> QSeries:
 
 def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> QSeries:
     """Sum over xi in lam/level + (lattice of basis) of q^{level(xi,xi)/2}
-    e^{push(level xi)}; level xi = lam + level beta sits at
-    q^{(lam,lam)/2level + g}, g the grade of beta (lattice_grades)."""
+    e^{push(level xi)}; level xi = lam + level sum_i c_i basis[i] sits at
+    q^{(lam,lam)/2level + g}, (c, g) walked on the Gram matrix of the basis
+    and the pairings of lam with it."""
     start = rs.inner(lam, lam) / (2 * level)
+    gram = [[rs.inner(a, b) for b in basis] for a in basis]
+    pairing = [rs.inner(lam, a) for a in basis]
     acc: dict[Fraction, FormalCharacter] = {}
-    for beta, g in rs.lattice_grades(basis, lam, level, Fraction(cutoff) - start):
-        v = vadd(lam, vscale(beta, level))
+    for c, g in lattice_points_in_ellipsoid(gram, pairing, level, Fraction(cutoff) - start):
+        v = vcombine(lam, [level * x for x in c], basis)
         acc.setdefault(start + g, FormalCharacter()).iadd(
             FormalCharacter.monomial(push(v) if push else v))
     return QSeries(acc, cutoff)
@@ -283,7 +288,7 @@ def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> Q
 def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
     """Classical theta of the root lattice: sum over xi in Q + lam/level of
     q^{level(xi,xi)/2} carrying the lattice element level*xi."""
-    if level < 1:
+    if type(level) is not int or level < 1:      # a bool is refused too
         raise ValueError("level must be >= 1")
     return _lattice_sum(rs, rs.simple_roots, lam, level, cutoff)
 

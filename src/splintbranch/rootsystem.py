@@ -93,11 +93,15 @@ def vcombine(start: Vec, coeffs, basis) -> Vec:
 
 
 def invert_matrix(a):
-    """Exact inverse of a square Fraction matrix (Gauss-Jordan)."""
+    """Exact inverse, in Fractions, of a square int or Fraction matrix
+    (Gauss-Jordan); a singular matrix is refused."""
     n = len(a)
-    m = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
         d = m[col][col]
         m[col] = [x / d for x in m[col]]
@@ -135,19 +139,27 @@ def _int_interval(u: Fraction, rho2: Fraction):
     return range(-((t + a * q) // (q * b)), (t - a * q) // (q * b) + 1)
 
 
-def lattice_points_in_ellipsoid(gram, center, bound: Fraction):
-    """Yield integer vectors c with (c+center)^T gram (c+center) <= bound.
+def lattice_points_in_ellipsoid(gram, pairing, level: int, bound):
+    """Yield (c, g) for the integer vectors c with exact grade
+    g = pairing.c + level c^T gram c / 2 <= bound, gram positive definite.
 
-    gram must be positive definite (Fractions); center is a rational vector in
-    lattice coordinates.  Exact Fincke-Pohst style recursion via LDL.
+    The ellipsoid (c + z)^T (level gram / 2) (c + z) <= bound + pairing.z / 2,
+    gram z = pairing / level, is walked by an exact Fincke-Pohst style
+    recursion via LDL; the budget left at a leaf is bound - g.
     """
     n = len(gram)
-    L, D = _ldl(gram)
+    L, D = _ldl([[Fraction(level * x, 2) for x in row] for row in gram])
+    u = []                      # L u = pairing / 2, then L^T center = u / D
+    for j in range(n):
+        u.append(Fraction(pairing[j], 2) - sum(map(mul, L[j], u)))
+    center = [0] * n
+    for j in reversed(range(n)):
+        center[j] = u[j] / D[j] - sum(L[k][j] * center[k] for k in range(j + 1, n))
     c = [0] * n
 
     def rec(j, budget):
         if j < 0:
-            yield tuple(c)
+            yield tuple(c), bound - budget
             return
         s = sum(L[k][j] * (c[k] + center[k]) for k in range(j + 1, n))
         for cj in _int_interval(center[j] + s, budget / D[j]):
@@ -156,7 +168,7 @@ def lattice_points_in_ellipsoid(gram, center, bound: Fraction):
             yield from rec(j - 1, budget - term)
         c[j] = 0
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, bound + sum(map(mul, pairing, center)) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,7 @@ class RootSystem:
         if any(x.denominator != 1 for row in cartan for x in row):
             raise AssertionError("non-integer Cartan entry")
         self.cartan = [[int(x) for x in row] for row in cartan]
-        self._cartan_inv = invert_matrix([[Fraction(x) for x in row] for row in self.cartan])
+        self._cartan_inv = invert_matrix(self.cartan)
         # omega_k = sum_j (C^-1)_{kj} alpha_j
         self.fundamental_weights: tuple[Vec, ...] = tuple(map(self._combine, self._cartan_inv))
 
@@ -372,13 +384,6 @@ class RootSystem:
             raise ValueError("vector does not lie in the span of the simple roots")
         self._coeff_cache[v] = coeffs
         return coeffs
-
-    def basis_coordinates(self, basis, v: Vec):
-        """Coordinates in `basis` of the orthogonal projection of v onto the
-        span of `basis` (v itself when it lies in that span)."""
-        gram = [[self.inner(a, b) for b in basis] for a in basis]
-        rhs = [self.inner(v, a) for a in basis]
-        return [sum(map(mul, row, rhs)) for row in invert_matrix(gram)]
 
     def height(self, v: Vec) -> Fraction:
         return sum(self.simple_coefficients(v))
@@ -606,21 +611,9 @@ class RootSystem:
 
     @cached_property
     def coroot_gram(self):
-        """(G, G^-1), G[i][j] = (alpha_i^vee, alpha_j^vee): ints, an even diagonal."""
+        """G[i][j] = (alpha_i^vee, alpha_j^vee): ints, an even diagonal."""
         basis = self.coroot_lattice_basis()
-        gram = [[self.inner(a, b) for b in basis] for a in basis]
-        return tuple(tuple(map(int, row)) for row in gram), invert_matrix(gram)
-
-    def lattice_grades(self, basis, lam: Vec, K: int, bound):
-        """(beta, g) for the points beta of the lattice of `basis` with
-        g = (lam, beta) + K (beta, beta) / 2 <= bound: the ellipsoid
-        K/2 |beta + lam/K|^2 <= bound + K/2 |lam/K|^2, lam projected onto the span."""
-        gram = [[Fraction(K, 2) * self.inner(a, b) for b in basis] for a in basis]
-        center = self.basis_coordinates(basis, vscale(lam, Fraction(1, K)))
-        lift = sum(x * sum(map(mul, row, center)) for x, row in zip(center, gram))
-        for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(bound) + lift):
-            beta = vcombine(zero_vec(self.dim), coeffs, basis)
-            yield beta, self.inner(lam, beta) + K * self.inner(beta, beta) / 2
+        return tuple(tuple(int(self.inner(a, b)) for b in basis) for a in basis)
 
     # -- subsystems ----------------------------------------------------------
 

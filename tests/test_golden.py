@@ -41,6 +41,10 @@ CASES = [(name, fmt) for name in README_COMMANDS for fmt in ("text", "json")]
 A3_VERIFY = "verify --identity all --splint A3:A2A1A1A1 --grade-max 3"
 # not a README command: the G2 splint's identities through grade 8, exit code 0
 G2_DEEP_VERIFY = "verify --identity all --splint G2:A2A2 --grade-max 8"
+# not a README command: the F4 vacuum's string functions, exit code 0; with
+# D5 the rank-4-and-up pins of the numerator walk, on a non-simply-laced
+# coroot Gram matrix
+F4_STRINGS = "strings --algebra F4 --level 1 --weight 0,0,0,0 --grade-max 2"
 
 
 def run_case(name, fmt, command=None):
@@ -75,6 +79,12 @@ def test_verify_a3_matches_golden(fmt):
 def test_verify_g2_deep_matches_golden(fmt):
     assert run_case("verify-g2-deep", fmt, G2_DEEP_VERIFY) == (
         0, golden_path("verify-g2-deep", fmt).read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_strings_f4_matches_golden(fmt):
+    assert run_case("strings-f4", fmt, F4_STRINGS) == (
+        0, golden_path("strings-f4", fmt).read_text())
 
 
 def regenerate():

@@ -3,10 +3,12 @@ refuses, with the CLI's exit code 2 and one stderr line."""
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from splintbranch import affine as af
+from splintbranch import qseries as qs
 from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system, zero_vec
 from splintbranch.splints import _catalog_entries, load_splint_file, splint_from_dict
@@ -73,6 +75,14 @@ def test_library_refuses_outside_input(tmp_path):
     for character in (af.affine_character, af.affine_freudenthal):
         with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
             character(A1, af.AffineWeight(zero, 1), -1)
+    # a level that is not an int, even one of integral value, is refused by
+    # the affine characters and by the theta function
+    for level in (1.5, Fraction(1, 2), Fraction(2), True):
+        for character in (af.affine_character, af.affine_freudenthal):
+            with pytest.raises(ValueError, match="^level must be a nonnegative integer$"):
+                character(A1, af.AffineWeight(zero, level), 2)
+        with pytest.raises(ValueError, match="^level must be >= 1$"):
+            qs.theta(A1, zero, level, 2)
     # a stem whose first root lands on a subalgebra image: refused from the
     # catalog route, loaded unverified from a file
     (entry,) = [e for e in _catalog_entries() if e["name"] == "G2:A2A2"]

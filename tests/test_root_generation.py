@@ -75,6 +75,26 @@ def test_integer_builder_matches_reflection_closure(name):
     assert len(rs.positive_roots) * 2 == len(rs.roots)
 
 
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_invert_matrix_is_exact_on_int_cartan_matrices(name):
+    # the int Cartan matrix inverts to Fractions, not floats: C C^-1 = 1
+    cartan = build_root_system(name).cartan
+    inv = invert_matrix(cartan)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    n = len(cartan)
+    assert [[sum(map(mul, row, col)) for col in zip(*inv)] for row in cartan] == [
+        [int(i == j) for j in range(n)] for i in range(n)]
+    assert invert_matrix([[2, 1], [1, 2]]) == [[Fraction(2, 3), Fraction(-1, 3)],
+                                               [Fraction(-1, 3), Fraction(2, 3)]]
+
+
+def test_invert_matrix_refuses_a_singular_matrix():
+    # a ValueError, not a bare StopIteration (a RuntimeError inside a generator)
+    for singular in ([[1, 1], [1, 1]], [[0]], [[Fraction(1, 2), 1], [1, 2]]):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            invert_matrix(singular)
+
+
 def string_growth(rs):
     """Simple coefficients of the positive roots, grown from the simple roots
     by root strings: beta + alpha_i is a root iff q - <beta, alpha_i^vee> > 0,

@@ -5,10 +5,11 @@ enumerator.
 as a series carried by e^{rho} q^{(rho,rho)/2h-dual}.  It is checked against
 a test-local copy of the per-Weyl-element route it replaced: |W| separate
 Fraction lattice sums over shifted coroot lattices, pushed term by term.
-`RootSystem.lattice_grades` is checked against a brute-force box search.
-The numerator's integer walk over coroot coordinates is checked against a
-test-local copy of the loop it replaced, which read each point's labels and
-grade from Fraction vectors through `lattice_grades`.
+The one lattice walk, `lattice_points_in_ellipsoid`, is checked against a
+brute-force box search, points and grades.  The numerator's integer walk
+over coroot coordinates is checked against a test-local loop that reads the
+walk's points and computes each point's labels and grade from Fraction
+vectors.
 """
 
 import itertools
@@ -32,13 +33,17 @@ CUTOFFS = [0, 1, 2, 3, 4, 5, 6, Fraction(7, 2)]
 
 
 def fraction_lattice_sum(rs, basis, shift, level, cutoff):
-    """Sum of q^{level*(xi,xi)/2} e^{level*xi} over xi in (lattice + shift)."""
-    center = rs.basis_coordinates(basis, shift)
-    gram = [[Fraction(level, 2) * rs.inner(a, b) for b in basis] for a in basis]
+    """Sum of q^{level*(xi,xi)/2} e^{level*xi} over xi in (lattice + shift),
+    walked on its own Gram matrix and the pairings of level*shift."""
+    lam = vscale(shift, level)
+    gram = [[rs.inner(a, b) for b in basis] for a in basis]
+    pairing = [rs.inner(lam, a) for a in basis]
+    start = rs.inner(lam, lam) / (2 * level)
     acc = {}
-    for coeffs in lattice_points_in_ellipsoid(gram, center, Fraction(cutoff)):
+    for coeffs, g in lattice_points_in_ellipsoid(gram, pairing, level, Fraction(cutoff) - start):
         xi = vcombine(shift, coeffs, basis)
         e = Fraction(level) * rs.inner(xi, xi) / 2
+        assert e == start + g
         kxi = vscale(xi, level)
         fc = acc.setdefault(e, FormalCharacter())
         fc.terms[kxi] = fc.terms.get(kxi, 0) + 1
@@ -113,30 +118,40 @@ def test_factor_sum_starts_at_dim_over_24(name):
 
 
 def box_grades(rs, basis, lam, K, bound, width=6):
-    """(beta, g) for every point with coordinates in [-width, width], kept
-    when g <= bound; none may sit on the faces of the box."""
+    """(c, g) for every point c with coordinates in [-width, width], kept
+    when g <= bound, g = (lam, beta) + K (beta, beta)/2 of beta = sum_i c_i
+    basis[i]; none may sit on the faces of the box."""
     out = set()
     for coeffs in itertools.product(range(-width, width + 1), repeat=len(basis)):
         beta = vcombine(zero_vec(rs.dim), coeffs, basis)
         g = rs.inner(lam, beta) + K * rs.inner(beta, beta) / 2
         if g <= bound:
             assert max(map(abs, coeffs)) < width, "box too small"
-            out.add((beta, g))
+            out.add((coeffs, g))
     return out
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
-@pytest.mark.parametrize("which", ["root", "coroot"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C3", "G2"])
+@pytest.mark.parametrize("which", ["root", "coroot", "coroot_gram"])
 def test_lattice_grades_match_box_search(name, which):
+    # coroot_gram: the int Gram matrix and int labels, as _numerator_codes passes them
     rs = build_root_system(name)
     basis = rs.simple_roots if which == "root" else rs.coroot_lattice_basis()
     # lam = 0, lam = rho, and lam with lam/K off the lattice (K = 3)
     cases = [(zero_vec(rs.dim), 2, 3), (rs.rho, rs.dual_coxeter[0], 4),
              (rs.fundamental_weights[0], 3, Fraction(5, 2))]
     for lam, K, bound in cases:
-        got = list(rs.lattice_grades(basis, lam, K, bound))
+        if which == "coroot_gram":
+            gram, pairing = rs.coroot_gram, tuple(int(m) for m in rs.dynkin_labels(lam))
+        else:
+            gram = [[rs.inner(a, b) for b in basis] for a in basis]
+            pairing = [rs.inner(lam, a) for a in basis]
+        got = list(lattice_points_in_ellipsoid(gram, pairing, K, bound))
         assert len(got) == len(set(got))
         assert set(got) == box_grades(rs, basis, lam, K, bound), (lam, K, bound)
+        if which != "root":
+            # an even diagonal: every grade on the coroot lattice is an integer
+            assert all(g.denominator == 1 for _, g in got)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +162,15 @@ NUMERATOR_ALGEBRAS = {name: build_root_system(name) for name in (
 
 
 def fraction_numerator_codes(rs, lam, K, cutoff, fw, offset):
-    """_numerator_codes as it read each coroot-lattice point beta and its
-    grade (lam, beta) + K (beta, beta)/2 from lattice_grades, as Fractions."""
+    """_numerator_codes with the labels and grade of each point c of the walk
+    computed from Fraction vectors: beta = sum_i c_i alpha_i^vee and grade
+    (lam, beta) + K (beta, beta)/2, which must equal the walk's."""
     lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
     layers = [{} for _ in range(cutoff + 1)]
-    for beta, g in rs.lattice_grades(rs.coroot_lattice_basis(), lam, K, cutoff):
+    for c, walk_g in lattice_points_in_ellipsoid(rs.coroot_gram, lam_labels, K, cutoff):
+        beta = vcombine(zero_vec(rs.dim), c, rs.coroot_lattice_basis())
+        g = rs.inner(lam, beta) + K * rs.inner(beta, beta) / 2
+        assert g == walk_g
         assert g.denominator == 1 and g >= 0
         x = tuple(a + K * int(b) for a, b in zip(lam_labels, rs.dynkin_labels(beta)))
         dom, sign_x = rs.dominant_labels(x)
