@@ -19,9 +19,16 @@ factor at a time (`characters._divide_by_roots`; `characters.divide_codes`
 is the general division and its oracle) all add ints.  Fractions are built
 once, when the layers are returned.
 
-Each character is decomposed into horizontal modules once: the series of
-`graded_branch_to_g` is kept on the `GradedCharacter` for its algebra and
-cutoff, and `q_dimension` and `branch_affine_to_subalgebra` read it there.
+The branching to the horizontal algebra is read off the dividends, with
+nothing decomposed.  The dividend of grade n, before the division, is
+R ch_n = sum_nu b_nu(n) sum_w eps(w) e^{w(nu + rho) - rho} (R the finite
+Weyl denominator), so b_nu(n) is its coefficient at nu, the one term of its
+orbit with labels >= 0.  A dividend with other than |W| terms per such term,
+or a negative b, raises AssertionError.  The series is kept on the
+`GradedCharacter` for its algebra and cutoff, where `graded_branch_to_g`,
+`q_dimension` and `branch_affine_to_subalgebra` read it; a character built
+any other way is peeled once by `graded_branch_to_g` (`decompose_character`,
+also this read's oracle in the tests).
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
@@ -33,12 +40,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
 from .characters import (_affine_denominator, _divide_by_roots, _dominant_table,
                          _freudenthal_tables, _numerator_codes, _orbit_character,
-                         _split_dominant, code_products, common_denominator, decode,
+                         _split_dominant, _weight, code_products, common_denominator, decode,
                          decompose_character, encode, rho_pairing, weyl_dimension)
 from .splints import Splint, _branch_codes
 
@@ -68,7 +76,8 @@ class GradedCharacter:
     def __init__(self, cutoff: int, layers: list):
         self.cutoff = cutoff
         self.layers = layers  # list[FormalCharacter], index = grade
-        # ((rs.factors, cutoff), its BranchingSeries), set by graded_branch_to_g
+        # ((rs.factors, cutoff), its BranchingSeries), set by affine_character
+        # or graded_branch_to_g
         self._branch = (None, None)
 
     def __eq__(self, o):
@@ -100,7 +109,8 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
 
     Numerator, denominator, the layered products and the layered division
     all run on codes over one common denominator; the layers are decoded
-    once, at the end."""
+    once, at the end.  The branching to rs is read off each dividend and
+    kept on the result (see the module docstring)."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -113,13 +123,23 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
     denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
     factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
+    rows = rs.label_rows()[0]
     chars: list[dict] = []
+    entries: dict = {}
     for n in range(cutoff + 1):
         (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
                                -1)
+        # rhs = sum_nu b_nu(n) sum_w eps(w) e^{w(nu + rho) - rho}: b_nu(n) sits at the
+        # code of nu, the one term of its orbit with labels >= 0 (codes negate them)
+        top = sorted((sum(map(mul, pair, c)), c, b) for c, b in rhs.items()
+                     if all(sum(map(mul, row, c)) <= 0 for row in rows))
+        if len(rhs) != rs.weyl_order * len(top) or any(b < 0 for _, _, b in top):
+            raise AssertionError(f"grade {n} numerator is not a sum of Weyl numerators")
+        entries.update(((_weight(c, den), n), b) for _, c, b in top)
         chars.append(_divide_by_roots(rhs, factors, pair))
     gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)
+    gc._branch = ((rs.factors, cutoff), BranchingSeries(cutoff, entries))
     return gc
 
 
@@ -163,10 +183,13 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
 
 def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
-    """Decompose every grade layer into irreducible modules of the horizontal
-    subalgebra.  Each layer is a genuine module, so all coefficients are
-    nonnegative and the reconstruction is exact (enforced by the decomposer).
-    The series is kept on gc for its algebra and cutoff; callers only read it."""
+    """Every grade layer as a sum of irreducible modules of the horizontal
+    subalgebra.  A character fresh from affine_character holds the series
+    read off its grade numerators.  Any other one (a cache hit,
+    affine_freudenthal, one built by hand, or another algebra on the same
+    weights) is decomposed here, and the decomposer enforces nonnegative
+    coefficients and an exact reconstruction.  The series is kept on gc for
+    its algebra and cutoff; callers only read it."""
     gc = _character(rs, aw, cutoff, gc)
     key = (rs.factors, cutoff)
     if gc._branch[0] != key:
@@ -190,10 +213,14 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     """Graded dimension sum_n q^n sum_nu b(n) dim L^nu, exact integers.
 
     Cross-checked against the total layer multiplicity, which counts the same
-    dimension directly from the character."""
+    dimension directly from the character.  A bs or gc that stops below
+    cutoff is refused."""
     gc = _character(rs, aw, cutoff, gc)
     if bs is None:
         bs = graded_branch_to_g(rs, aw, cutoff, gc)
+    elif bs.cutoff < cutoff:
+        raise ValueError(f"branching series has cutoff {bs.cutoff}, below the requested "
+                         f"cutoff {cutoff}")
     dims = {nu: weyl_dimension(rs, nu) for nu in {nu for nu, _ in bs.entries}}
     out = [0] * (cutoff + 1)
     for (nu, n), b in bs.entries.items():

@@ -95,3 +95,16 @@ def test_library_refuses_outside_input(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(entry))
     assert load_splint_file(path).name == "G2:A2A2"
+
+
+def test_q_dimension_refuses_a_short_branching_series():
+    # a series that stops below the cutoff is refused as input, naming both
+    # cutoffs, not reported as a disagreement with the layer totals
+    A2 = build_root_system("A2")
+    aw = af.AffineWeight(zero_vec(A2.dim), 1)
+    gc = af.affine_character(A2, aw, 3)
+    bs = af.graded_branch_to_g(A2, aw, 1, gc)
+    with pytest.raises(ValueError, match="^branching series has cutoff 1, below the "
+                                         "requested cutoff 3$"):
+        af.q_dimension(A2, aw, 3, bs, gc)
+    assert af.q_dimension(A2, aw, 1, bs, gc) == af.q_dimension(A2, aw, 1)
