@@ -75,17 +75,17 @@ def test_sweep_covers_every_level_one_module():
 def tamper(monkeypatch, rs, grade, how):
     """Make affine_character see a dividend of the given grade whose highest
     term, which has labels >= 0, is dropped or negated."""
-    pair, calls, real = rho_pairing(rs), [], af.code_products
+    pair, seen, real = rho_pairing(rs), [], af.code_products
 
     def tampered(*args):
         (rhs,) = real(*args)
-        if len(calls) == grade:
+        if len(seen) == grade:
             top = min(rhs, key=lambda c: (sum(p * x for p, x in zip(pair, c)), c))
             if how == "drop":
                 del rhs[top]
             else:
                 rhs[top] = -rhs[top]
-        calls.append(grade)
+        seen.append(rhs)
         return [rhs]
 
     monkeypatch.setattr(af, "code_products", tampered)
