@@ -25,10 +25,10 @@ R ch_n = sum_nu b_nu(n) sum_w eps(w) e^{w(nu + rho) - rho} (R the finite
 Weyl denominator), so b_nu(n) is its coefficient at nu, the one term of its
 orbit with labels >= 0.  A dividend with other than |W| terms per such term,
 or a negative b, raises AssertionError.  The series is kept on the
-`GradedCharacter` for its algebra and cutoff, where `graded_branch_to_g`,
-`q_dimension` and `branch_affine_to_subalgebra` read it; a character built
-any other way is peeled once by `graded_branch_to_g` (`decompose_character`,
-also this read's oracle in the tests).
+`GradedCharacter` for its algebra; `graded_branch_to_g` serves it, sliced for
+a shorter cutoff.  It peels a character built any other way and keeps nothing
+(`_peel`, shared with `branch_affine_direct`; `decompose_character` is also
+this read's oracle in the tests).
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
@@ -76,8 +76,8 @@ class GradedCharacter:
     def __init__(self, cutoff: int, layers: list):
         self.cutoff = cutoff
         self.layers = layers  # list[FormalCharacter], index = grade
-        # ((rs.factors, cutoff), its BranchingSeries), set by affine_character
-        # or graded_branch_to_g
+        # (rs.factors, the BranchingSeries read off the grade numerators),
+        # set by affine_character only
         self._branch = (None, None)
 
     def __eq__(self, o):
@@ -139,7 +139,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
         chars.append(_divide_by_roots(rhs, factors, pair))
     gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
     check_highest_weight(gc, aw)
-    gc._branch = ((rs.factors, cutoff), BranchingSeries(cutoff, entries))
+    gc._branch = (rs.factors, BranchingSeries(cutoff, entries))
     return gc
 
 
@@ -150,10 +150,12 @@ def check_highest_weight(gc: GradedCharacter, aw: AffineWeight):
 
 
 def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacter | None):
-    """gc, or the character of aw up to cutoff when gc is None; a gc that
-    stops below cutoff is refused.  A gc with more grades is read up to cutoff."""
+    """gc, or the character of aw up to cutoff when gc is None; a negative cutoff
+    or a gc that stops below it is refused, and one with more grades is read up to it."""
     if gc is None:
         return affine_character(rs, aw, cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     if gc.cutoff < cutoff:
         raise ValueError(f"character has cutoff {gc.cutoff}, below the requested cutoff {cutoff}")
     return gc
@@ -181,24 +183,27 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
 # graded branching and string functions
 
 
+def _peel(gc: GradedCharacter, cutoff: int, decompose) -> BranchingSeries:
+    """Grades 0..cutoff of gc, each layer decomposed by decompose."""
+    return BranchingSeries(cutoff, {(nu, n): b for n in range(cutoff + 1)
+                                    for nu, b in decompose(gc.layers[n]).items()})
+
+
 def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
     """Every grade layer as a sum of irreducible modules of the horizontal
     subalgebra.  A character fresh from affine_character holds the series
-    read off its grade numerators.  Any other one (a cache hit,
+    read off its grade numerators, served as it is at its cutoff and as a
+    slice, in the same order, below it.  Any other one (a cache hit,
     affine_freudenthal, one built by hand, or another algebra on the same
-    weights) is decomposed here, and the decomposer enforces nonnegative
-    coefficients and an exact reconstruction.  The series is kept on gc for
-    its algebra and cutoff; callers only read it."""
+    weights) is peeled on every call, and the decomposer enforces
+    nonnegative coefficients and an exact reconstruction."""
     gc = _character(rs, aw, cutoff, gc)
-    key = (rs.factors, cutoff)
-    if gc._branch[0] != key:
-        entries: dict = {}
-        for n in range(cutoff + 1):
-            for nu, b in decompose_character(rs, gc.layers[n]).items():
-                entries[(nu, n)] = b
-        gc._branch = (key, BranchingSeries(cutoff, entries))
-    return gc._branch[1]
+    key, read = gc._branch
+    if key != rs.factors:
+        return _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
+    return read if cutoff == read.cutoff else BranchingSeries(
+        cutoff, {k: b for k, b in read.entries.items() if k[1] <= cutoff})
 
 
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
@@ -338,10 +343,4 @@ def branch_affine_direct(rs: RootSystem, s: Splint, aw: AffineWeight,
                          ) -> BranchingSeries:
     """Direct route: decompose each grade layer straight into subalgebra
     modules by highest-weight subtraction."""
-    gc = _character(rs, aw, cutoff, gc)
-    view = s.subalgebra_view()
-    entries: dict = {}
-    for n in range(cutoff + 1):
-        for nu, b in view.decompose(gc.layers[n]).items():
-            entries[(nu, n)] = b
-    return BranchingSeries(cutoff, entries)
+    return _peel(_character(rs, aw, cutoff, gc), cutoff, s.subalgebra_view().decompose)

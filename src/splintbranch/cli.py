@@ -189,8 +189,8 @@ def _layers_to_json(gc: af.GradedCharacter, request):
 
 
 def _layers_from_json(doc):
-    """Parse a cache document; raises ValueError, TypeError, KeyError or
-    AttributeError if it is not one, or if its digest does not match."""
+    """Parse a cache document; raises ValueError, TypeError, KeyError,
+    AttributeError or ZeroDivisionError if it is not one or fails its digest."""
     if doc.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unexpected cache schema {doc.get('schema')!r}")
     if doc.get("digest") != _payload_digest(doc):
@@ -216,7 +216,7 @@ def _read_cache(path, request, rs, aw, cutoff):
         with open(path) as fh:
             doc = json.load(fh)
         gc = _layers_from_json(doc)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
         return None
     if (doc.get("request") != request or gc.cutoff != cutoff
             or len(gc.layers) != cutoff + 1
@@ -392,7 +392,7 @@ def cmd_strings(args):
     rs, _, labels, aw = _inputs(args)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     bs = af.graded_branch_to_g(rs, aw, args.grade_max, gc)
-    support = sorted({nu for nu, _ in bs.entries}, key=lambda v: _weight_key(rs, v))
+    support = sorted(bs.weights(), key=lambda v: _weight_key(rs, v))
     rows = [{"labels": _ints(rs.dynkin_labels(nu)),
              "sigma": af.string_function(rs, aw, nu, args.grade_max, gc)}
             for nu in support]

@@ -260,7 +260,8 @@ def test_affine_branch_routes_agree_small():
                                     "branch_affine_direct", "branch_affine_to_subalgebra"])
 def test_character_below_the_cutoff_is_refused(helper):
     # a given character that stops below the cutoff is refused, naming both
-    # cutoffs; one with more grades is read up to the cutoff
+    # cutoffs, and so is a negative cutoff, with or without a character; one
+    # with more grades is read up to the cutoff
     b2, s = build_root_system("B2"), find_splint("B2:A1A1")
     vac = af.AffineWeight(zero_vec(b2.dim), 1)
     call = {
@@ -274,4 +275,7 @@ def test_character_below_the_cutoff_is_refused(helper):
     with pytest.raises(ValueError, match="^character has cutoff 1, below the requested "
                                          "cutoff 2$"):
         call(2, af.affine_character(b2, vac, 1))
+    for gc in (af.affine_character(b2, vac, 1), None):
+        with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+            call(-1, gc)
     assert call(1, af.affine_character(b2, vac, 2)) == call(1, None)

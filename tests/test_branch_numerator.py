@@ -1,10 +1,11 @@
 """The branching to g read off the Weyl-Kac grade numerators.
 
-`affine_character` keeps on each character it builds the series read off
-its dividends R ch_n (R the finite Weyl denominator): the coefficient at
-each term with labels >= 0.  Its oracle is the peel (`decompose_character`)
-of each decoded layer, run by `graded_branch_to_g` on a copy of the
-character whose series slot is empty.  Hypothesis draws the rank <= 3
+`affine_character` keeps on each character it builds, keyed by its algebra
+alone, the series read off its dividends R ch_n (R the finite Weyl
+denominator): the coefficient at each term with labels >= 0; a shorter
+cutoff is served as a slice of it.  Its oracle is the peel
+(`decompose_character`) of each decoded layer, run by `graded_branch_to_g`
+on a copy of the character whose series slot is empty.  Hypothesis draws the rank <= 3
 modules of the catalog ambients, a fixed sweep covers ranks 4 and 5, which
 the benchmark never draws, and a tampered dividend must fail the |W|-count
 gate as an internal error.
@@ -24,16 +25,18 @@ from test_branch_reuse import ALGEBRAS, affine_module
 
 def peeled(rs, aw, cutoff, gc):
     """The series of gc decomposed layer by layer, on a copy of gc whose
-    series slot is empty."""
+    series slot is empty and stays empty."""
     bare = af.GradedCharacter(gc.cutoff, gc.layers)
     assert bare._branch == (None, None)
-    return af.graded_branch_to_g(rs, aw, cutoff, bare)
+    bs = af.graded_branch_to_g(rs, aw, cutoff, bare)
+    assert bare._branch == (None, None)
+    return bs
 
 
 def assert_read_equals_peel(rs, aw, cutoff):
     gc = af.affine_character(rs, aw, cutoff)
     key, read = gc._branch
-    assert key == (rs.factors, cutoff)
+    assert key == rs.factors
     assert af.graded_branch_to_g(rs, aw, cutoff, gc) is read
     want = {(nu, n): b for n in range(cutoff + 1)
             for nu, b in decompose_character(rs, gc.layers[n]).items()}

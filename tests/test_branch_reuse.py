@@ -1,7 +1,8 @@
 """Each affine module is decomposed once and branched on integer labels.
 
-`graded_branch_to_g` keeps its series on the `GradedCharacter` it decomposed
-(for one algebra and cutoff), and `branch_via_splint` keeps its integer
+`affine_character` keeps the series it reads on the `GradedCharacter` (for
+its algebra), which `graded_branch_to_g` serves or slices to a shorter
+cutoff with nothing decomposed, and `branch_via_splint` keeps its integer
 table on the `Splint` (by ambient labels).  The composed branching route is
 checked against the direct route and against a test-local copy of the
 accumulation keyed by Fraction weights that the integer one replaced (dict
@@ -78,16 +79,24 @@ def test_composed_route_equals_direct_route_and_fraction_accumulation(case):
         assert list(got.entries.items()) == list(fraction_keyed_branch(s, bs).items())
 
 
-def test_decomposition_follows_the_cutoff():
+def test_decomposition_follows_the_cutoff(monkeypatch):
+    # every cutoff of a read character is a slice of its read series, in the
+    # peel's dict order, with nothing decomposed
     g2 = ALGEBRAS["G2"]
     aw = af.AffineWeight(g2.weight_from_labels([1, 0]), 2)
     gc = af.affine_character(g2, aw, 4)
-    four = af.graded_branch_to_g(g2, aw, 4, gc)
-    assert max(n for _, n in four.entries) == 4
-    two = af.graded_branch_to_g(g2, aw, 2, gc)
-    assert two.cutoff == 2
-    assert two.entries == layer_decomposition(g2, gc, 2)
-    assert af.graded_branch_to_g(g2, aw, 4, gc).entries == four.entries
+    want = [layer_decomposition(g2, gc, n) for n in range(5)]
+    assert max(n for _, n in want[4]) == 4
+
+    def peel(*args):
+        raise AssertionError("a read series was peeled")
+
+    monkeypatch.setattr(af, "decompose_character", peel)
+    for n in (4, 2, 0, 1, 3, 4):
+        got = af.graded_branch_to_g(g2, aw, n, gc)
+        assert got.cutoff == n
+        assert list(got.entries.items()) == list(want[n].items())
+    assert af.graded_branch_to_g(g2, aw, 4, gc) is gc._branch[1]
 
 
 def test_decomposition_follows_the_algebra():

@@ -508,6 +508,8 @@ CACHE_DAMAGE.update({f"signed-{name}": _signed(CACHE_DAMAGE[name]) for name in
 CACHE_DAMAGE["signed-wrong-weight-length"] = _signed(_wrong_weight_length)
 CACHE_DAMAGE["signed-string-coefficient"] = _signed(
     lambda doc: doc["layers"][1][0].__setitem__(1, "1"))
+CACHE_DAMAGE["signed-zero-denominator"] = _signed(
+    lambda doc: doc["layers"][1][0][0].__setitem__(0, "1/0"))
 
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
