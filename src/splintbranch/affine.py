@@ -2,33 +2,34 @@
 
 Gradings are explicit integer indices (powers of e^{-delta}); delta itself is
 never represented as an ambient vector, and an `AffineWeight` is a highest
-weight (finite part, level) at grade 0.  The main route computes the
-numerator as a truncated affine Weyl orbit (finite Weyl group composed with
-coroot-lattice translations) and divides by the truncated denominator layer
-by layer, each division exact in the group ring.  Its oracle,
-`affine_freudenthal`, shares none of the three: it sums the Weyl orbits of
-the dominant weights of the Freudenthal recursion on labels that also builds
-the finite tables (`characters._freudenthal_tables`).
+weight (finite part, level) at grade 0.  The main route folds the Weyl-Kac
+numerator into the dominant chamber on Dynkin labels: with
+N = R D' ch (R the finite Weyl denominator, D' the rest of the affine
+denominator), the grade-n part R ch_n = sum_nu b_nu(n) A(nu + rho), A the
+alternating Weyl orbit sum, satisfies F_n = N_n - sum_{j=1..n} F_{n-j} * D'_j,
+where F_n = b(n) on the labels of nu + rho, and * adds each D'_j term to
+nu + rho and carries the sum into the dominant chamber with its reflection
+sign (a singular sum drops out; D' is W-invariant).  This is the recursion of
+Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
+(`characters._numerator_points`, the walk shared with the theta sums of
+`qseries`) adds its sign at its dominant labels, D' comes from
+`characters._affine_denominator` seeded with 1 instead of R, and no orbit,
+product or division is formed.  A negative b, a grade 0 other than mu once,
+or a constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of
+its grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4) raises
+AssertionError.  Each layer is the Weyl orbits of sum_nu b_nu(n) times the
+dominant table of L(nu) (`characters._dominant_table`), in the
+(rho-pairing, code) order of the group-ring division, decoded once.  Its
+oracle, `affine_freudenthal`, sums the Weyl orbits of the dominant weights
+of the Freudenthal recursion on labels that also builds the finite tables
+(`characters._freudenthal_tables`); the tests also keep the
+product-and-division route the fold replaced.
 
-The main route runs on integer codes (`characters.encode`): the numerator
-(`characters._numerator_codes`, shared with the theta sums of `qseries`),
-the denominator (`characters._affine_denominator`, each grade expanded once
-per process and kept in its cache, never changed), the layered products
-(`characters.code_products`) and the layered division by one positive-root
-factor at a time (`characters._divide_by_roots`; `characters.divide_codes`
-is the general division and its oracle) all add ints.  Fractions are built
-once, when the layers are returned.
-
-The branching to the horizontal algebra is read off the dividends, with
-nothing decomposed.  The dividend of grade n, before the division, is
-R ch_n = sum_nu b_nu(n) sum_w eps(w) e^{w(nu + rho) - rho} (R the finite
-Weyl denominator), so b_nu(n) is its coefficient at nu, the one term of its
-orbit with labels >= 0.  A dividend with other than |W| terms per such term,
-or a negative b, raises AssertionError.  The series is kept on the
-`GradedCharacter` for its algebra; `graded_branch_to_g` serves it, sliced for
-a shorter cutoff.  It peels a character built any other way and keeps nothing
-(`_peel`, shared with `branch_affine_direct`; `decompose_character` is also
-this read's oracle in the tests).
+The series b is kept on the `GradedCharacter` for its algebra;
+`graded_branch_to_g` serves it, sliced for a shorter cutoff.  It peels a
+character built any other way and keeps nothing (`_peel`, shared with
+`branch_affine_direct`; `decompose_character` is also the fold's oracle in
+the tests).
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
@@ -40,14 +41,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
-from .rootsystem import RootSystem, Vec, vadd, vneg, vsub
-from .characters import (_affine_denominator, _divide_by_roots, _dominant_table,
-                         _freudenthal_tables, _numerator_codes, _orbit_character,
-                         _split_dominant, _weight, code_products, common_denominator, decode,
-                         decompose_character, encode, rho_pairing, weyl_dimension)
+from .rootsystem import RootSystem, Vec, zero_vec
+from .characters import (_affine_denominator, _dominant_table, _freudenthal_tables,
+                         _numerator_points, _orbit_character, _split_dominant, _weight,
+                         common_denominator, decode, decompose_character, encode, rho_pairing,
+                         weyl_dimension)
 from .splints import Splint, _branch_codes
 
 
@@ -76,7 +77,7 @@ class GradedCharacter:
     def __init__(self, cutoff: int, layers: list):
         self.cutoff = cutoff
         self.layers = layers  # list[FormalCharacter], index = grade
-        # (rs.factors, the BranchingSeries read off the grade numerators),
+        # (rs.factors, the BranchingSeries folded out of the numerator),
         # set by affine_character only
         self._branch = (None, None)
 
@@ -107,38 +108,65 @@ class BranchingSeries:
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
 
-    Numerator, denominator, the layered products and the layered division
-    all run on codes over one common denominator; the layers are decoded
-    once, at the end.  The branching to rs is read off each dividend and
-    kept on the result (see the module docstring)."""
+    The branching to rs is folded out of the Weyl-Kac numerator on Dynkin
+    labels and kept on the result; each layer is the orbits of its
+    constituents' dominant tables, decoded once (see the module docstring)."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     K = aw.level + rs.dual_coxeter[0]
-    lam = vadd(aw.finite, rs.rho)
-    den = common_denominator(rs.fundamental_weights + (lam,))
+    top, offset = _split_dominant(rs, aw.finite)
+    lam = tuple(m + 1 for m in top)
+    ld = rs.label_data
+    # D' on labels: the affine denominator without its q-free factor R
+    denom = _affine_denominator([a for a, _ in ld.positive], rs.rank, cutoff, rooted=False)
+    folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
+    for g, x, sign in _numerator_points(rs, lam, K, cutoff):
+        folds[g][x] = folds[g].get(x, 0) + sign
+
+    def norm(x):         # (x, x) * form_den
+        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, ld.form))
+
+    ball, step, dominant = norm(lam), 2 * K * ld.form_den, rs.dominant_labels
+    den = common_denominator(rs.fundamental_weights + (aw.finite,))
     fw = [encode(w, den) for w in rs.fundamental_weights]
-    # a point y codes as y - rho: its labels on fw, the W-fixed part of lam, -rho
-    fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
-    num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
-    denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
-    factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
-    rows = rs.label_rows()[0]
-    chars: list[dict] = []
+    off = encode(offset or zero_vec(rs.dim), den)
+    pair = rho_pairing(rs)
+
+    def order(codes):    # the (rho-pairing, code) order of divide_codes
+        return sorted(codes, key=lambda c: (sum(map(mul, pair, c)), c))
+
+    layers: list = []
     entries: dict = {}
-    for n in range(cutoff + 1):
-        (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
-                               -1)
-        # rhs = sum_nu b_nu(n) sum_w eps(w) e^{w(nu + rho) - rho}: b_nu(n) sits at the
-        # code of nu, the one term of its orbit with labels >= 0 (codes negate them)
-        top = sorted((sum(map(mul, pair, c)), c, b) for c, b in rhs.items()
-                     if all(sum(map(mul, row, c)) <= 0 for row in rows))
-        if len(rhs) != rs.weyl_order * len(top) or any(b < 0 for _, _, b in top):
-            raise AssertionError(f"grade {n} numerator is not a sum of Weyl numerators")
-        entries.update(((_weight(c, den), n), b) for _, c, b in top)
-        chars.append(_divide_by_roots(rhs, factors, pair))
-    gc = GradedCharacter(cutoff, [decode(layer, den) for layer in chars])
-    check_highest_weight(gc, aw)
+    for n, fold in enumerate(folds):
+        # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
+        # dominant chamber with its reflection sign; a singular point drops out
+        for j in range(1, n + 1):
+            for x, b in folds[n - j].items():
+                for a, d in denom[j].items():
+                    y, s = dominant(tuple(map(add, x, a)))
+                    if all(y):
+                        fold[y] = fold.get(y, 0) - s * b * d
+        fold = folds[n] = {x: b for x, b in fold.items() if b}
+        for x, b in fold.items():
+            if b < 0 or norm(x) > ball + n * step:
+                what = f"a negative branching coefficient {b}" if b < 0 else \
+                    "a constituent outside its ball"
+                raise AssertionError(f"grade {n} has {what} at labels "
+                                     f"{tuple(m - 1 for m in x)}")
+        if not n and fold != {lam: 1}:
+            raise AssertionError("grade 0 does not hold the highest weight exactly once")
+        mult: dict = {}      # dominant labels of the layer -> multiplicity
+        for x, b in fold.items():
+            for lbl, _, m in _dominant_table(rs, tuple(m - 1 for m in x)):
+                mult[lbl] = mult.get(lbl, 0) + b * m
+        orbits = {lbl: rs.label_orbit(lbl, fw, off) for lbl in mult}
+        # an orbit starts at the code of its dominant labels
+        tops = {orbits[tuple(m - 1 for m in x)][0][0]: b for x, b in fold.items()}
+        entries.update(((_weight(c, den), n), tops[c]) for c in order(tops))
+        layer = {code: mult[lbl] for lbl, orbit in orbits.items() for code, _ in orbit}
+        layers.append(decode({c: layer[c] for c in order(layer)}, den))
+    gc = GradedCharacter(cutoff, layers)
     gc._branch = (rs.factors, BranchingSeries(cutoff, entries))
     return gc
 
@@ -168,9 +196,11 @@ def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacte
 def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """Weight multiplicities by the affine Freudenthal formula.
 
-    Independent of the orbit/division route: characters._freudenthal_tables
-    runs the recursion on the dominant labels of each grade, and each grade
-    is the sum of their Weyl orbits, as in freudenthal_character."""
+    Independent of the branching that the Weyl-Kac fold computes:
+    characters._freudenthal_tables runs the recursion on the dominant labels
+    of each grade, and each grade is the sum of their Weyl orbits, as in
+    freudenthal_character.  Both routes build their layers from finite
+    tables of that one recursion (its grade 0)."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -193,7 +223,7 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
     """Every grade layer as a sum of irreducible modules of the horizontal
     subalgebra.  A character fresh from affine_character holds the series
-    read off its grade numerators, served as it is at its cutoff and as a
+    folded out of its numerator, served as it is at its cutoff and as a
     slice, in the same order, below it.  Any other one (a cache hit,
     affine_freudenthal, one built by hand, or another algebra on the same
     weights) is peeled on every call, and the decomposer enforces

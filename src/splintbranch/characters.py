@@ -18,18 +18,21 @@ common denominator (`encode`/`decode`).  The one group-ring product loop
 `_denominator_codes` of `denominator_layers`, `weyl_identity` and the
 injection fan) adds them packed into one int each (`_packing`).  The affine
 characters and the q-series verifiers read their affine denominators from
-`_affine_denominator`: grade 0 by the binomial expansion, every later grade
-once per process from the grades below it (the q-log-derivative recurrence),
-kept in `_layer_cache` by (image codes, imaginary) as tuples of layers that
-are published under `_cache_lock` and never changed; the binomial expansion
-is its oracle.
-The one Weyl-Kac numerator (`_numerator_codes`, behind the affine
-characters and every alternating theta sum) sums affine Weyl orbits on
-them.  Every orbit here, of the singular elements, the numerator and the
-Freudenthal character, comes as codes from `RootSystem.label_orbit`.
-Weyl-denominator quotients divide one root factor at a time on them
-(`_divide_by_roots`); the general division (`divide_codes`, wrapped by
-`divide_exact`) eliminates on them and is its oracle.  The one decomposer
+`_affine_denominator`: grade 0 by the binomial expansion (or 1 for the
+affine characters' fold on labels, which leaves the finite factor out),
+every later grade once per process from the grades below it (the
+q-log-derivative recurrence), kept in `_layer_cache` by (image codes,
+imaginary, rooted) as tuples of layers that are published under
+`_cache_lock` and never changed; the binomial expansion is its oracle.
+The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
+labels and sign of each affine Weyl image: the affine characters fold them
+on labels, and `_numerator_codes` sums their Weyl orbits on codes for every
+alternating theta sum.  Every orbit here, of the singular elements, the
+numerator and the Freudenthal character, comes as codes from
+`RootSystem.label_orbit`.  Weyl-denominator quotients divide one root
+factor at a time on them (`_divide_by_roots`, behind `character_via_weyl`);
+the general division (`divide_codes`, wrapped by `divide_exact`) eliminates
+on them and is its oracle.  The one decomposer
 (`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
 checks Weyl invariance by integer reflections and then peels only dominant
 weights, subtracting cached dominant multiplicities instead of whole orbits.
@@ -38,6 +41,7 @@ weights, subtracting cached dominant multiplicities instead of whole orbits.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -207,8 +211,10 @@ def decode(terms: dict, den: int) -> FormalCharacter:
     return fc
 
 
+@functools.cache
 def rho_pairing(rs: RootSystem) -> tuple:
-    """Ints p with sum(p * encode(v, den)) a positive multiple of -(rho, v)."""
+    """Ints p with sum(p * encode(v, den)) a positive multiple of -(rho, v);
+    cached per root system."""
     pair = [g * r for g, r in zip(rs.gram_diag, rs.rho)]
     d = math.lcm(*(x.denominator for x in pair))
     return tuple(int(x * d) for x in pair)
@@ -400,20 +406,23 @@ def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
     return [unpack(layer) for layer in layers]
 
 
-def _affine_denominator(images, imaginary: int, cutoff: int) -> list:
+def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True) -> list:
     """The layers of _denominator_codes(images, imaginary, cutoff), each
     grade computed once per process by the q-log-derivative recurrence
     n P_n = sum_{j=1..n} S_j P_{n-j}, with the power sums
     S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} + e^{-(j/d) img});
-    grade 0 is the binomial expansion.  The division by n is exact, and a
-    remainder raises ArithmeticError.  A deeper request publishes a longer
-    tuple under _cache_lock that shares the layers below it; a published
-    tuple and its layers are never changed.  Packed over the box +-(2 cutoff
-    + 1) sum_img |img|, which holds every term of P_n and S_j P_{n-j}."""
-    key = (tuple(images), imaginary)
+    grade 0 is the binomial expansion, or 1 when not rooted (the q-free
+    factor prod_img (1 - e^{-img}) left out of every grade).  The division
+    by n is exact, and a remainder raises ArithmeticError.  A deeper request
+    publishes a longer tuple under _cache_lock that shares the layers below
+    it; a published tuple and its layers are never changed.  Packed over the
+    box +-(2 cutoff + 1) sum_img |img|, which holds every term of P_n and
+    S_j P_{n-j}."""
+    key = (tuple(images), imaginary, rooted)
     layers = _layer_cache.get(key, ())
     if len(layers) <= cutoff:
-        layers = layers or tuple(_denominator_codes(images, 0, 0))
+        layers = layers or (tuple(_denominator_codes(images, 0, 0)) if rooted
+                            else ({(0,) * len(images[0]): 1},))
         bound = [(2 * cutoff + 1) * sum(map(abs, col)) for col in zip(*images)]
         pack, unpack = _packing([-b for b in bound], bound)
         keys = [k for img in images for k in pack({img: 1})]
@@ -437,26 +446,35 @@ def _affine_denominator(images, imaginary: int, cutoff: int) -> list:
     return list(layers[:cutoff + 1])
 
 
+def _numerator_points(rs: RootSystem, labels: tuple, K: int, cutoff: int):
+    """Yield (grade, dominant labels, sign) for each point of the Weyl-Kac
+    numerator walk of the strictly dominant weight with int labels l at
+    level K, up to cutoff.  Each translate by K beta, beta = sum_i c_i
+    alpha_i^vee, comes with its grade (an integer: the coroot_gram G has an
+    even diagonal) from lattice_points_in_ellipsoid on G and l, has labels
+    x = l + K G c and is reflected on its labels; a singular point raises."""
+    G = rs.coroot_gram
+    for c, g in lattice_points_in_ellipsoid(G, labels, K, cutoff):
+        x = tuple(a + K * sum(map(mul, row, c)) for a, row in zip(labels, G))
+        if g < 0:
+            raise AssertionError(f"negative grade {g} in affine orbit")
+        dom, sign = rs.dominant_labels(x)
+        if not all(dom):
+            raise AssertionError("affine orbit point is not regular")
+        yield int(g), dom, sign
+
+
 def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) -> list:
     """The Weyl-Kac numerator on codes: the alternating affine Weyl orbit of
     the strictly dominant lam at level K, one {code: sign} dict per grade
-    0..cutoff.  Each translate lam + K beta, beta = sum_i c_i alpha_i^vee,
-    comes with its grade (an integer: the coroot_gram G has an even
-    diagonal) from lattice_points_in_ellipsoid on G and the labels l of lam,
-    has labels x = l + K G c and is reflected on its labels; a point with
-    labels y codes as sum_i y_i fw[i] + offset, fw[i] the code of the image
-    of the i-th fundamental weight, so fw and offset carry any push and shift."""
-    lam_labels = tuple(int(m) for m in rs.dynkin_labels(lam))
+    0..cutoff: the full Weyl orbit of each _numerator_points point.  A point
+    with labels y codes as sum_i y_i fw[i] + offset, fw[i] the code of the
+    image of the i-th fundamental weight, so fw and offset carry any push
+    and shift."""
     layers = [{} for _ in range(cutoff + 1)]
-    G = rs.coroot_gram
-    for c, g in lattice_points_in_ellipsoid(G, lam_labels, K, cutoff):
-        x = tuple(a + K * sum(map(mul, row, c)) for a, row in zip(lam_labels, G))
-        if g < 0:
-            raise AssertionError(f"negative grade {g} in affine orbit")
-        dom, sign_x = rs.dominant_labels(x)
-        if not all(dom):
-            raise AssertionError("affine orbit point is not regular")
-        t = layers[int(g)]
+    for g, dom, sign_x in _numerator_points(rs, tuple(int(m) for m in rs.dynkin_labels(lam)),
+                                            K, cutoff):
+        t = layers[g]
         for v, s in rs.label_orbit(dom, fw, offset):
             m = t.get(v, 0) + s * sign_x
             if m:
@@ -533,7 +551,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
         signed += [((0,) * rs.rank, (0,) * rs.rank, 0)] * rs.rank
         theta, step = ld.positive[-1][0], 2 * (level + rs.dual_coxeter[0]) * fd
     bound, apex = norm(tuple(m + 1 for m in top)), top    # the ball of grade n
-    dominant: dict = {}  # labels of w -> labels of its dominant representative
+    dominant = rs._dominant_cache      # labels of w -> (dominant labels, sign)
     tables, mults = [], []
     for n in range(cutoff + 1):
         if n:
@@ -561,10 +579,8 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
                     if nu_sq + j * (2 * p + j * aa) > bound:
                         break
                     w = tuple(map(add, w, a))
-                    dom = dominant.get(w)
-                    if dom is None:
-                        dom = dominant[w] = rs.dominant_labels(w)[0]
-                    m = mult.get(dom, 0)
+                    dom = dominant.get(w) or rs.dominant_labels(w)
+                    m = mult.get(dom[0], 0)
                     if m:
                         acc += m * (q + j * aa)
             for a, fa, aa in signed:

@@ -327,6 +327,8 @@ class RootSystem:
 
         self._coeff_cache: dict[Vec, tuple] = {}
         self._rows_cache: dict = {}
+        self._split_cache: dict[Vec, tuple] = {}
+        self._dominant_cache: dict[tuple, tuple] = {}
 
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):
@@ -506,13 +508,16 @@ class RootSystem:
 
         labels are ints, d is the common denominator of the Dynkin labels of v,
         and offset (None when zero) is the W-fixed part of v orthogonal to the
-        roots."""
+        roots; cached per v."""
+        if v in self._split_cache:
+            return self._split_cache[v]
         nums, den = self.scaled_labels(v)
         g = math.gcd(den, *nums)
         ints, d = tuple(n // g for n in nums), den // g
         ((base, _),) = self.from_labels([(ints, None)], d)
         offset = vsub(v, base)
-        return ints, d, (offset if any(offset) else None)
+        split = self._split_cache[v] = ints, d, (offset if any(offset) else None)
+        return split
 
     def _label_codes(self, d: int, offset: Vec | None):
         """(fw, off, den), ints: the point sum_i y_i omega_i / d + offset is
@@ -537,10 +542,12 @@ class RootSystem:
                 for labels, x in terms]
 
     def dominant_labels(self, labels):
-        """(dominant labels, sign): reflect at the first negative label until
-        none is left; sign is the parity of the reflections used."""
-        cartan = self.label_data.cartan
-        sign = 1
+        """(dominant labels, sign) of an int label tuple: reflect at the first
+        negative label until none is left; sign is the parity of the
+        reflections used.  Cached per labels."""
+        if labels in self._dominant_cache:
+            return self._dominant_cache[labels]
+        cartan, key, sign = self.label_data.cartan, labels, 1
         while True:
             for i, m in enumerate(labels):
                 if m < 0:
@@ -548,7 +555,8 @@ class RootSystem:
                     sign = -sign
                     break
             else:
-                return labels, sign
+                dom = self._dominant_cache[key] = labels, sign
+                return dom
 
     def orbit_size(self, labels) -> int:
         """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated

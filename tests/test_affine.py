@@ -81,13 +81,30 @@ def test_level_one_vacuum_zero_string_is_frenkel_kac(name, cutoff):
 
 @pytest.mark.parametrize("name,cutoff", [("A5", 3), ("D6", 3), ("E6", 3), ("E7", 2), ("E8", 2)])
 def test_affine_freudenthal_level_one_vacuum_is_frenkel_kac(name, cutoff):
-    # the recursion walks dominant weights only, so it reaches E7 and E8,
-    # whose orbits the Weyl-Kac numerator refuses
+    # both routes walk dominant weights only (the recursion its tables, the
+    # Weyl-Kac fold its numerator points), so both reach E7 and E8, whose
+    # regular Weyl orbits are refused
     rs = build_root_system(name)
     zero = zero_vec(rs.dim)
-    gc = af.affine_freudenthal(rs, af.AffineWeight(zero, 1), cutoff)
-    assert [gc.layers[n].get(zero) for n in range(cutoff + 1)] == \
-        inverse_euler_power(rs.rank, cutoff)
+    want = inverse_euler_power(rs.rank, cutoff)
+    for route in (af.affine_freudenthal, af.affine_character):
+        gc = route(rs, af.AffineWeight(zero, 1), cutoff)
+        assert [gc.layers[n].get(zero) for n in range(cutoff + 1)] == want, route.__name__
+
+
+def test_e8_level_one_vacuum_q_dimension():
+    # 1, 248, 3875 + 248 + 1, 30380 + 3875 + 2 * 248 + 1 (the third grade of
+    # the level-1 E8 vacuum, Frenkel-Kac)
+    rs = build_root_system("E8")
+    assert af.q_dimension(rs, af.AffineWeight(zero_vec(rs.dim), 1), 3) == [1, 248, 4124, 34752]
+
+
+def test_affine_character_equals_affine_freudenthal_on_the_e6_vacuum():
+    rs = build_root_system("E6")
+    vac = af.AffineWeight(zero_vec(rs.dim), 1)
+    main, oracle = af.affine_character(rs, vac, 2), af.affine_freudenthal(rs, vac, 2)
+    for n in range(3):
+        assert main.layers[n] == oracle.layers[n], f"grade {n}"
 
 
 @pytest.mark.parametrize("name", ["B4", "C4", "D4", "F4"])

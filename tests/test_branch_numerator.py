@@ -1,26 +1,79 @@
-"""The branching to g read off the Weyl-Kac grade numerators.
+"""The branching to g folded out of the Weyl-Kac numerator on Dynkin labels.
 
-`affine_character` keeps on each character it builds, keyed by its algebra
-alone, the series read off its dividends R ch_n (R the finite Weyl
-denominator): the coefficient at each term with labels >= 0; a shorter
-cutoff is served as a slice of it.  Its oracle is the peel
-(`decompose_character`) of each decoded layer, run by `graded_branch_to_g`
-on a copy of the character whose series slot is empty.  Hypothesis draws the rank <= 3
-modules of the catalog ambients, a fixed sweep covers ranks 4 and 5, which
-the benchmark never draws, and a tampered dividend must fail the |W|-count
-gate as an internal error.
+`affine_character` folds each grade of the numerator into the dominant
+chamber, F_n = N_n - sum_j F_{n-j} * D'_j (D' the affine denominator without
+its finite factor R), keeps F as the series on each character it builds,
+keyed by its algebra alone, and builds each layer from the constituents'
+dominant tables; a shorter cutoff is served as a slice of the series.
+Its oracles:
+
+* `divided_character`, the product-and-division route the fold replaced:
+  the full Weyl orbit of every numerator point, the products with the
+  affine denominator (`code_products`), the dividends R ch_n read at their
+  terms with labels >= 0 (exactly |W| terms per such term), and the
+  division by the positive-root factors (`_divide_by_roots`); layers and
+  series must equal it in dict order;
+* the peel (`decompose_character`) of each decoded layer, run by
+  `graded_branch_to_g` on a copy of the character whose series slot is
+  empty, also in dict order;
+* `affine_freudenthal`, layer by layer.
+
+Hypothesis draws the rank <= 3 modules of the catalog ambients, a fixed
+sweep covers ranks 4 and 5, which the benchmark never draws.  A numerator
+point or a D' term dropped or negated at grade 0, 1 or 2 must fail the
+fold's gate as an internal error, as must a constituent outside its ball
+and a doubled highest weight; a dropped D' term the gate cannot see must
+differ from the oracle.
 """
 
 import itertools
+import re
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 
 from splintbranch import affine as af
-from splintbranch.characters import decompose_character, rho_pairing
+from splintbranch.characters import (_affine_denominator, _divide_by_roots, _numerator_codes,
+                                     _weight, code_products, common_denominator, decode,
+                                     decompose_character, encode, rho_pairing)
 from splintbranch.cli import main
-from splintbranch.rootsystem import build_root_system, zero_vec
+from splintbranch.rootsystem import build_root_system, vadd, vneg, vsub, zero_vec
 from test_branch_reuse import ALGEBRAS, affine_module
+
+
+def divided_character(rs, aw, cutoff):
+    """(layers, series) of L^{aw} by the Weyl-Kac quotient on codes: grade n
+    of the dividend is R ch_n = N_n - sum_j (R ch_{n-j}) D_j (D the rooted
+    affine denominator, so R ch_{n-j} D_j = ch_{n-j} R D_j), b_nu(n) is its
+    coefficient at the one term of each orbit with labels >= 0, and ch_n is
+    the dividend divided by R one root factor at a time."""
+    K = aw.level + rs.dual_coxeter[0]
+    lam = vadd(aw.finite, rs.rho)
+    den = common_denominator(rs.fundamental_weights + (lam,))
+    fw = [encode(w, den) for w in rs.fundamental_weights]
+    fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
+    num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
+    denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
+    factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
+    rows = rs.label_rows()[0]
+    chars, entries = [], {}
+    for n in range(cutoff + 1):
+        (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
+                               -1)
+        # codes negate coordinates, so labels >= 0 are row sums <= 0
+        top = sorted((sum(map(mul, pair, c)), c, b) for c, b in rhs.items()
+                     if all(sum(map(mul, row, c)) <= 0 for row in rows))
+        assert len(rhs) == rs.weyl_order * len(top)
+        assert all(b > 0 for _, _, b in top)
+        entries.update(((_weight(c, den), n), b) for _, c, b in top)
+        chars.append(_divide_by_roots(rhs, factors, pair))
+    return [decode(layer, den) for layer in chars], af.BranchingSeries(cutoff, entries)
+
+
+def ordered(layers):
+    return [list(layer.items()) for layer in layers]
 
 
 def peeled(rs, aw, cutoff, gc):
@@ -38,10 +91,14 @@ def assert_read_equals_peel(rs, aw, cutoff):
     key, read = gc._branch
     assert key == rs.factors
     assert af.graded_branch_to_g(rs, aw, cutoff, gc) is read
+    layers, series = divided_character(rs, aw, cutoff)
+    assert ordered(gc.layers) == ordered(layers)
+    assert list(read.entries.items()) == list(series.entries.items())
     want = {(nu, n): b for n in range(cutoff + 1)
             for nu, b in decompose_character(rs, gc.layers[n]).items()}
     assert list(read.entries.items()) == list(want.items())
     assert list(read.entries.items()) == list(peeled(rs, aw, cutoff, gc).entries.items())
+    assert gc.layers == af.affine_freudenthal(rs, aw, cutoff).layers
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,45 +127,141 @@ def test_read_series_equals_the_peel_at_rank_4_and_5(name, mu):
     assert_read_equals_peel(build_root_system(name), af.AffineWeight(mu, 1), 2)
 
 
+@pytest.mark.parametrize("name, labels", [("A1", (1,)), ("A2", (1, 0)), ("A3", (0, 1, 0))])
+def test_fold_keeps_the_w_fixed_offset(name, labels):
+    # mu + (1/3, ..., 1/3) has the labels of mu: the fold runs on labels, and
+    # the offset must come back on every weight of the layers and the series
+    rs = build_root_system(name)
+    mu = vadd(rs.weight_from_labels(labels), (Fraction(1, 3),) * rs.dim)
+    assert_read_equals_peel(rs, af.AffineWeight(mu, 1), 3)
+
+
 def test_sweep_covers_every_level_one_module():
     assert [name for name, _ in SWEEP] == ["B4"] * 3 + ["C4"] * 5 + ["D4"] * 4 + ["F4"] * 2 \
         + ["D5"]
 
 
-def tamper(monkeypatch, rs, grade, how):
-    """Make affine_character see a dividend of the given grade whose highest
-    term, which has labels >= 0, is dropped or negated."""
-    pair, seen, real = rho_pairing(rs), [], af.code_products
+A2 = build_root_system("A2")
+# one numerator point at each of grades 0, 1 and 2, of signs +1, -1, +1
+A2_FUNDAMENTAL = af.AffineWeight(A2.weight_from_labels((1, 0)), 1)
+A2_VACUUM = af.AffineWeight(zero_vec(A2.dim), 1)
+NEGATIVE = "grade {} has a negative branching coefficient {} at labels {}"
+OUTSIDE = "grade 2 has a constituent outside its ball at labels (3, 2)"
+# the gate each tampered term of A2_FUNDAMENTAL fails, by (grade, how)
+NUMERATOR_GATES = {
+    (0, "drop"): "grade 0 does not hold the highest weight exactly once",
+    (0, "negate"): NEGATIVE.format(0, -1, (1, 0)),
+    (1, "drop"): OUTSIDE,
+    (1, "negate"): OUTSIDE,
+    (2, "drop"): NEGATIVE.format(2, -1, (4, 0)),
+    (2, "negate"): NEGATIVE.format(2, -2, (4, 0)),
+}
+# the gate each tampered D' term of A2_VACUUM fails: the constant -rank of
+# D'_1, and D'_2 at minus the second simple root
+DENOMINATOR_GATES = {
+    (1, (0, 0), "drop"): NEGATIVE.format(1, -2, (0, 0)),
+    (1, (0, 0), "negate"): NEGATIVE.format(1, -4, (0, 0)),
+    (2, (1, -2), "drop"): NEGATIVE.format(2, -1, (0, 0)),
+    (2, (1, -2), "negate"): NEGATIVE.format(2, -3, (0, 0)),
+}
+
+
+def tamper_numerator(monkeypatch, grade, how):
+    """Make affine_character see the numerator point of the given grade
+    dropped or with its sign negated."""
+    real = af._numerator_points
 
     def tampered(*args):
-        (rhs,) = real(*args)
-        if len(seen) == grade:
-            top = min(rhs, key=lambda c: (sum(p * x for p, x in zip(pair, c)), c))
-            if how == "drop":
-                del rhs[top]
-            else:
-                rhs[top] = -rhs[top]
-        seen.append(rhs)
-        return [rhs]
+        for g, x, sign in real(*args):
+            if g != grade:
+                yield g, x, sign
+            elif how == "negate":
+                yield g, x, -sign
 
-    monkeypatch.setattr(af, "code_products", tampered)
+    monkeypatch.setattr(af, "_numerator_points", tampered)
+
+
+def tamper_denominator(monkeypatch, grade, labels, how):
+    """Make affine_character see D' with its grade term at labels dropped or
+    negated; the cached layers are copied, never changed."""
+    real = af._affine_denominator
+
+    def tampered(*args, **kwargs):
+        layers = [dict(layer) for layer in real(*args, **kwargs)]
+        if how == "drop":
+            del layers[grade][labels]
+        else:
+            layers[grade][labels] = -layers[grade][labels]
+        return layers
+
+    monkeypatch.setattr(af, "_affine_denominator", tampered)
 
 
 @pytest.mark.parametrize("how", ["drop", "negate"])
 @pytest.mark.parametrize("grade", [0, 1, 2])
-def test_tampered_dividend_fails_the_gate(monkeypatch, grade, how):
-    a2 = build_root_system("A2")
-    tamper(monkeypatch, a2, grade, how)
-    with pytest.raises(AssertionError, match=f"^grade {grade} numerator is not a sum of "
-                                             "Weyl numerators$"):
-        af.affine_character(a2, af.AffineWeight(zero_vec(a2.dim), 1), 2)
+def test_tampered_numerator_point_fails_the_gate(monkeypatch, grade, how):
+    tamper_numerator(monkeypatch, grade, how)
+    with pytest.raises(AssertionError, match=f"^{re.escape(NUMERATOR_GATES[grade, how])}$"):
+        af.affine_character(A2, A2_FUNDAMENTAL, 2)
 
 
-def test_tampered_dividend_exits_3(monkeypatch, capsys):
-    tamper(monkeypatch, build_root_system("A2"), 1, "drop")
-    code = main(["qdim", "--algebra", "A2", "--level", "1", "--weight", "0,0",
+@pytest.mark.parametrize("how", ["drop", "negate"])
+@pytest.mark.parametrize("grade, labels", [(1, (0, 0)), (2, (1, -2))])
+def test_tampered_denominator_term_fails_the_gate(monkeypatch, grade, labels, how):
+    tamper_denominator(monkeypatch, grade, labels, how)
+    with pytest.raises(AssertionError,
+                       match=f"^{re.escape(DENOMINATOR_GATES[grade, labels, how])}$"):
+        af.affine_character(A2, A2_VACUUM, 2)
+
+
+def test_dropped_denominator_term_fails_the_gate_or_the_oracle(monkeypatch):
+    # dropping the constant 2 of D'_2 leaves every b >= 0 and inside its
+    # ball, so the gate need not see it; the layers and series must then
+    # differ from the product-and-division oracle
+    want = divided_character(A2, A2_VACUUM, 2)
+    tamper_denominator(monkeypatch, 2, (0, 0), "drop")
+    try:
+        gc = af.affine_character(A2, A2_VACUUM, 2)
+    except AssertionError:
+        return
+    assert (ordered(gc.layers), list(gc._branch[1].entries.items())) != \
+        (ordered(want[0]), list(want[1].entries.items()))
+
+
+def test_constituent_outside_its_ball_fails_the_gate(monkeypatch):
+    # a grade-1 numerator point at nu + rho = (5, 5): b = 1 > 0, but
+    # |nu + rho|^2 = 50 > |rho|^2 + 2 K = 10
+    real = af._numerator_points
+
+    def tampered(*args):
+        yield from real(*args)
+        yield 1, (5, 5), 1
+
+    monkeypatch.setattr(af, "_numerator_points", tampered)
+    with pytest.raises(AssertionError, match=r"^grade 1 has a constituent outside its ball "
+                                             r"at labels \(4, 4\)$"):
+        af.affine_character(A2, A2_VACUUM, 2)
+
+
+def test_doubled_highest_weight_fails_the_grade_0_gate(monkeypatch):
+    # b_mu(0) = 2 is positive and inside the ball: only the grade-0 gate sees it
+    real = af._numerator_points
+
+    def tampered(*args):
+        yield from real(*args)
+        yield 0, (1, 1), 1
+
+    monkeypatch.setattr(af, "_numerator_points", tampered)
+    with pytest.raises(AssertionError, match="^grade 0 does not hold the highest weight "
+                                             "exactly once$"):
+        af.affine_character(A2, A2_VACUUM, 2)
+
+
+def test_tampered_fold_exits_3(monkeypatch, capsys):
+    tamper_numerator(monkeypatch, 2, "negate")
+    code = main(["qdim", "--algebra", "A2", "--level", "1", "--weight", "1,0",
                  "--grade-max", "2", "--no-cache"])
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")
-    assert out.err == ("internal error: AssertionError: grade 1 numerator is not a sum of "
-                       "Weyl numerators\n")
+    assert out.err == ("internal error: AssertionError: grade 2 has a negative branching "
+                       "coefficient -2 at labels (4, 0)\n")

@@ -7,7 +7,9 @@ from the grades below it, once per process, and keeps the layers in a
 cache that a deeper request extends.  The oracle is
 `characters._denominator_codes`, the binomial-by-binomial expansion behind
 `denominator_layers`: every layer must be equal as a mapping, on random image
-sets and on the stems and ambient of the catalog splints.  Two requests in a
+sets and on the stems and ambient of the catalog splints.  Seeded with 1
+instead of prod_img (1 - e^{-img}) (not rooted), the layers times that
+product must be the rooted ones.  Two requests in a
 row must give the layers, dict order included, of one request against an
 empty cache, and threads asking at once must leave the deepest entry.  A corrupted cached grade makes the next grade non-integral,
 which the CLI reports with exit 3 instead of rounding.
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from splintbranch import characters
 from splintbranch.characters import (_affine_denominator, _denominator_codes,
-                                     common_denominator, encode)
+                                     code_products, common_denominator, encode)
 from splintbranch.cli import main
 from splintbranch.splints import find_splint
 from test_packed_codes import image_sets
@@ -46,6 +48,21 @@ def test_recurrence_matches_binomial_expansion(images, imaginary, cutoffs):
     assert all(a is b for a, b in zip(first, second))
     characters._layer_cache.clear()
     assert ordered(second) == ordered(_affine_denominator(images, imaginary, cutoffs[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(images=image_sets(), imaginary=st.integers(0, 3), cutoff=st.integers(0, 5))
+def test_unrooted_layers_times_the_root_factors_are_the_rooted_layers(images, imaginary,
+                                                                      cutoff):
+    # the unrooted expansion seeds the same recurrence with 1 and keeps its
+    # own cache entry
+    characters._layer_cache.clear()
+    unrooted = _affine_denominator(images, imaginary, cutoff, rooted=False)
+    rooted = _affine_denominator(images, imaginary, cutoff)
+    assert unrooted[0] == {(0,) * len(images[0]): 1}
+    (root_factors,) = _denominator_codes(images, 0, 0)
+    assert code_products([({}, [(root_factors, layer)]) for layer in unrooted]) == rooted
+    assert _affine_denominator(images, imaginary, cutoff, rooted=False) == unrooted
 
 
 def stem_and_ambient_images():
@@ -78,7 +95,7 @@ def test_returned_lists_are_fresh():
     got = _affine_denominator(images, 2, 3)
     got.append({})
     assert len(_affine_denominator(images, 2, 3)) == 4
-    assert len(characters._layer_cache[(tuple(images), 2)]) == 4
+    assert len(characters._layer_cache[(tuple(images), 2, True)]) == 4
 
 
 def test_threads_share_one_entry():
@@ -108,7 +125,7 @@ def test_threads_share_one_entry():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert all(got[c] == want[:c + 1] for c in cutoffs)
-            assert len(characters._layer_cache[(tuple(images), 2)]) == 8
+            assert len(characters._layer_cache[(tuple(images), 2, True)]) == 8
     finally:
         sys.setswitchinterval(interval)
 
@@ -126,7 +143,7 @@ def test_non_integral_grade_exits_3(capsys):
     assert c in (1, -1)
     corrupt = {**layers[1], code: 2 * c}
     try:
-        characters._layer_cache[(tuple(images), rs.rank)] = (layers[0], corrupt)
+        characters._layer_cache[(tuple(images), rs.rank, True)] = (layers[0], corrupt)
         code = main(["verify", "--identity", "denominator", "--splint", "B2:A1A1",
                      "--grade-max", "2", "--no-cache"])
     finally:

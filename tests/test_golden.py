@@ -45,6 +45,9 @@ G2_DEEP_VERIFY = "verify --identity all --splint G2:A2A2 --grade-max 8"
 # D5 the rank-4-and-up pins of the numerator walk, on a non-simply-laced
 # coroot Gram matrix
 F4_STRINGS = "strings --algebra F4 --level 1 --weight 0,0,0,0 --grade-max 2"
+# not a README command: the E6 vacuum's string functions, exit code 0; the
+# file was written by the product-and-division route, before the fold
+E6_STRINGS = "strings --algebra E6 --level 1 --weight 0,0,0,0,0,0 --grade-max 1"
 
 
 def run_case(name, fmt, command=None):
@@ -85,6 +88,12 @@ def test_verify_g2_deep_matches_golden(fmt):
 def test_strings_f4_matches_golden(fmt):
     assert run_case("strings-f4", fmt, F4_STRINGS) == (
         0, golden_path("strings-f4", fmt).read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_strings_e6_matches_golden(fmt):
+    assert run_case("strings-e6", fmt, E6_STRINGS) == (
+        0, golden_path("strings-e6", fmt).read_text())
 
 
 def regenerate():
