@@ -14,20 +14,23 @@ Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 (`characters._numerator_points`, the walk shared with the theta sums of
 `qseries`) adds its sign at its dominant labels, D' comes from
 `characters._affine_denominator` seeded with 1 instead of R, and no orbit,
-product or division is formed.  A negative b, a grade 0 other than mu once,
-or a constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of
-its grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4) raises
+product or division is formed.  `graded_character` builds the character
+from the series, folded here or read from the CLI's disk cache, behind one
+gate: a b that is not positive, a grade 0 other than mu once, or a
+constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its
+grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4) raises
 AssertionError.  Each layer is the Weyl orbits of sum_nu b_nu(n) times the
 dominant table of L(nu) (`characters._dominant_table`), in the
-(rho-pairing, code) order of the group-ring division, decoded once.  Its
-oracle, `affine_freudenthal`, sums the Weyl orbits of the dominant weights
+(rho-pairing, code) order of the group-ring division, decoded once.  The
+fold's oracle, `affine_freudenthal`, sums the Weyl orbits of the dominant weights
 of the Freudenthal recursion on labels that also builds the finite tables
 (`characters._freudenthal_tables`); the tests also keep the
 product-and-division route the fold replaced.
 
 The series b is kept on the `GradedCharacter` for its algebra;
 `graded_branch_to_g` serves it, sliced for a shorter cutoff.  It peels a
-character built any other way and keeps nothing (`_peel`, shared with
+character built any other way (`affine_freudenthal`, or by hand) and keeps
+nothing (`_peel`, shared with
 `branch_affine_direct`; `decompose_character` is also the fold's oracle in
 the tests).
 Splint branching sums the integer tables that each `Splint` keeps by ambient
@@ -77,8 +80,8 @@ class GradedCharacter:
     def __init__(self, cutoff: int, layers: list):
         self.cutoff = cutoff
         self.layers = layers  # list[FormalCharacter], index = grade
-        # (rs.factors, the BranchingSeries folded out of the numerator),
-        # set by affine_character only
+        # (rs.factors, the BranchingSeries the layers were built from),
+        # set by graded_character only
         self._branch = (None, None)
 
     def __eq__(self, o):
@@ -109,25 +112,50 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
 
     The branching to rs is folded out of the Weyl-Kac numerator on Dynkin
-    labels and kept on the result; each layer is the orbits of its
-    constituents' dominant tables, decoded once (see the module docstring)."""
+    labels, and graded_character builds the layers from it (see the module
+    docstring)."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    K = aw.level + rs.dual_coxeter[0]
-    top, offset = _split_dominant(rs, aw.finite)
-    lam = tuple(m + 1 for m in top)
-    ld = rs.label_data
+    lam = tuple(m + 1 for m in _split_dominant(rs, aw.finite)[0])
     # D' on labels: the affine denominator without its q-free factor R
-    denom = _affine_denominator([a for a, _ in ld.positive], rs.rank, cutoff, rooted=False)
+    denom = _affine_denominator([a for a, _ in rs.label_data.positive], rs.rank, cutoff,
+                                rooted=False)
     folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
-    for g, x, sign in _numerator_points(rs, lam, K, cutoff):
+    for g, x, sign in _numerator_points(rs, lam, aw.level + rs.dual_coxeter[0], cutoff):
         folds[g][x] = folds[g].get(x, 0) + sign
+    dominant = rs.dominant_labels
+    for n, fold in enumerate(folds):
+        # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
+        # dominant chamber with its reflection sign; a singular point drops out
+        for j in range(1, n + 1):
+            for x, b in folds[n - j].items():
+                for a, d in denom[j].items():
+                    y, s = dominant(tuple(map(add, x, a)))
+                    if all(y):
+                        fold[y] = fold.get(y, 0) - s * b * d
+        folds[n] = {x: b for x, b in fold.items() if b}
+    return graded_character(rs, aw, [{tuple(m - 1 for m in x): b for x, b in fold.items()}
+                                     for fold in folds])
 
-    def norm(x):         # (x, x) * form_den
+
+def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
+    """The character of L^{mu^} up to grade len(folds) - 1 from its branching
+    to rs: folds[n] maps the Dynkin labels of each constituent nu of grade n
+    to b_nu(n).  A b that is not positive, a constituent outside the ball
+    |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its grade, or a grade 0 other
+    than mu once raises AssertionError.  Each layer is the Weyl orbits of
+    sum_nu b_nu(n) times the dominant table of L(nu), in the (rho-pairing,
+    code) order of the group-ring division, decoded once; the series is kept
+    on the result in that order of nu within each grade."""
+    top, offset = _split_dominant(rs, aw.finite)
+    ld = rs.label_data
+
+    def norm(nu):        # (nu + rho, nu + rho) * form_den
+        x = [m + 1 for m in nu]
         return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, ld.form))
 
-    ball, step, dominant = norm(lam), 2 * K * ld.form_den, rs.dominant_labels
+    ball, step = norm(top), 2 * (aw.level + rs.dual_coxeter[0]) * ld.form_den
     den = common_denominator(rs.fundamental_weights + (aw.finite,))
     fw = [encode(w, den) for w in rs.fundamental_weights]
     off = encode(offset or zero_vec(rs.dim), den)
@@ -139,42 +167,26 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     layers: list = []
     entries: dict = {}
     for n, fold in enumerate(folds):
-        # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
-        # dominant chamber with its reflection sign; a singular point drops out
-        for j in range(1, n + 1):
-            for x, b in folds[n - j].items():
-                for a, d in denom[j].items():
-                    y, s = dominant(tuple(map(add, x, a)))
-                    if all(y):
-                        fold[y] = fold.get(y, 0) - s * b * d
-        fold = folds[n] = {x: b for x, b in fold.items() if b}
-        for x, b in fold.items():
-            if b < 0 or norm(x) > ball + n * step:
-                what = f"a negative branching coefficient {b}" if b < 0 else \
-                    "a constituent outside its ball"
-                raise AssertionError(f"grade {n} has {what} at labels "
-                                     f"{tuple(m - 1 for m in x)}")
-        if not n and fold != {lam: 1}:
+        for nu, b in fold.items():
+            if b <= 0 or norm(nu) > ball + n * step:
+                what = "a constituent outside its ball" if b > 0 else \
+                    f"a {'negative' if b else 'zero'} branching coefficient {b}"
+                raise AssertionError(f"grade {n} has {what} at labels {nu}")
+        if not n and fold != {top: 1}:
             raise AssertionError("grade 0 does not hold the highest weight exactly once")
         mult: dict = {}      # dominant labels of the layer -> multiplicity
-        for x, b in fold.items():
-            for lbl, _, m in _dominant_table(rs, tuple(m - 1 for m in x)):
+        for nu, b in fold.items():
+            for lbl, _, m in _dominant_table(rs, nu):
                 mult[lbl] = mult.get(lbl, 0) + b * m
         orbits = {lbl: rs.label_orbit(lbl, fw, off) for lbl in mult}
         # an orbit starts at the code of its dominant labels
-        tops = {orbits[tuple(m - 1 for m in x)][0][0]: b for x, b in fold.items()}
+        tops = {orbits[nu][0][0]: b for nu, b in fold.items()}
         entries.update(((_weight(c, den), n), tops[c]) for c in order(tops))
         layer = {code: mult[lbl] for lbl, orbit in orbits.items() for code, _ in orbit}
         layers.append(decode({c: layer[c] for c in order(layer)}, den))
-    gc = GradedCharacter(cutoff, layers)
-    gc._branch = (rs.factors, BranchingSeries(cutoff, entries))
+    gc = GradedCharacter(len(folds) - 1, layers)
+    gc._branch = (rs.factors, BranchingSeries(gc.cutoff, entries))
     return gc
-
-
-def check_highest_weight(gc: GradedCharacter, aw: AffineWeight):
-    """The grade-0 layer of L^{mu^} holds mu exactly once."""
-    if gc.layers[0].get(aw.finite) != 1:
-        raise AssertionError("highest weight missing from grade-0 layer")
 
 
 def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacter | None):
@@ -222,11 +234,11 @@ def _peel(gc: GradedCharacter, cutoff: int, decompose) -> BranchingSeries:
 def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
     """Every grade layer as a sum of irreducible modules of the horizontal
-    subalgebra.  A character fresh from affine_character holds the series
-    folded out of its numerator, served as it is at its cutoff and as a
-    slice, in the same order, below it.  Any other one (a cache hit,
-    affine_freudenthal, one built by hand, or another algebra on the same
-    weights) is peeled on every call, and the decomposer enforces
+    subalgebra.  A character from graded_character (affine_character or a
+    cache hit) holds its series, served as it is at its cutoff and as a
+    slice, in the same order, below it.  Any other one (affine_freudenthal,
+    one built by hand, or another algebra on the same weights) is peeled on
+    every call, and the decomposer enforces
     nonnegative coefficients and an exact reconstruction."""
     gc = _character(rs, aw, cutoff, gc)
     key, read = gc._branch

@@ -6,13 +6,16 @@ Exit codes: 0 success / all identities verified, 1 verification mismatch,
 library, reported on one stderr line).  Output is aligned text by default or
 JSON lines with --format json; weights are printed as Dynkin labels and all
 tables are sorted by the (rho, weight) order with a lexicographic label
-tie-break, so reruns are byte-identical.  Affine character layers are cached
-on disk as content-addressed JSON files when a cache directory is configured
-(flag --cache-dir or SPLINTBRANCH_CACHE_DIR); --no-cache bypasses it.  Each
-entry carries its request and a SHA-256 of its payload; an entry that does
-not parse, fails its digest or does not hold the requested character is
-recomputed and rewritten, never served; so is one that cannot be read.  A
-cache entry that cannot be written is a configuration error.
+tie-break, so reruns are byte-identical.  The branching series of affine
+characters to g are cached on disk as content-addressed JSON files when a
+cache directory is configured (flag --cache-dir or SPLINTBRANCH_CACHE_DIR);
+--no-cache bypasses it.  Each entry carries its request and a SHA-256 of its
+payload.  A hit builds its layers with the builder and gates of a computed
+character (`affine.graded_character`), so nothing is decomposed; an entry
+that does not parse, fails its digest, does not hold the requested
+character or fails a gate is recomputed and rewritten, never served; so is
+one that cannot be read.  A cache entry that cannot be written is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -21,17 +24,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import affine as af
 from . import qseries as qs
-from .characters import FormalCharacter, weyl_dimension, weyl_identity
+from .characters import weyl_dimension, weyl_identity
 from .rootsystem import build_root_system
 from .splints import (Report, branch_direct, branch_via_splint, check_embedding, check_splint,
                       fan_coefficients, find_splint, load_splint_file, splint_catalog)
 
 CACHE_ENV = "SPLINTBRANCH_CACHE_DIR"
-CACHE_SCHEMA = "splintbranch-affine-character-v2"
+CACHE_SCHEMA = "splintbranch-affine-character-v3"
 
 
 class ConfigError(Exception):
@@ -179,60 +181,47 @@ def _payload_digest(doc):
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def _layers_to_json(gc: af.GradedCharacter, request):
-    layers = []
-    for fc in gc.layers:
-        layers.append(sorted([[list(map(str, v)), c] for v, c in fc.items()]))
-    doc = {"schema": CACHE_SCHEMA, "request": request, "cutoff": gc.cutoff, "layers": layers}
+def _layers_to_json(rs, request, bs: af.BranchingSeries):
+    """The cache document of the request: per grade, the [Dynkin labels of
+    nu, b] terms of its branching series bs to rs."""
+    series = [[] for _ in range(bs.cutoff + 1)]
+    for (nu, n), b in bs.entries.items():
+        series[n].append([_ints(rs.dynkin_labels(nu)), b])
+    doc = {"schema": CACHE_SCHEMA, "request": request, "series": series}
     doc["digest"] = _payload_digest(doc)
     return doc
 
 
-def _layers_from_json(doc):
-    """Parse a cache document; raises ValueError, TypeError, KeyError,
-    AttributeError or ZeroDivisionError if it is not one or fails its digest."""
+def _layers_from_json(doc, rs, aw, request):
+    """The character of a cache document, built by af.graded_character
+    through the gates of a computed one.  The document must carry this
+    schema, its digest, the request and cutoff + 1 grades of terms [rank int
+    labels >= 0, int b], no labels twice in a grade; any other raises
+    ValueError, TypeError, KeyError, AttributeError or AssertionError."""
     if doc.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unexpected cache schema {doc.get('schema')!r}")
     if doc.get("digest") != _payload_digest(doc):
         raise ValueError("cache entry does not match its digest")
-    layers = []
-    for layer in doc["layers"]:
-        fc = FormalCharacter()
-        for coords, c in layer:
-            if type(c) is not int or not all(isinstance(x, str) for x in coords):
-                raise ValueError(f"malformed cache term {[coords, c]!r}")
-            fc.terms[tuple(Fraction(x) for x in coords)] = c
-        layers.append(fc)
-    return af.GradedCharacter(doc["cutoff"], layers)
-
-
-def _read_cache(path, request, rs, aw, cutoff):
-    """The cached character at path, or None when there is none or the entry
-    does not hold the requested one: it does not parse, has another schema,
-    a digest that does not match its payload, another request, cutoff or
-    layer count, weights of another length, or no highest weight of
-    multiplicity 1 at grade 0.  Any OSError while reading counts as none."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        gc = _layers_from_json(doc)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
-        return None
-    if (doc.get("request") != request or gc.cutoff != cutoff
-            or len(gc.layers) != cutoff + 1
-            or any(len(v) != rs.dim for fc in gc.layers for v in fc.terms)):
-        return None
-    try:
-        af.check_highest_weight(gc, aw)
-    except AssertionError:
-        return None
-    return gc
+    if doc["request"] != request or len(doc["series"]) != request["cutoff"] + 1:
+        raise ValueError("cache entry holds another character")
+    folds = []
+    for terms in doc["series"]:
+        fold = {}
+        for labels, b in terms:
+            if type(b) is not int or len(labels) != rs.rank or \
+                    not all(type(m) is int and m >= 0 for m in labels):
+                raise ValueError(f"malformed cache term {[labels, b]!r}")
+            fold[tuple(labels)] = b
+        if len(fold) != len(terms):
+            raise ValueError("cache entry repeats a constituent")
+        folds.append(fold)
+    return af.graded_character(rs, aw, folds)
 
 
 def cached_affine_character(rs, aw, cutoff, cache_dir):
     """affine_character through the disk cache; an entry that cannot be
-    served is recomputed and rewritten.  An OSError while writing it is a
-    configuration error, and no temporary file is left behind."""
+    read or served is recomputed and rewritten.  An OSError while writing it
+    is a configuration error, and no temporary file is left behind."""
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
     import hashlib  # imported here, so that a command without the cache never loads them
@@ -243,16 +232,19 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
     key = json.dumps({**request, "schema": CACHE_SCHEMA}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = os.path.join(cache_dir, digest[:2], digest + ".json")
-    gc = _read_cache(path, request, rs, aw, cutoff)
-    if gc is not None:
-        return gc
+    try:
+        with open(path) as fh:
+            return _layers_from_json(json.load(fh), rs, aw, request)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, AssertionError):
+        pass
     gc = af.affine_character(rs, aw, cutoff)
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(_layers_to_json(gc, request), fh, sort_keys=True)
+            json.dump(_layers_to_json(rs, request, af.graded_branch_to_g(rs, aw, cutoff, gc)),
+                      fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:

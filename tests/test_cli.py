@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splintbranch import affine as af
 from splintbranch import cli
 from splintbranch.cli import main
+from splintbranch.rootsystem import build_root_system
 from splintbranch.splints import _catalog_entries, probe_tilde_branching, splint_from_dict
+from test_branch_reuse import ALGEBRAS, affine_module
 
 
 def run(capsys, *argv):
@@ -474,18 +481,26 @@ def test_cache_entry_that_is_a_directory_is_never_served(tmp_path, capsys):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
+# the cached series of the A1 level-1 vacuum module at N = 3, [Dynkin labels
+# of nu, b] per grade: [[[0], 1]], [[[2], 1]], [[[2], 1], [[0], 1]] and
+# [[[2], 2], [[0], 1]]
+
+
 def _drop_grade0_highest_weight(doc):
-    # the A1 level-1 vacuum module: highest weight 0 at grade 0
-    doc["layers"][0] = [t for t in doc["layers"][0] if any(x != "0" for x in t[0])]
+    doc["series"][0] = [t for t in doc["series"][0] if t[0] != [0]]
+
+
+def _other_cutoff(doc):
+    doc["request"]["cutoff"] -= 1
 
 
 CACHE_DAMAGE = {
     "truncated": lambda text: text[:len(text) // 2],
-    "empty-layers": lambda doc: doc.update(layers=[]),
-    "malformed-layer": lambda doc: doc["layers"].__setitem__(1, [[1, 2]]),
-    "wrong-schema": lambda doc: doc.update(schema="splintbranch-affine-character-v0"),
-    "other-cutoff": lambda doc: doc.update(cutoff=doc["cutoff"] - 1),
-    "layer-count": lambda doc: doc["layers"].pop(),
+    "empty-layers": lambda doc: doc.update(series=[]),
+    "malformed-layer": lambda doc: doc["series"].__setitem__(1, [[1, 2]]),
+    "wrong-schema": lambda doc: doc.update(schema="splintbranch-affine-character-v2"),
+    "other-cutoff": _other_cutoff,
+    "layer-count": lambda doc: doc["series"].pop(),
     "grade0-without-highest-weight": _drop_grade0_highest_weight,
 }
 
@@ -499,17 +514,30 @@ def _signed(damage):
     return fn
 
 
-def _wrong_weight_length(doc):
-    doc["layers"][1][0][0].append("0")
+def _set_grade1_term(i, value):
+    # the term [[2], 1] of grade 1: its labels (i = 0) or its b (i = 1)
+    return lambda doc: doc["series"][1][0].__setitem__(i, value)
 
 
 CACHE_DAMAGE.update({f"signed-{name}": _signed(CACHE_DAMAGE[name]) for name in
                      ("other-cutoff", "layer-count", "grade0-without-highest-weight")})
-CACHE_DAMAGE["signed-wrong-weight-length"] = _signed(_wrong_weight_length)
-CACHE_DAMAGE["signed-string-coefficient"] = _signed(
-    lambda doc: doc["layers"][1][0].__setitem__(1, "1"))
-CACHE_DAMAGE["signed-zero-denominator"] = _signed(
-    lambda doc: doc["layers"][1][0][0].__setitem__(0, "1/0"))
+CACHE_DAMAGE.update({f"signed-{name}": _signed(damage) for name, damage in {
+    "wrong-weight-length": _set_grade1_term(0, [2, 0]),
+    "empty-labels": _set_grade1_term(0, []),
+    "string-coefficient": _set_grade1_term(1, "1"),
+    "float-coefficient": _set_grade1_term(1, 1.0),
+    # a label that is no int, as a fraction string with a zero denominator
+    "zero-denominator": _set_grade1_term(0, ["1/0"]),
+    "negative-label": _set_grade1_term(0, [-2]),
+    "repeated-constituent": lambda doc: doc["series"][2].append([[2], 1]),
+    # entries of the right shape that only the gates of graded_character
+    # refuse, as they refuse a fold that computes them
+    "negative-coefficient": _set_grade1_term(1, -1),
+    "zero-coefficient": _set_grade1_term(1, 0),
+    # |nu + rho|^2 = 25/2 > |rho|^2 + 2 K = 13/2
+    "constituent-outside-its-ball": _set_grade1_term(0, [4]),
+    "doubled-highest-weight": lambda doc: doc["series"][0][0].__setitem__(1, 2),
+}.items()})
 
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
@@ -557,17 +585,15 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
 
 
 def _add_5_at_grade1_root(doc):
-    # grade-1 weight (-1, 1) of the A1 level-1 vacuum module: 1 -> 6
-    for term in doc["layers"][1]:
-        if term[0] == ["-1", "1"]:
+    # the adjoint module (labels [2]) at grade 1 of the A1 level-1 vacuum: 1 -> 6
+    for term in doc["series"][1]:
+        if term[0] == [2]:
             term[1] += 5
 
 
 def _set_grade1_fixed_weight_to_6(doc):
-    # the W-fixed weight 0 at grade 1: 1 -> 6, still a W-invariant layer
-    for term in doc["layers"][1]:
-        if term[0] == ["0", "0"]:
-            term[1] = 6
+    # the trivial module (labels [0]) at grade 1: 0 -> 6, still a plausible series
+    doc["series"][1].append([[0], 6])
 
 
 CACHE_EDITS = {"grade1-root-plus-5": _add_5_at_grade1_root,
@@ -593,3 +619,67 @@ def test_hand_edited_cache_entry_is_recomputed(tmp_path, capsys, command, edit):
     code, out, err = run(capsys, *args, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, fresh, "")
     assert path.read_text() == good
+
+
+# a hit rebuilds its character from the cached series with the builder of a
+# computed one, so neither run of a command decomposes a layer
+HIT_COMMANDS = {
+    f"{argv[0]}-{argv[2]}": argv for argv in (
+        ["strings", "--algebra", "G2", "--level", "1", "--weight", "1,0", "--grade-max", "3"],
+        ["qdim", "--algebra", "G2", "--level", "1", "--weight", "1,0", "--grade-max", "3"],
+        ["affine-branch", "--algebra", "G2", "--splint", "A2A2", "--level", "1",
+         "--weight", "1,0", "--grade-max", "3"],
+        ["strings", "--algebra", "F4", "--level", "1", "--weight", "0,0,0,0", "--grade-max", "2"],
+        ["qdim", "--algebra", "F4", "--level", "1", "--weight", "0,0,0,0", "--grade-max", "2"],
+    )}
+
+
+@pytest.mark.parametrize("command", sorted(HIT_COMMANDS))
+def test_cold_and_warm_runs_decompose_nothing(tmp_path, capsys, monkeypatch, command):
+    def refused(what):
+        def fn(*args, **kwargs):
+            raise AssertionError(f"{what} called")
+        return fn
+
+    argv = HIT_COMMANDS[command]
+    code, fresh, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    monkeypatch.setattr(af, "decompose_character", refused("decompose_character"))
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, fresh, "")
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+    # the warm run is a hit: it computes no character either
+    monkeypatch.setattr(af, "affine_character", refused("affine_character"))
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, fresh, "")
+
+
+A1 = build_root_system("A1")
+
+
+@st.composite
+def cached_module(draw):
+    """(algebra name, highest weight, cutoff): the draws of
+    test_branch_reuse.affine_module, or a level-1-2 module of A1 to N = 3."""
+    if draw(st.booleans()):
+        return draw(affine_module())
+    level = draw(st.integers(1, 2))
+    mu = A1.weight_from_labels((draw(st.integers(0, level)),))
+    return "A1", af.AffineWeight(mu, level), draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cached_module())
+def test_cache_miss_and_hit_equal_affine_character(case):
+    name, aw, cutoff = case
+    rs = ALGEBRAS.get(name, A1)
+    want = af.affine_character(rs, aw, cutoff)
+    with tempfile.TemporaryDirectory() as cache:
+        miss = cli.cached_affine_character(rs, aw, cutoff, cache)
+        with mock.patch.object(af, "affine_character",
+                               side_effect=AssertionError("a hit computes no character")):
+            hit = cli.cached_affine_character(rs, aw, cutoff, cache)
+    for gc in (miss, hit):
+        assert gc.cutoff == cutoff
+        assert [list(layer.items()) for layer in gc.layers] == \
+            [list(layer.items()) for layer in want.layers]
+        assert gc._branch[0] == rs.factors
+        assert list(gc._branch[1].entries.items()) == list(want._branch[1].entries.items())
