@@ -16,23 +16,29 @@ Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 `characters._affine_denominator` seeded with 1 instead of R, and no orbit,
 product or division is formed.  `graded_character` builds the character
 from the series, folded here or read from the CLI's disk cache, behind one
-gate: a b that is not positive, a grade 0 other than mu once, or a
+gate: a term that is not rank int labels >= 0 with an int b raises
+ValueError, and a b that is not positive, a grade 0 other than mu once, or a
 constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its
 grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4) raises
-AssertionError.  Each layer is the Weyl orbits of sum_nu b_nu(n) times the
-dominant table of L(nu) (`characters._dominant_table`), in the
-(rho-pairing, code) order of the group-ring division, decoded once.  The
-fold's oracle, `affine_freudenthal`, sums the Weyl orbits of the dominant weights
-of the Freudenthal recursion on labels that also builds the finite tables
+AssertionError.  Each grade keeps its dominant rows: sum_nu b_nu(n) times the
+dominant table of L(nu) (`characters._dominant_table`), dominant labels ->
+multiplicity.  Its layer, the Weyl orbits of the rows in the (rho-pairing,
+code) order of the group-ring division, decoded once, is built on the first
+read of `GradedCharacter.layers` and kept.  The fold's oracle,
+`affine_freudenthal`, sums the Weyl orbits of the dominant weights of the
+Freudenthal recursion on labels that also builds the finite tables
 (`characters._freudenthal_tables`); the tests also keep the
 product-and-division route the fold replaced.
 
-The series b is kept on the `GradedCharacter` for its algebra;
-`graded_branch_to_g` serves it, sliced for a shorter cutoff.  It peels a
-character built any other way (`affine_freudenthal`, or by hand) and keeps
-nothing (`_peel`, shared with
-`branch_affine_direct`; `decompose_character` is also the fold's oracle in
-the tests).
+The series b and the rows are kept on the `GradedCharacter` for its algebra.
+`graded_branch_to_g` serves the series, sliced for a shorter cutoff;
+`string_function` reads the rows at the dominant labels of a weight, and
+`q_dimension` checks sum_nu b dim L(nu) against sum_lambda m |W lambda| over
+the rows while the layers are not built.  A character built any other way
+(`affine_freudenthal`, or by hand) passes its layers in: it is peeled and
+keeps nothing (`_peel`, shared with `branch_affine_direct`;
+`decompose_character` is also the fold's oracle in the tests), and its
+string functions and totals are read off the layers.
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple
 
@@ -75,20 +82,52 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
 
 
 class GradedCharacter:
-    """Layers of weight multiplicities by grade, exact up to the cutoff."""
+    """Layers of weight multiplicities by grade, exact up to the cutoff.
 
-    def __init__(self, cutoff: int, layers: list):
+    A character from graded_character holds no layers until they are read:
+    its slot keeps the series and the dominant rows, and the first read
+    builds the layers from the rows and keeps them."""
+
+    def __init__(self, cutoff: int, layers: list | None = None):
         self.cutoff = cutoff
-        self.layers = layers  # list[FormalCharacter], index = grade
-        # (rs.factors, the BranchingSeries the layers were built from),
-        # set by graded_character only
-        self._branch = (None, None)
+        if layers is not None:
+            self.layers = layers  # list[FormalCharacter], index = grade
+        # (rs.factors, the BranchingSeries, (rs, W-fixed offset, per grade the
+        # dominant labels -> multiplicity)), set by graded_character only
+        self._branch = (None, None, None)
+
+    @cached_property
+    def layers(self) -> list:
+        """Each grade's Weyl orbits of its dominant rows, in the (rho-pairing,
+        code) order of the group-ring division, decoded once."""
+        _, _, (rs, offset, rows) = self._branch
+        den, fw, off = _codes(rs, offset)
+        layers = []
+        for mult in rows:
+            layer = {code: m for lbl, m in mult.items()
+                     for code, _ in rs.label_orbit(lbl, fw, off)}
+            layers.append(decode({c: layer[c] for c in _ordered(rs, layer)}, den))
+        return layers
 
     def __eq__(self, o):
         return type(o) is GradedCharacter and (self.cutoff, self.layers) == (o.cutoff, o.layers)
 
     def __repr__(self):
         return f"GradedCharacter(cutoff={self.cutoff!r}, layers={self.layers!r})"
+
+
+def _codes(rs: RootSystem, offset):
+    """(den, fw, off): a weight with int labels y and W-fixed part offset
+    has the code (characters.encode) sum_i y_i fw[i] + off over den."""
+    offset = offset or zero_vec(rs.dim)
+    den = common_denominator(rs.fundamental_weights + (offset,))
+    return den, [encode(w, den) for w in rs.fundamental_weights], encode(offset, den)
+
+
+def _ordered(rs: RootSystem, codes) -> list:
+    """codes in the (rho-pairing, code) order of divide_codes."""
+    pair = rho_pairing(rs)
+    return sorted(codes, key=lambda c: (sum(map(mul, pair, c)), c))
 
 
 class BranchingSeries:
@@ -142,12 +181,13 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
     """The character of L^{mu^} up to grade len(folds) - 1 from its branching
     to rs: folds[n] maps the Dynkin labels of each constituent nu of grade n
-    to b_nu(n).  A b that is not positive, a constituent outside the ball
-    |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its grade, or a grade 0 other
-    than mu once raises AssertionError.  Each layer is the Weyl orbits of
-    sum_nu b_nu(n) times the dominant table of L(nu), in the (rho-pairing,
-    code) order of the group-ring division, decoded once; the series is kept
-    on the result in that order of nu within each grade."""
+    to b_nu(n).  A term whose labels are not a tuple of rs.rank ints >= 0, or
+    whose b is not an int, raises ValueError; a b that is not positive, a
+    constituent outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its
+    grade, or a grade 0 other than mu once raises AssertionError.  Each
+    grade keeps its dominant rows, sum_nu b_nu(n) times the dominant table
+    of L(nu), and the series in the (rho-pairing, code) order of nu; the
+    layers are the Weyl orbits of the rows, built on first read."""
     top, offset = _split_dominant(rs, aw.finite)
     ld = rs.label_data
 
@@ -156,18 +196,15 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
         return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, ld.form))
 
     ball, step = norm(top), 2 * (aw.level + rs.dual_coxeter[0]) * ld.form_den
-    den = common_denominator(rs.fundamental_weights + (aw.finite,))
-    fw = [encode(w, den) for w in rs.fundamental_weights]
-    off = encode(offset or zero_vec(rs.dim), den)
-    pair = rho_pairing(rs)
-
-    def order(codes):    # the (rho-pairing, code) order of divide_codes
-        return sorted(codes, key=lambda c: (sum(map(mul, pair, c)), c))
-
-    layers: list = []
+    den, fw, off = _codes(rs, offset)
+    cols = list(zip(*fw))
+    rows: list = []
     entries: dict = {}
     for n, fold in enumerate(folds):
         for nu, b in fold.items():
+            if type(nu) is not tuple or len(nu) != rs.rank or type(b) is not int or \
+                    not all(type(m) is int and m >= 0 for m in nu):
+                raise ValueError(f"grade {n} has a malformed term {nu!r}: {b!r}")
             if b <= 0 or norm(nu) > ball + n * step:
                 what = "a constituent outside its ball" if b > 0 else \
                     f"a {'negative' if b else 'zero'} branching coefficient {b}"
@@ -178,14 +215,12 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
         for nu, b in fold.items():
             for lbl, _, m in _dominant_table(rs, nu):
                 mult[lbl] = mult.get(lbl, 0) + b * m
-        orbits = {lbl: rs.label_orbit(lbl, fw, off) for lbl in mult}
-        # an orbit starts at the code of its dominant labels
-        tops = {orbits[nu][0][0]: b for nu, b in fold.items()}
-        entries.update(((_weight(c, den), n), tops[c]) for c in order(tops))
-        layer = {code: mult[lbl] for lbl, orbit in orbits.items() for code, _ in orbit}
-        layers.append(decode({c: layer[c] for c in order(layer)}, den))
-    gc = GradedCharacter(len(folds) - 1, layers)
-    gc._branch = (rs.factors, BranchingSeries(gc.cutoff, entries))
+        rows.append(mult)
+        tops = {tuple([sum(map(mul, nu, col)) + c for col, c in zip(cols, off)]): b
+                for nu, b in fold.items()}
+        entries.update(((_weight(c, den), n), tops[c]) for c in _ordered(rs, tops))
+    gc = GradedCharacter(len(folds) - 1)
+    gc._branch = (rs.factors, BranchingSeries(gc.cutoff, entries), (rs, offset, rows))
     return gc
 
 
@@ -241,7 +276,7 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
     every call, and the decomposer enforces
     nonnegative coefficients and an exact reconstruction."""
     gc = _character(rs, aw, cutoff, gc)
-    key, read = gc._branch
+    key, read, _ = gc._branch
     if key != rs.factors:
         return _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
     return read if cutoff == read.cutoff else BranchingSeries(
@@ -250,17 +285,30 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
 
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
                     gc: GradedCharacter | None = None):
-    """Multiplicities of (nu, k, n) across grades n = 0..cutoff."""
+    """Multiplicities of (nu, k, n) across grades n = 0..cutoff.  A character
+    from graded_character reads its dominant rows at the labels of the
+    dominant representative of nu (0 off the module's lattice or W-fixed
+    part); any other one reads its layers."""
     gc = _character(rs, aw, cutoff, gc)
-    return [gc.layers[n].get(nu) for n in range(cutoff + 1)]
+    key, _, kept = gc._branch
+    if key != rs.factors:
+        return [gc.layers[n].get(nu) for n in range(cutoff + 1)]
+    _, offset, rows = kept
+    labels, d, off = rs.split_labels(nu)
+    if d != 1 or off != offset:
+        return [0] * (cutoff + 1)
+    dom, _ = rs.dominant_labels(labels)
+    return [rows[n].get(dom, 0) for n in range(cutoff + 1)]
 
 
 def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
                 bs: BranchingSeries | None = None, gc: GradedCharacter | None = None):
     """Graded dimension sum_n q^n sum_nu b(n) dim L^nu, exact integers.
 
-    Cross-checked against the total layer multiplicity, which counts the same
-    dimension directly from the character.  A bs or gc that stops below
+    Cross-checked against the total multiplicity of each grade, which counts
+    the same dimension from the character: sum_lambda m_lambda |W lambda|
+    over the dominant rows of a character from graded_character whose layers
+    are not built, the layer totals otherwise.  A bs or gc that stops below
     cutoff is refused."""
     gc = _character(rs, aw, cutoff, gc)
     if bs is None:
@@ -273,7 +321,12 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     for (nu, n), b in bs.entries.items():
         if n <= cutoff:
             out[n] += b * dims[nu]
-    if any(d != layer.total() for d, layer in zip(out, gc.layers)):
+    key, _, kept = gc._branch
+    if key == rs.factors and "layers" not in vars(gc):     # layers not built yet
+        totals = [sum(m * rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in kept[2]]
+    else:
+        totals = [layer.total() for layer in gc.layers]
+    if any(d != t for d, t in zip(out, totals)):
         raise AssertionError("q-dimension disagrees with layer totals")
     return out
 

@@ -10,8 +10,9 @@ tie-break, so reruns are byte-identical.  The branching series of affine
 characters to g are cached on disk as content-addressed JSON files when a
 cache directory is configured (flag --cache-dir or SPLINTBRANCH_CACHE_DIR);
 --no-cache bypasses it.  Each entry carries its request and a SHA-256 of its
-payload.  A hit builds its layers with the builder and gates of a computed
-character (`affine.graded_character`), so nothing is decomposed; an entry
+payload.  A hit builds its character with the builder, shape checks and
+gates of a computed one (`affine.graded_character`), so nothing is
+decomposed and its layers are built only if read; an entry
 that does not parse, fails its digest, does not hold the requested
 character or fails a gate is recomputed and rewritten, never served; so is
 one that cannot be read.  A cache entry that cannot be written is a
@@ -194,27 +195,19 @@ def _layers_to_json(rs, request, bs: af.BranchingSeries):
 
 def _layers_from_json(doc, rs, aw, request):
     """The character of a cache document, built by af.graded_character
-    through the gates of a computed one.  The document must carry this
-    schema, its digest, the request and cutoff + 1 grades of terms [rank int
-    labels >= 0, int b], no labels twice in a grade; any other raises
-    ValueError, TypeError, KeyError, AttributeError or AssertionError."""
+    through the shape checks and gates of a computed one.  The document must
+    carry this schema, its digest, the request and cutoff + 1 grades of terms
+    [labels, b], no labels twice in a grade; any other raises ValueError,
+    TypeError, KeyError, AttributeError or AssertionError."""
     if doc.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unexpected cache schema {doc.get('schema')!r}")
     if doc.get("digest") != _payload_digest(doc):
         raise ValueError("cache entry does not match its digest")
     if doc["request"] != request or len(doc["series"]) != request["cutoff"] + 1:
         raise ValueError("cache entry holds another character")
-    folds = []
-    for terms in doc["series"]:
-        fold = {}
-        for labels, b in terms:
-            if type(b) is not int or len(labels) != rs.rank or \
-                    not all(type(m) is int and m >= 0 for m in labels):
-                raise ValueError(f"malformed cache term {[labels, b]!r}")
-            fold[tuple(labels)] = b
-        if len(fold) != len(terms):
-            raise ValueError("cache entry repeats a constituent")
-        folds.append(fold)
+    folds = [{tuple(labels): b for labels, b in terms} for terms in doc["series"]]
+    if any(len(fold) != len(terms) for fold, terms in zip(folds, doc["series"])):
+        raise ValueError("cache entry repeats a constituent")
     return af.graded_character(rs, aw, folds)
 
 
@@ -399,8 +392,7 @@ def cmd_strings(args):
         mm = af.multiplicity_matrix(rs, bound)
         minv = af.invert_multiplicity_matrix(mm)
         n = len(mm.basis)
-        sigma = [[gc.layers[g].get(v) for g in range(args.grade_max + 1)]
-                 for v in mm.basis]
+        sigma = [af.string_function(rs, aw, v, args.grade_max, gc) for v in mm.basis]
         bvec = [[sum(minv[i][j] * sigma[j][g] for j in range(n))
                  for g in range(args.grade_max + 1)] for i in range(n)]
         direct = [[bs.entries.get((v, g), 0) for g in range(args.grade_max + 1)]

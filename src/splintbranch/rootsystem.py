@@ -329,6 +329,7 @@ class RootSystem:
         self._rows_cache: dict = {}
         self._split_cache: dict[Vec, tuple] = {}
         self._dominant_cache: dict[tuple, tuple] = {}
+        self._orbit_size_cache: dict[tuple, int] = {}
 
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):
@@ -560,10 +561,13 @@ class RootSystem:
 
     def orbit_size(self, labels) -> int:
         """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated
-        by the positive roots supported on J."""
-        return self.weyl_order // weyl_group_order(
-            c for _, c in self.label_data.positive
-            if all(not k or not m for k, m in zip(c, labels)))
+        by the positive roots supported on J.  Cached per J."""
+        zeros = tuple(not m for m in labels)
+        if (size := self._orbit_size_cache.get(zeros)) is None:
+            size = self._orbit_size_cache[zeros] = self.weyl_order // weyl_group_order(
+                c for _, c in self.label_data.positive
+                if all(not k or z for k, z in zip(c, zeros)))
+        return size
 
     def label_orbit(self, labels, fw, offset):
         """Signed Weyl orbit [(code, sign)] of int labels, breadth-first from the

@@ -80,15 +80,15 @@ def peeled(rs, aw, cutoff, gc):
     """The series of gc decomposed layer by layer, on a copy of gc whose
     series slot is empty and stays empty."""
     bare = af.GradedCharacter(gc.cutoff, gc.layers)
-    assert bare._branch == (None, None)
+    assert bare._branch == (None, None, None)
     bs = af.graded_branch_to_g(rs, aw, cutoff, bare)
-    assert bare._branch == (None, None)
+    assert bare._branch == (None, None, None)
     return bs
 
 
 def assert_read_equals_peel(rs, aw, cutoff):
     gc = af.affine_character(rs, aw, cutoff)
-    key, read = gc._branch
+    key, read, _ = gc._branch
     assert key == rs.factors
     assert af.graded_branch_to_g(rs, aw, cutoff, gc) is read
     layers, series = divided_character(rs, aw, cutoff)
