@@ -16,29 +16,28 @@ Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 `characters._affine_denominator` seeded with 1 instead of R, and no orbit,
 product or division is formed.  `graded_character` builds the character
 from the series, folded here or read from the CLI's disk cache, behind one
-gate: a term that is not rank int labels >= 0 with an int b raises
-ValueError, and a b that is not positive, a grade 0 other than mu once, or a
-constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its
-grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4) raises
-AssertionError.  Each grade keeps its dominant rows: sum_nu b_nu(n) times the
-dominant table of L(nu) (`characters._dominant_table`), dominant labels ->
-multiplicity.  Its layer, the Weyl orbits of the rows in the (rho-pairing,
-code) order of the group-ring division, decoded once, is built on the first
-read of `GradedCharacter.layers` and kept.  The fold's oracle,
-`affine_freudenthal`, sums the Weyl orbits of the dominant weights of the
-Freudenthal recursion on labels that also builds the finite tables
-(`characters._freudenthal_tables`); the tests also keep the
-product-and-division route the fold replaced.
+gate: no grade 0, or a term that is not rank int labels >= 0 with an int b,
+raises ValueError, and a b that is not positive, a grade 0 other than mu
+once, or a constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 +
+2 n K of its grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4)
+raises AssertionError.
 
-The series b and the rows are kept on the `GradedCharacter` for its algebra.
-`graded_branch_to_g` serves the series, sliced for a shorter cutoff;
-`string_function` reads the rows at the dominant labels of a weight, and
-`q_dimension` checks sum_nu b dim L(nu) against sum_lambda m |W lambda| over
-the rows while the layers are not built.  A character built any other way
-(`affine_freudenthal`, or by hand) passes its layers in: it is peeled and
-keeps nothing (`_peel`, shared with `branch_affine_direct`;
-`decompose_character` is also the fold's oracle in the tests), and its
-string functions and totals are read off the layers.
+Every `GradedCharacter` is its dominant rows, per grade dominant labels ->
+multiplicity, with its algebra, its W-fixed offset and, from
+`graded_character`, the series; there each row is sum_nu b_nu(n) times the
+dominant table of L(nu) (`characters._dominant_table`).  Its layer, the Weyl
+orbits of the row in the (rho-pairing, code) order of the group-ring
+division, decoded once, is built on the first read of
+`GradedCharacter.layers` and kept.  The fold's oracle, `affine_freudenthal`,
+passes the rows of the Freudenthal recursion on labels that also builds the
+finite tables (`characters._freudenthal_tables`) and no series; the tests
+also keep the product-and-division route the fold replaced.
+`graded_branch_to_g` serves the series of a character for its own algebra,
+sliced for a shorter cutoff, and peels the layers otherwise (`_peel`, shared
+with `branch_affine_direct`; `decompose_character` is also the fold's oracle
+in the tests).  `string_function` reads the rows at the dominant labels of a
+weight, and `q_dimension` checks sum_nu b dim L(nu) against
+sum_lambda m |W lambda| over the rows, both through the character's algebra.
 Splint branching sums the integer tables that each `Splint` keeps by ambient
 labels (`splints._branch_codes`) and builds each distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
@@ -56,7 +55,7 @@ from typing import NamedTuple
 
 from .rootsystem import RootSystem, Vec, zero_vec
 from .characters import (_affine_denominator, _dominant_table, _freudenthal_tables,
-                         _numerator_points, _orbit_character, _split_dominant, _weight,
+                         _numerator_points, _split_dominant, _weight,
                          common_denominator, decode, decompose_character, encode, rho_pairing,
                          weyl_dimension)
 from .splints import Splint, _branch_codes
@@ -82,31 +81,27 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
 
 
 class GradedCharacter:
-    """Layers of weight multiplicities by grade, exact up to the cutoff.
+    """Weight multiplicities by grade, exact up to cutoff = len(rows) - 1.
 
-    A character from graded_character holds no layers until they are read:
-    its slot keeps the series and the dominant rows, and the first read
-    builds the layers from the rows and keeps them."""
+    rows[n] maps the Dynkin labels (of rs) of each dominant weight of grade n
+    to its multiplicity; offset is the W-fixed part of every weight (None
+    when zero, as split_labels gives it), and series is the branching to rs
+    (None for a character not built by graded_character)."""
 
-    def __init__(self, cutoff: int, layers: list | None = None):
-        self.cutoff = cutoff
-        if layers is not None:
-            self.layers = layers  # list[FormalCharacter], index = grade
-        # (rs.factors, the BranchingSeries, (rs, W-fixed offset, per grade the
-        # dominant labels -> multiplicity)), set by graded_character only
-        self._branch = (None, None, None)
+    def __init__(self, rs: RootSystem, offset, rows: list, series: BranchingSeries | None = None):
+        self.rs, self.offset, self.rows, self.series = rs, offset, rows, series
+        self.cutoff = len(rows) - 1
 
     @cached_property
     def layers(self) -> list:
         """Each grade's Weyl orbits of its dominant rows, in the (rho-pairing,
         code) order of the group-ring division, decoded once."""
-        _, _, (rs, offset, rows) = self._branch
-        den, fw, off = _codes(rs, offset)
+        den, fw, off = _codes(self.rs, self.offset)
         layers = []
-        for mult in rows:
+        for mult in self.rows:
             layer = {code: m for lbl, m in mult.items()
-                     for code, _ in rs.label_orbit(lbl, fw, off)}
-            layers.append(decode({c: layer[c] for c in _ordered(rs, layer)}, den))
+                     for code, _ in self.rs.label_orbit(lbl, fw, off)}
+            layers.append(decode({c: layer[c] for c in _ordered(self.rs, layer)}, den))
         return layers
 
     def __eq__(self, o):
@@ -181,13 +176,16 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
     """The character of L^{mu^} up to grade len(folds) - 1 from its branching
     to rs: folds[n] maps the Dynkin labels of each constituent nu of grade n
-    to b_nu(n).  A term whose labels are not a tuple of rs.rank ints >= 0, or
-    whose b is not an int, raises ValueError; a b that is not positive, a
-    constituent outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its
-    grade, or a grade 0 other than mu once raises AssertionError.  Each
+    to b_nu(n).  No grade 0, or a term whose labels are not a tuple of
+    rs.rank ints >= 0 or whose b is not an int, raises ValueError; a b that
+    is not positive, a constituent outside the ball |nu + rho|^2 <=
+    |mu + rho|^2 + 2 n K of its grade, or a grade 0 other than mu once
+    raises AssertionError.  Each
     grade keeps its dominant rows, sum_nu b_nu(n) times the dominant table
     of L(nu), and the series in the (rho-pairing, code) order of nu; the
     layers are the Weyl orbits of the rows, built on first read."""
+    if not folds:
+        raise ValueError("the folds hold no grade 0")
     top, offset = _split_dominant(rs, aw.finite)
     ld = rs.label_data
 
@@ -219,9 +217,7 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
         tops = {tuple([sum(map(mul, nu, col)) + c for col, c in zip(cols, off)]): b
                 for nu, b in fold.items()}
         entries.update(((_weight(c, den), n), tops[c]) for c in _ordered(rs, tops))
-    gc = GradedCharacter(len(folds) - 1)
-    gc._branch = (rs.factors, BranchingSeries(gc.cutoff, entries), (rs, offset, rows))
-    return gc
+    return GradedCharacter(rs, offset, rows, BranchingSeries(len(folds) - 1, entries))
 
 
 def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacter | None):
@@ -245,15 +241,15 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
 
     Independent of the branching that the Weyl-Kac fold computes:
     characters._freudenthal_tables runs the recursion on the dominant labels
-    of each grade, and each grade is the sum of their Weyl orbits, as in
-    freudenthal_character.  Both routes build their layers from finite
-    tables of that one recursion (its grade 0)."""
+    of each grade, which are the character's rows; it holds no series.  Both
+    routes build their rows from finite tables of that one recursion (its
+    grade 0)."""
     check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     top, offset = _split_dominant(rs, aw.finite)
-    return GradedCharacter(cutoff, [_orbit_character(rs, aw.finite, offset, table) for table
-                                    in _freudenthal_tables(rs, top, aw.level, cutoff)])
+    return GradedCharacter(rs, offset, [{nu: m for nu, _, m in table} for table
+                                        in _freudenthal_tables(rs, top, aw.level, cutoff)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +265,32 @@ def _peel(gc: GradedCharacter, cutoff: int, decompose) -> BranchingSeries:
 def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
                        gc: GradedCharacter | None = None) -> BranchingSeries:
     """Every grade layer as a sum of irreducible modules of the horizontal
-    subalgebra.  A character from graded_character (affine_character or a
-    cache hit) holds its series, served as it is at its cutoff and as a
-    slice, in the same order, below it.  Any other one (affine_freudenthal,
-    one built by hand, or another algebra on the same weights) is peeled on
-    every call, and the decomposer enforces
-    nonnegative coefficients and an exact reconstruction."""
+    subalgebra.  The series of a character for rs's algebra is served as it
+    is at its cutoff and as a slice, in the same order, below it.  A
+    character with no series (affine_freudenthal) or read as another algebra
+    on the same weights has its layers peeled on every call, and the
+    decomposer enforces nonnegative coefficients and an exact
+    reconstruction."""
     gc = _character(rs, aw, cutoff, gc)
-    key, read, _ = gc._branch
-    if key != rs.factors:
+    bs = gc.series
+    if bs is None or gc.rs.factors != rs.factors:
         return _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
-    return read if cutoff == read.cutoff else BranchingSeries(
-        cutoff, {k: b for k, b in read.entries.items() if k[1] <= cutoff})
+    return bs if cutoff == bs.cutoff else BranchingSeries(
+        cutoff, {k: b for k, b in bs.entries.items() if k[1] <= cutoff})
 
 
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
                     gc: GradedCharacter | None = None):
-    """Multiplicities of (nu, k, n) across grades n = 0..cutoff.  A character
-    from graded_character reads its dominant rows at the labels of the
+    """Multiplicities of (nu, k, n) across grades n = 0..cutoff: the
+    character's dominant rows at the labels, under its own algebra, of the
     dominant representative of nu (0 off the module's lattice or W-fixed
-    part); any other one reads its layers."""
+    part)."""
     gc = _character(rs, aw, cutoff, gc)
-    key, _, kept = gc._branch
-    if key != rs.factors:
-        return [gc.layers[n].get(nu) for n in range(cutoff + 1)]
-    _, offset, rows = kept
-    labels, d, off = rs.split_labels(nu)
-    if d != 1 or off != offset:
+    labels, d, off = gc.rs.split_labels(nu)
+    if d != 1 or off != gc.offset:
         return [0] * (cutoff + 1)
-    dom, _ = rs.dominant_labels(labels)
-    return [rows[n].get(dom, 0) for n in range(cutoff + 1)]
+    dom, _ = gc.rs.dominant_labels(labels)
+    return [gc.rows[n].get(dom, 0) for n in range(cutoff + 1)]
 
 
 def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
@@ -307,9 +299,8 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
 
     Cross-checked against the total multiplicity of each grade, which counts
     the same dimension from the character: sum_lambda m_lambda |W lambda|
-    over the dominant rows of a character from graded_character whose layers
-    are not built, the layer totals otherwise.  A bs or gc that stops below
-    cutoff is refused."""
+    over its dominant rows, orbit sizes under its own algebra.  A bs or gc
+    that stops below cutoff is refused."""
     gc = _character(rs, aw, cutoff, gc)
     if bs is None:
         bs = graded_branch_to_g(rs, aw, cutoff, gc)
@@ -321,13 +312,9 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     for (nu, n), b in bs.entries.items():
         if n <= cutoff:
             out[n] += b * dims[nu]
-    key, _, kept = gc._branch
-    if key == rs.factors and "layers" not in vars(gc):     # layers not built yet
-        totals = [sum(m * rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in kept[2]]
-    else:
-        totals = [layer.total() for layer in gc.layers]
+    totals = [sum(m * gc.rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in gc.rows]
     if any(d != t for d, t in zip(out, totals)):
-        raise AssertionError("q-dimension disagrees with layer totals")
+        raise AssertionError("q-dimension disagrees with the orbit totals of the dominant rows")
     return out
 
 

@@ -652,21 +652,16 @@ def _dominant_descent(ld, mu):
     return sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
 
 
-def _orbit_character(rs: RootSystem, mu: Vec, offset, table) -> FormalCharacter:
-    """The orbits of the rows (labels, _, multiplicity) of a table with the
-    W-fixed offset of mu, in table order and each sorted by weight."""
+def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
+    """Full weight system of L^mu with exact multiplicities: the orbits of the
+    rows of its dominant table, in table order and each sorted by weight."""
+    top, offset = _split_dominant(rs, mu)
     den = common_denominator(rs.fundamental_weights + (mu,))
     fw = [encode(w, den) for w in rs.fundamental_weights]
     off = encode(offset or zero_vec(rs.dim), den)
     # sorted by weight: codes are -(coordinates x den)
-    return decode({code: m for nu, _, m in table
+    return decode({code: m for nu, _, m in _dominant_table(rs, top)
                    for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}, den)
-
-
-def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
-    """Full weight system of L^mu with exact multiplicities (_orbit_character)."""
-    top, offset = _split_dominant(rs, mu)
-    return _orbit_character(rs, mu, offset, _dominant_table(rs, top))
 
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:

@@ -14,8 +14,8 @@ Its oracles:
   division by the positive-root factors (`_divide_by_roots`); layers and
   series must equal it in dict order;
 * the peel (`decompose_character`) of each decoded layer, run by
-  `graded_branch_to_g` on a copy of the character whose series slot is
-  empty, also in dict order;
+  `graded_branch_to_g` on a copy of the character's rows with no series,
+  also in dict order;
 * `affine_freudenthal`, layer by layer.
 
 Hypothesis draws the rank <= 3 modules of the catalog ambients, a fixed
@@ -77,19 +77,19 @@ def ordered(layers):
 
 
 def peeled(rs, aw, cutoff, gc):
-    """The series of gc decomposed layer by layer, on a copy of gc whose
-    series slot is empty and stays empty."""
-    bare = af.GradedCharacter(gc.cutoff, gc.layers)
-    assert bare._branch == (None, None, None)
+    """The series of gc decomposed layer by layer, on a copy of gc's rows
+    that holds no series and keeps none."""
+    bare = af.GradedCharacter(gc.rs, gc.offset, gc.rows)
+    assert bare.series is None
     bs = af.graded_branch_to_g(rs, aw, cutoff, bare)
-    assert bare._branch == (None, None, None)
+    assert bare.series is None
     return bs
 
 
 def assert_read_equals_peel(rs, aw, cutoff):
     gc = af.affine_character(rs, aw, cutoff)
-    key, read, _ = gc._branch
-    assert key == rs.factors
+    read = gc.series
+    assert gc.rs.factors == rs.factors
     assert af.graded_branch_to_g(rs, aw, cutoff, gc) is read
     layers, series = divided_character(rs, aw, cutoff)
     assert ordered(gc.layers) == ordered(layers)
@@ -224,7 +224,7 @@ def test_dropped_denominator_term_fails_the_gate_or_the_oracle(monkeypatch):
         gc = af.affine_character(A2, A2_VACUUM, 2)
     except AssertionError:
         return
-    assert (ordered(gc.layers), list(gc._branch[1].entries.items())) != \
+    assert (ordered(gc.layers), list(gc.series.entries.items())) != \
         (ordered(want[0]), list(want[1].entries.items()))
 
 

@@ -96,18 +96,23 @@ def test_decomposition_follows_the_cutoff(monkeypatch):
         got = af.graded_branch_to_g(g2, aw, n, gc)
         assert got.cutoff == n
         assert list(got.entries.items()) == list(want[n].items())
-    assert af.graded_branch_to_g(g2, aw, 4, gc) is gc._branch[1]
+    assert af.graded_branch_to_g(g2, aw, 4, gc) is gc.series
 
 
 def test_decomposition_follows_the_algebra():
     # B2 and C2 share their weights and Weyl group but not their modules: the
-    # series kept for B2 must not be served for C2
+    # series kept for B2 must not be served for C2, while string functions
+    # and q-dimensions read the rows through B2, the character's own algebra
     b2, c2 = ALGEBRAS["B2"], build_root_system("C2")
     aw = af.AffineWeight(zero_vec(b2.dim), 1)
     gc = af.affine_character(b2, aw, 2)
     assert af.graded_branch_to_g(b2, aw, 2, gc).entries == layer_decomposition(b2, gc, 2)
     assert af.graded_branch_to_g(c2, aw, 2, gc).entries == layer_decomposition(c2, gc, 2)
     assert layer_decomposition(c2, gc, 2) != layer_decomposition(b2, gc, 2)
+    weights = list(dict.fromkeys(w for layer in gc.layers for w, _ in layer.items()))
+    assert [af.string_function(c2, aw, w, 2, gc) for w in weights] == \
+        [[layer.get(w) for layer in gc.layers] for w in weights]
+    assert af.q_dimension(c2, aw, 2, gc=gc) == [layer.total() for layer in gc.layers]
 
 
 def test_decomposed_character_still_equals_its_twin():
@@ -126,7 +131,7 @@ def test_graded_records_compare_by_value():
     first, second = af.graded_branch_to_g(b2, aw, 2, gc), af.graded_branch_to_g(b2, aw, 2)
     assert first is not second and first == second
     assert first != af.BranchingSeries(1, first.entries)
-    assert gc != af.GradedCharacter(1, gc.layers[:2])
+    assert gc != af.GradedCharacter(gc.rs, gc.offset, gc.rows[:2])
     # equal by value and mutable, so neither is hashable
     for record in (gc, first):
         with pytest.raises(TypeError):

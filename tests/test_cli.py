@@ -681,5 +681,5 @@ def test_cache_miss_and_hit_equal_affine_character(case):
         assert gc.cutoff == cutoff
         assert [list(layer.items()) for layer in gc.layers] == \
             [list(layer.items()) for layer in want.layers]
-        assert gc._branch[0] == rs.factors
-        assert list(gc._branch[1].entries.items()) == list(want._branch[1].entries.items())
+        assert gc.rs.factors == rs.factors and gc.rows == want.rows
+        assert list(gc.series.entries.items()) == list(want.series.entries.items())

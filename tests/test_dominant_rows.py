@@ -5,11 +5,12 @@ multiplicity rows it sums, next to the branching series, and
 `GradedCharacter.layers` builds the Weyl orbits of the rows on first read.
 The layers are checked against a test-local copy of the eager build loop
 they replaced (dict order included), the row reads of `string_function` and
-`q_dimension` against layer reads, and the memo of `RootSystem.orbit_size`
-against its formula and the orbit walk.  With the layer builder patched to
-raise, the benchmark's affine op and the CLI's `strings` and `qdim` must
-still run, cold and warm.  `graded_character` refuses a fold term of the
-wrong shape.
+`q_dimension` against layer reads, also on characters with no series (a copy
+of the rows, and `affine_freudenthal`'s), and the memo of
+`RootSystem.orbit_size` against its formula and the orbit walk.  With the
+layer builder patched to raise, the benchmark's affine op and the CLI's
+`strings` and `qdim` must still run, cold and warm.  `graded_character`
+refuses folds with no grade 0 and a fold term of the wrong shape.
 """
 
 import itertools
@@ -75,13 +76,12 @@ def test_rows_read_as_the_layers_and_build_them_in_order(case):
     rs = ALGEBRAS[name]
     gc = af.affine_character(rs, aw, cutoff)
     assert "layers" not in vars(gc)
-    want = eager_layers(rs, aw, gc._branch[1])
+    want = eager_layers(rs, aw, gc.series)
     weights = list(dict.fromkeys(w for layer in want for w, _ in layer.items()))
     probes = weights + off_support(rs, weights)
     by_rows = [af.string_function(rs, aw, w, cutoff, gc) for w in probes]
     qdim_rows = af.q_dimension(rs, aw, cutoff, gc=gc)
-    rows = gc._branch[2][2]
-    assert [sum(m * rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in rows] == \
+    assert [sum(m * rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in gc.rows] == \
         [layer.total() for layer in want]
     assert "layers" not in vars(gc)
     # built after the fact, the layers equal the eager build in dict order
@@ -89,12 +89,19 @@ def test_rows_read_as_the_layers_and_build_them_in_order(case):
         [list(layer.items()) for layer in want]
     assert by_rows == [[layer.get(w) for layer in want] for w in probes]
     assert all(s == [0] * (cutoff + 1) for s in by_rows[len(weights):])
-    # a character that only has layers reads them, and so does q_dimension
-    # once the layers are built
-    bare = af.GradedCharacter(cutoff, want)
-    assert [af.string_function(rs, aw, w, cutoff, bare) for w in probes] == by_rows
-    assert af.q_dimension(rs, aw, cutoff, gc=gc) == qdim_rows == \
-        af.q_dimension(rs, aw, cutoff, gc=bare)
+    # characters with no series read their rows the same way, and
+    # q_dimension reads the same totals once the layers are built
+    bare = af.GradedCharacter(gc.rs, gc.offset, gc.rows)
+    oracle = af.affine_freudenthal(rs, aw, cutoff)
+    assert oracle.rows == gc.rows
+    for other in (bare, oracle):
+        assert other.series is None
+        assert [af.string_function(rs, aw, w, cutoff, other) for w in probes] == by_rows
+        assert "layers" not in vars(other)
+        # with no series, q_dimension peels the layers
+        assert af.q_dimension(rs, aw, cutoff, gc=other) == qdim_rows
+        assert other.layers == gc.layers
+    assert af.q_dimension(rs, aw, cutoff, gc=gc) == qdim_rows
 
 
 ORBIT_ALGEBRAS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
@@ -193,7 +200,9 @@ def test_affine_branch_oracle_still_reads_the_layers(capsys, monkeypatch):
 A2 = ALGEBRAS["A2"]
 A2_VACUUM = af.AffineWeight(zero_vec(A2.dim), 1)
 
+# (grade, labels, b) of the one bad term, or None for folds with no grade 0
 BAD_TERMS = {
+    "no-grade-0": None,
     "empty-labels": (1, (), 1),
     "long-labels": (1, (1, 1, 0), 1),
     "weight-not-labels": (1, (Fraction(1), Fraction(1)), 1),
@@ -211,11 +220,14 @@ BAD_TERMS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_TERMS))
 def test_malformed_fold_term_is_refused(case):
-    grade, labels, b = BAD_TERMS[case]
-    folds = [{(0, 0): 1}, {(1, 1): 1}]
-    folds[grade] = {labels: b}
-    with pytest.raises(ValueError, match=re.escape(f"grade {grade} has a malformed term "
-                                                   f"{labels!r}: {b!r}")):
+    if BAD_TERMS[case] is None:
+        folds, message = [], "the folds hold no grade 0"
+    else:
+        grade, labels, b = BAD_TERMS[case]
+        folds = [{(0, 0): 1}, {(1, 1): 1}]
+        folds[grade] = {labels: b}
+        message = f"grade {grade} has a malformed term {labels!r}: {b!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         af.graded_character(A2, A2_VACUUM, folds)
 
 

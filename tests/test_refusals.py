@@ -99,7 +99,7 @@ def test_library_refuses_outside_input(tmp_path):
 
 def test_q_dimension_refuses_a_short_branching_series():
     # a series that stops below the cutoff is refused as input, naming both
-    # cutoffs, not reported as a disagreement with the layer totals
+    # cutoffs, not reported as a disagreement with the row totals
     A2 = build_root_system("A2")
     aw = af.AffineWeight(zero_vec(A2.dim), 1)
     gc = af.affine_character(A2, aw, 3)
