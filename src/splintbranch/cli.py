@@ -412,11 +412,8 @@ def cmd_strings(args):
                      f"{consistent}")
         fields.update(basis=basis_labels, matrix=mm.mat, inverse=minv,
                       b_from_sigma=bvec, consistent=consistent)
-        if not consistent:
-            Emitter(args.format).record("strings", lines, **fields)
-            return 1
     Emitter(args.format).record("strings", lines, **fields)
-    return 0
+    return 0 if fields.get("consistent", True) else 1
 
 
 def cmd_qdim(args):

@@ -30,7 +30,6 @@ Realizations (one block per simple factor):
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -388,9 +387,6 @@ class RootSystem:
         self._coeff_cache[v] = coeffs
         return coeffs
 
-    def height(self, v: Vec) -> Fraction:
-        return sum(self.simple_coefficients(v))
-
     def _generate_roots(self):
         """(root set, [(root, simple coefficients)] of the positive roots,
         sorted by (height, root)).
@@ -453,10 +449,10 @@ class RootSystem:
             self._rows_cache[images] = ([[int(x * den) for x in row] for row in rows], den)
         return self._rows_cache[images]
 
-    def scaled_labels(self, v: Vec, images=None):
-        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den: label_rows
-        applied to v scaled to ints by its common denominator."""
-        return self._apply_rows(v, self.label_rows(images))
+    def scaled_labels(self, v: Vec):
+        """(nums, den) with 2 (v, alpha_i) / (alpha_i, alpha_i) = nums[i] / den:
+        label_rows applied to v scaled to ints by its common denominator."""
+        return self._apply_rows(v, self.label_rows())
 
     def _apply_rows(self, v: Vec, label_rows):
         """scaled_labels on the (rows, den) of label_rows, resolved by the caller."""
@@ -626,105 +622,6 @@ class RootSystem:
         """G[i][j] = (alpha_i^vee, alpha_j^vee): ints, an even diagonal."""
         basis = self.coroot_lattice_basis()
         return tuple(tuple(int(self.inner(a, b)) for b in basis) for a in basis)
-
-    # -- subsystems ----------------------------------------------------------
-
-    def root_subsystem(self, subset):
-        """Abstract root system of a closed subset of roots, plus the images of
-        its simple roots in ambient coordinates.
-
-        Returns (sub_rs, simple_images) where simple_images[i] realizes the
-        i-th simple root of sub_rs.  The subset must contain only roots, be
-        closed under negation, and closed under addition inside the root set.
-        """
-        sub = set(subset)
-        for v in sub:
-            if v not in self._root_set:
-                raise ValueError(f"{v} is not a root")
-            if vneg(v) not in sub:
-                raise ValueError(f"subset not closed under negation at {v}")
-        for x, y in itertools.combinations(sub, 2):
-            s = vadd(x, y)
-            if s in self._root_set and s not in sub and s != zero_vec(self.dim):
-                raise ValueError(f"subset not closed under addition: {x} + {y}")
-        pos = [v for v in sub if v in set(self.positive_roots)]
-        pos_set = set(pos)
-        simples = [v for v in pos
-                   if not any(vsub(v, w) in pos_set for w in pos if w != v)]
-        simples.sort(key=lambda v: (self.height(v), v))
-        family_perm = _identify_components(simples, self.inner)
-        factors = [fr for fr, _ in family_perm]
-        order = []
-        for _, perm in family_perm:
-            order.extend(perm)
-        sub_rs = build_root_system(factors)
-        images = tuple(simples[i] for i in order)
-        # consistency: linear extension maps abstract positive roots into the subset
-        for proot in sub_rs.positive_roots:
-            img = vcombine(zero_vec(self.dim), sub_rs.simple_coefficients(proot), images)
-            if img not in sub:
-                raise ValueError("closed subset is not a root subsystem "
-                                 f"(missing image {img})")
-        return sub_rs, images
-
-
-def _cartan_of(vectors, inner):
-    n = len(vectors)
-    return [[int(2 * inner(vectors[i], vectors[j]) / inner(vectors[j], vectors[j]))
-             for j in range(n)] for i in range(n)]
-
-
-def _identify_components(simples, inner):
-    """Split simple roots into connected components and identify each one.
-
-    Returns a list of ((family, rank), index permutation into `simples`)
-    ordered by component; the permutation realizes the standard Cartan matrix.
-    """
-    n = len(simples)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and inner(simples[i], simples[j]) != 0:
-                adj[i].add(j)
-    seen = set()
-    comps = []
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = []
-        stack = [i]
-        seen.add(i)
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            for j in adj[k]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    out = []
-    for comp in comps:
-        out.append(_identify_one(comp, simples, inner))
-    return out
-
-
-def _identify_one(comp, simples, inner):
-    """The first family A..G whose rank-r Cartan matrix matches: B2 before
-    C2, A3 before D3, and D2 (disconnected) never matches a component."""
-    r = len(comp)
-    cart = _cartan_of([simples[i] for i in comp], inner)
-    for fam in "ABCDEFG":
-        try:
-            rows, dim, scale = _simple_block(fam, r)
-        except ValueError:
-            continue
-        ref = _cartan_of([tuple(row) for row in rows],
-                         lambda x, y: scale * sum(a * b for a, b in zip(x, y)))
-        for perm in itertools.permutations(range(r)):
-            if all(cart[perm[i]][perm[j]] == ref[i][j]
-                   for i in range(r) for j in range(r)):
-                return (fam, r), [comp[perm[i]] for i in range(r)]
-    raise ValueError("could not identify component type from Cartan matrix")
 
 
 _built: dict = {}

@@ -408,30 +408,15 @@ class SubalgebraView:
         return peel_dominant(self.ambient, self.sub, self.emb.simple_images, fc)
 
 
-def branch_direct(rs: RootSystem, sub, mu: Vec) -> dict[Vec, int]:
-    """Brute-force branching of L^mu to a regular subalgebra.
-
-    `sub` is a SubalgebraView, a (RootSystem, simple images) pair as returned
-    by `RootSystem.root_subsystem`, or an iterable of roots forming a closed
-    subsystem.  This is the oracle the tilde-weight shortcut is validated
-    against.
+def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, int]:
+    """Brute-force branching of L^mu to the regular subalgebra of a
+    SubalgebraView of rs (a splint's `subalgebra_view()`); any other argument
+    raises ValueError.  This is the oracle the tilde-weight shortcut is
+    validated against.
     """
-    view = _as_view(rs, sub)
+    if not isinstance(view, SubalgebraView) or view.ambient.factors != rs.factors:
+        raise ValueError(f"branch_direct takes a SubalgebraView of {rs.name}")
     return view.decompose(freudenthal_character(rs, mu))
-
-
-def _as_view(rs, sub) -> SubalgebraView:
-    if isinstance(sub, SubalgebraView):
-        return sub
-    if isinstance(sub, tuple) and len(sub) == 2 and isinstance(sub[0], RootSystem):
-        sub_rs, images = sub            # as returned by root_subsystem
-    else:
-        sub_rs, images = rs.root_subsystem(sub)
-    pos_map = {}
-    for proot in sub_rs.positive_roots:
-        pos_map[proot] = vcombine(zero_vec(rs.dim), sub_rs.simple_coefficients(proot),
-                                  images)
-    return SubalgebraView(rs, Embedding(sub_rs, rs, pos_map))
 
 
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:

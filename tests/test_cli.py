@@ -99,6 +99,22 @@ def test_strings_and_matrix(capsys):
     assert code == 0 and "consistency" in out and "True" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inconsistent_matrix_exits_1_with_one_record(capsys, monkeypatch, fmt):
+    # a wrong inverse makes M^-1 M != 1: the record is still printed, once
+    invert = af.invert_multiplicity_matrix
+    monkeypatch.setattr(af, "invert_multiplicity_matrix",
+                        lambda mm: [[2 * x for x in row] for row in invert(mm)])
+    code, out, _ = run(capsys, "strings", "--algebra", "A1", "--level", "2", "--weight", "0",
+                       "--grade-max", "4", "--emit", "matrix", "--no-cache", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        (line,) = out.splitlines()
+        assert json.loads(line)["consistent"] is False
+    else:
+        assert out.count("consistency") == 1 and out.endswith("direct decomposition): False\n")
+
+
 def test_qdim(capsys):
     code, out, _ = run(capsys, "qdim", "--algebra", "A1", "--level", "1",
                        "--weight", "0", "--grade-max", "3")

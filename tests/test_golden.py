@@ -1,4 +1,5 @@
-"""The README CLI commands reproduce their recorded stdout and exit codes.
+"""The README CLI commands reproduce their recorded stdout and exit codes,
+and the README's library example runs.
 
 Every command of the README's CLI section runs in-process with --no-cache,
 once with --format text and once with --format json; stdout must equal the
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from splintbranch.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 README_COMMANDS = {
     "roots": "roots --algebra G2",
@@ -94,6 +97,14 @@ def test_strings_f4_matches_golden(fmt):
 def test_strings_e6_matches_golden(fmt):
     assert run_case("strings-e6", fmt, E6_STRINGS) == (
         0, golden_path("strings-e6", fmt).read_text())
+
+
+def test_readme_library_example_runs():
+    # the README's one Python block checks branch_via_splint against
+    # branch_direct through a splint's subalgebra view
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert "branch_direct(" in block
+    exec(compile(block, str(README), "exec"), {})
 
 
 def regenerate():

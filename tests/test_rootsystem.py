@@ -122,42 +122,6 @@ def test_dominant_representative():
         assert again == dom
 
 
-def test_root_subsystems():
-    g2 = build_root_system("G2")
-    longs = [v for v in g2.roots if g2.inner(v, v) == 2]
-    sub, images = g2.root_subsystem(longs)
-    assert sub.name == "A2"
-    assert len(images) == 2 and all(img in set(longs) for img in images)
-
-    b2 = build_root_system("B2")
-    longs = [v for v in b2.roots if b2.inner(v, v) == 2]
-    sub, _ = b2.root_subsystem(longs)
-    assert sub.name == "A1xA1"
-
-    a2 = build_root_system("A2")
-    a = a2.simple_roots[0]
-    sub, _ = a2.root_subsystem([a, vneg(a)])
-    assert sub.name == "A1"
-
-
-@pytest.mark.parametrize("name, identified", [
-    ("B2", "B2"), ("C2", "B2"), ("G2", "G2"), ("A3", "A3"), ("D3", "A3"), ("B3", "B3"),
-    ("C3", "C3"), ("D4", "D4"), ("F4", "F4"), ("A1xA1", "A1xA1"), ("D2", "A1xA1"),
-])
-def test_root_subsystem_identifies_the_first_matching_family(name, identified):
-    # the families are tried A to G, so B2 wins over C2 and A3 over D3
-    rs = build_root_system(name)
-    assert rs.root_subsystem(rs.roots)[0].name == identified
-
-
-def test_root_subsystem_rejects_open_subset():
-    a2 = build_root_system("A2")
-    a, b = a2.simple_roots
-    # alpha1 + alpha2 is a root but is missing from the subset
-    with pytest.raises(ValueError, match="closed"):
-        a2.root_subsystem([a, vneg(a), b, vneg(b)])
-
-
 def test_build_errors():
     with pytest.raises(ValueError):
         build_root_system("X9")

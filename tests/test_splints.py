@@ -255,12 +255,27 @@ def test_branch_trivial_module():
 
 
 def test_branch_direct_b2_vector():
+    # B2's vector module, 5 = 4 + 1, and through the G2:A2A2 view G2's
+    # adjoint, 14 = 8 + 3 + 3bar
+    for name, labels, dims in (("B2:A1A1", [1, 0], [1, 4]), ("G2:A2A2", [0, 1], [3, 3, 8])):
+        s = find_splint(name)
+        view = s.subalgebra_view()
+        mu = s.ambient.weight_from_labels(labels)
+        table = branch_direct(s.ambient, view, mu)
+        assert sorted(view.dimension(nu) for nu, b in table.items() for _ in range(b)) == dims
+        assert table == branch_via_splint(s, mu)
+
+
+def test_branch_direct_takes_only_a_view_of_its_algebra():
+    # a root list, a (system, simple images) pair, and B2:A1A1's view given
+    # with C2 are all refused before any character is built
     s = find_splint("B2:A1A1")
-    view = s.subalgebra_view()
-    mu = B2.weight_from_labels([1, 0])   # 5-dimensional vector module
-    table = branch_direct(B2, view, mu)
-    assert sum(b * view.dimension(nu) for nu, b in table.items()) == 5
-    assert table == branch_via_splint(s, mu)
+    longs = [v for v in B2.roots if B2.inner(v, v) == 2]
+    C2 = build_root_system("C2")
+    for rs, sub in ((B2, longs), (B2, (s.phi1.source, s.phi1.simple_images)),
+                    (C2, s.subalgebra_view())):
+        with pytest.raises(ValueError, match="SubalgebraView"):
+            branch_direct(rs, sub, rs.weight_from_labels([1, 0]))
 
 
 @pytest.mark.parametrize("name,max_label", [
@@ -271,13 +286,3 @@ def test_tilde_rule_matches_subtraction_oracle(name, max_label):
     s = find_splint(name)
     rep = s.branching_status(max_label)
     assert rep.passed, rep.problems
-
-
-def test_branch_direct_from_root_subset():
-    # passing a raw closed subset instead of a prepared view
-    longs = [v for v in G2.roots if G2.inner(v, v) == 2]
-    mu = G2.weight_from_labels([0, 1])
-    table = branch_direct(G2, longs, mu)
-    assert sorted(table.values()) == [1, 1, 1]   # 8 + 3 + 3bar
-    # the (abstract system, images) pair from root_subsystem works directly
-    assert branch_direct(G2, G2.root_subsystem(longs), mu) == table
