@@ -25,7 +25,9 @@ raises AssertionError.
 Every `GradedCharacter` is its dominant rows, per grade dominant labels ->
 multiplicity, with its algebra, its W-fixed offset and, from
 `graded_character`, the series; there each row is sum_nu b_nu(n) times the
-dominant table of L(nu) (`characters._dominant_table`).  Its layer, the Weyl
+dominant table of L(nu) (`characters._dominant_table`), and the series
+carries the int Dynkin labels of each nu next to its `Fraction` weight, so
+that no consumer turns a weight back into labels.  Its layer, the Weyl
 orbits of the row in the (rho-pairing, code) order of the group-ring
 division, decoded once, is built on the first read of
 `GradedCharacter.layers` and kept.  The fold's oracle, `affine_freudenthal`,
@@ -36,10 +38,13 @@ also keep the product-and-division route the fold replaced.
 sliced for a shorter cutoff, and peels the layers otherwise (`_peel`, shared
 with `branch_affine_direct`; `decompose_character` is also the fold's oracle
 in the tests).  `string_function` reads the rows at the dominant labels of a
-weight, and `q_dimension` checks sum_nu b dim L(nu) against
-sum_lambda m |W lambda| over the rows, both through the character's algebra.
-Splint branching sums the integer tables that each `Splint` keeps by ambient
-labels (`splints._branch_codes`) and builds each distinct weight once.
+weight through the character's algebra, and `q_dimension` checks
+sum_nu b dim L(nu), read off the carried labels, against
+sum_lambda m |W lambda| over the rows.  Splint branching sums the integer
+tables that each `Splint` keeps by ambient labels (`splints._branch_codes`),
+looked up by the carried labels, and builds each distinct weight once.  A
+series without labels for the algebra asked for (hand-built, peeled, or a B2
+character read as C2) has each weight split once (`_series_labels`).
 The multiplicity matrix reads the finite label tables: its basis is listed on
 Dynkin labels (`_labels_up_to`), and column j holds the rows of
 `characters._dominant_table` for the j-th labels.
@@ -53,11 +58,10 @@ from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple
 
-from .rootsystem import RootSystem, Vec, zero_vec
+from .rootsystem import FractionCache, RootSystem, Vec, zero_vec
 from .characters import (_affine_denominator, _dominant_table, _freudenthal_tables,
-                         _numerator_points, _split_dominant, _weight,
-                         common_denominator, decode, decompose_character, encode, rho_pairing,
-                         weyl_dimension)
+                         _numerator_points, _split_dominant, common_denominator, decode,
+                         decompose_character, encode, label_dimension, rho_pairing)
 from .splints import Splint, _branch_codes
 
 
@@ -67,17 +71,20 @@ class AffineWeight(NamedTuple):
     level: int
 
 
-def check_affine_dominant(rs: RootSystem, aw: AffineWeight):
-    """Dominant integral highest weight at its level: (mu, theta^v) <= k."""
+def check_affine_dominant(rs: RootSystem, aw: AffineWeight) -> tuple:
+    """Dominant integral highest weight at its level: (mu, theta^v) <= k.
+    Returns the int Dynkin labels of mu, which (mu, theta^v) is read off."""
     if len(rs.factors) != 1:
         raise ValueError("affine operations require a simple ambient algebra")
-    _split_dominant(rs, aw.finite)
+    labels, _ = _split_dominant(rs, aw.finite)
     if type(aw.level) is not int or aw.level < 0:        # a bool is refused too
         raise ValueError("level must be a nonnegative integer")
-    theta = rs.highest_roots[0]
-    tv = rs.inner(aw.finite, rs.coroot(theta))
+    ld = rs.label_data
+    theta, _ = max(ld.positive, key=lambda p: sum(p[1]))    # theta^v = theta: |theta|^2 = 2
+    tv = sum(m * sum(map(mul, row, theta)) for m, row in zip(labels, ld.form)) // ld.form_den
     if tv > aw.level:
         raise ValueError(f"(mu, theta^v) = {tv} exceeds level {aw.level}")
+    return labels
 
 
 class GradedCharacter:
@@ -126,11 +133,17 @@ def _ordered(rs: RootSystem, codes) -> list:
 
 
 class BranchingSeries:
-    """Graded branching coefficients: (target highest weight, grade) -> int."""
+    """Graded branching coefficients: (target highest weight, grade) -> int.
 
-    def __init__(self, cutoff: int, entries: dict):
-        self.cutoff = cutoff
-        self.entries = entries
+    A series from graded_character also carries the algebra rs of its
+    targets, their W-fixed offset and the int Dynkin labels under rs of each
+    entry's weight, in entry order (None otherwise); equality compares cutoff
+    and entries only."""
+
+    def __init__(self, cutoff: int, entries: dict, rs: RootSystem | None = None,
+                 offset=None, labels: list | None = None):
+        self.cutoff, self.entries = cutoff, entries
+        self.rs, self.offset, self.labels = rs, offset, labels
 
     def __eq__(self, o):
         return type(o) is BranchingSeries and (self.cutoff, self.entries) == (o.cutoff, o.entries)
@@ -142,16 +155,27 @@ class BranchingSeries:
         return sorted({nu for nu, _ in self.entries})
 
 
+def _series_labels(bs: BranchingSeries, rs: RootSystem):
+    """(labels, offsets): the int Dynkin labels under rs of each weight of bs,
+    in entry order, and the set of their W-fixed offsets.  Labels carried for
+    rs's algebra are read as they are; any other series (hand-built, peeled,
+    or carried for another algebra) has each weight split once, and a weight
+    that is not dominant integral is refused."""
+    if bs.labels is not None and bs.rs.factors == rs.factors:
+        return bs.labels, {bs.offset}
+    splits = [_split_dominant(rs, nu) for nu, _ in bs.entries]
+    return [lbl for lbl, _ in splits], {off for _, off in splits}
+
+
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
     """All weight multiplicities of L^{mu^} for grades <= cutoff, exact.
 
     The branching to rs is folded out of the Weyl-Kac numerator on Dynkin
     labels, and graded_character builds the layers from it (see the module
     docstring)."""
-    check_affine_dominant(rs, aw)
+    lam = tuple(m + 1 for m in check_affine_dominant(rs, aw))
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    lam = tuple(m + 1 for m in _split_dominant(rs, aw.finite)[0])
     # D' on labels: the affine denominator without its q-free factor R
     denom = _affine_denominator([a for a, _ in rs.label_data.positive], rs.rank, cutoff,
                                 rooted=False)
@@ -182,8 +206,9 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
     |mu + rho|^2 + 2 n K of its grade, or a grade 0 other than mu once
     raises AssertionError.  Each
     grade keeps its dominant rows, sum_nu b_nu(n) times the dominant table
-    of L(nu), and the series in the (rho-pairing, code) order of nu; the
-    layers are the Weyl orbits of the rows, built on first read."""
+    of L(nu), and the series in the (rho-pairing, code) order of nu, with the
+    labels of nu carried next to its weights (one FractionCache builds them);
+    the layers are the Weyl orbits of the rows, built on first read."""
     if not folds:
         raise ValueError("the folds hold no grade 0")
     top, offset = _split_dominant(rs, aw.finite)
@@ -195,9 +220,10 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
 
     ball, step = norm(top), 2 * (aw.level + rs.dual_coxeter[0]) * ld.form_den
     den, fw, off = _codes(rs, offset)
-    cols = list(zip(*fw))
+    cols, get = list(zip(*fw)), FractionCache(-den).__getitem__
     rows: list = []
     entries: dict = {}
+    labels: list = []
     for n, fold in enumerate(folds):
         for nu, b in fold.items():
             if type(nu) is not tuple or len(nu) != rs.rank or type(b) is not int or \
@@ -214,10 +240,13 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
             for lbl, _, m in _dominant_table(rs, nu):
                 mult[lbl] = mult.get(lbl, 0) + b * m
         rows.append(mult)
-        tops = {tuple([sum(map(mul, nu, col)) + c for col, c in zip(cols, off)]): b
-                for nu, b in fold.items()}
-        entries.update(((_weight(c, den), n), tops[c]) for c in _ordered(rs, tops))
-    return GradedCharacter(rs, offset, rows, BranchingSeries(len(folds) - 1, entries))
+        tops = {tuple([sum(map(mul, nu, col)) + c for col, c in zip(cols, off)]): nu
+                for nu in fold}
+        for c in _ordered(rs, tops):
+            entries[tuple(map(get, c)), n] = fold[tops[c]]
+            labels.append(tops[c])
+    return GradedCharacter(rs, offset, rows,
+                           BranchingSeries(len(folds) - 1, entries, rs, offset, labels))
 
 
 def _character(rs: RootSystem, aw: AffineWeight, cutoff: int, gc: GradedCharacter | None):
@@ -275,8 +304,11 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
     bs = gc.series
     if bs is None or gc.rs.factors != rs.factors:
         return _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
-    return bs if cutoff == bs.cutoff else BranchingSeries(
-        cutoff, {k: b for k, b in bs.entries.items() if k[1] <= cutoff})
+    if cutoff == bs.cutoff:
+        return bs
+    entries = {k: b for k, b in bs.entries.items() if k[1] <= cutoff}
+    # graded_character adds the grades in order, so the slice is a prefix
+    return BranchingSeries(cutoff, entries, bs.rs, bs.offset, bs.labels[:len(entries)])
 
 
 def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
@@ -295,7 +327,8 @@ def string_function(rs: RootSystem, aw: AffineWeight, nu: Vec, cutoff: int,
 
 def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
                 bs: BranchingSeries | None = None, gc: GradedCharacter | None = None):
-    """Graded dimension sum_n q^n sum_nu b(n) dim L^nu, exact integers.
+    """Graded dimension sum_n q^n sum_nu b(n) dim L^nu, exact integers, each
+    dim L^nu the Weyl dimension of the labels of nu that the series carries.
 
     Cross-checked against the total multiplicity of each grade, which counts
     the same dimension from the character: sum_lambda m_lambda |W lambda|
@@ -307,11 +340,12 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     elif bs.cutoff < cutoff:
         raise ValueError(f"branching series has cutoff {bs.cutoff}, below the requested "
                          f"cutoff {cutoff}")
-    dims = {nu: weyl_dimension(rs, nu) for nu in {nu for nu, _ in bs.entries}}
+    dims: dict = {}
     out = [0] * (cutoff + 1)
-    for (nu, n), b in bs.entries.items():
+    for ((_, n), b), labels in zip(bs.entries.items(), _series_labels(bs, rs)[0]):
         if n <= cutoff:
-            out[n] += b * dims[nu]
+            dim = dims[labels] = dims.get(labels) or label_dimension(rs, labels)
+            out[n] += b * dim
     totals = [sum(m * gc.rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in gc.rows]
     if any(d != t for d, t in zip(out, totals)):
         raise AssertionError("q-dimension disagrees with the orbit totals of the dominant rows")
@@ -397,8 +431,8 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
                                 cutoff: int, gc: GradedCharacter | None = None
                                 ) -> BranchingSeries:
     """Composed route: branch each grade layer to the horizontal algebra, then
-    push each distinct module once through the tilde-weight shortcut, summing
-    on its integer label codes; each distinct weight is built once."""
+    read each module's tilde-weight table by the labels its series carries,
+    summing on integer label codes; each distinct weight is built once."""
     if s.ambient.factors != rs.factors:
         raise ValueError("splint ambient does not match the affine algebra")
     status = s.branching_status()
@@ -406,15 +440,13 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
         raise ValueError(f"splint {s.name} is flagged: tilde-weight branching not "
                          f"applicable ({status.problems[0]})")
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
-    acc: dict = {}
-    tables: dict = {}
-    for (nu, n), b in bs.entries.items():
-        if nu not in tables:
-            tables[nu] = _branch_codes(s, nu)
-        for code, c in tables[nu][0].items():
-            acc[code, n] = acc.get((code, n), 0) + b * c
-    if len(offsets := {offset for _, offset in tables.values()}) != 1:
+    labels, offsets = _series_labels(bs, rs)
+    if len(offsets) != 1:
         raise AssertionError("module weights differ in their W-fixed part")
+    acc: dict = {}
+    for ((_, n), b), lbl in zip(bs.entries.items(), labels):
+        for code, c in _branch_codes(s, lbl).items():
+            acc[code, n] = acc.get((code, n), 0) + b * c
     xi = {code: v for v, code in s.ambient.from_labels(
         ((c, c) for c in dict.fromkeys(c for c, _ in acc)), s.tilde_map()[1], *offsets)}
     return BranchingSeries(cutoff, {(xi[code], n): v for (code, n), v in acc.items() if v})

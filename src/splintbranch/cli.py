@@ -184,10 +184,11 @@ def _payload_digest(doc):
 
 def _layers_to_json(rs, request, bs: af.BranchingSeries):
     """The cache document of the request: per grade, the [Dynkin labels of
-    nu, b] terms of its branching series bs to rs."""
+    nu, b] terms of its branching series bs to rs, a series built by
+    af.graded_character, whose labels it carries."""
     series = [[] for _ in range(bs.cutoff + 1)]
-    for (nu, n), b in bs.entries.items():
-        series[n].append([_ints(rs.dynkin_labels(nu)), b])
+    for ((_, n), b), labels in zip(bs.entries.items(), bs.labels):
+        series[n].append([list(labels), b])
     doc = {"schema": CACHE_SCHEMA, "request": request, "series": series}
     doc["digest"] = _payload_digest(doc)
     return doc

@@ -13,8 +13,9 @@ Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
 labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
 weight j (`Splint.tilde_map`).  Stem orbits come from `label_orbit`; the
-integer table is kept on the splint by the labels of mu, and each call
-decodes its own copy with the W-fixed offset of mu.
+integer table is kept on the splint by the labels of mu (`_branch_codes`,
+which the affine route calls with the labels its series carries), and each
+call decodes its own copy with the W-fixed offset of mu.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ class Splint:
         self._tilde_probe = None
         self._tilde_map = None
         self._tables = {}
-
-    @property
-    def subalgebra_roots(self):
-        return frozenset(self.phi1.image_roots())
-
-    @property
-    def stem_roots(self):
-        return frozenset(self.phi2.image_roots())
 
     def subalgebra_view(self) -> "SubalgebraView":
         if self._view is None:
@@ -320,37 +313,36 @@ def _correspondence_problems(s: Splint) -> list:
             f"of the {rank} stem fundamental weights"]
 
 
-def _tilde_labels(s: Splint, mu: Vec):
-    """(labels of mu, its W-fixed offset, labels of mu~)."""
+def _tilde_labels(s: Splint, labels: tuple) -> tuple:
+    """Labels of mu~ for the int labels of mu."""
     stem = s.phi2.source
     if stem.rank != s.ambient.rank:
         raise ValueError(f"stem rank {stem.rank} != ambient rank {s.ambient.rank}; "
                          "tilde weight undefined")
     if problems := _correspondence_problems(s):
         raise ValueError(problems[0])
-    labels, offset = _split_dominant(s.ambient, mu)
     stem_labels = [0] * stem.rank
     for k, m in enumerate(labels):
         stem_labels[s.correspondence[k]] = m
-    return labels, offset, tuple(stem_labels)
+    return tuple(stem_labels)
 
 
 def tilde_weight(s: Splint, mu: Vec) -> Vec:
     """Stem weight carrying the Dynkin labels of mu under the stored
     index correspondence.  Requires rank(stem) == rank(ambient)."""
-    return s.phi2.source.weight_from_labels(_tilde_labels(s, mu)[2])
+    return s.phi2.source.weight_from_labels(_tilde_labels(s, _split_dominant(s.ambient, mu)[0]))
 
 
-def _branch_codes(s: Splint, mu: Vec):
-    """(table, offset): the tilde-rule table of mu as {den * labels(nu): m}, den
-    of `Splint.tilde_map`, kept on s by the labels of mu, and mu's W-fixed offset.
+def _branch_codes(s: Splint, labels: tuple) -> dict:
+    """The tilde-rule table of the module with int ambient labels `labels`,
+    as {den * labels(nu): m}, den of `Splint.tilde_map`; kept on s by labels.
 
     Every weight w of the stem module mu~ contributes its multiplicity at
     nu = mu - phi2(mu~ - w): dominant w in Freudenthal table order, each
     orbit sorted by stem coordinates.
     """
-    labels, offset, top = _tilde_labels(s, mu)
     if labels not in s._tables:
+        top = _tilde_labels(s, labels)
         stem = s.phi2.source
         cols, den = s.tilde_map()
         # w codes as (its stem coordinates, den * labels(nu)), where
@@ -367,13 +359,14 @@ def _branch_codes(s: Splint, mu: Vec):
         if any(x % den for nu in table for x in nu):
             raise AssertionError("tilde map gives a non-integral weight")
         s._tables[labels] = table
-    return s._tables[labels], offset
+    return s._tables[labels]
 
 
 def branch_via_splint(s: Splint, mu: Vec):
     """Branching table from stem weight multiplicities (tilde-weight rule)."""
-    table, offset = _branch_codes(s, mu)
-    return dict(s.ambient.from_labels(table.items(), s.tilde_map()[1], offset))
+    labels, offset = _split_dominant(s.ambient, mu)
+    return dict(s.ambient.from_labels(_branch_codes(s, labels).items(), s.tilde_map()[1],
+                                      offset))
 
 
 class SubalgebraView:

@@ -6,9 +6,13 @@ cutoff with nothing decomposed, and `branch_via_splint` keeps its integer
 table on the `Splint` (by ambient labels).  The composed branching route is
 checked against the direct route and against a test-local copy of the
 accumulation keyed by Fraction weights that the integer one replaced (dict
-order included); `q_dimension` against a per-grade recount.
+order included); `q_dimension` against a per-grade recount.  The series that
+`graded_character` builds carry the Dynkin labels of their weights, which
+`q_dimension`, the splint route and the cache writer read instead of
+splitting each weight again.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splintbranch import affine as af
+from splintbranch import characters, cli
 from splintbranch.characters import decompose_character, weyl_dimension
-from splintbranch.rootsystem import build_root_system, vadd, zero_vec
+from splintbranch.rootsystem import RootSystem, build_root_system, vadd, zero_vec
 from splintbranch.splints import branch_via_splint, find_splint, splint_catalog
 
 # ambients of the catalog splints, with the largest cutoff drawn for each
@@ -37,6 +42,23 @@ def fraction_keyed_branch(s, bs):
         for xi, c in tables[nu].items():
             entries[(xi, n)] = entries.get((xi, n), 0) + b * c
     return {k: v for k, v in entries.items() if v}
+
+
+def vec_path_q_dimension(rs, bs, cutoff):
+    """q_dimension's sum as it read the Fraction weights: the Weyl dimension
+    of each distinct weight, split through split_labels."""
+    dims = {nu: weyl_dimension(rs, nu) for nu in {nu for nu, _ in bs.entries}}
+    out = [0] * (cutoff + 1)
+    for (nu, n), b in bs.entries.items():
+        if n <= cutoff:
+            out[n] += b * dims[nu]
+    return out
+
+
+def cache_hit(rs, aw, gc):
+    """The character that a disk-cache hit builds from gc's series."""
+    request = {"cutoff": gc.cutoff}
+    return cli._layers_from_json(cli._layers_to_json(rs, request, gc.series), rs, aw, request)
 
 
 def layer_decomposition(rs, gc, cutoff):
@@ -68,8 +90,7 @@ def test_composed_route_equals_direct_route_and_fraction_accumulation(case):
     gc = af.affine_character(rs, aw, cutoff)
     bs = af.graded_branch_to_g(rs, aw, cutoff, gc)
     assert list(bs.entries.items()) == list(layer_decomposition(rs, gc, cutoff).items())
-    recount = [sum(b * weyl_dimension(rs, nu) for (nu, m), b in bs.entries.items() if m == n)
-               for n in range(cutoff + 1)]
+    recount = vec_path_q_dimension(rs, bs, cutoff)
     assert af.q_dimension(rs, aw, cutoff, gc=gc) == recount
     assert af.q_dimension(rs, aw, cutoff, bs, gc) == recount
     for s in SPLINTS[name]:
@@ -77,6 +98,71 @@ def test_composed_route_equals_direct_route_and_fraction_accumulation(case):
         assert got.cutoff == cutoff
         assert got.entries == af.branch_affine_direct(rs, s, aw, cutoff, gc).entries
         assert list(got.entries.items()) == list(fraction_keyed_branch(s, bs).items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(affine_module())
+def test_series_carry_the_labels_of_their_weights(case):
+    # the carried labels (or, for a peel, the labels split once) are the
+    # split labels of every entry's weight, and the consumers that read them
+    # equal their Vec-path versions, dict order included
+    name, aw, cutoff = case
+    rs = ALGEBRAS[name]
+    assert af.check_affine_dominant(rs, aw) == rs.split_labels(aw.finite)[0]
+    tv = rs.inner(aw.finite, rs.coroot(rs.highest_roots[0]))
+    if tv:
+        refusal = f"(mu, theta^v) = {tv} exceeds level {tv - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            af.check_affine_dominant(rs, af.AffineWeight(aw.finite, int(tv) - 1))
+    gc = af.affine_character(rs, aw, cutoff)
+    hit = cache_hit(rs, aw, gc)
+    peel = af.graded_branch_to_g(rs, aw, cutoff, af.affine_freudenthal(rs, aw, cutoff))
+    assert peel.labels is None
+    series = [peel] + [af.graded_branch_to_g(rs, aw, c, g) for g in (gc, hit)
+                       for c in range(cutoff + 1)]
+    for bs in series:
+        splits = [rs.split_labels(nu) for nu, _ in bs.entries]
+        assert af._series_labels(bs, rs) == ([lbl for lbl, _, _ in splits],
+                                             {off for _, _, off in splits})
+        if bs is not peel:
+            assert bs.rs is rs and bs.labels == [lbl for lbl, _, _ in splits]
+    for g in (gc, hit):
+        for c in range(cutoff + 1):
+            bs = af.graded_branch_to_g(rs, aw, c, g)
+            assert af.q_dimension(rs, aw, c, gc=g) == vec_path_q_dimension(rs, bs, c)
+            for s in SPLINTS[name]:
+                got = af.branch_affine_to_subalgebra(rs, s, aw, c, g)
+                assert list(got.entries.items()) == list(fraction_keyed_branch(s, bs).items())
+
+
+@pytest.mark.parametrize("built", ["fold", "cache"])
+def test_consumers_split_no_weight(monkeypatch, built):
+    # with the character built and the splint probed, the branching to g,
+    # the q-dimension and the splint route read the carried labels: they
+    # give the same results with every weight split and Weyl dimension
+    # refused, on a character folded here and on one built from the cache
+    g2 = ALGEBRAS["G2"]
+    aw = af.AffineWeight(g2.weight_from_labels([1, 0]), 2)
+    fold = af.affine_character(g2, aw, 4)
+    gc = fold if built == "fold" else cache_hit(g2, aw, fold)
+    s = find_splint("G2:A2A2")
+    assert s.branching_status()
+
+    def run(s):
+        return [(af.graded_branch_to_g(g2, aw, c, gc), af.q_dimension(g2, aw, c, gc=gc),
+                 af.branch_affine_to_subalgebra(g2, s, aw, c, gc).entries) for c in (4, 2)]
+
+    want = run(find_splint("G2:A2A2"))
+
+    def refuse(*args):
+        raise AssertionError("a consumer split a Fraction weight")
+
+    monkeypatch.setattr(RootSystem, "split_labels", refuse)
+    monkeypatch.setattr(characters, "weyl_dimension", refuse)
+    got = run(s)
+    assert got == want
+    assert [(list(bs.entries.items()), list(sub.items())) for bs, _, sub in got] == \
+        [(list(bs.entries.items()), list(sub.items())) for bs, _, sub in want]
 
 
 def test_decomposition_follows_the_cutoff(monkeypatch):

@@ -69,7 +69,8 @@ def test_library_refuses_outside_input(tmp_path):
     for aw, match in [
             (af.AffineWeight(A1.weight_from_labels([-1]), 1),
              "weight with labels (Fraction(-1, 1),) is not dominant integral"),
-            (af.AffineWeight(zero, -1), "level must be a nonnegative integer")]:
+            (af.AffineWeight(zero, -1), "level must be a nonnegative integer"),
+            (af.AffineWeight(A1.weight_from_labels([2]), 1), "(mu, theta^v) = 2 exceeds level 1")]:
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             af.check_affine_dominant(A1, aw)
     for character in (af.affine_character, af.affine_freudenthal):

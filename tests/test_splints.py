@@ -68,7 +68,7 @@ def test_catalog_splints_verify(name):
     assert check_splint(s).passed
     assert check_embedding(s.phi1).passed and check_embedding(s.phi2).passed
     # disjoint union sizes
-    assert len(s.subalgebra_roots) + len(s.stem_roots) == len(s.ambient.roots)
+    assert len(s.phi1.image_roots()) + len(s.phi2.image_roots()) == len(s.ambient.roots)
 
 
 def test_catalog_lookup():
