@@ -14,7 +14,10 @@ Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 (`characters._numerator_points`, the walk shared with the theta sums of
 `qseries`) adds its sign at its dominant labels, D' comes from
 `characters._affine_denominator` seeded with 1 instead of R, and no orbit,
-product or division is formed.  `graded_character` builds the character
+product or division is formed.  Each grade j of D' must sum to the q^j
+coefficient of phi(q)^{dim g} (every e^alpha set to 1), or AssertionError,
+before the fold reads it; a sum that already holds a zero label is singular
+and skipped before it is reflected.  `graded_character` builds the character
 from the series, folded here or read from the CLI's disk cache, behind one
 gate: no grade 0, or a term that is not rank int labels >= 0 with an int b,
 raises ValueError, and a b that is not positive, a grade 0 other than mu
@@ -177,24 +180,42 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     # D' on labels: the affine denominator without its q-free factor R
-    denom = _affine_denominator([a for a, _ in rs.label_data.positive], rs.rank, cutoff,
-                                rooted=False)
+    images = [a for a, _ in rs.label_data.positive]
+    denom = _affine_denominator(images, rs.rank, cutoff, rooted=False)
+    # every e^alpha set to 1 turns D' into phi(q)^{dim g}
+    phi = _phi_power(rs.rank + 2 * len(images), cutoff)
+    for j, (layer, want) in enumerate(zip(denom, phi)):
+        if (total := sum(layer.values())) != want:
+            raise AssertionError(f"grade {j} of D' sums to {total}, not to the "
+                                 f"q^{j} coefficient {want} of phi(q)^dim g")
     folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
     for g, x, sign in _numerator_points(rs, lam, aw.level + rs.dual_coxeter[0], cutoff):
         folds[g][x] = folds[g].get(x, 0) + sign
-    dominant = rs.dominant_labels
+    dominant, seen = rs.dominant_labels, rs._dominant_cache
     for n, fold in enumerate(folds):
         # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
         # dominant chamber with its reflection sign; a singular point drops out
         for j in range(1, n + 1):
             for x, b in folds[n - j].items():
                 for a, d in denom[j].items():
-                    y, s = dominant(tuple(map(add, x, a)))
+                    y = tuple(map(add, x, a))
+                    if 0 in y:           # on a wall already: its image is singular
+                        continue
+                    y, s = seen.get(y) or dominant(y)
                     if all(y):
                         fold[y] = fold.get(y, 0) - s * b * d
         folds[n] = {x: b for x, b in fold.items() if b}
     return graded_character(rs, aw, [{tuple(m - 1 for m in x): b for x, b in fold.items()}
                                      for fold in folds])
+
+
+def _phi_power(m: int, cutoff: int) -> list:
+    """Coefficients of q^0..q^cutoff in phi(q)^m = prod_{n >= 1} (1 - q^n)^m."""
+    out = [1] + [0] * cutoff
+    for n in range(1, cutoff + 1):
+        out = [sum((-1) ** k * math.comb(m, k) * out[j - n * k] for k in range(j // n + 1))
+               for j in range(cutoff + 1)]
+    return out
 
 
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
@@ -340,12 +361,10 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     elif bs.cutoff < cutoff:
         raise ValueError(f"branching series has cutoff {bs.cutoff}, below the requested "
                          f"cutoff {cutoff}")
-    dims: dict = {}
     out = [0] * (cutoff + 1)
     for ((_, n), b), labels in zip(bs.entries.items(), _series_labels(bs, rs)[0]):
         if n <= cutoff:
-            dim = dims[labels] = dims.get(labels) or label_dimension(rs, labels)
-            out[n] += b * dim
+            out[n] += b * label_dimension(rs, labels)
     totals = [sum(m * gc.rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in gc.rows]
     if any(d != t for d, t in zip(out, totals)):
         raise AssertionError("q-dimension disagrees with the orbit totals of the dominant rows")

@@ -540,10 +540,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
     def norm(x):         # (x, x) * form_den
         return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
 
-    roots = []           # (labels, simple coefficients, form row of alpha, (alpha, alpha))
-    for a, c in ld.positive:
-        fa = tuple(sum(map(mul, row, a)) for row in form)
-        roots.append((a, c, fa, sum(map(mul, a, fa))))
+    roots = rs.root_form_rows    # (labels, simple coefficients, form row, (alpha, alpha))
     signed = []          # the alpha of alpha + s delta, and rank zero roots for s delta
     if cutoff:
         signed = [(x, fx, aa) for a, _, fa, aa in roots
@@ -671,10 +668,12 @@ def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     return decode(_divide_by_roots(_singular_codes(rs, mu, den), factors, rho_pairing(rs)), den)
 
 
-def label_dimension(rs: RootSystem, labels) -> int:
+def label_dimension(rs: RootSystem, labels: tuple) -> int:
     """Weyl dimension of L(labels), int labels: the product over positive
     roots sum_i k_i alpha_i of sum_i k_i (l_i + 1) |alpha_i|^2 over
-    sum_i k_i |alpha_i|^2, in ints."""
+    sum_i k_i |alpha_i|^2, in ints.  Cached per labels."""
+    if (dim := rs._dimension_cache.get(labels)) is not None:
+        return dim
     if any(m < 0 for m in labels):
         raise ValueError(f"weight with labels {tuple(labels)} is not dominant")
     ld = rs.label_data
@@ -686,6 +685,7 @@ def label_dimension(rs: RootSystem, labels) -> int:
     val, r = divmod(num, den)
     if r:
         raise AssertionError("Weyl dimension is not an integer")
+    rs._dimension_cache[labels] = val
     return val
 
 

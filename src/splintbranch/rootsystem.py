@@ -111,63 +111,87 @@ def invert_matrix(a):
     return [row[n:] for row in m]
 
 
-def _ldl(a):
-    """A = L D L^T for a positive definite Fraction matrix; L unit lower."""
-    n = len(a)
-    L = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
+_factor_cache: dict = {}
+
+
+def _factor(gram):
+    """(m, minors, rows, adj, den, weight) of a positive definite gram (ints
+    or Fractions), cached per gram: A = m gram is an int matrix (m the least
+    common denominator of gram), minors[j] its j-th leading principal minor
+    (minors[0] = 1) and rows[j] its row j after j Bareiss steps (zero before
+    column j, minors[j + 1] at it), so that
+    A = sum_j rows[j] rows[j]^T / (minors[j] minors[j + 1]); adj is the
+    adjugate, A^-1 = adj / minors[-1]; den = lcm_j minors[j] minors[j + 1]
+    and weight[j] = den / (minors[j] minors[j + 1]).  One fraction-free
+    Gauss-Jordan pass on [A | I] (Bareiss, Math. Comp. 22 (1968) 565) gives
+    them all; a leading minor <= 0 refuses the gram."""
+    key = tuple(map(tuple, gram))
+    if (hit := _factor_cache.get(key)) is not None:
+        return hit
+    n = len(key)
+    m = math.lcm(*(x.denominator for row in key for x in row))
+    a = [[x.numerator * (m // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(key)]
+    minors, rows = [1], []
     for j in range(n):
-        D[j] = a[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if D[j] <= 0:
+        p, prev = a[j][j], minors[-1]
+        if p <= 0:
             raise ValueError("form is not positive definite")
-        for i in range(j + 1, n):
-            L[i][j] = (a[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    return L, D
-
-
-def _int_interval(u: Fraction, rho2: Fraction):
-    """All integers c with (c + u)^2 <= rho2, as a (possibly empty) range.
-
-    With t = isqrt(p q b^2), rho2 = p/q and u = a/b, both bounds are exact:
-    floor((x - k) / m) = floor((floor(x) - k) / m) for integers k and m > 0."""
-    if rho2 < 0:
-        return range(0)
-    p, q = rho2.numerator, rho2.denominator
-    a, b = u.numerator, u.denominator
-    t = math.isqrt(p * q * b * b)
-    return range(-((t + a * q) // (q * b)), (t - a * q) // (q * b) + 1)
+        rows.append(tuple(a[j][:n]))
+        for r in range(n):
+            if r != j:
+                f = a[r][j]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[j])]
+        minors.append(p)
+    pairs = [x * y for x, y in zip(minors, minors[1:])]
+    den = math.lcm(*pairs)
+    factors = _factor_cache[key] = (m, minors, rows, [row[n:] for row in a], den,
+                                    [den // x for x in pairs])
+    return factors
 
 
 def lattice_points_in_ellipsoid(gram, pairing, level: int, bound):
     """Yield (c, g) for the integer vectors c with exact grade
     g = pairing.c + level c^T gram c / 2 <= bound, gram positive definite.
 
-    The ellipsoid (c + z)^T (level gram / 2) (c + z) <= bound + pairing.z / 2,
-    gram z = pairing / level, is walked by an exact Fincke-Pohst style
-    recursion via LDL; the budget left at a leaf is bound - g.
+    Exact Fincke-Pohst enumeration (Math. Comp. 44 (1985) 463) on ints.
+    With A = m gram factored once (_factor), P = q m pairing (q the common
+    denominator of pairing) and s = q level det A, the ellipsoid's center is
+    -w, w = (level gram)^-1 pairing = adj(A) P / s, so X = s c + adj(A) P is
+    s (c + w), an int vector, and
+        (2 m s^2 / level) (g + pairing.w / 2) = sum_j t_j^2 / (minors[j] minors[j + 1])
+    with t_j = rows[j] . X, which reads X_j, ..., X_{n-1} only.  Times den,
+    every term t_j^2 weight[j] and the budget (floored once) are ints; c_j
+    runs over one isqrt interval, highest coordinate first, and g is read off
+    the budget left at the leaf, over the one denominator 2 m s^2 den / level.
     """
+    if level <= 0:
+        raise ValueError("form is not positive definite")
     n = len(gram)
-    L, D = _ldl([[Fraction(level * x, 2) for x in row] for row in gram])
-    u = []                      # L u = pairing / 2, then L^T center = u / D
-    for j in range(n):
-        u.append(Fraction(pairing[j], 2) - sum(map(mul, L[j], u)))
-    center = [0] * n
-    for j in reversed(range(n)):
-        center[j] = u[j] / D[j] - sum(L[k][j] * center[k] for k in range(j + 1, n))
-    c = [0] * n
+    m, minors, rows, adj, den, weight = _factor(gram)
+    q = math.lcm(*(x.denominator for x in pairing))
+    P = [x.numerator * (q // x.denominator) * m for x in pairing]
+    W = [sum(map(mul, row, P)) for row in adj]
+    s = q * level * minors[n]
+    scale = 2 * m * q * q * level * minors[n] ** 2 * den    # 2 m s^2 den / level
+    top = scale * bound.numerator // bound.denominator      # bound, floored on that scale
+    lift = den * minors[n] * sum(map(mul, P, W))            # pairing.w / 2 on that scale
+    c, X = [0] * n, [0] * n
 
     def rec(j, budget):
         if j < 0:
-            yield tuple(c), bound - budget
+            yield tuple(c), Fraction(top - budget, scale)
             return
-        s = sum(L[k][j] * (c[k] + center[k]) for k in range(j + 1, n))
-        for cj in _int_interval(center[j] + s, budget / D[j]):
-            c[j] = cj
-            term = D[j] * (cj + center[j] + s) ** 2
-            yield from rec(j - 1, budget - term)
-        c[j] = 0
+        u, d = rows[j], minors[j + 1]
+        a, b = d * s, d * W[j] + sum(u[k] * X[k] for k in range(j + 1, n))
+        r = math.isqrt(budget // weight[j])         # |a c_j + b| <= r
+        for cj in range(-((r + b) // a), (r - b) // a + 1):
+            c[j], X[j] = cj, s * cj + W[j]
+            t = a * cj + b
+            yield from rec(j - 1, budget - weight[j] * t * t)
 
-    yield from rec(n - 1, bound + sum(map(mul, pairing, center)) / 2)
+    if top + lift >= 0:
+        yield from rec(n - 1, top + lift)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +353,7 @@ class RootSystem:
         self._split_cache: dict[Vec, tuple] = {}
         self._dominant_cache: dict[tuple, tuple] = {}
         self._orbit_size_cache: dict[tuple, int] = {}
+        self._dimension_cache: dict[tuple, int] = {}
 
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):
@@ -619,9 +644,24 @@ class RootSystem:
 
     @cached_property
     def coroot_gram(self):
-        """G[i][j] = (alpha_i^vee, alpha_j^vee): ints, an even diagonal."""
-        basis = self.coroot_lattice_basis()
-        return tuple(tuple(int(self.inner(a, b)) for b in basis) for a in basis)
+        """G[i][j] = (alpha_i^vee, alpha_j^vee) = <alpha_i, alpha_j^vee> 2 /
+        (alpha_i, alpha_i): ints, an even diagonal, read off the Cartan rows
+        and the norms of the simple roots."""
+        ld = self.label_data
+        norms = [sum(x * sum(map(mul, row, a)) for x, row in zip(a, ld.form)) for a in ld.cartan]
+        return tuple(tuple(2 * ld.form_den * x // norm for x in a)
+                     for a, norm in zip(ld.cartan, norms))
+
+    @cached_property
+    def root_form_rows(self):
+        """Per positive root alpha, in positive_roots order: (labels,
+        simple coefficients, form row, norm), ints, with (x, alpha) =
+        x . (form row) / form_den for labels x and norm = (alpha, alpha) form_den."""
+        ld, rows = self.label_data, []
+        for a, c in ld.positive:
+            fa = tuple(sum(map(mul, row, a)) for row in ld.form)
+            rows.append((a, c, fa, sum(map(mul, a, fa))))
+        return tuple(rows)
 
 
 _built: dict = {}

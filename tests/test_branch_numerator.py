@@ -20,10 +20,12 @@ Its oracles:
 
 Hypothesis draws the rank <= 3 modules of the catalog ambients, a fixed
 sweep covers ranks 4 and 5, which the benchmark never draws.  A numerator
-point or a D' term dropped or negated at grade 0, 1 or 2 must fail the
-fold's gate as an internal error, as must a constituent outside its ball
-and a doubled highest weight; a dropped D' term the gate cannot see must
-differ from the oracle.
+point dropped or negated at grade 0, 1 or 2 must fail the fold's gate as
+an internal error, as must a constituent outside its ball and a doubled
+highest weight.  Every one of the 40 single-term drops and negations of
+D'_1 and D'_2 on the A2 vacuum must fail the D' checksum (each grade of D'
+sums to that coefficient of phi(q)^dim g), which runs before the fold; a
+dropped D' term must also fail or differ from the oracle.
 """
 
 import itertools
@@ -156,13 +158,19 @@ NUMERATOR_GATES = {
     (2, "drop"): NEGATIVE.format(2, -1, (4, 0)),
     (2, "negate"): NEGATIVE.format(2, -2, (4, 0)),
 }
-# the gate each tampered D' term of A2_VACUUM fails: the constant -rank of
+# D' of A2_VACUUM to grade 2, and phi(q)^dim A2 = phi(q)^8 to q^2: every
+# e^alpha of D' set to 1
+A2_DENOMINATOR = _affine_denominator([a for a, _ in A2.label_data.positive], A2.rank, 2,
+                                     rooted=False)
+PHI_8 = [1, -8, 20]
+CHECKSUM = "grade {} of D' sums to {}, not to the q^{} coefficient {} of phi(q)^dim g"
+# the check each tampered D' term of A2_VACUUM fails: the constant -rank of
 # D'_1, and D'_2 at minus the second simple root
 DENOMINATOR_GATES = {
-    (1, (0, 0), "drop"): NEGATIVE.format(1, -2, (0, 0)),
-    (1, (0, 0), "negate"): NEGATIVE.format(1, -4, (0, 0)),
-    (2, (1, -2), "drop"): NEGATIVE.format(2, -1, (0, 0)),
-    (2, (1, -2), "negate"): NEGATIVE.format(2, -3, (0, 0)),
+    (1, (0, 0), "drop"): CHECKSUM.format(1, -6, 1, -8),
+    (1, (0, 0), "negate"): CHECKSUM.format(1, -4, 1, -8),
+    (2, (1, -2), "drop"): CHECKSUM.format(2, 18, 2, 20),
+    (2, (1, -2), "negate"): CHECKSUM.format(2, 16, 2, 20),
 }
 
 
@@ -214,6 +222,43 @@ def test_tampered_denominator_term_fails_the_gate(monkeypatch, grade, labels, ho
         af.affine_character(A2, A2_VACUUM, 2)
 
 
+D_TERMS = [(grade, labels) for grade in (1, 2) for labels in A2_DENOMINATOR[grade]]
+
+
+def test_the_checksum_grid_holds_40_variants():
+    assert sum(A2_DENOMINATOR[1].values()) == PHI_8[1]
+    assert sum(A2_DENOMINATOR[2].values()) == PHI_8[2]
+    assert 2 * len(D_TERMS) == 40
+    assert af._phi_power(8, 2) == PHI_8
+
+
+@pytest.mark.parametrize("how", ["drop", "negate"])
+@pytest.mark.parametrize("grade, labels", D_TERMS)
+def test_every_tampered_denominator_term_fails_the_checksum(monkeypatch, grade, labels, how):
+    # 21 of these 40 pass the fold's gate with wrong layers and series;
+    # only the checksum, which runs first, sees them
+    d = A2_DENOMINATOR[grade][labels]
+    total = PHI_8[grade] - (d if how == "drop" else 2 * d)
+    tamper_denominator(monkeypatch, grade, labels, how)
+    with pytest.raises(AssertionError,
+                       match=f"^{re.escape(CHECKSUM.format(grade, total, grade, PHI_8[grade]))}$"):
+        af.affine_character(A2, A2_VACUUM, 2)
+
+
+def phi_power(m, cutoff):
+    """prod_{n=1..cutoff} (1 - q^n) multiplied out m times, to q^cutoff."""
+    out = [1] + [0] * cutoff
+    for _ in range(m):
+        for n in range(1, cutoff + 1):
+            out = [x - (out[j - n] if j >= n else 0) for j, x in enumerate(out)]
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 8, 14, 78, 248])
+def test_phi_power_equals_the_multiplied_product(m):
+    assert af._phi_power(m, 6) == phi_power(m, 6)
+
+
 def test_dropped_denominator_term_fails_the_gate_or_the_oracle(monkeypatch):
     # dropping the constant 2 of D'_2 leaves every b >= 0 and inside its
     # ball, so the gate need not see it; the layers and series must then
@@ -255,6 +300,15 @@ def test_doubled_highest_weight_fails_the_grade_0_gate(monkeypatch):
     with pytest.raises(AssertionError, match="^grade 0 does not hold the highest weight "
                                              "exactly once$"):
         af.affine_character(A2, A2_VACUUM, 2)
+
+
+def test_tampered_denominator_exits_3(monkeypatch, capsys):
+    tamper_denominator(monkeypatch, 2, (0, 0), "drop")
+    code = main(["qdim", "--algebra", "A2", "--level", "1", "--weight", "0,0",
+                 "--grade-max", "2", "--no-cache"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err == f"internal error: AssertionError: {CHECKSUM.format(2, 18, 2, 20)}\n"
 
 
 def test_tampered_fold_exits_3(monkeypatch, capsys):

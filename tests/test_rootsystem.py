@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splintbranch.rootsystem import (_int_interval, build_root_system, parse_algebra_name,
-                                     vadd, vneg, vscale, zero_vec)
+from splintbranch.rootsystem import (build_root_system, parse_algebra_name, vadd, vneg, vscale,
+                                     zero_vec)
+# the exact interval of the Fraction walk, the integer walk's oracle
+from test_lattice_walk import _int_interval
 
 
 POSITIVE_COUNTS = {
