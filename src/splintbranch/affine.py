@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul
 from typing import NamedTuple
 
@@ -209,13 +209,15 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
                                      for fold in folds])
 
 
-def _phi_power(m: int, cutoff: int) -> list:
-    """Coefficients of q^0..q^cutoff in phi(q)^m = prod_{n >= 1} (1 - q^n)^m."""
+@cache
+def _phi_power(m: int, cutoff: int) -> tuple:
+    """Coefficients of q^0..q^cutoff in phi(q)^m = prod_{n >= 1} (1 - q^n)^m;
+    cached per (m, cutoff)."""
     out = [1] + [0] * cutoff
     for n in range(1, cutoff + 1):
         out = [sum((-1) ** k * math.comb(m, k) * out[j - n * k] for k in range(j // n + 1))
                for j in range(cutoff + 1)]
-    return out
+    return tuple(out)
 
 
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:

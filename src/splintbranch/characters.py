@@ -14,9 +14,11 @@ the columns of `affine.multiplicity_matrix`), and its grades make the affine
 oracle `affine.affine_freudenthal`.
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`).  The one group-ring product loop
-(`add_product`, behind `code_products` and the binomial expansion
-`_denominator_codes` of `denominator_layers`, `weyl_identity` and the
-injection fan) adds them packed into one int each (`_packing`).  The affine
+(`add_product`, behind `code_products` for `FormalCharacter.__mul__`, the
+binomial expansion `_denominator_codes` of `denominator_layers`,
+`weyl_identity` and the injection fan, and the lattice `qseries.QSeries`
+products, which keep their codes packed in one fixed box per dimension
+between products) adds them packed into one int each (`_packing`).  The affine
 characters and the q-series verifiers read their affine denominators from
 `_affine_denominator`: grade 0 by the binomial expansion (or 1 for the
 affine characters' fold on labels, which leaves the finite factor out),

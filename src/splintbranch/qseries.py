@@ -6,12 +6,21 @@ held as the int k = e * denom (`QSeries.terms`), series over other
 denominators are re-keyed once when they meet, and exponents become
 Fractions only where they leave a series (`items`, `coefficient`,
 `min_exponent`, `compare_qseries`).  Lattice content is the formal
-e^{(xi,z)} content of a theta function (z is never specialized), held as a
-{code: int} dict over one lattice denominator per series (`characters.encode`)
-and decoded to a FormalCharacter only by `QSeries.coefficient`.  Products
-multiply codes with `characters.code_products`; sums add them.  A scalar
-series multiplies a lattice series directly; only addition requires both to
-be of one kind.
+e^{(xi,z)} content of a theta function (z is never specialized), held as
+codes over one lattice denominator per series (`characters.encode`), each
+packed once, on entry, into one int: every lattice series of one dimension
+shares one fixed symmetric box of `characters._packing`.  The codes stay
+packed from one operation to the next.  Products call
+`characters.add_product` on the stored dicts, a re-encoding to a larger
+lattice denominator multiplies the packed keys (the packing is linear), and
+sums, `scale`, `shift`, `truncate` and `==` run on the packed keys as they
+are.  Codes are unpacked only where they leave a series: `coefficient` and
+`items`, which decode them to FormalCharacters, and the lowest differing
+weight that `compare_qseries` names.  Each lattice series carries its reach,
+a bound on every coordinate it may hold; one whose reach would leave the box
+raises ArithmeticError before two codes can share a key.  A scalar series
+multiplies a lattice series directly; only addition requires both to be of
+one kind.
 Equality of two series means equality of every (exponent, coefficient) pair
 up to the common cutoff, which is strictly stronger than sampling z; a
 mismatch names its exponent and, for differing coefficients, the lowest
@@ -34,42 +43,83 @@ through the one enumeration `rootsystem.lattice_points_in_ellipsoid`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .rootsystem import (RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid,
                          vcombine, zero_vec)
-from .characters import (FormalCharacter, _affine_denominator, _numerator_codes,
-                         code_products, common_denominator, decode, encode)
+from .characters import (FormalCharacter, _affine_denominator, _numerator_codes, _packing,
+                         add_product, common_denominator, decode, encode)
 from .splints import Report, Splint
 
 
+# Every lattice series packs its codes into the one box |x| <= _BOX of
+# `characters._packing`, whatever its dimension: the bases are the powers of
+# one radix, so a code packs to the same int in every dimension it fits.
+_BOX = 1 << 23
+
+
+@functools.cache
+def _box(dim: int):
+    """(pack, unpack) of the box of the lattice series of dimension dim."""
+    return _packing((-_BOX,) * dim, (_BOX,) * dim)
+
+
+def _in_box(reach: int) -> int:
+    """reach, if codes of that reach pack without aliasing; else raises
+    ArithmeticError."""
+    if reach > _BOX:
+        raise ArithmeticError(f"lattice codes may reach {reach}, beyond the packing box "
+                              f"of {_BOX}")
+    return reach
+
+
+def _packed(pairs):
+    """(pairs with every {code: int} dict packed, dimension, reach) of
+    (k, dict) pairs over one lattice denominator; empty dicts are dropped."""
+    pairs = [(k, c) for k, c in pairs if c]
+    if not pairs:
+        return pairs, None, 0
+    dim = len(next(iter(pairs[0][1])))
+    reach = _in_box(max(max(max(map(max, c)), -min(map(min, c))) for _, c in pairs))
+    pack = _box(dim)[0]
+    return [(k, pack(c)) for k, c in pairs], dim, reach
+
+
+def _top(cutoff: Fraction, denom: int) -> int:
+    """floor(cutoff * denom): the largest exponent key within the cutoff."""
+    return cutoff.numerator * denom // cutoff.denominator
+
+
 def _cadd(a, b):
-    """a + b for two int or two code-dict coefficients, as a new value."""
+    """a + b for two int or two packed-dict coefficients, as a new value."""
     if isinstance(a, int):
         return a + b
     return FormalCharacter(itertools.chain(a.items(), b.items())).terms
 
 
 def _rescaled(terms, f: int, g: int):
-    """Terms with every exponent key multiplied by f and every lattice code
-    by g (denominators f and g times the old ones)."""
+    """Terms with every exponent key multiplied by f and every packed lattice
+    key by g (denominators f and g times the old ones): packing is linear, so
+    g times a packed code is the packed code times g."""
     if g != 1:
-        terms = {k: {tuple([x * g for x in code]): m for code, m in c.items()}
-                 for k, c in terms.items()}
+        terms = {k: {p * g: m for p, m in c.items()} for k, c in terms.items()}
     return {k * f: c for k, c in terms.items()} if f != 1 else terms
 
 
 def _aligned(a: "QSeries", b: "QSeries"):
     """(terms of a, terms of b, exponent denominator, lattice denominator or
-    None): the terms re-keyed once to the lcm of the exponent denominators
-    and, of two lattice series, re-encoded to the lcm of theirs."""
+    None, reach of a, reach of b): the terms re-keyed once to the lcm of the
+    exponent denominators and, of two lattice series, re-encoded to the lcm
+    of theirs, each reach times its factor."""
     denom, da, db = math.lcm(a.denom, b.denom), a.lattice_den, b.lattice_den
     den = math.lcm(da, db) if da and db else da or db
     fa, fb = (den // da, den // db) if da and db else (1, 1)
+    ra, rb = _in_box(a.reach * fa), _in_box(b.reach * fb)
     return (_rescaled(a.terms, denom // a.denom, fa), _rescaled(b.terms, denom // b.denom, fb),
-            denom, den)
+            denom, den, ra, rb)
 
 
 class QSeries:
@@ -77,35 +127,52 @@ class QSeries:
     `denom` is the lcm of the reduced denominators of the exponents it holds.
 
     `terms` maps each int k, for q^(k/denom), to an int (scalar series) or to
-    a {code: int} dict over the lattice denominator `lattice_den` (lattice
-    series; None for a scalar series and for one without terms).
+    a {packed code: int} dict (lattice series): codes over the lattice
+    denominator `lattice_den`, packed into the box of `_box(lattice_dim)`.
+    `reach` bounds |x| for every coordinate x of every code the series may
+    hold: the largest one on entry, the sum of the operands' reaches in a
+    product, the larger one in a sum, times the factor in a re-encoding.  A
+    series whose reach would leave the box raises ArithmeticError before it
+    packs a key, so no two codes share one.  lattice_den and lattice_dim are
+    None, and reach 0, for a scalar series and for one without terms.
     Coefficient dicts are never changed once a series holds them."""
 
-    __slots__ = ("terms", "cutoff", "denom", "lattice_den")
+    __slots__ = ("terms", "cutoff", "denom", "lattice_den", "lattice_dim", "reach")
 
     def __init__(self, terms, cutoff):
         pairs = [(e, c) for e, c in (terms.items() if isinstance(terms, dict) else terms) if c]
-        lattice_den = None
+        lattice_den, dim, reach = None, None, 0
         if any(isinstance(c, FormalCharacter) for _, c in pairs):
             if not all(isinstance(c, FormalCharacter) for _, c in pairs):
                 raise TypeError("cannot mix scalar and lattice coefficients")
             lattice_den = common_denominator(v for _, c in pairs for v in c.terms)
-            pairs = [(e, {encode(v, lattice_den): m for v, m in c.items()}) for e, c in pairs]
+            pairs, dim, reach = _packed(
+                [(e, {encode(v, lattice_den): m for v, m in c.items()}) for e, c in pairs])
         denom = math.lcm(*(Fraction(e).denominator for e, _ in pairs))
-        self._fill([(int(e * denom), c) for e, c in pairs], cutoff, lattice_den, denom)
+        self._fill([(int(e * denom), c) for e, c in pairs], cutoff, lattice_den, denom, dim,
+                   reach)
 
     @classmethod
     def from_codes(cls, pairs, cutoff, lattice_den, denom: int = 1):
         """The series of (k, coefficient) pairs, k an int standing for
         q^(k/denom), coefficients {code: int} dicts over lattice_den, or ints
-        when lattice_den is None.  The dicts are kept, not copied."""
+        when lattice_den is None.  Codes are packed here, once."""
+        if lattice_den is None:
+            return cls._of(pairs, cutoff, None, denom)
+        pairs, dim, reach = _packed(pairs)
+        return cls._of(pairs, cutoff, lattice_den, denom, dim, reach)
+
+    @classmethod
+    def _of(cls, pairs, cutoff, lattice_den, denom, dim=None, reach=0):
+        """The series of (k, coefficient) pairs, coefficients ints or dicts
+        already packed in the box of dim, codes of reach at most reach."""
         out = cls.__new__(cls)
-        out._fill(pairs, cutoff, lattice_den, denom)
+        out._fill(pairs, cutoff, lattice_den, denom, dim, reach)
         return out
 
-    def _fill(self, pairs, cutoff, lattice_den, denom):
-        self.cutoff = Fraction(cutoff)
-        top = math.floor(self.cutoff * denom)
+    def _fill(self, pairs, cutoff, lattice_den, denom, dim, reach):
+        self.cutoff = cutoff if isinstance(cutoff, Fraction) else Fraction(cutoff)
+        top = _top(self.cutoff, denom)
         terms = {}
         for k, c in pairs:
             if k > top or not c:
@@ -119,7 +186,8 @@ class QSeries:
         g = math.gcd(denom, *terms)
         self.terms = {k // g: c for k, c in terms.items()} if g != 1 else terms
         self.denom = denom // g
-        self.lattice_den = lattice_den if terms else None
+        self.lattice_den, self.lattice_dim, self.reach = (
+            (lattice_den, dim, reach) if terms else (None, None, 0))
 
     @classmethod
     def one(cls, cutoff):
@@ -127,11 +195,11 @@ class QSeries:
 
     def coefficient(self, e):
         """The coefficient of q^e: an int, or in a lattice series the
-        FormalCharacter of its codes."""
+        FormalCharacter of its codes, unpacked here."""
         c = self.terms.get(Fraction(e) * self.denom)    # an integral Fraction finds its int
         if self.lattice_den is None:
             return c or 0
-        return decode(c, self.lattice_den) if c else FormalCharacter()
+        return decode(_box(self.lattice_dim)[1](c), self.lattice_den) if c else FormalCharacter()
 
     def items(self):
         exponents = (Fraction(k, self.denom) for k in sorted(self.terms))
@@ -146,16 +214,17 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return False
-        a, b, _, _ = _aligned(self, other)
+        a, b, *_ = _aligned(self, other)
         return a == b
 
     def __add__(self, other):
         if (self.terms and other.terms
                 and (self.lattice_den is None) != (other.lattice_den is None)):
             raise TypeError("cannot mix scalar and lattice coefficients additively")
-        a, b, denom, den = _aligned(self, other)
-        return QSeries.from_codes(itertools.chain(a.items(), b.items()),
-                                  min(self.cutoff, other.cutoff), den, denom)
+        a, b, denom, den, ra, rb = _aligned(self, other)
+        return QSeries._of(itertools.chain(a.items(), b.items()),
+                           min(self.cutoff, other.cutoff), den, denom,
+                           self.lattice_dim or other.lattice_dim, max(ra, rb))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -166,15 +235,19 @@ class QSeries:
         elif self.lattice_den is None:
             terms = {k: v * c for k, v in self.terms.items()}
         else:
-            terms = {k: {code: m * c for code, m in v.items()} for k, v in self.terms.items()}
-        return QSeries.from_codes(terms.items(), self.cutoff, self.lattice_den, self.denom)
+            terms = {k: {p: m * c for p, m in v.items()} for k, v in self.terms.items()}
+        return QSeries._of(terms.items(), self.cutoff, self.lattice_den, self.denom,
+                           self.lattice_dim, self.reach)
 
     def __mul__(self, other):
         cutoff = min(self.cutoff, other.cutoff)
-        a, b, denom, den = _aligned(self, other)
-        top = math.floor(cutoff * denom)
+        a, b, denom, den, ra, rb = _aligned(self, other)
+        top = _top(cutoff, denom)
         if self.lattice_den is None:
             a, b = b, a          # a scalar operand goes second
+        if den is not None and None in (self.lattice_den, other.lattice_den):
+            b = {k: {0: c} for k, c in b.items()}      # a scalar c is c e^0, packed to 0
+        reach = _in_box(ra + rb)
         acc: dict[int, object] = {}
         for k1, c1 in a.items():
             if k1 > top:
@@ -186,12 +259,9 @@ class QSeries:
                 if den is None:
                     acc[k] = acc.get(k, 0) + c1 * c2
                 else:
-                    if isinstance(c2, int):      # a scalar c2 is c2 e^0
-                        c2 = {(0,) * len(next(iter(c1))): c2}
-                    acc.setdefault(k, []).append((c1, c2))
-        if den is not None:
-            acc = dict(zip(acc, code_products([({}, pairs) for pairs in acc.values()])))
-        return QSeries.from_codes(acc.items(), cutoff, den, denom)
+                    add_product(acc.setdefault(k, {}), c1, c2)
+        return QSeries._of(acc.items(), cutoff, den, denom,
+                           self.lattice_dim or other.lattice_dim, reach)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -205,29 +275,32 @@ class QSeries:
         c = Fraction(c)
         denom = math.lcm(self.denom, c.denominator)
         f, s = denom // self.denom, c.numerator * (denom // c.denominator)
-        return QSeries.from_codes(((k * f + s, v) for k, v in self.terms.items()),
-                                  self.cutoff + c, self.lattice_den, denom)
+        return QSeries._of(((k * f + s, v) for k, v in self.terms.items()),
+                           self.cutoff + c, self.lattice_den, denom, self.lattice_dim,
+                           self.reach)
 
     def truncate(self, cutoff) -> "QSeries":
-        return QSeries.from_codes(self.terms.items(), min(self.cutoff, Fraction(cutoff)),
-                                  self.lattice_den, self.denom)
+        return QSeries._of(self.terms.items(), min(self.cutoff, Fraction(cutoff)),
+                           self.lattice_den, self.denom, self.lattice_dim, self.reach)
 
     def __repr__(self):
         parts = [f"q^{e}*{c!r}" for e, c in self.items()[:6]]
         return "QSeries(" + " + ".join(parts) + (" ..." if len(self.terms) > 6 else "") + ")"
 
 
-def _difference(ca, cb, den) -> str:
+def _difference(ca, cb, den, dim) -> str:
     """How two unequal coefficients differ: both ints, or both
     multiplicities at the lexicographically lowest weight where they differ."""
     if isinstance(ca, int) and isinstance(cb, int):
         return f": {ca} against {cb}"
     if isinstance(ca, int) or isinstance(cb, int):
         return ": a scalar against a lattice coefficient"
-    # codes are -(coordinates x den), so the largest code is the lowest weight
-    code = max(c for c in ca.keys() | cb.keys() if ca.get(c, 0) != cb.get(c, 0))
+    # codes are -(coordinates x den), so the largest code is the lowest weight;
+    # packed keys do not sort like their codes, so the differing ones are unpacked
+    keys = _box(dim)[1]({p: p for p in ca.keys() | cb.keys() if ca.get(p, 0) != cb.get(p, 0)})
+    code = max(keys)
     weight = ", ".join(str(Fraction(-x, den)) for x in code)
-    return f" at weight ({weight}): {ca.get(code, 0)} against {cb.get(code, 0)}"
+    return f" at weight ({weight}): {ca.get(keys[code], 0)} against {cb.get(keys[code], 0)}"
 
 
 def compare_qseries(a: QSeries, b: QSeries):
@@ -235,17 +308,18 @@ def compare_qseries(a: QSeries, b: QSeries):
     the lowest discrepancy; differing coefficients name where they differ.  A
     term of one series only names that series and differs from the zero of
     its kind."""
-    ta, tb, denom, den = _aligned(a, b)
-    top = math.floor(min(a.cutoff, b.cutoff) * denom)
+    ta, tb, denom, den, _, _ = _aligned(a, b)
+    dim = a.lattice_dim or b.lattice_dim
+    top = _top(min(a.cutoff, b.cutoff), denom)
     for k in sorted(k for k in ta.keys() | tb.keys() if k <= top):
         ca, cb, e = ta.get(k), tb.get(k), Fraction(k, denom)
         if ca is None or cb is None:
             side, held = ("first", ca) if cb is None else ("second", cb)
             zero = 0 if isinstance(held, int) else {}
             return e, f"term q^{e} only in the {side} series" + _difference(
-                zero if ca is None else ca, zero if cb is None else cb, den)
+                zero if ca is None else ca, zero if cb is None else cb, den, dim)
         if ca != cb:
-            return e, f"coefficients at q^{e} differ" + _difference(ca, cb, den)
+            return e, f"coefficients at q^{e} differ" + _difference(ca, cb, den, dim)
     return None
 
 

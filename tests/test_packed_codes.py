@@ -7,8 +7,7 @@ copy of the tuple-code loop and of the denominator expansion built on it;
 the packed route must give equal layers in equal dict order, on random image
 sets with negative coordinates in dimensions 1-9, and on images that drive
 terms to both corners of the box.  `code_products`, the packed product
-behind `FormalCharacter.__mul__`, the lattice `QSeries` products and the
-layered product of `affine_character`, is checked against the same loop.
+behind `FormalCharacter.__mul__`, is checked against the same loop.
 """
 
 from operator import add

@@ -16,12 +16,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splintbranch import qseries as qs
-from splintbranch.characters import FormalCharacter
-from splintbranch.rootsystem import build_root_system, vadd, vscale, zero_vec
+from splintbranch.characters import FormalCharacter, decode
+from splintbranch.rootsystem import build_root_system, vadd, vcombine, vscale, zero_vec
 
 ALGEBRAS = {name: build_root_system(name) for name in ("A2", "B2", "G2")}
 
@@ -173,13 +173,48 @@ def series_pair(draw, rs, lattice=True):
     return qs.QSeries(terms, cutoff), FractionSeries(terms, cutoff)
 
 
+@st.composite
+def root_character(draw, rs, d):
+    """Up to 3 terms at root-lattice weights (simple-root coefficients in
+    -1..1) divided by d, coefficients in -2..2: codes over d or a divisor."""
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(-1, 1), min_size=rs.rank, max_size=rs.rank),
+        st.integers(-2, 2)), max_size=3))
+    return FormalCharacter([(vscale(vcombine(zero_vec(rs.dim), coeffs, rs.simple_roots),
+                                    Fraction(1, d)), c) for coeffs, c in terms])
+
+
+@st.composite
+def root_series_pair(draw, rs, d):
+    """series_pair with up to 3 exponents and root_character coefficients."""
+    terms = draw(st.dictionaries(exponent(), root_character(rs, d), max_size=3))
+    cutoff = draw(exponent(4).filter(lambda e: e >= 1))
+    return qs.QSeries(terms, cutoff), FractionSeries(terms, cutoff)
+
+
+def fraction_power(series, n):
+    out = FractionSeries({Fraction(0): 1}, series.cutoff)
+    for _ in range(n):
+        out = out * series
+    return out
+
+
+def codes(series):
+    """The (k, {code: int}) pairs of a lattice series, its packed keys
+    unpacked."""
+    if series.lattice_dim is None:
+        return []
+    unpack = qs._box(series.lattice_dim)[1]
+    return [(k, unpack(c)) for k, c in series.terms.items()]
+
+
 def recoded(series, f):
     """The same series with its codes over f times its lattice denominator."""
     if series.lattice_den is None:
         return series
     return qs.QSeries.from_codes(
         [(k, {tuple(x * f for x in code): m for code, m in c.items()})
-         for k, c in series.terms.items()], series.cutoff, series.lattice_den * f,
+         for k, c in codes(series)], series.cutoff, series.lattice_den * f,
         series.denom)
 
 
@@ -276,9 +311,10 @@ def test_lattice_denominators_in_theta_products():
     t2 = recoded(t, 2)
     assert t2 == t
     k, e = min(t2.terms), t2.min_exponent()
-    code, m = next(iter(t2.terms[k].items()))
-    moved = dict(t2.terms)
-    moved[k] = {**{c: x for c, x in t2.terms[k].items() if c != code},
+    terms = dict(codes(t2))
+    code, m = next(iter(terms[k].items()))
+    moved = dict(terms)
+    moved[k] = {**{c: x for c, x in terms[k].items() if c != code},
                 tuple(x + 1 for x in code): m}
     bad = qs.QSeries.from_codes(moved.items(), t2.cutoff, t2.lattice_den, t2.denom)
     assert bad != t and qs.compare_qseries(t, bad) == \
@@ -298,3 +334,109 @@ def test_scalar_and_lattice_kinds():
     empty = qs.QSeries({}, 2)
     assert empty + lat == lat and lat + empty == lat and not empty * lat
     assert lat.coefficient(1) == FormalCharacter() and one.coefficient(1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.data())
+def test_chains_of_products_and_powers_match_fraction_series(name, data):
+    # each product multiplies the packed dicts of the one before; its new
+    # operand, over lattice denominator 1, 2 or 3, is raised to a power 1-3
+    rs = ALGEBRAS[name]
+    steps = data.draw(st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.integers(1, 3)),
+                               min_size=3, max_size=6))
+    acc = facc = None
+    for d, n in steps:
+        s, fs = data.draw(root_series_pair(rs, d))
+        if n > 1:
+            s, fs = s ** n, fraction_power(fs, n)
+        acc, facc = (s, fs) if acc is None else (acc * s, facc * fs)
+        assert same(acc, facc)
+        assert all(abs(x) <= acc.reach for _, c in codes(acc) for code in c for x in code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data())
+def test_codes_round_trip_through_coefficient_and_items(dim, data):
+    # codes in, weights out, in their order, also at the corners of the box
+    corners = [-qs._BOX, 1 - qs._BOX, qs._BOX - 1, qs._BOX]
+    code = st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(corners))] * dim)
+    layers = data.draw(st.dictionaries(
+        st.integers(0, 12), st.dictionaries(code, st.integers(-3, 3).filter(bool), max_size=5),
+        max_size=4))
+    den, denom = data.draw(st.sampled_from([1, 2, 3, 6])), data.draw(st.sampled_from([1, 8, 24]))
+    cutoff = Fraction(data.draw(st.integers(0, 12)), denom)
+    s = qs.QSeries.from_codes(layers.items(), cutoff, den, denom)
+    want = {Fraction(k, denom): decode(c, den) for k, c in sorted(layers.items())
+            if c and Fraction(k, denom) <= cutoff}
+    assert s.items() == list(want.items())
+    for e, fc in want.items():
+        assert list(s.coefficient(e).items()) == list(fc.items())
+    if want:
+        assert s.coefficient(cutoff + 1) == FormalCharacter()
+    # the reach bounds every code held, and at most every code given
+    held = [abs(x) for _, c in codes(s) for v in c for x in v]
+    supplied = [abs(x) for c in layers.values() for v in c for x in v]
+    assert max(held, default=0) <= s.reach <= (max(supplied) if want else 0)
+
+
+SMALL_BOX = 4
+
+
+@pytest.fixture
+def small_box(monkeypatch):
+    """Every lattice series packs into the box |x| <= 4, radix 9."""
+    monkeypatch.setattr(qs, "_BOX", SMALL_BOX)
+    qs._box.cache_clear()
+    yield
+    monkeypatch.undo()
+    qs._box.cache_clear()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reach_guard_refuses_products_that_could_leave_the_box(small_box, data):
+    # a product whose operands' reaches, re-encoded to their common lattice
+    # denominator, sum past the box raises; any other matches the oracle
+    dim = data.draw(st.integers(1, 3))
+    code = st.tuples(*[st.integers(-SMALL_BOX, SMALL_BOX)] * dim)
+
+    def series():
+        layers = data.draw(st.dictionaries(
+            st.integers(0, 2), st.dictionaries(code, st.integers(-2, 2).filter(bool),
+                                               min_size=1, max_size=3),
+            min_size=1, max_size=3))
+        den = data.draw(st.sampled_from([1, 2]))
+        return (qs.QSeries.from_codes(layers.items(), 2, den),
+                FractionSeries({k: decode(c, den) for k, c in layers.items()}, 2))
+
+    (a, fa), (b, fb) = series(), series()
+    den = math.lcm(a.lattice_den, b.lattice_den)
+    reach = [s.reach * (den // s.lattice_den) for s in (a, b)]
+    if max(reach) > SMALL_BOX:
+        with pytest.raises(ArithmeticError, match="beyond the packing box of 4$"):
+            a * b
+        with pytest.raises(ArithmeticError, match="beyond the packing box of 4$"):
+            a == b
+    elif sum(reach) > SMALL_BOX:
+        with pytest.raises(ArithmeticError, match=f"may reach {sum(reach)}, beyond"):
+            a * b
+        assert same(a + b, fa + fb)
+    else:
+        assert same(a * b, fa * fb)
+
+
+def test_reach_guard_names_the_alias_it_prevents(small_box):
+    # in the radix-9 box the code (3, 0) + (3, 0) = (6, 0) would pack to the
+    # key of (-3, 1)
+    assert qs._box(2)[1]({6: 1}) == {(-3, 1): 1}
+    a = qs.QSeries.from_codes([(0, {(3, 0): 1})], 1, 1)
+    with pytest.raises(ArithmeticError, match="^lattice codes may reach 6, beyond the "
+                                              "packing box of 4$"):
+        a * a
+    # a re-encoding to twice the lattice denominator doubles the reach
+    half = qs.QSeries.from_codes([(0, {(1, 0): 1})], 1, 2)
+    with pytest.raises(ArithmeticError, match="may reach 6"):
+        a + half
+    with pytest.raises(ArithmeticError, match="may reach 5"):
+        qs.QSeries.from_codes([(0, {(5, 0): 1})], 1, 1)
