@@ -15,15 +15,18 @@ Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 `qseries`) adds its sign at its dominant labels, D' comes from
 `characters._affine_denominator` seeded with 1 instead of R, and no orbit,
 product or division is formed.  Each grade j of D' must sum to the q^j
-coefficient of phi(q)^{dim g} (every e^alpha set to 1), or AssertionError,
-before the fold reads it; a sum that already holds a zero label is singular
-and skipped before it is reflected.  `graded_character` builds the character
+coefficient of phi(q)^{dim g} (every e^alpha set to 1; the package's one
+phi^m, `characters._phi_power`), or AssertionError, before the fold reads
+it; a sum that already holds a zero label is singular and skipped before it
+is reflected.  `graded_character` builds the character
 from the series, folded here or read from the CLI's disk cache, behind one
 gate: no grade 0, or a term that is not rank int labels >= 0 with an int b,
 raises ValueError, and a b that is not positive, a grade 0 other than mu
 once, or a constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 +
 2 n K of its grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4)
-raises AssertionError.
+raises AssertionError.  The ball (`characters._ball`), the label form
+(`LabelData.pair`) and the weight codes (`characters._weight_codes`) are
+those of the finite characters.
 
 Every `GradedCharacter` is its dominant rows, per grade dominant labels ->
 multiplicity, with its algebra, its W-fixed offset and, from
@@ -57,14 +60,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple
 
-from .rootsystem import FractionCache, RootSystem, Vec, zero_vec
-from .characters import (_affine_denominator, _dominant_table, _freudenthal_tables,
-                         _numerator_points, _split_dominant, common_denominator, decode,
-                         decompose_character, encode, label_dimension, rho_pairing)
+from .rootsystem import FractionCache, RootSystem, Vec, invert_matrix
+from .characters import (_affine_denominator, _ball, _dominant_table, _freudenthal_tables,
+                         _numerator_points, _order_key, _phi_power, _split_dominant,
+                         _weight_codes, decode, decompose_character, label_dimension,
+                         rho_pairing)
 from .splints import Splint, _branch_codes
 
 
@@ -83,8 +87,8 @@ def check_affine_dominant(rs: RootSystem, aw: AffineWeight) -> tuple:
     if type(aw.level) is not int or aw.level < 0:        # a bool is refused too
         raise ValueError("level must be a nonnegative integer")
     ld = rs.label_data
-    theta, _ = max(ld.positive, key=lambda p: sum(p[1]))    # theta^v = theta: |theta|^2 = 2
-    tv = sum(m * sum(map(mul, row, theta)) for m, row in zip(labels, ld.form)) // ld.form_den
+    # theta^v = theta (|theta|^2 = 2), the highest root: the last positive root
+    tv = ld.pair(labels, ld.positive[-1][0]) // ld.form_den
     if tv > aw.level:
         raise ValueError(f"(mu, theta^v) = {tv} exceeds level {aw.level}")
     return labels
@@ -106,12 +110,12 @@ class GradedCharacter:
     def layers(self) -> list:
         """Each grade's Weyl orbits of its dominant rows, in the (rho-pairing,
         code) order of the group-ring division, decoded once."""
-        den, fw, off = _codes(self.rs, self.offset)
-        layers = []
+        fw, off, den = _weight_codes(self.rs, self.offset)
+        order, layers = _order_key(rho_pairing(self.rs)), []
         for mult in self.rows:
             layer = {code: m for lbl, m in mult.items()
                      for code, _ in self.rs.label_orbit(lbl, fw, off)}
-            layers.append(decode({c: layer[c] for c in _ordered(self.rs, layer)}, den))
+            layers.append(decode({c: layer[c] for c in sorted(layer, key=order)}, den))
         return layers
 
     def __eq__(self, o):
@@ -119,20 +123,6 @@ class GradedCharacter:
 
     def __repr__(self):
         return f"GradedCharacter(cutoff={self.cutoff!r}, layers={self.layers!r})"
-
-
-def _codes(rs: RootSystem, offset):
-    """(den, fw, off): a weight with int labels y and W-fixed part offset
-    has the code (characters.encode) sum_i y_i fw[i] + off over den."""
-    offset = offset or zero_vec(rs.dim)
-    den = common_denominator(rs.fundamental_weights + (offset,))
-    return den, [encode(w, den) for w in rs.fundamental_weights], encode(offset, den)
-
-
-def _ordered(rs: RootSystem, codes) -> list:
-    """codes in the (rho-pairing, code) order of divide_codes."""
-    pair = rho_pairing(rs)
-    return sorted(codes, key=lambda c: (sum(map(mul, pair, c)), c))
 
 
 class BranchingSeries:
@@ -209,17 +199,6 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
                                      for fold in folds])
 
 
-@cache
-def _phi_power(m: int, cutoff: int) -> tuple:
-    """Coefficients of q^0..q^cutoff in phi(q)^m = prod_{n >= 1} (1 - q^n)^m;
-    cached per (m, cutoff)."""
-    out = [1] + [0] * cutoff
-    for n in range(1, cutoff + 1):
-        out = [sum((-1) ** k * math.comb(m, k) * out[j - n * k] for k in range(j // n + 1))
-               for j in range(cutoff + 1)]
-    return tuple(out)
-
-
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
     """The character of L^{mu^} up to grade len(folds) - 1 from its branching
     to rs: folds[n] maps the Dynkin labels of each constituent nu of grade n
@@ -235,15 +214,10 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
     if not folds:
         raise ValueError("the folds hold no grade 0")
     top, offset = _split_dominant(rs, aw.finite)
-    ld = rs.label_data
-
-    def norm(nu):        # (nu + rho, nu + rho) * form_den
-        x = [m + 1 for m in nu]
-        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, ld.form))
-
-    ball, step = norm(top), 2 * (aw.level + rs.dual_coxeter[0]) * ld.form_den
-    den, fw, off = _codes(rs, offset)
+    pair, (ball, step) = rs.label_data.pair, _ball(rs, top, aw.level)
+    fw, off, den = _weight_codes(rs, offset)
     cols, get = list(zip(*fw)), FractionCache(-den).__getitem__
+    order = _order_key(rho_pairing(rs))
     rows: list = []
     entries: dict = {}
     labels: list = []
@@ -252,7 +226,8 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
             if type(nu) is not tuple or len(nu) != rs.rank or type(b) is not int or \
                     not all(type(m) is int and m >= 0 for m in nu):
                 raise ValueError(f"grade {n} has a malformed term {nu!r}: {b!r}")
-            if b <= 0 or norm(nu) > ball + n * step:
+            x = tuple(m + 1 for m in nu)      # the labels of nu + rho
+            if b <= 0 or pair(x, x) > ball + n * step:
                 what = "a constituent outside its ball" if b > 0 else \
                     f"a {'negative' if b else 'zero'} branching coefficient {b}"
                 raise AssertionError(f"grade {n} has {what} at labels {nu}")
@@ -265,7 +240,7 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
         rows.append(mult)
         tops = {tuple([sum(map(mul, nu, col)) + c for col, c in zip(cols, off)]): nu
                 for nu in fold}
-        for c in _ordered(rs, tops):
+        for c in sorted(tops, key=order):
             entries[tuple(map(get, c)), n] = fold[tops[c]]
             labels.append(tops[c])
     return GradedCharacter(rs, offset, rows,
@@ -424,7 +399,8 @@ def multiplicity_matrix(rs: RootSystem, bound) -> MultiplicityMatrix:
 
 
 def invert_unitriangular(mat):
-    """Exact integer inverse of a unitriangular integer matrix."""
+    """Exact integer inverse of a unitriangular integer matrix
+    (rootsystem.invert_matrix, whose Fractions are ints here)."""
     n = len(mat)
     for i in range(n):
         if mat[i][i] != 1:
@@ -432,12 +408,7 @@ def invert_unitriangular(mat):
         for j in range(i):
             if mat[i][j]:
                 raise ValueError("matrix must be unitriangular (zeros below diagonal)")
-    inv = [[0] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = 1
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -sum(mat[i][l] * inv[l][j] for l in range(i + 1, j + 1))
-    return inv
+    return [[int(x) for x in row] for row in invert_matrix(mat)]
 
 
 def invert_multiplicity_matrix(m: MultiplicityMatrix):

@@ -11,21 +11,28 @@ One Freudenthal recursion (`_freudenthal_tables`) runs on Dynkin labels
 (`RootSystem.label_data`) grade by grade, on dominant weights only: its grade
 0 is the table of a finite module, cached on labels (`_dominant_table`, also
 the columns of `affine.multiplicity_matrix`), and its grades make the affine
-oracle `affine.affine_freudenthal`.
+oracle `affine.affine_freudenthal`.  It and the affine characters pair
+labels by the one integer form `LabelData.pair` and bound each grade by the
+one ball of Kac, Prop. 11.4 (`_ball`).
 Weights that are added and compared travel as codes, coordinates times one
-common denominator (`encode`/`decode`).  The one group-ring product loop
-(`add_product`, behind `code_products` for `FormalCharacter.__mul__`, the
-binomial expansion `_denominator_codes` of `denominator_layers`,
-`weyl_identity` and the injection fan, and the lattice `qseries.QSeries`
-products, which keep their codes packed in one fixed box per dimension
-between products) adds them packed into one int each (`_packing`).  The affine
-characters and the q-series verifiers read their affine denominators from
-`_affine_denominator`: grade 0 by the binomial expansion (or 1 for the
-affine characters' fold on labels, which leaves the finite factor out),
-every later grade once per process from the grades below it (the
-q-log-derivative recurrence), kept in `_layer_cache` by (image codes,
+common denominator (`encode`/`decode`); a weight given by int labels and a
+W-fixed offset codes in the one basis `_weight_codes`, which the finite
+characters and `affine` read their denominators from, and the
+(rho-pairing, code) order of every division and peel is `_order_key`.  The
+one group-ring product loop (`add_product`, behind `code_products` for
+`FormalCharacter.__mul__`, the binomial expansion `_denominator_codes` of
+`denominator_layers`, `weyl_identity` and the injection fan, and the lattice
+`qseries.QSeries` products, which keep their codes packed in one fixed box
+per dimension between products) adds them packed into one int each
+(`_packing`).  The affine characters and the q-series verifiers read their
+affine denominators from `_affine_denominator`: grade 0 by the binomial
+expansion (or 1 for the affine characters' fold on labels, which leaves the
+finite factor out), every later grade once per process from the grades below
+it (the q-log-derivative recurrence), kept in `_layer_cache` by (image codes,
 imaginary, rooted) as tuples of layers that are published under
 `_cache_lock` and never changed; the binomial expansion is its oracle.
+`_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
+the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
 labels and sign of each affine Weyl image: the affine characters fold them
 on labels, and `_numerator_codes` sums their Weyl orbits on codes for every
@@ -52,7 +59,7 @@ from fractions import Fraction
 from operator import add, mul, neg, sub
 
 from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
-                         lattice_points_in_ellipsoid, vneg, vsub, zero_vec)
+                         lattice_points_in_ellipsoid, vneg, zero_vec)
 
 
 class FormalCharacter:
@@ -154,17 +161,17 @@ def _split_dominant(rs, mu):
     return labels, offset
 
 
-def _singular_codes(rs: RootSystem, mu: Vec, den: int) -> dict:
-    """singular_element on codes over den (a multiple of the denominators of
-    mu and of the fundamental weights): {code: sign}.  A point with labels y
-    codes as sum_i y_i fw_i + offset - rho, as in _numerator_codes."""
+def _singular_codes(rs: RootSystem, mu: Vec) -> tuple:
+    """(singular_element on codes, {code: sign}, and their denominator).  A
+    point with labels y codes as sum_i y_i fw_i + offset - rho (_weight_codes;
+    rho codes as sum_i fw_i), as in _numerator_codes."""
     labels, offset = _split_dominant(rs, mu)
-    fw = [encode(w, den) for w in rs.fundamental_weights]
-    off = encode(vsub(offset or zero_vec(rs.dim), rs.rho), den)
+    fw, off, den = _weight_codes(rs, offset)
+    off = tuple(x - sum(col) for x, col in zip(off, zip(*fw)))
     codes = dict(rs.label_orbit(tuple(m + 1 for m in labels), fw, off))
     if len(codes) != rs.weyl_order:
         raise AssertionError("singular element has wrong number of terms")
-    return codes
+    return codes, den
 
 
 def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
@@ -173,9 +180,9 @@ def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
     Exactly |W| terms with coefficients +-1 (mu+rho is regular for dominant
     integral mu).
     """
-    den = common_denominator(rs.fundamental_weights + (mu,))
+    codes, den = _singular_codes(rs, mu)
     # sorted by weight: codes are -(coordinates x den)
-    return decode(dict(sorted(_singular_codes(rs, mu, den).items(), reverse=True)), den)
+    return decode(dict(sorted(codes.items(), reverse=True)), den)
 
 
 def weyl_denominator(rs: RootSystem) -> FormalCharacter:
@@ -188,8 +195,7 @@ def weyl_identity(rs: RootSystem) -> bool:
     """singular_element(rs, 0) == weyl_denominator(rs), compared on codes
     over one denominator: the label-orbit sum of rho against the expanded
     product, neither decoded to Fractions."""
-    den = common_denominator(rs.fundamental_weights + rs.positive_roots)
-    orbit = _singular_codes(rs, zero_vec(rs.dim), den)
+    orbit, den = _singular_codes(rs, zero_vec(rs.dim))
     return orbit == _denominator_codes([encode(a, den) for a in rs.positive_roots], 0, 0)[0]
 
 
@@ -203,6 +209,14 @@ def encode(v: Vec, den: int) -> tuple:
     (rho_pairing, code) pair is the highest weight in the (rho-pairing, lex)
     order."""
     return tuple([-x.numerator * (den // x.denominator) for x in v])
+
+
+def _weight_codes(rs: RootSystem, offset: Vec | None) -> tuple:
+    """(fw, off, den): the weight with int labels y and W-fixed part offset
+    (None when zero) has the code (encode) sum_i y_i fw[i] + off over den;
+    RootSystem._label_codes negated."""
+    fw, off, den = rs._label_codes(1, offset)
+    return [tuple(map(neg, w)) for w in fw], tuple(map(neg, off)), den
 
 
 def decode(terms: dict, den: int) -> FormalCharacter:
@@ -222,6 +236,12 @@ def rho_pairing(rs: RootSystem) -> tuple:
     return tuple(int(x * d) for x in pair)
 
 
+def _order_key(pair):
+    """The key (pairing with pair, code) of a code: the elimination order of
+    divide_codes, highest weight first for pair = rho_pairing."""
+    return lambda c: (sum(map(mul, pair, c)), c)
+
+
 def divide_codes(numer: dict, denom: dict, pair) -> dict:
     """Exact group-ring division of {code: coefficient} dicts, eliminating
     leading terms: the smallest (pairing, code) pairs, pairing the dot
@@ -235,19 +255,17 @@ def divide_codes(numer: dict, denom: dict, pair) -> dict:
     an exact quotient has no term below lowest(numer) - lowest(denom);
     reaching one means a nonzero remainder.
     """
-    def pairing(c):
-        return sum(map(mul, pair, c))
-
+    key = _order_key(pair)
     if not denom:
         raise ZeroDivisionError("group-ring division by the zero denominator")
-    dterms = [(pairing(c), c, d) for c, d in denom.items()]
+    dterms = [(*key(c), d) for c, d in denom.items()]
     lead_p, lead_v, lead_c = min(dterms)
     if lead_c not in (1, -1):
         raise ValueError("denominator leading coefficient is not a unit")
     shifts = [(p - lead_p, tuple(map(sub, c, lead_v)), d) for p, c, d in dterms]
 
     rem = numer
-    heap = [(pairing(v), v) for v in rem]
+    heap = list(map(key, rem))
     heapq.heapify(heap)
     quot: dict = {}
     if heap:
@@ -343,7 +361,7 @@ def _divide_by_roots(numer: dict, factors, pair) -> dict:
     quot = unpack(terms)
     if any(not x <= y <= z for code in quot for x, y, z in zip(lo, code, hi)):
         raise ArithmeticError("nonzero remainder in group-ring division")
-    return dict(sorted(quot.items(), key=lambda t: (sum(map(mul, pair, t[0])), t[0])))
+    return {c: quot[c] for c in sorted(quot, key=_order_key(pair))}
 
 
 def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
@@ -448,6 +466,17 @@ def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True
     return list(layers[:cutoff + 1])
 
 
+@functools.cache
+def _phi_power(m: int, cutoff: int) -> tuple:
+    """Coefficients of q^0..q^cutoff in phi(q)^m = prod_{n >= 1} (1 - q^n)^m,
+    one binomial expansion per factor; cached per (m, cutoff)."""
+    out = [1] + [0] * cutoff
+    for n in range(1, cutoff + 1):
+        out = [sum((-1) ** k * math.comb(m, k) * out[j - n * k] for k in range(j // n + 1))
+               for j in range(cutoff + 1)]
+    return tuple(out)
+
+
 def _numerator_points(rs: RootSystem, labels: tuple, K: int, cutoff: int):
     """Yield (grade, dominant labels, sign) for each point of the Weyl-Kac
     numerator walk of the strictly dominant weight with int labels l at
@@ -520,8 +549,8 @@ def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
 # ---------------------------------------------------------------------------
 # Freudenthal on labels
 
-# dominant weight tables, keyed by (algebra name, Dynkin labels)
-_dominant_cache: dict = {}
+# the finite label tables of _dominant_table, keyed by (algebra name, Dynkin labels)
+_table_cache: dict = {}
 # affine denominator layers, keyed by (image codes, imaginary): tuples of grades 0..n
 _layer_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -536,25 +565,20 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
     11.14): a weight w on a string counts with the multiplicity of its dominant
     representative, in grade n for alpha > 0, n - j s for alpha + s delta and
     s delta, until w + rho leaves the ball of its grade (Kac, Prop. 11.4)."""
-    ld = rs.label_data
-    form, fd = ld.form, ld.form_den
-
-    def norm(x):         # (x, x) * form_den
-        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
-
+    ld, fd = rs.label_data, rs.label_data.form_den
     roots = rs.root_form_rows    # (labels, simple coefficients, form row, (alpha, alpha))
     signed = []          # the alpha of alpha + s delta, and rank zero roots for s delta
     if cutoff:
         signed = [(x, fx, aa) for a, _, fa, aa in roots
                   for x, fx in ((a, fa), (tuple(map(neg, a)), tuple(map(neg, fa))))]
         signed += [((0,) * rs.rank, (0,) * rs.rank, 0)] * rs.rank
-        theta, step = ld.positive[-1][0], 2 * (level + rs.dual_coxeter[0]) * fd
-    bound, apex = norm(tuple(m + 1 for m in top)), top    # the ball of grade n
+    (bound, step), apex = _ball(rs, top, level), top      # the ball of grade n
     dominant = rs._dominant_cache      # labels of w -> (dominant labels, sign)
     tables, mults = [], []
     for n in range(cutoff + 1):
         if n:
-            apex, bound = tuple(map(add, apex, theta)), bound + step
+            # theta, the highest root: the last positive root
+            apex, bound = tuple(map(add, apex, ld.positive[-1][0])), bound + step
         rows = _dominant_descent(ld, apex)
         # L(top) holds top once and every dominant weight below it; a higher
         # grade starts its descent from an apex that need not be a weight
@@ -562,7 +586,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
         mults.append(mult)
         for nu, depth_coeffs in rows[len(table):]:
             nu_rho = tuple(m + 1 for m in nu)
-            nu_sq = norm(nu_rho)
+            nu_sq = ld.pair(nu_rho, nu_rho)
             denom = bound - nu_sq
             if denom <= 0:
                 continue
@@ -607,15 +631,24 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
     return tables
 
 
+def _ball(rs: RootSystem, top: tuple, level: int) -> tuple:
+    """(bound, step), ints: nu of grade n in the module of highest weight top
+    (int labels) at level lies in the ball |nu + rho|^2 <= |top + rho|^2 +
+    2 n (level + h-dual) (Kac, Prop. 11.4) iff pair(x, x) <= bound + n step,
+    x the labels of nu + rho."""
+    ld, x = rs.label_data, tuple(m + 1 for m in top)
+    return ld.pair(x, x), 2 * (level + rs.dual_coxeter[0]) * ld.form_den
+
+
 def _dominant_table(rs: RootSystem, top: tuple) -> list:
     """The rows of _freudenthal_tables for the dominant weights of the finite
     module L(top) (int labels), highest weight first; cached."""
     key = (rs.name, top)
-    if (hit := _dominant_cache.get(key)) is not None:
+    if (hit := _table_cache.get(key)) is not None:
         return hit
     (table,) = _freudenthal_tables(rs, top, 0, 0)
     with _cache_lock:
-        _dominant_cache[key] = table
+        _table_cache[key] = table
     return table
 
 
@@ -655,9 +688,7 @@ def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """Full weight system of L^mu with exact multiplicities: the orbits of the
     rows of its dominant table, in table order and each sorted by weight."""
     top, offset = _split_dominant(rs, mu)
-    den = common_denominator(rs.fundamental_weights + (mu,))
-    fw = [encode(w, den) for w in rs.fundamental_weights]
-    off = encode(offset or zero_vec(rs.dim), den)
+    fw, off, den = _weight_codes(rs, offset)
     # sorted by weight: codes are -(coordinates x den)
     return decode({code: m for nu, _, m in _dominant_table(rs, top)
                    for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}, den)
@@ -665,9 +696,9 @@ def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """ch L^mu as the exact quotient singular element / Weyl denominator."""
-    den = common_denominator(rs.fundamental_weights + (mu,))
+    codes, den = _singular_codes(rs, mu)
     factors = [encode(vneg(a), den) for a in reversed(rs.positive_roots)]
-    return decode(_divide_by_roots(_singular_codes(rs, mu, den), factors, rho_pairing(rs)), den)
+    return decode(_divide_by_roots(codes, factors, rho_pairing(rs)), den)
 
 
 def label_dimension(rs: RootSystem, labels: tuple) -> int:
@@ -679,7 +710,7 @@ def label_dimension(rs: RootSystem, labels: tuple) -> int:
     if any(m < 0 for m in labels):
         raise ValueError(f"weight with labels {tuple(labels)} is not dominant")
     ld = rs.label_data
-    sizes = [sum(x * sum(map(mul, row, a)) for x, row in zip(a, ld.form)) for a in ld.cartan]
+    sizes = [ld.pair(a, a) for a in ld.cartan]
     num = den = 1
     for _, c in ld.positive:
         num *= sum(k * (m + 1) * s for k, m, s in zip(c, labels, sizes))
@@ -768,9 +799,9 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
                              f"{mult[rep]} but only {count[rep]} of the {size} weights "
                              "of its orbit: not a module character")
 
-    pair = rho_pairing(ambient)
+    key = _order_key(rho_pairing(ambient))
     rem = {rep: mult[rep] for rep in labels}
-    heap = [(sum(map(mul, pair, c)), c) for c in rem]
+    heap = list(map(key, rem))
     heapq.heapify(heap)
     table: dict[Vec, int] = {}
     while heap:
@@ -786,7 +817,7 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
             u = tuple([a - sum(map(mul, coeffs, col)) for a, col in zip(c, img_cols)])
             n = rem.get(u, 0) - m * k
             if u not in rem:
-                heapq.heappush(heap, (sum(map(mul, pair, u)), u))
+                heapq.heappush(heap, key(u))
                 labels[u] = lab
             if n:
                 rem[u] = n

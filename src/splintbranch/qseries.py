@@ -39,6 +39,8 @@ factor, is that factor's Weyl-Kac numerator at rho
 (`characters._numerator_codes`) times e^{rho} q^{dim/24}; the numerator
 and the lattice sums that remain walk their points, each with its grade,
 through the one enumeration `rootsystem.lattice_points_in_ellipsoid`.
+`euler_product`, `eta` and the phi and eta powers that close the splint
+identities read phi(q)^m off `characters._phi_power`; no product builds them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 from .rootsystem import (RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid,
                          vcombine, zero_vec)
 from .characters import (FormalCharacter, _affine_denominator, _numerator_codes, _packing,
-                         add_product, common_denominator, decode, encode)
+                         _phi_power, add_product, common_denominator, decode, encode)
 from .splints import Report, Splint
 
 
@@ -327,20 +329,24 @@ def compare_qseries(a: QSeries, b: QSeries):
 # eta and theta
 
 
+def _phi_series(m: int, cutoff) -> QSeries:
+    """phi(q)^m = prod_{n>=1} (1 - q^n)^m, truncated: characters._phi_power."""
+    return QSeries.from_codes(enumerate(_phi_power(m, max(math.floor(cutoff), 0))), cutoff, None)
+
+
+def _eta_power(m: int, cutoff) -> QSeries:
+    """eta^m = q^{m/24} phi(q)^m, truncated at cutoff (empty below q^{m/24})."""
+    return _phi_series(m, Fraction(cutoff) - Fraction(m, 24)).shift(Fraction(m, 24))
+
+
 def euler_product(cutoff) -> QSeries:
     """prod_{n>=1} (1 - q^n), truncated."""
-    out = QSeries.one(cutoff)
-    for n in range(1, int(cutoff) + 1):
-        out = out * QSeries.from_codes([(0, 1), (n, -1)], cutoff, None)
-    return out
+    return _phi_series(1, cutoff)
 
 
 def eta(cutoff) -> QSeries:
     """Dedekind eta: q^{1/24} prod (1 - q^n), exponent denominator 24."""
-    cutoff = Fraction(cutoff)
-    if cutoff < Fraction(1, 24):
-        return QSeries({}, cutoff)
-    return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
+    return _eta_power(1, cutoff)
 
 
 def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> QSeries:
@@ -418,12 +424,12 @@ def _require_splint(s: Splint):
         raise ValueError(f"{s.name}: trivial splint with an empty stem is rejected")
 
 
-def _times_power(lhs, rhs, f, extra):
-    """(lhs, rhs * f^extra), or (lhs * f^-extra, rhs) when extra < 0: a
-    loaded splint file whose images span less than the ambient."""
+def _times_power(lhs, rhs, power, extra, cutoff):
+    """(lhs, rhs * power(extra, cutoff)), or (lhs * power(-extra, cutoff), rhs)
+    when extra < 0: a loaded splint file whose images span less than the ambient."""
     if extra < 0:
-        return lhs * f ** -extra, rhs
-    return lhs, rhs * f ** extra
+        return lhs * power(-extra, cutoff), rhs
+    return lhs, rhs * power(extra, cutoff)
 
 
 def verify_denominator_splint(s: Splint, cutoff: int) -> Report:
@@ -437,7 +443,7 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> Report:
     lhs = _stem_denominator(s.phi1, cutoff) * _stem_denominator(s.phi2, cutoff)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
     rhs = denominator_product(rs, cutoff)
-    lhs, rhs = _times_power(lhs, rhs, euler_product(cutoff), extra)
+    lhs, rhs = _times_power(lhs, rhs, _phi_series, extra, cutoff)
     mismatch = compare_qseries(lhs, rhs)
     if mismatch is None:
         return Report(True, name="denominator",
@@ -535,5 +541,5 @@ def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> Report:
            * theta_alternating_sum(s.phi2.source, s.phi2.map_weight, cutoff))
     rhs = theta_alternating_sum(rs, None, cutoff, drop_last=drop_term)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
-    lhs, rhs = _times_power(lhs, rhs, eta(cutoff), extra)
+    lhs, rhs = _times_power(lhs, rhs, _eta_power, extra, cutoff)
     return _normalized_compare("theta-sum", lhs, rhs)

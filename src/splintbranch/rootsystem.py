@@ -92,23 +92,28 @@ def vcombine(start: Vec, coeffs, basis) -> Vec:
 
 
 def invert_matrix(a):
-    """Exact inverse, in Fractions, of a square int or Fraction matrix
-    (Gauss-Jordan); a singular matrix is refused."""
+    """Exact inverse, in Fractions, of a square int or Fraction matrix (a
+    singular one is refused): fraction-free Gauss-Jordan on [d A | I], d the
+    common denominator of A, ends as [p I | p (d A)^-1], p the last pivot."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+    a = [[Fraction(x) for x in row] for row in a]
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    m = [[x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             raise ValueError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [x / d for x in m[col]]
+        p = m[col][col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+            f = m[r][col]
+            if r != col and (f or p != prev):      # else the step leaves row r as it is
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[col])]
+        prev = p
+    get = FractionCache(prev).__getitem__
+    return [[get(d * x) for x in row[n:]] for row in m]
 
 
 _factor_cache: dict = {}
@@ -202,37 +207,18 @@ def _simple_block(family: str, rank: int):
     """Simple roots of one factor as integer/rational rows, plus block dim and
     the form scale making long roots have squared length 2."""
     f = family.upper()
-    if f == "A":
-        if rank < 1:
-            raise ValueError(f"A{rank}: rank must be >= 1")
-        dim = rank + 1
+    if f in ("A", "B", "C", "D"):
+        least = 1 if f == "A" else 2
+        if rank < least:
+            raise ValueError(f"{f}{rank}: rank must be >= {least}")
+        dim = rank + (f == "A")
+        # the chain e_i - e_{i+1}; B, C and D end in e_n, 2 e_n and e_{n-1} + e_n
         rows = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                for i in range(rank)]
-        return rows, dim, Fraction(1)
-    if f == "B":
-        if rank < 2:
-            raise ValueError(f"B{rank}: rank must be >= 2")
-        dim = rank
-        rows = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                for i in range(rank - 1)]
-        rows.append([Fraction(int(j == rank - 1)) for j in range(dim)])
-        return rows, dim, Fraction(1)
-    if f == "C":
-        if rank < 2:
-            raise ValueError(f"C{rank}: rank must be >= 2")
-        dim = rank
-        rows = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                for i in range(rank - 1)]
-        rows.append([Fraction(2 * int(j == rank - 1)) for j in range(dim)])
-        return rows, dim, Fraction(1, 2)
-    if f == "D":
-        if rank < 2:
-            raise ValueError(f"D{rank}: rank must be >= 2")
-        dim = rank
-        rows = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                for i in range(rank - 1)]
-        rows.append([Fraction(int(j == rank - 2) + int(j == rank - 1)) for j in range(dim)])
-        return rows, dim, Fraction(1)
+                for i in range(rank - (f != "A"))]
+        if f != "A":
+            last = {"B": (0, 1), "C": (0, 2), "D": (1, 1)}[f]
+            rows.append([Fraction(0)] * (dim - 2) + [Fraction(x) for x in last])
+        return rows, dim, Fraction(1, 2 if f == "C" else 1)
     if f == "E":
         if rank not in (6, 7, 8):
             raise ValueError(f"E{rank}: rank must be 6, 7 or 8")
@@ -288,8 +274,8 @@ class LabelData(NamedTuple):
 
     cartan[i] holds the labels of alpha_i.  positive[k] is (labels, simple
     coefficients) of positive_roots[k].  For label vectors x, y the form is
-    (x, y) = sum_ij x_i form[i][j] y_j / form_den.  Fundamental weight k is
-    fw[k] / fw_den in orthogonal coordinates.
+    (x, y) = sum_ij x_i form[i][j] y_j / form_den (`pair` gives its numerator).
+    Fundamental weight k is fw[k] / fw_den in orthogonal coordinates.
     """
     cartan: tuple
     positive: tuple
@@ -297,6 +283,10 @@ class LabelData(NamedTuple):
     form_den: int
     fw: tuple
     fw_den: int
+
+    def pair(self, x, y) -> int:
+        """(x, y) * form_den for label vectors x, y: the one integer form."""
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.form) if xi)
 
 
 class FractionCache(dict):
@@ -648,20 +638,17 @@ class RootSystem:
         (alpha_i, alpha_i): ints, an even diagonal, read off the Cartan rows
         and the norms of the simple roots."""
         ld = self.label_data
-        norms = [sum(x * sum(map(mul, row, a)) for x, row in zip(a, ld.form)) for a in ld.cartan]
         return tuple(tuple(2 * ld.form_den * x // norm for x in a)
-                     for a, norm in zip(ld.cartan, norms))
+                     for a, norm in zip(ld.cartan, map(ld.pair, ld.cartan, ld.cartan)))
 
     @cached_property
     def root_form_rows(self):
         """Per positive root alpha, in positive_roots order: (labels,
         simple coefficients, form row, norm), ints, with (x, alpha) =
         x . (form row) / form_den for labels x and norm = (alpha, alpha) form_den."""
-        ld, rows = self.label_data, []
-        for a, c in ld.positive:
-            fa = tuple(sum(map(mul, row, a)) for row in ld.form)
-            rows.append((a, c, fa, sum(map(mul, a, fa))))
-        return tuple(rows)
+        ld = self.label_data
+        return tuple((a, c, tuple(sum(map(mul, row, a)) for row in ld.form), ld.pair(a, a))
+                     for a, c in ld.positive)
 
 
 _built: dict = {}

@@ -44,6 +44,12 @@ CASES = [(name, fmt) for name in README_COMMANDS for fmt in ("text", "json")]
 A3_VERIFY = "verify --identity all --splint A3:A2A1A1A1 --grade-max 3"
 # not a README command: the G2 splint's identities through grade 8, exit code 0
 G2_DEEP_VERIFY = "verify --identity all --splint G2:A2A2 --grade-max 8"
+# not README commands: the two catalog splints whose identities carry eta^1
+# (rank a + rank s - rank g = 1), exit code 0
+ETA_ONE_VERIFY = {
+    "verify-b2-a1a2": "verify --identity all --splint B2:A1A2 --grade-max 6",
+    "verify-a2-a1a1a1": "verify --identity all --splint A2:A1A1A1 --grade-max 6",
+}
 # not a README command: the F4 vacuum's string functions, exit code 0; with
 # D5 the rank-4-and-up pins of the numerator walk, on a non-simply-laced
 # coroot Gram matrix
@@ -85,6 +91,12 @@ def test_verify_a3_matches_golden(fmt):
 def test_verify_g2_deep_matches_golden(fmt):
     assert run_case("verify-g2-deep", fmt, G2_DEEP_VERIFY) == (
         0, golden_path("verify-g2-deep", fmt).read_text())
+
+
+@pytest.mark.parametrize("name", ETA_ONE_VERIFY)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_eta_one_matches_golden(name, fmt):
+    assert run_case(name, fmt, ETA_ONE_VERIFY[name]) == (0, golden_path(name, fmt).read_text())
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
