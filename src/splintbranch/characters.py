@@ -1,7 +1,9 @@
 """Formal characters of finite-dimensional irreducible modules.
 
 A formal character is a finite integer combination of lattice points e^v,
-stored as a dict from coordinate tuples (Fractions) to nonzero integers.
+stored as a dict from coordinate tuples (Fractions) to nonzero integers;
+a decoded weight's coordinates come from `rootsystem.FractionCache` and keep
+their hash.
 Weight multiplicities come from the Freudenthal recursion; the Weyl quotient
 formula is implemented independently as exact group-ring division, so the
 two routes cross-check each other.
@@ -63,7 +65,9 @@ from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
 
 
 class FormalCharacter:
-    """Element of the group ring of the weight lattice (finite support)."""
+    """Element of the group ring of the weight lattice (finite support): terms
+    maps coordinate tuples (Fractions; those decoded from codes keep their
+    hash) to nonzero ints."""
 
     __slots__ = ("terms",)
 
@@ -735,7 +739,7 @@ def _show(v: Vec) -> str:
 
 
 def _weight(code, den: int) -> Vec:
-    return tuple(Fraction(x, -den) for x in code)
+    return tuple(map(FractionCache(-den).__getitem__, code))
 
 
 def peel_dominant(ambient: RootSystem, sub: RootSystem, images,

@@ -474,15 +474,16 @@ def verify_theta_products(s: Splint, cutoff) -> Report:
     Each theta/eta quotient is realized through the Jacobi triple product of
     its affine root string.  The left side multiplies the triple-product sums
     over both stems; the right side is the product over all positive roots of
-    euler_product * root_string_product, expanded at once as the denominator
-    with one imaginary factor per positive root.  The overall q-power is
-    matched at lowest order; all higher terms must agree."""
+    euler_product * root_string_product, regrouped as the ambient denominator
+    product (rank imaginary factors) times phi(q)^(|positive roots| - rank),
+    since the imaginary factors are scalars.  The overall q-power is matched
+    at lowest order; all higher terms must agree."""
     _require_splint(s)
     rs = s.ambient
     lhs = QSeries.one(cutoff)
     for img in [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]:
         lhs = lhs * jacobi_theta_sum(img, cutoff)
-    rhs = _denominator_series(rs.positive_roots, len(rs.positive_roots), cutoff)
+    rhs = denominator_product(rs, cutoff) * _phi_series(len(rs.positive_roots) - rs.rank, cutoff)
     return _normalized_compare("theta-product", lhs, rhs)
 
 

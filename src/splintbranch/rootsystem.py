@@ -4,6 +4,8 @@ Simple factors are realized in orthogonal coordinates (Bourbaki tables), with
 a per-coordinate rational form scale chosen so that long roots of every simple
 factor have squared length 2.  Vectors at the interface are tuples of
 Fractions, so every inner product, Dynkin label and reflection is exact.
+Vectors built from integer codes take their coordinates from `FractionCache`,
+Fractions that compute their hash once.
 
 The weight engine (Weyl orbits, dominant representatives, Freudenthal) runs
 on integer Dynkin labels instead.  `RootSystem.label_data`, built on first
@@ -92,9 +94,10 @@ def vcombine(start: Vec, coeffs, basis) -> Vec:
 
 
 def invert_matrix(a):
-    """Exact inverse, in Fractions, of a square int or Fraction matrix (a
-    singular one is refused): fraction-free Gauss-Jordan on [d A | I], d the
-    common denominator of A, ends as [p I | p (d A)^-1], p the last pivot."""
+    """Exact inverse, in plain Fractions built once per distinct entry, of a
+    square int or Fraction matrix (a singular one is refused): fraction-free
+    Gauss-Jordan on [d A | I], d the common denominator of A, ends as
+    [p I | p (d A)^-1], p the last pivot."""
     n = len(a)
     a = [[Fraction(x) for x in row] for row in a]
     d = math.lcm(*(x.denominator for row in a for x in row))
@@ -112,8 +115,8 @@ def invert_matrix(a):
             if r != col and (f or p != prev):      # else the step leaves row r as it is
                 m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[col])]
         prev = p
-    get = FractionCache(prev).__getitem__
-    return [[get(d * x) for x in row[n:]] for row in m]
+    entry = {x: Fraction(d * x, prev) for x in {x for row in m for x in row[n:]}}
+    return [[entry[x] for x in row[n:]] for row in m]
 
 
 _factor_cache: dict = {}
@@ -289,15 +292,37 @@ class LabelData(NamedTuple):
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.form) if xi)
 
 
+class _Coordinate(Fraction):
+    """A Fraction that computes its hash once, at construction.  Up to
+    Python 3.11 Fraction recomputes its hash (a modular inverse of the
+    denominator) on every call, and a weight tuple rehashes each coordinate
+    on every dict lookup.  repr, str, ==, pickle and copy are Fraction's, and
+    arithmetic returns plain Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        # one argument from pickle, as Fraction.__reduce__ passes it on 3.10
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 class FractionCache(dict):
-    """x -> Fraction(x, den), built once per distinct x."""
+    """x -> Fraction(x, den) that keeps its hash, built once per distinct x."""
 
     def __init__(self, den):
         super().__init__()
         self.den = den
 
     def __missing__(self, x):
-        f = self[x] = Fraction(x, self.den)
+        f = self[x] = _Coordinate(x, self.den)
         return f
 
 

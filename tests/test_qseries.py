@@ -248,3 +248,17 @@ def test_normalized_compare_one_empty_side_fails():
     for lhs, rhs in ((empty, one), (one, empty)):
         rep = qs._normalized_compare("x", lhs, rhs)
         assert not rep.passed and rep.detail == "one side is empty"
+
+
+@pytest.mark.parametrize("name", ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1", "A3:A2A1A1A1"])
+def test_theta_product_right_side_regrouped(name):
+    # the verifier's right side, the denominator product times phi^(|pos| -
+    # rank), against the expansion it replaced: the denominator with one
+    # imaginary factor per positive root
+    rs = find_splint(name).ambient
+    for n in range(9):
+        rhs = qs.denominator_product(rs, n) * qs._phi_series(len(rs.positive_roots) - rs.rank, n)
+        old = qs._denominator_series(rs.positive_roots, len(rs.positive_roots), n)
+        assert rhs == old
+        assert (rhs.cutoff, rhs.denom, rhs.lattice_den) == (old.cutoff, old.denom, old.lattice_den)
+        assert list(rhs.items()) == list(old.items())
