@@ -13,10 +13,11 @@ sign (a singular sum drops out; D' is W-invariant).  This is the recursion of
 Lyakhovsky and Nazarov, J. Phys. A 44 (2011) 075205.  Each numerator point
 (`characters._numerator_points`, the walk shared with the theta sums of
 `qseries`) adds its sign at its dominant labels, D' comes from
-`characters._affine_denominator` seeded with 1 instead of R, and no orbit,
-product or division is formed.  Each grade j of D' must sum to the q^j
-coefficient of phi(q)^{dim g} (every e^alpha set to 1; the package's one
-phi^m, `characters._phi_power`), or AssertionError, before the fold reads
+`characters._affine_denominator` seeded with 1 instead of R, read on label
+codes (each grade unpacked once per process), and no orbit, product or
+division is formed.  Each grade j of D' must sum to the q^j coefficient of
+phi(q)^{dim g} (every e^alpha set to 1; the package's one phi^m,
+`characters._phi_power`), or AssertionError, before the fold reads
 it; a sum that already holds a zero label is singular and skipped before it
 is reflected.  `graded_character` builds the character
 from the series, folded here or read from the CLI's disk cache, behind one
@@ -171,7 +172,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
         raise ValueError("cutoff must be >= 0")
     # D' on labels: the affine denominator without its q-free factor R
     images = [a for a, _ in rs.label_data.positive]
-    denom = _affine_denominator(images, rs.rank, cutoff, rooted=False)
+    denom = _affine_denominator(images, rs.rank, cutoff, rooted=False).codes
     # every e^alpha set to 1 turns D' into phi(q)^{dim g}
     phi = _phi_power(rs.rank + 2 * len(images), cutoff)
     for j, (layer, want) in enumerate(zip(denom, phi)):

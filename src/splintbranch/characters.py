@@ -24,23 +24,26 @@ characters and `affine` read their denominators from, and the
 one group-ring product loop (`add_product`, behind `code_products` for
 `FormalCharacter.__mul__`, the binomial expansion `_denominator_codes` of
 `denominator_layers`, `weyl_identity` and the injection fan, and the lattice
-`qseries.QSeries` products, which keep their codes packed in one fixed box
-per dimension between products) adds them packed into one int each
-(`_packing`).  The affine characters and the q-series verifiers read their
-affine denominators from `_affine_denominator`: grade 0 by the binomial
+`qseries.QSeries` products, which keep their codes packed in the one fixed
+box of each dimension, `_box`, between products) adds them packed into one
+int each (`_packing`).  The affine characters and the q-series verifiers read
+their affine denominators from `_affine_denominator`: grade 0 by the binomial
 expansion (or 1 for the affine characters' fold on labels, which leaves the
 finite factor out), every later grade once per process from the grades below
-it (the q-log-derivative recurrence), kept in `_layer_cache` by (image codes,
-imaginary, rooted) as tuples of layers that are published under
-`_cache_lock` and never changed; the binomial expansion is its oracle.
+it (the q-log-derivative recurrence), computed packed in `_box` and kept in
+`_layer_cache` by (image codes, imaginary, rooted) with its codes, its
+reach and the packed power sums, in entries that are published under `_cache_lock` and
+never changed; the q-series read the packed grades as they are, the fold
+their codes, each grade unpacked once, and the binomial expansion is the
+oracle.
 `_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
 the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
 labels and sign of each affine Weyl image: the affine characters fold them
 on labels, and `_numerator_codes` sums their Weyl orbits on codes for every
-alternating theta sum.  Every orbit here, of the singular elements, the
-numerator and the Freudenthal character, comes as codes from
-`RootSystem.label_orbit`.  Weyl-denominator quotients divide one root
+alternating theta sum (there on 1-coordinate codes, each a packed code).
+Every orbit here, of the singular elements, the numerator and the
+Freudenthal character, comes as codes from `RootSystem.label_orbit`.  Weyl-denominator quotients divide one root
 factor at a time on them (`_divide_by_roots`, behind `character_via_weyl`);
 the general division (`divide_codes`, wrapped by `divide_exact`) eliminates
 on them and is its oracle.  The one decomposer
@@ -59,6 +62,7 @@ import math
 import threading
 from fractions import Fraction
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
                          lattice_points_in_ellipsoid, vneg, zero_vec)
@@ -430,44 +434,90 @@ def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
     return [unpack(layer) for layer in layers]
 
 
-def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True) -> list:
-    """The layers of _denominator_codes(images, imaginary, cutoff), each
-    grade computed once per process by the q-log-derivative recurrence
-    n P_n = sum_{j=1..n} S_j P_{n-j}, with the power sums
-    S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} + e^{-(j/d) img});
-    grade 0 is the binomial expansion, or 1 when not rooted (the q-free
-    factor prod_img (1 - e^{-img}) left out of every grade).  The division
-    by n is exact, and a remainder raises ArithmeticError.  A deeper request
-    publishes a longer tuple under _cache_lock that shares the layers below
-    it; a published tuple and its layers are never changed.  Packed over the
-    box +-(2 cutoff + 1) sum_img |img|, which holds every term of P_n and
-    S_j P_{n-j}."""
+# Every lattice series (`qseries.QSeries`) and every affine denominator grade
+# packs its codes into the one box |x| <= _BOX of `_packing`, whatever its
+# dimension: the bases are the powers of one radix, so a code packs to the
+# same int in every dimension it fits.  The radix 2 _BOX + 1 = 0x13779B9 has
+# the low 24 bits of the golden-ratio constant 0x9E3779B9, so the keys of
+# nearby codes spread over the slots of a dict.  A radix 2^k + 1 would be
+# 1 mod 2^k: a key's slot would be that of its code's coordinate sum, and
+# codes whose coordinates sum to 0 (the roots of A_n and G2) would all start
+# their probes at one slot.
+_BOX = 0x9BBCDC
+
+
+@functools.cache
+def _box(dim: int):
+    """(pack, unpack) of the box of the codes of dimension dim."""
+    return _packing((-_BOX,) * dim, (_BOX,) * dim)
+
+
+def _in_box(reach: int) -> int:
+    """reach, if codes of that reach pack without aliasing; else raises
+    ArithmeticError."""
+    if reach > _BOX:
+        raise ArithmeticError(f"lattice codes may reach {reach}, beyond the packing box "
+                              f"of {_BOX}")
+    return reach
+
+
+class _Denominator(NamedTuple):
+    """A `_layer_cache` entry, grades 0..n: each grade packed in the box of
+    its dimension and as a {code: coefficient} dict, the reach of each
+    grade, and the packed power sums S_0..S_n."""
+    grades: tuple
+    codes: tuple
+    reaches: tuple
+    sums: tuple
+
+
+def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True):
+    """The layers of _denominator_codes(images, imaginary, cutoff), as a
+    _Denominator of grades 0..cutoff.  Each grade is computed once per
+    process, packed in the box of its dimension (_box), by the
+    q-log-derivative recurrence n P_n = sum_{j=1..n} S_j P_{n-j}, with the
+    power sums S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} +
+    e^{-(j/d) img}), and unpacked once; grade 0 is the binomial expansion,
+    or 1 when not rooted (the q-free factor prod_img (1 - e^{-img}) left out
+    of every grade).  The division by n is exact, and a remainder raises
+    ArithmeticError.  Every term of P_n and S_j P_{n-j} lies within
+    (2 cutoff + 1) sum_img |img|, so a cutoff whose bound leaves the box
+    raises ArithmeticError before anything is packed.  A deeper request
+    computes only the grades and power sums above the cached ones and
+    publishes a longer entry under _cache_lock that shares them; a published
+    entry and everything it holds are never changed."""
     key = (tuple(images), imaginary, rooted)
-    layers = _layer_cache.get(key, ())
-    if len(layers) <= cutoff:
-        layers = layers or (tuple(_denominator_codes(images, 0, 0)) if rooted
-                            else ({(0,) * len(images[0]): 1},))
-        bound = [(2 * cutoff + 1) * sum(map(abs, col)) for col in zip(*images)]
-        pack, unpack = _packing([-b for b in bound], bound)
+    entry = _layer_cache.get(key)
+    if entry is None or len(entry.grades) <= cutoff:
+        _in_box((2 * cutoff + 1) * max(sum(map(abs, col)) for col in zip(*images)))
+        pack, unpack = _box(len(images[0]))
+        grades, codes, reaches, sums = map(list, entry or ((), (), (), ({},)))
+        if not grades:
+            grades.append(pack(_denominator_codes(images, 0, 0)[0]) if rooted else {0: 1})
         keys = [k for img in images for k in pack({img: 1})]
-        sums = [{} for _ in range(cutoff + 1)]      # S_j, packed; 0 packs to 0
-        for j, s in enumerate(sums):
+        for j in range(len(sums), cutoff + 1):
+            s = {}                  # S_j, packed; 0 packs to 0
             for d in (d for d in range(1, j + 1) if j % d == 0):
                 for x in [0] * imaginary + [j // d * k for k in keys] + [-j // d * k for k in keys]:
                     s[x] = s.get(x, 0) - d
-        packed = [pack(layer) for layer in layers]
-        for n in range(len(layers), cutoff + 1):
+            sums.append(s)
+        for n in range(len(grades), cutoff + 1):
             acc: dict = {}
             for j in range(1, n + 1):
-                add_product(acc, sums[j], packed[n - j])
+                add_product(acc, sums[j], grades[n - j])
             if any(c % n for c in acc.values()):
                 raise ArithmeticError(f"grade {n} of the affine denominator is not integral")
-            packed.append({p: c // n for p, c in acc.items()})
-        layers += tuple(map(unpack, packed[len(layers):]))
+            grades.append({p: c // n for p, c in acc.items()})
+        codes += map(unpack, grades[len(codes):])
+        reaches += [max(map(abs, itertools.chain(*c)), default=0) for c in codes[len(reaches):]]
+        entry = _Denominator(*map(tuple, (grades, codes, reaches, sums)))
         with _cache_lock:
-            if len(_layer_cache.get(key, ())) < len(layers):
-                _layer_cache[key] = layers
-    return list(layers[:cutoff + 1])
+            held = _layer_cache.get(key)
+            if held is None or len(held.grades) < len(entry.grades):
+                _layer_cache[key] = entry
+    if len(entry.grades) > cutoff + 1:
+        entry = _Denominator(*(t[:cutoff + 1] for t in entry))
+    return entry
 
 
 @functools.cache
@@ -555,7 +605,7 @@ def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
 
 # the finite label tables of _dominant_table, keyed by (algebra name, Dynkin labels)
 _table_cache: dict = {}
-# affine denominator layers, keyed by (image codes, imaginary): tuples of grades 0..n
+# affine denominators, keyed by (image codes, imaginary, rooted): _Denominator entries
 _layer_cache: dict = {}
 _cache_lock = threading.Lock()
 

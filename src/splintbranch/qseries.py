@@ -8,19 +8,26 @@ Fractions only where they leave a series (`items`, `coefficient`,
 `min_exponent`, `compare_qseries`).  Lattice content is the formal
 e^{(xi,z)} content of a theta function (z is never specialized), held as
 codes over one lattice denominator per series (`characters.encode`), each
-packed once, on entry, into one int: every lattice series of one dimension
-shares one fixed symmetric box of `characters._packing`.  The codes stay
-packed from one operation to the next.  Products call
+packed into one int: every lattice series of one dimension shares the one
+fixed symmetric box `characters._box`.  The verifiers' series are built
+packed: the affine denominators are the cached packed grades of
+`characters._affine_denominator`, the Jacobi sums write -m times the packed
+root, and the theta numerators walk their Weyl orbits on the packed codes of
+the fundamental weights; `QSeries(...)` and `from_codes` pack only
+hand-built series (and the dropped theta term of the negative control).
+The codes stay packed from one operation to the next.  Products call
 `characters.add_product` on the stored dicts, a re-encoding to a larger
 lattice denominator multiplies the packed keys (the packing is linear), and
 sums, `scale`, `shift`, `truncate` and `==` run on the packed keys as they
 are.  Codes are unpacked only where they leave a series: `coefficient` and
 `items`, which decode them to FormalCharacters, and the lowest differing
 weight that `compare_qseries` names.  Each lattice series carries its reach,
-a bound on every coordinate it may hold; one whose reach would leave the box
-raises ArithmeticError before two codes can share a key.  A scalar series
-multiplies a lattice series directly; only addition requires both to be of
-one kind.
+a bound on every coordinate it may hold (exact for the denominators and the
+packed-on-entry series, (n + 1) max |code| for a Jacobi sum, a bound from
+the norm of each numerator point for a theta numerator); one whose reach
+would leave the box raises ArithmeticError before two codes can share a key.
+A scalar series multiplies a lattice series directly; only addition requires
+both to be of one kind.
 Equality of two series means equality of every (exponent, coefficient) pair
 up to the common cutoff, which is strictly stronger than sampling z; a
 mismatch names its exponent and, for differing coefficients, the lowest
@@ -32,13 +39,14 @@ the first discrepancy.  Every affine denominator here (of the ambient
 algebra, of a stem pushed into ambient coordinates, of a single root string,
 of the root-string product on the right of the theta-product identity) is
 the layers of `characters._affine_denominator` read as a series: each grade
-is computed once per process from the grades below it and kept, never
-changed, in a cache published under `characters._cache_lock`.  Every
-alternating theta sum, over the coroot lattice at level h-dual of a simple
-factor, is that factor's Weyl-Kac numerator at rho
-(`characters._numerator_codes`) times e^{rho} q^{dim/24}; the numerator
-and the lattice sums that remain walk their points, each with its grade,
-through the one enumeration `rootsystem.lattice_points_in_ellipsoid`.
+is computed once per process, packed, from the grades below it and kept,
+never changed, in a cache published under `characters._cache_lock`; the
+series share its dicts.  Every alternating theta sum, over the coroot
+lattice at level h-dual of a simple factor, is that factor's Weyl-Kac
+numerator at rho (`characters._numerator_codes`) times e^{rho} q^{dim/24};
+the numerator and the lattice sums that remain walk their points, each with
+its grade, through the one enumeration
+`rootsystem.lattice_points_in_ellipsoid`.
 `euler_product`, `eta` and the phi and eta powers that close the splint
 identities read phi(q)^m off `characters._phi_power`; no product builds them.
 """
@@ -49,33 +57,13 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .rootsystem import (RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid,
                          vcombine, zero_vec)
-from .characters import (FormalCharacter, _affine_denominator, _numerator_codes, _packing,
+from .characters import (FormalCharacter, _affine_denominator, _box, _in_box, _numerator_codes,
                          _phi_power, add_product, common_denominator, decode, encode)
 from .splints import Report, Splint
-
-
-# Every lattice series packs its codes into the one box |x| <= _BOX of
-# `characters._packing`, whatever its dimension: the bases are the powers of
-# one radix, so a code packs to the same int in every dimension it fits.
-_BOX = 1 << 23
-
-
-@functools.cache
-def _box(dim: int):
-    """(pack, unpack) of the box of the lattice series of dimension dim."""
-    return _packing((-_BOX,) * dim, (_BOX,) * dim)
-
-
-def _in_box(reach: int) -> int:
-    """reach, if codes of that reach pack without aliasing; else raises
-    ArithmeticError."""
-    if reach > _BOX:
-        raise ArithmeticError(f"lattice codes may reach {reach}, beyond the packing box "
-                              f"of {_BOX}")
-    return reach
 
 
 def _packed(pairs):
@@ -132,8 +120,9 @@ class QSeries:
     a {packed code: int} dict (lattice series): codes over the lattice
     denominator `lattice_den`, packed into the box of `_box(lattice_dim)`.
     `reach` bounds |x| for every coordinate x of every code the series may
-    hold: the largest one on entry, the sum of the operands' reaches in a
-    product, the larger one in a sum, times the factor in a re-encoding.  A
+    hold: the largest one on entry, a declared bound for a series built
+    packed, the sum of the operands' reaches in a product, the larger one in
+    a sum, times the factor in a re-encoding.  A
     series whose reach would leave the box raises ArithmeticError before it
     packs a key, so no two codes share one.  lattice_den and lattice_dim are
     None, and reach 0, for a scalar series and for one without terms.
@@ -158,7 +147,9 @@ class QSeries:
     def from_codes(cls, pairs, cutoff, lattice_den, denom: int = 1):
         """The series of (k, coefficient) pairs, k an int standing for
         q^(k/denom), coefficients {code: int} dicts over lattice_den, or ints
-        when lattice_den is None.  Codes are packed here, once."""
+        when lattice_den is None.  Codes are packed here, once; the
+        verifiers build their series packed (`_of`), so this serves
+        hand-built series."""
         if lattice_den is None:
             return cls._of(pairs, cutoff, None, denom)
         pairs, dim, reach = _packed(pairs)
@@ -379,10 +370,12 @@ def theta(rs: RootSystem, lam: Vec, level: int, cutoff) -> QSeries:
 
 def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
     """The layered denominator expansion (characters._affine_denominator) of
-    the images as a lattice series, the layer of grade n at q^n."""
+    the images as a lattice series, the layer of grade n at q^n: the cached
+    packed grades and their reaches, read as they are."""
     den = common_denominator(images)
-    layers = _affine_denominator([encode(img, den) for img in images], imaginary, int(cutoff))
-    return QSeries.from_codes(enumerate(layers), cutoff, den)
+    codes = [encode(img, den) for img in images]
+    d = _affine_denominator(codes, imaginary, int(cutoff))
+    return QSeries._of(enumerate(d.grades), cutoff, den, 1, len(codes[0]), max(d.reaches))
 
 
 def root_string_product(root: Vec, cutoff) -> QSeries:
@@ -399,10 +392,12 @@ def jacobi_theta_sum(root: Vec, cutoff) -> QSeries:
     taken in the order 0, 1, -1, 2, -2, ..."""
     den = common_denominator([root])
     code = encode(root, den)
+    (key,) = _box(len(code))[0]({code: 1})
     n = math.isqrt(2 * max(math.floor(cutoff), 0)) + 1
-    return QSeries.from_codes([(m * (m - 1) // 2, {tuple([-m * x for x in code]): (-1) ** abs(m)})
-                               for m in sorted(range(-n, n + 2), key=lambda m: abs(2 * m - 1))],
-                              cutoff, den)
+    # packing is linear: the code of -m a packs to -m times the key of a
+    return QSeries._of([(m * (m - 1) // 2, {-m * key: (-1) ** abs(m)})
+                        for m in sorted(range(-n, n + 2), key=lambda m: abs(2 * m - 1))],
+                       cutoff, den, 1, len(code), _in_box((n + 1) * max(map(abs, code))))
 
 
 def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
@@ -480,11 +475,37 @@ def verify_theta_products(s: Splint, cutoff) -> Report:
     at lowest order; all higher terms must agree."""
     _require_splint(s)
     rs = s.ambient
-    lhs = QSeries.one(cutoff)
-    for img in [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]:
-        lhs = lhs * jacobi_theta_sum(img, cutoff)
+    lhs = functools.reduce(mul, [jacobi_theta_sum(img, cutoff) for img in
+                                 [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]])
     rhs = denominator_product(rs, cutoff) * _phi_series(len(rs.positive_roots) - rs.rank, cutoff)
     return _normalized_compare("theta-product", lhs, rhs)
+
+
+def _theta_numerator(frs: RootSystem, images, cutoff) -> QSeries:
+    """sum_{w in W} eps(w) Theta_{w rho} of the simple frs, at level h-dual
+    over its coroot lattice, with the lattice content carried by the images
+    of its fundamental weights: the Weyl-Kac numerator at rho
+    (`characters._numerator_codes`) read as a series, times e^{rho}
+    q^{(rho,rho)/2h-dual}.  The orbits run on 1-coordinate codes, the packed
+    code of each image, so the series is born packed; its reach is a bound,
+    read off the grades before any orbit is walked."""
+    hvee, dim_g = frs.dual_coxeter[0], frs.rank + 2 * len(frs.positive_roots)
+    den = common_denominator(images)
+    codes = [encode(w, den) for w in images]
+    start = Fraction(dim_g, 24)          # (rho, rho)/2 h-dual, the strange formula
+    top = math.floor(cutoff - start)
+    # a weight u of grade g <= top has (u, u) = (rho, rho) + 2 hvee g and labels
+    # y_i = (u, a_i^vee), so y_i^2 <= (u, u) G_ii (G the coroot Gram matrix),
+    # and every coordinate of its code sum_i y_i codes[i] is within reach
+    most = -(-dim_g * hvee // 12) + 2 * hvee * max(top, 0)
+    bounds = [math.isqrt(row[i] * most) for i, row in enumerate(frs.coroot_gram)]
+    reach = _in_box(max(sum(map(mul, bounds, map(abs, col))) for col in zip(*codes)))
+    pack = _box(len(codes[0]))[0]
+    layers = _numerator_codes(frs, frs.rho, hvee, top, [tuple(pack({c: 1})) for c in codes],
+                              (0,))
+    return QSeries._of(((k, {p: m for (p,), m in layer.items()})
+                        for k, layer in enumerate(layers)),
+                       cutoff - start, den, 1, len(codes[0]), reach).shift(start)
 
 
 def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSeries:
@@ -492,36 +513,31 @@ def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSe
     with Theta at level h-dual of the factor over its coroot lattice.
 
     Each factor sum is the factor's Weyl-Kac numerator at rho read as a
-    series times e^{rho} q^{(rho,rho)/2h-dual}, and (rho,rho)/2h-dual = dim/24
-    (the strange formula).  Exponents use the factor's intrinsic
-    normalization; the lattice content is pushed into ambient coordinates by
-    `push` (kept in the source coordinates when push is None) through the
-    pushed fundamental weights.  drop_last subtracts the term Theta_{w rho},
-    w rho = weyl_orbit(rho)[-1], of the last factor (negative control)."""
-    out = QSeries.one(cutoff)
+    series times e^{rho} q^{(rho,rho)/2h-dual} (`_theta_numerator`), and
+    (rho,rho)/2h-dual = dim/24 (the strange formula).  Exponents use the
+    factor's intrinsic normalization; the lattice content is pushed into
+    ambient coordinates by `push` (kept in the source coordinates when push
+    is None) through the pushed fundamental weights.  drop_last subtracts
+    the term Theta_{w rho}, w rho = weyl_orbit(rho)[-1], of the last factor
+    (negative control)."""
+    sums = []
     for fi, (fam, rank) in enumerate(src.factors):
         frs = build_root_system([(fam, rank)])
         c0 = src.factor_slices[fi][1][0]
-        hvee = frs.dual_coxeter[0]
 
         def inject(v):
             full = list(zero_vec(src.dim))
             full[c0:c0 + frs.dim] = v
             return push(tuple(full)) if push else tuple(full)
 
-        images = [inject(w) for w in frs.fundamental_weights]
-        den = common_denominator(images)
-        start = frs.inner(frs.rho, frs.rho) / (2 * hvee)
-        layers = _numerator_codes(frs, frs.rho, hvee, math.floor(cutoff - start),
-                                  [encode(w, den) for w in images], (0,) * len(images[0]))
-        factor_sum = QSeries.from_codes(enumerate(layers), cutoff - start, den).shift(start)
+        factor_sum = _theta_numerator(frs, [inject(w) for w in frs.fundamental_weights], cutoff)
         if drop_last and fi == len(src.factors) - 1:
             wrho, sign = frs.weyl_orbit(frs.rho)[-1]
-            dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, hvee, cutoff,
-                                   inject)
+            dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, frs.dual_coxeter[0],
+                                   cutoff, inject)
             factor_sum = factor_sum - dropped.scale(sign)
-        out = out * factor_sum
-    return out
+        sums.append(factor_sum)
+    return functools.reduce(mul, sums)
 
 
 def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> Report:

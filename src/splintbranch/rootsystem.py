@@ -93,29 +93,45 @@ def vcombine(start: Vec, coeffs, basis) -> Vec:
 # exact linear algebra helpers
 
 
-def invert_matrix(a):
-    """Exact inverse, in plain Fractions built once per distinct entry, of a
-    square int or Fraction matrix (a singular one is refused): fraction-free
-    Gauss-Jordan on [d A | I], d the common denominator of A, ends as
-    [p I | p (d A)^-1], p the last pivot."""
+def _eliminate(a, swap: bool):
+    """(d, m, pivots, rows) of fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 22 (1968) 565) on [d A | I], A a square int or
+    Fraction matrix and d the common denominator of its entries: m ends as
+    [p I | p (d A)^-1], p = pivots[-1], pivots[j + 1] is the pivot of column
+    j and rows[j] the left half of row j before column j is eliminated.  The
+    pivot policy is the one difference between the callers: with swap, a
+    zero pivot is swapped for the first nonzero one below it and a singular A
+    is refused; without, a pivot <= 0 refuses A as not positive definite."""
     n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
     d = math.lcm(*(x.denominator for row in a for x in row))
     m = [[x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
-    prev = 1
+    pivots, rows = [1], []
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
+        if swap:
+            piv = next((r for r in range(col, n) if m[r][col]), None)
+            if piv is None:
+                raise ValueError("matrix is singular")
+            m[col], m[piv] = m[piv], m[col]
+        elif m[col][col] <= 0:
+            raise ValueError("form is not positive definite")
+        rows.append(tuple(m[col][:n]))
+        p, prev = m[col][col], pivots[-1]
         for r in range(n):
             f = m[r][col]
             if r != col and (f or p != prev):      # else the step leaves row r as it is
                 m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[col])]
-        prev = p
-    entry = {x: Fraction(d * x, prev) for x in {x for row in m for x in row[n:]}}
+        pivots.append(p)
+    return d, m, pivots, rows
+
+
+def invert_matrix(a):
+    """Exact inverse, in plain Fractions built once per distinct entry, of a
+    square int or Fraction matrix (a singular one is refused): _eliminate
+    with row swaps ends as [p I | p (d A)^-1], p the last pivot."""
+    n = len(a)
+    d, m, pivots, _ = _eliminate([[Fraction(x) for x in row] for row in a], swap=True)
+    entry = {x: Fraction(d * x, pivots[-1]) for x in {x for row in m for x in row[n:]}}
     return [[entry[x] for x in row[n:]] for row in m]
 
 
@@ -130,30 +146,15 @@ def _factor(gram):
     column j, minors[j + 1] at it), so that
     A = sum_j rows[j] rows[j]^T / (minors[j] minors[j + 1]); adj is the
     adjugate, A^-1 = adj / minors[-1]; den = lcm_j minors[j] minors[j + 1]
-    and weight[j] = den / (minors[j] minors[j + 1]).  One fraction-free
-    Gauss-Jordan pass on [A | I] (Bareiss, Math. Comp. 22 (1968) 565) gives
-    them all; a leading minor <= 0 refuses the gram."""
+    and weight[j] = den / (minors[j] minors[j + 1]).  One _eliminate pass
+    without row swaps gives them all; a leading minor <= 0 refuses the gram."""
     key = tuple(map(tuple, gram))
     if (hit := _factor_cache.get(key)) is not None:
         return hit
-    n = len(key)
-    m = math.lcm(*(x.denominator for row in key for x in row))
-    a = [[x.numerator * (m // x.denominator) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(key)]
-    minors, rows = [1], []
-    for j in range(n):
-        p, prev = a[j][j], minors[-1]
-        if p <= 0:
-            raise ValueError("form is not positive definite")
-        rows.append(tuple(a[j][:n]))
-        for r in range(n):
-            if r != j:
-                f = a[r][j]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[j])]
-        minors.append(p)
+    m, a, minors, rows = _eliminate(key, swap=False)
     pairs = [x * y for x, y in zip(minors, minors[1:])]
     den = math.lcm(*pairs)
-    factors = _factor_cache[key] = (m, minors, rows, [row[n:] for row in a], den,
+    factors = _factor_cache[key] = (m, minors, rows, [row[len(key):] for row in a], den,
                                     [den // x for x in pairs])
     return factors
 

@@ -57,7 +57,8 @@ def divided_character(rs, aw, cutoff):
     fw = [encode(w, den) for w in rs.fundamental_weights]
     fixed = vsub(lam, rs.weight_from_labels(rs.dynkin_labels(lam)))
     num = _numerator_codes(rs, lam, K, cutoff, fw, encode(vsub(fixed, rs.rho), den))
-    denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank, cutoff)
+    denom = _affine_denominator([encode(a, den) for a in rs.positive_roots], rs.rank,
+                                cutoff).codes
     factors, pair = [encode(vneg(a), den) for a in reversed(rs.positive_roots)], rho_pairing(rs)
     rows = rs.label_rows()[0]
     chars, entries = [], {}
@@ -161,7 +162,7 @@ NUMERATOR_GATES = {
 # D' of A2_VACUUM to grade 2, and phi(q)^dim A2 = phi(q)^8 to q^2: every
 # e^alpha of D' set to 1
 A2_DENOMINATOR = _affine_denominator([a for a, _ in A2.label_data.positive], A2.rank, 2,
-                                     rooted=False)
+                                     rooted=False).codes
 PHI_8 = [1, -8, 20]
 CHECKSUM = "grade {} of D' sums to {}, not to the q^{} coefficient {} of phi(q)^dim g"
 # the check each tampered D' term of A2_VACUUM fails: the constant -rank of
@@ -195,12 +196,13 @@ def tamper_denominator(monkeypatch, grade, labels, how):
     real = af._affine_denominator
 
     def tampered(*args, **kwargs):
-        layers = [dict(layer) for layer in real(*args, **kwargs)]
+        entry = real(*args, **kwargs)
+        layers = [dict(layer) for layer in entry.codes]
         if how == "drop":
             del layers[grade][labels]
         else:
             layers[grade][labels] = -layers[grade][labels]
-        return layers
+        return entry._replace(codes=tuple(layers))
 
     monkeypatch.setattr(af, "_affine_denominator", tampered)
 

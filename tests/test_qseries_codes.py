@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from splintbranch import characters
 from splintbranch import qseries as qs
 from splintbranch.characters import FormalCharacter, decode
 from splintbranch.rootsystem import build_root_system, vadd, vcombine, vscale, zero_vec
@@ -204,7 +205,7 @@ def codes(series):
     unpacked."""
     if series.lattice_dim is None:
         return []
-    unpack = qs._box(series.lattice_dim)[1]
+    unpack = characters._box(series.lattice_dim)[1]
     return [(k, unpack(c)) for k, c in series.terms.items()]
 
 
@@ -358,7 +359,7 @@ def test_chains_of_products_and_powers_match_fraction_series(name, data):
 @given(dim=st.integers(1, 8), data=st.data())
 def test_codes_round_trip_through_coefficient_and_items(dim, data):
     # codes in, weights out, in their order, also at the corners of the box
-    corners = [-qs._BOX, 1 - qs._BOX, qs._BOX - 1, qs._BOX]
+    corners = [-characters._BOX, 1 - characters._BOX, characters._BOX - 1, characters._BOX]
     code = st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(corners))] * dim)
     layers = data.draw(st.dictionaries(
         st.integers(0, 12), st.dictionaries(code, st.integers(-3, 3).filter(bool), max_size=5),
@@ -385,11 +386,11 @@ SMALL_BOX = 4
 @pytest.fixture
 def small_box(monkeypatch):
     """Every lattice series packs into the box |x| <= 4, radix 9."""
-    monkeypatch.setattr(qs, "_BOX", SMALL_BOX)
-    qs._box.cache_clear()
+    monkeypatch.setattr(characters, "_BOX", SMALL_BOX)
+    characters._box.cache_clear()
     yield
     monkeypatch.undo()
-    qs._box.cache_clear()
+    characters._box.cache_clear()
 
 
 @settings(max_examples=100, deadline=None,
@@ -429,7 +430,7 @@ def test_reach_guard_refuses_products_that_could_leave_the_box(small_box, data):
 def test_reach_guard_names_the_alias_it_prevents(small_box):
     # in the radix-9 box the code (3, 0) + (3, 0) = (6, 0) would pack to the
     # key of (-3, 1)
-    assert qs._box(2)[1]({6: 1}) == {(-3, 1): 1}
+    assert characters._box(2)[1]({6: 1}) == {(-3, 1): 1}
     a = qs.QSeries.from_codes([(0, {(3, 0): 1})], 1, 1)
     with pytest.raises(ArithmeticError, match="^lattice codes may reach 6, beyond the "
                                               "packing box of 4$"):
