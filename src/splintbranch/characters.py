@@ -21,21 +21,21 @@ common denominator (`encode`/`decode`); a weight given by int labels and a
 W-fixed offset codes in the one basis `_weight_codes`, which the finite
 characters and `affine` read their denominators from, and the
 (rho-pairing, code) order of every division and peel is `_order_key`.  The
-one group-ring product loop (`add_product`, behind `code_products` for
-`FormalCharacter.__mul__`, the binomial expansion `_denominator_codes` of
-`denominator_layers`, `weyl_identity` and the injection fan, and the lattice
-`qseries.QSeries` products, which keep their codes packed in the one fixed
-box of each dimension, `_box`, between products) adds them packed into one
-int each (`_packing`).  The affine characters and the q-series verifiers read
-their affine denominators from `_affine_denominator`: grade 0 by the binomial
-expansion (or 1 for the affine characters' fold on labels, which leaves the
-finite factor out), every later grade once per process from the grades below
-it (the q-log-derivative recurrence), computed packed in `_box` and kept in
-`_layer_cache` by (image codes, imaginary, rooted) with its codes, its
-reach and the packed power sums, in entries that are published under `_cache_lock` and
-never changed; the q-series read the packed grades as they are, the fold
-their codes, each grade unpacked once, and the binomial expansion is the
-oracle.
+one group-ring product loop (`add_product`, behind `FormalCharacter.__mul__`,
+which packs its two operands and calls it once, the binomial expansion
+`_denominator_codes` of `denominator_layers`, `weyl_identity` and the
+injection fan, and the lattice `qseries.QSeries` products, which keep their
+codes packed in the one fixed box of each dimension, `_box`, between
+products) adds them packed into one int each (`_packing`).  The affine
+characters and the q-series verifiers read their affine denominators from
+`_affine_denominator`: grade 0 by the binomial expansion (or 1 for the affine
+characters' fold on labels, which leaves the finite factor out), every later
+grade once per process from the grades below it (the q-log-derivative
+recurrence), computed packed in `_box` and kept in `_layer_cache` by (image
+codes, imaginary, rooted) with its codes, its reach and the packed power
+sums, in entries that are published under `_cache_lock` and never changed;
+the q-series read the packed grades as they are, the fold their codes, each
+grade unpacked once, and the binomial expansion is the oracle.
 `_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
 the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
@@ -146,12 +146,15 @@ class FormalCharacter:
         return out
 
     def __mul__(self, other):
-        """Group ring product: code_products on the supports coded over their
-        common denominator."""
+        """Group ring product: add_product on the supports coded over their
+        common denominator, packed over the box spanned by 0 and twice their
+        bounds, which holds every sum of two of their codes."""
         den = common_denominator(itertools.chain(self.terms, other.terms))
-        (out,) = code_products([({}, [({encode(v, den): c for v, c in self.terms.items()},
-                                       {encode(v, den): c for v, c in other.terms.items()})])])
-        return decode(out, den)
+        a, b = ({encode(v, den): c for v, c in t.terms.items()} for t in (self, other))
+        cols = list(zip(*a, *b))
+        pack, unpack = _packing([min(0, 2 * min(c)) for c in cols],
+                                [max(0, 2 * max(c)) for c in cols])
+        return decode(unpack(add_product({}, pack(a), pack(b))), den)
 
     def __repr__(self):
         parts = [f"{c}*e{tuple(map(str, v))}" for v, c in sorted(self.terms.items())]
@@ -388,26 +391,6 @@ def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
             else:
                 del dst[u]
     return dst
-
-
-def code_products(sums, sign: int = 1) -> list:
-    """[dst + sign * (sum of a * b over pairs) for dst, pairs in sums] on
-    {code: coefficient} dicts, as new dicts in the order add_product gives
-    pair by pair.  Each operand is packed once, over one box: every key the
-    loop meets is a key of a dst or the sum of two operand keys, so the box
-    spanned by 0 and twice the bounds of all the dicts holds it."""
-    operands = {id(t): t for _, pairs in sums for pair in pairs for t in pair}
-    cols = list(zip(*itertools.chain(*operands.values(), *(dst for dst, _ in sums))))
-    pack, unpack = _packing([min(0, 2 * min(c)) for c in cols],
-                            [max(0, 2 * max(c)) for c in cols])
-    packed = {i: pack(t) for i, t in operands.items()}
-    out = []
-    for dst, pairs in sums:
-        acc = pack(dst)
-        for a, b in pairs:
-            add_product(acc, packed[id(a)], packed[id(b)], sign)
-        out.append(unpack(acc))
-    return out
 
 
 def _denominator_codes(images, imaginary: int, cutoff: int) -> list:

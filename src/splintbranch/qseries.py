@@ -9,12 +9,16 @@ Fractions only where they leave a series (`items`, `coefficient`,
 e^{(xi,z)} content of a theta function (z is never specialized), held as
 codes over one lattice denominator per series (`characters.encode`), each
 packed into one int: every lattice series of one dimension shares the one
-fixed symmetric box `characters._box`.  The verifiers' series are built
-packed: the affine denominators are the cached packed grades of
+fixed symmetric box `characters._box`.  A lattice series is born one of two
+ways: packed (`QSeries._of`) or from FormalCharacters (`QSeries(...)`, which
+packs on entry).  The verifiers' series are born packed: the affine
+denominators are the cached packed grades of
 `characters._affine_denominator`, the Jacobi sums write -m times the packed
 root, and the theta numerators walk their Weyl orbits on the packed codes of
-the fundamental weights; `QSeries(...)` and `from_codes` pack only
-hand-built series (and the dropped theta term of the negative control).
+the fundamental weights' images (a stem's pushed once per embedding,
+`Embedding.fundamental_images`); `QSeries(...)` builds only hand-built
+series and the dropped theta term of the negative control, summed in the
+ambient's own coordinates.
 The codes stay packed from one operation to the next.  Products call
 `characters.add_product` on the stored dicts, a re-encoding to a larger
 lattice denominator multiplies the packed keys (the packing is linear), and
@@ -59,8 +63,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .rootsystem import (RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid,
-                         vcombine, zero_vec)
+from .rootsystem import RootSystem, Vec, build_root_system, lattice_points_in_ellipsoid, vcombine
 from .characters import (FormalCharacter, _affine_denominator, _box, _in_box, _numerator_codes,
                          _phi_power, add_product, common_denominator, decode, encode)
 from .splints import Report, Splint
@@ -144,21 +147,10 @@ class QSeries:
                    reach)
 
     @classmethod
-    def from_codes(cls, pairs, cutoff, lattice_den, denom: int = 1):
-        """The series of (k, coefficient) pairs, k an int standing for
-        q^(k/denom), coefficients {code: int} dicts over lattice_den, or ints
-        when lattice_den is None.  Codes are packed here, once; the
-        verifiers build their series packed (`_of`), so this serves
-        hand-built series."""
-        if lattice_den is None:
-            return cls._of(pairs, cutoff, None, denom)
-        pairs, dim, reach = _packed(pairs)
-        return cls._of(pairs, cutoff, lattice_den, denom, dim, reach)
-
-    @classmethod
     def _of(cls, pairs, cutoff, lattice_den, denom, dim=None, reach=0):
-        """The series of (k, coefficient) pairs, coefficients ints or dicts
-        already packed in the box of dim, codes of reach at most reach."""
+        """The series of (k, coefficient) pairs, k an int standing for
+        q^(k/denom), coefficients ints (lattice_den None) or dicts already
+        packed in the box of dim, codes of reach at most reach."""
         out = cls.__new__(cls)
         out._fill(pairs, cutoff, lattice_den, denom, dim, reach)
         return out
@@ -184,7 +176,7 @@ class QSeries:
 
     @classmethod
     def one(cls, cutoff):
-        return cls.from_codes([(0, 1)], cutoff, None)
+        return cls._of([(0, 1)], cutoff, None, 1)
 
     def coefficient(self, e):
         """The coefficient of q^e: an int, or in a lattice series the
@@ -322,7 +314,7 @@ def compare_qseries(a: QSeries, b: QSeries):
 
 def _phi_series(m: int, cutoff) -> QSeries:
     """phi(q)^m = prod_{n>=1} (1 - q^n)^m, truncated: characters._phi_power."""
-    return QSeries.from_codes(enumerate(_phi_power(m, max(math.floor(cutoff), 0))), cutoff, None)
+    return QSeries._of(enumerate(_phi_power(m, max(math.floor(cutoff), 0))), cutoff, None, 1)
 
 
 def _eta_power(m: int, cutoff) -> QSeries:
@@ -340,9 +332,9 @@ def eta(cutoff) -> QSeries:
     return _eta_power(1, cutoff)
 
 
-def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> QSeries:
+def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff) -> QSeries:
     """Sum over xi in lam/level + (lattice of basis) of q^{level(xi,xi)/2}
-    e^{push(level xi)}; level xi = lam + level sum_i c_i basis[i] sits at
+    e^{level xi}; level xi = lam + level sum_i c_i basis[i] sits at
     q^{(lam,lam)/2level + g}, (c, g) walked on the Gram matrix of the basis
     and the pairings of lam with it."""
     start = rs.inner(lam, lam) / (2 * level)
@@ -350,9 +342,8 @@ def _lattice_sum(rs: RootSystem, basis, lam: Vec, level, cutoff, push=None) -> Q
     pairing = [rs.inner(lam, a) for a in basis]
     acc: dict[Fraction, FormalCharacter] = {}
     for c, g in lattice_points_in_ellipsoid(gram, pairing, level, Fraction(cutoff) - start):
-        v = vcombine(lam, [level * x for x in c], basis)
         acc.setdefault(start + g, FormalCharacter()).iadd(
-            FormalCharacter.monomial(push(v) if push else v))
+            FormalCharacter.monomial(vcombine(lam, [level * x for x in c], basis)))
     return QSeries(acc, cutoff)
 
 
@@ -508,35 +499,35 @@ def _theta_numerator(frs: RootSystem, images, cutoff) -> QSeries:
                        cutoff - start, den, 1, len(codes[0]), reach).shift(start)
 
 
-def theta_alternating_sum(src: RootSystem, push, cutoff, drop_last=False) -> QSeries:
+def theta_alternating_sum(src: RootSystem, images, cutoff, drop_last=False) -> QSeries:
     """prod over simple factors of sum_{w in W_f} eps(w) Theta_{w rho_f},
     with Theta at level h-dual of the factor over its coroot lattice.
 
     Each factor sum is the factor's Weyl-Kac numerator at rho read as a
     series times e^{rho} q^{(rho,rho)/2h-dual} (`_theta_numerator`), and
     (rho,rho)/2h-dual = dim/24 (the strange formula).  Exponents use the
-    factor's intrinsic normalization; the lattice content is pushed into
-    ambient coordinates by `push` (kept in the source coordinates when push
-    is None) through the pushed fundamental weights.  drop_last subtracts
-    the term Theta_{w rho}, w rho = weyl_orbit(rho)[-1], of the last factor
-    (negative control)."""
-    sums = []
-    for fi, (fam, rank) in enumerate(src.factors):
-        frs = build_root_system([(fam, rank)])
-        c0 = src.factor_slices[fi][1][0]
-
-        def inject(v):
-            full = list(zero_vec(src.dim))
-            full[c0:c0 + frs.dim] = v
-            return push(tuple(full)) if push else tuple(full)
-
-        factor_sum = _theta_numerator(frs, [inject(w) for w in frs.fundamental_weights], cutoff)
-        if drop_last and fi == len(src.factors) - 1:
-            wrho, sign = frs.weyl_orbit(frs.rho)[-1]
-            dropped = _lattice_sum(frs, frs.coroot_lattice_basis(), wrho, frs.dual_coxeter[0],
-                                   cutoff, inject)
-            factor_sum = factor_sum - dropped.scale(sign)
-        sums.append(factor_sum)
+    factor's intrinsic normalization; the lattice content is carried by
+    `images`, the images of src.fundamental_weights (those weights
+    themselves, or an embedding's `fundamental_images`), sliced per factor
+    by src.factor_slices.  drop_last subtracts the last factor f's term
+    Theta_{w rho_f}, w rho_f the last point of src.weyl_orbit(rho_f)
+    (negative control), summed in src's own coordinates over the coroots of
+    f's simple roots, so it takes only images equal to
+    src.fundamental_weights (others raise ValueError)."""
+    images = tuple(images)
+    if drop_last and images != src.fundamental_weights:
+        raise ValueError("drop_last sums the dropped term in the source coordinates: "
+                         "images must be the source fundamental weights")
+    slices = [sl for sl, _ in src.factor_slices]
+    sums = [_theta_numerator(build_root_system([f]), images[s0:s1], cutoff)
+            for f, (s0, s1) in zip(src.factors, slices)]
+    if drop_last:
+        s0, s1 = slices[-1]
+        rho_f = src.weight_from_labels([int(s0 <= i < s1) for i in range(src.rank)])
+        wrho, sign = src.weyl_orbit(rho_f)[-1]
+        dropped = _lattice_sum(src, src.coroot_lattice_basis()[s0:s1], wrho,
+                               src.dual_coxeter[-1], cutoff)
+        sums[-1] = sums[-1] - dropped.scale(sign)
     return functools.reduce(mul, sums)
 
 
@@ -554,9 +545,9 @@ def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> Report:
     beyond the lowest order whenever rank a + rank s > rank g."""
     _require_splint(s)
     rs = s.ambient
-    lhs = (theta_alternating_sum(s.phi1.source, s.phi1.map_weight, cutoff)
-           * theta_alternating_sum(s.phi2.source, s.phi2.map_weight, cutoff))
-    rhs = theta_alternating_sum(rs, None, cutoff, drop_last=drop_term)
+    lhs = (theta_alternating_sum(s.phi1.source, s.phi1.fundamental_images, cutoff)
+           * theta_alternating_sum(s.phi2.source, s.phi2.fundamental_images, cutoff))
+    rhs = theta_alternating_sum(rs, rs.fundamental_weights, cutoff, drop_last=drop_term)
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
     lhs, rhs = _times_power(lhs, rhs, _eta_power, extra, cutoff)
     return _normalized_compare("theta-sum", lhs, rhs)

@@ -12,7 +12,9 @@ grade-0 layer of `characters.denominator_layers` over the stem images.
 Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
 labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
-weight j (`Splint.tilde_map`).  Stem orbits come from `label_orbit`; the
+weight j (`Splint.tilde_map`).  Each embedding pushes its source fundamental
+weights once (`Embedding.fundamental_images`), read by the tilde map and by
+the stems' theta sums in `qseries`.  Stem orbits come from `label_orbit`; the
 integer table is kept on the splint by the labels of mu (`_branch_codes`,
 which the affine route calls with the labels its series carries), and each
 call decodes its own copy with the W-fixed offset of mu.
@@ -25,6 +27,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -64,6 +67,12 @@ class Embedding:
         """Linear extension to the source root span (simple images as basis)."""
         return vcombine(zero_vec(self.target.dim), self.source.simple_coefficients(v),
                         self.simple_images)
+
+    @cached_property
+    def fundamental_images(self) -> tuple[Vec, ...]:
+        """map_weight of each source fundamental weight, in order: pushed once
+        per embedding, for the tilde map and the stems' theta sums."""
+        return tuple(map(self.map_weight, self.source.fundamental_weights))
 
 
 def _missing_roots(e: Embedding) -> list:
@@ -136,8 +145,7 @@ class Splint:
         """(cols, den), ints: cols[k][j] / den is ambient label k of phi2
         extended linearly to the stem fundamental weight j.  Built on first use."""
         if self._tilde_map is None:
-            m = [self.ambient.dynkin_labels(self.phi2.map_weight(w))
-                 for w in self.phi2.source.fundamental_weights]
+            m = [self.ambient.dynkin_labels(w) for w in self.phi2.fundamental_images]
             den = math.lcm(*(x.denominator for row in m for x in row))
             self._tilde_map = (list(zip(*([int(x * den) for x in row] for row in m))), den)
         return self._tilde_map

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from splintbranch import characters
 from splintbranch import qseries as qs
 from splintbranch.characters import _box, common_denominator, encode
-from splintbranch.rootsystem import build_root_system, zero_vec
+from splintbranch.rootsystem import build_root_system
 from splintbranch.splints import Embedding, Splint, find_splint
 
 # eta power of each catalog splint's denominator identity
@@ -127,21 +127,10 @@ def test_orbit_on_packed_codes_is_the_packed_tuple_orbit(case):
     assert got == want
 
 
-def numerator_series(src, push, cutoff):
-    """The factor series of theta_alternating_sum(src, push, cutoff)."""
-    out = []
-    for fi, (fam, rank) in enumerate(src.factors):
-        frs = build_root_system([(fam, rank)])
-        c0 = src.factor_slices[fi][1][0]
-
-        def inject(v):
-            full = list(zero_vec(src.dim))
-            full[c0:c0 + frs.dim] = v
-            return push(tuple(full)) if push else tuple(full)
-
-        out.append(qs._theta_numerator(frs, [inject(w) for w in frs.fundamental_weights],
-                                       cutoff))
-    return out
+def numerator_series(src, images, cutoff):
+    """The factor series of theta_alternating_sum(src, images, cutoff)."""
+    return [qs._theta_numerator(build_root_system([f]), images[s0:s1], cutoff)
+            for f, ((s0, s1), _) in zip(src.factors, src.factor_slices)]
 
 
 def exact_reach(series):
@@ -155,19 +144,20 @@ def exact_reach(series):
 @pytest.mark.parametrize("name", sorted(SPLINTS))
 def test_declared_reaches_bound_the_codes(name):
     s = find_splint(name)
-    sides = [(s.phi1.source, s.phi1.map_weight), (s.phi2.source, s.phi2.map_weight),
-             (s.ambient, None)]
+    sides = [(s.phi1.source, s.phi1.fundamental_images),
+             (s.phi2.source, s.phi2.fundamental_images),
+             (s.ambient, s.ambient.fundamental_weights)]
     roots = [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]
     for cutoff in range(9):
-        series = [f for src, push in sides for f in numerator_series(src, push, cutoff)]
+        series = [f for src, images in sides for f in numerator_series(src, images, cutoff)]
         series += [qs.jacobi_theta_sum(r, cutoff) for r in roots]
         assert all(exact_reach(f) <= f.reach for f in series)
     # the factor series are theta_alternating_sum's, product for product
-    for src, push in sides:
+    for src, images in sides:
         product = qs.QSeries.one(8)
-        for f in numerator_series(src, push, 8):
+        for f in numerator_series(src, images, 8):
             product = product * f
-        assert product == qs.theta_alternating_sum(src, push, 8)
+        assert product == qs.theta_alternating_sum(src, images, 8)
     # the Jacobi reach is the one packing on entry gave, (n + 1) max |code|
     for r in roots:
         den = common_denominator([r])

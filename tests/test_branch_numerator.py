@@ -9,7 +9,7 @@ Its oracles:
 
 * `divided_character`, the product-and-division route the fold replaced:
   the full Weyl orbit of every numerator point, the products with the
-  affine denominator (`code_products`), the dividends R ch_n read at their
+  affine denominator (the test-local `packed_products`), the dividends R ch_n read at their
   terms with labels >= 0 (exactly |W| terms per such term), and the
   division by the positive-root factors (`_divide_by_roots`); layers and
   series must equal it in dict order;
@@ -38,11 +38,12 @@ from hypothesis import given, settings
 
 from splintbranch import affine as af
 from splintbranch.characters import (_affine_denominator, _divide_by_roots, _numerator_codes,
-                                     _weight, code_products, common_denominator, decode,
+                                     _weight, common_denominator, decode,
                                      decompose_character, encode, rho_pairing)
 from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system, vadd, vneg, vsub, zero_vec
 from test_branch_reuse import ALGEBRAS, affine_module
+from test_packed_codes import packed_products
 
 
 def divided_character(rs, aw, cutoff):
@@ -63,8 +64,8 @@ def divided_character(rs, aw, cutoff):
     rows = rs.label_rows()[0]
     chars, entries = [], {}
     for n in range(cutoff + 1):
-        (rhs,) = code_products([(num[n], [(chars[n - j], denom[j]) for j in range(1, n + 1)])],
-                               -1)
+        pairs = [(chars[n - j], denom[j]) for j in range(1, n + 1)]
+        (rhs,) = packed_products([(num[n], pairs)], -1)
         # codes negate coordinates, so labels >= 0 are row sums <= 0
         top = sorted((sum(map(mul, pair, c)), c, b) for c, b in rhs.items()
                      if all(sum(map(mul, row, c)) <= 0 for row in rows))

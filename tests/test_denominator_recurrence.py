@@ -29,10 +29,10 @@ from hypothesis import strategies as st
 
 from splintbranch import characters
 from splintbranch.characters import (_BOX, _affine_denominator, _box, _denominator_codes,
-                                     code_products, common_denominator, encode)
+                                     common_denominator, encode)
 from splintbranch.cli import main
 from splintbranch.splints import find_splint
-from test_packed_codes import image_sets
+from test_packed_codes import image_sets, packed_products
 
 SPLINTS = ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1", "A3:A2A1A1A1"]
 
@@ -77,7 +77,7 @@ def test_unrooted_layers_times_the_root_factors_are_the_rooted_layers(images, im
     rooted = layers(images, imaginary, cutoff)
     assert unrooted[0] == {(0,) * len(images[0]): 1}
     (root_factors,) = _denominator_codes(images, 0, 0)
-    assert code_products([({}, [(root_factors, layer)]) for layer in unrooted]) == rooted
+    assert packed_products([({}, [(root_factors, layer)]) for layer in unrooted]) == rooted
     assert layers(images, imaginary, cutoff, rooted=False) == unrooted
 
 

@@ -6,16 +6,22 @@ substitution over a box that holds every key).  The oracle is a test-local
 copy of the tuple-code loop and of the denominator expansion built on it;
 the packed route must give equal layers in equal dict order, on random image
 sets with negative coordinates in dimensions 1-9, and on images that drive
-terms to both corners of the box.  `code_products`, the packed product
-behind `FormalCharacter.__mul__`, is checked against the same loop.
+terms to both corners of the box.  `FormalCharacter.__mul__`, which packs
+its two operands and calls `add_product` once, is checked against the same
+loop on weights over mixed denominators, and so are `add_product`'s dst and
+sign forms, on a test-local packing (`packed_products`, also the packed
+product of the oracles in `test_branch_numerator` and
+`test_denominator_recurrence`).
 """
 
+import itertools
+from fractions import Fraction
 from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splintbranch.characters import _denominator_codes, code_products
+from splintbranch.characters import FormalCharacter, _denominator_codes, add_product
 
 
 def tuple_add_product(dst, a, b, sign=1):
@@ -30,6 +36,46 @@ def tuple_add_product(dst, a, b, sign=1):
             else:
                 del dst[u]
     return dst
+
+
+def balanced_packing(dicts):
+    """(pack, unpack) of {code: c} dicts for every code that is a key of one
+    of dicts or the sum of two: x packs to sum_i x_i R^i, R = 2M + 1 and M
+    twice the largest |coordinate| in dicts, and unpacks to its balanced
+    base-R digits, each in -M..M.  Both keep dict order."""
+    m = 2 * max((abs(x) for t in dicts for code in t for x in code), default=0)
+    r = 2 * m + 1
+    dim = next((len(code) for t in dicts for code in t), 0)
+
+    def pack(terms):
+        return {sum(x * r ** i for i, x in enumerate(code)): c for code, c in terms.items()}
+
+    def digits(p):
+        code = []
+        for _ in range(dim):
+            code.append((p + m) % r - m)
+            p = (p - code[-1]) // r
+        return tuple(code)
+
+    def unpack(terms):
+        return {digits(p): c for p, c in terms.items()}
+
+    return pack, unpack
+
+
+def packed_products(sums, sign=1):
+    """[dst + sign * (sum of a * b over pairs) for dst, pairs in sums] as new
+    {code: coefficient} dicts: add_product pair by pair on the test-local
+    packing of every dict given."""
+    pack, unpack = balanced_packing(
+        [t for dst, pairs in sums for t in itertools.chain([dst], *pairs)])
+    out = []
+    for dst, pairs in sums:
+        acc = pack(dst)
+        for a, b in pairs:
+            add_product(acc, pack(a), pack(b), sign)
+        out.append(unpack(acc))
+    return out
 
 
 def tuple_denominator_codes(images, imaginary, cutoff):
@@ -91,7 +137,8 @@ def product_sums(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=product_sums())
-def test_code_products_match_tuple_loop(case):
+def test_add_product_matches_tuple_loop(case):
+    # dst and sign forms: each dst gets sign times its pairs' products added
     sums, sign = case
     want = []
     for dst, pairs in sums:
@@ -99,15 +146,46 @@ def test_code_products_match_tuple_loop(case):
         for a, b in pairs:
             tuple_add_product(acc, a, b, sign)
         want.append(list(acc.items()))
-    assert [list(t.items()) for t in code_products(sums, sign)] == want
+    assert [list(t.items()) for t in packed_products(sums, sign)] == want
 
 
-def test_code_products_share_operands_and_keep_inputs():
-    # one dict on both sides and in several pairs is packed once; inputs are
-    # not changed
+def test_add_product_shares_operands_and_keeps_inputs():
+    # one dict on both sides and in several pairs; inputs are not changed
     a = {(2, -1): 1, (-3, 4): -2}
     dst = {(0, 0): 5}
-    got = code_products([(dst, [(a, a), (a, a)]), ({}, [(a, {})])])
+    got = packed_products([(dst, [(a, a), (a, a)]), ({}, [(a, {})])])
     want = tuple_add_product(tuple_add_product(dict(dst), a, a), a, a)
     assert [list(t.items()) for t in got] == [list(want.items()), []]
     assert dst == {(0, 0): 5} and a == {(2, -1): 1, (-3, 4): -2}
+    # an operand may be dst itself: a is read before it is added to
+    pack, unpack = balanced_packing([a])
+    p = pack(a)
+    assert list(unpack(add_product(p, p, p, -1)).items()) == list(
+        tuple_add_product(dict(a), dict(a), a, -1).items())
+
+
+@st.composite
+def characters(draw):
+    """Two FormalCharacters of one dimension 1-9, either possibly empty, with
+    coordinates over the denominators 1, 2, 3, 4 and 6 mixed."""
+    dim = draw(st.integers(1, 9))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    weights = st.dictionaries(st.tuples(*[coord] * dim), st.integers(-3, 3).filter(bool),
+                              max_size=6)
+    return FormalCharacter(draw(weights)), FormalCharacter(draw(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=characters())
+def test_formal_character_product_matches_tuple_loop(case):
+    a, b = case
+    want = list(tuple_add_product({}, a.terms, b.terms).items())
+    assert list((a * b).items()) == want
+    assert list((b * a).terms) == list(tuple_add_product({}, b.terms, a.terms))
+
+
+def test_formal_character_product_with_an_empty_operand():
+    a = FormalCharacter({(Fraction(1, 2), Fraction(-3)): 2, (Fraction(2, 3), Fraction(0)): -1})
+    empty = FormalCharacter()
+    assert a * empty == empty and empty * a == empty and empty * empty == empty
+    assert (a * empty).terms == {}

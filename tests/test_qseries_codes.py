@@ -209,14 +209,24 @@ def codes(series):
     return [(k, unpack(c)) for k, c in series.terms.items()]
 
 
+def decoded_series(pairs, cutoff, den, denom=1):
+    """The lattice series of (k, {code: int}) pairs, k standing for
+    q^(k/denom) and codes over den, built through QSeries(...) from the
+    decoded FormalCharacters."""
+    return qs.QSeries([(Fraction(k, denom), decode(c, den)) for k, c in pairs], cutoff)
+
+
 def recoded(series, f):
-    """The same series with its codes over f times its lattice denominator."""
+    """The same series with its codes over f times its lattice denominator:
+    each code times f, packed again and held packed (QSeries(...) would
+    reduce the weights to their own denominator)."""
     if series.lattice_den is None:
         return series
-    return qs.QSeries.from_codes(
-        [(k, {tuple(x * f for x in code): m for code, m in c.items()})
+    pack = characters._box(series.lattice_dim)[0]
+    return qs.QSeries._of(
+        [(k, pack({tuple(x * f for x in code): m for code, m in c.items()}))
          for k, c in codes(series)], series.cutoff, series.lattice_den * f,
-        series.denom)
+        series.denom, series.lattice_dim, series.reach * f)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +327,7 @@ def test_lattice_denominators_in_theta_products():
     moved = dict(terms)
     moved[k] = {**{c: x for c, x in terms[k].items() if c != code},
                 tuple(x + 1 for x in code): m}
-    bad = qs.QSeries.from_codes(moved.items(), t2.cutoff, t2.lattice_den, t2.denom)
+    bad = decoded_series(moved.items(), t2.cutoff, t2.lattice_den, t2.denom)
     assert bad != t and qs.compare_qseries(t, bad) == \
         (e, f"coefficients at q^{e} differ at weight (-1/2, -1/2, 1/2): 0 against 1")
 
@@ -366,7 +376,7 @@ def test_codes_round_trip_through_coefficient_and_items(dim, data):
         max_size=4))
     den, denom = data.draw(st.sampled_from([1, 2, 3, 6])), data.draw(st.sampled_from([1, 8, 24]))
     cutoff = Fraction(data.draw(st.integers(0, 12)), denom)
-    s = qs.QSeries.from_codes(layers.items(), cutoff, den, denom)
+    s = decoded_series(layers.items(), cutoff, den, denom)
     want = {Fraction(k, denom): decode(c, den) for k, c in sorted(layers.items())
             if c and Fraction(k, denom) <= cutoff}
     assert s.items() == list(want.items())
@@ -408,7 +418,7 @@ def test_reach_guard_refuses_products_that_could_leave_the_box(small_box, data):
                                                min_size=1, max_size=3),
             min_size=1, max_size=3))
         den = data.draw(st.sampled_from([1, 2]))
-        return (qs.QSeries.from_codes(layers.items(), 2, den),
+        return (decoded_series(layers.items(), 2, den),
                 FractionSeries({k: decode(c, den) for k, c in layers.items()}, 2))
 
     (a, fa), (b, fb) = series(), series()
@@ -431,13 +441,13 @@ def test_reach_guard_names_the_alias_it_prevents(small_box):
     # in the radix-9 box the code (3, 0) + (3, 0) = (6, 0) would pack to the
     # key of (-3, 1)
     assert characters._box(2)[1]({6: 1}) == {(-3, 1): 1}
-    a = qs.QSeries.from_codes([(0, {(3, 0): 1})], 1, 1)
+    a = decoded_series([(0, {(3, 0): 1})], 1, 1)
     with pytest.raises(ArithmeticError, match="^lattice codes may reach 6, beyond the "
                                               "packing box of 4$"):
         a * a
     # a re-encoding to twice the lattice denominator doubles the reach
-    half = qs.QSeries.from_codes([(0, {(1, 0): 1})], 1, 2)
+    half = decoded_series([(0, {(1, 0): 1})], 1, 2)
     with pytest.raises(ArithmeticError, match="may reach 6"):
         a + half
     with pytest.raises(ArithmeticError, match="may reach 5"):
-        qs.QSeries.from_codes([(0, {(5, 0): 1})], 1, 1)
+        decoded_series([(0, {(5, 0): 1})], 1, 1)

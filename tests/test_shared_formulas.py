@@ -125,7 +125,7 @@ def test_ball_is_kac_prop_11_4(name, level, data):
 def chain_euler_product(cutoff):
     out = qs.QSeries.one(cutoff)
     for n in range(1, int(cutoff) + 1):
-        out = out * qs.QSeries.from_codes([(0, 1), (n, -1)], cutoff, None)
+        out = out * qs.QSeries({0: 1, n: -1}, cutoff)
     return out
 
 

@@ -89,12 +89,12 @@ def per_weyl_element_sum(src, push, cutoff, drop_last=False):
 def test_theta_sums_equal_per_weyl_element_sums(name):
     s = find_splint(name)
     for cutoff in CUTOFFS:
-        for src, push in ((s.phi1.source, s.phi1.map_weight),
-                          (s.phi2.source, s.phi2.map_weight)):
-            assert (qs.theta_alternating_sum(src, push, cutoff)
-                    == per_weyl_element_sum(src, push, cutoff)), (name, cutoff)
+        for phi in (s.phi1, s.phi2):
+            assert (qs.theta_alternating_sum(phi.source, phi.fundamental_images, cutoff)
+                    == per_weyl_element_sum(phi.source, phi.map_weight, cutoff)), (name, cutoff)
         for drop in (False, True):
-            got = qs.theta_alternating_sum(s.ambient, None, cutoff, drop_last=drop)
+            got = qs.theta_alternating_sum(s.ambient, s.ambient.fundamental_weights, cutoff,
+                                           drop_last=drop)
             want = per_weyl_element_sum(s.ambient, None, cutoff, drop_last=drop)
             assert got == want, (name, cutoff, drop)
 
@@ -104,13 +104,14 @@ def test_factor_sum_starts_at_dim_over_24(name):
     # Freudenthal-de Vries strange formula: (rho,rho)/2h-dual = dim/24
     rs = build_root_system(name)
     dim = rs.rank + 2 * len(rs.positive_roots)
-    series = qs.theta_alternating_sum(rs, None, 3)
+    series = qs.theta_alternating_sum(rs, rs.fundamental_weights, 3)
     assert series.min_exponent() == Fraction(dim, 24)
     # the lowest term is the Weyl numerator sum_w eps(w) e^{w rho}
     lowest = series.coefficient(Fraction(dim, 24))
     assert lowest == FormalCharacter(dict(rs.weyl_orbit(rs.rho)))
     # below dim/24 the sum is empty
-    assert not qs.theta_alternating_sum(rs, None, Fraction(dim, 24) - Fraction(1, 24))
+    assert not qs.theta_alternating_sum(rs, rs.fundamental_weights,
+                                        Fraction(dim, 24) - Fraction(1, 24))
 
 
 # ---------------------------------------------------------------------------
