@@ -11,8 +11,9 @@ two routes cross-check each other.
 Inside, everything runs on ints and touches Fractions only at its edges.
 One Freudenthal recursion (`_freudenthal_tables`) runs on Dynkin labels
 (`RootSystem.label_data`) grade by grade, on dominant weights only: its grade
-0 is the table of a finite module, cached on labels (`_dominant_table`, also
-the columns of `affine.multiplicity_matrix`), and its grades make the affine
+0 is the table of a finite module, cached per (root system, labels) by
+`functools.cache` like `label_dimension` (`_dominant_table`, also the
+columns of `affine.multiplicity_matrix`), and its grades make the affine
 oracle `affine.affine_freudenthal`.  It and the affine characters pair
 labels by the one integer form `LabelData.pair` and bound each grade by the
 one ball of Kac, Prop. 11.4 (`_ball`).
@@ -28,14 +29,15 @@ injection fan, and the lattice `qseries.QSeries` products, which keep their
 codes packed in the one fixed box of each dimension, `_box`, between
 products) adds them packed into one int each (`_packing`).  The affine
 characters and the q-series verifiers read their affine denominators from
-`_affine_denominator`: grade 0 by the binomial expansion (or 1 for the affine
-characters' fold on labels, which leaves the finite factor out), every later
-grade once per process from the grades below it (the q-log-derivative
+`_affine_denominator`: grade 0 as the product of its root factors
+1 - e^{-img} (or 1 for the affine characters' fold on labels, which leaves
+the finite factor out), every later grade once per process from the grades
+below it and the power sums, rebuilt on each growth (the q-log-derivative
 recurrence), computed packed in `_box` and kept in `_layer_cache` by (image
-codes, imaginary, rooted) with its codes, its reach and the packed power
-sums, in entries that are published under `_cache_lock` and never changed;
-the q-series read the packed grades as they are, the fold their codes, each
-grade unpacked once, and the binomial expansion is the oracle.
+codes, imaginary, rooted) with its codes and its reach, in entries that are
+published under `_cache_lock` and never changed; the q-series read the
+packed grades as they are, the fold their codes, each grade unpacked once,
+and the binomial expansion is the oracle of every grade, 0 included.
 `_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
 the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
@@ -43,10 +45,10 @@ labels and sign of each affine Weyl image: the affine characters fold them
 on labels, and `_numerator_codes` sums their Weyl orbits on codes for every
 alternating theta sum (there on 1-coordinate codes, each a packed code).
 Every orbit here, of the singular elements, the numerator and the
-Freudenthal character, comes as codes from `RootSystem.label_orbit`.  Weyl-denominator quotients divide one root
-factor at a time on them (`_divide_by_roots`, behind `character_via_weyl`);
-the general division (`divide_codes`, wrapped by `divide_exact`) eliminates
-on them and is its oracle.  The one decomposer
+Freudenthal character, comes as codes from `RootSystem.label_orbit`.
+Weyl-denominator quotients divide one root factor at a time on them
+(`_divide_by_roots`, behind `character_via_weyl`); the one general division
+(`divide_exact`) eliminates on them and is its oracle.  The one decomposer
 (`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
 checks Weyl invariance by integer reflections and then peels only dominant
 weights, subtracting cached dominant multiplicities instead of whole orbits.
@@ -249,68 +251,8 @@ def rho_pairing(rs: RootSystem) -> tuple:
 
 def _order_key(pair):
     """The key (pairing with pair, code) of a code: the elimination order of
-    divide_codes, highest weight first for pair = rho_pairing."""
+    divide_exact, highest weight first for pair = rho_pairing."""
     return lambda c: (sum(map(mul, pair, c)), c)
-
-
-def divide_codes(numer: dict, denom: dict, pair) -> dict:
-    """Exact group-ring division of {code: coefficient} dicts, eliminating
-    leading terms: the smallest (pairing, code) pairs, pairing the dot
-    product with `pair` (see rho_pairing).  The quotient holds its terms in
-    elimination order; numer is consumed as the remainder.
-
-    The leading coefficient of denom must be a unit (+-1); raises if a
-    nonzero remainder survives.  A lazy-deletion heap tracks the leading
-    remainder term: an eliminated weight can never re-enter (all insertions
-    sit strictly below the current leading term).  Lowest terms multiply, so
-    an exact quotient has no term below lowest(numer) - lowest(denom);
-    reaching one means a nonzero remainder.
-    """
-    key = _order_key(pair)
-    if not denom:
-        raise ZeroDivisionError("group-ring division by the zero denominator")
-    dterms = [(*key(c), d) for c, d in denom.items()]
-    lead_p, lead_v, lead_c = min(dterms)
-    if lead_c not in (1, -1):
-        raise ValueError("denominator leading coefficient is not a unit")
-    shifts = [(p - lead_p, tuple(map(sub, c, lead_v)), d) for p, c, d in dterms]
-
-    rem = numer
-    heap = list(map(key, rem))
-    heapq.heapify(heap)
-    quot: dict = {}
-    if heap:
-        low_p, low_v = max(heap)
-        last_p, last_v, _ = max(dterms)
-        lowest_q = (low_p - last_p, tuple(map(sub, low_v, last_v)))
-    steps = 0
-    while heap:
-        p, v = heapq.heappop(heap)
-        c = rem.get(v)
-        if not c:
-            rem.pop(v, None)
-            continue
-        q = c * lead_c
-        qv = tuple(map(sub, v, lead_v))
-        if (p - lead_p, qv) > lowest_q:
-            break
-        quot[qv] = quot.get(qv, 0) + q
-        # subtract q e^{qv} * denom: term w of denom lands at qv + w = v + (w - lead)
-        for dp, dw, d in shifts:
-            u = tuple(map(add, v, dw))
-            n = rem.get(u, 0) - q * d
-            if n:
-                if u not in rem:
-                    heapq.heappush(heap, (p + dp, u))
-                rem[u] = n
-            else:
-                rem.pop(u, None)
-        steps += 1
-        if steps > 2_000_000:
-            raise ArithmeticError("group-ring division does not terminate")
-    if any(rem.values()):
-        raise ArithmeticError("nonzero remainder in group-ring division")
-    return quot
 
 
 def _packing(lo, hi):
@@ -347,7 +289,7 @@ def _divide_by_roots(numer: dict, factors, pair) -> dict:
     total must vanish.  A quotient that passes and lies in the box of numer
     is exact: times the denominator it packs to numer in the widened box,
     where packing is injective.  Factors highest first keep the dividends
-    small.  Sorted by (pairing with pair, code), the order of divide_codes."""
+    small.  Sorted by (pairing with pair, code), the order of divide_exact."""
     if not numer:
         return {}
     lo, hi = [list(map(f, zip(*numer))) for f in (min, max)]
@@ -375,14 +317,12 @@ def _divide_by_roots(numer: dict, factors, pair) -> dict:
     return {c: quot[c] for c in sorted(quot, key=_order_key(pair))}
 
 
-def add_product(dst: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """dst += sign * a * b on dicts keyed by packed codes (_packing),
-    returning dst; a or b may be dst itself.  The package's one group-ring
-    product loop."""
+def add_product(dst: dict, a: dict, b: dict) -> dict:
+    """dst += a * b on dicts keyed by packed codes (_packing), returning dst;
+    a or b may be dst itself.  The package's one group-ring product loop."""
     get = dst.get
     b = list(b.items())
     for w, c in list(a.items()):
-        c *= sign
         for v, d in b:
             u = w + v
             x = get(u, 0) + c * d
@@ -446,12 +386,11 @@ def _in_box(reach: int) -> int:
 
 class _Denominator(NamedTuple):
     """A `_layer_cache` entry, grades 0..n: each grade packed in the box of
-    its dimension and as a {code: coefficient} dict, the reach of each
-    grade, and the packed power sums S_0..S_n."""
+    its dimension and as a {code: coefficient} dict, and the reach of each
+    grade."""
     grades: tuple
     codes: tuple
     reaches: tuple
-    sums: tuple
 
 
 def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True):
@@ -460,30 +399,31 @@ def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True
     process, packed in the box of its dimension (_box), by the
     q-log-derivative recurrence n P_n = sum_{j=1..n} S_j P_{n-j}, with the
     power sums S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} +
-    e^{-(j/d) img}), and unpacked once; grade 0 is the binomial expansion,
-    or 1 when not rooted (the q-free factor prod_img (1 - e^{-img}) left out
-    of every grade).  The division by n is exact, and a remainder raises
-    ArithmeticError.  Every term of P_n and S_j P_{n-j} lies within
-    (2 cutoff + 1) sum_img |img|, so a cutoff whose bound leaves the box
-    raises ArithmeticError before anything is packed.  A deeper request
-    computes only the grades and power sums above the cached ones and
-    publishes a longer entry under _cache_lock that shares them; a published
-    entry and everything it holds are never changed."""
+    e^{-(j/d) img}), and unpacked once; grade 0 is the product of the
+    factors 1 - e^{-img}, one add_product each, or 1 when not rooted (that
+    q-free factor left out of every grade).  The division by n is exact, and
+    a remainder raises ArithmeticError.  Every term of P_n and S_j P_{n-j}
+    lies within (2 cutoff + 1) sum_img |img|, so a cutoff whose bound leaves
+    the box raises ArithmeticError before anything is packed.  A deeper
+    request rebuilds the power sums, computes only the grades above the
+    cached ones and publishes a longer entry under _cache_lock that shares
+    them; a published entry and everything it holds are never changed."""
     key = (tuple(images), imaginary, rooted)
     entry = _layer_cache.get(key)
     if entry is None or len(entry.grades) <= cutoff:
         _in_box((2 * cutoff + 1) * max(sum(map(abs, col)) for col in zip(*images)))
         pack, unpack = _box(len(images[0]))
-        grades, codes, reaches, sums = map(list, entry or ((), (), (), ({},)))
-        if not grades:
-            grades.append(pack(_denominator_codes(images, 0, 0)[0]) if rooted else {0: 1})
+        grades, codes, reaches = map(list, entry or ((), (), ()))
         keys = [k for img in images for k in pack({img: 1})]
-        for j in range(len(sums), cutoff + 1):
-            s = {}                  # S_j, packed; 0 packs to 0
+        if not grades:
+            grades.append({0: 1})
+            for k in keys if rooted else ():
+                add_product(grades[0], {-k: -1}, grades[0])
+        sums = [{} for _ in range(cutoff + 1)]      # S_j, packed; 0 packs to 0
+        for j, s in enumerate(sums):
             for d in (d for d in range(1, j + 1) if j % d == 0):
                 for x in [0] * imaginary + [j // d * k for k in keys] + [-j // d * k for k in keys]:
                     s[x] = s.get(x, 0) - d
-            sums.append(s)
         for n in range(len(grades), cutoff + 1):
             acc: dict = {}
             for j in range(1, n + 1):
@@ -493,7 +433,7 @@ def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True
             grades.append({p: c // n for p, c in acc.items()})
         codes += map(unpack, grades[len(codes):])
         reaches += [max(map(abs, itertools.chain(*c)), default=0) for c in codes[len(reaches):]]
-        entry = _Denominator(*map(tuple, (grades, codes, reaches, sums)))
+        entry = _Denominator(*map(tuple, (grades, codes, reaches)))
         with _cache_lock:
             held = _layer_cache.get(key)
             if held is None or len(held.grades) < len(entry.grades):
@@ -573,21 +513,68 @@ def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
 
 def divide_exact(numer: FormalCharacter, denom: FormalCharacter,
                  rs: RootSystem) -> FormalCharacter:
-    """Exact group-ring division, eliminating leading terms in the order
-    (rho-pairing, lex): divide_codes on the supports coded over their common
-    denominator."""
+    """Exact group-ring division on the supports coded over their common
+    denominator, eliminating leading terms: the smallest (rho-pairing, code)
+    pairs (_order_key).  The quotient holds its terms in elimination order.
+
+    The leading coefficient of denom must be a unit (+-1); raises if a
+    nonzero remainder survives.  A lazy-deletion heap tracks the leading
+    remainder term: an eliminated weight can never re-enter (all insertions
+    sit strictly below the current leading term).  Lowest terms multiply, so
+    an exact quotient has no term below lowest(numer) - lowest(denom);
+    reaching one means a nonzero remainder.
+    """
+    if not denom:
+        raise ZeroDivisionError("group-ring division by the zero denominator")
     den = common_denominator(itertools.chain(numer.terms, denom.terms))
-    quot = divide_codes({encode(v, den): c for v, c in numer.terms.items()},
-                        {encode(v, den): c for v, c in denom.terms.items()},
-                        rho_pairing(rs))
+    key = _order_key(rho_pairing(rs))
+    dterms = [(*key(encode(v, den)), d) for v, d in denom.terms.items()]
+    lead_p, lead_v, lead_c = min(dterms)
+    if lead_c not in (1, -1):
+        raise ValueError("denominator leading coefficient is not a unit")
+    shifts = [(p - lead_p, tuple(map(sub, c, lead_v)), d) for p, c, d in dterms]
+
+    rem = {encode(v, den): c for v, c in numer.terms.items()}
+    heap = list(map(key, rem))
+    heapq.heapify(heap)
+    quot: dict = {}
+    if heap:
+        low_p, low_v = max(heap)
+        last_p, last_v, _ = max(dterms)
+        lowest_q = (low_p - last_p, tuple(map(sub, low_v, last_v)))
+    steps = 0
+    while heap:
+        p, v = heapq.heappop(heap)
+        c = rem.get(v)
+        if not c:
+            rem.pop(v, None)
+            continue
+        q = c * lead_c
+        qv = tuple(map(sub, v, lead_v))
+        if (p - lead_p, qv) > lowest_q:
+            break
+        quot[qv] = quot.get(qv, 0) + q
+        # subtract q e^{qv} * denom: term w of denom lands at qv + w = v + (w - lead)
+        for dp, dw, d in shifts:
+            u = tuple(map(add, v, dw))
+            n = rem.get(u, 0) - q * d
+            if n:
+                if u not in rem:
+                    heapq.heappush(heap, (p + dp, u))
+                rem[u] = n
+            else:
+                rem.pop(u, None)
+        steps += 1
+        if steps > 2_000_000:
+            raise ArithmeticError("group-ring division does not terminate")
+    if any(rem.values()):
+        raise ArithmeticError("nonzero remainder in group-ring division")
     return decode(quot, den)
 
 
 # ---------------------------------------------------------------------------
 # Freudenthal on labels
 
-# the finite label tables of _dominant_table, keyed by (algebra name, Dynkin labels)
-_table_cache: dict = {}
 # affine denominators, keyed by (image codes, imaginary, rooted): _Denominator entries
 _layer_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -677,16 +664,11 @@ def _ball(rs: RootSystem, top: tuple, level: int) -> tuple:
     return ld.pair(x, x), 2 * (level + rs.dual_coxeter[0]) * ld.form_den
 
 
+@functools.cache
 def _dominant_table(rs: RootSystem, top: tuple) -> list:
     """The rows of _freudenthal_tables for the dominant weights of the finite
     module L(top) (int labels), highest weight first; cached."""
-    key = (rs.name, top)
-    if (hit := _table_cache.get(key)) is not None:
-        return hit
-    (table,) = _freudenthal_tables(rs, top, 0, 0)
-    with _cache_lock:
-        _table_cache[key] = table
-    return table
+    return _freudenthal_tables(rs, top, 0, 0)[0]
 
 
 def dominant_multiplicities(rs: RootSystem, mu: Vec) -> dict[Vec, int]:
@@ -738,12 +720,11 @@ def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
     return decode(_divide_by_roots(codes, factors, rho_pairing(rs)), den)
 
 
+@functools.cache
 def label_dimension(rs: RootSystem, labels: tuple) -> int:
     """Weyl dimension of L(labels), int labels: the product over positive
     roots sum_i k_i alpha_i of sum_i k_i (l_i + 1) |alpha_i|^2 over
     sum_i k_i |alpha_i|^2, in ints.  Cached per labels."""
-    if (dim := rs._dimension_cache.get(labels)) is not None:
-        return dim
     if any(m < 0 for m in labels):
         raise ValueError(f"weight with labels {tuple(labels)} is not dominant")
     ld = rs.label_data
@@ -755,7 +736,6 @@ def label_dimension(rs: RootSystem, labels: tuple) -> int:
     val, r = divmod(num, den)
     if r:
         raise AssertionError("Weyl dimension is not an integer")
-    rs._dimension_cache[labels] = val
     return val
 
 

@@ -141,16 +141,13 @@ def _inputs(args, splint=None):
 # output
 
 
-class Emitter:
-    def __init__(self, fmt):
-        self.json = fmt == "json"
-
-    def record(self, kind, text_lines, **fields):
-        if self.json:
-            print(json.dumps({"record": kind, **fields}, sort_keys=True))
-        else:
-            for line in text_lines:
-                print(line)
+def _emit(fmt, kind, lines, **fields):
+    """Print one record: a JSON object for fmt "json", else the text lines."""
+    if fmt == "json":
+        print(json.dumps({"record": kind, **fields}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _ints(labels):
@@ -253,7 +250,6 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
 
 def cmd_roots(args):
     rs, _, _, _ = _inputs(args)
-    em = Emitter(args.format)
     pos = [tuple(_ints(rs.simple_coefficients(a))) for a in rs.positive_roots]
     lines = [f"algebra {rs.name}: rank {rs.rank}, {len(pos)} positive roots, "
              f"h-dual {list(rs.dual_coxeter)}, |W| = {rs.weyl_order}",
@@ -262,21 +258,20 @@ def cmd_roots(args):
     lines.append("positive roots (simple-root coefficients):")
     lines += ["  " + " ".join(map(str, c)) for c in pos]
     lines.append(f"rho labels: {_labels_str(rs.dynkin_labels(rs.rho))}")
-    em.record("roots", lines, algebra=rs.name, rank=rs.rank, cartan=rs.cartan,
-              positive_roots=[list(c) for c in pos],
-              rho_labels=_ints(rs.dynkin_labels(rs.rho)),
-              dual_coxeter=list(rs.dual_coxeter), weyl_order=rs.weyl_order)
+    _emit(args.format, "roots", lines, algebra=rs.name, rank=rs.rank, cartan=rs.cartan,
+          positive_roots=[list(c) for c in pos],
+          rho_labels=_ints(rs.dynkin_labels(rs.rho)),
+          dual_coxeter=list(rs.dual_coxeter), weyl_order=rs.weyl_order)
     return 0
 
 
 def cmd_splint(args):
-    em = Emitter(args.format)
     rs, s, _, _ = _inputs(args, None if args.action == "list" else True)
     if args.action == "list":
         entries = splint_catalog(rs)
         if not entries:
-            em.record("splint", [f"no catalog splints for {rs.name}"],
-                      algebra=rs.name, splints=[])
+            _emit(args.format, "splint", [f"no catalog splints for {rs.name}"],
+                  algebra=rs.name, splints=[])
             return 0
         rows = []
         for s in entries:
@@ -287,16 +282,16 @@ def cmd_splint(args):
                          "stem": s.phi2.source.name, "status": flag})
         lines = [f"{r['name']}: subalgebra {r['subalgebra']}, stem {r['stem']} "
                  f"[{r['status']}]" for r in rows]
-        em.record("splint", lines, algebra=rs.name, splints=rows)
+        _emit(args.format, "splint", lines, algebra=rs.name, splints=rows)
         return 0
     rep = check_splint(s)
     rep1 = check_embedding(s.phi1)
     rep2 = check_embedding(s.phi2)
     lines = [f"{s.name}: check_splint {'pass' if rep.passed else 'FAIL'}"]
     lines += [f"  problem: {p}" for p in rep.problems]
-    em.record("splint_check", lines, name=s.name, passed=rep.passed,
-              problems=rep.problems, embedding_subalgebra=rep1.passed,
-              embedding_stem=rep2.passed)
+    _emit(args.format, "splint_check", lines, name=s.name, passed=rep.passed,
+          problems=rep.problems, embedding_subalgebra=rep1.passed,
+          embedding_stem=rep2.passed)
     return 0 if rep.passed else 1
 
 
@@ -307,9 +302,8 @@ def cmd_fan(args):
                   for g, v in fan.coefficients.items())
     lines = [f"injection fan of {s.name}: {len(rows)} coefficients"]
     lines += [f"  gamma = {' '.join(map(str, g)):12s} s(gamma) = {v:+d}" for g, v in rows]
-    em = Emitter(args.format)
-    em.record("fan", lines, splint=s.name,
-              coefficients=[{"gamma": g, "s": v} for g, v in rows])
+    _emit(args.format, "fan", lines, splint=s.name,
+          coefficients=[{"gamma": g, "s": v} for g, v in rows])
     return 0
 
 
@@ -341,9 +335,8 @@ def cmd_branch(args):
     lines.append(f"total dimension {total} (module dimension {weyl_dimension(rs, mu)})")
     if match is not None:
         lines.append(f"oracle match: {match}")
-    em = Emitter(args.format)
-    em.record("branch", lines, algebra=rs.name, splint=s.name, weight=labels,
-              rows=rows, total_dimension=total, oracle_match=match)
+    _emit(args.format, "branch", lines, algebra=rs.name, splint=s.name, weight=labels,
+          rows=rows, total_dimension=total, oracle_match=match)
     return 0 if match in (None, True) else 1
 
 
@@ -368,9 +361,8 @@ def cmd_affine_branch(args):
                      f"sub ({_labels_str(r['subalgebra_labels'])})  b(q) = {r['series']}")
     if match is not None:
         lines.append(f"oracle match: {match}")
-    em = Emitter(args.format)
-    em.record("affine_branch", lines, algebra=rs.name, splint=s.name, weight=labels,
-              level=aw.level, grade_max=args.grade_max, rows=rows, oracle_match=match)
+    _emit(args.format, "affine_branch", lines, algebra=rs.name, splint=s.name, weight=labels,
+          level=aw.level, grade_max=args.grade_max, rows=rows, oracle_match=match)
     return 0 if match in (None, True) else 1
 
 
@@ -413,7 +405,7 @@ def cmd_strings(args):
                      f"{consistent}")
         fields.update(basis=basis_labels, matrix=mm.mat, inverse=minv,
                       b_from_sigma=bvec, consistent=consistent)
-    Emitter(args.format).record("strings", lines, **fields)
+    _emit(args.format, "strings", lines, **fields)
     return 0 if fields.get("consistent", True) else 1
 
 
@@ -423,9 +415,8 @@ def cmd_qdim(args):
     series = af.q_dimension(rs, aw, args.grade_max, gc=gc)
     lines = [f"q-dimension of {rs.name} level {aw.level} weight "
              f"({_labels_str(labels)}): {series}"]
-    Emitter(args.format).record("qdim", lines, algebra=rs.name, weight=labels,
-                                level=aw.level, grade_max=args.grade_max,
-                                series=series)
+    _emit(args.format, "qdim", lines, algebra=rs.name, weight=labels, level=aw.level,
+          grade_max=args.grade_max, series=series)
     return 0
 
 
@@ -456,9 +447,8 @@ def cmd_verify(args):
         lines.append(f"{rep.name}: {'pass' if rep else 'FAIL'} - {rep.detail}{extra}")
         rows.append({"identity": rep.name, "passed": rep.passed, "detail": rep.detail,
                      "first_mismatch": None if mismatch is None else str(mismatch)})
-    Emitter(args.format).record("verify", lines,
-                                splint=None if s is None else s.name,
-                                algebra=rs.name, grade_max=n, results=rows)
+    _emit(args.format, "verify", lines, splint=None if s is None else s.name,
+          algebra=rs.name, grade_max=n, results=rows)
     return 0 if all(reports) else 1
 
 

@@ -43,9 +43,11 @@ the first discrepancy.  Every affine denominator here (of the ambient
 algebra, of a stem pushed into ambient coordinates, of a single root string,
 of the root-string product on the right of the theta-product identity) is
 the layers of `characters._affine_denominator` read as a series: each grade
-is computed once per process, packed, from the grades below it and kept,
-never changed, in a cache published under `characters._cache_lock`; the
-series share its dicts.  Every alternating theta sum, over the coroot
+is computed once per process, packed (grade 0 as the product of the root
+factors, every later grade from the grades below it) and kept, never
+changed, in a cache published under `characters._cache_lock`; the series
+share its dicts, and `verify_denominator_splint` reads each stem's pushed
+into ambient coordinates.  Every alternating theta sum, over the coroot
 lattice at level h-dual of a simple factor, is that factor's Weyl-Kac
 numerator at rho (`characters._numerator_codes`) times e^{rho} q^{dim/24};
 the numerator and the lattice sums that remain walk their points, each with
@@ -397,12 +399,6 @@ def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
     return _denominator_series(rs.positive_roots, rs.rank, cutoff)
 
 
-def _stem_denominator(phi, cutoff) -> QSeries:
-    """Affine denominator of a stem pushed into ambient coordinates: the
-    images carry the e-content, the grading stays the stem's own."""
-    return _denominator_series(list(phi.pos_map.values()), phi.source.rank, cutoff)
-
-
 def _require_splint(s: Splint):
     # Verifiers treat mismatches as data, so a structurally broken splint gets
     # a fail report, not an exception; only degenerate input is rejected.
@@ -423,10 +419,14 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> Report:
 
     D^(Delta_1) * D^(phi Delta_2) =
         D^(Delta) * prod_n (1-q^n)^(rank a + rank s - rank g),
-    compared exactly as truncated lattice series."""
+    compared exactly as truncated lattice series.  A stem's denominator is
+    pushed into ambient coordinates: its images carry the e-content, the
+    grading stays the stem's own."""
     _require_splint(s)
     rs = s.ambient
-    lhs = _stem_denominator(s.phi1, cutoff) * _stem_denominator(s.phi2, cutoff)
+    stem1, stem2 = (_denominator_series(list(phi.pos_map.values()), phi.source.rank, cutoff)
+                    for phi in (s.phi1, s.phi2))
+    lhs = stem1 * stem2
     extra = s.phi1.source.rank + s.phi2.source.rank - rs.rank
     rhs = denominator_product(rs, cutoff)
     lhs, rhs = _times_power(lhs, rhs, _phi_series, extra, cutoff)

@@ -369,7 +369,6 @@ class RootSystem:
         self._split_cache: dict[Vec, tuple] = {}
         self._dominant_cache: dict[tuple, tuple] = {}
         self._orbit_size_cache: dict[tuple, int] = {}
-        self._dimension_cache: dict[tuple, int] = {}
 
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):

@@ -4,20 +4,23 @@ binomial expansion.
 `characters._affine_denominator` computes grade n of
 prod_img (1 - e^{-img}) prod_n (1 - q^n)^imaginary (1 - q^n e^{-img})(1 - q^n e^{img})
 from the grades below it, once per process, packed in the one box of its
-dimension, and keeps the grades, their codes, their reaches and the power
-sums in a cache entry that a deeper request extends.  The oracle is
+dimension, and keeps the grades, their codes and their reaches in a cache
+entry that a deeper request extends.  The oracle is
 `characters._denominator_codes`, the binomial-by-binomial expansion behind
 `denominator_layers`: every layer, unpacked, must be equal as a mapping, on
 random image sets and on the stems and ambient of the catalog splints.
 Seeded with 1 instead of prod_img (1 - e^{-img}) (not rooted), the layers
-times that product must be the rooted ones.  Two requests in a row must give
-the layers, dict order included, of one request against an empty cache; an
-entry grown one grade at a time must equal one built at once, packed dicts,
-dict order, reaches and power sums included; and threads asking at once must
-leave the deepest entry.  A cutoff whose box bound (2 cutoff + 1) sum |img|
-leaves the box is refused before anything is packed.  A corrupted cached
-grade makes the next grade non-integral, which the CLI reports with exit 3
-instead of rounding.
+times that product must be the rooted ones.  The recurrence builds its own
+grade 0: with `_denominator_codes` patched to raise, the catalog stems and
+ambients (rooted) and the fold's D' of each catalog ambient on labels
+(unrooted) still match the test-local tuple-code expansion, grade 0
+included.  Two requests in a row must give the layers, dict order included,
+of one request against an empty cache; an entry grown one grade at a time
+must equal one built at once, packed dicts, dict order and reaches
+included; and threads asking at once must leave the deepest entry.  A
+cutoff whose box bound (2 cutoff + 1) sum |img| leaves the box is refused
+before anything is packed.  A corrupted cached grade makes the next grade
+non-integral, which the CLI reports with exit 3 instead of rounding.
 """
 
 import sys
@@ -32,7 +35,7 @@ from splintbranch.characters import (_BOX, _affine_denominator, _box, _denominat
                                      common_denominator, encode)
 from splintbranch.cli import main
 from splintbranch.splints import find_splint
-from test_packed_codes import image_sets, packed_products
+from test_packed_codes import image_sets, packed_products, tuple_denominator_codes
 
 SPLINTS = ["G2:A2A2", "B2:A1A1", "B2:A1A2", "A2:A1A1A1", "A3:A2A1A1A1"]
 
@@ -84,10 +87,10 @@ def test_unrooted_layers_times_the_root_factors_are_the_rooted_layers(images, im
 @settings(max_examples=60, deadline=None)
 @given(images=image_sets(), imaginary=st.integers(0, 3), rooted=st.booleans())
 def test_grown_entry_equals_one_built_at_once(images, imaginary, rooted):
-    # grown one grade at a time to 8, only the new grades and power sums are
-    # computed: the entry equals one built at 8 on an empty cache, the same
-    # packed dicts and codes in the same dict order, each code dict is its
-    # grade unpacked, and each reach is the largest |coordinate| of its grade
+    # grown one grade at a time to 8, only the new grades are computed: the
+    # entry equals one built at 8 on an empty cache, the same packed dicts
+    # and codes in the same dict order, each code dict is its grade
+    # unpacked, and each reach is the largest |coordinate| of its grade
     characters._layer_cache.clear()
     grown = [_affine_denominator(images, imaginary, c, rooted) for c in range(9)][-1]
     characters._layer_cache.clear()
@@ -95,7 +98,6 @@ def test_grown_entry_equals_one_built_at_once(images, imaginary, rooted):
     assert ordered(grown.grades) == ordered(fresh.grades)
     assert ordered(grown.codes) == ordered(fresh.codes)
     assert grown.reaches == fresh.reaches
-    assert ordered(grown.sums) == ordered(fresh.sums)
     codes = unpacked(images, grown.grades)
     assert ordered(grown.codes) == ordered(codes)
     assert list(grown.reaches) == [max((abs(x) for v in layer for x in v), default=0)
@@ -164,6 +166,45 @@ def test_catalog_denominators_to_grade_8(case):
     for imaginary in imaginaries:
         characters._layer_cache.clear()
         assert layers(images, imaginary, 8) == _denominator_codes(images, imaginary, 8)
+
+
+def self_seeded_cases():
+    """(case id, images, imaginary, rooted): each distinct stem and ambient of
+    the catalog splints with its rank, rooted, and the fold's D' of each
+    catalog ambient, on labels and unrooted."""
+    cases, seen = [], set()
+    for case_id, images, (rank, _) in stem_and_ambient_images():
+        if (tuple(images), rank) not in seen:
+            seen.add((tuple(images), rank))
+            cases.append((case_id, images, rank, True))
+    for rs in dict.fromkeys(find_splint(name).ambient for name in SPLINTS):
+        cases.append((f"{rs.name}-fold", [a for a, _ in rs.label_data.positive], rs.rank, False))
+    return cases
+
+
+@pytest.mark.parametrize("case", self_seeded_cases(), ids=lambda c: c[0])
+def test_recurrence_seeds_its_own_grade_0(case, monkeypatch):
+    # no grade, 0 included, is read from the binomial expansion: the rooted
+    # grades are the tuple-code expansion, and the unrooted ones times its
+    # grade 0 at imaginary 0 (the root factors)
+    _, images, imaginary, rooted = case
+
+    def refuse(*args):
+        raise AssertionError("_denominator_codes called")
+
+    monkeypatch.setattr(characters, "_denominator_codes", refuse)
+    characters._layer_cache.clear()
+    try:
+        got = layers(images, imaginary, 8, rooted)
+    finally:
+        characters._layer_cache.clear()
+    want = tuple_denominator_codes(images, imaginary, 8)
+    if rooted:
+        assert got == want
+    else:
+        (root_factors,) = tuple_denominator_codes(images, 0, 0)
+        assert got[0] == {(0,) * len(images[0]): 1}
+        assert packed_products([({}, [(root_factors, layer)]) for layer in got]) == want
 
 
 def test_returned_lists_are_fresh():

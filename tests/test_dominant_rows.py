@@ -10,7 +10,9 @@ of the rows, and `affine_freudenthal`'s), and the memo of
 `RootSystem.orbit_size` against its formula and the orbit walk.  With the
 layer builder patched to raise, the benchmark's affine op and the CLI's
 `strings` and `qdim` must still run, cold and warm.  `graded_character`
-refuses folds with no grade 0 and a fold term of the wrong shape.
+refuses folds with no grade 0 and a fold term of the wrong shape.  The
+cached `_dominant_table` returns one list on a repeat call, equal to the
+grade 0 of `_freudenthal_tables`.
 """
 
 import itertools
@@ -22,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 
 from splintbranch import affine as af
-from splintbranch.characters import (_dominant_table, _split_dominant, common_denominator,
-                                     decode, encode, rho_pairing)
+from splintbranch.characters import (_dominant_table, _freudenthal_tables, _split_dominant,
+                                     common_denominator, decode, encode, rho_pairing)
 from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system, vadd, weyl_group_order, zero_vec
 from splintbranch.splints import splint_catalog
@@ -234,3 +236,12 @@ def test_malformed_fold_term_is_refused(case):
 def test_well_formed_fold_builds_the_character():
     gc = af.graded_character(A2, A2_VACUUM, [{(0, 0): 1}, {(1, 1): 1}])
     assert gc == af.affine_character(A2, A2_VACUUM, 1)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "A1xA1", "A1xB2"])
+def test_dominant_table_is_cached_grade_0(name):
+    rs = build_root_system(name)
+    for top in itertools.product(range(3), repeat=rs.rank):
+        table = _dominant_table(rs, top)
+        assert _dominant_table(rs, top) is table
+        assert table == _freudenthal_tables(rs, top, 0, 0)[0]

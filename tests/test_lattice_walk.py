@@ -237,8 +237,9 @@ def test_memoized_label_dimension_equals_the_formula(name):
         labels += (1,) * (rs.rank - len(labels))
         want = fraction_dimension(rs, labels)
         assert label_dimension(rs, labels) == want
-        assert rs._dimension_cache[labels] == want
+        hits = label_dimension.cache_info().hits
         assert label_dimension(rs, labels) == want      # served by the memo
+        assert label_dimension.cache_info().hits == hits + 1
     with pytest.raises(ValueError, match="is not dominant"):
         label_dimension(rs, (-1,) + (0,) * (rs.rank - 1))
 
@@ -250,4 +251,6 @@ def test_memoized_label_dimension_equals_the_formula(name):
 def test_memoized_label_dimension_at_rank_7_and_8(name, labels, dim):
     rs = ALGEBRAS[name]
     assert label_dimension(rs, labels) == fraction_dimension(rs, labels) == dim
-    assert rs._dimension_cache[labels] == dim
+    hits = label_dimension.cache_info().hits
+    assert label_dimension(rs, labels) == dim       # served by the memo
+    assert label_dimension.cache_info().hits == hits + 1

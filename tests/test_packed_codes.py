@@ -8,10 +8,10 @@ the packed route must give equal layers in equal dict order, on random image
 sets with negative coordinates in dimensions 1-9, and on images that drive
 terms to both corners of the box.  `FormalCharacter.__mul__`, which packs
 its two operands and calls `add_product` once, is checked against the same
-loop on weights over mixed denominators, and so are `add_product`'s dst and
-sign forms, on a test-local packing (`packed_products`, also the packed
-product of the oracles in `test_branch_numerator` and
-`test_denominator_recurrence`).
+loop on weights over mixed denominators, and so is `add_product`'s dst
+form, with a sign applied by negating one operand, on a test-local packing
+(`packed_products`, also the packed product of the oracles in
+`test_branch_numerator` and `test_denominator_recurrence`).
 """
 
 import itertools
@@ -63,17 +63,21 @@ def balanced_packing(dicts):
     return pack, unpack
 
 
+def negated(terms):
+    return {k: -c for k, c in terms.items()}
+
+
 def packed_products(sums, sign=1):
     """[dst + sign * (sum of a * b over pairs) for dst, pairs in sums] as new
     {code: coefficient} dicts: add_product pair by pair on the test-local
-    packing of every dict given."""
+    packing of every dict given, a negated for sign -1."""
     pack, unpack = balanced_packing(
         [t for dst, pairs in sums for t in itertools.chain([dst], *pairs)])
     out = []
     for dst, pairs in sums:
         acc = pack(dst)
         for a, b in pairs:
-            add_product(acc, pack(a), pack(b), sign)
+            add_product(acc, pack(a) if sign == 1 else negated(pack(a)), pack(b))
         out.append(unpack(acc))
     return out
 
@@ -138,7 +142,8 @@ def product_sums(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=product_sums())
 def test_add_product_matches_tuple_loop(case):
-    # dst and sign forms: each dst gets sign times its pairs' products added
+    # dst form, signed by a negated operand: each dst gets sign times its
+    # pairs' products added
     sums, sign = case
     want = []
     for dst, pairs in sums:
@@ -160,7 +165,7 @@ def test_add_product_shares_operands_and_keeps_inputs():
     # an operand may be dst itself: a is read before it is added to
     pack, unpack = balanced_packing([a])
     p = pack(a)
-    assert list(unpack(add_product(p, p, p, -1)).items()) == list(
+    assert list(unpack(add_product(p, p, negated(p))).items()) == list(
         tuple_add_product(dict(a), dict(a), a, -1).items())
 
 

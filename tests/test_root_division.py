@@ -3,7 +3,7 @@ division it replaced.
 
 `characters._divide_by_roots` divides a {code: int} dict by prod (1 - e^a)
 over factor codes a, one binomial at a time on packed keys.  The oracle is
-`characters.divide_codes`, the heap elimination against the expanded
+`characters.divide_exact`, the heap elimination against the expanded
 denominator: on random integer numerators times the Weyl denominator, W-
 invariant or not, both must give the same quotient in the same dict order.
 The negative controls are inexact numerators (one extra monomial, a lone
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splintbranch.characters import (FormalCharacter, _denominator_codes, _divide_by_roots,
-                                     common_denominator, divide_codes, encode, rho_pairing,
+from splintbranch.characters import (FormalCharacter, _divide_by_roots, common_denominator,
+                                     decode, divide_exact, encode, rho_pairing,
                                      weyl_denominator)
 from splintbranch.rootsystem import build_root_system
 
@@ -33,23 +33,24 @@ def numerators(draw):
 
 
 def on_codes(rs, numer):
-    """(numerator, root factors, expanded Weyl denominator, pairing) on codes
-    over one denominator."""
+    """(numerator, root factors, denominator, pairing) on codes over one
+    denominator."""
     den = common_denominator(list(numer.terms) + list(rs.fundamental_weights)
                              + list(rs.positive_roots))
     roots = [encode(a, den) for a in rs.positive_roots]
     return ({encode(v, den): c for v, c in numer.items()},
-            [tuple(-x for x in a) for a in reversed(roots)],
-            _denominator_codes(roots, 0, 0)[0], rho_pairing(rs))
+            [tuple(-x for x in a) for a in reversed(roots)], den, rho_pairing(rs))
 
 
 @settings(max_examples=60, deadline=None)
 @given(numerators())
 def test_root_factors_match_heap_division(case):
     rs, x = case
-    numer, factors, denom, pair = on_codes(rs, x * weyl_denominator(rs))
-    ours = _divide_by_roots(dict(numer), factors, pair)
-    assert list(ours.items()) == list(divide_codes(numer, denom, pair).items())
+    numer = x * weyl_denominator(rs)
+    codes, factors, den, pair = on_codes(rs, numer)
+    ours = _divide_by_roots(codes, factors, pair)
+    want = divide_exact(numer, weyl_denominator(rs), rs)
+    assert list(decode(ours, den).items()) == list(want.items())
     assert len(ours) == len(x)
 
 
