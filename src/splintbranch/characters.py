@@ -29,15 +29,16 @@ injection fan, and the lattice `qseries.QSeries` products, which keep their
 codes packed in the one fixed box of each dimension, `_box`, between
 products) adds them packed into one int each (`_packing`).  The affine
 characters and the q-series verifiers read their affine denominators from
-`_affine_denominator`: grade 0 as the product of its root factors
-1 - e^{-img} (or 1 for the affine characters' fold on labels, which leaves
-the finite factor out), every later grade once per process from the grades
+`_affine_denominator`: grade 0 from `_root_factors`, the one expansion of
+the finite Weyl denominator, which `_denominator_codes` starts from too (or
+1 for the affine characters' fold on labels, which leaves the finite factor
+out), every later grade once per process from the grades
 below it and the power sums, rebuilt on each growth (the q-log-derivative
 recurrence), computed packed in `_box` and kept in `_layer_cache` by (image
 codes, imaginary, rooted) with its codes and its reach, in entries that are
 published under `_cache_lock` and never changed; the q-series read the
 packed grades as they are, the fold their codes, each grade unpacked once,
-and the binomial expansion is the oracle of every grade, 0 included.
+and the binomial expansion is the oracle of every grade above 0.
 `_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
 the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
@@ -333,22 +334,29 @@ def add_product(dst: dict, a: dict, b: dict) -> dict:
     return dst
 
 
+def _root_factors(images, pack) -> dict:
+    """prod_img (1 - e^{-img}), packed by pack (_packing): the finite Weyl
+    denominator, grade 0 of every rooted affine denominator."""
+    grade = {0: 1}
+    for img in images:
+        add_product(grade, pack({tuple(-x for x in img): -1}), grade)
+    return grade
+
+
 def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
     """denominator_layers on codes: images are the codes of the positive-root
     images, the layers are {code: coefficient} dicts.  Expanded packed over
     the box from the factors' summed negative and positive parts, which holds
-    every term: each is a sum of distinct factors."""
+    every term: each is a sum of distinct factors.  Grade 0 is _root_factors,
+    and each factor 1 - q^n e^v with n >= 1 then multiplies the layers."""
     zero = (0,) * len(images[0])
     negated = [tuple(-x for x in img) for img in images]
-    factors = [(0, v) for v in negated]
-    for n in range(1, cutoff + 1):
-        factors += [(n, zero)] * imaginary
-        factors += [(n, v) for v in negated]
-        factors += [(n, img) for img in images]
-    cols = list(zip(*(v for _, v in factors)))
+    factors = [(n, v) for n in range(1, cutoff + 1)
+               for v in [zero] * imaginary + negated + [*images]]
+    cols = list(zip(*negated, *(v for _, v in factors)))
     pack, unpack = _packing([sum(x for x in col if x < 0) for col in cols],
                             [sum(x for x in col if x > 0) for col in cols])
-    layers = [{0: 1}] + [{} for _ in range(cutoff)]
+    layers = [_root_factors(images, pack)] + [{} for _ in range(cutoff)]
     for n, v in factors:
         # layers *= (1 - q^n e^v), top grade first so each layer reads old values
         term = pack({v: -1})
@@ -399,9 +407,8 @@ def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True
     process, packed in the box of its dimension (_box), by the
     q-log-derivative recurrence n P_n = sum_{j=1..n} S_j P_{n-j}, with the
     power sums S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} +
-    e^{-(j/d) img}), and unpacked once; grade 0 is the product of the
-    factors 1 - e^{-img}, one add_product each, or 1 when not rooted (that
-    q-free factor left out of every grade).  The division by n is exact, and
+    e^{-(j/d) img}), and unpacked once; grade 0 is _root_factors in the
+    box, or 1 when not rooted (that q-free factor left out of every grade).  The division by n is exact, and
     a remainder raises ArithmeticError.  Every term of P_n and S_j P_{n-j}
     lies within (2 cutoff + 1) sum_img |img|, so a cutoff whose bound leaves
     the box raises ArithmeticError before anything is packed.  A deeper
@@ -416,9 +423,7 @@ def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True
         grades, codes, reaches = map(list, entry or ((), (), ()))
         keys = [k for img in images for k in pack({img: 1})]
         if not grades:
-            grades.append({0: 1})
-            for k in keys if rooted else ():
-                add_product(grades[0], {-k: -1}, grades[0])
+            grades.append(_root_factors(images, pack) if rooted else {0: 1})
         sums = [{} for _ in range(cutoff + 1)]      # S_j, packed; 0 packs to 0
         for j, s in enumerate(sums):
             for d in (d for d in range(1, j + 1) if j % d == 0):

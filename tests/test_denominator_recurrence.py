@@ -11,7 +11,9 @@ entry that a deeper request extends.  The oracle is
 random image sets and on the stems and ambient of the catalog splints.
 Seeded with 1 instead of prod_img (1 - e^{-img}) (not rooted), the layers
 times that product must be the rooted ones.  The recurrence builds its own
-grade 0: with `_denominator_codes` patched to raise, the catalog stems and
+grade 0 by `characters._root_factors`, the expansion of the finite Weyl
+denominator that `_denominator_codes` starts from, packed in the box: with
+`_denominator_codes` patched to raise, the catalog stems and
 ambients (rooted) and the fold's D' of each catalog ambient on labels
 (unrooted) still match the test-local tuple-code expansion, grade 0
 included.  Two requests in a row must give the layers, dict order included,
@@ -185,8 +187,8 @@ def self_seeded_cases():
 @pytest.mark.parametrize("case", self_seeded_cases(), ids=lambda c: c[0])
 def test_recurrence_seeds_its_own_grade_0(case, monkeypatch):
     # no grade, 0 included, is read from the binomial expansion: the rooted
-    # grades are the tuple-code expansion, and the unrooted ones times its
-    # grade 0 at imaginary 0 (the root factors)
+    # grades are the test-local tuple-code expansion, and the unrooted ones
+    # times its grade 0 at imaginary 0 (the root factors)
     _, images, imaginary, rooted = case
 
     def refuse(*args):

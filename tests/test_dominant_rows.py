@@ -11,8 +11,8 @@ of the rows, and `affine_freudenthal`'s), and the memo of
 layer builder patched to raise, the benchmark's affine op and the CLI's
 `strings` and `qdim` must still run, cold and warm.  `graded_character`
 refuses folds with no grade 0 and a fold term of the wrong shape.  The
-cached `_dominant_table` returns one list on a repeat call, equal to the
-grade 0 of `_freudenthal_tables`.
+cached `_dominant_table` returns one list on a repeat call, whose
+multiplicities times orbit sizes sum to the Weyl dimension of the module.
 """
 
 import itertools
@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 
 from splintbranch import affine as af
-from splintbranch.characters import (_dominant_table, _freudenthal_tables, _split_dominant,
-                                     common_denominator, decode, encode, rho_pairing)
+from splintbranch.characters import (_dominant_table, _split_dominant,
+                                     common_denominator, decode, encode, label_dimension,
+                                     rho_pairing)
 from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system, vadd, weyl_group_order, zero_vec
 from splintbranch.splints import splint_catalog
@@ -241,7 +242,7 @@ def test_well_formed_fold_builds_the_character():
 @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "A1xA1", "A1xB2"])
 def test_dominant_table_is_cached_grade_0(name):
     rs = build_root_system(name)
-    for top in itertools.product(range(3), repeat=rs.rank):
+    for top in itertools.product(range(2), repeat=rs.rank):
         table = _dominant_table(rs, top)
         assert _dominant_table(rs, top) is table
-        assert table == _freudenthal_tables(rs, top, 0, 0)[0]
+        assert sum(m * rs.orbit_size(labels) for labels, _, m in table) == label_dimension(rs, top)

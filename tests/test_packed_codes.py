@@ -162,11 +162,14 @@ def test_add_product_shares_operands_and_keeps_inputs():
     want = tuple_add_product(tuple_add_product(dict(dst), a, a), a, a)
     assert [list(t.items()) for t in got] == [list(want.items()), []]
     assert dst == {(0, 0): 5} and a == {(2, -1): 1, (-3, 4): -2}
-    # an operand may be dst itself: a is read before it is added to
+    # an operand may be dst itself, in either place or both: it is read
+    # before it is added to
     pack, unpack = balanced_packing([a])
-    p = pack(a)
-    assert list(unpack(add_product(p, p, negated(p))).items()) == list(
-        tuple_add_product(dict(a), dict(a), a, -1).items())
+    for operands, sign in [(lambda p: (p, negated(p)), -1), (lambda p: (negated(p), p), -1),
+                           (lambda p: (p, p), 1)]:
+        p = pack(a)
+        assert list(unpack(add_product(p, *operands(p))).items()) == list(
+            tuple_add_product(dict(a), dict(a), a, sign).items())
 
 
 @st.composite
