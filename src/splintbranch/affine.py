@@ -182,7 +182,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
     for g, x, sign in _numerator_points(rs, lam, aw.level + rs.dual_coxeter[0], cutoff):
         folds[g][x] = folds[g].get(x, 0) + sign
-    dominant, seen = rs.dominant_labels, rs._dominant_cache
+    dominant = rs.dominant_labels
     for n, fold in enumerate(folds):
         # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
         # dominant chamber with its reflection sign; a singular point drops out
@@ -192,7 +192,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
                     y = tuple(map(add, x, a))
                     if 0 in y:           # on a wall already: its image is singular
                         continue
-                    y, s = seen.get(y) or dominant(y)
+                    y, s = dominant(y)
                     if all(y):
                         fold[y] = fold.get(y, 0) - s * b * d
         folds[n] = {x: b for x, b in fold.items() if b}
@@ -441,7 +441,7 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
         for code, c in _branch_codes(s, lbl).items():
             acc[code, n] = acc.get((code, n), 0) + b * c
     xi = {code: v for v, code in s.ambient.from_labels(
-        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), s.tilde_map()[1], *offsets)}
+        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), s.tilde_map[1], *offsets)}
     return BranchingSeries(cutoff, {(xi[code], n): v for (code, n), v in acc.items() if v})
 
 

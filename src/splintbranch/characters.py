@@ -602,7 +602,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
                   for x, fx in ((a, fa), (tuple(map(neg, a)), tuple(map(neg, fa))))]
         signed += [((0,) * rs.rank, (0,) * rs.rank, 0)] * rs.rank
     (bound, step), apex = _ball(rs, top, level), top      # the ball of grade n
-    dominant = rs._dominant_cache      # labels of w -> (dominant labels, sign)
+    dominant = rs.dominant_labels      # labels of w -> (dominant labels, sign)
     tables, mults = [], []
     for n in range(cutoff + 1):
         if n:
@@ -631,8 +631,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
                     if nu_sq + j * (2 * p + j * aa) > bound:
                         break
                     w = tuple(map(add, w, a))
-                    dom = dominant.get(w) or rs.dominant_labels(w)
-                    m = mult.get(dom[0], 0)
+                    m = mult.get(dominant(w)[0], 0)
                     if m:
                         acc += m * (q + j * aa)
             for a, fa, aa in signed:
@@ -646,7 +645,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
                     for s in range(1, n // j + 1):
                         if excess + j * s * step > 0:
                             break
-                        m = mults[n - j * s].get(rs.dominant_labels(w)[0], 0)
+                        m = mults[n - j * s].get(dominant(w)[0], 0)
                         if m:
                             acc += m * (q + j * aa + level * s * fd)
             val, r = divmod(2 * acc, denom)

@@ -19,6 +19,9 @@ their coordinates: `label_orbit` walks the labels together with integer codes
 given by the caller's images of the fundamental weights, coding the start
 once and each reflected point by one root-code subtraction, and it refuses an
 orbit larger than MAX_ORBIT from its size (`orbit_size`) before walking it.
+The label memos (`label_rows`, `split_labels`, `dominant_labels`, the orbit
+size per zero-label pattern) are `functools.cache` methods: a root system
+lives for the process anyway, one per algebra (`build_root_system`).
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -365,10 +368,6 @@ class RootSystem:
         self.gram_diag: tuple[Fraction, ...] = tuple(gram_diag)
 
         self._coeff_cache: dict[Vec, tuple] = {}
-        self._rows_cache: dict = {}
-        self._split_cache: dict[Vec, tuple] = {}
-        self._dominant_cache: dict[tuple, tuple] = {}
-        self._orbit_size_cache: dict[tuple, int] = {}
 
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):
@@ -479,26 +478,21 @@ class RootSystem:
 
     # -- weights -----------------------------------------------------------
 
+    @cache
     def label_rows(self, images=None):
         """(rows, den), ints with 2 (v, a_i) / (a_i, a_i) = rows[i] . v / den for
-        a_i = images[i] (a tuple; None for the simple roots); cached per images."""
-        if images not in self._rows_cache:
-            rows = [[2 * g * x / self.inner(a, a) for g, x in zip(self.gram_diag, a)]
-                    for a in images or self.simple_roots]
-            den = math.lcm(*(x.denominator for row in rows for x in row))
-            self._rows_cache[images] = ([[int(x * den) for x in row] for row in rows], den)
-        return self._rows_cache[images]
+        a_i = images[i] (a tuple; None for the simple roots)."""
+        rows = [[2 * g * x / self.inner(a, a) for g, x in zip(self.gram_diag, a)]
+                for a in images or self.simple_roots]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return [[int(x * den) for x in row] for row in rows], den
 
-    def scaled_labels(self, v: Vec):
-        """(nums, den) with 2 (v, alpha_i) / (alpha_i, alpha_i) = nums[i] / den:
-        label_rows applied to v scaled to ints by its common denominator."""
-        return self._apply_rows(v, self.label_rows())
-
-    def _apply_rows(self, v: Vec, label_rows):
-        """scaled_labels on the (rows, den) of label_rows, resolved by the caller."""
+    def scaled_labels(self, v: Vec, images=None):
+        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den: label_rows(images)
+        applied to v scaled to ints by its common denominator."""
         if len(v) != self.dim:
             raise ValueError(f"dimension mismatch: expected vectors of length {self.dim}")
-        rows, den = label_rows
+        rows, den = self.label_rows(images)
         d = math.lcm(*(x.denominator for x in v))
         code = [x.numerator * (d // x.denominator) for x in v]
         return [sum(map(mul, row, code)) for row in rows], den * d
@@ -540,21 +534,19 @@ class RootSystem:
             fw=tuple(tuple(int(x * fw_den) for x in w) for w in self.fundamental_weights),
             fw_den=fw_den)
 
+    @cache
     def split_labels(self, v: Vec):
         """(labels, d, offset) with v = sum_i labels_i omega_i / d + offset.
 
         labels are ints, d is the common denominator of the Dynkin labels of v,
         and offset (None when zero) is the W-fixed part of v orthogonal to the
-        roots; cached per v."""
-        if v in self._split_cache:
-            return self._split_cache[v]
+        roots."""
         nums, den = self.scaled_labels(v)
         g = math.gcd(den, *nums)
         ints, d = tuple(n // g for n in nums), den // g
         ((base, _),) = self.from_labels([(ints, None)], d)
         offset = vsub(v, base)
-        split = self._split_cache[v] = ints, d, (offset if any(offset) else None)
-        return split
+        return ints, d, (offset if any(offset) else None)
 
     def _label_codes(self, d: int, offset: Vec | None):
         """(fw, off, den), ints: the point sum_i y_i omega_i / d + offset is
@@ -578,13 +570,12 @@ class RootSystem:
         return [(tuple([get(sum(map(mul, labels, col)) + b) for col, b in zip(cols, off)]), x)
                 for labels, x in terms]
 
+    @cache
     def dominant_labels(self, labels):
         """(dominant labels, sign) of an int label tuple: reflect at the first
         negative label until none is left; sign is the parity of the
-        reflections used.  Cached per labels."""
-        if labels in self._dominant_cache:
-            return self._dominant_cache[labels]
-        cartan, key, sign = self.label_data.cartan, labels, 1
+        reflections used."""
+        cartan, sign = self.label_data.cartan, 1
         while True:
             for i, m in enumerate(labels):
                 if m < 0:
@@ -592,18 +583,18 @@ class RootSystem:
                     sign = -sign
                     break
             else:
-                dom = self._dominant_cache[key] = labels, sign
-                return dom
+                return labels, sign
 
     def orbit_size(self, labels) -> int:
         """|W| / |W_J| for dominant labels, J the zero labels: W_J is generated
-        by the positive roots supported on J.  Cached per J."""
-        zeros = tuple(not m for m in labels)
-        if (size := self._orbit_size_cache.get(zeros)) is None:
-            size = self._orbit_size_cache[zeros] = self.weyl_order // weyl_group_order(
-                c for _, c in self.label_data.positive
-                if all(not k or z for k, z in zip(c, zeros)))
-        return size
+        by the positive roots supported on J."""
+        return self._orbit_size(tuple(not m for m in labels))
+
+    @cache
+    def _orbit_size(self, zeros) -> int:
+        """orbit_size of the zero-label pattern zeros, cached per pattern."""
+        return self.weyl_order // weyl_group_order(
+            c for _, c in self.label_data.positive if all(not k or z for k, z in zip(c, zeros)))
 
     def label_orbit(self, labels, fw, offset):
         """Signed Weyl orbit [(code, sign)] of int labels, breadth-first from the

@@ -12,9 +12,10 @@ grade-0 layer of `characters.denominator_layers` over the stem images.
 Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
 labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
-weight j (`Splint.tilde_map`).  Each embedding pushes its source fundamental
-weights once (`Embedding.fundamental_images`), read by the tilde map and by
-the stems' theta sums in `qseries`.  Stem orbits come from `label_orbit`; the
+weight j (`Splint.tilde_map`, a cached property like the default tilde probe
+`Splint.tilde_probe`).  Each embedding pushes its source fundamental weights
+once (`Embedding.fundamental_images`), read by the tilde map and by the
+stems' theta sums in `qseries`.  Stem orbits come from `label_orbit`; the
 integer table is kept on the splint by the labels of mu (`_branch_codes`,
 which the affine route calls with the labels its series carries), and each
 call decodes its own copy with the W-fixed offset of mu.
@@ -132,8 +133,6 @@ class Splint:
         self.phi2 = phi2                        # complementary stem
         self.correspondence = correspondence    # ambient fundamental index -> stem index
         self._view = None
-        self._tilde_probe = None
-        self._tilde_map = None
         self._tables = {}
 
     def subalgebra_view(self) -> "SubalgebraView":
@@ -141,24 +140,24 @@ class Splint:
             self._view = SubalgebraView(self.ambient, self.phi1)
         return self._view
 
+    @cached_property
     def tilde_map(self):
         """(cols, den), ints: cols[k][j] / den is ambient label k of phi2
-        extended linearly to the stem fundamental weight j.  Built on first use."""
-        if self._tilde_map is None:
-            m = [self.ambient.dynkin_labels(w) for w in self.phi2.fundamental_images]
-            den = math.lcm(*(x.denominator for row in m for x in row))
-            self._tilde_map = (list(zip(*([int(x * den) for x in row] for row in m))), den)
-        return self._tilde_map
+        extended linearly to the stem fundamental weight j.  Built on first read."""
+        m = [self.ambient.dynkin_labels(w) for w in self.phi2.fundamental_images]
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        return list(zip(*([int(x * den) for x in row] for row in m))), den
+
+    @cached_property
+    def tilde_probe(self) -> Report:
+        """probe_tilde_branching at the default bound, labels <= 2 at rank <= 2
+        and <= 1 above; run on first read."""
+        return probe_tilde_branching(self, 2 if self.ambient.rank <= 2 else 1)
 
     def branching_status(self, max_label: int | None = None) -> Report:
-        """Empirical tilde-weight validation; cached.  Splints that fail are
-        kept in the catalog but flagged not applicable for branching."""
-        if max_label is not None:
-            return probe_tilde_branching(self, max_label)
-        if self._tilde_probe is None:
-            default = 2 if self.ambient.rank <= 2 else 1
-            self._tilde_probe = probe_tilde_branching(self, default)
-        return self._tilde_probe
+        """Empirical tilde-weight validation: tilde_probe, or a new probe up to
+        max_label.  Failing splints stay in the catalog, flagged unfit for branching."""
+        return self.tilde_probe if max_label is None else probe_tilde_branching(self, max_label)
 
 
 def check_splint(s: Splint) -> Report:
@@ -352,7 +351,7 @@ def _branch_codes(s: Splint, labels: tuple) -> dict:
     if labels not in s._tables:
         top = _tilde_labels(s, labels)
         stem = s.phi2.source
-        cols, den = s.tilde_map()
+        cols, den = s.tilde_map
         # w codes as (its stem coordinates, den * labels(nu)), where
         # den * labels(nu)_k = base_k + labels(w) . cols[k]
         fw = [w + row for w, row in zip(stem.label_data.fw, zip(*cols))]
@@ -373,7 +372,7 @@ def _branch_codes(s: Splint, labels: tuple) -> dict:
 def branch_via_splint(s: Splint, mu: Vec):
     """Branching table from stem weight multiplicities (tilde-weight rule)."""
     labels, offset = _split_dominant(s.ambient, mu)
-    return dict(s.ambient.from_labels(_branch_codes(s, labels).items(), s.tilde_map()[1],
+    return dict(s.ambient.from_labels(_branch_codes(s, labels).items(), s.tilde_map[1],
                                       offset))
 
 
@@ -388,12 +387,11 @@ class SubalgebraView:
         self.ambient = ambient
         self.sub = emb.source
         self.emb = emb
-        self._label_rows = ambient.label_rows(emb.simple_images)
 
     def labels(self, nu: Vec) -> tuple:
         """Integer Dynkin labels of nu for the subalgebra's simple roots;
         raises ValueError if nu is not integral for them."""
-        nums, den = self.ambient._apply_rows(nu, self._label_rows)
+        nums, den = self.ambient.scaled_labels(nu, self.emb.simple_images)
         if any(n % den for n in nums):
             raise ValueError(f"{nu} is not integral for {self.sub.name}")
         return tuple(n // den for n in nums)

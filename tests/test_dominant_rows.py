@@ -7,7 +7,8 @@ The layers are checked against a test-local copy of the eager build loop
 they replaced (dict order included), the row reads of `string_function` and
 `q_dimension` against layer reads, also on characters with no series (a copy
 of the rows, and `affine_freudenthal`'s), and the memo of
-`RootSystem.orbit_size` against its formula and the orbit walk.  With the
+`RootSystem.orbit_size` against its formula and the orbit walk (a repeat
+call hits the cache and returns the same object).  With the
 layer builder patched to raise, the benchmark's affine op and the CLI's
 `strings` and `qdim` must still run, cold and warm.  `graded_character`
 refuses folds with no grade 0 and a fold term of the wrong shape.  The
@@ -28,7 +29,8 @@ from splintbranch.characters import (_dominant_table, _split_dominant,
                                      common_denominator, decode, encode, label_dimension,
                                      rho_pairing)
 from splintbranch.cli import main
-from splintbranch.rootsystem import build_root_system, vadd, weyl_group_order, zero_vec
+from splintbranch.rootsystem import (RootSystem, build_root_system, vadd, weyl_group_order,
+                                     zero_vec)
 from splintbranch.splints import splint_catalog
 from test_branch_reuse import ALGEBRAS, affine_module
 
@@ -119,7 +121,14 @@ def test_orbit_size_memo_equals_the_formula(name):
             if all(not k or z for k, z in zip(c, zeros)))
         for step in (1, 2):      # the second labels hit the memo
             labels = tuple(0 if z else step + i for i, z in enumerate(zeros))
-            assert rs.orbit_size(labels) == formula
+            hits = RootSystem._orbit_size.cache_info().hits
+            size = rs.orbit_size(labels)
+            assert size == formula
+            if step == 2:
+                assert RootSystem._orbit_size.cache_info().hits == hits + 1
+            # a repeat call returns the memo's object, equal to the uncached helper
+            assert rs.orbit_size(labels) is size
+            assert RootSystem._orbit_size.__wrapped__(rs, zeros) == size
         fw = list(rs.label_data.fw)
         assert len(rs.label_orbit(labels, fw, (0,) * rs.dim)) == formula
 

@@ -64,7 +64,7 @@ def test_map_weight_runs_once_per_fundamental_weight(name, monkeypatch):
 
     monkeypatch.setattr(Embedding, "map_weight", refuse)
     s._tables.clear()
-    s._tilde_map = None
+    del s.tilde_map
     assert [report(qs.verify_theta_sums(s, n)) for n in (3, 4)] == reports
     assert list(branch_via_splint(s, mu).items()) == list(table.items())
 
