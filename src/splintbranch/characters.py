@@ -23,22 +23,24 @@ W-fixed offset codes in the one basis `_weight_codes`, which the finite
 characters and `affine` read their denominators from, and the
 (rho-pairing, code) order of every division and peel is `_order_key`.  The
 one group-ring product loop (`add_product`, behind `FormalCharacter.__mul__`,
-which packs its two operands and calls it once, the binomial expansion
-`_denominator_codes` of `denominator_layers`, `weyl_identity` and the
-injection fan, and the lattice `qseries.QSeries` products, which keep their
-codes packed in the one fixed box of each dimension, `_box`, between
-products) adds them packed into one int each (`_packing`).  The affine
-characters and the q-series verifiers read their affine denominators from
-`_affine_denominator`: grade 0 from `_root_factors`, the one expansion of
-the finite Weyl denominator, which `_denominator_codes` starts from too (or
-1 for the affine characters' fold on labels, which leaves the finite factor
-out), every later grade once per process from the grades
+which packs its two operands and calls it once, the root factors
+`_root_factors`, and the lattice `qseries.QSeries` products, which keep
+their codes packed in the one fixed box of each dimension, `_box`, between
+products) adds them packed into one int each (`_packing`).  `_root_factors`
+is the one expansion of the finite Weyl denominator: `_root_codes` packs it
+in the product's own box for `weyl_identity`, `weyl_denominator` and the
+injection fan (`root_product`), and `_affine_denominator` in `_box` as its
+grade 0 (or 1 for the affine characters' fold on labels, which leaves the
+finite factor out).  `_affine_denominator` is the one graded expansion: the
+affine characters and the q-series verifiers read their affine denominators
+from it, every grade above 0 computed once per process from the grades
 below it and the power sums, rebuilt on each growth (the q-log-derivative
-recurrence), computed packed in `_box` and kept in `_layer_cache` by (image
-codes, imaginary, rooted) with its codes and its reach, in entries that are
+recurrence), packed in `_box` and kept in `_layer_cache` by (image codes,
+imaginary, rooted) with its codes and its reach, in entries that are
 published under `_cache_lock` and never changed; the q-series read the
-packed grades as they are, the fold their codes, each grade unpacked once,
-and the binomial expansion is the oracle of every grade above 0.
+packed grades as they are, the fold their codes, each grade unpacked once.
+Its oracles are the tests' binomial-by-binomial expansions on tuple codes
+and on Fractions.
 `_phi_power` is the one phi(q)^m: the affine characters' checksum of D' and
 the q-series' phi and eta powers.
 The one Weyl-Kac numerator walk (`_numerator_points`) yields the dominant
@@ -200,9 +202,8 @@ def singular_element(rs: RootSystem, mu: Vec) -> FormalCharacter:
 
 
 def weyl_denominator(rs: RootSystem) -> FormalCharacter:
-    """Product of (1 - e^{-alpha}) over positive roots, fully expanded: the
-    grade-0 layer of denominator_layers."""
-    return denominator_layers(rs.positive_roots, 0, 0)[0]
+    """Product of (1 - e^{-alpha}) over positive roots, fully expanded."""
+    return root_product(rs.positive_roots)
 
 
 def weyl_identity(rs: RootSystem) -> bool:
@@ -210,7 +211,7 @@ def weyl_identity(rs: RootSystem) -> bool:
     over one denominator: the label-orbit sum of rho against the expanded
     product, neither decoded to Fractions."""
     orbit, den = _singular_codes(rs, zero_vec(rs.dim))
-    return orbit == _denominator_codes([encode(a, den) for a in rs.positive_roots], 0, 0)[0]
+    return orbit == _root_codes([encode(a, den) for a in rs.positive_roots])
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +344,22 @@ def _root_factors(images, pack) -> dict:
     return grade
 
 
-def _denominator_codes(images, imaginary: int, cutoff: int) -> list:
-    """denominator_layers on codes: images are the codes of the positive-root
-    images, the layers are {code: coefficient} dicts.  Expanded packed over
-    the box from the factors' summed negative and positive parts, which holds
-    every term: each is a sum of distinct factors.  Grade 0 is _root_factors,
-    and each factor 1 - q^n e^v with n >= 1 then multiplies the layers."""
-    zero = (0,) * len(images[0])
-    negated = [tuple(-x for x in img) for img in images]
-    factors = [(n, v) for n in range(1, cutoff + 1)
-               for v in [zero] * imaginary + negated + [*images]]
-    cols = list(zip(*negated, *(v for _, v in factors)))
-    pack, unpack = _packing([sum(x for x in col if x < 0) for col in cols],
-                            [sum(x for x in col if x > 0) for col in cols])
-    layers = [_root_factors(images, pack)] + [{} for _ in range(cutoff)]
-    for n, v in factors:
-        # layers *= (1 - q^n e^v), top grade first so each layer reads old values
-        term = pack({v: -1})
-        for m in range(cutoff, n - 1, -1):
-            add_product(layers[m], term, layers[m - n])
-    return [unpack(layer) for layer in layers]
+def _root_codes(images) -> dict:
+    """prod_img (1 - e^{-img}) on codes: _root_factors packed over the box
+    from the negated images' summed negative and positive parts, which holds
+    every term (each is a sum of distinct factors), and unpacked; not in
+    _box, which is slower for large products, and not cached."""
+    cols = list(zip(*images))
+    pack, unpack = _packing([-sum(x for x in col if x > 0) for col in cols],
+                            [-sum(x for x in col if x < 0) for col in cols])
+    return unpack(_root_factors(images, pack))
+
+
+def root_product(images) -> FormalCharacter:
+    """prod_img (1 - e^{-img}) over the (nonempty) images, fully expanded:
+    _root_codes on their codes over one denominator, decoded."""
+    den = common_denominator(images)
+    return decode(_root_codes([encode(img, den) for img in images]), den)
 
 
 # Every lattice series (`qseries.QSeries`) and every affine denominator grade
@@ -402,19 +399,22 @@ class _Denominator(NamedTuple):
 
 
 def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True):
-    """The layers of _denominator_codes(images, imaginary, cutoff), as a
-    _Denominator of grades 0..cutoff.  Each grade is computed once per
-    process, packed in the box of its dimension (_box), by the
-    q-log-derivative recurrence n P_n = sum_{j=1..n} S_j P_{n-j}, with the
-    power sums S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} +
-    e^{-(j/d) img}), and unpacked once; grade 0 is _root_factors in the
-    box, or 1 when not rooted (that q-free factor left out of every grade).  The division by n is exact, and
-    a remainder raises ArithmeticError.  Every term of P_n and S_j P_{n-j}
-    lies within (2 cutoff + 1) sum_img |img|, so a cutoff whose bound leaves
-    the box raises ArithmeticError before anything is packed.  A deeper
-    request rebuilds the power sums, computes only the grades above the
-    cached ones and publishes a longer entry under _cache_lock that shares
-    them; a published entry and everything it holds are never changed."""
+    """The affine denominator prod_img (1 - e^{-img}) prod_{n=1..cutoff}
+    (1 - q^n)^imaginary prod_img (1 - q^n e^{-img}) (1 - q^n e^{img}) on the
+    codes of the (nonempty) positive-root images, as a _Denominator of its
+    grades 0..cutoff in q = e^{-delta}; a stem's images with the stem's rank
+    give that stem's denominator in ambient coordinates.  Each grade is
+    computed once per process, packed in the box of its dimension (_box), by
+    the q-log-derivative recurrence n P_n = sum_{j=1..n} S_j P_{n-j}, with
+    the power sums S_j = -sum_{d | j} d (imaginary + sum_img e^{(j/d) img} +
+    e^{-(j/d) img}), and unpacked once; grade 0 is _root_factors in the box,
+    or 1 when not rooted (that q-free factor left out of every grade).  The
+    division by n is exact, and a remainder raises ArithmeticError.  Every
+    term of P_n and S_j P_{n-j} lies within (2 cutoff + 1) sum_img |img|, so
+    a cutoff whose bound leaves the box raises ArithmeticError before
+    anything is packed.  A deeper request rebuilds the power sums, computes
+    only the new grades and publishes a longer entry under _cache_lock that
+    shares them; a published entry and everything it holds never change."""
     key = (tuple(images), imaginary, rooted)
     entry = _layer_cache.get(key)
     if entry is None or len(entry.grades) <= cutoff:
@@ -495,25 +495,6 @@ def _numerator_codes(rs: RootSystem, lam: Vec, K: int, cutoff: int, fw, offset) 
             else:
                 del t[v]
     return layers
-
-
-def denominator_layers(pos_images, imaginary: int, cutoff: int) -> list:
-    """The truncated affine denominator, one FormalCharacter per grade n
-    (the power of q = e^{-delta}), for grades 0..cutoff:
-
-        prod_img (1 - e^{-img})
-          * prod_{n=1..cutoff} (1 - q^n)^imaginary
-                               prod_img (1 - q^n e^{-img}) (1 - q^n e^{img})
-
-    over the (nonempty) positive-root images `img`.  The positive roots of an
-    algebra with imaginary = its rank give its Weyl-Kac denominator (at
-    cutoff 0 its Weyl denominator); the images of a stem's positive roots
-    with the stem's rank give that stem's denominator in ambient coordinates,
-    graded by the stem's own delta.  Expanded on codes and decoded per layer.
-    """
-    den = common_denominator(pos_images)
-    layers = _denominator_codes([encode(img, den) for img in pos_images], imaginary, cutoff)
-    return [decode(layer, den) for layer in layers]
 
 
 def divide_exact(numer: FormalCharacter, denom: FormalCharacter,

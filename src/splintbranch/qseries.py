@@ -371,18 +371,12 @@ def _denominator_series(images, imaginary: int, cutoff) -> QSeries:
     return QSeries._of(enumerate(d.grades), cutoff, den, 1, len(codes[0]), max(d.reaches))
 
 
-def root_string_product(root: Vec, cutoff) -> QSeries:
-    """(1 - e^{-a}) prod_{n>=1} (1 - q^n e^{-a})(1 - q^n e^{a}), truncated:
-    the affine denominator of the single positive root a, without imaginary
-    factors."""
-    return _denominator_series([root], 0, cutoff)
-
-
 def jacobi_theta_sum(root: Vec, cutoff) -> QSeries:
     """sum_m (-1)^m q^{m(m-1)/2} e^{-m a}: the triple-product expansion of
-    euler_product * root_string_product for the same root, on the codes of
-    the multiples of a.  Every m with m(m-1)/2 <= cutoff has -n <= m <= n + 1,
-    taken in the order 0, 1, -1, 2, -2, ..."""
+    euler_product times the root string (1 - e^{-a}) prod_{n>=1}
+    (1 - q^n e^{-a})(1 - q^n e^{a}), on the codes of the multiples of a.
+    Every m with m(m-1)/2 <= cutoff has -n <= m <= n + 1, taken in the
+    order 0, 1, -1, 2, -2, ..."""
     den = common_denominator([root])
     code = encode(root, den)
     (key,) = _box(len(code))[0]({code: 1})
@@ -460,7 +454,7 @@ def verify_theta_products(s: Splint, cutoff) -> Report:
     Each theta/eta quotient is realized through the Jacobi triple product of
     its affine root string.  The left side multiplies the triple-product sums
     over both stems; the right side is the product over all positive roots of
-    euler_product * root_string_product, regrouped as the ambient denominator
+    euler_product times the root's string, regrouped as the ambient denominator
     product (rank imaginary factors) times phi(q)^(|positive roots| - rank),
     since the imaginary factors are scalars.  The overall q-power is matched
     at lowest order; all higher terms must agree."""

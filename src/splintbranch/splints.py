@@ -6,8 +6,8 @@ branched to) and a stem, whose module weight multiplicities give branching
 coefficients through the tilde-weight rule.  The catalog is re-verified on
 load; the tilde rule is validated against brute-force subtraction.  Every
 check here, and each identity verifier of `qseries`, returns a `Report`.  The
-injection fan is the stem's Weyl denominator in ambient coordinates, the
-grade-0 layer of `characters.denominator_layers` over the stem images.
+injection fan is the stem's Weyl denominator in ambient coordinates,
+`characters.root_product` of the stem images.
 
 Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
@@ -35,8 +35,8 @@ from typing import NamedTuple
 from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
                          vcombine, vneg, zero_vec)
 from .characters import (FormalCharacter, _dominant_table, _show, _split_dominant,
-                         denominator_layers, freudenthal_character, label_dimension,
-                         peel_dominant, weyl_dimension)
+                         freudenthal_character, label_dimension, peel_dominant,
+                         root_product, weyl_dimension)
 
 
 class Embedding:
@@ -302,8 +302,7 @@ def fan_coefficients(s: Splint) -> Fan:
     if not rep:
         raise ValueError("not a splint: " + "; ".join(rep.problems))
     images = [s.phi2.pos_map[b] for b in s.phi2.source.positive_roots]
-    prod = denominator_layers(images, 0, 0)[0]
-    return Fan(s.name, {vneg(v): -c for v, c in prod.items()})
+    return Fan(s.name, {vneg(v): -c for v, c in root_product(images).items()})
 
 
 # ---------------------------------------------------------------------------

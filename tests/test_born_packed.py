@@ -174,7 +174,8 @@ def test_packed_keys_spread_over_dict_slots(name, slots):
     rs = find_splint(name).ambient
     den = common_denominator(rs.positive_roots)
     images = [encode(a, den) for a in rs.positive_roots]
-    codes = {code for layer in characters._denominator_codes(images, 0, 3) for code in layer}
+    codes = {code for layer in characters._affine_denominator(images, 0, 3).codes
+             for code in layer}
     keys = _box(rs.dim)[0](dict.fromkeys(codes, 1))
     mask = (1 << (len(keys) * 3 // 2).bit_length()) - 1
     assert len({hash(p) & mask for p in keys}) >= slots

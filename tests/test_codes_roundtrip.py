@@ -1,12 +1,15 @@
 """The integer-code pipeline returns exactly what the Fraction pipeline did.
 
-`denominator_layers`, `divide_exact` and `affine_character` are compared,
-dict order included, with digests of the outputs of the Fraction-keyed
-implementation they replaced (SHA-256 of `repr(list(fc.terms.items()))`,
-first 16 hex digits), and the denominator additionally with a test-local
-copy of that Fraction expansion.  The one code-level group-ring product
-(`FormalCharacter.__mul__`, `weyl_denominator`) is compared with a
-test-local copy of the Fraction convolution it replaced.
+`divide_exact` and `affine_character` are compared, dict order included,
+with digests of the outputs of the Fraction-keyed implementation they
+replaced (SHA-256 of `repr(list(fc.terms.items()))`, first 16 hex digits).
+The affine denominator's digests are pinned on a test-local copy of that
+Fraction expansion, binomial by binomial, whose dict order they record; the
+layers of `characters._affine_denominator`, decoded, must equal it as
+mappings, and grade 0, the finite Weyl denominator, in dict order too.  The
+one code-level group-ring product (`FormalCharacter.__mul__`,
+`weyl_denominator`) is compared with a test-local copy of the Fraction
+convolution it replaced.
 """
 
 import hashlib
@@ -18,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splintbranch import affine as af
-from splintbranch.characters import (FormalCharacter, denominator_layers, divide_exact,
-                                     weyl_denominator)
+from splintbranch.characters import (FormalCharacter, _affine_denominator, common_denominator,
+                                     decode, divide_exact, encode, weyl_denominator)
 from splintbranch.rootsystem import build_root_system, vadd, vneg, vscale, zero_vec
 from splintbranch.splints import find_splint
 
@@ -94,26 +97,31 @@ CHARACTERS = {
 }
 
 
-def items(layers):
-    return [list(fc.terms.items()) for fc in layers]
+def decoded_layers(pos_images, imaginary, cutoff):
+    """The layers of _affine_denominator on the images' codes, decoded."""
+    den = common_denominator(pos_images)
+    codes = [encode(img, den) for img in pos_images]
+    return [decode(layer, den) for layer in _affine_denominator(codes, imaginary, cutoff).codes]
+
+
+def check_denominator(pos_images, imaginary, cutoff, digests):
+    want = fraction_denominator_layers(pos_images, imaginary, cutoff)
+    assert [digest(fc) for fc in want] == digests
+    got = decoded_layers(pos_images, imaginary, cutoff)
+    assert got == want
+    assert list(got[0].terms.items()) == list(want[0].terms.items())
 
 
 @pytest.mark.parametrize("name,cutoff", sorted(DENOMINATOR))
 def test_denominator_layers_round_trip(name, cutoff):
     rs = build_root_system(name)
-    got = denominator_layers(rs.positive_roots, rs.rank, cutoff)
-    assert items(got) == items(fraction_denominator_layers(rs.positive_roots, rs.rank,
-                                                           cutoff))
-    assert [digest(fc) for fc in got] == DENOMINATOR[(name, cutoff)]
+    check_denominator(rs.positive_roots, rs.rank, cutoff, DENOMINATOR[(name, cutoff)])
 
 
 @pytest.mark.parametrize("stem", sorted(STEMS))
 def test_stem_denominator_layers_round_trip(stem):
     phi = getattr(find_splint("G2:A2A2"), stem)
-    images = list(phi.pos_map.values())
-    got = denominator_layers(images, phi.source.rank, 6)
-    assert items(got) == items(fraction_denominator_layers(images, phi.source.rank, 6))
-    assert [digest(fc) for fc in got] == STEMS[stem]
+    check_denominator(list(phi.pos_map.values()), phi.source.rank, 6, STEMS[stem])
 
 
 @pytest.mark.parametrize("name,labels,cutoff", sorted(CHARACTERS))
@@ -122,7 +130,7 @@ def test_affine_character_and_divide_exact_round_trip(name, labels, cutoff):
     aw = af.AffineWeight(rs.weight_from_labels(labels), 1)
     gc = af.affine_character(rs, aw, cutoff)
     assert [digest(fc) for fc in gc.layers] == CHARACTERS[(name, labels, cutoff)]
-    den0 = denominator_layers(rs.positive_roots, rs.rank, 0)[0]
+    den0 = weyl_denominator(rs)
     for layer in gc.layers:
         quotient = divide_exact(layer * den0, den0, rs)
         assert list(quotient.terms.items()) == list(layer.terms.items())

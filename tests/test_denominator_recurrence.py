@@ -1,22 +1,22 @@
 """The affine denominator by the q-log-derivative recurrence against the
-binomial expansion.
+test-local binomial expansion.
 
 `characters._affine_denominator` computes grade n of
 prod_img (1 - e^{-img}) prod_n (1 - q^n)^imaginary (1 - q^n e^{-img})(1 - q^n e^{img})
 from the grades below it, once per process, packed in the one box of its
 dimension, and keeps the grades, their codes and their reaches in a cache
 entry that a deeper request extends.  The oracle is
-`characters._denominator_codes`, the binomial-by-binomial expansion behind
-`denominator_layers`: every layer, unpacked, must be equal as a mapping, on
-random image sets and on the stems and ambient of the catalog splints.
-Seeded with 1 instead of prod_img (1 - e^{-img}) (not rooted), the layers
-times that product must be the rooted ones.  The recurrence builds its own
-grade 0 by `characters._root_factors`, the expansion of the finite Weyl
-denominator that `_denominator_codes` starts from, packed in the box: with
-`_denominator_codes` patched to raise, the catalog stems and
-ambients (rooted) and the fold's D' of each catalog ambient on labels
-(unrooted) still match the test-local tuple-code expansion, grade 0
-included.  Two requests in a row must give the layers, dict order included,
+`test_packed_codes.tuple_denominator_codes`, the test-local
+binomial-by-binomial expansion on tuple codes: every layer, unpacked, must
+be equal as a mapping, on random image sets and on the stems and ambient of
+the catalog splints.  Seeded with 1 instead of prod_img (1 - e^{-img}) (not
+rooted), the layers times that product must be the rooted ones.  The
+recurrence builds its own grade 0 by `characters._root_factors`, the one
+expansion of the finite Weyl denominator, packed in the box: the catalog
+stems and ambients (rooted) and the fold's D' of each catalog ambient on
+labels (unrooted) match the tuple-code expansion, grade 0 included, and
+grade 0 is `characters._root_codes`, the same product in its own box, in
+dict order, on random image sets.  Two requests in a row must give the layers, dict order included,
 of one request against an empty cache; an entry grown one grade at a time
 must equal one built at once, packed dicts, dict order and reaches
 included; and threads asking at once must leave the deepest entry.  A
@@ -33,8 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splintbranch import characters
-from splintbranch.characters import (_BOX, _affine_denominator, _box, _denominator_codes,
-                                     common_denominator, encode)
+from splintbranch.characters import (_BOX, _affine_denominator, _box, common_denominator,
+                                     encode)
 from splintbranch.cli import main
 from splintbranch.splints import find_splint
 from test_packed_codes import image_sets, packed_products, tuple_denominator_codes
@@ -63,7 +63,8 @@ def test_recurrence_matches_binomial_expansion(images, imaginary, cutoffs):
     characters._layer_cache.clear()
     first, second = [_affine_denominator(images, imaginary, c) for c in cutoffs]
     for got, cutoff in zip((first, second), cutoffs):
-        assert unpacked(images, got.grades) == _denominator_codes(images, imaginary, cutoff)
+        assert unpacked(images, got.grades) == tuple_denominator_codes(images, imaginary,
+                                                                       cutoff)
     # the shallower request is the deeper one's prefix, not a recomputation
     assert all(a is b for a, b in zip(first.grades, second.grades))
     characters._layer_cache.clear()
@@ -81,7 +82,7 @@ def test_unrooted_layers_times_the_root_factors_are_the_rooted_layers(images, im
     unrooted = layers(images, imaginary, cutoff, rooted=False)
     rooted = layers(images, imaginary, cutoff)
     assert unrooted[0] == {(0,) * len(images[0]): 1}
-    (root_factors,) = _denominator_codes(images, 0, 0)
+    (root_factors,) = tuple_denominator_codes(images, 0, 0)
     assert packed_products([({}, [(root_factors, layer)]) for layer in unrooted]) == rooted
     assert layers(images, imaginary, cutoff, rooted=False) == unrooted
 
@@ -105,7 +106,7 @@ def test_grown_entry_equals_one_built_at_once(images, imaginary, rooted):
     assert list(grown.reaches) == [max((abs(x) for v in layer for x in v), default=0)
                                    for layer in codes]
     if rooted:
-        assert codes == _denominator_codes(images, imaginary, 8)
+        assert codes == tuple_denominator_codes(images, imaginary, 8)
 
 
 def test_cutoff_beyond_the_box_is_refused_before_packing(monkeypatch):
@@ -123,7 +124,7 @@ def test_cutoff_beyond_the_box_is_refused_before_packing(monkeypatch):
                                                   "packing box of 14$"):
             _affine_denominator(images, 1, 2)
         assert not packed and not characters._layer_cache
-        assert layers(images, 1, 1) == _denominator_codes(images, 1, 1)
+        assert layers(images, 1, 1) == tuple_denominator_codes(images, 1, 1)
         with pytest.raises(ArithmeticError, match="may reach 15"):
             _affine_denominator(images, 1, 2)
         assert len(characters._layer_cache[(tuple(images), 1, True)].grades) == 2
@@ -167,7 +168,7 @@ def test_catalog_denominators_to_grade_8(case):
     _, images, imaginaries = case
     for imaginary in imaginaries:
         characters._layer_cache.clear()
-        assert layers(images, imaginary, 8) == _denominator_codes(images, imaginary, 8)
+        assert layers(images, imaginary, 8) == tuple_denominator_codes(images, imaginary, 8)
 
 
 def self_seeded_cases():
@@ -185,16 +186,11 @@ def self_seeded_cases():
 
 
 @pytest.mark.parametrize("case", self_seeded_cases(), ids=lambda c: c[0])
-def test_recurrence_seeds_its_own_grade_0(case, monkeypatch):
-    # no grade, 0 included, is read from the binomial expansion: the rooted
-    # grades are the test-local tuple-code expansion, and the unrooted ones
-    # times its grade 0 at imaginary 0 (the root factors)
+def test_recurrence_seeds_its_own_grade_0(case):
+    # every grade, 0 included, comes from the recurrence and _root_factors:
+    # the rooted grades are the test-local tuple-code expansion, and the
+    # unrooted ones times its grade 0 at imaginary 0 (the root factors)
     _, images, imaginary, rooted = case
-
-    def refuse(*args):
-        raise AssertionError("_denominator_codes called")
-
-    monkeypatch.setattr(characters, "_denominator_codes", refuse)
     characters._layer_cache.clear()
     try:
         got = layers(images, imaginary, 8, rooted)
@@ -228,7 +224,7 @@ def test_threads_share_one_entry():
     # cutoff: a shallower entry never replaces a deeper one, and every
     # thread gets the binomial layers
     images = [(2, -1), (-1, 2), (1, 1)]
-    want = _denominator_codes(images, 2, 7)
+    want = tuple_denominator_codes(images, 2, 7)
     cutoffs = [7, 2, 5, 0, 6, 3, 4, 1]
     got = {}
 

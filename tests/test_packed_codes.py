@@ -4,9 +4,10 @@ replaced.
 `characters.add_product` adds codes packed into one int each (a Kronecker
 substitution over a box that holds every key).  The oracle is a test-local
 copy of the tuple-code loop and of the denominator expansion built on it;
-the packed route must give equal layers in equal dict order, on random image
-sets with negative coordinates in dimensions 1-9, and on images that drive
-terms to both corners of the box.  `FormalCharacter.__mul__`, which packs
+the packed finite Weyl denominator (`_root_codes`, behind `weyl_identity`,
+`weyl_denominator` and the injection fan) must give its grade 0 in equal
+dict order, on random image sets with negative coordinates in dimensions
+1-9, and on images that drive terms to both corners of the box.  `FormalCharacter.__mul__`, which packs
 its two operands and calls `add_product` once, is checked against the same
 loop on weights over mixed denominators, and so is `add_product`'s dst
 form, with a sign applied by negating one operand, on a test-local packing
@@ -21,7 +22,7 @@ from operator import add
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splintbranch.characters import FormalCharacter, _denominator_codes, add_product
+from splintbranch.characters import FormalCharacter, _root_codes, add_product
 
 
 def tuple_add_product(dst, a, b, sign=1):
@@ -110,10 +111,12 @@ def image_sets(draw, max_images=5, coords=st.integers(-4, 4)):
 
 
 @settings(max_examples=150, deadline=None)
-@given(images=image_sets(), imaginary=st.integers(0, 3), cutoff=st.integers(0, 3))
-def test_packed_denominator_matches_tuple_loop(images, imaginary, cutoff):
-    got = _denominator_codes(images, imaginary, cutoff)
-    assert ordered(got) == ordered(tuple_denominator_codes(images, imaginary, cutoff))
+@given(images=image_sets())
+def test_packed_denominator_matches_tuple_loop(images):
+    # the graded layers are the recurrence's, against the same tuple loop in
+    # test_denominator_recurrence
+    got = _root_codes(images)
+    assert ordered([got]) == ordered(tuple_denominator_codes(images, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,11 +125,11 @@ def test_packed_denominator_reaches_both_corners(images):
     # all factors e^{-img} point one way: the empty product sits at the box's
     # upper corner and the product of all of them at its lower corner, where
     # no other term can cancel it
-    got = _denominator_codes(images, 0, 0)
-    assert ordered(got) == ordered(tuple_denominator_codes(images, 0, 0))
+    got = _root_codes(images)
+    assert ordered([got]) == ordered(tuple_denominator_codes(images, 0, 0))
     corner = tuple(-sum(col) for col in zip(*images))
-    assert got[0][(0,) * len(corner)] == 1
-    assert got[0][corner] == (-1) ** len(images)
+    assert got[(0,) * len(corner)] == 1
+    assert got[corner] == (-1) ** len(images)
 
 
 @st.composite

@@ -91,7 +91,7 @@ def test_jacobi_triple_product(rs, root_index):
     N = 8
     lhs = qs.jacobi_theta_sum(root, N)
     rhs = scalar_to_lattice(qs.euler_product(N), rs.dim) * \
-        qs.root_string_product(root, N)
+        qs._denominator_series([root], 0, N)
     assert qs.compare_qseries(lhs, rhs) is None
 
 
@@ -99,13 +99,14 @@ def test_jacobi_triple_product(rs, root_index):
 def test_root_string_products_regroup_into_one_denominator(name, cutoff):
     # the right side of the theta-product identity: one expansion with an
     # imaginary factor per positive root equals the series product of
-    # euler_product and root_string_product over all positive roots
+    # euler_product and each root's string (its affine denominator without
+    # imaginary factors) over all positive roots
     rs = build_root_system(name)
     pos = rs.positive_roots
     one = qs._denominator_series(pos, len(pos), cutoff)
     product = scalar_to_lattice(qs.euler_product(cutoff) ** len(pos), rs.dim)
     for a in pos:
-        product = product * qs.root_string_product(a, cutoff)
+        product = product * qs._denominator_series([a], 0, cutoff)
     assert qs.compare_qseries(one, product) is None
 
 
