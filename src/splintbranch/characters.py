@@ -52,9 +52,10 @@ Freudenthal character, comes as codes from `RootSystem.label_orbit`.
 Weyl-denominator quotients divide one root factor at a time on them
 (`_divide_by_roots`, behind `character_via_weyl`); the one general division
 (`divide_exact`) eliminates on them and is its oracle.  The one decomposer
-(`peel_dominant`, behind `decompose_character` and `SubalgebraView.decompose`)
-checks Weyl invariance by integer reflections and then peels only dominant
-weights, subtracting cached dominant multiplicities instead of whole orbits.
+(`_peel_codes`) checks Weyl invariance by integer reflections and then
+peels only dominant weights, subtracting cached dominant multiplicities
+instead of whole orbits; `peel_dominant` is its Fraction edge, and the tilde
+probe peels a module's orbit codes (`_orbit_codes`) directly.
 `_split_dominant` is the one check that a weight is dominant integral.
 """
 
@@ -226,12 +227,13 @@ def encode(v: Vec, den: int) -> tuple:
     return tuple([-x.numerator * (den // x.denominator) for x in v])
 
 
-def _weight_codes(rs: RootSystem, offset: Vec | None) -> tuple:
+def _weight_codes(rs: RootSystem, offset: Vec | None, fine: int = 1) -> tuple:
     """(fw, off, den): the weight with int labels y and W-fixed part offset
-    (None when zero) has the code (encode) sum_i y_i fw[i] + off over den;
-    RootSystem._label_codes negated."""
+    (None when zero) has the code (encode) sum_i y_i fw[i] + off over den, a
+    multiple of fine; RootSystem._label_codes negated."""
     fw, off, den = rs._label_codes(1, offset)
-    return [tuple(map(neg, w)) for w in fw], tuple(map(neg, off)), den
+    k = -(math.lcm(den, fine) // den)
+    return [tuple(k * x for x in w) for w in fw], tuple(k * x for x in off), -k * den
 
 
 def decode(terms: dict, den: int) -> FormalCharacter:
@@ -688,14 +690,21 @@ def _dominant_descent(ld, mu):
     return sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
 
 
+def _orbit_codes(rs: RootSystem, top: tuple, fw, off) -> dict:
+    """The weights of L(top) (int labels) as {code: multiplicity}, in the
+    basis (fw, off) of _weight_codes: the orbits of the rows of its dominant
+    table, in table order and each sorted by weight."""
+    # sorted by weight: codes are -(coordinates x den)
+    return {code: m for nu, _, m in _dominant_table(rs, top)
+            for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}
+
+
 def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
-    """Full weight system of L^mu with exact multiplicities: the orbits of the
-    rows of its dominant table, in table order and each sorted by weight."""
+    """Full weight system of L^mu with exact multiplicities: _orbit_codes,
+    decoded."""
     top, offset = _split_dominant(rs, mu)
     fw, off, den = _weight_codes(rs, offset)
-    # sorted by weight: codes are -(coordinates x den)
-    return decode({code: m for nu, _, m in _dominant_table(rs, top)
-                   for code, _ in sorted(rs.label_orbit(nu, fw, off), reverse=True)}, den)
+    return decode(_orbit_codes(rs, top, fw, off), den)
 
 
 def character_via_weyl(rs: RootSystem, mu: Vec) -> FormalCharacter:
@@ -740,22 +749,23 @@ def _weight(code, den: int) -> Vec:
     return tuple(map(FractionCache(-den).__getitem__, code))
 
 
-def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
-                  fc: FormalCharacter) -> dict[Vec, int]:
-    """Write fc as a nonnegative sum of irreducible characters of `sub`, a
-    regular subalgebra of `ambient` whose simple roots sit at `images` in
-    ambient coordinates (the ambient simple roots for the algebra itself).
+def _peel_codes(ambient: RootSystem, sub: RootSystem, images, mult: dict, den: int) -> dict:
+    """The character {code: multiplicity} (codes over den, a multiple of the
+    denominators of images) as a nonnegative sum of irreducible characters of
+    `sub`, a regular subalgebra of `ambient` whose simple roots sit at
+    `images` in ambient coordinates (the ambient simple roots for the algebra
+    itself): {code of the highest weight: (multiplicity, its sub labels)}.
 
     Works on codes and integer labels.  One pass over the support checks
-    that fc is W_sub-invariant: every weight has the multiplicity of its
-    dominant representative (integer reflections), and every dominant weight
-    has its whole orbit in the support.  Then only the dominant weights are
-    peeled, highest first in the (rho-pairing, lex) order of the ambient,
-    each module subtracting its cached dominant multiplicities; the weights
-    this introduces sit below the current one and are peeled in turn.
-    Raises ValueError if fc is not a module character.
+    that the character is W_sub-invariant: every weight has the multiplicity
+    of its dominant representative (integer reflections), and every dominant
+    weight has its whole orbit in the support.  Then only the dominant
+    weights are peeled, highest first in the (rho-pairing, lex) order of the
+    ambient, each module subtracting its cached dominant multiplicities; the
+    weights this introduces sit below the current one and are peeled in
+    turn.  Raises ValueError, naming a weight decoded for the message, if
+    the character is not a module character.
     """
-    den = common_denominator(itertools.chain(fc.terms, images))
     cartan = sub.label_data.cartan
     img = [encode(a, den) for a in images]
     img_cols = list(zip(*img))
@@ -763,20 +773,14 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
     rows, rows_den = ambient.label_rows(tuple(images))
     scale = -rows_den * den
 
-    mult: dict = {}      # code -> multiplicity
-    weights: dict = {}   # code -> weight
-    for v, m in fc.terms.items():
-        c = encode(v, den)
-        mult[c] = m
-        weights[c] = v
     labels: dict = {}    # code of a dominant weight -> its labels
-    count: dict = {}     # code of a dominant weight -> its orbit points in fc
+    count: dict = {}     # code of a dominant weight -> its orbit points in mult
     for c, m in mult.items():
         lab = []
         for row in rows:
             x, r = divmod(sum(map(mul, row, c)), scale)
             if r:
-                raise ValueError(f"weight {_show(weights[c])} is not integral for "
+                raise ValueError(f"weight {_show(_weight(c, den))} is not integral for "
                                  f"{sub.name}: not a module character")
             lab.append(x)
         rep = c
@@ -789,7 +793,7 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
             else:
                 break
         if mult.get(rep, 0) != m:
-            raise ValueError(f"weight {_show(weights[c])} has multiplicity {m} but its "
+            raise ValueError(f"weight {_show(_weight(c, den))} has multiplicity {m} but its "
                              f"dominant representative {_show(_weight(rep, den))} has "
                              f"{mult.get(rep, 0)}: not a module character")
         labels[rep] = tuple(lab)
@@ -797,7 +801,7 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
     for rep, lab in labels.items():
         size = sub.orbit_size(lab)
         if count[rep] != size:
-            raise ValueError(f"dominant weight {_show(weights[rep])} has multiplicity "
+            raise ValueError(f"dominant weight {_show(_weight(rep, den))} has multiplicity "
                              f"{mult[rep]} but only {count[rep]} of the {size} weights "
                              "of its orbit: not a module character")
 
@@ -805,16 +809,15 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
     rem = {rep: mult[rep] for rep in labels}
     heap = list(map(key, rem))
     heapq.heapify(heap)
-    table: dict[Vec, int] = {}
+    table: dict = {}
     while heap:
         _, c = heapq.heappop(heap)
         m = rem.pop(c, 0)
         if not m:
             continue
-        v = weights[c] if c in weights else _weight(c, den)
         if m < 0:
-            raise ValueError(f"negative leading coefficient {m} at {_show(v)}")
-        table[v] = m
+            raise ValueError(f"negative leading coefficient {m} at {_show(_weight(c, den))}")
+        table[c] = m, labels[c]
         for lab, coeffs, k in _dominant_table(sub, labels[c])[1:]:
             u = tuple([a - sum(map(mul, coeffs, col)) for a, col in zip(c, img_cols)])
             n = rem.get(u, 0) - m * k
@@ -826,6 +829,16 @@ def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
             else:
                 del rem[u]
     return table
+
+
+def peel_dominant(ambient: RootSystem, sub: RootSystem, images,
+                  fc: FormalCharacter) -> dict[Vec, int]:
+    """Write fc as a nonnegative sum of irreducible characters of `sub`:
+    _peel_codes on the codes of fc over one denominator, decoded."""
+    den = common_denominator(itertools.chain(fc.terms, images))
+    table = _peel_codes(ambient, sub, images, {encode(v, den): m for v, m in fc.terms.items()},
+                        den)
+    return decode({c: m for c, (m, _) in table.items()}, den).terms
 
 
 def decompose_character(rs: RootSystem, fc: FormalCharacter) -> dict[Vec, int]:

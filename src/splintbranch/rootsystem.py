@@ -20,8 +20,9 @@ given by the caller's images of the fundamental weights, coding the start
 once and each reflected point by one root-code subtraction, and it refuses an
 orbit larger than MAX_ORBIT from its size (`orbit_size`) before walking it.
 The label memos (`label_rows`, `split_labels`, `dominant_labels`, the orbit
-size per zero-label pattern) are `functools.cache` methods: a root system
-lives for the process anyway, one per algebra (`build_root_system`).
+size per zero-label pattern, the simple-root codes of each basis that
+`label_orbit` is given) are `functools.cache` methods: a root system lives
+for the process anyway, one per algebra (`build_root_system`).
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -204,6 +205,16 @@ def lattice_points_in_ellipsoid(gram, pairing, level: int, bound):
 
     if top + lift >= 0:
         yield from rec(n - 1, top + lift)
+
+
+def apply_label_rows(v: Vec, rows, den):
+    """(nums, den * d): the rows (ints over den, as from RootSystem.label_rows)
+    applied to v scaled to ints by its common denominator d."""
+    if len(v) != len(rows[0]):
+        raise ValueError(f"dimension mismatch: expected vectors of length {len(rows[0])}")
+    d = math.lcm(*(x.denominator for x in v))
+    code = [x.numerator * (d // x.denominator) for x in v]
+    return [sum(map(mul, row, code)) for row in rows], den * d
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +493,17 @@ class RootSystem:
     def label_rows(self, images=None):
         """(rows, den), ints with 2 (v, a_i) / (a_i, a_i) = rows[i] . v / den for
         a_i = images[i] (a tuple; None for the simple roots)."""
-        rows = [[2 * g * x / self.inner(a, a) for g, x in zip(self.gram_diag, a)]
-                for a in images or self.simple_roots]
+        rows = []
+        for a in images or self.simple_roots:
+            norm = self.inner(a, a)
+            rows.append([2 * g * x / norm for g, x in zip(self.gram_diag, a)])
         den = math.lcm(*(x.denominator for row in rows for x in row))
         return [[int(x * den) for x in row] for row in rows], den
 
     def scaled_labels(self, v: Vec, images=None):
-        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den: label_rows(images)
-        applied to v scaled to ints by its common denominator."""
-        if len(v) != self.dim:
-            raise ValueError(f"dimension mismatch: expected vectors of length {self.dim}")
-        rows, den = self.label_rows(images)
-        d = math.lcm(*(x.denominator for x in v))
-        code = [x.numerator * (d // x.denominator) for x in v]
-        return [sum(map(mul, row, code)) for row in rows], den * d
+        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den:
+        apply_label_rows of label_rows(images)."""
+        return apply_label_rows(v, *self.label_rows(images))
 
     def dynkin_labels(self, v: Vec):
         nums, den = self.scaled_labels(v)
@@ -604,8 +612,7 @@ class RootSystem:
         dom, _ = self.dominant_labels(labels)
         if self.weyl_order > MAX_ORBIT and self.orbit_size(dom) > MAX_ORBIT:
             raise ValueError(f"Weyl orbit of {self.orbit_size(dom)} points exceeds cap {MAX_ORBIT}")
-        cols = list(zip(*fw))
-        roots = [[sum(map(mul, row, col)) for col in cols] for row in cartan]
+        cols, roots = self._basis_codes(tuple(fw))
         seen = {dom: (tuple([sum(map(mul, dom, col)) + b for col, b in zip(cols, offset)]), 1)}
         frontier = [dom]
         while frontier:
@@ -623,6 +630,14 @@ class RootSystem:
                         nxt.append(r)
             frontier = nxt
         return list(seen.values())
+
+    @cache
+    def _basis_codes(self, fw):
+        """(columns of fw, the code of each simple root) for the labels basis
+        fw of label_orbit (a tuple), cached per basis."""
+        cols = tuple(zip(*fw))
+        return cols, tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                           for row in self.label_data.cartan)
 
     def dominant_representative(self, v: Vec):
         """(dominant weight, sign, regular).  Sign is the parity of the word used;

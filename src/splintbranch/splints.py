@@ -4,7 +4,10 @@ A splint presents the ambient root set as a disjoint union of the images of
 two embeddings: a closed root subsystem (the regular subalgebra a module is
 branched to) and a stem, whose module weight multiplicities give branching
 coefficients through the tilde-weight rule.  The catalog is re-verified on
-load; the tilde rule is validated against brute-force subtraction.  Every
+load; the tilde rule is validated against brute-force subtraction, each
+tilde table against the ambient character peeled by `characters._peel_codes`.
+Both checks run on integer codes and decode only the weights a problem
+names.  Every
 check here, and each identity verifier of `qseries`, returns a `Report`.  The
 injection fan is the stem's Weyl denominator in ambient coordinates,
 `characters.root_product` of the stem images.
@@ -28,15 +31,15 @@ import json
 import math
 import os
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cache, cached_property
+from operator import add, mul, neg
 from typing import NamedTuple
 
-from .rootsystem import (RootSystem, Vec, build_root_system, parse_algebra_name, vadd,
-                         vcombine, vneg, zero_vec)
-from .characters import (FormalCharacter, _dominant_table, _show, _split_dominant,
-                         freudenthal_character, label_dimension, peel_dominant,
-                         root_product, weyl_dimension)
+from .rootsystem import (RootSystem, Vec, apply_label_rows, build_root_system,
+                         common_denominator, parse_algebra_name, vadd, vcombine, vneg, zero_vec)
+from .characters import (FormalCharacter, _dominant_table, _orbit_codes, _peel_codes, _show,
+                         _split_dominant, _weight, _weight_codes, decode, encode,
+                         label_dimension, peel_dominant, root_product)
 
 
 class Embedding:
@@ -101,25 +104,41 @@ class Report:
         return self.passed
 
 
+@cache
+def _coded_roots(rs: RootSystem, den: int) -> frozenset:
+    """The codes (characters.encode) of the roots of rs over den, a multiple
+    of their denominators; cached per (root system, den)."""
+    return frozenset(encode(r, den) for r in rs.roots)
+
+
 def check_embedding(e: Embedding) -> Report:
     """Verify the map is total on positive roots, bijective onto the image,
-    negation-equivariant and additive (on the roots it maps)."""
+    negation-equivariant and additive (on the roots it maps), on the image
+    codes over one denominator and the int simple coefficients of the source
+    roots."""
     problems = _missing_roots(e)
     images = list(e.pos_map.values())
-    for img in images:
-        if not e.target.is_root(img):
+    den = common_denominator(itertools.chain(images, e.target.simple_roots))
+    codes = [encode(v, den) for v in images]
+    roots = _coded_roots(e.target, den)
+    for img, c in zip(images, codes):
+        if c not in roots:
             problems.append(f"image {_show(img)} is not a root of {e.target.name}")
-    if len(set(images)) != len(images):
+    if len(set(codes)) != len(codes):
         problems.append("positive-root images are not distinct")
-    if set(images) & {vneg(v) for v in images}:
+    if set(codes) & {tuple(map(neg, c)) for c in codes}:
         problems.append("an image coincides with the negative of another image")
-    src_roots = {r for r in e.source.roots if r in e.pos_map or vneg(r) in e.pos_map}
-    for x, y in itertools.product(src_roots, repeat=2):
-        s = vadd(x, y)
-        if s in src_roots:
-            if vadd(e.image(x), e.image(y)) != e.image(s):
-                problems.append(f"additivity broken: phi{_show(x)} + phi{_show(y)} != "
-                                f"phi{_show(s)}")
+    src = e.source
+    src_roots = {r for r in src.roots if r in e.pos_map or vneg(r) in e.pos_map}
+    # per source root, in set order: (root, int simple coefficients, image code)
+    coded = [(r, tuple(x.numerator for x in src.simple_coefficients(r)),
+              encode(e.image(r), den)) for r in src_roots]
+    image_of = {k: c for _, k, c in coded}
+    for (x, kx, cx), (y, ky, cy) in itertools.product(coded, repeat=2):
+        c = image_of.get(tuple(map(add, kx, ky)))
+        if c is not None and tuple(map(add, cx, cy)) != c:
+            problems.append(f"additivity broken: phi{_show(x)} + phi{_show(y)} != "
+                            f"phi{_show(vadd(x, y))}")
     return Report(not problems, problems)
 
 
@@ -162,7 +181,8 @@ class Splint:
 
 def check_splint(s: Splint) -> Report:
     """Disjoint-union, rank, nonempty-stem, subsystem-closure and
-    index-correspondence conditions."""
+    index-correspondence conditions, on the image codes over one
+    denominator."""
     problems = []
     for label, emb in (("subalgebra", s.phi1), ("stem", s.phi2)):
         if emb.target is not s.ambient:
@@ -173,15 +193,24 @@ def check_splint(s: Splint) -> Report:
             problems.append(f"{label} stem is empty")
         if emb.source.rank > s.ambient.rank:
             problems.append(f"{label} rank exceeds ambient rank")
-    im1, im2 = s.phi1.image_roots(), s.phi2.image_roots()
-    if im1 & im2:
-        problems.append(f"images intersect: [{', '.join(map(_show, sorted(im1 & im2)[:3]))}]")
-    if im1 | im2 != set(s.ambient.roots):
-        missing = set(s.ambient.roots) - (im1 | im2)
-        problems.append(f"union misses roots [{', '.join(map(_show, sorted(missing)[:3]))}]")
-    for x, y in itertools.combinations(im1, 2):
-        t = vadd(x, y)
-        if s.ambient.is_root(t) and t not in im1:
+    # the closure pairs run in the order of the image set, as the problem names the first
+    im1 = list(s.phi1.image_roots())
+    im2 = [v for img in s.phi2.pos_map.values() for v in (img, vneg(img))]
+    den = common_denominator(itertools.chain(im1, im2, s.ambient.simple_roots))
+    code1 = [encode(v, den) for v in im1]
+    c1, c2, roots = set(code1), {encode(v, den) for v in im2}, _coded_roots(s.ambient, den)
+
+    def first_three(codes):
+        # codes are -(coordinates x den): the highest code is the lowest weight
+        return ", ".join(_show(_weight(c, den)) for c in sorted(codes, reverse=True)[:3])
+
+    if c1 & c2:
+        problems.append(f"images intersect: [{first_three(c1 & c2)}]")
+    if c1 | c2 != roots:
+        problems.append(f"union misses roots [{first_three(roots - (c1 | c2))}]")
+    for (x, a), (y, b) in itertools.combinations(zip(im1, code1), 2):
+        t = tuple(map(add, a, b))
+        if t in roots and t not in c1:
             problems.append(f"subalgebra image not closed: {_show(x)} + {_show(y)}")
             break
     problems += _correspondence_problems(s)
@@ -387,10 +416,16 @@ class SubalgebraView:
         self.sub = emb.source
         self.emb = emb
 
+    @cached_property
+    def label_rows(self):
+        """RootSystem.label_rows of the subalgebra's simple images, read once
+        per view."""
+        return self.ambient.label_rows(tuple(self.emb.simple_images))
+
     def labels(self, nu: Vec) -> tuple:
         """Integer Dynkin labels of nu for the subalgebra's simple roots;
         raises ValueError if nu is not integral for them."""
-        nums, den = self.ambient.scaled_labels(nu, self.emb.simple_images)
+        nums, den = apply_label_rows(nu, *self.label_rows)
         if any(n % den for n in nums):
             raise ValueError(f"{nu} is not integral for {self.sub.name}")
         return tuple(n // den for n in nums)
@@ -410,41 +445,64 @@ def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, in
     """Brute-force branching of L^mu to the regular subalgebra of a
     SubalgebraView of rs (a splint's `subalgebra_view()`); any other argument
     raises ValueError.  This is the oracle the tilde-weight shortcut is
-    validated against.
+    validated against: the weights of L^mu peeled on codes, decoded once.
     """
     if not isinstance(view, SubalgebraView) or view.ambient.factors != rs.factors:
         raise ValueError(f"branch_direct takes a SubalgebraView of {rs.name}")
-    return view.decompose(freudenthal_character(rs, mu))
+    top, offset = _split_dominant(rs, mu)
+    images = view.emb.simple_images
+    fw, off, den = _weight_codes(rs, offset, common_denominator(images))
+    table = _peel_codes(rs, view.sub, images, _orbit_codes(rs, top, fw, off), den)
+    return decode({c: m for c, (m, _) in table.items()}, den).terms
 
 
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     """Compare tilde-weight branching against the subtraction oracle for all
     dominant weights with Dynkin labels <= max_label; the report is named
-    "branching" and its detail is the first two problems or the pass line."""
+    "branching" and its detail is the first two problems or the pass line.
+    Runs on codes over one denominator; only the weights a problem names
+    are decoded."""
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
+    images = view.emb.simple_images
+    fw, off, den = _weight_codes(rs, None, common_denominator(images))
+    cols = list(zip(*fw))
     for labels in itertools.product(range(max_label + 1), repeat=rs.rank):
-        mu = rs.weight_from_labels(labels)
         try:
-            shortcut = branch_via_splint(s, mu)
+            table = _branch_codes(s, labels)
         except ValueError as exc:
             problems = [f"labels {labels}: {exc}"]
             break
-        bad = [nu for nu in shortcut if not view.is_dominant(nu)]
+        # read once a table exists: a broken correspondence is reported first
+        rows, rows_den = view.label_rows
+        scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
+        # table keys are den_t * the ambient labels x of nu: nu codes as x . fw
+        den_t = s.tilde_map[1]
+        shortcut = {tuple(sum(x // den_t * f for x, f in zip(key, col)) for col in cols): m
+                    for key, m in table.items()}
+        bad = []
+        for c in shortcut:
+            sub_labels = [divmod(sum(map(mul, row, c)), scale) for row in rows]
+            if any(r for _, r in sub_labels):
+                raise ValueError(f"{_weight(c, den)} is not integral for {view.sub.name}")
+            if any(x < 0 for x, _ in sub_labels):
+                bad.append(c)
         if bad:
             problems.append(f"labels {labels}: non-dominant output "
-                            f"[{', '.join(map(_show, bad[:2]))}]")
+                            f"[{', '.join(_show(_weight(c, den)) for c in bad[:2])}]")
             continue
-        direct = branch_direct(rs, view, mu)
+        peeled = _peel_codes(rs, view.sub, images, _orbit_codes(rs, labels, fw, off), den)
+        direct = {c: m for c, (m, _) in peeled.items()}
         if shortcut != direct:
-            nu = next(nu for nu in itertools.chain(direct, shortcut)
-                      if direct.get(nu, 0) != shortcut.get(nu, 0))
-            problems.append(f"labels {labels}: shortcut != direct oracle at {_show(nu)}: "
-                            f"shortcut {shortcut.get(nu, 0)}, oracle {direct.get(nu, 0)}")
+            c = next(c for c in itertools.chain(direct, shortcut)
+                     if direct.get(c, 0) != shortcut.get(c, 0))
+            problems.append(f"labels {labels}: shortcut != direct oracle at "
+                            f"{_show(_weight(c, den))}: shortcut {shortcut.get(c, 0)}, "
+                            f"oracle {direct.get(c, 0)}")
             continue
-        total = sum(b * view.dimension(nu) for nu, b in direct.items())
-        if total != weyl_dimension(rs, mu):
+        total = sum(m * label_dimension(view.sub, lab) for m, lab in peeled.values())
+        if total != label_dimension(rs, labels):
             problems.append(f"labels {labels}: dimension bookkeeping failed")
     detail = "; ".join(problems[:2]) or "tilde-weight branching equals subtraction oracle"
     return Report(not problems, problems, "branching", detail)

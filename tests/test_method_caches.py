@@ -5,7 +5,10 @@ Each cached method returns the same object on a repeat call, and that object
 equals the uncached function (the method's `__wrapped__`).  `scaled_labels`
 applies the cached rows of `label_rows` to the simple roots and to a
 catalog subalgebra's simple images alike; the reference is the formula
-2 (v, a) / (a, a) in Fractions.  The default tilde probe runs once per
+2 (v, a) / (a, a) in Fractions.  `label_orbit` codes the simple roots of a
+basis once per (algebra, basis): the cached codes are the simple roots in
+that basis, and a run of orbits on one new basis misses the cache once.
+The default tilde probe runs once per
 splint, a probe up to a given bound runs on every call, and a splint loaded
 again probes again: no module-level cache keeps a splint alive.
 """
@@ -100,3 +103,19 @@ def test_default_probe_runs_once_per_splint(monkeypatch):
     assert again.branching_status().passed == first.passed
     assert probes == [2, 1, 1, 2]
     assert s.tilde_map is s.tilde_map and again.tilde_map == s.tilde_map
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3", "F4", "A1xA2"])
+def test_label_orbit_codes_each_basis_once(name):
+    rs = build_root_system(name)
+    ld = rs.label_data
+    # the fundamental weights times 7 fw_den: a basis no other test walks
+    fw = [tuple(7 * x for x in w) for w in ld.fw]
+    misses = RootSystem._basis_codes.cache_info().misses
+    for labels in itertools.product(range(-1, 2), repeat=rs.rank):
+        rs.label_orbit(labels, fw, (0,) * rs.dim)
+    assert RootSystem._basis_codes.cache_info().misses == misses + 1
+    cols, roots = cached_once(RootSystem._basis_codes, rs, tuple(fw))
+    assert cols == tuple(zip(*fw))
+    # the code of alpha_i in the basis 7 fw_den omega: its coordinates times 7 fw_den
+    assert roots == tuple(tuple(7 * ld.fw_den * x for x in alpha) for alpha in rs.simple_roots)
