@@ -17,6 +17,12 @@ that does not parse, fails its digest, does not hold the requested
 character or fails a gate is recomputed and rewritten, never served; so is
 one that cannot be read.  A cache entry that cannot be written is a
 configuration error.
+
+Each command is a fresh process, so start-up is kept to what the command
+runs: the parser builds the subparser of the named command only (all eight
+for help, no command or an unknown one, with the same help and usage
+texts), and the library modules are imported by the commands and input
+helpers that use them.
 """
 
 from __future__ import annotations
@@ -26,12 +32,7 @@ import json
 import os
 import sys
 
-from . import affine as af
-from . import qseries as qs
-from .characters import weyl_dimension, weyl_identity
 from .rootsystem import build_root_system
-from .splints import (Report, branch_direct, branch_via_splint, check_embedding, check_splint,
-                      fan_coefficients, find_splint, load_splint_file, splint_catalog)
 
 CACHE_ENV = "SPLINTBRANCH_CACHE_DIR"
 CACHE_SCHEMA = "splintbranch-affine-character-v3"
@@ -84,11 +85,13 @@ def _resolve(args, errors, splint):
         return rs, None
     s = None
     if args.splint_file:
+        from .splints import load_splint_file
         try:
             s = load_splint_file(args.splint_file)
         except (OSError, ValueError, KeyError) as exc:
             errors.append(f"cannot load splint file {args.splint_file}: {exc}")
     elif args.splint:
+        from .splints import find_splint
         name = args.splint
         try:
             s = find_splint(name if ":" in name or rs is None else f"{rs.name}:{name}")
@@ -127,6 +130,7 @@ def _inputs(args, splint=None):
     errors += [f"--{name.replace('_', '-')} must be >= 0"
                for name in ("level", "grade_max", "max_label") if (flags.get(name) or 0) < 0]
     if labels is not None and level is not None and level >= 0:
+        from . import affine as af
         aw = af.AffineWeight(rs.weight_from_labels(labels), level)
         try:
             af.check_affine_dominant(rs, aw)
@@ -179,7 +183,7 @@ def _payload_digest(doc):
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def _layers_to_json(rs, request, bs: af.BranchingSeries):
+def _layers_to_json(rs, request, bs):
     """The cache document of the request: per grade, the [Dynkin labels of
     nu, b] terms of its branching series bs to rs, a series built by
     af.graded_character, whose labels it carries."""
@@ -206,6 +210,7 @@ def _layers_from_json(doc, rs, aw, request):
     folds = [{tuple(labels): b for labels, b in terms} for terms in doc["series"]]
     if any(len(fold) != len(terms) for fold, terms in zip(folds, doc["series"])):
         raise ValueError("cache entry repeats a constituent")
+    from . import affine as af
     return af.graded_character(rs, aw, folds)
 
 
@@ -213,6 +218,7 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
     """affine_character through the disk cache; an entry that cannot be
     read or served is recomputed and rewritten.  An OSError while writing it
     is a configuration error, and no temporary file is left behind."""
+    from . import affine as af
     if cache_dir is None:
         return af.affine_character(rs, aw, cutoff)
     import hashlib  # imported here, so that a command without the cache never loads them
@@ -267,6 +273,7 @@ def cmd_roots(args):
 
 def cmd_splint(args):
     rs, s, _, _ = _inputs(args, None if args.action == "list" else True)
+    from .splints import check_embedding, check_splint, splint_catalog
     if args.action == "list":
         entries = splint_catalog(rs)
         if not entries:
@@ -296,6 +303,7 @@ def cmd_splint(args):
 
 
 def cmd_fan(args):
+    from .splints import fan_coefficients
     _, s, _, _ = _inputs(args, True)
     fan = fan_coefficients(s)
     rows = sorted((_ints(s.ambient.simple_coefficients(g)), v)
@@ -308,6 +316,8 @@ def cmd_fan(args):
 
 
 def cmd_branch(args):
+    from .characters import weyl_dimension
+    from .splints import branch_direct, branch_via_splint
     rs, s, labels, _ = _inputs(args, True)
     mu = rs.weight_from_labels(labels)
     status = s.branching_status()
@@ -341,6 +351,7 @@ def cmd_branch(args):
 
 
 def cmd_affine_branch(args):
+    from . import affine as af
     rs, s, labels, aw = _inputs(args, True)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     series = af.branch_affine_to_subalgebra(rs, s, aw, args.grade_max, gc=gc)
@@ -367,6 +378,7 @@ def cmd_affine_branch(args):
 
 
 def cmd_strings(args):
+    from . import affine as af
     rs, _, labels, aw = _inputs(args)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     bs = af.graded_branch_to_g(rs, aw, args.grade_max, gc)
@@ -410,6 +422,7 @@ def cmd_strings(args):
 
 
 def cmd_qdim(args):
+    from . import affine as af
     rs, _, labels, aw = _inputs(args)
     gc = cached_affine_character(rs, aw, args.grade_max, _cache_dir(args))
     series = af.q_dimension(rs, aw, args.grade_max, gc=gc)
@@ -421,6 +434,9 @@ def cmd_qdim(args):
 
 
 def cmd_verify(args):
+    from . import qseries as qs
+    from .characters import weyl_identity
+    from .splints import Report
     identities = ([args.identity] if args.identity != "all"
                   else ["weyl", "branching", "denominator",
                         "theta-product", "theta-sum"])
@@ -456,78 +472,70 @@ def cmd_verify(args):
 # parser
 
 
-def _add_common(p, weight=False, level=False, grade=False, splint=False, oracle=False):
-    p.add_argument("--algebra", help="simple factors, e.g. G2 or A1xA1")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--cache-dir", help=f"cache directory (default ${CACHE_ENV})")
-    p.add_argument("--no-cache", action="store_true", help="bypass the cache")
-    if weight:
-        p.add_argument("--weight", help="Dynkin labels, comma separated")
-    if level:
-        p.add_argument("--level", type=int, help="affine level k")
-        p.add_argument("--grade-max", type=int, default=3, help="grade cutoff N")
-    if grade and not level:
-        p.add_argument("--grade-max", type=int, default=4, help="grade cutoff N")
-    if splint:
-        p.add_argument("--splint", help="catalog splint, e.g. A2A2 or G2:A2A2")
-        p.add_argument("--splint-file", help="load a splint from a JSON file")
-    if oracle:
-        p.add_argument("--oracle", action="store_true",
-                       help="also run the brute-force route and report a match flag")
+# the flags of the subcommands, (flag, add_argument keywords) in help order
+_COMMON = [("--algebra", dict(help="simple factors, e.g. G2 or A1xA1")),
+           ("--format", dict(choices=["text", "json"], default="text")),
+           ("--cache-dir", dict(help=f"cache directory (default ${CACHE_ENV})")),
+           ("--no-cache", dict(action="store_true", help="bypass the cache"))]
+_WEIGHT = [("--weight", dict(help="Dynkin labels, comma separated"))]
+_LEVEL = [("--level", dict(type=int, help="affine level k")),
+          ("--grade-max", dict(type=int, default=3, help="grade cutoff N"))]
+_SPLINT = [("--splint", dict(help="catalog splint, e.g. A2A2 or G2:A2A2")),
+           ("--splint-file", dict(help="load a splint from a JSON file"))]
+_ORACLE = [("--oracle", dict(action="store_true",
+                             help="also run the brute-force route and report a match flag"))]
+
+# name -> (help, handler, arguments), in the order the full parser lists them
+COMMANDS = {
+    "roots": ("root system data", cmd_roots, _COMMON),
+    "splint": ("list or check catalog splints", cmd_splint,
+               [("action", dict(choices=["list", "check"]))] + _COMMON + _SPLINT),
+    "fan": ("injection fan coefficients", cmd_fan, _COMMON + _SPLINT),
+    "branch": ("finite branching through a splint", cmd_branch,
+               _COMMON + _WEIGHT + _SPLINT + _ORACLE),
+    "affine-branch": ("graded branching to the subalgebra", cmd_affine_branch,
+                      _COMMON + _WEIGHT + _LEVEL + _SPLINT + _ORACLE),
+    "strings": ("string functions of an affine module", cmd_strings,
+                _COMMON + _WEIGHT + _LEVEL
+                + [("--emit", dict(choices=["series", "matrix"], default="series",
+                                   help="also emit the multiplicity matrix machinery"))]),
+    "qdim": ("q-dimension series", cmd_qdim, _COMMON + _WEIGHT + _LEVEL),
+    "verify": ("verify splint identities", cmd_verify,
+               [("--identity", dict(choices=["weyl", "branching", "denominator",
+                                             "theta-product", "theta-sum", "all"],
+                                    default="all")),
+                ("--max-label", dict(type=int, default=None,
+                                     help="probe bound for the branching dual-route check"))]
+               + _COMMON + [("--grade-max", dict(type=int, default=4, help="grade cutoff N"))]
+               + _SPLINT),
+}
 
 
-def make_parser():
+def make_parser(command=None):
+    """The parser with the subparser of `command` only, or of every command
+    for None.  A command process builds only its own; its help and usage
+    errors read the same as the full parser's, whose usage line lists all
+    eight commands."""
     ap = argparse.ArgumentParser(
         prog="splintbranch",
         description="Exact splint branching for simple and affine Lie algebras")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="root system data")
-    _add_common(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("splint", help="list or check catalog splints")
-    p.add_argument("action", choices=["list", "check"])
-    _add_common(p, splint=True)
-    p.set_defaults(func=cmd_splint)
-
-    p = sub.add_parser("fan", help="injection fan coefficients")
-    _add_common(p, splint=True)
-    p.set_defaults(func=cmd_fan)
-
-    p = sub.add_parser("branch", help="finite branching through a splint")
-    _add_common(p, weight=True, splint=True, oracle=True)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("affine-branch", help="graded branching to the subalgebra")
-    _add_common(p, weight=True, level=True, splint=True, oracle=True)
-    p.set_defaults(func=cmd_affine_branch)
-
-    p = sub.add_parser("strings", help="string functions of an affine module")
-    _add_common(p, weight=True, level=True)
-    p.add_argument("--emit", choices=["series", "matrix"], default="series",
-                   help="also emit the multiplicity matrix machinery")
-    p.set_defaults(func=cmd_strings)
-
-    p = sub.add_parser("qdim", help="q-dimension series")
-    _add_common(p, weight=True, level=True)
-    p.set_defaults(func=cmd_qdim)
-
-    p = sub.add_parser("verify", help="verify splint identities")
-    p.add_argument("--identity",
-                   choices=["weyl", "branching", "denominator",
-                            "theta-product", "theta-sum", "all"],
-                   default="all")
-    p.add_argument("--max-label", type=int, default=None,
-                   help="probe bound for the branching dual-route check")
-    _add_common(p, grade=True, splint=True)
-    p.set_defaults(func=cmd_verify)
+    # one subparser keeps the usage line of all eight; argparse also names
+    # the action by its metavar in errors, so the full parser keeps the
+    # default, which says "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

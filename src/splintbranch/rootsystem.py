@@ -460,8 +460,12 @@ class RootSystem:
             return v
 
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        start = {enter(s): s for k in units for s in (k, tuple(-c for c in k))}
-        roots = set(self.simple_roots) | {vneg(a) for a in self.simple_roots}
+        pos = [enter(k) for k in units]
+        neg = [enter(tuple(-c for c in k)) for k in units]
+        start = {v: k for k, v in found.items()}
+        # every root's coordinates hash once; the simple roots go in first,
+        # one by one, as the set's iteration order depends on its inserts
+        roots = set(pos) | set(neg)
         frontier = [start[v] for v in roots]
         while frontier:
             nxt = []

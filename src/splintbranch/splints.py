@@ -35,7 +35,7 @@ from functools import cache, cached_property
 from operator import add, mul, neg
 from typing import NamedTuple
 
-from .rootsystem import (RootSystem, Vec, apply_label_rows, build_root_system,
+from .rootsystem import (FractionCache, RootSystem, Vec, apply_label_rows, build_root_system,
                          common_denominator, parse_algebra_name, vadd, vcombine, vneg, zero_vec)
 from .characters import (FormalCharacter, _dominant_table, _orbit_codes, _peel_codes, _show,
                          _split_dominant, _weight, _weight_codes, decode, encode,
@@ -105,6 +105,13 @@ class Report:
 
 
 @cache
+def _root_coefficients(rs: RootSystem) -> dict:
+    """root -> its int simple coefficients, over the roots of rs; cached per
+    root system."""
+    return {r: tuple(x.numerator for x in rs.simple_coefficients(r)) for r in rs.roots}
+
+
+@cache
 def _coded_roots(rs: RootSystem, den: int) -> frozenset:
     """The codes (characters.encode) of the roots of rs over den, a multiple
     of their denominators; cached per (root system, den)."""
@@ -128,12 +135,15 @@ def check_embedding(e: Embedding) -> Report:
         problems.append("positive-root images are not distinct")
     if set(codes) & {tuple(map(neg, c)) for c in codes}:
         problems.append("an image coincides with the negative of another image")
-    src = e.source
-    src_roots = {r for r in src.roots if r in e.pos_map or vneg(r) in e.pos_map}
+    coeffs = _root_coefficients(e.source)
+    # the image code of each mapped source root by its simple coefficients,
+    # extended by negation where the map does not name the root
+    image_of = {coeffs[r]: c for r, c in zip(e.pos_map, codes) if r in coeffs}
+    for k, c in list(image_of.items()):
+        image_of.setdefault(tuple(map(neg, k)), tuple(map(neg, c)))
+    src_roots = {r for r in e.source.roots if coeffs[r] in image_of}
     # per source root, in set order: (root, int simple coefficients, image code)
-    coded = [(r, tuple(x.numerator for x in src.simple_coefficients(r)),
-              encode(e.image(r), den)) for r in src_roots]
-    image_of = {k: c for _, k, c in coded}
+    coded = [(r, coeffs[r], image_of[coeffs[r]]) for r in src_roots]
     for (x, kx, cx), (y, ky, cy) in itertools.product(coded, repeat=2):
         c = image_of.get(tuple(map(add, kx, ky)))
         if c is not None and tuple(map(add, cx, cy)) != c:
@@ -246,6 +256,10 @@ def _parse_embedding(entry, ambient: RootSystem, part: str) -> Embedding:
     pairs = entry.get("map")
     _field(isinstance(pairs, list), f"{part} map must be a list of [coefficients, image] "
            "entries", pairs)
+    # keys are the source's own roots and image coordinates hash once
+    # (Fraction(x, 1) is x), so the checks look them up without rehashing
+    roots = {k: r for r, k in _root_coefficients(src).items()}
+    coord = FractionCache(1).__getitem__
     pos_map = {}
     for pair in pairs:
         _field(isinstance(pair, list) and len(pair) == 2 and _exact_list(pair[0], src.rank, int)
@@ -253,10 +267,10 @@ def _parse_embedding(entry, ambient: RootSystem, part: str) -> Embedding:
                f"{part} map entry must be [{src.rank} simple coefficients, "
                f"{ambient.dim} coordinates]", pair)
         coeffs, img = pair
-        root = vcombine(zero_vec(src.dim), coeffs, src.simple_roots)
-        if not src.is_root(root):
+        root = roots.get(tuple(coeffs))
+        if root is None:
             raise ValueError(f"{part} map: {coeffs} is not a root of {src.name}")
-        pos_map[root] = tuple(Fraction(x) for x in img)
+        pos_map[root] = tuple(coord(Fraction(x)) for x in img)
     return Embedding(src, ambient, pos_map)
 
 

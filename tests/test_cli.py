@@ -438,14 +438,89 @@ def test_cache_round_trip_byte_identical(tmp_path, capsys):
 START_UP_FREE = ("dataclasses", "inspect", "hashlib", "tempfile", "importlib.resources")
 
 
-def test_cli_import_loads_no_start_up_free_module():
-    # -S: no site hooks, which on some hosts load tempfile or importlib.resources
-    code = ("import splintbranch.cli, sys; "
-            f"print([m for m in {START_UP_FREE!r} if m in sys.modules])")
+SUBMODULES = tuple(f"splintbranch.{m}"
+                   for m in ("rootsystem", "characters", "splints", "affine", "qseries", "cli"))
+
+# (a command, the submodules it must not load): each imports only the modules it runs
+COMMAND_FOOTPRINTS = [
+    (["roots", "--algebra", "G2"], ("characters", "splints", "affine", "qseries")),
+    (["splint", "list", "--algebra", "G2"], ("affine", "qseries")),
+    (["splint", "check", "--splint", "B2:A1A1"], ("affine", "qseries")),
+    (["fan", "--splint", "B2:A1A1"], ("affine", "qseries")),
+    (["branch", "--splint", "B2:A1A1", "--weight", "1,0"], ("affine", "qseries")),
+    (["verify", "--splint", "B2:A1A1", "--grade-max", "1"], ("affine",)),
+    (["strings", "--algebra", "A1", "--level", "1", "--weight", "0", "--grade-max", "1",
+      "--no-cache"], ("qseries",)),
+    (["qdim", "--algebra", "A1", "--level", "1", "--weight", "0", "--grade-max", "1",
+      "--no-cache"], ("qseries",)),
+    (["affine-branch", "--splint", "B2:A1A1", "--level", "1", "--weight", "0,1",
+      "--grade-max", "1", "--no-cache"], ("qseries",)),
+]
+
+
+def loaded_after(code, modules):
+    """The names of `modules` in sys.modules after `code` runs in a fresh
+    interpreter under -S (no site hooks, which on some hosts load tempfile or
+    importlib.resources), as the printed list."""
+    probe = (f"{code}\nimport sys\n"
+             f"print([m for m in {tuple(modules)!r} if m in sys.modules], file=sys.stderr)")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "[]\n", f"import splintbranch.cli loaded {done.stdout.strip()}"
+    return done.stderr.splitlines()[-1]
+
+
+def test_cli_import_loads_no_start_up_free_module():
+    got = loaded_after("import splintbranch.cli", START_UP_FREE)
+    assert got == "[]", f"import splintbranch.cli loaded {got}"
+    got = loaded_after("import splintbranch", SUBMODULES)
+    assert got == "[]", f"import splintbranch loaded {got}"
+    for argv, unused in COMMAND_FOOTPRINTS:
+        run_it = f"import splintbranch.cli\nassert splintbranch.cli.main({argv!r}) == 0"
+        got = loaded_after(run_it, [f"splintbranch.{m}" for m in unused])
+        assert got == "[]", f"{argv[0]} loaded {got}"
+    # the probe sees a module a command does load
+    verify = next(argv for argv, _ in COMMAND_FOOTPRINTS if argv[0] == "verify")
+    run_it = f"import splintbranch.cli\nsplintbranch.cli.main({verify!r})"
+    assert loaded_after(run_it, ["splintbranch.qseries"]) == "['splintbranch.qseries']"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("tail, exit_code", [(["--help"], 0), (["--bogus"], 2)])
+def test_one_subparser_reads_as_the_full_parser(capsys, command, tail, exit_code):
+    # help and usage errors of a command, byte for byte, with and without the
+    # other seven subparsers
+    seen = []
+    for parser in (cli.make_parser(), cli.make_parser(command)):
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args([command, *tail])
+        out = capsys.readouterr()
+        seen.append((stop.value.code, out.out, out.err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == exit_code
+
+
+def test_main_builds_the_named_subparser_only(capsys):
+    with mock.patch.object(cli, "make_parser", wraps=cli.make_parser) as built:
+        assert main(["roots", "--algebra", "A1"]) == 0
+    built.assert_called_once_with("roots")
+    # the parser of roots knows no other command
+    with pytest.raises(SystemExit):
+        cli.make_parser("roots").parse_args(["fan", "--splint", "B2:A1A1"])
+    assert "invalid choice: 'fan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_top_level_lists_all_eight_commands(capsys, argv, exit_code):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out = capsys.readouterr()
+    assert stop.value.code == exit_code
+    text = out.out if exit_code == 0 else out.err
+    assert "{" + ",".join(cli.COMMANDS) + "}" in text
+    assert len(cli.COMMANDS) == 8
+    if exit_code == 0:
+        assert all(f"    {name}" in text for name in cli.COMMANDS)
 
 
 def test_missing_required_flags(capsys):

@@ -346,6 +346,34 @@ def test_images_off_the_root_lattice_are_named():
     assert any("is not a root of G2" in p and "/2" in p for p in rep.problems)
 
 
+# plain-Fraction hashes of one warm check_splint of each catalog splint while
+# the map keys and images were plain Fraction tuples (Python 3.11)
+PLAIN_MAP_FRACTION_HASHES = 994
+
+
+def test_check_splint_hashes_few_plain_fractions(monkeypatch):
+    # the map keys are the source's own roots and the images coordinates that
+    # hash once, so only the negated images of image_roots hash a Fraction
+    splints = [splint_from_dict(entry, verify=False) for entry in CATALOG.values()]
+    for s in splints:
+        check_splint(s)         # builds the tables cached per root system
+    calls = []
+    plain_hash = Fraction.__hash__
+
+    def counted(x):
+        calls.append(x)
+        return plain_hash(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    hash(Fraction(1, 3))        # the counter sees a plain Fraction's hash
+    assert len(calls) == 1
+    calls.clear()
+    reports = [check_splint(s) for s in splints]
+    monkeypatch.undo()
+    assert all(reports)
+    assert 10 * len(calls) < PLAIN_MAP_FRACTION_HASHES
+
+
 # ---------------------------------------------------------------------------
 # the view's label rows
 
