@@ -60,10 +60,10 @@ Dynkin labels (`_labels_up_to`), and column j holds the rows of
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import NamedTuple
 
 from .rootsystem import FractionCache, RootSystem, Vec, invert_matrix
 from .characters import (_affine_denominator, _ball, _dominant_table, _freudenthal_tables,
@@ -73,10 +73,10 @@ from .characters import (_affine_denominator, _ball, _dominant_table, _freudenth
 from .splints import Splint, _branch_codes
 
 
-class AffineWeight(NamedTuple):
-    """Highest weight (finite part, level) of an affine module, at grade 0."""
-    finite: Vec
-    level: int
+class AffineWeight(namedtuple("AffineWeight", "finite level")):
+    """Highest weight (finite part, level) of an affine module, at grade 0:
+    finite a Fraction vector, level an int."""
+    __slots__ = ()
 
 
 def check_affine_dominant(rs: RootSystem, aw: AffineWeight) -> tuple:
@@ -353,10 +353,11 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
 # weight ordering and the multiplicity matrix
 
 
-class MultiplicityMatrix(NamedTuple):
-    """m^{(xi)}_nu over dominant weights ordered by ((rho,xi), labels)."""
-    basis: list          # dominant weights, ascending
-    mat: list            # mat[i][j] = multiplicity of basis[i] in L^{basis[j]}
+class MultiplicityMatrix(namedtuple("MultiplicityMatrix", "basis mat")):
+    """m^{(xi)}_nu over dominant weights ordered by ((rho,xi), labels): basis
+    lists the dominant weights, ascending, and mat[i][j] is the multiplicity
+    of basis[i] in L^{basis[j]}."""
+    __slots__ = ()
 
 
 def _labels_up_to(rs: RootSystem, bound) -> list:
@@ -441,7 +442,7 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
         for code, c in _branch_codes(s, lbl).items():
             acc[code, n] = acc.get((code, n), 0) + b * c
     xi = {code: v for v, code in s.ambient.from_labels(
-        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), s.tilde_map[1], *offsets)}
+        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), 1, *offsets)}
     return BranchingSeries(cutoff, {(xi[code], n): v for (code, n), v in acc.items() if v})
 
 

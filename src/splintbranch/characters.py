@@ -66,9 +66,9 @@ import heapq
 import itertools
 import math
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import NamedTuple
 
 from .rootsystem import (RootSystem, Vec, FractionCache, common_denominator,
                          lattice_points_in_ellipsoid, vneg, zero_vec)
@@ -391,13 +391,11 @@ def _in_box(reach: int) -> int:
     return reach
 
 
-class _Denominator(NamedTuple):
+class _Denominator(namedtuple("_Denominator", "grades codes reaches")):
     """A `_layer_cache` entry, grades 0..n: each grade packed in the box of
     its dimension and as a {code: coefficient} dict, and the reach of each
     grade."""
-    grades: tuple
-    codes: tuple
-    reaches: tuple
+    __slots__ = ()
 
 
 def _affine_denominator(images, imaginary: int, cutoff: int, rooted: bool = True):

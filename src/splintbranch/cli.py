@@ -256,7 +256,7 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
 
 def cmd_roots(args):
     rs, _, _, _ = _inputs(args)
-    pos = [tuple(_ints(rs.simple_coefficients(a))) for a in rs.positive_roots]
+    pos = [rs.root_coefficients[a] for a in rs.positive_roots]
     lines = [f"algebra {rs.name}: rank {rs.rank}, {len(pos)} positive roots, "
              f"h-dual {list(rs.dual_coxeter)}, |W| = {rs.weyl_order}",
              "cartan matrix:"]

@@ -393,11 +393,13 @@ def denominator_product(rs: RootSystem, cutoff: int) -> QSeries:
     return _denominator_series(rs.positive_roots, rs.rank, cutoff)
 
 
-def _require_splint(s: Splint):
+def _require_splint(s: Splint, cutoff):
     # Verifiers treat mismatches as data, so a structurally broken splint gets
     # a fail report, not an exception; only degenerate input is rejected.
     if not s.phi1.pos_map or not s.phi2.pos_map:
         raise ValueError(f"{s.name}: trivial splint with an empty stem is rejected")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
 
 
 def _times_power(lhs, rhs, power, extra, cutoff):
@@ -416,7 +418,7 @@ def verify_denominator_splint(s: Splint, cutoff: int) -> Report:
     compared exactly as truncated lattice series.  A stem's denominator is
     pushed into ambient coordinates: its images carry the e-content, the
     grading stays the stem's own."""
-    _require_splint(s)
+    _require_splint(s, cutoff)
     rs = s.ambient
     stem1, stem2 = (_denominator_series(list(phi.pos_map.values()), phi.source.rank, cutoff)
                     for phi in (s.phi1, s.phi2))
@@ -458,7 +460,7 @@ def verify_theta_products(s: Splint, cutoff) -> Report:
     product (rank imaginary factors) times phi(q)^(|positive roots| - rank),
     since the imaginary factors are scalars.  The overall q-power is matched
     at lowest order; all higher terms must agree."""
-    _require_splint(s)
+    _require_splint(s, cutoff)
     rs = s.ambient
     lhs = functools.reduce(mul, [jacobi_theta_sum(img, cutoff) for img in
                                  [*s.phi1.pos_map.values(), *s.phi2.pos_map.values()]])
@@ -537,7 +539,7 @@ def verify_theta_sums(s: Splint, cutoff, drop_term=False) -> Report:
     lattices.  The eta power on the right restores the imaginary-root
     mismatch of the regrouped denominators; without it the identity fails
     beyond the lowest order whenever rank a + rank s > rank g."""
-    _require_splint(s)
+    _require_splint(s, cutoff)
     rs = s.ambient
     lhs = (theta_alternating_sum(s.phi1.source, s.phi1.fundamental_images, cutoff)
            * theta_alternating_sum(s.phi2.source, s.phi2.fundamental_images, cutoff))

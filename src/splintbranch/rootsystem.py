@@ -5,7 +5,9 @@ a per-coordinate rational form scale chosen so that long roots of every simple
 factor have squared length 2.  Vectors at the interface are tuples of
 Fractions, so every inner product, Dynkin label and reflection is exact.
 Vectors built from integer codes take their coordinates from `FractionCache`,
-Fractions that compute their hash once.
+Fractions that compute their hash once.  The roots are closed on their int
+simple coefficients, which `RootSystem.root_coefficients` keeps, keyed by the
+root objects themselves.
 
 The weight engine (Weyl orbits, dominant representatives, Freudenthal) runs
 on integer Dynkin labels instead.  `RootSystem.label_data`, built on first
@@ -21,8 +23,9 @@ once and each reflected point by one root-code subtraction, and it refuses an
 orbit larger than MAX_ORBIT from its size (`orbit_size`) before walking it.
 The label memos (`label_rows`, `split_labels`, `dominant_labels`, the orbit
 size per zero-label pattern, the simple-root codes of each basis that
-`label_orbit` is given) are `functools.cache` methods: a root system lives
-for the process anyway, one per algebra (`build_root_system`).
+`label_orbit` is given) are `functools.cache` methods, like
+`simple_coefficients`: a root system lives for the process anyway, one per
+algebra (`build_root_system`).
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -37,10 +40,10 @@ Realizations (one block per simple factor):
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
-from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
 
@@ -287,20 +290,15 @@ def weyl_group_order(coefficients) -> int:
     return num // den
 
 
-class LabelData(NamedTuple):
-    """Integer weight data in Dynkin-label coordinates.
+class LabelData(namedtuple("LabelData", "cartan positive form form_den fw fw_den")):
+    """Integer weight data in Dynkin-label coordinates, tuples of ints.
 
     cartan[i] holds the labels of alpha_i.  positive[k] is (labels, simple
     coefficients) of positive_roots[k].  For label vectors x, y the form is
     (x, y) = sum_ij x_i form[i][j] y_j / form_den (`pair` gives its numerator).
     Fundamental weight k is fw[k] / fw_den in orthogonal coordinates.
     """
-    cartan: tuple
-    positive: tuple
-    form: tuple
-    form_den: int
-    fw: tuple
-    fw_den: int
+    __slots__ = ()
 
     def pair(self, x, y) -> int:
         """(x, y) * form_den for label vectors x, y: the one integer form."""
@@ -378,8 +376,6 @@ class RootSystem:
         self.simple_roots: tuple[Vec, ...] = tuple(padded)
         self.gram_diag: tuple[Fraction, ...] = tuple(gram_diag)
 
-        self._coeff_cache: dict[Vec, tuple] = {}
-
         cartan = [self.dynkin_labels(a) for a in self.simple_roots]
         if any(x.denominator != 1 for row in cartan for x in row):
             raise AssertionError("non-integer Cartan entry")
@@ -388,7 +384,7 @@ class RootSystem:
         # omega_k = sum_j (C^-1)_{kj} alpha_j
         self.fundamental_weights: tuple[Vec, ...] = tuple(map(self._combine, self._cartan_inv))
 
-        self._root_set, positive = self._generate_roots()
+        self._root_set, self.root_coefficients, positive = self._generate_roots()
         self.positive_roots = tuple(v for v, _ in positive)
         rho_sum = zero_vec(self.dim)
         for a in self.positive_roots:
@@ -425,38 +421,37 @@ class RootSystem:
     def _combine(self, coeffs) -> Vec:
         return vcombine(zero_vec(self.dim), coeffs, self.simple_roots)
 
+    @cache
     def simple_coefficients(self, v: Vec):
         """Coordinates of v in the simple-root basis (requires v in the root
-        span): its Dynkin labels times the inverse Cartan matrix."""
-        if v in self._coeff_cache:
-            return self._coeff_cache[v]
+        span), Fractions: its Dynkin labels times the inverse Cartan matrix.
+        A root's int coefficients are root_coefficients[root]."""
         labels = self.dynkin_labels(v)
         coeffs = tuple(sum(map(mul, labels, col)) for col in zip(*self._cartan_inv))
         if self._combine(coeffs) != v:
             raise ValueError("vector does not lie in the span of the simple roots")
-        self._coeff_cache[v] = coeffs
         return coeffs
 
     def _generate_roots(self):
-        """(root set, [(root, simple coefficients)] of the positive roots,
-        sorted by (height, root)).
+        """(root set, {root: int simple coefficients} over the root set,
+        [(root, simple coefficients)] of the positive roots, sorted by
+        (height, root)).
 
         The simple roots and their negatives are closed under the integer
         simple reflections k -> k - <k, alpha_i^vee> e_i on simple-root
         coefficients; each root becomes coordinates once, over one common
-        denominator, and its simple coefficients go to the
-        simple_coefficients cache.  Coordinates enter the root set in
-        breadth-first order, which fixes its iteration order."""
+        denominator, and all three outputs hold that one object.
+        Coordinates enter the root set in breadth-first order, which fixes
+        its iteration order."""
         n, cartan = self.rank, self.cartan
         den = common_denominator(self.simple_roots)
         simple = [[x.numerator * (den // x.denominator) for x in a] for a in self.simple_roots]
-        coord, coeff = FractionCache(den).__getitem__, FractionCache(1).__getitem__
+        coord = FractionCache(den).__getitem__
         found = {}           # simple coefficients -> root
 
         def enter(k):
             code = [sum(c * a[x] for c, a in zip(k, simple) if c) for x in range(self.dim)]
             v = found[k] = tuple([coord(x) for x in code])
-            self._coeff_cache[v] = tuple(map(coeff, k))
             return v
 
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -482,7 +477,8 @@ class RootSystem:
         positive = sorted((sum(k), v, k) for k, v in found.items() if min(k) >= 0)
         if 2 * len(positive) != len(roots):
             raise AssertionError("positive roots do not split the root set in half")
-        return frozenset(roots), [(v, k) for _, v, k in positive]
+        coefficients = {v: k for k, v in found.items()}
+        return frozenset(roots), coefficients, [(v, k) for _, v, k in positive]
 
     def is_root(self, v: Vec) -> bool:
         return v in self._root_set
@@ -504,13 +500,8 @@ class RootSystem:
         den = math.lcm(*(x.denominator for row in rows for x in row))
         return [[int(x * den) for x in row] for row in rows], den
 
-    def scaled_labels(self, v: Vec, images=None):
-        """(nums, den) with 2 (v, a_i) / (a_i, a_i) = nums[i] / den:
-        apply_label_rows of label_rows(images)."""
-        return apply_label_rows(v, *self.label_rows(images))
-
     def dynkin_labels(self, v: Vec):
-        nums, den = self.scaled_labels(v)
+        nums, den = apply_label_rows(v, *self.label_rows())
         return tuple(Fraction(n, den) for n in nums)
 
     def weight_from_labels(self, labels) -> Vec:
@@ -532,7 +523,7 @@ class RootSystem:
         """Integer weight data (see LabelData), built on first use."""
         positive = tuple(
             (tuple(int(m) for m in self.dynkin_labels(a)),
-             tuple(int(c) for c in self.simple_coefficients(a)))
+             self.root_coefficients[a])
             for a in self.positive_roots)
         gram = [[self.inner(x, y) for y in self.fundamental_weights]
                 for x in self.fundamental_weights]
@@ -553,7 +544,7 @@ class RootSystem:
         labels are ints, d is the common denominator of the Dynkin labels of v,
         and offset (None when zero) is the W-fixed part of v orthogonal to the
         roots."""
-        nums, den = self.scaled_labels(v)
+        nums, den = apply_label_rows(v, *self.label_rows())
         g = math.gcd(den, *nums)
         ints, d = tuple(n // g for n in nums), den // g
         ((base, _),) = self.from_labels([(ints, None)], d)

@@ -7,7 +7,9 @@ coefficients through the tilde-weight rule.  The catalog is re-verified on
 load; the tilde rule is validated against brute-force subtraction, each
 tilde table against the ambient character peeled by `characters._peel_codes`.
 Both checks run on integer codes and decode only the weights a problem
-names.  Every
+names; the embedding checks read the source roots' int simple coefficients
+from `RootSystem.root_coefficients`, and a parsed map's keys are the
+source's own roots.  Every
 check here, and each identity verifier of `qseries`, returns a `Report`.  The
 injection fan is the stem's Weyl denominator in ambient coordinates,
 `characters.root_product` of the stem images.
@@ -19,9 +21,11 @@ weight j (`Splint.tilde_map`, a cached property like the default tilde probe
 `Splint.tilde_probe`).  Each embedding pushes its source fundamental weights
 once (`Embedding.fundamental_images`), read by the tilde map and by the
 stems' theta sums in `qseries`.  Stem orbits come from `label_orbit`; the
-integer table is kept on the splint by the labels of mu (`_branch_codes`,
-which the affine route calls with the labels its series carries), and each
-call decodes its own copy with the W-fixed offset of mu.
+table, the int ambient labels of each nu -> multiplicity, is kept on the
+splint by the labels of mu (`_branch_codes`, which the affine route calls
+with the labels its series carries, and the only reader of the tilde map's
+denominator), and each call decodes its own copy with the W-fixed offset of
+mu.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import itertools
 import json
 import math
 import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, mul, neg
-from typing import NamedTuple
 
 from .rootsystem import (FractionCache, RootSystem, Vec, apply_label_rows, build_root_system,
                          common_denominator, parse_algebra_name, vadd, vcombine, vneg, zero_vec)
@@ -105,13 +109,6 @@ class Report:
 
 
 @cache
-def _root_coefficients(rs: RootSystem) -> dict:
-    """root -> its int simple coefficients, over the roots of rs; cached per
-    root system."""
-    return {r: tuple(x.numerator for x in rs.simple_coefficients(r)) for r in rs.roots}
-
-
-@cache
 def _coded_roots(rs: RootSystem, den: int) -> frozenset:
     """The codes (characters.encode) of the roots of rs over den, a multiple
     of their denominators; cached per (root system, den)."""
@@ -135,7 +132,7 @@ def check_embedding(e: Embedding) -> Report:
         problems.append("positive-root images are not distinct")
     if set(codes) & {tuple(map(neg, c)) for c in codes}:
         problems.append("an image coincides with the negative of another image")
-    coeffs = _root_coefficients(e.source)
+    coeffs = e.source.root_coefficients
     # the image code of each mapped source root by its simple coefficients,
     # extended by negation where the map does not name the root
     image_of = {coeffs[r]: c for r, c in zip(e.pos_map, codes) if r in coeffs}
@@ -258,7 +255,7 @@ def _parse_embedding(entry, ambient: RootSystem, part: str) -> Embedding:
            "entries", pairs)
     # keys are the source's own roots and image coordinates hash once
     # (Fraction(x, 1) is x), so the checks look them up without rehashing
-    roots = {k: r for r, k in _root_coefficients(src).items()}
+    roots = {k: r for r, k in src.root_coefficients.items()}
     coord = FractionCache(1).__getitem__
     pos_map = {}
     for pair in pairs:
@@ -333,11 +330,11 @@ def find_splint(name: str) -> Splint:
 # injection fan
 
 
-class Fan(NamedTuple):
+class Fan(namedtuple("Fan", "splint_name coefficients")):
     """Signed coefficients s(gamma) with
-    prod_{beta in stem+} (1 - e^{-phi(beta)}) = - sum_gamma s(gamma) e^{-gamma}."""
-    splint_name: str
-    coefficients: dict
+    prod_{beta in stem+} (1 - e^{-phi(beta)}) = - sum_gamma s(gamma) e^{-gamma},
+    as a {gamma: s(gamma)} dict, of the splint named splint_name."""
+    __slots__ = ()
 
 
 def fan_coefficients(s: Splint) -> Fan:
@@ -384,11 +381,12 @@ def tilde_weight(s: Splint, mu: Vec) -> Vec:
 
 def _branch_codes(s: Splint, labels: tuple) -> dict:
     """The tilde-rule table of the module with int ambient labels `labels`,
-    as {den * labels(nu): m}, den of `Splint.tilde_map`; kept on s by labels.
+    as {labels(nu): m}, int ambient labels; kept on s by labels.
 
     Every weight w of the stem module mu~ contributes its multiplicity at
     nu = mu - phi2(mu~ - w): dominant w in Freudenthal table order, each
-    orbit sorted by stem coordinates.
+    orbit sorted by stem coordinates.  The walk runs on den * labels(nu),
+    den of `Splint.tilde_map`, the one place that reads it.
     """
     if labels not in s._tables:
         top = _tilde_labels(s, labels)
@@ -407,15 +405,14 @@ def _branch_codes(s: Splint, labels: tuple) -> dict:
                 table[nu] = m
         if any(x % den for nu in table for x in nu):
             raise AssertionError("tilde map gives a non-integral weight")
-        s._tables[labels] = table
+        s._tables[labels] = {tuple(x // den for x in nu): m for nu, m in table.items()}
     return s._tables[labels]
 
 
 def branch_via_splint(s: Splint, mu: Vec):
     """Branching table from stem weight multiplicities (tilde-weight rule)."""
     labels, offset = _split_dominant(s.ambient, mu)
-    return dict(s.ambient.from_labels(_branch_codes(s, labels).items(), s.tilde_map[1],
-                                      offset))
+    return dict(s.ambient.from_labels(_branch_codes(s, labels).items(), 1, offset))
 
 
 class SubalgebraView:
@@ -473,9 +470,11 @@ def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, in
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     """Compare tilde-weight branching against the subtraction oracle for all
     dominant weights with Dynkin labels <= max_label; the report is named
-    "branching" and its detail is the first two problems or the pass line.
-    Runs on codes over one denominator; only the weights a problem names
-    are decoded."""
+    "branching" and its detail is the first two problems or the pass line;
+    a negative max_label raises ValueError.  Runs on codes over one
+    denominator; only the weights a problem names are decoded."""
+    if max_label < 0:
+        raise ValueError("max_label must be >= 0")
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
@@ -491,10 +490,8 @@ def probe_tilde_branching(s: Splint, max_label: int) -> Report:
         # read once a table exists: a broken correspondence is reported first
         rows, rows_den = view.label_rows
         scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
-        # table keys are den_t * the ambient labels x of nu: nu codes as x . fw
-        den_t = s.tilde_map[1]
-        shortcut = {tuple(sum(x // den_t * f for x, f in zip(key, col)) for col in cols): m
-                    for key, m in table.items()}
+        # table keys are the ambient labels x of nu: nu codes as x . fw
+        shortcut = {tuple(sum(map(mul, key, col)) for col in cols): m for key, m in table.items()}
         bad = []
         for c in shortcut:
             sub_labels = [divmod(sum(map(mul, row, c)), scale) for row in rows]

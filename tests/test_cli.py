@@ -1,8 +1,12 @@
+import ast
+import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -483,6 +487,44 @@ def test_cli_import_loads_no_start_up_free_module():
     verify = next(argv for argv, _ in COMMAND_FOOTPRINTS if argv[0] == "verify")
     run_it = f"import splintbranch.cli\nsplintbranch.cli.main({verify!r})"
     assert loaded_after(run_it, ["splintbranch.qseries"]) == "['splintbranch.qseries']"
+
+
+def test_no_module_imports_typing():
+    # typing costs several ms of a command's import; the package's record
+    # types are collections.namedtuple subclasses.  Scanned on the source, so
+    # no Python that imports typing on its own start-up can hide an import
+    package = Path(__file__).resolve().parents[1] / "src" / "splintbranch"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) == 7
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "typing" for n in names), (path.name, names)
+
+
+@pytest.mark.parametrize("record, fields", [
+    ("rootsystem.LabelData", ("cartan", "positive", "form", "form_den", "fw", "fw_den")),
+    ("characters._Denominator", ("grades", "codes", "reaches")),
+    ("splints.Fan", ("splint_name", "coefficients")),
+    ("affine.AffineWeight", ("finite", "level")),
+    ("affine.MultiplicityMatrix", ("basis", "mat")),
+])
+def test_record_types_are_slotted_named_tuples(record, fields):
+    module, name = record.split(".")
+    cls = getattr(importlib.import_module(f"splintbranch.{module}"), name)
+    args = [(Fraction(1, 2), k) for k in range(len(fields))]
+    x = cls(*args)
+    assert cls._fields == fields and cls.__doc__ and cls.__slots__ == ()
+    assert not hasattr(x, "__dict__") and x == tuple(args)
+    assert x._asdict() == dict(zip(fields, args))
+    assert repr(x) == f"{name}(" + ", ".join(f"{f}={a!r}" for f, a in zip(fields, args)) + ")"
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is cls and y == x and hash(y) == hash(x)
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -27,7 +27,8 @@ from splintbranch import characters as ch
 from splintbranch import splints as sp
 from splintbranch.characters import (FormalCharacter, _peel_codes, _show, _weight, encode,
                                      freudenthal_character, peel_dominant, weyl_dimension)
-from splintbranch.rootsystem import RootSystem, build_root_system, common_denominator, vadd, vneg
+from splintbranch.rootsystem import (RootSystem, apply_label_rows, build_root_system,
+                                     common_denominator, vadd, vneg)
 from splintbranch.splints import (Report, Splint, SubalgebraView, _catalog_entries,
                                   _correspondence_problems, _missing_roots, branch_via_splint,
                                   check_embedding, check_splint, find_splint,
@@ -394,7 +395,8 @@ def test_view_reads_its_label_rows_once(monkeypatch):
     assert calls == [tuple(s.phi1.simple_images)]
     assert [view.dimension(nu) for nu in weights if view.is_dominant(nu)]
     assert calls == [tuple(s.phi1.simple_images)]
-    nums = [s.ambient.scaled_labels(nu, tuple(s.phi1.simple_images)) for nu in weights]
+    sub_rows = s.ambient.label_rows(tuple(s.phi1.simple_images))
+    nums = [apply_label_rows(nu, *sub_rows) for nu in weights]
     assert got == [tuple(n // d for n in ns) for ns, d in nums]
     with pytest.raises(ValueError, match="not integral for A2"):
         view.labels(tuple(x / 2 for x in s.phi1.simple_images[0]))

@@ -2,10 +2,10 @@
 and `functools.cached_property`s of `Splint`.
 
 Each cached method returns the same object on a repeat call, and that object
-equals the uncached function (the method's `__wrapped__`).  `scaled_labels`
-applies the cached rows of `label_rows` to the simple roots and to a
-catalog subalgebra's simple images alike; the reference is the formula
-2 (v, a) / (a, a) in Fractions.  `label_orbit` codes the simple roots of a
+equals the uncached function (the method's `__wrapped__`).
+`apply_label_rows` applies the cached rows of `label_rows` to the simple
+roots and to a catalog subalgebra's simple images alike; the reference is the
+formula 2 (v, a) / (a, a) in Fractions.  `label_orbit` codes the simple roots of a
 basis once per (algebra, basis): the cached codes are the simple roots in
 that basis, and a run of orbits on one new basis misses the cache once.
 The default tilde probe runs once per
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splintbranch import splints as sp
-from splintbranch.rootsystem import RootSystem, build_root_system, vscale
+from splintbranch.rootsystem import RootSystem, apply_label_rows, build_root_system, vscale
 from splintbranch.splints import _catalog_entries, find_splint
 
 CATALOG_NAMES = [e["name"] for e in _catalog_entries()]
@@ -76,7 +76,7 @@ def test_label_rows_and_scaled_labels_share_one_row_matrix(name, subalgebra):
     cached_once(RootSystem.label_rows, rs, images)
     weights = sorted(rs.roots) + [vscale(w, Fraction(1, 3)) for w in rs.fundamental_weights]
     for v in weights:
-        nums, d = rs.scaled_labels(v, images)
+        nums, d = apply_label_rows(v, *rs.label_rows(images))
         assert [Fraction(n, d) for n in nums] == \
             [2 * rs.inner(v, a) / rs.inner(a, a) for a in images or rs.simple_roots]
 

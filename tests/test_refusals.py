@@ -11,7 +11,8 @@ from splintbranch import affine as af
 from splintbranch import qseries as qs
 from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system, zero_vec
-from splintbranch.splints import _catalog_entries, load_splint_file, splint_from_dict
+from splintbranch.splints import (_catalog_entries, find_splint, load_splint_file,
+                                  probe_tilde_branching, splint_from_dict)
 
 BRANCH_G2 = ["branch", "--algebra", "G2", "--splint", "A2A2"]
 A1_LEVEL_1 = ["--algebra", "A1", "--level", "1"]
@@ -96,6 +97,23 @@ def test_library_refuses_outside_input(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(entry))
     assert load_splint_file(path).name == "G2:A2A2"
+
+
+@pytest.mark.parametrize("name", [e["name"] for e in _catalog_entries()])
+def test_library_refuses_a_negative_bound(name):
+    # a negative bound is refused, not passed over an empty label cube or an
+    # empty series; the CLI refuses it before the library sees it
+    s = find_splint(name)
+    for probe in (lambda: probe_tilde_branching(s, -1), lambda: s.branching_status(-1)):
+        with pytest.raises(ValueError, match="^max_label must be >= 0$"):
+            probe()
+    verifiers = (qs.verify_denominator_splint, qs.verify_theta_products, qs.verify_theta_sums)
+    for verify in verifiers:
+        with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+            verify(s, -1)
+        assert verify(s, 0).passed
+    assert qs.verify_theta_sums(s, 0).detail == "both sides vanish through q^0"
+    assert probe_tilde_branching(s, 0).passed
 
 
 def test_q_dimension_refuses_a_short_branching_series():

@@ -76,6 +76,21 @@ def test_integer_builder_matches_reflection_closure(name):
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
+def test_root_coefficients_key_the_roots_themselves(name):
+    # one int form of each root's simple coefficients, keyed by the very
+    # objects of rs.roots (a parsed embedding's keys are the source's own roots)
+    rs = build_root_system(name)
+    coeffs = rs.root_coefficients
+    assert sorted(map(id, coeffs)) == sorted(map(id, rs.roots))
+    for root, k in coeffs.items():
+        assert type(k) is tuple and all(type(c) is int for c in k), root
+        assert k == rs.simple_coefficients(root)
+    positive = [c for _, c in rs.label_data.positive]
+    assert len(positive) == len(rs.positive_roots)
+    assert all(c is coeffs[a] for c, a in zip(positive, rs.positive_roots))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
 def test_invert_matrix_is_exact_on_int_cartan_matrices(name):
     # the int Cartan matrix inverts to Fractions, not floats: C C^-1 = 1
     cartan = build_root_system(name).cartan

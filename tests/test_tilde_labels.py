@@ -3,7 +3,9 @@
 `branch_via_splint` runs on integer Dynkin labels (`Splint.tilde_map`); the
 reference here is the Fraction route it replaced: the Weyl orbit of every
 dominant stem weight, each weight mapped through `Embedding.map_weight`.
-Outputs must agree including dict order.  `dynkin_labels`, `split_labels`
+Outputs must agree including dict order; the integer table that a splint
+keeps holds the ambient labels of those weights, in the same order.
+`dynkin_labels`, `split_labels`
 and `SubalgebraView.labels` apply cached integer label rows; the reference
 is the formula 2 (v, a) / (a, a) in Fractions.
 """
@@ -11,6 +13,7 @@ is the formula 2 (v, a) / (a, a) in Fractions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,8 +24,8 @@ from splintbranch import affine as af
 from splintbranch.characters import dominant_multiplicities
 from splintbranch.rootsystem import (build_root_system, vadd, vec, vneg, vscale, vsub,
                                      zero_vec)
-from splintbranch.splints import (Embedding, Splint, SubalgebraView, _catalog_entries,
-                                  branch_via_splint, find_splint, tilde_weight)
+from splintbranch.splints import (Embedding, Splint, SubalgebraView, _branch_codes,
+                                  _catalog_entries, branch_via_splint, find_splint, tilde_weight)
 
 CATALOG_NAMES = [e["name"] for e in _catalog_entries()]
 
@@ -89,6 +92,20 @@ def test_branch_matches_fraction_route(name, data):
     mu = rs.weight_from_labels(labels)
     assert list(branch_via_splint(s, mu).items()) == list(fraction_branch(s, mu).items())
     assert tilde_weight(s, mu) == fraction_tilde_weight(s, mu)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_tables_hold_the_ambient_labels_of_the_branching(name):
+    # every catalog tilde map has denominator 2 or 3, so the table's keys are
+    # the labels themselves, not a multiple of them
+    s = splint(name)
+    rs = s.ambient
+    assert s.tilde_map[1] in (2, 3)
+    for labels in itertools.product(range(3 if rs.rank <= 2 else 2), repeat=rs.rank):
+        table = _branch_codes(s, labels)
+        branch = branch_via_splint(s, rs.weight_from_labels(labels))
+        assert [(key, 1, None) for key in table] == [rs.split_labels(nu) for nu in branch]
+        assert list(table.values()) == list(branch.values())
 
 
 def test_w_fixed_offset_carries_over():
