@@ -26,7 +26,7 @@ raises ValueError, and a b that is not positive, a grade 0 other than mu
 once, or a constituent nu outside the ball |nu + rho|^2 <= |mu + rho|^2 +
 2 n K of its grade (Kac, Infinite-dimensional Lie algebras, Prop. 11.4)
 raises AssertionError.  The ball (`characters._ball`), the label form
-(`LabelData.pair`) and the weight codes (`characters._weight_codes`) are
+(`LabelData.pair`) and the weight codes (`RootSystem._label_codes`) are
 those of the finite characters.
 
 Every `GradedCharacter` is its dominant rows, per grade dominant labels ->
@@ -68,8 +68,7 @@ from operator import add, mul
 from .rootsystem import FractionCache, RootSystem, Vec, invert_matrix
 from .characters import (_affine_denominator, _ball, _dominant_table, _freudenthal_tables,
                          _numerator_points, _order_key, _phi_power, _split_dominant,
-                         _weight_codes, decode, decompose_character, label_dimension,
-                         rho_pairing)
+                         decode, decompose_character, label_dimension, rho_pairing)
 from .splints import Splint, _branch_codes
 
 
@@ -111,7 +110,7 @@ class GradedCharacter:
     def layers(self) -> list:
         """Each grade's Weyl orbits of its dominant rows, in the (rho-pairing,
         code) order of the group-ring division, decoded once."""
-        fw, off, den = _weight_codes(self.rs, self.offset)
+        fw, off, den = self.rs._label_codes(1, self.offset)
         order, layers = _order_key(rho_pairing(self.rs)), []
         for mult in self.rows:
             layer = {code: m for lbl, m in mult.items()
@@ -216,7 +215,7 @@ def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCha
         raise ValueError("the folds hold no grade 0")
     top, offset = _split_dominant(rs, aw.finite)
     pair, (ball, step) = rs.label_data.pair, _ball(rs, top, aw.level)
-    fw, off, den = _weight_codes(rs, offset)
+    fw, off, den = rs._label_codes(1, offset)
     cols, get = list(zip(*fw)), FractionCache(-den).__getitem__
     order = _order_key(rho_pairing(rs))
     rows: list = []

@@ -19,8 +19,8 @@ labels by the one integer form `LabelData.pair` and bound each grade by the
 one ball of Kac, Prop. 11.4 (`_ball`).
 Weights that are added and compared travel as codes, coordinates times one
 common denominator (`encode`/`decode`); a weight given by int labels and a
-W-fixed offset codes in the one basis `_weight_codes`, which the finite
-characters and `affine` read their denominators from, and the
+W-fixed offset codes in the one basis `RootSystem._label_codes`, which the
+finite characters and `affine` read their denominators from, and the
 (rho-pairing, code) order of every division and peel is `_order_key`.  The
 one group-ring product loop (`add_product`, behind `FormalCharacter.__mul__`,
 which packs its two operands and calls it once, the root factors
@@ -102,17 +102,11 @@ class FormalCharacter:
         fc.terms = dict(self.terms)
         return fc
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __len__(self):
         return len(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, FormalCharacter) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("FormalCharacter is unhashable")
 
     def get(self, v: Vec) -> int:
         return self.terms.get(v, 0)
@@ -180,10 +174,10 @@ def _split_dominant(rs, mu):
 
 def _singular_codes(rs: RootSystem, mu: Vec) -> tuple:
     """(singular_element on codes, {code: sign}, and their denominator).  A
-    point with labels y codes as sum_i y_i fw_i + offset - rho (_weight_codes;
+    point with labels y codes as sum_i y_i fw_i + offset - rho (_label_codes;
     rho codes as sum_i fw_i), as in _numerator_codes."""
     labels, offset = _split_dominant(rs, mu)
-    fw, off, den = _weight_codes(rs, offset)
+    fw, off, den = rs._label_codes(1, offset)
     off = tuple(x - sum(col) for x, col in zip(off, zip(*fw)))
     codes = dict(rs.label_orbit(tuple(m + 1 for m in labels), fw, off))
     if len(codes) != rs.weyl_order:
@@ -225,15 +219,6 @@ def encode(v: Vec, den: int) -> tuple:
     (rho_pairing, code) pair is the highest weight in the (rho-pairing, lex)
     order."""
     return tuple([-x.numerator * (den // x.denominator) for x in v])
-
-
-def _weight_codes(rs: RootSystem, offset: Vec | None, fine: int = 1) -> tuple:
-    """(fw, off, den): the weight with int labels y and W-fixed part offset
-    (None when zero) has the code (encode) sum_i y_i fw[i] + off over den, a
-    multiple of fine; RootSystem._label_codes negated."""
-    fw, off, den = rs._label_codes(1, offset)
-    k = -(math.lcm(den, fine) // den)
-    return [tuple(k * x for x in w) for w in fw], tuple(k * x for x in off), -k * den
 
 
 def decode(terms: dict, den: int) -> FormalCharacter:
@@ -690,7 +675,7 @@ def _dominant_descent(ld, mu):
 
 def _orbit_codes(rs: RootSystem, top: tuple, fw, off) -> dict:
     """The weights of L(top) (int labels) as {code: multiplicity}, in the
-    basis (fw, off) of _weight_codes: the orbits of the rows of its dominant
+    basis (fw, off) of _label_codes: the orbits of the rows of its dominant
     table, in table order and each sorted by weight."""
     # sorted by weight: codes are -(coordinates x den)
     return {code: m for nu, _, m in _dominant_table(rs, top)
@@ -701,7 +686,7 @@ def freudenthal_character(rs: RootSystem, mu: Vec) -> FormalCharacter:
     """Full weight system of L^mu with exact multiplicities: _orbit_codes,
     decoded."""
     top, offset = _split_dominant(rs, mu)
-    fw, off, den = _weight_codes(rs, offset)
+    fw, off, den = rs._label_codes(1, offset)
     return decode(_orbit_codes(rs, top, fw, off), den)
 
 

@@ -183,9 +183,9 @@ def _payload_digest(doc):
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def _layers_to_json(rs, request, bs):
+def _layers_to_json(request, bs):
     """The cache document of the request: per grade, the [Dynkin labels of
-    nu, b] terms of its branching series bs to rs, a series built by
+    nu, b] terms of its branching series bs, a series built by
     af.graded_character, whose labels it carries."""
     series = [[] for _ in range(bs.cutoff + 1)]
     for ((_, n), b), labels in zip(bs.entries.items(), bs.labels):
@@ -240,7 +240,7 @@ def cached_affine_character(rs, aw, cutoff, cache_dir):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(_layers_to_json(rs, request, af.graded_branch_to_g(rs, aw, cutoff, gc)),
+            json.dump(_layers_to_json(request, af.graded_branch_to_g(rs, aw, cutoff, gc)),
                       fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as exc:

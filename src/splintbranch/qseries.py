@@ -32,10 +32,10 @@ the norm of each numerator point for a theta numerator); one whose reach
 would leave the box raises ArithmeticError before two codes can share a key.
 A scalar series multiplies a lattice series directly; only addition requires
 both to be of one kind.
-Equality of two series means equality of every (exponent, coefficient) pair
-up to the common cutoff, which is strictly stronger than sampling z; a
-mismatch names its exponent and, for differing coefficients, the lowest
-weight where they differ and both multiplicities there.
+`==` compares every held (exponent, coefficient) pair; `compare_qseries`
+compares them up to the common cutoff, strictly stronger than sampling z,
+and names the exponent of a mismatch and, for differing coefficients, the
+lowest weight where they differ and both multiplicities there.
 
 The verifiers check the affine denominator regrouping of a splint and its two
 theta-function restatements as truncated series, each a `splints.Report` of
@@ -199,6 +199,7 @@ class QSeries:
         return bool(self.terms)
 
     def __eq__(self, other):
+        """Every held term equal, whatever the cutoffs."""
         if not isinstance(other, QSeries):
             return False
         a, b, *_ = _aligned(self, other)

@@ -492,10 +492,12 @@ class RootSystem:
     @cache
     def label_rows(self, images=None):
         """(rows, den), ints with 2 (v, a_i) / (a_i, a_i) = rows[i] . v / den for
-        a_i = images[i] (a tuple; None for the simple roots)."""
+        a_i = images[i] (a tuple; None for the simple roots); a zero a_i raises ValueError."""
         rows = []
-        for a in images or self.simple_roots:
+        for i, a in enumerate(images or self.simple_roots):
             norm = self.inner(a, a)
+            if not norm:
+                raise ValueError(f"simple root image {i} is zero")
             rows.append([2 * g * x / norm for g, x in zip(self.gram_diag, a)])
         den = math.lcm(*(x.denominator for row in rows for x in row))
         return [[int(x * den) for x in row] for row in rows], den
@@ -551,17 +553,16 @@ class RootSystem:
         offset = vsub(v, base)
         return ints, d, (offset if any(offset) else None)
 
-    def _label_codes(self, d: int, offset: Vec | None):
-        """(fw, off, den), ints: the point sum_i y_i omega_i / d + offset is
-        (sum_i y_i fw[i] + off) / den."""
+    def _label_codes(self, d: int, offset: Vec | None, fine: int = 1):
+        """(fw, off, den), ints, the one code basis of a labelled weight: the code
+        (characters.encode) of sum_i y_i omega_i / d + offset is sum_i y_i fw[i]
+        + off over den = lcm(d fw_den, fine, the denominators of offset)."""
         ld = self.label_data
-        den = d * ld.fw_den
-        if offset is None:
-            return ld.fw, (0,) * self.dim, den
-        total = math.lcm(den, *(x.denominator for x in offset))
-        scale = total // den
-        return ([tuple(x * scale for x in w) for w in ld.fw],
-                tuple(x.numerator * (total // x.denominator) for x in offset), total)
+        den = math.lcm(d * ld.fw_den, fine, *(x.denominator for x in offset or ()))
+        k = -(den // (d * ld.fw_den))
+        return ([tuple(k * x for x in w) for w in ld.fw],
+                tuple(-x.numerator * (den // x.denominator) for x in offset or (0,) * self.dim),
+                den)
 
     def from_labels(self, terms, d: int = 1, offset: Vec | None = None):
         """[(labels, x)] -> [(sum_i labels_i omega_i / d + offset, x)], in input
@@ -569,7 +570,7 @@ class RootSystem:
         Fractions are built once per distinct coordinate value."""
         fw, off, den = self._label_codes(d, offset)
         cols = list(zip(*fw))
-        get = FractionCache(den).__getitem__
+        get = FractionCache(-den).__getitem__
         return [(tuple([get(sum(map(mul, labels, col)) + b) for col, b in zip(cols, off)]), x)
                 for labels, x in terms]
 
@@ -649,8 +650,9 @@ class RootSystem:
         of both parities)."""
         labels, d, offset = self.split_labels(v)
         fw, off, den = self._label_codes(d, offset)
-        get = FractionCache(den).__getitem__
-        return [(tuple(map(get, code)), s) for code, s in sorted(self.label_orbit(labels, fw, off))]
+        get = FractionCache(-den).__getitem__
+        orbit = sorted(self.label_orbit(labels, fw, off), reverse=True)   # codes are -weights
+        return [(tuple(map(get, code)), s) for code, s in orbit]
 
     def coroot(self, alpha: Vec) -> Vec:
         return vscale(alpha, Fraction(2) / self.inner(alpha, alpha))

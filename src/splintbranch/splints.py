@@ -42,7 +42,7 @@ from operator import add, mul, neg
 from .rootsystem import (FractionCache, RootSystem, Vec, apply_label_rows, build_root_system,
                          common_denominator, parse_algebra_name, vadd, vcombine, vneg, zero_vec)
 from .characters import (FormalCharacter, _dominant_table, _orbit_codes, _peel_codes, _show,
-                         _split_dominant, _weight, _weight_codes, decode, encode,
+                         _split_dominant, _weight, decode, encode,
                          label_dimension, peel_dominant, root_product)
 
 
@@ -392,19 +392,19 @@ def _branch_codes(s: Splint, labels: tuple) -> dict:
         top = _tilde_labels(s, labels)
         stem = s.phi2.source
         cols, den = s.tilde_map
-        # w codes as (its stem coordinates, den * labels(nu)), where
+        # w codes as (its stem code, den * labels(nu)), where
         # den * labels(nu)_k = base_k + labels(w) . cols[k]
-        fw = [w + row for w, row in zip(stem.label_data.fw, zip(*cols))]
+        fw = [w + row for w, row in zip(stem._label_codes(1, None)[0], zip(*cols))]
         base = tuple(den * m - sum(map(mul, top, col)) for m, col in zip(labels, cols))
         table: dict = {}
         for nu_t, _, m in _dominant_table(stem, top):
-            for code, _ in sorted(stem.label_orbit(nu_t, fw, (0,) * stem.dim + base)):
+            for code, _ in sorted(stem.label_orbit(nu_t, fw, (0,) * stem.dim + base), reverse=True):
                 nu = code[stem.dim:]
                 if nu in table:
-                    raise AssertionError("stem weights collide in ambient space")
+                    raise ValueError("stem weights collide in ambient space")
                 table[nu] = m
         if any(x % den for nu in table for x in nu):
-            raise AssertionError("tilde map gives a non-integral weight")
+            raise ValueError("tilde map gives a non-integral weight")
         s._tables[labels] = {tuple(x // den for x in nu): m for nu, m in table.items()}
     return s._tables[labels]
 
@@ -462,7 +462,7 @@ def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, in
         raise ValueError(f"branch_direct takes a SubalgebraView of {rs.name}")
     top, offset = _split_dominant(rs, mu)
     images = view.emb.simple_images
-    fw, off, den = _weight_codes(rs, offset, common_denominator(images))
+    fw, off, den = rs._label_codes(1, offset, common_denominator(images))
     table = _peel_codes(rs, view.sub, images, _orbit_codes(rs, top, fw, off), den)
     return decode({c: m for c, (m, _) in table.items()}, den).terms
 
@@ -470,40 +470,43 @@ def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, in
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     """Compare tilde-weight branching against the subtraction oracle for all
     dominant weights with Dynkin labels <= max_label; the report is named
-    "branching" and its detail is the first two problems or the pass line;
-    a negative max_label raises ValueError.  Runs on codes over one
-    denominator; only the weights a problem names are decoded."""
+    "branching" and its detail is the first two problems or the pass line.
+    A fault in the splint's data (a ValueError of the table, the subalgebra
+    labels or the peel) is the last problem; only a negative max_label
+    raises.  Runs on codes over one denominator; only the weights a problem
+    names are decoded."""
     if max_label < 0:
         raise ValueError("max_label must be >= 0")
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
     images = view.emb.simple_images
-    fw, off, den = _weight_codes(rs, None, common_denominator(images))
+    fw, off, den = rs._label_codes(1, None, common_denominator(images))
     cols = list(zip(*fw))
     for labels in itertools.product(range(max_label + 1), repeat=rs.rank):
         try:
             table = _branch_codes(s, labels)
+            # read once a table exists: a broken correspondence is reported first
+            rows, rows_den = view.label_rows
+            scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
+            # table keys are the ambient labels x of nu: nu codes as x . fw
+            shortcut = {tuple(sum(map(mul, x, col)) for col in cols): m for x, m in table.items()}
+            bad = []
+            for c in shortcut:
+                sub_labels = [divmod(sum(map(mul, row, c)), scale) for row in rows]
+                if any(r for _, r in sub_labels):
+                    raise ValueError(f"{_show(_weight(c, den))} is not integral for "
+                                     f"{view.sub.name}")
+                if any(x < 0 for x, _ in sub_labels):
+                    bad.append(c)
+            if bad:
+                problems.append(f"labels {labels}: non-dominant output "
+                                f"[{', '.join(_show(_weight(c, den)) for c in bad[:2])}]")
+                continue
+            peeled = _peel_codes(rs, view.sub, images, _orbit_codes(rs, labels, fw, off), den)
         except ValueError as exc:
-            problems = [f"labels {labels}: {exc}"]
+            problems.append(f"labels {labels}: {exc}")
             break
-        # read once a table exists: a broken correspondence is reported first
-        rows, rows_den = view.label_rows
-        scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
-        # table keys are the ambient labels x of nu: nu codes as x . fw
-        shortcut = {tuple(sum(map(mul, key, col)) for col in cols): m for key, m in table.items()}
-        bad = []
-        for c in shortcut:
-            sub_labels = [divmod(sum(map(mul, row, c)), scale) for row in rows]
-            if any(r for _, r in sub_labels):
-                raise ValueError(f"{_weight(c, den)} is not integral for {view.sub.name}")
-            if any(x < 0 for x, _ in sub_labels):
-                bad.append(c)
-        if bad:
-            problems.append(f"labels {labels}: non-dominant output "
-                            f"[{', '.join(_show(_weight(c, den)) for c in bad[:2])}]")
-            continue
-        peeled = _peel_codes(rs, view.sub, images, _orbit_codes(rs, labels, fw, off), den)
         direct = {c: m for c, (m, _) in peeled.items()}
         if shortcut != direct:
             c = next(c for c in itertools.chain(direct, shortcut)

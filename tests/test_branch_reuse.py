@@ -58,7 +58,7 @@ def vec_path_q_dimension(rs, bs, cutoff):
 def cache_hit(rs, aw, gc):
     """The character that a disk-cache hit builds from gc's series."""
     request = {"cutoff": gc.cutoff}
-    return cli._layers_from_json(cli._layers_to_json(rs, request, gc.series), rs, aw, request)
+    return cli._layers_from_json(cli._layers_to_json(request, gc.series), rs, aw, request)
 
 
 def layer_decomposition(rs, gc, cutoff):

@@ -31,6 +31,17 @@ def test_singular_element_a2_matches_denominator():
     assert se == weyl_denominator(a2)
 
 
+def test_truth_and_hash_of_a_character():
+    # truth comes from __len__; __eq__ without __hash__ leaves the class
+    # unhashable, so a character is never a dict key
+    a1 = build_root_system("A1")
+    fc = freudenthal_character(a1, a1.fundamental_weights[0])
+    assert fc and not FormalCharacter() and not (fc - fc)
+    for x in (fc, FormalCharacter()):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
 class Altered:
     """A root system with some attributes replaced (negative controls)."""
 

@@ -20,6 +20,7 @@ from splintbranch.cli import main
 from splintbranch.rootsystem import build_root_system
 from splintbranch.splints import _catalog_entries, probe_tilde_branching, splint_from_dict
 from test_branch_reuse import ALGEBRAS, affine_module
+from test_integer_probe import SPLINT_FILE_TAMPERS
 
 
 def run(capsys, *argv):
@@ -334,6 +335,47 @@ def test_reversed_correspondence_fails_the_tilde_probe(tmp_path, capsys, name):
                "--no-cache", *splint) == (
         2, "", f"error: splint {name} is flagged: tilde-weight branching not applicable "
                f"({problems[0]})\n")
+
+
+# the verify line of six broken splint files.  The first four failed the
+# probe with these texts before the probe took in every fault in a splint's
+# data; the zero image divided by zero (exit 3), and the exchanged B2:A1A1
+# let a peel error escape (exit 2).
+BROKEN_FILE_VERIFY = {
+    "G2:A2A2 swap 1 0": "labels (0, 1): non-dominant output [(-1, 1, 0)]; "
+                        "labels (1, 0): non-dominant output [(0, 1, -1), (-1, 1, 0)]",
+    "B2:A1A2 swap 0 2": "labels (0, 1): non-dominant output [(-1/2, -1/2)]; "
+                        "labels (1, 0): non-dominant output [(0, -1)]",
+    "A3:A2A1A1A1 swap 2 2": "labels (0, 0, 1): non-dominant output [(-3/4, 1/4, 5/4, -3/4)]; "
+                            "labels (0, 1, 1): non-dominant output "
+                            "[(-1/4, -1/4, 3/4, -1/4), (-1/4, 3/4, 3/4, -5/4)]",
+    "A2:A1A1A1 exchanged": "labels (0, 0): stem rank 1 != ambient rank 2; "
+                           "tilde weight undefined",
+    "G2:A2A2 zero": "labels (0, 0): simple root image 0 is zero",
+    "B2:A1A1 exchanged": "labels (0, 1): non-dominant output [(-1/2, -1/2)]; "
+                         "labels (1, 0): negative leading coefficient -1 at (0, 0)",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SPLINT_FILE_TAMPERS))
+def test_broken_splint_file_is_no_internal_error(tmp_path, capsys, tag):
+    # a broken splint file is a verification failure under verify and a
+    # flagged splint under branch and affine-branch; no command exits 3
+    entry = SPLINT_FILE_TAMPERS[tag]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(entry))
+    splint = ["--splint-file", str(path)]
+    code, out, err = run(capsys, "verify", "--identity", "branching", "--max-label", "1", *splint)
+    assert code in (0, 1) and err == ""
+    if tag in BROKEN_FILE_VERIFY:
+        assert (code, out) == (1, f"branching: FAIL - {BROKEN_FILE_VERIFY[tag]}\n")
+    zeros = ",".join("0" * len(entry["correspondence"]))
+    for command in (["branch"], ["affine-branch", "--level", "1", "--grade-max", "1"]):
+        code, out, err = run(capsys, *command, "--weight", zeros, "--no-cache", *splint)
+        assert code == 0 or (code, out) == (2, "") and "is flagged" in err
+    for command in (["fan"], ["splint", "check"]):
+        code, _, err = run(capsys, *command, *splint)
+        assert code in (0, 1, 2) and "internal error" not in err
 
 
 def _g2_entry(**changes):

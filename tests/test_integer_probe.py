@@ -8,9 +8,11 @@ one denominator; only the weights a problem names are decoded.  The
 (passed, problems, their order and text, detail) must equal theirs: on the
 catalog, on the reversed correspondences, on drawn tampers (a permuted
 correspondence, a stem image swapped with a subalgebra image, a dropped map
-entry, a negated image, a subalgebra that is not closed).  A tamper that
-makes the oracle raise must make the integer route raise the same error.
-With the `Fraction` character and peel patched to raise, every catalog
+entry, a negated image, a subalgebra that is not closed).  A fault in a
+splint's data ends both probes with the same last problem and raises
+nothing: on the drawn tampers and on 43 broken splint files (every image
+swap, a reversed correspondence, a negated stem image, stem and subalgebra
+exchanged, a zero subalgebra image).  With the `Fraction` character and peel patched to raise, every catalog
 splint still passes its default probe.
 """
 
@@ -42,23 +44,36 @@ CATALOG = {e["name"]: e for e in _catalog_entries()}
 
 def fraction_probe(s, max_label):
     """The tilde probe on Fraction vectors: branch_via_splint against the
-    decomposition of the decoded Freudenthal character."""
+    decomposition of the decoded Freudenthal character.  Its fault policy is
+    the probe's: a ValueError of the table, of the subalgebra labels of its
+    weights (a zero image, a non-integral weight) or of the peel is the last
+    problem."""
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
+    images = view.emb.simple_images
     for labels in itertools.product(range(max_label + 1), repeat=rs.rank):
         mu = rs.weight_from_labels(labels)
         try:
             shortcut = branch_via_splint(s, mu)
+            norms = [rs.inner(a, a) for a in images]
+            if 0 in norms:
+                raise ValueError(f"simple root image {norms.index(0)} is zero")
+            bad = []
+            for nu in shortcut:
+                sub_labels = [2 * rs.inner(nu, a) / n for a, n in zip(images, norms)]
+                if any(x.denominator != 1 for x in sub_labels):
+                    raise ValueError(f"{_show(nu)} is not integral for {view.sub.name}")
+                if any(x < 0 for x in sub_labels):
+                    bad.append(nu)
+            if bad:
+                problems.append(f"labels {labels}: non-dominant output "
+                                f"[{', '.join(map(_show, bad[:2]))}]")
+                continue
+            direct = view.decompose(freudenthal_character(rs, mu))
         except ValueError as exc:
-            problems = [f"labels {labels}: {exc}"]
+            problems.append(f"labels {labels}: {exc}")
             break
-        bad = [nu for nu in shortcut if not view.is_dominant(nu)]
-        if bad:
-            problems.append(f"labels {labels}: non-dominant output "
-                            f"[{', '.join(map(_show, bad[:2]))}]")
-            continue
-        direct = view.decompose(freudenthal_character(rs, mu))
         if shortcut != direct:
             nu = next(nu for nu in itertools.chain(direct, shortcut)
                       if direct.get(nu, 0) != shortcut.get(nu, 0))
@@ -126,24 +141,43 @@ def verdict(report):
     return report.passed, report.problems, report.name, report.detail
 
 
-def outcome(fn, *args):
-    """The verdict of fn(*args), or the type and text of what it raised."""
-    try:
-        return verdict(fn(*args))
-    except (ValueError, AssertionError, ArithmeticError) as exc:
-        return type(exc), str(exc)
+def edited(name, change):
+    """A deep copy of the catalog entry name, edited by change(entry)."""
+    entry = copy.deepcopy(CATALOG[name])
+    change(entry)
+    return entry
 
 
 def tampered(name, change):
-    """The catalog entry name, edited by change(entry) on a deep copy and
-    loaded without verification."""
-    entry = copy.deepcopy(CATALOG[name])
-    change(entry)
-    return splint_from_dict(entry, verify=False)
+    """The catalog entry name, edited by change(entry) and loaded without
+    verification."""
+    return splint_from_dict(edited(name, change), verify=False)
 
 
 def reversed_entry(name):
     return dict(CATALOG[name], correspondence=CATALOG[name]["correspondence"][::-1])
+
+
+def swapped(i, j):
+    """The edit that swaps subalgebra image i with stem image j."""
+    def change(e):
+        sub, stem = e["subalgebra"]["map"][i], e["stem"]["map"][j]
+        sub[1], stem[1] = stem[1], sub[1]
+    return change
+
+
+def negated_first_stem_image(e):
+    e["stem"]["map"][0][1] = [-x for x in e["stem"]["map"][0][1]]
+
+
+def exchanged(e):
+    e["subalgebra"], e["stem"] = e["stem"], e["subalgebra"]
+
+
+def subalgebra_image_0(image):
+    def change(e):
+        e["subalgebra"]["map"][0][1] = image
+    return change
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +219,68 @@ def probe_tampers(draw):
     else:
         i = draw(st.integers(0, len(entry["stem"]["map"]) - 1))
         j = draw(st.integers(0, len(entry["subalgebra"]["map"]) - 1))
-
-        def change(e):
-            stem, sub = e["stem"]["map"][i], e["subalgebra"]["map"][j]
-            stem[1], sub[1] = sub[1], stem[1]
+        change = swapped(j, i)
     return tampered(name, change)
 
 
 @settings(max_examples=40, deadline=None)
 @given(probe_tampers())
 def test_tampered_probe_equals_fraction_probe(s):
-    assert outcome(probe_tilde_branching, s, 1) == outcome(fraction_probe, s, 1)
+    assert verdict(probe_tilde_branching(s, 1)) == verdict(fraction_probe(s, 1))
+
+
+def splint_file_tampers():
+    """{tag: entry}: per catalog splint every subalgebra/stem image swap, the
+    reversed correspondence, the first stem image negated, and the stem and
+    subalgebra exchanged (42 files); and G2:A2A2 with subalgebra image 0 set
+    to zero."""
+    out = {}
+    for name, e in CATALOG.items():
+        for i, j in itertools.product(range(len(e["subalgebra"]["map"])),
+                                      range(len(e["stem"]["map"]))):
+            out[f"{name} swap {i} {j}"] = edited(name, swapped(i, j))
+        out[f"{name} reversed"] = reversed_entry(name)
+        out[f"{name} negated"] = edited(name, negated_first_stem_image)
+        out[f"{name} exchanged"] = edited(name, exchanged)
+    out["G2:A2A2 zero"] = edited("G2:A2A2", subalgebra_image_0([0, 0, 0]))
+    return out
+
+
+SPLINT_FILE_TAMPERS = splint_file_tampers()
+
+
+def test_splint_file_tampers_count():
+    assert len(SPLINT_FILE_TAMPERS) == 43
+
+
+@pytest.mark.parametrize("tag", sorted(SPLINT_FILE_TAMPERS))
+def test_broken_splint_data_is_a_problem_of_the_probe(tag):
+    # a fault in a splint's data leaves the probe as a problem, never as an
+    # exception, and the Fraction route with the same fault policy agrees
+    s = splint_from_dict(SPLINT_FILE_TAMPERS[tag], verify=False)
+    got = probe_tilde_branching(s, 1)
+    assert isinstance(got, Report)
+    assert verdict(got) == verdict(fraction_probe(s, 1))
+
+
+@pytest.mark.parametrize("s, last_problem", [
+    (splint_from_dict(SPLINT_FILE_TAMPERS["A3:A2A1A1A1 swap 0 2"], verify=False),
+     "labels (1, 1, 1): stem weights collide in ambient space"),
+    (splint_from_dict(SPLINT_FILE_TAMPERS["G2:A2A2 zero"], verify=False),
+     "labels (0, 0): simple root image 0 is zero"),
+    (splint_from_dict(SPLINT_FILE_TAMPERS["B2:A1A1 exchanged"], verify=False),
+     "labels (1, 0): negative leading coefficient -1 at (0, 0)"),
+    (tampered("B2:A1A1", swapped(0, 0)), "labels (0, 1): weight (-1/2, -1/2) has multiplicity 1 "
+     "but its dominant representative (3/2, 1/2) has 0: not a module character"),
+    # twice the short root (-1, 0, 1): the subalgebra labels of a tilde
+    # weight are not integral, and the weight is shown as (a, b, c)
+    (tampered("G2:A2A2", subalgebra_image_0([-2, 0, 2])),
+     "labels (0, 1): (0, -1, 1) is not integral for A2"),
+])
+def test_fault_ends_the_probe(s, last_problem):
+    got = probe_tilde_branching(s, 1)
+    assert not got.passed and got.problems[-1] == last_problem
+    assert verdict(got) == verdict(fraction_probe(s, 1))
 
 
 def test_probe_has_no_fraction_round_trip(monkeypatch):

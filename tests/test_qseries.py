@@ -229,6 +229,16 @@ def test_theta_sum_identity_at_grade_zero(name):
     assert rep.normalization is None and rep.first_mismatch is None
 
 
+def test_equality_compares_held_terms_and_compare_stops_at_the_cutoff():
+    # 1 - q - q^2 against 1 - q - q^2 + q^5: equal up to q^2, the common
+    # cutoff, but == compares every held term
+    short, long = qs.euler_product(2), qs.euler_product(5)
+    assert short != long and long != short
+    assert qs.compare_qseries(short, long) is None
+    assert qs.compare_qseries(long, short) is None
+    assert qs.euler_product(5) == long
+
+
 def test_compare_names_the_series_that_holds_a_one_sided_term():
     more, fewer = qs.QSeries({0: 1, 1: 2}, 2), qs.QSeries({0: 1}, 2)
     assert qs.compare_qseries(more, fewer) == \

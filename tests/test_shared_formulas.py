@@ -1,9 +1,11 @@
 """The integer formulas of the weight engine that have one home each.
 
 `LabelData.pair` is the integer label form, checked against `inner` on
-`from_labels` weights.  `characters._weight_codes` is the code basis of a
-labelled weight, checked against `encode`, with the denominator facts that
-let every finite character route read its denominator from it.  The highest
+`from_labels` weights.  `RootSystem._label_codes` is the one code basis of
+a labelled weight, checked against `encode` and against weights built by
+`vcombine`, with the denominator facts that let every finite character
+route read its denominator from it; `from_labels` and `weyl_orbit` decode
+it.  The highest
 root is the last positive root, and `characters._ball` is the ball of
 Kac, Prop. 11.4.  `qseries._phi_series` and `qseries._eta_power` read
 phi(q)^m off `characters._phi_power`, checked against test-local copies of
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from splintbranch import affine as af
 from splintbranch import qseries as qs
-from splintbranch.characters import _ball, _weight_codes, common_denominator, encode
-from splintbranch.rootsystem import build_root_system, invert_matrix
+from splintbranch.characters import _ball, common_denominator, encode
+from splintbranch.rootsystem import build_root_system, invert_matrix, vcombine
 
 ALGEBRAS = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4", "C2", "C3",
             "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2", "A1xA2", "A1xB2", "A2xG2"]
@@ -56,10 +58,9 @@ def test_code_basis_denominators(name):
     # weights and the positive roots, so weyl_identity, singular_element and
     # character_via_weyl all read it from the one code basis
     rs = build_root_system(name)
-    fw, off, den = _weight_codes(rs, None)
+    fw, off, den = rs._label_codes(1, None)
     assert den == common_denominator(rs.fundamental_weights)
     assert den == common_denominator(rs.fundamental_weights + rs.positive_roots)
-    assert den == rs._label_codes(1, None)[2]
     assert fw == [encode(w, den) for w in rs.fundamental_weights]
     assert off == (0,) * rs.dim
 
@@ -89,13 +90,39 @@ def test_code_basis_codes_labelled_weights_like_encode(case):
     rs, offset, labels = case
     if offset is not None:
         assert all(rs.inner(offset, a) == 0 for a in rs.simple_roots)
-    fw, off, den = _weight_codes(rs, offset)
+    fw, off, den = rs._label_codes(1, offset)
     v = weight(rs, labels, offset)
     given_offset = () if offset is None else (offset,)
     assert den == common_denominator(rs.fundamental_weights + given_offset)
     assert den == common_denominator(rs.fundamental_weights + (v,))
     code = tuple(sum(y * w[i] for y, w in zip(labels, fw)) + off[i] for i in range(rs.dim))
     assert code == encode(v, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(offset_case(), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 6]))
+def test_label_codes_at_every_scale(case, d, fine):
+    # the point sum_i y_i omega_i / d + offset codes as sum_i y_i fw[i] + off
+    # over den, a multiple of fine; from_labels and weyl_orbit decode it
+    rs, offset, labels = case
+    fw, off, den = rs._label_codes(d, offset, fine)
+    assert den % fine == 0 and den % d == 0
+    start = rs.dim * (Fraction(0),) if offset is None else offset
+    want = vcombine(start, [Fraction(y, d) for y in labels], rs.fundamental_weights)
+    code = tuple(sum(y * w[i] for y, w in zip(labels, fw)) + off[i] for i in range(rs.dim))
+    assert code == encode(want, den)
+    assert tuple(Fraction(-c, den) for c in code) == want
+    terms = [(labels, "x"), (tuple(-y for y in labels), None)]
+    assert rs.from_labels(terms, d, offset) == [
+        (vcombine(start, [Fraction(y, d) for y in lbl], rs.fundamental_weights), x)
+        for lbl, x in terms]
+    if rs.weyl_order <= 720:
+        # the orbit on labels (the identity basis codes a point by its labels)
+        unit = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+        points = rs.label_orbit(labels, unit, (0,) * rs.rank)
+        orbit = sorted((vcombine(start, [Fraction(y, d) for y in lbl], rs.fundamental_weights),
+                        sign) for lbl, sign in points)
+        assert rs.weyl_orbit(want) == orbit
 
 
 @pytest.mark.parametrize("name", SIMPLE)

@@ -63,7 +63,7 @@ def fraction_branch(s, mu):
         for w, _ in stem.weyl_orbit(nu_t):
             nu = vsub(mu, s.phi2.map_weight(vsub(mu_t, w)))
             if nu in table:
-                raise AssertionError("stem weights collide in ambient space")
+                raise ValueError("stem weights collide in ambient space")
             table[nu] = m
     return table
 
@@ -158,16 +158,16 @@ def test_degenerate_stem_map_collides():
     r = s.phi2.simple_images[0]
     bad = hand_built([r, vneg(r)])      # alpha~_1 + alpha~_2 maps to 0
     mu = bad.ambient.weight_from_labels([1, 0])
-    with pytest.raises(AssertionError, match="collide"):
+    with pytest.raises(ValueError, match="collide"):
         fraction_branch(bad, mu)
-    with pytest.raises(AssertionError, match="collide"):
+    with pytest.raises(ValueError, match="collide"):
         branch_via_splint(bad, mu)
 
 
 def test_non_integral_stem_map_is_refused():
     s = splint("G2:A2A2")
     bad = hand_built([vscale(a, Fraction(1, 2)) for a in s.phi2.simple_images])
-    with pytest.raises(AssertionError, match="non-integral"):
+    with pytest.raises(ValueError, match="non-integral"):
         branch_via_splint(bad, bad.ambient.weight_from_labels([1, 0]))
 
 
