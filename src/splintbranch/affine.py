@@ -69,7 +69,7 @@ from .rootsystem import FractionCache, RootSystem, Vec, invert_matrix
 from .characters import (_affine_denominator, _ball, _dominant_table, _freudenthal_tables,
                          _numerator_points, _order_key, _phi_power, _split_dominant,
                          decode, decompose_character, label_dimension, rho_pairing)
-from .splints import Splint, _branch_codes
+from .splints import Splint, _branch_codes, require_tilde_branching
 
 
 class AffineWeight(namedtuple("AffineWeight", "finite level")):
@@ -428,10 +428,7 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
     summing on integer label codes; each distinct weight is built once."""
     if s.ambient.factors != rs.factors:
         raise ValueError("splint ambient does not match the affine algebra")
-    status = s.branching_status()
-    if not status:
-        raise ValueError(f"splint {s.name} is flagged: tilde-weight branching not "
-                         f"applicable ({status.problems[0]})")
+    require_tilde_branching(s)
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
     labels, offsets = _series_labels(bs, rs)
     if len(offsets) != 1:

@@ -317,12 +317,10 @@ def cmd_fan(args):
 
 def cmd_branch(args):
     from .characters import weyl_dimension
-    from .splints import branch_direct, branch_via_splint
+    from .splints import branch_direct, branch_via_splint, require_tilde_branching
     rs, s, labels, _ = _inputs(args, True)
     mu = rs.weight_from_labels(labels)
-    status = s.branching_status()
-    if not status.passed:
-        raise ConfigError(f"splint {s.name} is flagged: tilde branching not applicable")
+    require_tilde_branching(s)
     table = branch_via_splint(s, mu)
     view = s.subalgebra_view()
     match = None

@@ -4,13 +4,18 @@ A splint presents the ambient root set as a disjoint union of the images of
 two embeddings: a closed root subsystem (the regular subalgebra a module is
 branched to) and a stem, whose module weight multiplicities give branching
 coefficients through the tilde-weight rule.  The catalog is re-verified on
-load; the tilde rule is validated against brute-force subtraction, each
-tilde table against the ambient character peeled by `characters._peel_codes`.
-Both checks run on integer codes and decode only the weights a problem
+load; the tilde rule is validated against brute-force subtraction.  Where
+the subalgebra's simple images are ambient roots with its Cartan matrix, a
+tilde table is accepted on int Dynkin labels, from the subalgebra's and the
+ambient's dominant Freudenthal tables and the Weyl dimension count; a table
+that fails there, and every table of another splint, is compared with the
+ambient character peeled by `characters._peel_codes`, which names the
+problem.  The checks run on integers and decode only the weights a problem
 names; the embedding checks read the source roots' int simple coefficients
 from `RootSystem.root_coefficients`, and a parsed map's keys are the
-source's own roots.  Every
-check here, and each identity verifier of `qseries`, returns a `Report`.  The
+source's own roots.  Every check here, and each identity verifier of
+`qseries`, returns a `Report`; a splint whose probe fails is refused by
+every branching route with one text (`require_tilde_branching`).  The
 injection fan is the stem's Weyl denominator in ambient coordinates,
 `characters.root_product` of the stem images.
 
@@ -18,8 +23,9 @@ Branching runs on integer Dynkin labels: the stem weight w maps to
 nu = mu - phi2(mu~ - w), so labels(nu) = labels(mu) - (labels(mu~) -
 labels(w)) M, row j of M the ambient labels of phi2 on the stem fundamental
 weight j (`Splint.tilde_map`, a cached property like the default tilde probe
-`Splint.tilde_probe`).  Each embedding pushes its source fundamental weights
-once (`Embedding.fundamental_images`), read by the tilde map and by the
+`Splint.tilde_probe`), read off the labels of the stem's simple images
+through the stem's inverse Cartan matrix.  Each embedding pushes its source
+fundamental weights once (`Embedding.fundamental_images`), read by the
 stems' theta sums in `qseries`.  Stem orbits come from `label_orbit`; the
 table, the int ambient labels of each nu -> multiplicity, is kept on the
 splint by the labels of mu (`_branch_codes`, which the affine route calls
@@ -39,8 +45,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, mul, neg
 
-from .rootsystem import (FractionCache, RootSystem, Vec, apply_label_rows, build_root_system,
-                         common_denominator, parse_algebra_name, vadd, vcombine, vneg, zero_vec)
+from .rootsystem import (MAX_ORBIT, FractionCache, RootSystem, Vec, apply_label_rows,
+                         build_root_system, common_denominator, parse_algebra_name, vadd,
+                         vcombine, vneg, zero_vec)
 from .characters import (FormalCharacter, _dominant_table, _orbit_codes, _peel_codes, _show,
                          _split_dominant, _weight, decode, encode,
                          label_dimension, peel_dominant, root_product)
@@ -79,7 +86,7 @@ class Embedding:
     @cached_property
     def fundamental_images(self) -> tuple[Vec, ...]:
         """map_weight of each source fundamental weight, in order: pushed once
-        per embedding, for the tilde map and the stems' theta sums."""
+        per embedding, for the stems' theta sums."""
         return tuple(map(self.map_weight, self.source.fundamental_weights))
 
 
@@ -169,8 +176,12 @@ class Splint:
     @cached_property
     def tilde_map(self):
         """(cols, den), ints: cols[k][j] / den is ambient label k of phi2
-        extended linearly to the stem fundamental weight j.  Built on first read."""
-        m = [self.ambient.dynkin_labels(w) for w in self.phi2.fundamental_images]
+        extended linearly to the stem fundamental weight j, read off the
+        labels of the stem's simple images through its inverse Cartan
+        matrix.  Built on first read."""
+        images = [self.ambient.dynkin_labels(a) for a in self.phi2.simple_images]
+        m = [[sum(c * lab[k] for c, lab in zip(row, images)) for k in range(self.ambient.rank)]
+             for row in self.phi2.source._cartan_inv]
         den = math.lcm(*(x.denominator for row in m for x in row))
         return list(zip(*([int(x * den) for x in row] for row in m))), den
 
@@ -184,6 +195,15 @@ class Splint:
         """Empirical tilde-weight validation: tilde_probe, or a new probe up to
         max_label.  Failing splints stay in the catalog, flagged unfit for branching."""
         return self.tilde_probe if max_label is None else probe_tilde_branching(self, max_label)
+
+
+def require_tilde_branching(s: Splint) -> None:
+    """Refuse a splint flagged unfit for branching: a ValueError naming the
+    first problem of its default probe, the one text of every branching route."""
+    status = s.branching_status()
+    if not status:
+        raise ValueError(f"splint {s.name} is flagged: tilde-weight branching not "
+                         f"applicable ({status.problems[0]})")
 
 
 def check_splint(s: Splint) -> Report:
@@ -467,26 +487,85 @@ def branch_direct(rs: RootSystem, view: SubalgebraView, mu: Vec) -> dict[Vec, in
     return decode({c: m for c, (m, _) in table.items()}, den).terms
 
 
+def _root_images(view: SubalgebraView):
+    """(image labels, coroot rows), ints, of the subalgebra's simple images:
+    the ambient labels of image i and the simple coroot coefficients of its
+    coroot, so that subalgebra label i of ambient labels x is rows[i] . x.
+    None unless every image is an ambient root and the images carry the
+    subalgebra's Cartan matrix; None too for a Weyl group of more than
+    MAX_ORBIT elements, where the orbit walk may refuse an orbit and that
+    refusal is a problem of the probe's report."""
+    rs, ld = view.ambient, view.ambient.label_data
+    if rs.weyl_order > MAX_ORBIT:
+        return None
+    img_labels, rows = [], []
+    for a in view.emb.simple_images:
+        k = rs.root_coefficients.get(a)
+        if k is None:
+            return None
+        lab = tuple(sum(map(mul, k, col)) for col in zip(*ld.cartan))
+        # the coroot of a root a is sum_j k_j |alpha_j|^2 / |a|^2 alpha_j^vee
+        rows.append(tuple(c * ld.pair(r, r) // ld.pair(lab, lab) for c, r in zip(k, ld.cartan)))
+        img_labels.append(lab)
+    cartan = tuple(tuple(sum(map(mul, lab, row)) for row in rows) for lab in img_labels)
+    return (img_labels, rows) if cartan == view.sub.label_data.cartan else None
+
+
+def _tilde_table_holds(view: SubalgebraView, labels: tuple, table: dict, root_images) -> bool:
+    """Whether the tilde table {x: b} of L(labels) is its branching to the
+    subalgebra of view, decided on int labels (`_root_images` of view):
+    sum b L_a(x) over the subalgebra-dominant weights of each L_a(x), from
+    their dominant tables, and accept iff its dimension is dim L(labels) and
+    each weight has the multiplicity of its ambient-dominant representative
+    in L(labels).  Both sides are W_a-invariant and agree on the sum's
+    support with equal totals, so they are equal."""
+    rs, sub = view.ambient, view.sub
+    img_labels, rows = root_images
+    img_cols = list(zip(*img_labels))
+    acc: dict = {}
+    dim = 0
+    for x, b in table.items():
+        lab = tuple([sum(map(mul, row, x)) for row in rows])
+        if min(lab) < 0:
+            return False
+        dim += b * label_dimension(sub, lab)
+        for _, coeffs, k in _dominant_table(sub, lab):
+            y = tuple([a - sum(map(mul, coeffs, col)) for a, col in zip(x, img_cols)])
+            acc[y] = acc.get(y, 0) + b * k
+    if dim != label_dimension(rs, labels):
+        return False
+    mult = {nu: m for nu, _, m in _dominant_table(rs, labels)}
+    return all(mult.get(rs.dominant_labels(y)[0], 0) == m for y, m in acc.items())
+
+
 def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     """Compare tilde-weight branching against the subtraction oracle for all
     dominant weights with Dynkin labels <= max_label; the report is named
     "branching" and its detail is the first two problems or the pass line.
     A fault in the splint's data (a ValueError of the table, the subalgebra
     labels or the peel) is the last problem; only a negative max_label
-    raises.  Runs on codes over one denominator; only the weights a problem
-    names are decoded."""
+    raises.  Where the subalgebra's simple images are ambient roots with its
+    Cartan matrix, a table is first decided on int labels
+    (`_tilde_table_holds`); a table that fails there, and every table of any
+    other splint, is compared with the ambient character peeled on codes
+    over one denominator (`_orbit_codes`, `_peel_codes`), which names the
+    problem; only the weights a problem names are decoded."""
     if max_label < 0:
         raise ValueError("max_label must be >= 0")
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
     images = view.emb.simple_images
-    fw, off, den = rs._label_codes(1, None, common_denominator(images))
-    cols = list(zip(*fw))
+    root_images = _root_images(view)
     for labels in itertools.product(range(max_label + 1), repeat=rs.rank):
         try:
             table = _branch_codes(s, labels)
-            # read once a table exists: a broken correspondence is reported first
+            if root_images and _tilde_table_holds(view, labels, table, root_images):
+                continue
+            # codes and rows are read once a table exists and fails: a broken
+            # correspondence is reported first
+            fw, off, den = rs._label_codes(1, None, common_denominator(images))
+            cols = list(zip(*fw))
             rows, rows_den = view.label_rows
             scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
             # table keys are the ambient labels x of nu: nu codes as x . fw

@@ -327,8 +327,8 @@ def test_reversed_correspondence_fails_the_tilde_probe(tmp_path, capsys, name):
     splint = ["--splint-file", str(path)]
     zeros = ",".join("0" * len(entry["correspondence"]))
     assert run(capsys, "branch", "--weight", zeros, *splint) == (
-        2, "", f"configuration error: splint {name} is flagged: tilde branching not "
-               "applicable\n")
+        2, "", f"error: splint {name} is flagged: tilde-weight branching not applicable "
+               f"({problems[0]})\n")
     assert run(capsys, "verify", "--identity", "branching", "--max-label", "1", *splint) == (
         1, f"branching: FAIL - {'; '.join(problems[:2])}\n", "")
     assert run(capsys, "affine-branch", "--level", "1", "--weight", zeros, "--grade-max", "0",
@@ -393,8 +393,8 @@ def test_correspondence_that_is_no_permutation_is_refused(tmp_path, capsys, corr
              "fundamental weights")
     problem = f"labels (0, 0): {named}"
     assert run(capsys, "branch", "--weight", "1,0", *splint) == (
-        2, "", "configuration error: splint G2:A2A2 is flagged: tilde branching not "
-               "applicable\n")
+        2, "", f"error: splint G2:A2A2 is flagged: tilde-weight branching not applicable "
+               f"({problem})\n")
     assert run(capsys, "verify", "--identity", "branching", "--max-label", "1", *splint) == (
         1, f"branching: FAIL - {problem}\n", "")
     assert run(capsys, "affine-branch", "--level", "1", "--weight", "0,0", "--grade-max", "0",

@@ -1,9 +1,11 @@
 """Each embedding pushes its source fundamental weights once.
 
 `Embedding.fundamental_images` is the `map_weight` of each source
-fundamental weight, kept on the embedding; `Splint.tilde_map` and the stems'
-theta sums (`theta_alternating_sum(src, images, cutoff)`, which slices the
-images per simple factor) read it.  So:
+fundamental weight, kept on the embedding; the stems' theta sums
+(`theta_alternating_sum(src, images, cutoff)`, which slices the images per
+simple factor) read it, and `Splint.tilde_map`, read off the labels of the
+stem's simple images, equals the labels of the stem's pushed fundamental
+weights on the catalog and the 43 broken splint files.  So:
 
 * one `verify_theta_sums` and one `branch_via_splint` per catalog splint
   call `map_weight` once per fundamental weight of the two stems, and with
@@ -17,16 +19,20 @@ images per simple factor) read it.  So:
 """
 
 import functools
+from fractions import Fraction
 from operator import mul
 
 import pytest
 
+from test_integer_probe import SPLINT_FILE_TAMPERS
 from splintbranch import qseries as qs
 from splintbranch.characters import FormalCharacter
 from splintbranch.rootsystem import build_root_system, zero_vec
-from splintbranch.splints import Embedding, _catalog_entries, branch_via_splint, find_splint
+from splintbranch.splints import (Embedding, Splint, _catalog_entries, branch_via_splint,
+                                  find_splint, splint_from_dict)
 
 CATALOG = [e["name"] for e in _catalog_entries()]
+ENTRIES = {e["name"]: e for e in _catalog_entries()} | SPLINT_FILE_TAMPERS
 
 
 def report(r):
@@ -67,6 +73,23 @@ def test_map_weight_runs_once_per_fundamental_weight(name, monkeypatch):
     del s.tilde_map
     assert [report(qs.verify_theta_sums(s, n)) for n in (3, 4)] == reports
     assert list(branch_via_splint(s, mu).items()) == list(table.items())
+
+
+@pytest.mark.parametrize("tag", sorted(ENTRIES))
+def test_tilde_map_is_the_labels_of_the_pushed_stem_fundamental_weights(tag):
+    s = splint_from_dict(ENTRIES[tag], verify=False)
+    cols, den = s.tilde_map
+    pushed = [s.ambient.dynkin_labels(w) for w in s.phi2.fundamental_images]
+    assert [[Fraction(c, den) for c in col] for col in cols] == [list(c) for c in zip(*pushed)]
+
+
+@pytest.mark.parametrize("name", ["B2", "C3", "G2"])
+def test_tilde_map_of_an_identity_stem_is_the_identity(name):
+    # a Cartan matrix that is not symmetric tells its inverse from the transpose
+    rs = build_root_system(name)
+    ident = Embedding(rs, rs, {r: r for r in rs.positive_roots})
+    s = Splint(name, rs, ident, ident, tuple(range(rs.rank)))
+    assert s.tilde_map == ([tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)], 1)
 
 
 def inject_route(src, cutoff):
