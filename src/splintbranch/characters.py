@@ -54,8 +54,8 @@ Weyl-denominator quotients divide one root factor at a time on them
 (`divide_exact`) eliminates on them and is its oracle.  The one decomposer
 (`_peel_codes`) checks Weyl invariance by integer reflections and then
 peels only dominant weights, subtracting cached dominant multiplicities
-instead of whole orbits; `peel_dominant` is its Fraction edge, and the tilde
-probe peels a module's orbit codes (`_orbit_codes`) directly.
+instead of whole orbits; `peel_dominant` is its Fraction edge, and
+`splints.branch_direct` peels a module's orbit codes (`_orbit_codes`).
 `_split_dominant` is the one check that a weight is dominant integral.
 """
 

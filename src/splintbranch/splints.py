@@ -8,12 +8,12 @@ load; the tilde rule is validated against brute-force subtraction.  Where
 the subalgebra's simple images are ambient roots with its Cartan matrix, a
 tilde table is accepted on int Dynkin labels, from the subalgebra's and the
 ambient's dominant Freudenthal tables and the Weyl dimension count; a table
-that fails there, and every table of another splint, is compared with the
-ambient character peeled by `characters._peel_codes`, which names the
-problem.  The checks run on integers and decode only the weights a problem
-names; the embedding checks read the source roots' int simple coefficients
-from `RootSystem.root_coefficients`, and a parsed map's keys are the
-source's own roots.  Every check here, and each identity verifier of
+that fails there, and every table of another splint, is named by comparing
+the two public routes, `branch_via_splint` against `branch_direct`.  The
+embedding checks run on integers and decode only the weights a problem
+names; they read the source roots' int simple coefficients from
+`RootSystem.root_coefficients`, and a parsed map's keys are the source's
+own roots.  Every check here, and each identity verifier of
 `qseries`, returns a `Report`; a splint whose probe fails is refused by
 every branching route with one text (`require_tilde_branching`).  The
 injection fan is the stem's Weyl denominator in ambient coordinates,
@@ -458,7 +458,7 @@ class SubalgebraView:
         raises ValueError if nu is not integral for them."""
         nums, den = apply_label_rows(nu, *self.label_rows)
         if any(n % den for n in nums):
-            raise ValueError(f"{nu} is not integral for {self.sub.name}")
+            raise ValueError(f"{_show(nu)} is not integral for {self.sub.name}")
         return tuple(n // den for n in nums)
 
     def is_dominant(self, nu: Vec) -> bool:
@@ -547,55 +547,38 @@ def probe_tilde_branching(s: Splint, max_label: int) -> Report:
     raises.  Where the subalgebra's simple images are ambient roots with its
     Cartan matrix, a table is first decided on int labels
     (`_tilde_table_holds`); a table that fails there, and every table of any
-    other splint, is compared with the ambient character peeled on codes
-    over one denominator (`_orbit_codes`, `_peel_codes`), which names the
-    problem; only the weights a problem names are decoded."""
+    other splint, is named by `branch_via_splint` against `branch_direct` on
+    the weight with those labels: a non-dominant output, the first weight
+    where they differ, or a failed dimension count."""
     if max_label < 0:
         raise ValueError("max_label must be >= 0")
     problems = []
     rs = s.ambient
     view = s.subalgebra_view()
-    images = view.emb.simple_images
     root_images = _root_images(view)
     for labels in itertools.product(range(max_label + 1), repeat=rs.rank):
         try:
             table = _branch_codes(s, labels)
             if root_images and _tilde_table_holds(view, labels, table, root_images):
                 continue
-            # codes and rows are read once a table exists and fails: a broken
-            # correspondence is reported first
-            fw, off, den = rs._label_codes(1, None, common_denominator(images))
-            cols = list(zip(*fw))
-            rows, rows_den = view.label_rows
-            scale = -rows_den * den     # subalgebra label i of a code c: rows[i] . c / scale
-            # table keys are the ambient labels x of nu: nu codes as x . fw
-            shortcut = {tuple(sum(map(mul, x, col)) for col in cols): m for x, m in table.items()}
-            bad = []
-            for c in shortcut:
-                sub_labels = [divmod(sum(map(mul, row, c)), scale) for row in rows]
-                if any(r for _, r in sub_labels):
-                    raise ValueError(f"{_show(_weight(c, den))} is not integral for "
-                                     f"{view.sub.name}")
-                if any(x < 0 for x, _ in sub_labels):
-                    bad.append(c)
+            mu = rs.weight_from_labels(labels)
+            shortcut = branch_via_splint(s, mu)
+            bad = [nu for nu in shortcut if not view.is_dominant(nu)]
             if bad:
                 problems.append(f"labels {labels}: non-dominant output "
-                                f"[{', '.join(_show(_weight(c, den)) for c in bad[:2])}]")
+                                f"[{', '.join(map(_show, bad[:2]))}]")
                 continue
-            peeled = _peel_codes(rs, view.sub, images, _orbit_codes(rs, labels, fw, off), den)
+            direct = branch_direct(rs, view, mu)
         except ValueError as exc:
             problems.append(f"labels {labels}: {exc}")
             break
-        direct = {c: m for c, (m, _) in peeled.items()}
         if shortcut != direct:
-            c = next(c for c in itertools.chain(direct, shortcut)
-                     if direct.get(c, 0) != shortcut.get(c, 0))
-            problems.append(f"labels {labels}: shortcut != direct oracle at "
-                            f"{_show(_weight(c, den))}: shortcut {shortcut.get(c, 0)}, "
-                            f"oracle {direct.get(c, 0)}")
+            nu = next(nu for nu in itertools.chain(direct, shortcut)
+                      if direct.get(nu, 0) != shortcut.get(nu, 0))
+            problems.append(f"labels {labels}: shortcut != direct oracle at {_show(nu)}: "
+                            f"shortcut {shortcut.get(nu, 0)}, oracle {direct.get(nu, 0)}")
             continue
-        total = sum(m * label_dimension(view.sub, lab) for m, lab in peeled.values())
-        if total != label_dimension(rs, labels):
+        if sum(b * view.dimension(nu) for nu, b in direct.items()) != label_dimension(rs, labels):
             problems.append(f"labels {labels}: dimension bookkeeping failed")
     detail = "; ".join(problems[:2]) or "tilde-weight branching equals subtraction oracle"
     return Report(not problems, problems, "branching", detail)

@@ -1,18 +1,20 @@
 """The splint verifications run on integer codes.
 
-`probe_tilde_branching` compares the tilde table (`_branch_codes`) with the
-ambient character peeled on codes (`characters._peel_codes`), and
-`check_embedding` and `check_splint` check the images on their codes over
-one denominator; only the weights a problem names are decoded.  The
-`Fraction` routes they replaced are kept here as oracles, and every report
-(passed, problems, their order and text, detail) must equal theirs: on the
-catalog, on the reversed correspondences, on drawn tampers (a permuted
-correspondence, a stem image swapped with a subalgebra image, a dropped map
-entry, a negated image, a subalgebra that is not closed).  A fault in a
-splint's data ends both probes with the same last problem and raises
-nothing: on the drawn tampers and on 43 broken splint files (every image
-swap, a reversed correspondence, a negated stem image, stem and subalgebra
-exchanged, a zero subalgebra image).  With the `Fraction` character and peel patched to raise, every catalog
+`probe_tilde_branching` accepts a tilde table (`_branch_codes`) on int
+labels and names a failing one by `branch_via_splint` against
+`branch_direct`, the ambient character peeled on codes
+(`characters._peel_codes`); `check_embedding` and `check_splint` check the
+images on their codes over one denominator, and decode only the weights a
+problem names.  The `Fraction` routes they replaced are kept here as
+oracles, and every report (passed, problems, their order and text, detail)
+must equal theirs: on the catalog, on the reversed correspondences, on
+drawn tampers (a permuted correspondence, a stem image swapped with a
+subalgebra image, a dropped map entry, a negated image, a subalgebra that
+is not closed).  A fault in a splint's data ends both probes with the same
+last problem and raises nothing: on the drawn tampers and on 43 broken
+splint files (every image swap, a reversed correspondence, a negated stem
+image, stem and subalgebra exchanged, a zero subalgebra image).  With the
+`Fraction` character and peel patched to raise, every catalog
 splint still passes its default probe.
 """
 
@@ -462,6 +464,14 @@ def test_check_splint_hashes_few_plain_fractions(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the view's label rows
+
+
+def test_non_integral_weight_is_shown_as_the_probe_shows_it():
+    # the weight's coordinates print as 1/2, not as Fraction reprs
+    view = find_splint("A3:A2A1A1A1").subalgebra_view()
+    with pytest.raises(ValueError) as exc:
+        view.labels((Fraction(1, 2), Fraction(0), Fraction(0), Fraction(-1, 2)))
+    assert str(exc.value) == "(1/2, 0, 0, -1/2) is not integral for A2"
 
 
 def test_view_reads_its_label_rows_once(monkeypatch):

@@ -5,13 +5,15 @@ matrix, `probe_tilde_branching` accepts a tilde table on int labels
 (`splints._tilde_table_holds`): the subalgebra's dominant tables, summed with
 the table's coefficients, against the ambient dominant table and the Weyl
 dimension.  Only a table that fails there, and every table of any other
-splint, goes through the ambient orbit walk and the peel.  The loop that
-walked and peeled every table is kept here as the oracle, and every report
-(passed, problems in order and text, detail) must equal its report: on the
-catalog, the reversed correspondences, the 43 broken splint files and three
-rank 3-4 family splints.  A table with one entry tampered is never accepted,
-and the probe still builds every table and ambient dominant table that the
-affine ops read.
+splint, is named by the public routes, `branch_via_splint` against
+`branch_direct` (the ambient orbit walk and the peel); a passing probe reads
+neither.  The loop that walked and peeled every table is kept here as the
+oracle, and every report (passed, problems in order and text, detail) must
+equal its report: on the catalog, every permutation of each catalog
+correspondence (equal to the `Fraction` oracle's report too), the 43 broken
+splint files and three rank 3-4 family splints.  A table with one entry
+tampered is never accepted, and the probe still builds every table and
+ambient dominant table that the affine ops read.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splint_families import a_family, b_family
-from test_integer_probe import (CATALOG, PROBE_BOUNDS, SPLINT_FILE_TAMPERS, reversed_entry,
-                                subalgebra_image_0, tampered, verdict)
+from test_integer_probe import (CATALOG, PROBE_BOUNDS, SPLINT_FILE_TAMPERS, fraction_probe,
+                                reversed_entry, subalgebra_image_0, tampered, verdict)
 from splintbranch import characters as ch
 from splintbranch import rootsystem
 from splintbranch import splints as sp
 from splintbranch.characters import _orbit_codes, _peel_codes, _show, _weight, label_dimension
-from splintbranch.rootsystem import common_denominator
+from splintbranch.rootsystem import build_root_system, common_denominator
 from splintbranch.splints import (Report, _branch_codes, _root_images, _tilde_table_holds,
                                   find_splint, probe_tilde_branching, splint_from_dict)
 
@@ -103,6 +105,26 @@ def test_catalog_probe_equals_orbit_peel_probe(name, bound):
 def test_reversed_correspondence_equals_orbit_peel_probe(name, bound):
     got, want = probe_pair(reversed_entry(name), bound)
     assert not got.passed and verdict(got) == verdict(want)
+
+
+# every correspondence of each catalog splint: a permutation of its stem
+# indices, at labels <= 1 and at <= 2 for rank 2
+PERMUTED = [(name, order, bound) for name, e in CATALOG.items()
+            for order in itertools.permutations(range(len(e["correspondence"])))
+            for bound in ((1, 2) if build_root_system(e["ambient"]).rank == 2 else (1,))]
+
+
+def test_permuted_correspondences_count():
+    assert len(PERMUTED) == 4 * 2 * 2 + 6
+
+
+@pytest.mark.parametrize("name, order, bound", PERMUTED)
+def test_permuted_correspondence_equals_both_oracles(name, order, bound):
+    entry = dict(CATALOG[name], correspondence=list(order))
+    got, want = probe_pair(entry, bound)
+    assert verdict(got) == verdict(want)
+    assert verdict(got) == verdict(fraction_probe(splint_from_dict(entry), bound))
+    assert got.passed == (order == tuple(CATALOG[name]["correspondence"]))
 
 
 @pytest.mark.parametrize("tag", sorted(SPLINT_FILE_TAMPERS))
@@ -181,6 +203,49 @@ def test_other_images_take_the_orbit_peel_path(monkeypatch, s):
     want = verdict(orbit_peel_probe(s, 1))
     monkeypatch.setattr(sp, "_tilde_table_holds", refuse)
     assert verdict(probe_tilde_branching(s, 1)) == want
+
+
+def test_passing_probes_read_no_public_route(monkeypatch):
+    # a table the label check accepts is never decoded nor branched again
+    entries = [*CATALOG.values(), *FAMILY.values()]
+    want = [verdict(splint_from_dict(e).branching_status()) for e in entries]
+    monkeypatch.setattr(sp, "branch_via_splint", refuse)
+    monkeypatch.setattr(sp, "branch_direct", refuse)
+    got = [verdict(splint_from_dict(e).branching_status()) for e in entries]
+    assert got == want and all(passed for passed, *_ in got)
+
+
+def test_a_rejected_table_is_branched_by_both_routes_once(monkeypatch):
+    # G2:A2A2 reversed at labels <= 2: each label set the label check rejects
+    # runs branch_via_splint once, then branch_direct once unless its tilde
+    # output is reported as non-dominant
+    s = splint_from_dict(reversed_entry("G2:A2A2"))
+    want = verdict(probe_tilde_branching(splint_from_dict(reversed_entry("G2:A2A2")), 2))
+    calls = []
+
+    def spy(name, record):
+        f = getattr(sp, name)
+
+        def wrapped(*args):
+            result = f(*args)
+            calls.append(record(*args, result))
+            return result
+        monkeypatch.setattr(sp, name, wrapped)
+
+    spy("_tilde_table_holds", lambda view, labels, table, images, held:
+        None if held else ("rejected", labels))
+    spy("branch_via_splint", lambda s, mu, _: ("shortcut", s.ambient.split_labels(mu)[0]))
+    spy("branch_direct", lambda rs, view, mu, _: ("direct", rs.split_labels(mu)[0]))
+    got = probe_tilde_branching(s, 2)
+    assert verdict(got) == want
+    rejected = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    direct = [(0, 1), (0, 2), (1, 2)]
+    assert [c for c in calls if c] == [
+        c for labels in rejected
+        for c in [("rejected", labels), ("shortcut", labels)] + [("direct", labels)] * (
+            labels in direct)]
+    assert [p.split(":")[0] for p in got.problems if "non-dominant" in p] == [
+        f"labels {labels}" for labels in rejected if labels not in direct]
 
 
 def test_an_orbit_the_walk_refuses_takes_the_orbit_peel_path(monkeypatch):
