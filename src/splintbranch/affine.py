@@ -181,7 +181,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
     for g, x, sign in _numerator_points(rs, lam, aw.level + rs.dual_coxeter[0], cutoff):
         folds[g][x] = folds[g].get(x, 0) + sign
-    dominant = rs.dominant_labels
+    dominant = rs.dominant_lookup
     for n, fold in enumerate(folds):
         # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
         # dominant chamber with its reflection sign; a singular point drops out

@@ -5,9 +5,11 @@ a per-coordinate rational form scale chosen so that long roots of every simple
 factor have squared length 2.  Vectors at the interface are tuples of
 Fractions, so every inner product, Dynkin label and reflection is exact.
 Vectors built from integer codes take their coordinates from `FractionCache`,
-Fractions that compute their hash once.  The roots are closed on their int
-simple coefficients, which `RootSystem.root_coefficients` keeps, keyed by the
-root objects themselves.
+Fractions that compute their hash once, one object per value in the
+process: equal weights share their coordinates, so comparing them, in tuples
+and as dict keys, goes by identity, not by `Fraction.__eq__`.  The roots are
+closed on their int simple coefficients, which `RootSystem.root_coefficients`
+keeps, keyed by the root objects themselves.
 
 The weight engine (Weyl orbits, dominant representatives, Freudenthal) runs
 on integer Dynkin labels instead.  `RootSystem.label_data`, built on first
@@ -19,13 +21,16 @@ space through `split_labels` (labels scaled to integers plus a W-fixed offset
 orthogonal to the roots) and leaves through `from_labels`.  Weyl orbits carry
 their coordinates: `label_orbit` walks the labels together with integer codes
 given by the caller's images of the fundamental weights, coding the start
-once and each reflected point by one root-code subtraction, and it refuses an
-orbit larger than MAX_ORBIT from its size (`orbit_size`) before walking it.
-The label memos (`label_rows`, `split_labels`, `dominant_labels`, the orbit
-size per zero-label pattern, the simple-root codes of each basis that
-`label_orbit` is given) are `functools.cache` methods, like
-`simple_coefficients`: a root system lives for the process anyway, one per
-algebra (`build_root_system`).
+once and each new point by one root-code subtraction; it knows a point by its
+labels packed into one int, in fields as wide as a bound on the orbit's
+labels, and refuses an orbit larger than MAX_ORBIT from its size
+(`orbit_size`) before walking it.  The label memos (`label_rows`,
+`split_labels`, the orbit size per zero-label pattern, the simple-root codes
+of each basis that `label_orbit` is given and its packing per field width)
+are `functools.cache` methods, like `simple_coefficients`: a root system lives
+for the process anyway, one per algebra (`build_root_system`).
+`dominant_labels` reads one dict memo, and hands out its bound lookup
+(`dominant_lookup`) to the loops that call it per point.
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -309,8 +314,9 @@ class _Coordinate(Fraction):
     """A Fraction that computes its hash once, at construction.  Up to
     Python 3.11 Fraction recomputes its hash (a modular inverse of the
     denominator) on every call, and a weight tuple rehashes each coordinate
-    on every dict lookup.  repr, str, ==, pickle and copy are Fraction's, and
-    arithmetic returns plain Fractions."""
+    on every dict lookup.  repr, str, pickle and copy are Fraction's, and
+    arithmetic returns plain Fractions; == is Fraction's too, read off the
+    ints when both sides are coordinates."""
 
     __slots__ = ("_hash",)
 
@@ -326,17 +332,59 @@ class _Coordinate(Fraction):
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
 
+    def __eq__(self, other):
+        # Fraction's value equality.  Equal coordinates are one object but
+        # for copies (FractionCache), which tuple == and dict lookups try
+        # first, so two that meet here mostly differ, as in a lookup of
+        # weights that hash alike (hash(-1) == hash(-2)); both are in lowest
+        # terms, so their ints decide
+        if type(other) is _Coordinate:
+            return self._numerator == other._numerator and \
+                self._denominator == other._denominator
+        return Fraction.__eq__(self, other)
+
+
+# (numerator, denominator) in lowest terms, denominator > 0 -> the one
+# _Coordinate of that value in this process
+_coordinates: dict = {}
+
 
 class FractionCache(dict):
-    """x -> Fraction(x, den) that keeps its hash, built once per distinct x."""
+    """x -> Fraction(x, den) that keeps its hash, for int or Fraction x, read
+    once per distinct x.  Every cache hands out the one _Coordinate of each
+    value (_coordinates), built the first time any cache meets the value, so
+    equal weights share their coordinate objects, and tuple ==, which
+    compares items by identity first, does not reach Fraction.__eq__."""
 
     def __init__(self, den):
         super().__init__()
         self.den = den
 
     def __missing__(self, x):
-        f = self[x] = _Coordinate(x, self.den)
+        n, d = x.numerator, x.denominator * self.den
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        key = (n // g, d // g)
+        f = _coordinates.get(key)
+        if f is None:
+            # a lost race leaves two equal objects, which is still correct
+            f = _coordinates[key] = _Coordinate(*key)
+        self[x] = f
         return f
+
+
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup of key and kept; the
+    bound __getitem__ is the lookup, and a hit is one dict read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class RootSystem:
@@ -574,11 +622,21 @@ class RootSystem:
         return [(tuple([get(sum(map(mul, labels, col)) + b) for col, b in zip(cols, off)]), x)
                 for labels, x in terms]
 
-    @cache
     def dominant_labels(self, labels):
         """(dominant labels, sign) of an int label tuple: reflect at the first
         negative label until none is left; sign is the parity of the
-        reflections used."""
+        reflections used.  Memoized per labels, in the memo that
+        dominant_lookup reads."""
+        return self.dominant_lookup(labels)
+
+    @cached_property
+    def dominant_lookup(self):
+        """dominant_labels as a bound dict lookup, for the loops that call it
+        per point: one memo behind both, and a hit is one dict read."""
+        return _Memo(self._dominant_descent).__getitem__
+
+    def _dominant_descent(self, labels):
+        """dominant_labels, not memoized."""
         cartan, sign = self.label_data.cartan, 1
         while True:
             for i, m in enumerate(labels):
@@ -603,29 +661,57 @@ class RootSystem:
     def label_orbit(self, labels, fw, offset):
         """Signed Weyl orbit [(code, sign)] of int labels, breadth-first from the
         dominant representative (sign +1); labels y code as sum_i y_i fw[i] +
-        offset.  An orbit of more than MAX_ORBIT points is refused up front."""
+        offset.  An orbit of more than MAX_ORBIT points is refused up front.
+        A point is known by one int, its labels packed in fields wide enough
+        for every label of the orbit (_coroot_heights, _label_packing), which
+        a reflection moves by one multiply-subtract; its label and code tuples
+        are built only when the point is new."""
         cartan = self.label_data.cartan
         dom, _ = self.dominant_labels(labels)
         if self.weyl_order > MAX_ORBIT and self.orbit_size(dom) > MAX_ORBIT:
             raise ValueError(f"Weyl orbit of {self.orbit_size(dom)} points exceeds cap {MAX_ORBIT}")
         cols, roots = self._basis_codes(tuple(fw))
-        seen = {dom: (tuple([sum(map(mul, dom, col)) + b for col, b in zip(cols, offset)]), 1)}
-        frontier = [dom]
+        powers, steps = self._label_packing(
+            (2 * sum(map(mul, dom, self._coroot_heights))).bit_length())
+        key = sum(map(mul, dom, powers))
+        orbit = [(tuple([sum(map(mul, dom, col)) + b for col, b in zip(cols, offset)]), 1)]
+        seen, frontier = {key}, [(dom, key, orbit[0])]
         while frontier:
             nxt = []
-            for w in frontier:
-                code, s = seen[w]
+            for w, k, (code, s) in frontier:
                 for i, m in enumerate(w):
                     if m <= 0:
                         # s_i fixes w (m = 0) or moves it one step up, to a
                         # point of the previous breadth-first level (m < 0)
                         continue
-                    r = tuple([x - m * c for x, c in zip(w, cartan[i])])
+                    r = k - m * steps[i]
                     if r not in seen:
-                        seen[r] = tuple([x - m * a for x, a in zip(code, roots[i])]), -s
-                        nxt.append(r)
+                        seen.add(r)
+                        point = tuple([x - m * a for x, a in zip(code, roots[i])]), -s
+                        orbit.append(point)
+                        nxt.append((tuple([x - m * c for x, c in zip(w, cartan[i])]), r, point))
             frontier = nxt
-        return list(seen.values())
+        return orbit
+
+    @cached_property
+    def _coroot_heights(self):
+        """h_j = max over positive roots beta of <omega_j, beta^vee>, ints: the
+        labels of the highest coroot of each simple factor.  For dominant
+        labels l, a label <w l, alpha_j^vee> of an orbit point is
+        +-<l, beta^vee> for a positive root beta, so its absolute value is at
+        most sum_j l_j h_j.  (<l, theta^vee>, theta the highest root, is no
+        bound: the B2 orbit of omega_1 holds the label 2.)"""
+        return tuple(max(2 * fa[j] // aa for _, _, fa, aa in self.root_form_rows)
+                     for j in range(self.rank))
+
+    @cache
+    def _label_packing(self, bits):
+        """(powers, steps), ints: labels y with every |y_j| < 2^(bits - 1) pack
+        one to one into sum_j y_j powers[j], powers[j] = 2^(bits j) (balanced
+        digits), and the reflection y - m cartan[i] moves the packed int by
+        -m steps[i]."""
+        powers = [1 << bits * j for j in range(self.rank)]
+        return powers, [sum(map(mul, row, powers)) for row in self.label_data.cartan]
 
     @cache
     def _basis_codes(self, fw):

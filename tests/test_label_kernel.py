@@ -260,11 +260,11 @@ WALK_ALGEBRAS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4
 
 
 @st.composite
-def walk_case(draw):
+def walk_case(draw, label=st.integers(-2, 2)):
     rs = build_root_system(draw(st.sampled_from(WALK_ALGEBRAS)))
     dim = draw(st.integers(1, 4))
     entries = st.integers(-3, 3)
-    labels = tuple(draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)))
+    labels = tuple(draw(st.lists(label, min_size=rs.rank, max_size=rs.rank)))
     fw = [tuple(draw(st.lists(entries, min_size=dim, max_size=dim))) for _ in range(rs.rank)]
     return rs, labels, fw, tuple(draw(st.lists(entries, min_size=dim, max_size=dim)))
 
@@ -277,6 +277,27 @@ def test_walk_codes_match_labels_only_walk(case):
     # fw need not be injective: the walk still visits each label point once
     rs, labels, fw, offset = case
     assert rs.label_orbit(labels, fw, offset) == labels_only_orbit(rs, labels, fw, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_case(st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))))
+def test_walk_keys_hold_large_labels(case):
+    # the walk knows a point by its labels packed into one int, over a field
+    # as wide as the orbit's labels: large labels keep points apart
+    rs, labels, fw, offset = case
+    assert rs.label_orbit(labels, fw, offset) == labels_only_orbit(rs, labels, fw, offset)
+
+
+@pytest.mark.parametrize("field", [2**8, 2**16, 2**30])
+def test_walk_keys_do_not_alias_past_a_fixed_field(field):
+    rs = build_root_system("B2")
+    labels, unit = (field - 1, 1), [(1, 0), (0, 1)]
+    want = labels_only_orbit(rs, labels, unit, (0, 0))     # codes are the labels here
+    points = [code for code, _ in want]
+    # packed into a fixed field, two orbit points would be one: y_0 + field y_1
+    assert (-field, 1) in points and (field, -1) in points
+    assert len({y0 + field * y1 for y0, y1 in points}) < len(points)
+    assert rs.label_orbit(labels, unit, (0, 0)) == want
 
 
 def test_e6_rho_orbit_fills_the_cap():

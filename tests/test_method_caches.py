@@ -1,8 +1,11 @@
 """The weight engine's memos are `functools.cache` methods of `RootSystem`
-and `functools.cached_property`s of `Splint`.
+and `functools.cached_property`s of `Splint`, but for the dominant labels:
+one dict memo behind `dominant_labels` and the bound lookup
+`dominant_lookup` that the per-point loops read.
 
 Each cached method returns the same object on a repeat call, and that object
-equals the uncached function (the method's `__wrapped__`).
+equals the uncached function (the method's `__wrapped__`, or
+`_dominant_descent` for the dominant labels).
 `apply_label_rows` applies the cached rows of `label_rows` to the simple
 roots and to a catalog subalgebra's simple images alike; the reference is the
 formula 2 (v, a) / (a, a) in Fractions.  `label_orbit` codes the simple roots of a
@@ -48,10 +51,25 @@ def label_cases(draw):
 @given(label_cases())
 def test_dominant_labels_is_cached(case):
     rs, labels = case
-    dom, sign = cached_once(RootSystem.dominant_labels, rs, labels)
+    dom, sign = got = rs.dominant_labels(labels)
+    assert rs.dominant_labels(labels) is got
+    assert rs._dominant_descent(labels) == got
     assert min(dom) >= 0 and sign in (1, -1)
     # a dominant input is its own representative, reached by no reflection
     assert rs.dominant_labels(dom) == (dom, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_cases(), st.booleans())
+def test_dominant_lookup_shares_the_memo(case, lookup_first):
+    rs, labels = case
+    lookup = rs.dominant_lookup
+    assert rs.dominant_lookup is lookup
+    first, second = (lookup, rs.dominant_labels) if lookup_first else (rs.dominant_labels, lookup)
+    got = first(labels)
+    assert second(labels) is got
+    # the one memo: the lookup's dict holds what either of them computed
+    assert lookup.__self__[labels] is got
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3"])
