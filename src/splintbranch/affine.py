@@ -44,14 +44,14 @@ also keep the product-and-division route the fold replaced.
 `graded_branch_to_g` serves the series of a character for its own algebra,
 sliced for a shorter cutoff, and peels the layers otherwise (`_peel`, shared
 with `branch_affine_direct`; `decompose_character` is also the fold's oracle
-in the tests).  `string_function` reads the rows at the dominant labels of a
-weight through the character's algebra, and `q_dimension` checks
-sum_nu b dim L(nu), read off the carried labels, against
-sum_lambda m |W lambda| over the rows.  Splint branching sums the integer
-tables that each `Splint` keeps by ambient labels (`splints._branch_codes`),
-looked up by the carried labels, and builds each distinct weight once.  A
-series without labels for the algebra asked for (hand-built, peeled, or a B2
-character read as C2) has each weight split once (`_series_labels`).
+in the tests), splitting each peeled weight once: every series it returns
+carries its algebra, offset and labels.  `string_function` reads the rows at
+the dominant labels of a weight through the character's algebra, and
+`q_dimension` checks sum_nu b dim L(nu), read off the carried labels,
+against sum_lambda m |W lambda| over the rows.  Splint branching sums the
+integer tables that each `Splint` keeps by ambient labels
+(`splints._branch_codes`), looked up by the carried labels, and builds each
+distinct weight once.
 The multiplicity matrix reads the finite label tables: its basis is listed on
 Dynkin labels (`_labels_up_to`), and column j holds the rows of
 `characters._dominant_table` for the j-th labels.
@@ -128,10 +128,10 @@ class GradedCharacter:
 class BranchingSeries:
     """Graded branching coefficients: (target highest weight, grade) -> int.
 
-    A series from graded_character also carries the algebra rs of its
-    targets, their W-fixed offset and the int Dynkin labels under rs of each
-    entry's weight, in entry order (None otherwise); equality compares cutoff
-    and entries only."""
+    A series from graded_character or graded_branch_to_g also carries the
+    algebra rs of its targets, their W-fixed offset and the int Dynkin labels
+    under rs of each entry's weight, in entry order (None otherwise, as for
+    the subalgebra routes); equality compares cutoff and entries only."""
 
     def __init__(self, cutoff: int, entries: dict, rs: RootSystem | None = None,
                  offset=None, labels: list | None = None):
@@ -146,18 +146,6 @@ class BranchingSeries:
 
     def weights(self):
         return sorted({nu for nu, _ in self.entries})
-
-
-def _series_labels(bs: BranchingSeries, rs: RootSystem):
-    """(labels, offsets): the int Dynkin labels under rs of each weight of bs,
-    in entry order, and the set of their W-fixed offsets.  Labels carried for
-    rs's algebra are read as they are; any other series (hand-built, peeled,
-    or carried for another algebra) has each weight split once, and a weight
-    that is not dominant integral is refused."""
-    if bs.labels is not None and bs.rs.factors == rs.factors:
-        return bs.labels, {bs.offset}
-    splits = [_split_dominant(rs, nu) for nu, _ in bs.entries]
-    return [lbl for lbl, _ in splits], {off for _, off in splits}
 
 
 def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCharacter:
@@ -181,7 +169,7 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
     folds = [{} for _ in range(cutoff + 1)]      # labels of nu + rho -> b_nu(n)
     for g, x, sign in _numerator_points(rs, lam, aw.level + rs.dual_coxeter[0], cutoff):
         folds[g][x] = folds[g].get(x, 0) + sign
-    dominant = rs.dominant_lookup
+    dominant = rs.dominant_labels
     for n, fold in enumerate(folds):
         # R ch_n = N_n - sum_j R ch_{n-j} D'_j, each product folded into the
         # dominant chamber with its reflection sign; a singular point drops out
@@ -202,18 +190,18 @@ def affine_character(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedCha
 def graded_character(rs: RootSystem, aw: AffineWeight, folds: list) -> GradedCharacter:
     """The character of L^{mu^} up to grade len(folds) - 1 from its branching
     to rs: folds[n] maps the Dynkin labels of each constituent nu of grade n
-    to b_nu(n).  No grade 0, or a term whose labels are not a tuple of
-    rs.rank ints >= 0 or whose b is not an int, raises ValueError; a b that
-    is not positive, a constituent outside the ball |nu + rho|^2 <=
-    |mu + rho|^2 + 2 n K of its grade, or a grade 0 other than mu once
-    raises AssertionError.  Each
-    grade keeps its dominant rows, sum_nu b_nu(n) times the dominant table
-    of L(nu), and the series in the (rho-pairing, code) order of nu, with the
-    labels of nu carried next to its weights (one FractionCache builds them);
-    the layers are the Weyl orbits of the rows, built on first read."""
+    to b_nu(n).  No grade 0, an aw that check_affine_dominant refuses, or a
+    term whose labels are not a tuple of rs.rank ints >= 0 or whose b is not
+    an int, raises ValueError; a b that is not positive, a constituent
+    outside the ball |nu + rho|^2 <= |mu + rho|^2 + 2 n K of its grade, or a
+    grade 0 other than mu once raises AssertionError.  Each grade keeps its
+    dominant rows, sum_nu b_nu(n) times the dominant table of L(nu), and the
+    series in the (rho-pairing, code) order of nu, with the labels of nu
+    carried next to its weights (one FractionCache builds them); the layers
+    are the Weyl orbits of the rows, built on first read."""
     if not folds:
         raise ValueError("the folds hold no grade 0")
-    top, offset = _split_dominant(rs, aw.finite)
+    top, offset = check_affine_dominant(rs, aw), rs.split_labels(aw.finite)[2]
     pair, (ball, step) = rs.label_data.pair, _ball(rs, top, aw.level)
     fw, off, den = rs._label_codes(1, offset)
     cols, get = list(zip(*fw)), FractionCache(-den).__getitem__
@@ -271,10 +259,10 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
     of each grade, which are the character's rows; it holds no series.  Both
     routes build their rows from finite tables of that one recursion (its
     grade 0)."""
-    check_affine_dominant(rs, aw)
+    top = check_affine_dominant(rs, aw)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    top, offset = _split_dominant(rs, aw.finite)
+    offset = rs.split_labels(aw.finite)[2]
     return GradedCharacter(rs, offset, [{nu: m for nu, _, m in table} for table
                                         in _freudenthal_tables(rs, top, aw.level, cutoff)])
 
@@ -283,10 +271,9 @@ def affine_freudenthal(rs: RootSystem, aw: AffineWeight, cutoff: int) -> GradedC
 # graded branching and string functions
 
 
-def _peel(gc: GradedCharacter, cutoff: int, decompose) -> BranchingSeries:
-    """Grades 0..cutoff of gc, each layer decomposed by decompose."""
-    return BranchingSeries(cutoff, {(nu, n): b for n in range(cutoff + 1)
-                                    for nu, b in decompose(gc.layers[n]).items()})
+def _peel(gc: GradedCharacter, cutoff: int, decompose) -> dict:
+    """The entries of grades 0..cutoff of gc, each layer decomposed by decompose."""
+    return {(nu, n): b for n in range(cutoff + 1) for nu, b in decompose(gc.layers[n]).items()}
 
 
 def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
@@ -297,11 +284,17 @@ def graded_branch_to_g(rs: RootSystem, aw: AffineWeight, cutoff: int,
     character with no series (affine_freudenthal) or read as another algebra
     on the same weights has its layers peeled on every call, and the
     decomposer enforces nonnegative coefficients and an exact
-    reconstruction."""
+    reconstruction; each peeled weight is split into its labels once, and
+    weights that differ in their W-fixed part raise AssertionError.  Every
+    series returned carries rs, its offset and its labels."""
     gc = _character(rs, aw, cutoff, gc)
     bs = gc.series
     if bs is None or gc.rs.factors != rs.factors:
-        return _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
+        entries = _peel(gc, cutoff, lambda layer: decompose_character(rs, layer))
+        labels, offsets = zip(*(_split_dominant(rs, nu) for nu, _ in entries))
+        if len(set(offsets)) != 1:
+            raise AssertionError("module weights differ in their W-fixed part")
+        return BranchingSeries(cutoff, entries, rs, offsets[0], list(labels))
     if cutoff == bs.cutoff:
         return bs
     entries = {k: b for k, b in bs.entries.items() if k[1] <= cutoff}
@@ -331,15 +324,18 @@ def q_dimension(rs: RootSystem, aw: AffineWeight, cutoff: int,
     Cross-checked against the total multiplicity of each grade, which counts
     the same dimension from the character: sum_lambda m_lambda |W lambda|
     over its dominant rows, orbit sizes under its own algebra.  A bs or gc
-    that stops below cutoff is refused."""
+    that stops below cutoff, or a bs that carries no labels for rs (one not
+    returned by graded_branch_to_g for rs's algebra), is refused."""
     gc = _character(rs, aw, cutoff, gc)
     if bs is None:
         bs = graded_branch_to_g(rs, aw, cutoff, gc)
+    elif bs.labels is None or bs.rs is None or bs.rs.factors != rs.factors:
+        raise ValueError(f"branching series carries no labels for {rs.name}")
     elif bs.cutoff < cutoff:
         raise ValueError(f"branching series has cutoff {bs.cutoff}, below the requested "
                          f"cutoff {cutoff}")
     out = [0] * (cutoff + 1)
-    for ((_, n), b), labels in zip(bs.entries.items(), _series_labels(bs, rs)[0]):
+    for ((_, n), b), labels in zip(bs.entries.items(), bs.labels):
         if n <= cutoff:
             out[n] += b * label_dimension(rs, labels)
     totals = [sum(m * gc.rs.orbit_size(lbl) for lbl, m in mult.items()) for mult in gc.rows]
@@ -425,20 +421,18 @@ def branch_affine_to_subalgebra(rs: RootSystem, s: Splint, aw: AffineWeight,
                                 ) -> BranchingSeries:
     """Composed route: branch each grade layer to the horizontal algebra, then
     read each module's tilde-weight table by the labels its series carries,
-    summing on integer label codes; each distinct weight is built once."""
+    summing on integer label codes; each distinct weight is built once, with
+    the offset its series carries."""
     if s.ambient.factors != rs.factors:
         raise ValueError("splint ambient does not match the affine algebra")
     require_tilde_branching(s)
     bs = graded_branch_to_g(rs, aw, cutoff, gc)
-    labels, offsets = _series_labels(bs, rs)
-    if len(offsets) != 1:
-        raise AssertionError("module weights differ in their W-fixed part")
     acc: dict = {}
-    for ((_, n), b), lbl in zip(bs.entries.items(), labels):
+    for ((_, n), b), lbl in zip(bs.entries.items(), bs.labels):
         for code, c in _branch_codes(s, lbl).items():
             acc[code, n] = acc.get((code, n), 0) + b * c
     xi = {code: v for v, code in s.ambient.from_labels(
-        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), 1, *offsets)}
+        ((c, c) for c in dict.fromkeys(c for c, _ in acc)), 1, bs.offset)}
     return BranchingSeries(cutoff, {(xi[code], n): v for (code, n), v in acc.items() if v})
 
 
@@ -447,4 +441,5 @@ def branch_affine_direct(rs: RootSystem, s: Splint, aw: AffineWeight,
                          ) -> BranchingSeries:
     """Direct route: decompose each grade layer straight into subalgebra
     modules by highest-weight subtraction."""
-    return _peel(_character(rs, aw, cutoff, gc), cutoff, s.subalgebra_view().decompose)
+    return BranchingSeries(cutoff, _peel(_character(rs, aw, cutoff, gc), cutoff,
+                                         s.subalgebra_view().decompose))

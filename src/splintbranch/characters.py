@@ -12,7 +12,7 @@ two routes cross-check each other.
 Inside, everything runs on ints and touches Fractions only at its edges.
 One Freudenthal recursion (`_freudenthal_tables`) runs on Dynkin labels
 (`RootSystem.label_data`) grade by grade, on dominant weights only (a
-weight on a string is read at its dominant labels, `dominant_lookup`): its
+weight on a string is read at its dominant labels, `dominant_labels`): its
 grade 0 is the table of a finite module, cached per (root system, labels) by
 `functools.cache` like `label_dimension` (`_dominant_table`, also the
 columns of `affine.multiplicity_matrix`), and its grades make the affine
@@ -570,7 +570,7 @@ def _freudenthal_tables(rs: RootSystem, top: tuple, level: int, cutoff: int) -> 
                   for x, fx in ((a, fa), (tuple(map(neg, a)), tuple(map(neg, fa))))]
         signed += [((0,) * rs.rank, (0,) * rs.rank, 0)] * rs.rank
     (bound, step), apex = _ball(rs, top, level), top      # the ball of grade n
-    dominant = rs.dominant_lookup      # labels of w -> (dominant labels, sign)
+    dominant = rs.dominant_labels      # labels of w -> (dominant labels, sign)
     tables, mults = [], []
     for n in range(cutoff + 1):
         if n:

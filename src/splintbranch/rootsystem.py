@@ -29,8 +29,8 @@ labels, and refuses an orbit larger than MAX_ORBIT from its size
 of each basis that `label_orbit` is given and its packing per field width)
 are `functools.cache` methods, like `simple_coefficients`: a root system lives
 for the process anyway, one per algebra (`build_root_system`).
-`dominant_labels` reads one dict memo, and hands out its bound lookup
-(`dominant_lookup`) to the loops that call it per point.
+`dominant_labels` is the bound lookup of one dict memo, which the loops that
+call it per point bind once.
 
 Realizations (one block per simple factor):
   A_n : R^{n+1},  alpha_i = e_i - e_{i+1},             scale 1
@@ -622,17 +622,12 @@ class RootSystem:
         return [(tuple([get(sum(map(mul, labels, col)) + b) for col, b in zip(cols, off)]), x)
                 for labels, x in terms]
 
-    def dominant_labels(self, labels):
-        """(dominant labels, sign) of an int label tuple: reflect at the first
-        negative label until none is left; sign is the parity of the
-        reflections used.  Memoized per labels, in the memo that
-        dominant_lookup reads."""
-        return self.dominant_lookup(labels)
-
     @cached_property
-    def dominant_lookup(self):
-        """dominant_labels as a bound dict lookup, for the loops that call it
-        per point: one memo behind both, and a hit is one dict read."""
+    def dominant_labels(self):
+        """labels -> (dominant labels, sign) of an int label tuple: reflect at
+        the first negative label until none is left; sign is the parity of
+        the reflections used.  One bound dict lookup, memoized per labels, so
+        a loop that binds it once pays one dict read per hit."""
         return _Memo(self._dominant_descent).__getitem__
 
     def _dominant_descent(self, labels):

@@ -6,10 +6,13 @@ cutoff with nothing decomposed, and `branch_via_splint` keeps its integer
 table on the `Splint` (by ambient labels).  The composed branching route is
 checked against the direct route and against a test-local copy of the
 accumulation keyed by Fraction weights that the integer one replaced (dict
-order included); `q_dimension` against a per-grade recount.  The series that
-`graded_character` builds carry the Dynkin labels of their weights, which
-`q_dimension`, the splint route and the cache writer read instead of
-splitting each weight again.
+order included); `q_dimension` against a per-grade recount.  Every series
+that `graded_branch_to_g` returns carries its algebra, its W-fixed offset and
+the Dynkin labels of its weights: a fold's or a cache hit's as
+`graded_character` built them, a peel's split once.  `q_dimension`, the
+splint route and the cache writer read them instead of splitting each weight
+again, and `q_dimension` refuses a series that carries no labels for its
+algebra.
 """
 
 import re
@@ -103,9 +106,10 @@ def test_composed_route_equals_direct_route_and_fraction_accumulation(case):
 @settings(max_examples=25, deadline=None)
 @given(affine_module())
 def test_series_carry_the_labels_of_their_weights(case):
-    # the carried labels (or, for a peel, the labels split once) are the
-    # split labels of every entry's weight, and the consumers that read them
-    # equal their Vec-path versions, dict order included
+    # every series graded_branch_to_g returns (served, sliced, or peeled from
+    # a character with no series) carries rs, the module's W-fixed offset and
+    # the split labels of every entry's weight, and the consumers that read
+    # them equal their Vec-path versions, dict order included
     name, aw, cutoff = case
     rs = ALGEBRAS[name]
     assert af.check_affine_dominant(rs, aw) == rs.split_labels(aw.finite)[0]
@@ -117,15 +121,11 @@ def test_series_carry_the_labels_of_their_weights(case):
     gc = af.affine_character(rs, aw, cutoff)
     hit = cache_hit(rs, aw, gc)
     peel = af.graded_branch_to_g(rs, aw, cutoff, af.affine_freudenthal(rs, aw, cutoff))
-    assert peel.labels is None
+    assert list(peel.entries.items()) == list(gc.series.entries.items())
     series = [peel] + [af.graded_branch_to_g(rs, aw, c, g) for g in (gc, hit)
                        for c in range(cutoff + 1)]
     for bs in series:
-        splits = [rs.split_labels(nu) for nu, _ in bs.entries]
-        assert af._series_labels(bs, rs) == ([lbl for lbl, _, _ in splits],
-                                             {off for _, _, off in splits})
-        if bs is not peel:
-            assert bs.rs is rs and bs.labels == [lbl for lbl, _, _ in splits]
+        assert_carries_its_labels(rs, aw, bs)
     for g in (gc, hit):
         for c in range(cutoff + 1):
             bs = af.graded_branch_to_g(rs, aw, c, g)
@@ -133,6 +133,49 @@ def test_series_carry_the_labels_of_their_weights(case):
             for s in SPLINTS[name]:
                 got = af.branch_affine_to_subalgebra(rs, s, aw, c, g)
                 assert list(got.entries.items()) == list(fraction_keyed_branch(s, bs).items())
+
+
+def assert_carries_its_labels(rs, aw, bs):
+    """bs carries rs, the W-fixed offset of aw and the split labels of each
+    entry's weight, in entry order."""
+    splits = [rs.split_labels(nu) for nu, _ in bs.entries]
+    offset = rs.split_labels(aw.finite)[2]
+    assert bs.rs is rs and bs.offset == offset
+    assert bs.labels == [lbl for lbl, _, _ in splits]
+    assert {(d, off) for _, d, off in splits} == {(1, offset)}
+
+
+# (algebra read, algebra built, finite labels, W-fixed shift, level, cutoff):
+# characters whose series graded_branch_to_g peels, beyond the unshifted
+# affine_freudenthal characters of test_series_carry_the_labels_of_their_weights
+PEELED = {
+    "A2-shifted-freudenthal": ("A2", "A2", (1, 0), Fraction(1, 3), 1, 2),
+    "B2-vacuum-as-C2": ("C2", "B2", (0, 0), None, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEELED))
+def test_peeled_series_carry_their_labels(case):
+    # a character with no series (affine_freudenthal) or kept for another
+    # algebra (B2 read as C2) is peeled, and its series carries the labels
+    # too: the q-dimension reads them as it reads a fold's
+    read, built, labels, shift, level, cutoff = PEELED[case]
+    rs, other = build_root_system(read), build_root_system(built)
+    finite = other.weight_from_labels(labels)
+    if shift is not None:
+        finite = vadd(finite, (shift,) * other.dim)
+    aw = af.AffineWeight(finite, level)
+    if read == built:
+        gc = af.affine_freudenthal(rs, aw, cutoff)
+        assert gc.series is None
+    else:
+        gc = af.affine_character(other, aw, cutoff)
+        assert gc.series.rs is other
+    bs = af.graded_branch_to_g(rs, aw, cutoff, gc)
+    assert_carries_its_labels(rs, aw, bs)
+    assert bs.entries == layer_decomposition(rs, gc, cutoff)
+    assert af.q_dimension(rs, aw, cutoff, bs, gc) == vec_path_q_dimension(rs, bs, cutoff)
+    assert af.q_dimension(rs, aw, cutoff, gc=gc) == [layer.total() for layer in gc.layers]
 
 
 @pytest.mark.parametrize("built", ["fold", "cache"])
@@ -208,6 +251,24 @@ def test_decomposed_character_still_equals_its_twin():
     af.graded_branch_to_g(b2, aw, 2, left)
     assert left == right
     assert repr(left) == repr(right)
+
+
+def test_q_dimension_refuses_a_series_without_labels_for_rs():
+    # a hand-built series carries no labels, and one kept for B2 carries
+    # B2's: neither is read for C2, while the series that graded_branch_to_g
+    # returns for an algebra is served to it
+    b2, c2 = ALGEBRAS["B2"], build_root_system("C2")
+    aw = af.AffineWeight(zero_vec(b2.dim), 1)
+    gc = af.affine_character(b2, aw, 2)
+    cases = [(b2, af.BranchingSeries(2, gc.series.entries)), (c2, gc.series),
+             (c2, af.BranchingSeries(2, gc.series.entries, b2, None, gc.series.labels))]
+    for rs, bs in cases:
+        with pytest.raises(ValueError, match=f"^branching series carries no labels for "
+                                             f"{rs.name}$"):
+            af.q_dimension(rs, aw, 2, bs, gc)
+    for rs in (b2, c2):
+        bs = af.graded_branch_to_g(rs, aw, 2, gc)
+        assert af.q_dimension(rs, aw, 2, bs, gc) == af.q_dimension(rs, aw, 2, gc=gc)
 
 
 def test_graded_records_compare_by_value():

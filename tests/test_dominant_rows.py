@@ -11,7 +11,8 @@ of the rows, and `affine_freudenthal`'s), and the memo of
 call hits the cache and returns the same object).  With the
 layer builder patched to raise, the benchmark's affine op and the CLI's
 `strings` and `qdim` must still run, cold and warm.  `graded_character`
-refuses folds with no grade 0 and a fold term of the wrong shape.  The
+refuses folds with no grade 0, a fold term of the wrong shape and a module
+that is not integrable, the last with the fold's own texts.  The
 cached `_dominant_table` returns one list on a repeat call, whose
 multiplicities times orbit sizes sum to the Weyl dimension of the module.
 """
@@ -241,6 +242,29 @@ def test_malformed_fold_term_is_refused(case):
         message = f"grade {grade} has a malformed term {labels!r}: {b!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         af.graded_character(A2, A2_VACUUM, folds)
+
+
+A1 = build_root_system("A1")
+
+# (labels of mu, level) of a module that is not integrable, with the
+# refusal of the fold (check_affine_dominant)
+NOT_INTEGRABLE = {
+    "mu-above-level": ((3,), 1, "(mu, theta^v) = 3 exceeds level 1"),
+    "negative-level": ((0,), -1, "level must be a nonnegative integer"),
+    "bool-level": ((0,), True, "level must be a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGRABLE))
+def test_fold_of_a_module_that_is_not_integrable_is_refused(case):
+    # graded_character gates its weight as the fold does, with the same text,
+    # before it reads any fold
+    labels, level, message = NOT_INTEGRABLE[case]
+    aw = af.AffineWeight(A1.weight_from_labels(labels), level)
+    for build in (lambda: af.graded_character(A1, aw, [{labels: 1}]),
+                  lambda: af.affine_character(A1, aw, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_well_formed_fold_builds_the_character():

@@ -1,7 +1,7 @@
 """The weight engine's memos are `functools.cache` methods of `RootSystem`
 and `functools.cached_property`s of `Splint`, but for the dominant labels:
-one dict memo behind `dominant_labels` and the bound lookup
-`dominant_lookup` that the per-point loops read.
+`dominant_labels` is the bound lookup of one dict memo, which the per-point
+loops bind once.
 
 Each cached method returns the same object on a repeat call, and that object
 equals the uncached function (the method's `__wrapped__`, or
@@ -60,16 +60,19 @@ def test_dominant_labels_is_cached(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(label_cases(), st.booleans())
-def test_dominant_lookup_shares_the_memo(case, lookup_first):
+@given(label_cases())
+def test_dominant_labels_is_one_bound_lookup(case):
     rs, labels = case
-    lookup = rs.dominant_lookup
-    assert rs.dominant_lookup is lookup
-    first, second = (lookup, rs.dominant_labels) if lookup_first else (rs.dominant_labels, lookup)
-    got = first(labels)
-    assert second(labels) is got
-    # the one memo: the lookup's dict holds what either of them computed
-    assert lookup.__self__[labels] is got
+    lookup = rs.dominant_labels
+    assert rs.dominant_labels is lookup
+    # a dict's own bound __getitem__: a hit is one dict read
+    memo = lookup.__self__
+    assert isinstance(memo, dict) and lookup == memo.__getitem__
+    got = lookup(labels)
+    assert got == rs._dominant_descent(labels) and memo[labels] is got
+    size = len(memo)
+    assert lookup(labels) is got and rs.dominant_labels(labels) is got
+    assert len(memo) == size
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3"])
